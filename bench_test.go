@@ -150,7 +150,7 @@ func BenchmarkE3_MiniMDMonitoring(b *testing.B) {
 			if err != nil {
 				return err
 			}
-			return rt.Ingest(pts)
+			return rt.IngestContext(context.Background(), pts)
 		},
 		DefaultTags:   map[string]string{"hostname": "node01", "app": "minimd"},
 		FlushInterval: -1,
@@ -313,7 +313,7 @@ func BenchmarkO1_RouterThroughput(b *testing.B) {
 			batch := routerBatch(100, "h1")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := rt.Ingest(batch); err != nil {
+				if err := rt.IngestContext(context.Background(), batch); err != nil {
 					b.Fatal(err)
 				}
 			}

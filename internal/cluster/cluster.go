@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fsys"
 	"repro/internal/lineproto"
 	"repro/internal/obs"
 	"repro/internal/tsdb"
@@ -44,24 +43,12 @@ type Config struct {
 	// heal.
 	WriteQuorum int
 
-	// VirtualNodes per ring member (0 = DefaultVirtualNodes).
-	VirtualNodes int
-
 	// HintsDir is the root directory of the durable hinted-handoff queues
 	// (one WAL per peer underneath). Empty keeps hints in memory only — a
 	// coordinator crash then loses them, exactly like a memory-only lms-db
-	// loses unflushed points.
+	// loses unflushed points. The hint WALs fsync per batch and each
+	// peer's queue is capped at DefaultMaxHintBytes.
 	HintsDir string
-
-	// HintFsync is the fsync policy of the hint WALs (default: per batch).
-	HintFsync durable.FsyncPolicy
-
-	// HintFS overrides the filesystem the hint queues run on; nil selects
-	// the real one. Chaos tests inject internal/faultfs here.
-	HintFS fsys.FS
-
-	// MaxHintBytes caps each peer's hint queue (0 = DefaultMaxHintBytes).
-	MaxHintBytes int64
 
 	// DrainInterval is the base retry delay of the hint drain loop; it
 	// doubles per consecutive failure up to 16x. 0 selects 250ms.
@@ -135,7 +122,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Self != "" && cfg.SelfStore == nil {
 		return nil, fmt.Errorf("cluster: Self %q set without SelfStore", cfg.Self)
 	}
-	ring := NewRing(cfg.Peers, cfg.VirtualNodes)
+	ring := NewRing(cfg.Peers, DefaultVirtualNodes)
 	if cfg.Replication <= 0 {
 		cfg.Replication = DefaultReplication
 	}
@@ -161,7 +148,6 @@ func New(cfg Config) (*Cluster, error) {
 		done:      make(chan struct{}),
 	}
 	foundSelf := cfg.Self == ""
-	hintOpts := durable.Options{Fsync: cfg.HintFsync, FS: cfg.HintFS}
 	for _, id := range ring.Nodes() {
 		n := &node{id: id}
 		if id == cfg.Self {
@@ -169,7 +155,7 @@ func New(cfg Config) (*Cluster, error) {
 			c.self = n
 			foundSelf = true
 		} else {
-			q, err := openHintQueue(cfg.HintsDir, id, cfg.MaxHintBytes, hintOpts)
+			q, err := openHintQueue(cfg.HintsDir, id, durable.Options{Fsync: durable.FsyncPerBatch})
 			if err != nil {
 				c.closeQueues()
 				return nil, err
@@ -259,16 +245,9 @@ func (c *Cluster) ensureDatabase(db string) {
 			defer c.wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			_ = c.ensure(ctx, db)
+			_ = c.Ensure(ctx, db)
 		}()
 	}
-}
-
-// Ensure synchronously creates db on every member, returning the first
-// failure. The write path calls the asynchronous form; tests and
-// provisioning tools call Ensure directly.
-func (c *Cluster) Ensure(ctx context.Context, db string) error {
-	return c.ensure(ctx, db)
 }
 
 func (c *Cluster) unensured(db string) []string {
@@ -288,7 +267,11 @@ func (c *Cluster) unensured(db string) []string {
 	return missing
 }
 
-func (c *Cluster) ensure(ctx context.Context, db string) error {
+// Ensure synchronously creates db on every member that has not confirmed
+// it yet, returning the first failure. The write path runs it in the
+// background (ensureDatabase); tests and provisioning tools call it
+// directly.
+func (c *Cluster) Ensure(ctx context.Context, db string) error {
 	var firstErr error
 	for _, id := range c.unensured(db) {
 		n := c.nodes[id]
@@ -343,9 +326,9 @@ func (c *Cluster) drainLoop() {
 			backoff = c.cfg.DrainInterval
 		case <-timer.C:
 		}
-		replayed, failed := c.drainOnce()
+		replayed, err := c.drainPeers(context.Background())
 		switch {
-		case replayed > 0 || failed == 0:
+		case replayed > 0 || err == nil:
 			backoff = c.cfg.DrainInterval
 		case backoff < 16*c.cfg.DrainInterval:
 			backoff *= 2
@@ -360,9 +343,16 @@ func (c *Cluster) drainLoop() {
 	}
 }
 
-// drainOnce attempts one drain round over all peers with pending hints.
-func (c *Cluster) drainOnce() (replayed, failed int) {
+// drainPeers is the one drain routine: one round over every peer with
+// pending hints, replaying each queue until it empties or its peer fails
+// again. It returns the batches replayed and the first per-peer failure.
+// The background loop and DrainHints may run it at once; each queue
+// serializes its own drain (hintQueue.drain).
+func (c *Cluster) drainPeers(ctx context.Context) (replayed int, firstErr error) {
 	for _, id := range c.ring.Nodes() {
+		if err := ctx.Err(); err != nil {
+			return replayed, err
+		}
 		n := c.nodes[id]
 		if n.hints == nil {
 			continue
@@ -371,42 +361,28 @@ func (c *Cluster) drainOnce() (replayed, failed int) {
 			continue
 		}
 		got, err := n.hints.drain(func(db string, pts []lineproto.Point) error {
-			return c.clientFor(id, db).WritePoints(pts)
+			return c.clientFor(id, db).WritePointsContext(ctx, pts)
 		})
 		n.replayed.Add(uint64(got))
 		replayed += got
 		if err != nil {
-			failed++
 			c.logf("cluster: hint drain to %s stalled after %d batches: %v", id, got, err)
+			if firstErr == nil {
+				firstErr = fmt.Errorf("cluster: drain to %s: %w", id, err)
+			}
 		} else if got > 0 {
 			c.logf("cluster: hint queue for %s drained (%d batches replayed)", id, got)
 		}
 	}
-	return replayed, failed
+	return replayed, firstErr
 }
 
 // DrainHints synchronously replays every pending hint, returning the
 // first per-peer failure (nil when all queues emptied). Tests and
 // graceful shutdown use it; production relies on the background loop.
 func (c *Cluster) DrainHints(ctx context.Context) error {
-	var firstErr error
-	for _, id := range c.ring.Nodes() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n := c.nodes[id]
-		if n.hints == nil {
-			continue
-		}
-		got, err := n.hints.drain(func(db string, pts []lineproto.Point) error {
-			return c.clientFor(id, db).WritePoints(pts)
-		})
-		n.replayed.Add(uint64(got))
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: drain to %s: %w", id, err)
-		}
-	}
-	return firstErr
+	_, err := c.drainPeers(ctx)
+	return err
 }
 
 // PendingHints sums the queued hint batches across all peers.

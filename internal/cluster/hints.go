@@ -63,21 +63,22 @@ type hintQueue struct {
 	peer string
 	dir  string // "" = memory-only (no HintsDir configured)
 
+	// drainMu serializes drain: the hint a drain pops after a successful
+	// send must be the hint it sent. mu is released while sending, so
+	// enqueue and depth never wait on a slow or dead peer.
+	drainMu sync.Mutex
+
 	mu      sync.Mutex
 	wal     *durable.WAL // nil when memory-only or the log sealed
 	pending []hint
 	bytes   int64
-	maxB    int64
 }
 
 // openHintQueue opens (or creates) the queue for peer under root,
 // recovering pending hints from a previous run through the WAL replay
 // callback. root == "" builds a memory-only queue.
-func openHintQueue(root, peer string, maxBytes int64, opts durable.Options) (*hintQueue, error) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxHintBytes
-	}
-	q := &hintQueue{peer: peer, maxB: maxBytes}
+func openHintQueue(root, peer string, opts durable.Options) (*hintQueue, error) {
+	q := &hintQueue{peer: peer}
 	if root == "" {
 		return q, nil
 	}
@@ -106,7 +107,7 @@ func (q *hintQueue) enqueue(db string, pts []lineproto.Point, nowNS int64) error
 	payload := encodeHint(db, pts, nowNS)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.bytes+int64(len(payload)) > q.maxB {
+	if q.bytes+int64(len(payload)) > DefaultMaxHintBytes {
 		return fmt.Errorf("cluster: hint queue for %s full (%d bytes)", q.peer, q.bytes)
 	}
 	if q.wal != nil {
@@ -139,8 +140,11 @@ func (q *hintQueue) depth() (batches int, bytes int64) {
 // empties, the WAL is rotated and its drained segments removed, so disk
 // usage returns to zero after a heal. A crash mid-drain re-replays the
 // already-delivered prefix on restart; delivery is at-least-once and the
-// store's upsert makes it convergent.
+// store's upsert makes it convergent. Concurrent drains of one queue run
+// one after the other.
 func (q *hintQueue) drain(send func(db string, pts []lineproto.Point) error) (replayed int, err error) {
+	q.drainMu.Lock()
+	defer q.drainMu.Unlock()
 	for {
 		q.mu.Lock()
 		if len(q.pending) == 0 {

@@ -11,7 +11,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/faultfs"
 	"repro/internal/lineproto"
@@ -24,7 +26,7 @@ var errInjected = errors.New("injected I/O error")
 // m0..m(n-1), returning how many enqueues acked. openErr reports an open
 // that failed under injection.
 func hintScenario(fs *faultfs.FS, n int) (acked int, openErr error) {
-	q, err := openHintQueue("hints", "http://peer:8086", 0, durable.Options{FS: fs})
+	q, err := openHintQueue("hints", "http://peer:8086", durable.Options{FS: fs})
 	if err != nil {
 		return 0, err
 	}
@@ -42,7 +44,7 @@ func hintScenario(fs *faultfs.FS, n int) (acked int, openErr error) {
 func recoverHints(t *testing.T, fs *faultfs.FS) []hint {
 	t.Helper()
 	fs.SetInject(nil)
-	q, err := openHintQueue("hints", "http://peer:8086", 0, durable.Options{FS: fs})
+	q, err := openHintQueue("hints", "http://peer:8086", durable.Options{FS: fs})
 	if err != nil {
 		t.Fatalf("reopen after crash failed: %v", err)
 	}
@@ -117,7 +119,7 @@ func TestHintQueueKillSweep(t *testing.T) {
 // delivered prefix — at-least-once, made convergent by the store upsert.
 func TestHintQueueCrashMidDrain(t *testing.T) {
 	fs := faultfs.New()
-	q, err := openHintQueue("hints", "http://peer:8086", 0, durable.Options{FS: fs})
+	q, err := openHintQueue("hints", "http://peer:8086", durable.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ func TestHintQueueCrashMidDrain(t *testing.T) {
 // zero hint bytes on disk.
 func TestHintQueueReclaimsDiskAfterDrain(t *testing.T) {
 	fs := faultfs.New()
-	q, err := openHintQueue("hints", "http://peer:8086", 0, durable.Options{FS: fs})
+	q, err := openHintQueue("hints", "http://peer:8086", durable.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,5 +178,52 @@ func TestHintQueueReclaimsDiskAfterDrain(t *testing.T) {
 	got := recoverHints(t, fs)
 	if len(got) != 0 {
 		t.Fatalf("drained queue recovered %d stale hints", len(got))
+	}
+}
+
+// TestHintQueueConcurrentDrain: the background drain loop and DrainHints
+// may drain one queue at the same moment (a write's kickDrain wakes the
+// loop whenever it likes). Each hint popped must be the hint that drain
+// sent: with two unserialized drains both send hint 0 and both pop, so
+// hint 1 is discarded unsent — an acknowledged write that never reaches
+// its replica.
+func TestHintQueueConcurrentDrain(t *testing.T) {
+	q, err := openHintQueue("", "http://peer:8086", durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hints = 20
+	for i := 0; i < hints; i++ {
+		if err := q.enqueue("lms", testPoints(fmt.Sprintf("m%d", i), "h1", 1), 1e9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	delivered := map[string]int{}
+	slowSend := func(_ string, pts []lineproto.Point) error {
+		time.Sleep(time.Millisecond) // a peer slow enough for the drains to overlap
+		mu.Lock()
+		delivered[pts[0].Measurement]++
+		mu.Unlock()
+		return nil
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := q.drain(slowSend); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < hints; i++ {
+		if delivered[fmt.Sprintf("m%d", i)] == 0 {
+			t.Fatalf("hint %d was popped without ever being sent (delivered: %v)", i, delivered)
+		}
+	}
+	if n, b := q.depth(); n != 0 || b != 0 {
+		t.Fatalf("drained queue reports depth %d, %d bytes", n, b)
 	}
 }

@@ -71,12 +71,14 @@ func (q *DistributedQuerier) Query(ctx context.Context, req tsdb.Request) (tsdb.
 func (q *DistributedQuerier) execStatement(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, error) {
 	switch st.Kind {
 	case tsdb.StmtSelect:
-		return q.execRouted(ctx, req, st)
+		res, _, err := q.execRouted(ctx, req, st)
+		return res, err
 	case tsdb.StmtExplainAnalyze:
 		return q.execExplainAnalyze(ctx, req, st)
 	case tsdb.StmtShowFieldKeys, tsdb.StmtShowTagKeys, tsdb.StmtShowTagValues:
 		if st.Query.Measurement != "" {
-			return q.execRouted(ctx, req, st)
+			res, _, err := q.execRouted(ctx, req, st)
+			return res, err
 		}
 		return q.execFanAll(ctx, req, st)
 	case tsdb.StmtShowMeasurements, tsdb.StmtShowDatabases:
@@ -134,16 +136,11 @@ type routeAttempt struct {
 // execRouted routes a measurement-scoped statement to its owner slice:
 // first healthy owner answers, the rest are failover targets. A replica
 // with queued hints is tried last — it is known to be missing
-// acknowledged writes until handoff drains.
-func (q *DistributedQuerier) execRouted(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, error) {
-	res, _, err := q.execRoutedProf(ctx, req, st)
-	return res, err
-}
-
-// execRoutedProf is execRouted keeping the per-attempt routing profile:
-// which replicas were tried, how long each took, and how each answered.
-// The last attempt of a successful route is the chosen replica.
-func (q *DistributedQuerier) execRoutedProf(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, []routeAttempt, error) {
+// acknowledged writes until handoff drains. The returned attempts are the
+// routing profile EXPLAIN ANALYZE renders: which replicas were tried, how
+// long each took, and how each answered; the last attempt of a successful
+// route is the chosen replica.
+func (q *DistributedQuerier) execRouted(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, []routeAttempt, error) {
 	owners := q.c.owners(req.Database, st.Query.Measurement)
 	if len(owners) == 0 {
 		return tsdb.ExecResult{}, nil, fmt.Errorf("cluster: empty ring")
@@ -195,7 +192,7 @@ func (q *DistributedQuerier) execRoutedProf(ctx context.Context, req tsdb.Reques
 // profile as one more series: the chosen replica and every attempt's
 // timing (DESIGN.md §14).
 func (q *DistributedQuerier) execExplainAnalyze(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, error) {
-	res, attempts, err := q.execRoutedProf(ctx, req, st)
+	res, attempts, err := q.execRouted(ctx, req, st)
 	if err != nil {
 		return tsdb.ExecResult{}, err
 	}

@@ -197,8 +197,8 @@ func ParseXML(data []byte) (map[string][]Metric, error) {
 type Proxy struct {
 	// Addr is the gmond TCP address.
 	Addr string
-	// Ingest receives the converted points (typically Router.Ingest or an
-	// HTTP write wrapper).
+	// Ingest receives the converted points (typically a closure over
+	// Router.IngestContext, or an HTTP write wrapper).
 	Ingest func(pts []lineproto.Point) error
 	// MeasurementPrefix prefixes gmond metric names (default "ganglia_").
 	MeasurementPrefix string

@@ -1,6 +1,7 @@
 package gmond
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -141,7 +142,7 @@ func TestProxyIntoRouterEnrichment(t *testing.T) {
 	if err := rt.JobStart(router.JobSignal{JobID: "77", User: "alice", Nodes: []string{"h1"}}); err != nil {
 		t.Fatal(err)
 	}
-	p := &Proxy{Addr: s.Addr(), Ingest: rt.Ingest, Now: now}
+	p := &Proxy{Addr: s.Addr(), Ingest: func(pts []lineproto.Point) error { return rt.IngestContext(context.Background(), pts) }, Now: now}
 	if _, err := p.Pull(); err != nil {
 		t.Fatal(err)
 	}

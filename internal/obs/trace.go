@@ -103,12 +103,16 @@ func (s *Span) AttrInt(key string, val int64) *Span {
 	return s
 }
 
-// End closes the span. Nil-safe.
-func (s *Span) End() {
+// End closes the span and returns its duration in nanoseconds — the same
+// two clock reads the completed trace reports as the span's dur_ns, so a
+// caller that also keeps its own per-phase figure (EXPLAIN ANALYZE) needs
+// no second clock. Nil-safe: a nil span reads no clock and returns 0.
+func (s *Span) End() int64 {
 	if s == nil {
-		return
+		return 0
 	}
 	s.endNS = time.Now().UnixNano()
+	return s.endNS - s.startNS
 }
 
 // Finish completes the trace and publishes it to its ring. Spans still

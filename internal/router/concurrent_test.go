@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -70,7 +71,7 @@ func TestRouterConcurrentIngest(t *testing.T) {
 			}
 			meas := fmt.Sprintf("cpu%02d", a)
 			for i := 0; i < rounds; i++ {
-				if err := rt.Ingest(concBatch(meas, host, i*perB, perB)); err != nil {
+				if err := rt.IngestContext(context.Background(), concBatch(meas, host, i*perB, perB)); err != nil {
 					t.Errorf("agent %d: %v", a, err)
 					return
 				}
@@ -164,7 +165,7 @@ func TestRouterConcurrentJobChurn(t *testing.T) {
 			defer wg.Done()
 			host := fmt.Sprintf("churn%02d", a)
 			for i := 0; i < rounds; i++ {
-				if err := rt.Ingest(concBatch("load", host, i*5, 5)); err != nil {
+				if err := rt.IngestContext(context.Background(), concBatch("load", host, i*5, 5)); err != nil {
 					t.Errorf("ingest: %v", err)
 					return
 				}

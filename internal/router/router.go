@@ -84,8 +84,6 @@ type Config struct {
 	Publisher *pubsub.Publisher
 	// Now overrides the clock (tests); defaults to time.Now.
 	Now func() time.Time
-	// MaxHistory bounds the retained finished-job records (default 1000).
-	MaxHistory int
 	// MaxBodyBytes caps one /write body; larger payloads are refused with
 	// 413 instead of being silently truncated. 0 selects
 	// tsdb.DefaultMaxBodyBytes.
@@ -115,6 +113,9 @@ type Router struct {
 	dropped   atomic.Int64
 }
 
+// maxJobHistory bounds the finished-job records a router retains.
+const maxJobHistory = 1000
+
 // New validates the configuration and builds a router.
 func New(cfg Config) (*Router, error) {
 	if cfg.Primary == nil {
@@ -123,13 +124,10 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.MaxHistory <= 0 {
-		cfg.MaxHistory = 1000
-	}
 	r := &Router{
 		cfg:  cfg,
 		tags: NewTagStore(),
-		jobs: NewJobRegistry(cfg.MaxHistory),
+		jobs: NewJobRegistry(maxJobHistory),
 	}
 	if cfg.MaxInFlightRequests > 0 || cfg.MaxInFlightBytes > 0 {
 		r.gate = obs.NewGate(cfg.MaxInFlightRequests, cfg.MaxInFlightBytes)
@@ -286,17 +284,13 @@ func (r *Router) IngestBatchContext(ctx context.Context, payload []byte) error {
 	return r.IngestContext(ctx, pts)
 }
 
-// Ingest runs the router pipeline on a batch of points: timestamping,
-// tag-store enrichment, per-destination batching, forwarding, per-user
-// duplication and publishing. Points are accumulated per destination
-// database and each accumulated batch is flushed with a single sink write,
-// which the local sink hands to the store's sharded DB.WriteBatch.
-func (r *Router) Ingest(pts []lineproto.Point) error {
-	return r.IngestContext(context.Background(), pts)
-}
-
-// IngestContext is Ingest under a caller context: a trace riding it gets
-// enrich/forward spans, and context-aware sinks carry it onward.
+// IngestContext runs the router pipeline on a batch of points:
+// timestamping, tag-store enrichment, per-destination batching,
+// forwarding, per-user duplication and publishing. Points are accumulated
+// per destination database and each accumulated batch is flushed with a
+// single sink write, which the local sink hands to the store's sharded
+// DB.WriteBatch. A trace riding the context gets enrich/forward spans, and
+// context-aware sinks carry it onward.
 func (r *Router) IngestContext(ctx context.Context, pts []lineproto.Point) error {
 	if len(pts) == 0 {
 		return nil

@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -502,7 +503,7 @@ func TestConcurrentIngestAndSignals(t *testing.T) {
 					Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
 					Time:        time.Unix(int64(i), 0),
 				}}
-				if err := e.router.Ingest(pts); err != nil {
+				if err := e.router.IngestContext(context.Background(), pts); err != nil {
 					t.Error(err)
 					return
 				}

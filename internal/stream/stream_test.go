@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -196,7 +197,7 @@ func TestAttachToLivePublisherViaRouter(t *testing.T) {
 	// full path.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_ = rt.Ingest([]lineproto.Point{{
+		_ = rt.IngestContext(context.Background(), []lineproto.Point{{
 			Measurement: "probe",
 			Tags:        map[string]string{"hostname": "h0"},
 			Fields:      map[string]lineproto.Value{"v": lineproto.Float(1)},
@@ -216,7 +217,7 @@ func TestAttachToLivePublisherViaRouter(t *testing.T) {
 		t.Fatal(err)
 	}
 	for m := int64(0); m < 6; m++ {
-		err := rt.Ingest([]lineproto.Point{{
+		err := rt.IngestContext(context.Background(), []lineproto.Point{{
 			Measurement: "likwid_mem_dp",
 			Tags:        map[string]string{"hostname": "h1"},
 			Fields:      map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(1)},

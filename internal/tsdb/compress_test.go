@@ -10,13 +10,14 @@ package tsdb
 import (
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/lineproto"
-	"repro/internal/tsdb/durable"
 )
 
 func TestTimestampCodecRoundTrip(t *testing.T) {
@@ -287,7 +288,7 @@ func TestCompressConcurrentWithQueries(t *testing.T) {
 	db := NewDBShards("lms", 4)
 	db.SetQueryCacheTTL(0)
 	db.SetCompressAfter(time.Millisecond)
-	defer db.stopCompressor()
+	defer db.compTick.stop()
 
 	const writers, batches, per = 4, 30, 20
 	done := make(chan struct{})
@@ -368,19 +369,18 @@ func TestCheckpointCompressedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1BackCompat: a checkpoint in the PR 5 on-disk format
-// (SnapV1, raw frames only) must still recover. The test round-trips the
-// store's own latest snapshot through the V1 encoder and replaces the
-// on-disk file with it.
-func TestCheckpointV1BackCompat(t *testing.T) {
+// TestCheckpointV1Refused: a checkpoint in the retired PR 5 on-disk format
+// (LMSCKP1 magic) must fail the open with an error naming the format. The
+// WAL segments it covers are already deleted, so treating it as one more
+// corrupt file to skip would recover an empty database without a word.
+func TestCheckpointV1Refused(t *testing.T) {
 	dir := t.TempDir()
-	batches := corpusBatches()
 	st := openDurableStore(t, Durability{Dir: dir})
 	db, err := st.OpenDatabase("lms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range batches {
+	for _, b := range corpusBatches() {
 		if err := db.WriteBatch(b); err != nil {
 			t.Fatal(err)
 		}
@@ -389,21 +389,30 @@ func TestCheckpointV1BackCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dbDir := filepath.Join(dir, "lms")
-	snap, seg, err := durable.LoadLatestSnapshot(nil, dbDir)
+	snaps, err := filepath.Glob(filepath.Join(dir, "lms", "checkpoint-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("checkpoints on disk: %v (err %v)", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := durable.WriteSnapshotVersion(nil, dbDir, seg, snap, durable.SnapV1); err != nil {
+	if string(data[:8]) != "LMSCKP2\n" {
+		t.Fatalf("checkpoint magic %q", data[:8])
+	}
+	data[6] = '1'
+	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	st2 := openDurableStore(t, Durability{Dir: dir})
-	if got, oracle := queryFingerprint(t, st2, "lms"), queryFingerprint(t, memoryOracle(t, batches), "lms"); got != oracle {
-		t.Fatal("V1-format checkpoint recovered different answers than the oracle")
+	st2, err := OpenStore(StoreOptions{Durability: Durability{Dir: dir}})
+	if err == nil {
+		n := st2.DB("lms").PointCount()
+		_ = st2.Close()
+		t.Fatalf("store opened over an LMSCKP1 checkpoint and serves %d points", n)
 	}
-	if err := st2.Close(); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), "LMSCKP1") {
+		t.Fatalf("open error does not name the format: %v", err)
 	}
 }
 

@@ -181,31 +181,31 @@ func FuzzCheckpointDecode(f *testing.F) {
 			}}},
 		}},
 	}}}
-	for _, version := range []int{SnapV1, SnapV2} {
-		f.Add(appendSnapshot(nil, snap, version), version)
-		f.Add(appendSnapshot(nil, &Snapshot{}, version), version)
-	}
-	f.Add(appendSnapshot(nil, compSnap, SnapV2), SnapV2)
-	f.Add([]byte{0x01}, SnapV2)             // one measurement, then nothing
-	f.Add([]byte{0xff, 0xff, 0x7f}, SnapV1) // implausible measurement count
+	f.Add(appendSnapshot(nil, snap))
+	f.Add(appendSnapshot(nil, &Snapshot{}))
+	f.Add(appendSnapshot(nil, compSnap))
+	mixed := &Snapshot{Measurements: []Measurement{snap.Measurements[0]}}
+	mixed.Measurements[0].Series = []Series{{
+		Tags: map[string]string{"host": "a"},
+		Runs: []Run{snap.Measurements[0].Series[0].Runs[0], compSnap.Measurements[0].Series[0].Runs[0]},
+	}}
+	f.Add(appendSnapshot(nil, mixed)) // raw and compressed runs in one series
+	f.Add([]byte{0x01})               // one measurement, then nothing
+	f.Add([]byte{0xff, 0xff, 0x7f})   // implausible measurement count
+	// one measurement, one series, one run of an unknown kind
+	f.Add([]byte{1, 1, 'm', 0, 0, 1, 0, 1, 7})
 
-	f.Fuzz(func(t *testing.T, payload []byte, version int) {
-		if version != SnapV1 {
-			version = SnapV2 // the loader only ever passes known versions
-		}
-		s, err := decodeSnapshot(payload, version)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		s, err := decodeSnapshot(payload)
 		if err != nil {
 			return
 		}
-		// Accepted V1 payloads hold raw runs only, so re-encoding at the
-		// same version always succeeds; the fixed-point property is per
-		// version.
-		enc := appendSnapshot(nil, s, version)
-		s2, err := decodeSnapshot(enc, version)
+		enc := appendSnapshot(nil, s)
+		s2, err := decodeSnapshot(enc)
 		if err != nil {
 			t.Fatalf("canonical encoding does not decode: %v", err)
 		}
-		if enc2 := appendSnapshot(nil, s2, version); !bytes.Equal(enc, enc2) {
+		if enc2 := appendSnapshot(nil, s2); !bytes.Equal(enc, enc2) {
 			t.Fatalf("codec is not a fixed point: %d vs %d bytes", len(enc), len(enc2))
 		}
 	})

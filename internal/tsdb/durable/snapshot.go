@@ -7,9 +7,12 @@ package durable
 //
 // Layout:
 //
-//	[8B magic "LMSCKP1\n"][payload][4B CRC32 (IEEE) of payload]
+//	[8B magic "LMSCKP2\n"][payload][4B CRC32 (IEEE) of payload]
 //
-// The payload nests measurements → series → runs → columns. Sorted
+// The payload nests measurements → series → runs → columns. Every run
+// starts with a kind byte: raw runs follow with their columns, compressed
+// runs carry their Gorilla-style chunks verbatim — checkpoint write skips
+// re-encoding, recovery loads them without a decode pass. Sorted
 // timestamp columns are delta-encoded as uvarints after a fixed 64-bit
 // anchor (metric samples arrive at near-constant intervals, so deltas are
 // 1-5 bytes instead of 8), integer columns are zigzag varints, float
@@ -41,23 +44,16 @@ import (
 	"repro/internal/lineproto"
 )
 
-// Checkpoint format versions. V1 (PR 5) stores every run as raw
-// delta/varint-encoded columns; V2 adds a per-run kind byte so compressed
-// runs can carry their Gorilla-style chunks to disk verbatim — checkpoint
-// write skips re-encoding, recovery loads them without a decode pass. The
-// loader reads both; the writer emits V2 (SnapV1 stays writable for
-// back-compat tests and downgrade tooling, raw runs only).
+// snapMagic opens every checkpoint file. snapMagicV1 is the retired PR 5
+// format (raw runs without the kind byte): no writer for it exists any
+// more and LoadLatestSnapshot refuses it by name instead of treating it as
+// garbage.
 const (
-	SnapV1 = 1
-	SnapV2 = 2
-)
-
-const (
+	snapMagic   = "LMSCKP2\n"
 	snapMagicV1 = "LMSCKP1\n"
-	snapMagicV2 = "LMSCKP2\n"
 )
 
-// Per-run kind bytes (V2 frames).
+// Per-run kind bytes.
 const (
 	runKindRaw  = 0
 	runKindComp = 1
@@ -89,8 +85,7 @@ type Series struct {
 }
 
 // Run is one sorted columnar run: either raw (a timestamp column plus one
-// column per field) or compressed (Comp non-nil, Ts/Cols empty; V2 files
-// only).
+// column per field) or compressed (Comp non-nil, Ts/Cols empty).
 type Run struct {
 	Ts   []int64
 	Cols []Col
@@ -149,7 +144,7 @@ func parseSnapshotName(name string) (int, bool) {
 
 // --- encoding ----------------------------------------------------------
 
-func appendSnapshot(dst []byte, s *Snapshot, version int) []byte {
+func appendSnapshot(dst []byte, s *Snapshot) []byte {
 	dst = appendUvarint(dst, uint64(len(s.Measurements)))
 	for mi := range s.Measurements {
 		m := &s.Measurements[mi]
@@ -165,13 +160,13 @@ func appendSnapshot(dst []byte, s *Snapshot, version int) []byte {
 		}
 		dst = appendUvarint(dst, uint64(len(m.Series)))
 		for si := range m.Series {
-			dst = appendSeries(dst, &m.Series[si], version)
+			dst = appendSeries(dst, &m.Series[si])
 		}
 	}
 	return dst
 }
 
-func appendSeries(dst []byte, sr *Series, version int) []byte {
+func appendSeries(dst []byte, sr *Series) []byte {
 	keys := make([]string, 0, len(sr.Tags))
 	for k := range sr.Tags {
 		keys = append(keys, k)
@@ -184,19 +179,17 @@ func appendSeries(dst []byte, sr *Series, version int) []byte {
 	}
 	dst = appendUvarint(dst, uint64(len(sr.Runs)))
 	for ri := range sr.Runs {
-		dst = appendRun(dst, &sr.Runs[ri], version)
+		dst = appendRun(dst, &sr.Runs[ri])
 	}
 	return dst
 }
 
-func appendRun(dst []byte, r *Run, version int) []byte {
-	if version >= SnapV2 {
-		if r.Comp != nil {
-			dst = append(dst, runKindComp)
-			return appendCompRun(dst, r.Comp)
-		}
-		dst = append(dst, runKindRaw)
+func appendRun(dst []byte, r *Run) []byte {
+	if r.Comp != nil {
+		dst = append(dst, runKindComp)
+		return appendCompRun(dst, r.Comp)
 	}
+	dst = append(dst, runKindRaw)
 	n := len(r.Ts)
 	dst = appendUvarint(dst, uint64(n))
 	if n > 0 {
@@ -296,7 +289,7 @@ func appendCol(dst []byte, c *Col, n int) []byte {
 
 // --- decoding ----------------------------------------------------------
 
-func decodeSnapshot(payload []byte, version int) (*Snapshot, error) {
+func decodeSnapshot(payload []byte) (*Snapshot, error) {
 	r := &batchReader{b: payload}
 	nm, err := r.count()
 	if err != nil {
@@ -307,7 +300,7 @@ func decodeSnapshot(payload []byte, version int) (*Snapshot, error) {
 		s.Measurements = make([]Measurement, 0, nm)
 	}
 	for i := 0; i < nm; i++ {
-		m, err := decodeMeasurement(r, version)
+		m, err := decodeMeasurement(r)
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +312,7 @@ func decodeSnapshot(payload []byte, version int) (*Snapshot, error) {
 	return s, nil
 }
 
-func decodeMeasurement(r *batchReader, version int) (Measurement, error) {
+func decodeMeasurement(r *batchReader) (Measurement, error) {
 	var m Measurement
 	var err error
 	if m.Name, err = r.str(); err != nil {
@@ -366,7 +359,7 @@ func decodeMeasurement(r *batchReader, version int) (Measurement, error) {
 		m.Series = make([]Series, 0, nser)
 	}
 	for i := 0; i < nser; i++ {
-		sr, err := decodeSeries(r, version)
+		sr, err := decodeSeries(r)
 		if err != nil {
 			return m, err
 		}
@@ -375,7 +368,7 @@ func decodeMeasurement(r *batchReader, version int) (Measurement, error) {
 	return m, nil
 }
 
-func decodeSeries(r *batchReader, version int) (Series, error) {
+func decodeSeries(r *batchReader) (Series, error) {
 	var sr Series
 	nt, err := r.count()
 	if err != nil {
@@ -403,7 +396,7 @@ func decodeSeries(r *batchReader, version int) (Series, error) {
 		sr.Runs = make([]Run, 0, nr)
 	}
 	for i := 0; i < nr; i++ {
-		run, err := decodeRun(r, version)
+		run, err := decodeRun(r)
 		if err != nil {
 			return sr, err
 		}
@@ -412,26 +405,24 @@ func decodeSeries(r *batchReader, version int) (Series, error) {
 	return sr, nil
 }
 
-func decodeRun(r *batchReader, version int) (Run, error) {
+func decodeRun(r *batchReader) (Run, error) {
 	var run Run
-	if version >= SnapV2 {
-		if len(r.b) < 1 {
-			return run, errShortBatch
+	if len(r.b) < 1 {
+		return run, errShortBatch
+	}
+	kind := r.b[0]
+	r.b = r.b[1:]
+	switch kind {
+	case runKindRaw:
+	case runKindComp:
+		c, err := decodeCompRun(r)
+		if err != nil {
+			return run, err
 		}
-		kind := r.b[0]
-		r.b = r.b[1:]
-		switch kind {
-		case runKindRaw:
-		case runKindComp:
-			c, err := decodeCompRun(r)
-			if err != nil {
-				return run, err
-			}
-			run.Comp = c
-			return run, nil
-		default:
-			return run, fmt.Errorf("durable: unknown run kind %d", kind)
-		}
+		run.Comp = c
+		return run, nil
+	default:
+		return run, fmt.Errorf("durable: unknown run kind %d", kind)
 	}
 	n64, err := r.uvarint()
 	if err != nil {
@@ -682,40 +673,20 @@ func decodeCompCol(r *batchReader, n int) (CompCol, error) {
 // crash anywhere before that last barrier leaves at worst a stray .tmp
 // file and the previous checkpoint intact.
 func WriteSnapshot(fs fsys.FS, dir string, seg int, s *Snapshot) error {
-	return WriteSnapshotVersion(fs, dir, seg, s, SnapV2)
-}
-
-// WriteSnapshotVersion is WriteSnapshot pinned to a specific format
-// version. SnapV1 cannot represent compressed runs (Run.Comp) and exists
-// for back-compat tests and downgrade tooling.
-func WriteSnapshotVersion(fs fsys.FS, dir string, seg int, s *Snapshot, version int) error {
-	magic := snapMagicV2
-	if version == SnapV1 {
-		magic = snapMagicV1
-		for mi := range s.Measurements {
-			for si := range s.Measurements[mi].Series {
-				for ri := range s.Measurements[mi].Series[si].Runs {
-					if s.Measurements[mi].Series[si].Runs[ri].Comp != nil {
-						return errors.New("durable: v1 checkpoints cannot hold compressed runs")
-					}
-				}
-			}
-		}
-	}
 	if fs == nil {
 		fs = fsys.OS{}
 	}
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	payload := appendSnapshot(nil, s, version)
+	payload := appendSnapshot(nil, s)
 	final := filepath.Join(dir, snapshotName(seg))
 	tmp := final + ".tmp"
 	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write([]byte(magic))
+	_, err = f.Write([]byte(snapMagic))
 	if err == nil {
 		_, err = f.Write(payload)
 	}
@@ -761,7 +732,10 @@ func WriteSnapshotVersion(fs fsys.FS, dir string, seg int, s *Snapshot, version 
 // (nil selects the real filesystem). It returns the snapshot and the WAL
 // segment index replay must start from, or (nil, 0, nil) when no usable
 // checkpoint exists. Corrupt checkpoint files are skipped in favour of
-// older ones.
+// older ones — a longer WAL tail still reaches the same state. A file in
+// the retired LMSCKP1 format is not corruption and is refused with an
+// error instead: the WAL segments it covers are already deleted, so
+// skipping it would bring the store up silently missing that data.
 func LoadLatestSnapshot(fs fsys.FS, dir string) (*Snapshot, int, error) {
 	if fs == nil {
 		fs = fsys.OS{}
@@ -785,26 +759,22 @@ func LoadLatestSnapshot(fs fsys.FS, dir string) (*Snapshot, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		if len(data) < len(snapMagicV2)+4 {
+		if len(data) < len(snapMagic)+4 {
 			continue
 		}
-		// Both formats stay readable: a store upgraded across the V2
-		// cut recovers its existing V1 checkpoint and writes V2 from the
-		// next checkpoint on.
-		version := 0
-		switch string(data[:len(snapMagicV2)]) {
+		switch string(data[:len(snapMagic)]) {
+		case snapMagic:
 		case snapMagicV1:
-			version = SnapV1
-		case snapMagicV2:
-			version = SnapV2
+			return nil, 0, fmt.Errorf("durable: %s is in the retired LMSCKP1 checkpoint format, which this version no longer reads",
+				filepath.Join(dir, snapshotName(idx)))
 		default:
 			continue
 		}
-		payload := data[len(snapMagicV2) : len(data)-4]
+		payload := data[len(snapMagic) : len(data)-4]
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
 			continue
 		}
-		s, err := decodeSnapshot(payload, version)
+		s, err := decodeSnapshot(payload)
 		if err != nil {
 			continue
 		}

@@ -192,6 +192,58 @@ func TestExplainAnalyzeProfile(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeOneClock: with a trace attached, each phase figure of
+// the EXPLAIN ANALYZE profile IS the duration of the span of that phase in
+// the same request — one pair of clock reads feeds both (phase,
+// profile.go) — and with neither instrument attached a phase reads no
+// clock and allocates nothing.
+func TestExplainAnalyzeOneClock(t *testing.T) {
+	store := seedStore(t)
+	store.DB("lms").SetQueryCacheTTL(0)
+	ring := obs.NewTraceRing(2)
+	tr := ring.StartTrace("test", "")
+	rsp, err := LocalQuerier{Store: store}.Query(obs.WithTrace(context.Background(), tr),
+		Request{Database: "lms", RawQuery: "EXPLAIN ANALYZE SELECT mean(value) FROM cpu GROUP BY hostname"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	_, profiles := stripExplain(rsp)
+	traces := ring.Snapshot(0, 0)
+	if len(profiles) != 1 || len(traces) != 1 {
+		t.Fatalf("want one profile and one trace, got %d and %d", len(profiles), len(traces))
+	}
+	spanNS := map[string]int64{}
+	for _, sp := range traces[0].Spans {
+		spanNS[sp.Name] = sp.DurNS
+	}
+	for metric, span := range map[string]string{
+		"phase_cache_lookup_ns": "tsdb.select.cache",
+		"phase_snapshot_ns":     "tsdb.select.snapshot",
+		"phase_execute_ns":      "tsdb.select.execute",
+		"phase_total_ns":        "tsdb.select",
+	} {
+		dur, ok := spanNS[span]
+		if !ok {
+			t.Fatalf("trace has no %s span: %+v", span, traces[0].Spans)
+		}
+		if got := explainCount(t, profiles[0], metric); got != dur || got <= 0 {
+			t.Fatalf("%s = %d ns but span %s lasted %d ns: the phase was timed twice", metric, got, span, dur)
+		}
+	}
+
+	if !beginPhase(nil, nil, phaseTotal).start.IsZero() {
+		t.Fatal("an untraced, unprofiled phase read the clock")
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		ph := beginPhase(nil, nil, phaseExecute)
+		ph.span.AttrInt("groups", 3)
+		ph.end()
+	}); allocs != 0 {
+		t.Fatalf("an untraced, unprofiled phase allocates: %v allocs/op", allocs)
+	}
+}
+
 // TestHandlerTracesQuery pins in-process trace recording on the HTTP
 // surface: a /query carrying an upstream X-Lms-Trace id lands in the
 // store's ring under that id with the handler and engine spans, and

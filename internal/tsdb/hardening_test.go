@@ -230,7 +230,7 @@ func TestMetricsOracle(t *testing.T) {
 
 	c := &Client{BaseURL: srv.URL, Database: "lms"}
 	for i := 0; i < 3; i++ { // identical queries: 1 miss + 2 cache hits
-		if _, err := c.QueryString("SELECT mean(value) FROM cpu"); err != nil {
+		if _, err := queryText(c, "SELECT mean(value) FROM cpu"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,7 +290,7 @@ func TestSlowQueryLogging(t *testing.T) {
 	defer srv.Close()
 
 	c := &Client{BaseURL: srv.URL, Database: "lms"}
-	if _, err := c.QueryString("SELECT value FROM cpu"); err != nil {
+	if _, err := queryText(c, "SELECT value FROM cpu"); err != nil {
 		t.Fatal(err)
 	}
 	if logged.Load() != 1 {

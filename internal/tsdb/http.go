@@ -325,7 +325,6 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts := ExecOptions{Epoch: epoch, Limit: limit}
 	dbName := params.Get("db")
 	tr := h.traceRing().StartTrace("tsdb.query", r.Header.Get(obs.TraceHeader))
 	rsp := tr.Start("tsdb.http.query").Attr("db", dbName).Attr("q", qstr)
@@ -342,78 +341,67 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	w.Header().Set("Content-Type", "application/json")
+	out := resultWriter{enc: json.NewEncoder(w), chunked: params.Get("chunked") == "true"}
+	out.flusher, _ = w.(http.Flusher)
 	if h.Distributed != nil && params.Get("local") != "1" {
-		h.serveDistributed(ctx, w, Request{
-			Database:   dbName,
-			Statements: stmts,
-			Epoch:      epoch,
-			Limit:      limit,
-		}, params.Get("chunked") == "true")
-		return
-	}
-	if params.Get("chunked") == "true" {
-		// Chunked: one complete {"results":[...]} document per statement,
-		// flushed as soon as it is computed. The client side merges the
-		// stream back into one Response (readResponseStream) and checks it
-		// received one result per statement; if execution dies mid-stream
-		// a best-effort trailing error document turns the truncation into
-		// an explicit per-statement error instead of a valid-looking short
-		// stream.
-		enc := json.NewEncoder(w)
-		flusher, _ := w.(http.Flusher)
-		if err := execStatements(ctx, h.store, dbName, stmts, opts, func(res ExecResult) error {
-			if err := enc.Encode(Response{Results: []ExecResult{res}}); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
-		}); err != nil {
-			_ = enc.Encode(Response{Results: []ExecResult{{Err: fmt.Sprintf("stream truncated: %v", err)}}})
+		// The cluster coordinator computes the whole response before the
+		// first byte is written: a replica set that is entirely unreachable
+		// becomes a 502 the client retries, not a half-streamed document.
+		resp, err := h.Distributed.Query(ctx, Request{Database: dbName, Statements: stmts, Epoch: epoch, Limit: limit})
+		if err != nil {
+			httpError(w, http.StatusBadGateway, "cluster query: %v", err)
+			return
 		}
+		for _, res := range resp.Results {
+			if err = out.emit(res); err != nil {
+				break
+			}
+		}
+		out.finish(err)
 		return
 	}
-	resp := Response{}
-	if err := execStatements(ctx, h.store, dbName, stmts, opts, func(res ExecResult) error {
-		resp.Results = append(resp.Results, res)
-		return nil
-	}); err != nil {
-		// Usually the client is gone; if the connection still works, the
-		// error document below keeps the truncation from looking like a
-		// complete (empty) result.
-		_ = json.NewEncoder(w).Encode(Response{Results: []ExecResult{{Err: fmt.Sprintf("stream truncated: %v", err)}}})
-		return
-	}
-	_ = json.NewEncoder(w).Encode(resp)
+	out.finish(execStatements(ctx, h.store, dbName, stmts, ExecOptions{Epoch: epoch, Limit: limit}, out.emit))
 }
 
-// serveDistributed answers /query through the cluster coordinator. The
-// whole response is computed before the first byte is written: a replica
-// set that is entirely unreachable becomes a 502 the client retries,
-// instead of a half-streamed document. Chunked rendering then replays the
-// computed results one document at a time, matching the local path's wire
-// format.
-func (h *Handler) serveDistributed(ctx context.Context, w http.ResponseWriter, req Request, chunked bool) {
-	resp, err := h.Distributed.Query(ctx, req)
-	if err != nil {
-		httpError(w, http.StatusBadGateway, "cluster query: %v", err)
-		return
+// resultWriter renders the results of one /query request, whichever source
+// computed them (the local store or the cluster coordinator). Plain: one
+// {"results":[...]} document holding every statement, written by finish.
+// Chunked: one complete document per statement, flushed as soon as emit
+// receives it; the client side merges the stream back into one Response
+// (readResponseStream) and checks it received one result per statement.
+type resultWriter struct {
+	enc     *json.Encoder
+	flusher http.Flusher // nil when the ResponseWriter cannot flush
+	chunked bool
+	resp    Response // plain mode: results buffered until finish
+}
+
+func (rw *resultWriter) emit(res ExecResult) error {
+	if !rw.chunked {
+		rw.resp.Results = append(rw.resp.Results, res)
+		return nil
 	}
-	if chunked {
-		enc := json.NewEncoder(w)
-		flusher, _ := w.(http.Flusher)
-		for _, res := range resp.Results {
-			if err := enc.Encode(Response{Results: []ExecResult{res}}); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		return
+	if err := rw.enc.Encode(Response{Results: []ExecResult{res}}); err != nil {
+		return err
 	}
-	_ = json.NewEncoder(w).Encode(resp)
+	if rw.flusher != nil {
+		rw.flusher.Flush()
+	}
+	return nil
+}
+
+// finish completes the response. If execution died part-way (err != nil;
+// usually the client is gone) a best-effort error document — trailing the
+// stream in chunked mode, replacing the buffered results in plain mode —
+// turns the truncation into an explicit per-statement error instead of a
+// valid-looking short or empty result.
+func (rw *resultWriter) finish(err error) {
+	switch {
+	case err != nil:
+		_ = rw.enc.Encode(Response{Results: []ExecResult{{Err: fmt.Sprintf("stream truncated: %v", err)}}})
+	case !rw.chunked:
+		_ = rw.enc.Encode(rw.resp)
+	}
 }
 
 // Transport defaults of the package-level HTTP client. The zero
@@ -688,18 +676,6 @@ func readResponseStream(r io.Reader) (Response, error) {
 		out.Results = append(out.Results, chunk.Results...)
 	}
 	return out, nil
-}
-
-// QueryString runs raw InfluxQL against the client's default database and
-// returns the per-statement results, with the first embedded statement
-// error surfaced the way the pre-Querier API did. Convenience wrapper
-// around Query for callers without a context.
-func (c *Client) QueryString(q string) ([]ExecResult, error) {
-	resp, err := c.Query(context.Background(), Request{RawQuery: q})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, resp.Err()
 }
 
 // readerOf avoids importing bytes just for NewReader.

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -50,13 +51,23 @@ func TestHTTPWriteAndQuery(t *testing.T) {
 	}
 
 	c := &Client{BaseURL: srv.URL, Database: "lms"}
-	results, err := c.QueryString("SELECT value FROM cpu GROUP BY hostname")
+	results, err := queryText(c, "SELECT value FROM cpu GROUP BY hostname")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != 1 || len(results[0].Series) != 2 {
 		t.Fatalf("results %+v", results)
 	}
+}
+
+// queryText runs raw InfluxQL through c.Query against the client's
+// default database, surfacing the first embedded statement error.
+func queryText(c *Client, q string) ([]ExecResult, error) {
+	resp, err := c.Query(context.Background(), Request{RawQuery: q})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Results, resp.Err()
 }
 
 func TestHTTPWritePrecision(t *testing.T) {
@@ -162,7 +173,7 @@ func TestClientWritePoints(t *testing.T) {
 		t.Fatalf("points %d", n)
 	}
 	// Query error propagation.
-	if _, err := c.QueryString("SELECT value FROM m WHERE"); err == nil {
+	if _, err := queryText(c, "SELECT value FROM m WHERE"); err == nil {
 		t.Fatal("expected query error")
 	}
 }
@@ -177,7 +188,7 @@ func TestClientQueryEscaping(t *testing.T) {
 		Time:        time.Unix(0, 5),
 	})
 	c := &Client{BaseURL: srv.URL, Database: "lms"}
-	res, err := c.QueryString("SELECT value FROM cpu WHERE hostname = 'node 01'")
+	res, err := queryText(c, "SELECT value FROM cpu WHERE hostname = 'node 01'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +234,7 @@ func TestHTTPEndToEndEventAnnotations(t *testing.T) {
 	if err := c.WritePoints([]lineproto.Point{ev}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.QueryString("SELECT text FROM events WHERE jobid = '42'")
+	res, err := queryText(c, "SELECT text FROM events WHERE jobid = '42'")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -578,10 +578,16 @@ func (p *parser) parseCondition(st *Statement) error {
 		if err != nil {
 			return err
 		}
+		// Query.Start/End are inclusive, so the strict operators move the
+		// bound by the clock's resolution, one nanosecond.
 		switch op {
-		case ">", ">=":
+		case ">":
+			st.Query.Start = t.Add(1)
+		case ">=":
 			st.Query.Start = t
-		case "<", "<=":
+		case "<":
+			st.Query.End = t.Add(-1)
+		case "<=":
 			st.Query.End = t
 		case "=":
 			st.Query.Start, st.Query.End = t, t
@@ -892,10 +898,10 @@ func (p *selectProf) resultSeries() ResultSeries {
 			{"chunks_decoded", p.ChunksDecoded},
 			{"points_examined", p.PointsExamined},
 			{"cache", cache},
-			{"phase_cache_lookup_ns", p.CacheLookupNS},
-			{"phase_snapshot_ns", p.SnapshotNS},
-			{"phase_execute_ns", p.ExecuteNS},
-			{"phase_total_ns", p.TotalNS},
+			{"phase_cache_lookup_ns", p.phaseNS[phaseCache]},
+			{"phase_snapshot_ns", p.phaseNS[phaseSnapshot]},
+			{"phase_execute_ns", p.phaseNS[phaseExecute]},
+			{"phase_total_ns", p.phaseNS[phaseTotal]},
 		},
 	}
 }

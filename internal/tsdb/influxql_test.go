@@ -1,6 +1,8 @@
 package tsdb
 
 import (
+	"context"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -94,7 +96,8 @@ func TestParseTimeWithUnit(t *testing.T) {
 	if st.Query.Start.UnixNano() != 100*time.Second.Nanoseconds() {
 		t.Fatalf("start %v", st.Query.Start)
 	}
-	if st.Query.End.UnixNano() != 200*time.Second.Nanoseconds() {
+	// `<` is exclusive; Query.End is inclusive.
+	if st.Query.End.UnixNano() != 200*time.Second.Nanoseconds()-1 {
 		t.Fatalf("end %v", st.Query.End)
 	}
 }
@@ -315,5 +318,45 @@ func TestExecuteMissingMeasurementIsEmpty(t *testing.T) {
 	res := execOne(t, store, "lms", "SELECT value FROM ghost")
 	if len(res.Series) != 0 {
 		t.Fatalf("expected empty result, got %+v", res)
+	}
+}
+
+// TestStrictTimeBoundsExclusive: `time > t` and `time < t` exclude a point
+// sitting exactly on t, `>=`/`<=` include it — straight from the parser and
+// after the Statement.Text() round trip the cluster coordinator puts every
+// statement through on its way to a replica. seedStore holds one cpu point
+// per second at 0s..9s.
+func TestStrictTimeBoundsExclusive(t *testing.T) {
+	qr := LocalQuerier{Store: seedStore(t)}
+	for _, tc := range []struct {
+		where string
+		want  []int64 // timestamps of the returned rows, in seconds
+	}{
+		{"time > 2s AND time < 6s", []int64{3, 4, 5}},
+		{"time >= 2s AND time <= 6s", []int64{2, 3, 4, 5, 6}},
+		{"time > 7s", []int64{8, 9}},
+		{"time < 2s", []int64{0, 1}},
+		{"time > 4s AND time < 5s", nil},
+	} {
+		parsed := mustParse(t, "SELECT value FROM cpu WHERE "+tc.where)
+		again := mustParse(t, parsed.Text())
+		if again.Text() != parsed.Text() {
+			t.Fatalf("%s: Text() is not a fixed point: %q vs %q", tc.where, again.Text(), parsed.Text())
+		}
+		for door, st := range map[string]Statement{"parsed": parsed, "via Text()": again} {
+			rsp, err := qr.Query(context.Background(), Request{Database: "lms", Statements: []Statement{st}, Epoch: "s"})
+			if err != nil || rsp.Err() != nil {
+				t.Fatalf("%s (%s): %v / %v", tc.where, door, err, rsp.Err())
+			}
+			var got []int64
+			for _, s := range rsp.Results[0].Series {
+				for _, row := range s.Values {
+					got = append(got, row[0].(int64))
+				}
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("%s (%s): rows at %v, want %v", tc.where, door, got, tc.want)
+			}
+		}
 	}
 }

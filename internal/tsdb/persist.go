@@ -186,35 +186,39 @@ func (db *DB) Checkpoint() error {
 	}
 	// A checkpoint is not tied to any one request, so it records its own
 	// trace (ring permitting): rotate + snapshot under the write gate,
-	// then the serialization outside it.
+	// then the serialization outside it. A failed checkpoint is the one an
+	// operator goes looking for, so every return path finishes the trace
+	// and the failing step's span carries the error.
 	tr := db.traceRing().StartTrace("tsdb.checkpoint", "")
+	defer tr.Finish()
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	d.gate.Lock()
 	rsp := tr.Start("tsdb.checkpoint.rotate").Attr("db", db.name)
 	seg, err := d.wal.Rotate()
+	rsp.End()
 	if err != nil {
 		d.gate.Unlock()
+		rsp.Attr("error", err.Error())
 		if errors.Is(err, durable.ErrClosed) {
 			return ErrDBClosed
 		}
 		return err
 	}
-	rsp.End()
 	ssp := tr.Start("tsdb.checkpoint.snapshot")
 	snap := db.buildSnapshot()
 	ssp.End()
 	d.gate.Unlock()
 	wsp := tr.Start("tsdb.checkpoint.write")
-	if err := durable.WriteSnapshot(d.opts.FS, d.dir, seg, snap); err != nil {
+	err = durable.WriteSnapshot(d.opts.FS, d.dir, seg, snap)
+	wsp.End()
+	if err != nil {
+		wsp.Attr("error", err.Error())
 		return fmt.Errorf("tsdb: checkpoint: %w", err)
 	}
-	wsp.End()
 	d.lastCkpt.Store(time.Now().UnixNano())
 	db.noteCheckpoint()
-	err = d.wal.RemoveBelow(seg)
-	tr.Finish()
-	return err
+	return d.wal.RemoveBelow(seg)
 }
 
 // WALSealed reports the error that sealed the database's WAL against
@@ -243,8 +247,8 @@ func (db *DB) Abort() {
 	if !db.closed.CompareAndSwap(false, true) {
 		return
 	}
-	db.stopRetention()
-	db.stopCompressor()
+	db.retTick.stop()
+	db.compTick.stop()
 	if db.dur != nil {
 		db.dur.wal.Abort()
 	}
@@ -254,8 +258,8 @@ func (db *DB) closeInternal(checkpoint bool) error {
 	if !db.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	db.stopRetention()
-	db.stopCompressor()
+	db.retTick.stop()
+	db.compTick.stop()
 	if db.dur == nil {
 		return nil
 	}

@@ -11,6 +11,7 @@ package tsdb
 // an acknowledged one may never be lost, reordered or half-applied.
 
 import (
+	"errors"
 	"io"
 	"log"
 	"net/http/httptest"
@@ -19,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/faultfs"
+	"repro/internal/obs"
 	"repro/internal/tsdb/durable"
 )
 
@@ -234,4 +236,46 @@ func TestEngineFaultSweepPowerCut(t *testing.T) {
 	runEngineFaultSweep(t, true, func(f *faultfs.FS, idx int64) {
 		f.KillAtOp(idx)
 	})
+}
+
+// TestFailedCheckpointIsTraced: the checkpoint an operator goes looking
+// for in /debug/traces is the one that failed. A snapshot write that dies
+// on the disk must still publish its tsdb.checkpoint trace, with the
+// error on the span of the step that failed.
+func TestFailedCheckpointIsTraced(t *testing.T) {
+	f := faultfs.New()
+	db, err := openDurableDB("lms", 4, faultDurability(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Abort()
+	st := NewStore()
+	ring := obs.NewTraceRing(4)
+	st.SetTraces(ring)
+	st.Attach(db)
+	if err := db.WriteBatch(corpusBatches()[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	f.SetInject(func(i faultfs.Info) *faultfs.Fault {
+		if strings.HasSuffix(i.Path, ".snap.tmp") {
+			return &faultfs.Fault{Err: errors.New("disk on fire")}
+		}
+		return nil
+	})
+	if err := db.Checkpoint(); err == nil {
+		t.Fatal("checkpoint succeeded on a failing disk")
+	}
+	for _, d := range ring.Snapshot(0, 0) {
+		if d.Name != "tsdb.checkpoint" {
+			continue
+		}
+		for _, sp := range d.Spans {
+			if sp.Name == "tsdb.checkpoint.write" && strings.Contains(sp.Attr("error"), "disk on fire") {
+				return
+			}
+		}
+		t.Fatalf("failed checkpoint traced without the error: %+v", d.Spans)
+	}
+	t.Fatalf("failed checkpoint left no trace in the ring: %+v", ring.Snapshot(0, 0))
 }

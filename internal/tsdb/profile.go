@@ -18,7 +18,26 @@ package tsdb
 import (
 	"context"
 	"time"
+
+	"repro/internal/obs"
 )
+
+// The timed phases of one SelectContext call: index into
+// selectProf.phaseNS, and the name of the span each one records.
+const (
+	phaseCache    = iota // cache probe
+	phaseSnapshot        // run snapshot under the shard RLock
+	phaseExecute         // decode + aggregation fan-out
+	phaseTotal           // whole SelectContext call
+	numPhases
+)
+
+var phaseSpanNames = [numPhases]string{
+	phaseCache:    "tsdb.select.cache",
+	phaseSnapshot: "tsdb.select.snapshot",
+	phaseExecute:  "tsdb.select.execute",
+	phaseTotal:    "tsdb.select",
+}
 
 // selectProf accumulates the execution profile of one SelectContext call.
 // It is written by a single goroutine: snapshotSelect runs serially, and
@@ -31,10 +50,7 @@ type selectProf struct {
 	PointsExamined int64 // rows snapshotted (raw) or resident in admitted chunks
 	CacheHit       bool  // result served from the query cache
 
-	CacheLookupNS int64 // phase: cache probe
-	SnapshotNS    int64 // phase: run snapshot under the shard RLock
-	ExecuteNS     int64 // phase: decode + aggregation fan-out
-	TotalNS       int64 // whole SelectContext call
+	phaseNS [numPhases]int64 // wall time per phase, written by phase.end
 }
 
 type profKey struct{}
@@ -51,5 +67,38 @@ func profFrom(ctx context.Context) *selectProf {
 	return p
 }
 
-// sinceNS is the profiling clock: nanoseconds elapsed since t0.
-func sinceNS(t0 time.Time) int64 { return int64(time.Since(t0)) }
+// phase is the one instrumentation point of a SelectContext phase: it
+// feeds the trace span and the EXPLAIN ANALYZE profile from a single pair
+// of clock reads, so the two can never disagree about how long a phase
+// took. With a trace attached the span's own start/end instants are the
+// clock and the profile receives their difference; with only a profile
+// the phase reads the clock itself; with neither — every ordinary query —
+// it reads no clock and touches nothing.
+type phase struct {
+	span  *obs.Span   // nil without a trace
+	prof  *selectProf // nil without a profile
+	idx   int
+	start time.Time // set only for a profile without a trace
+}
+
+func beginPhase(tr *obs.Trace, prof *selectProf, idx int) phase {
+	ph := phase{prof: prof, idx: idx}
+	if tr != nil {
+		ph.span = tr.Start(phaseSpanNames[idx])
+	} else if prof != nil {
+		ph.start = time.Now()
+	}
+	return ph
+}
+
+func (ph phase) end() {
+	var ns int64
+	if ph.span != nil {
+		ns = ph.span.End()
+	} else if ph.prof != nil {
+		ns = int64(time.Since(ph.start))
+	}
+	if ph.prof != nil {
+		ph.prof.phaseNS[ph.idx] = ns
+	}
+}

@@ -165,6 +165,9 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]string, []string, []*
 	}
 
 	sh := db.shardFor(q.Measurement)
+	if prof != nil {
+		prof.ShardsVisited = 1
+	}
 	sh.mu.RLock()
 	m, ok := sh.measurements[q.Measurement]
 	if !ok {

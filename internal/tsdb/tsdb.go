@@ -221,18 +221,12 @@ type DB struct {
 	// publish a bundle onto a DB that is already serving writes.
 	metrics atomic.Pointer[Metrics]
 
-	// Background retention ticker (SetRetention), so expired data ages
-	// out of an idle database too. retStop is the live ticker's stop
-	// channel, nil when no ticker runs.
-	retMu   sync.Mutex
-	retStop chan struct{}
-
-	// Background compression ticker (SetCompressAfter, compress.go):
-	// sealed runs idle past compressAfter are re-encoded into compressed
-	// chunks. Same lifecycle shape as the retention ticker.
-	compressAfter atomic.Int64 // nanoseconds; 0 = never compress
-	compMu        sync.Mutex
-	compStop      chan struct{}
+	// Background maintenance loops (ticker below). retTick sweeps retention
+	// (SetRetention), so expired data ages out of an idle database too;
+	// compTick re-encodes sealed runs that have gone idle into compressed
+	// chunks (SetCompressAfter, compress.go).
+	retTick  ticker
+	compTick ticker
 
 	// Read path (select.go, cache.go). queryWorkers bounds the phase-2
 	// fan-out of Select; qsem is the shared slot pool sized to it.
@@ -324,6 +318,55 @@ func (db *DB) shardIndex(measurement string) int {
 	return int(h % uint32(len(db.shards)))
 }
 
+// ticker is the lifecycle of one background maintenance loop of a DB:
+// restarted whenever its window is reconfigured, stopped for good when the
+// database closes.
+type ticker struct {
+	mu      sync.Mutex
+	done    chan struct{} // stop channel of the running loop, nil when none runs
+	stopped bool          // the DB closed: restart no longer starts anything
+}
+
+// restart replaces the running loop, if any, with one calling fn every
+// half window, so work is done within ~1.5x the window of becoming due;
+// the period is clamped to [10ms, 1s] (tests use tiny windows). window <= 0
+// only halts the loop.
+func (t *ticker) restart(window time.Duration, fn func()) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.done != nil {
+		close(t.done)
+		t.done = nil
+	}
+	if window <= 0 || t.stopped {
+		return
+	}
+	period := min(max(window/2, 10*time.Millisecond), time.Second)
+	done := make(chan struct{})
+	t.done = done
+	go func() {
+		tk := time.NewTicker(period)
+		defer tk.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tk.C:
+				fn()
+			}
+		}
+	}()
+}
+
+// stop halts the loop for good (Close/Abort): a restart racing the close
+// is serialized by mu and finds stopped set, so no loop outlives the DB.
+func (t *ticker) stop() {
+	t.mu.Lock()
+	t.stopped = true
+	t.mu.Unlock()
+	t.restart(0, nil)
+}
+
 // SetRetention configures the retention window. Points older than d
 // relative to the newest inserted point are pruned lazily during writes,
 // and a background ticker (stopped by Close) sweeps idle databases so
@@ -336,50 +379,7 @@ func (db *DB) shardIndex(measurement string) int {
 // pruning and stops the ticker.
 func (db *DB) SetRetention(d time.Duration) {
 	db.retention.Store(int64(d))
-	db.retMu.Lock()
-	defer db.retMu.Unlock()
-	if db.retStop != nil {
-		close(db.retStop)
-		db.retStop = nil
-	}
-	if d <= 0 || db.closed.Load() {
-		return
-	}
-	// Sweep at least every second; sub-second windows sweep at half the
-	// window so data expires promptly (tests use tiny windows).
-	period := d / 2
-	if period > time.Second {
-		period = time.Second
-	}
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	stop := make(chan struct{})
-	db.retStop = stop
-	go db.retentionLoop(stop, period)
-}
-
-// stopRetention halts the background retention ticker, if any.
-func (db *DB) stopRetention() {
-	db.retMu.Lock()
-	defer db.retMu.Unlock()
-	if db.retStop != nil {
-		close(db.retStop)
-		db.retStop = nil
-	}
-}
-
-func (db *DB) retentionLoop(stop chan struct{}, period time.Duration) {
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			db.pruneTick()
-		}
-	}
+	db.retTick.restart(d, db.pruneTick)
 }
 
 // pruneTick is the ticker-driven retention sweep. Unlike the write-path
@@ -411,55 +411,9 @@ func (db *DB) pruneTick() {
 // byte-identical. Zero disables the compactor and stops the ticker;
 // already-compressed runs stay compressed.
 func (db *DB) SetCompressAfter(d time.Duration) {
-	db.compressAfter.Store(int64(d))
-	db.compMu.Lock()
-	defer db.compMu.Unlock()
-	if db.compStop != nil {
-		close(db.compStop)
-		db.compStop = nil
-	}
-	if d <= 0 || db.closed.Load() {
-		return
-	}
-	// Tick at half the idle window so a run is compressed within ~1.5x d
-	// of going cold, bounded the same way the retention ticker is.
-	period := d / 2
-	if period > time.Second {
-		period = time.Second
-	}
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	stop := make(chan struct{})
-	db.compStop = stop
-	go db.compressLoop(stop, period)
-}
-
-// stopCompressor halts the background compression ticker, if any.
-func (db *DB) stopCompressor() {
-	db.compMu.Lock()
-	defer db.compMu.Unlock()
-	if db.compStop != nil {
-		close(db.compStop)
-		db.compStop = nil
-	}
-}
-
-func (db *DB) compressLoop(stop chan struct{}, period time.Duration) {
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			d := db.compressAfter.Load()
-			if d <= 0 {
-				return
-			}
-			db.compressNow(time.Now().UnixNano()-d, true)
-		}
-	}
+	db.compTick.restart(d, func() {
+		db.compressNow(time.Now().UnixNano()-int64(d), true)
+	})
 }
 
 // Compress immediately compresses every run, including each series'
@@ -1182,68 +1136,40 @@ func (db *DB) Select(q Query) ([]Series, error) {
 //
 // A context carrying a trace (obs.WithTrace) gets per-phase spans, and
 // one carrying a profile collector (withProf — EXPLAIN ANALYZE) gets the
-// engine's scan/decode/cache counters and phase timings. Both lookups
-// are zero-allocation no-ops on ordinary queries.
+// engine's scan/decode/cache counters and phase timings; each phase is
+// timed once for both (phase, profile.go). On ordinary queries both
+// lookups are zero-allocation no-ops and no clock is read.
 func (db *DB) SelectContext(ctx context.Context, q Query) ([]Series, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	prof := profFrom(ctx)
 	tr := obs.TraceFrom(ctx)
-	if prof == nil && tr == nil {
-		// The untraced hot path: no timestamps, no spans, no counters.
-		res, ref, ok := db.qcache.lookup(db, q)
-		if ok {
-			return res, nil
-		}
-		cols, strs, groups, err := db.snapshotSelect(q, nil)
-		if err != nil {
-			return nil, err
-		}
-		out, err := db.executeGroups(ctx, q, cols, strs, groups, nil)
-		if err != nil {
-			return nil, err
-		}
-		db.qcache.store(db, ref, out)
-		return out, nil
-	}
+	total := beginPhase(tr, prof, phaseTotal)
+	total.span.Attr("db", db.name).Attr("measurement", q.Measurement)
+	defer total.end()
 
-	sp := tr.Start("tsdb.select").Attr("db", db.name).Attr("measurement", q.Measurement)
-	defer sp.End()
-	t0 := time.Now()
-	csp := tr.Start("tsdb.select.cache")
+	ph := beginPhase(tr, prof, phaseCache)
 	res, ref, ok := db.qcache.lookup(db, q)
-	csp.Attr("hit", strconv.FormatBool(ok)).End()
+	ph.span.Attr("hit", strconv.FormatBool(ok))
+	ph.end()
 	if prof != nil {
-		prof.CacheLookupNS = sinceNS(t0)
 		prof.CacheHit = ok
 	}
 	if ok {
-		if prof != nil {
-			prof.TotalNS = sinceNS(t0)
-		}
-		sp.Attr("cache", "hit")
+		total.span.Attr("cache", "hit")
 		return res, nil
 	}
-	t1 := time.Now()
-	ssp := tr.Start("tsdb.select.snapshot")
+	ph = beginPhase(tr, prof, phaseSnapshot)
 	cols, strs, groups, err := db.snapshotSelect(q, prof)
-	ssp.End()
-	if prof != nil {
-		prof.SnapshotNS = sinceNS(t1)
-		prof.ShardsVisited = 1
-	}
+	ph.end()
 	if err != nil {
 		return nil, err
 	}
-	t2 := time.Now()
-	esp := tr.Start("tsdb.select.execute").AttrInt("groups", int64(len(groups)))
+	ph = beginPhase(tr, prof, phaseExecute)
+	ph.span.AttrInt("groups", int64(len(groups)))
 	out, err := db.executeGroups(ctx, q, cols, strs, groups, prof)
-	esp.End()
-	if prof != nil {
-		prof.ExecuteNS = sinceNS(t2)
-		prof.TotalNS = sinceNS(t0)
-	}
+	ph.end()
 	if err != nil {
 		return nil, err
 	}

@@ -223,7 +223,7 @@ func TestChaosRestartNoAckedPointLost(t *testing.T) {
 					return
 				case <-time.After(p.queryGap):
 				}
-				_, _ = c.QueryString("SELECT count(seq) FROM chaos")
+				_, _ = c.Query(context.Background(), tsdb.Request{RawQuery: "SELECT count(seq) FROM chaos"})
 			}
 		}()
 	}
