@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/lineproto"
 	"repro/internal/obs"
 	"repro/internal/tsdb"
 	"repro/internal/tsdb/durable"
@@ -104,7 +103,9 @@ type Cluster struct {
 
 	readFailovers  atomic.Uint64
 	quorumFailures atomic.Uint64
-	fanout         atomic.Pointer[obs.Histogram]
+	// frameBytesPerPoint sizes the next replica frame's buffer (writeNode).
+	frameBytesPerPoint atomic.Int64
+	fanout             atomic.Pointer[obs.Histogram]
 
 	drainKick chan struct{}
 	done      chan struct{}
@@ -360,8 +361,8 @@ func (c *Cluster) drainPeers(ctx context.Context) (replayed int, firstErr error)
 		if d, _ := n.hints.depth(); d == 0 {
 			continue
 		}
-		got, err := n.hints.drain(func(db string, pts []lineproto.Point) error {
-			return c.clientFor(id, db).WritePointsContext(ctx, pts)
+		got, err := n.hints.drain(func(db string, frame []byte) error {
+			return c.clientFor(id, db).WriteFrameContext(ctx, frame)
 		})
 		n.replayed.Add(uint64(got))
 		replayed += got

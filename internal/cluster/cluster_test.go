@@ -10,10 +10,13 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,6 +25,7 @@ import (
 	"repro/internal/lineproto"
 	"repro/internal/obs"
 	"repro/internal/tsdb"
+	"repro/internal/tsdb/durable"
 )
 
 func testPoints(m, host string, n int) []lineproto.Point {
@@ -137,6 +141,9 @@ type testNode struct {
 	handler *tsdb.Handler
 	srv     *httptest.Server
 	down    atomic.Bool
+	// old makes the node answer a frame the way an lms-db from before the
+	// frame door does: it parses the body as line protocol and says 400.
+	old atomic.Bool
 }
 
 type harness struct {
@@ -154,8 +161,17 @@ func newHarness(t *testing.T, cfg Config) *harness {
 		tn := &testNode{store: tsdb.NewStore()}
 		tn.handler = tsdb.NewHandler(tn.store)
 		wrapped := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			// Nothing but coordinators writes to a harness node, live or
+			// replaying a hint: every write is a batch frame marked local.
+			if r.URL.Path == "/write" && (r.Header.Get("Content-Type") != tsdb.BatchContentType || r.URL.Query().Get("local") != "1") {
+				t.Errorf("peer write is not a local=1 batch frame: %s Content-Type %q", r.URL, r.Header.Get("Content-Type"))
+			}
 			if tn.down.Load() {
 				http.Error(w, "node down", http.StatusServiceUnavailable)
+				return
+			}
+			if tn.old.Load() && r.URL.Path == "/write" {
+				http.Error(w, `{"error":"lineproto: line 1: missing field section"}`, http.StatusBadRequest)
 				return
 			}
 			tn.handler.ServeHTTP(w, r)
@@ -417,6 +433,120 @@ func TestClusterHintsSurviveCoordinatorRestart(t *testing.T) {
 	}
 	if len(res.Results) != 1 || len(res.Results[0].Series) != 1 || len(res.Results[0].Series[0].Values) != 4 {
 		t.Fatalf("healed replica missing replayed points: %s", mustJSON(t, res))
+	}
+}
+
+// TestClusterDrainsParentFormatHints: a hints directory left behind by a
+// coordinator from before the peer wire carried frames holds records of
+// uvarint(len(db)) | db | durable.AppendBatch(points) — the layout hint
+// records still have — so it recovers and drains with no migration.
+func TestClusterDrainsParentFormatHints(t *testing.T) {
+	h := newHarness(t, Config{Replication: 2, WriteQuorum: 1})
+	h.seed(t)
+	victim := h.coord.owners("lms", "old_m")[0]
+
+	// What that coordinator's encodeHint(db, pts, nowNS) wrote.
+	oldEncodeHint := func(db string, pts []lineproto.Point, nowNS int64) []byte {
+		dst := binary.AppendUvarint(nil, uint64(len(db)))
+		dst = append(dst, db...)
+		return durable.AppendBatch(dst, pts, nowNS)
+	}
+	hintsDir := t.TempDir()
+	w, err := durable.OpenWAL(filepath.Join(hintsDir, url.PathEscape(victim)), 0, durable.Options{Fsync: durable.FsyncPerBatch}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := []lineproto.Point{{
+		Measurement: "old_m",
+		Tags:        map[string]string{"hostname": "h7", "jobid": "42", "username": "alice"},
+		Fields:      map[string]lineproto.Value{"msg": lineproto.String("job \"42\" started"), "value": lineproto.Int(-7)},
+		Time:        time.Unix(2100, 0).UTC(),
+	}}
+	for _, pts := range [][]lineproto.Point{testPoints("old_m", "h9", 4), events} {
+		if _, _, err := w.Append(oldEncodeHint("lms", pts, 1e9)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	coord, err := New(Config{
+		Peers:         h.peers,
+		Replication:   2,
+		HintsDir:      hintsDir,
+		DrainInterval: time.Hour,
+		HTTPClient:    &http.Client{Timeout: 2 * time.Second},
+	})
+	if err != nil {
+		t.Fatalf("recovering a parent-format hints directory: %v", err)
+	}
+	defer coord.Close()
+	if got := coord.PendingHints(); got != 2 {
+		t.Fatalf("recovered %d hints, want 2", got)
+	}
+	if err := coord.DrainHints(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if coord.PendingHints() != 0 {
+		t.Fatal("hints still pending after drain")
+	}
+	oracle := tsdb.NewStore()
+	if err := oracle.CreateDatabase("lms").WriteBatch(append(testPoints("old_m", "h9", 4), events...)); err != nil {
+		t.Fatal(err)
+	}
+	req := tsdb.Request{Database: "lms", RawQuery: "SELECT * FROM old_m", Epoch: "ns"}
+	want, err := tsdb.LocalQuerier{Store: oracle}.Query(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tsdb.LocalQuerier{Store: h.nodes[victim].store}.Query(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mustJSON(t, got) != mustJSON(t, want) {
+		t.Fatalf("replayed parent-format hints diverge:\n replica: %s\n oracle:  %s", mustJSON(t, got), mustJSON(t, want))
+	}
+}
+
+// TestClusterReplicaPredatesFrameDoor is the §12 failure-matrix row of a
+// half-upgraded ring: a replica that does not know the frame door answers
+// 400, which costs what a down replica costs — the write acknowledges at
+// quorum, the share is hinted, the peer's error counter and hint depth
+// say so — and the hint drains once the replica is upgraded.
+func TestClusterReplicaPredatesFrameDoor(t *testing.T) {
+	h := newHarness(t, Config{Replication: 2, WriteQuorum: 1, DrainInterval: time.Hour})
+	h.seed(t)
+	victim := h.coord.owners("lms", "upgrade_m")[0]
+	h.nodes[victim].old.Store(true)
+	errsBefore := h.coord.nodes[victim].batchesErr.Load()
+	if err := h.coord.SinkFor("lms").WritePoints(testPoints("upgrade_m", "h1", 3)); err != nil {
+		t.Fatalf("write with one un-upgraded replica not acknowledged: %v", err)
+	}
+	if got := h.coord.nodes[victim].batchesErr.Load(); got != errsBefore+1 {
+		t.Fatalf("peer error counter %d, want %d", got, errsBefore+1)
+	}
+	if got := h.coord.pendingHints(victim); got != 1 {
+		t.Fatalf("%d hints pending for the un-upgraded replica, want 1", got)
+	}
+	if err := h.coord.DrainHints(context.Background()); err == nil {
+		t.Fatal("drain into an un-upgraded replica reported success")
+	}
+
+	h.nodes[victim].old.Store(false)
+	if err := h.coord.DrainHints(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if h.coord.PendingHints() != 0 {
+		t.Fatal("hints still pending after the upgrade")
+	}
+	res, err := tsdb.LocalQuerier{Store: h.nodes[victim].store}.Query(context.Background(),
+		tsdb.Request{Database: "lms", RawQuery: "SELECT value FROM upgrade_m", Epoch: "ns"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Results) != 1 || len(res.Results[0].Series) != 1 || len(res.Results[0].Series[0].Values) != 3 {
+		t.Fatalf("upgraded replica missing the hinted points: %s", mustJSON(t, res))
 	}
 }
 

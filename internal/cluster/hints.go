@@ -5,8 +5,9 @@ package cluster
 // batch in a per-peer hint queue and replays it when the peer heals. The
 // queue rides the durable WAL (internal/tsdb/durable): each hint is one
 // CRC32-framed record holding the target database name and the batch in
-// the WAL's own point-batch codec, so a coordinator restart recovers every
-// outstanding hint exactly like lms-db recovers unacknowledged writes.
+// the WAL's own point-batch codec — the very frame the coordinator put on
+// the wire — so a coordinator restart recovers every outstanding hint
+// exactly like lms-db recovers unacknowledged writes.
 // Replay is at-least-once; the store's last-write-wins upsert on
 // (series, timestamp) makes duplicate delivery convergent.
 
@@ -18,39 +19,43 @@ import (
 	"path/filepath"
 	"sync"
 
-	"repro/internal/lineproto"
 	"repro/internal/tsdb/durable"
 )
 
-// hint is one parked sub-batch: the points a single peer missed, bound to
-// their target database.
+// hint is one parked share: the batch frame (durable.AppendBatch) a single
+// peer missed, bound to its target database. The queue never looks inside
+// the frame — what the coordinator encoded for the wire is what it logs,
+// holds and replays.
 type hint struct {
 	db    string
-	pts   []lineproto.Point
-	bytes int64 // encoded size, for the queue cap and byte gauge
+	frame []byte
+	bytes int64 // record size, for the queue cap and byte gauge
 }
 
 // encodeHint frames one hint as a WAL record payload: uvarint-length
-// database name followed by the durable point-batch encoding. nowNS
-// resolves zero timestamps exactly like the ingest WAL does, so a replayed
-// point is the point the acknowledged replicas stored.
-func encodeHint(db string, pts []lineproto.Point, nowNS int64) []byte {
-	dst := binary.AppendUvarint(nil, uint64(len(db)))
+// database name followed by the batch frame.
+func encodeHint(db string, frame []byte) []byte {
+	dst := make([]byte, 0, binary.MaxVarintLen32+len(db)+len(frame))
+	dst = binary.AppendUvarint(dst, uint64(len(db)))
 	dst = append(dst, db...)
-	return durable.AppendBatch(dst, pts, nowNS)
+	return append(dst, frame...)
 }
 
+// decodeHint reads one record back at recovery. The frame is checked the
+// way the WAL's own replay checks a batch record — a queue that would only
+// ever draw 400s from its peer must fail the open, not stall the drain —
+// and copied, because payload aliases the segment being replayed.
 func decodeHint(payload []byte) (hint, error) {
 	n, sz := binary.Uvarint(payload)
 	if sz <= 0 || uint64(len(payload)-sz) < n {
 		return hint{}, errors.New("cluster: truncated hint payload")
 	}
 	db := string(payload[sz : sz+int(n)])
-	pts, err := durable.DecodeBatch(payload[sz+int(n):])
-	if err != nil {
+	frame := payload[sz+int(n):]
+	if _, err := durable.DecodeBatch(frame); err != nil {
 		return hint{}, err
 	}
-	return hint{db: db, pts: pts, bytes: int64(len(payload))}, nil
+	return hint{db: db, frame: append([]byte(nil), frame...), bytes: int64(len(payload))}, nil
 }
 
 // DefaultMaxHintBytes caps one peer's hint queue; past it new hints are
@@ -99,12 +104,12 @@ func openHintQueue(root, peer string, opts durable.Options) (*hintQueue, error) 
 	return q, nil
 }
 
-// enqueue parks one missed sub-batch. The hint is durable before enqueue
-// returns (subject to the queue's fsync policy); a full queue or a sealed
-// log rejects the hint with an error — the caller counts the drop, the
-// write itself was already decided by quorum.
-func (q *hintQueue) enqueue(db string, pts []lineproto.Point, nowNS int64) error {
-	payload := encodeHint(db, pts, nowNS)
+// enqueue parks one missed share and takes ownership of frame. The hint is
+// durable before enqueue returns (subject to the queue's fsync policy); a
+// full queue or a sealed log rejects the hint with an error — the caller
+// counts the drop, the write itself was already decided by quorum.
+func (q *hintQueue) enqueue(db string, frame []byte) error {
+	payload := encodeHint(db, frame)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.bytes+int64(len(payload)) > DefaultMaxHintBytes {
@@ -115,15 +120,8 @@ func (q *hintQueue) enqueue(db string, pts []lineproto.Point, nowNS int64) error
 			return fmt.Errorf("cluster: hint append for %s: %w", q.peer, err)
 		}
 	}
-	h, err := decodeHint(payload)
-	if err != nil {
-		// Cannot happen for a payload we just encoded; decoding (rather than
-		// keeping the caller's slice) makes the in-memory queue independent
-		// of buffers the router reuses.
-		return err
-	}
-	q.pending = append(q.pending, h)
-	q.bytes += h.bytes
+	q.pending = append(q.pending, hint{db: db, frame: frame, bytes: int64(len(payload))})
+	q.bytes += int64(len(payload))
 	return nil
 }
 
@@ -142,7 +140,7 @@ func (q *hintQueue) depth() (batches int, bytes int64) {
 // already-delivered prefix on restart; delivery is at-least-once and the
 // store's upsert makes it convergent. Concurrent drains of one queue run
 // one after the other.
-func (q *hintQueue) drain(send func(db string, pts []lineproto.Point) error) (replayed int, err error) {
+func (q *hintQueue) drain(send func(db string, frame []byte) error) (replayed int, err error) {
 	q.drainMu.Lock()
 	defer q.drainMu.Unlock()
 	for {
@@ -159,7 +157,7 @@ func (q *hintQueue) drain(send func(db string, pts []lineproto.Point) error) (re
 		h := q.pending[0]
 		q.mu.Unlock()
 
-		if err := send(h.db, h.pts); err != nil {
+		if err := send(h.db, h.frame); err != nil {
 			return replayed, err
 		}
 		replayed++

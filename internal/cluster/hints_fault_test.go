@@ -9,6 +9,7 @@ package cluster
 // never lose an acknowledged one or invent one.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -22,6 +23,23 @@ import (
 
 var errInjected = errors.New("injected I/O error")
 
+// testFrame is a replica share as writeNode puts it on the wire and the
+// queue parks it: n points of one measurement in the durable batch codec
+// (testPoints carry one tag, so equal arguments give equal bytes).
+func testFrame(measurement, host string, n int) []byte {
+	return durable.AppendBatch(nil, testPoints(measurement, host, n), 1e9)
+}
+
+// framePoints decodes a parked frame, failing the test on a bad one.
+func framePoints(t *testing.T, frame []byte) []lineproto.Point {
+	t.Helper()
+	pts, err := durable.DecodeBatch(frame)
+	if err != nil {
+		t.Fatalf("parked frame does not decode: %v", err)
+	}
+	return pts
+}
+
 // hintScenario opens a queue on fs and enqueues n hints with measurements
 // m0..m(n-1), returning how many enqueues acked. openErr reports an open
 // that failed under injection.
@@ -31,7 +49,7 @@ func hintScenario(fs *faultfs.FS, n int) (acked int, openErr error) {
 		return 0, err
 	}
 	for i := 0; i < n; i++ {
-		if err := q.enqueue("lms", testPoints(fmt.Sprintf("m%d", i), "h1", 2), 1e9); err != nil {
+		if err := q.enqueue("lms", testFrame(fmt.Sprintf("m%d", i), "h1", 2)); err != nil {
 			break
 		}
 		acked++
@@ -79,8 +97,8 @@ func TestHintQueueFaultSweep(t *testing.T) {
 		}
 		// Recovered hints must be the attempted prefix, byte-exact.
 		for i, h := range got {
-			if h.db != "lms" || len(h.pts) != 2 || h.pts[0].Measurement != fmt.Sprintf("m%d", i) {
-				t.Fatalf("op %d: hint %d corrupted: db=%q pts=%d m=%q", idx, i, h.db, len(h.pts), h.pts[0].Measurement)
+			if h.db != "lms" || !bytes.Equal(h.frame, testFrame(fmt.Sprintf("m%d", i), "h1", 2)) {
+				t.Fatalf("op %d: hint %d corrupted: db=%q frame=%x", idx, i, h.db, h.frame)
 			}
 		}
 	}
@@ -107,8 +125,8 @@ func TestHintQueueKillSweep(t *testing.T) {
 			t.Fatalf("kill at op %d: acked %d hints, only %d recovered", idx, acked, len(got))
 		}
 		for i, h := range got {
-			if h.pts[0].Measurement != fmt.Sprintf("m%d", i) {
-				t.Fatalf("kill at op %d: recovered hint %d out of order: %q", idx, i, h.pts[0].Measurement)
+			if m := framePoints(t, h.frame)[0].Measurement; m != fmt.Sprintf("m%d", i) {
+				t.Fatalf("kill at op %d: recovered hint %d out of order: %q", idx, i, m)
 			}
 		}
 	}
@@ -124,13 +142,13 @@ func TestHintQueueCrashMidDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := q.enqueue("lms", testPoints(fmt.Sprintf("m%d", i), "h1", 1), 1e9); err != nil {
+		if err := q.enqueue("lms", testFrame(fmt.Sprintf("m%d", i), "h1", 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Peer accepts one batch, then fails again.
 	delivered := 0
-	_, err = q.drain(func(db string, pts []lineproto.Point) error {
+	_, err = q.drain(func(db string, frame []byte) error {
 		if delivered == 1 {
 			return errors.New("peer down again")
 		}
@@ -163,11 +181,11 @@ func TestHintQueueReclaimsDiskAfterDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := q.enqueue("lms", testPoints(fmt.Sprintf("m%d", i), "h1", 2), 1e9); err != nil {
+		if err := q.enqueue("lms", testFrame(fmt.Sprintf("m%d", i), "h1", 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	replayed, err := q.drain(func(string, []lineproto.Point) error { return nil })
+	replayed, err := q.drain(func(string, []byte) error { return nil })
 	if err != nil || replayed != 3 {
 		t.Fatalf("drain: replayed=%d err=%v", replayed, err)
 	}
@@ -194,14 +212,18 @@ func TestHintQueueConcurrentDrain(t *testing.T) {
 	}
 	const hints = 20
 	for i := 0; i < hints; i++ {
-		if err := q.enqueue("lms", testPoints(fmt.Sprintf("m%d", i), "h1", 1), 1e9); err != nil {
+		if err := q.enqueue("lms", testFrame(fmt.Sprintf("m%d", i), "h1", 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var mu sync.Mutex
 	delivered := map[string]int{}
-	slowSend := func(_ string, pts []lineproto.Point) error {
+	slowSend := func(_ string, frame []byte) error {
 		time.Sleep(time.Millisecond) // a peer slow enough for the drains to overlap
+		pts, err := durable.DecodeBatch(frame)
+		if err != nil {
+			return err
+		}
 		mu.Lock()
 		delivered[pts[0].Measurement]++
 		mu.Unlock()

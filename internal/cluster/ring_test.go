@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -73,21 +74,25 @@ func TestPlacementKeyUnambiguous(t *testing.T) {
 }
 
 func TestHintCodecRoundTrip(t *testing.T) {
-	// The hint frame must reproduce db and batch exactly (timestamps are
-	// pre-resolved, so replay equals the acknowledged write).
-	pts := testPoints("cpu", "h1", 3)
-	payload := encodeHint("lms", pts, 12345)
+	// The hint record must reproduce db and frame exactly: what recovery
+	// replays is byte for byte what the coordinator put on the wire.
+	frame := testFrame("cpu", "h1", 3)
+	payload := encodeHint("lms", frame)
 	h, err := decodeHint(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.db != "lms" || len(h.pts) != 3 {
-		t.Fatalf("bad hint decode: db=%q pts=%d", h.db, len(h.pts))
+	if h.db != "lms" || !bytes.Equal(h.frame, frame) || h.bytes != int64(len(payload)) {
+		t.Fatalf("bad hint decode: db=%q bytes=%d frame=%x", h.db, h.bytes, h.frame)
 	}
-	if !h.pts[0].Time.Equal(pts[0].Time) {
-		t.Fatalf("hint timestamp drifted: %v vs %v", h.pts[0].Time, pts[0].Time)
+	payload[len(payload)-1] ^= 0xff
+	if !bytes.Equal(h.frame, frame) {
+		t.Fatal("recovered hint aliases the WAL segment buffer")
 	}
 	if _, err := decodeHint(payload[:len(payload)-2]); err == nil {
 		t.Fatal("truncated hint decoded")
+	}
+	if _, err := decodeHint([]byte{200}); err == nil {
+		t.Fatal("hint with a truncated db name decoded")
 	}
 }

@@ -7,6 +7,11 @@ package cluster
 // that failed an acknowledged write gets its sub-batch parked in the
 // durable hint queue and replayed on heal, so R-W down replicas cost no
 // availability and no acknowledged data.
+//
+// A remote replica's share crosses the wire as one durable batch frame
+// (durable.AppendBatch, tsdb.BatchContentType): encoded once here, logged
+// verbatim by the replica's WAL, and — when the replica is down — parked
+// verbatim as the hint. One codec rides all three.
 
 import (
 	"context"
@@ -19,6 +24,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/tsdb"
+	"repro/internal/tsdb/durable"
 )
 
 // dbSink binds the cluster write path to one database. It implements
@@ -82,55 +88,56 @@ func (c *Cluster) writeDB(ctx context.Context, db string, pts []lineproto.Point)
 		}
 	}
 
-	// Split the batch: per-node sub-batches (input order preserved) and
+	// Split the batch: per-node shares (input order preserved) and
 	// per-owner-group point counts for the quorum decision. Batches are
-	// usually dominated by a handful of measurements, so the owner lookup
-	// is memoized per measurement.
+	// usually dominated by a handful of measurements, so the ring lookup and
+	// the group key are computed once per measurement, not per point.
 	type group struct {
 		owners []string
 		points int
 	}
-	perNode := make(map[string][]lineproto.Point, c.cfg.Replication)
-	groups := make(map[string]*group)
-	ownersOf := make(map[string][]string)
+	perNode := make(map[string]*share, c.cfg.Replication)
+	groups := make(map[string]*group)  // by owner set
+	groupOf := make(map[string]*group) // by measurement
+	evenShare := len(stamped)*c.cfg.Replication/len(c.nodes) + 1
 	for i := range stamped {
 		m := stamped[i].Measurement
-		owners, ok := ownersOf[m]
-		if !ok {
-			owners = c.owners(db, m)
-			ownersOf[m] = owners
-		}
-		gk := strings.Join(owners, "\x00")
-		g := groups[gk]
+		g := groupOf[m]
 		if g == nil {
-			g = &group{owners: owners}
-			groups[gk] = g
+			owners := c.owners(db, m)
+			gk := strings.Join(owners, "\x00")
+			if g = groups[gk]; g == nil {
+				g = &group{owners: owners}
+				groups[gk] = g
+			}
+			groupOf[m] = g
 		}
 		g.points++
-		for _, id := range owners {
-			perNode[id] = append(perNode[id], stamped[i])
+		for _, id := range g.owners {
+			sh := perNode[id]
+			if sh == nil {
+				sh = &share{pts: make([]lineproto.Point, 0, evenShare)}
+				perNode[id] = sh
+			}
+			sh.pts = append(sh.pts, stamped[i])
 		}
 	}
 
 	// Fan out concurrently; the transport underneath is shared and
-	// connection-capped, so a wide ring cannot exhaust sockets.
-	errs := make(map[string]error, len(perNode))
-	var mu sync.Mutex
+	// connection-capped, so a wide ring cannot exhaust sockets. Each
+	// goroutine writes only its own share.
 	var wg sync.WaitGroup
-	for id, sub := range perNode {
+	for id, sh := range perNode {
 		wg.Add(1)
-		go func(id string, sub []lineproto.Point) {
+		go func(id string, sh *share) {
 			defer wg.Done()
-			sp := tr.Start("cluster.write.node").Attr("peer", id).AttrInt("points", int64(len(sub)))
-			err := c.writeNode(ctx, id, db, sub)
-			if err != nil {
-				sp.Attr("error", err.Error())
+			sp := tr.Start("cluster.write.node").Attr("peer", id).AttrInt("points", int64(len(sh.pts)))
+			sh.err = c.writeNode(ctx, id, db, sh, now.UnixNano())
+			if sh.err != nil {
+				sp.Attr("error", sh.err.Error())
 			}
 			sp.End()
-			mu.Lock()
-			errs[id] = err
-			mu.Unlock()
-		}(id, sub)
+		}(id, sh)
 	}
 	wg.Wait()
 
@@ -141,10 +148,10 @@ func (c *Cluster) writeDB(ctx context.Context, db string, pts []lineproto.Point)
 		acked := 0
 		var lastErr error
 		for _, id := range g.owners {
-			if errs[id] == nil {
+			if err := perNode[id].err; err == nil {
 				acked++
 			} else {
-				lastErr = errs[id]
+				lastErr = err
 			}
 		}
 		if acked < c.cfg.WriteQuorum {
@@ -157,23 +164,20 @@ func (c *Cluster) writeDB(ctx context.Context, db string, pts []lineproto.Point)
 		return quorumErr
 	}
 
-	// The batch is acknowledged. Park the failed replicas' sub-batches as
-	// hints; a hint that cannot be parked (full queue, sealed WAL) is
-	// counted as dropped but does not un-acknowledge the write — quorum
-	// already holds the data.
-	for id, err := range errs {
-		if err == nil {
-			continue
-		}
+	// The batch is acknowledged. Park the failed replicas' frames as hints;
+	// a hint that cannot be parked (full queue, sealed WAL) is counted as
+	// dropped but does not un-acknowledge the write — quorum already holds
+	// the data.
+	for id, sh := range perNode {
 		n := c.nodes[id]
-		if n.hints == nil {
+		if sh.err == nil || n.hints == nil {
 			continue
 		}
-		hsp := tr.Start("cluster.hint.enqueue").Attr("peer", id).AttrInt("points", int64(len(perNode[id])))
-		if herr := n.hints.enqueue(db, perNode[id], now.UnixNano()); herr != nil {
+		hsp := tr.Start("cluster.hint.enqueue").Attr("peer", id).AttrInt("points", int64(len(sh.pts)))
+		if herr := n.hints.enqueue(db, sh.frame); herr != nil {
 			hsp.Attr("error", herr.Error())
 			n.hintDropped.Add(1)
-			c.logf("cluster: dropping hint for %s (%d points): %v", id, len(perNode[id]), herr)
+			c.logf("cluster: dropping hint for %s (%d points): %v", id, len(sh.pts), herr)
 		} else {
 			c.kickDrain()
 		}
@@ -182,26 +186,40 @@ func (c *Cluster) writeDB(ctx context.Context, db string, pts []lineproto.Point)
 	return nil
 }
 
-// writeNode delivers one sub-batch to a single replica, keeping the
-// per-peer counters.
-func (c *Cluster) writeNode(ctx context.Context, id, db string, pts []lineproto.Point) error {
+// share is one node's part of a replicated batch.
+type share struct {
+	pts []lineproto.Point
+	// frame is pts in the durable batch codec, set for remote nodes only:
+	// the bytes that went on the wire, and the hint if they did not arrive.
+	frame []byte
+	err   error
+}
+
+// writeNode delivers one share to a single replica, keeping the per-peer
+// counters. A remote share is encoded here, once; nowNS only backstops the
+// codec's zero-time rule — writeDB has already stamped every point.
+func (c *Cluster) writeNode(ctx context.Context, id, db string, sh *share, nowNS int64) error {
 	n := c.nodes[id]
 	var err error
 	if n.local != nil {
 		var ldb *tsdb.DB
 		ldb, err = n.local.OpenDatabase(db)
 		if err == nil {
-			err = ldb.WriteBatchContext(ctx, pts)
+			err = ldb.WriteBatchContext(ctx, sh.pts)
 		}
 	} else {
-		err = c.clientFor(id, db).WritePointsContext(ctx, pts)
+		// A fresh buffer per share (a failed one lives on as the hint), sized
+		// by what the last frame needed per point.
+		sh.frame = durable.AppendBatch(make([]byte, 0, len(sh.pts)*int(c.frameBytesPerPoint.Load())), sh.pts, nowNS)
+		c.frameBytesPerPoint.Store(int64(len(sh.frame)/len(sh.pts)) + 16)
+		err = c.clientFor(id, db).WriteFrameContext(ctx, sh.frame)
 	}
 	if err != nil {
 		n.batchesErr.Add(1)
-		n.pointsErr.Add(uint64(len(pts)))
+		n.pointsErr.Add(uint64(len(sh.pts)))
 		return err
 	}
 	n.batchesOK.Add(1)
-	n.pointsOK.Add(uint64(len(pts)))
+	n.pointsOK.Add(uint64(len(sh.pts)))
 	return nil
 }

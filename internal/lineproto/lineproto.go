@@ -14,9 +14,11 @@
 package lineproto
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -346,12 +348,18 @@ func appendValue(dst []byte, v Value) []byte {
 func Encode(points []Point) ([]byte, error) {
 	var dst []byte
 	for i, p := range points {
+		start := len(dst)
 		var err error
 		dst, err = AppendPoint(dst, p)
 		if err != nil {
 			return nil, fmt.Errorf("point %d: %w", i, err)
 		}
 		dst = append(dst, '\n')
+		// Lines of one batch are about the same length: size the rest of the
+		// buffer from the line just written instead of doubling up to it.
+		if rest := (len(points) - i - 1) * (len(dst) - start); rest > cap(dst)-len(dst) {
+			dst = slices.Grow(dst, rest+rest/8)
+		}
 	}
 	return dst, nil
 }
@@ -385,7 +393,7 @@ func Parse(data []byte) ([]Point, error) {
 	for len(data) > 0 {
 		lineNo++
 		var line []byte
-		if idx := indexByte(data, '\n'); idx >= 0 {
+		if idx := bytes.IndexByte(data, '\n'); idx >= 0 {
 			line = data[:idx]
 			data = data[idx+1:]
 		} else {
@@ -400,6 +408,10 @@ func Parse(data []byte) ([]Point, error) {
 		if err != nil {
 			return nil, &ParseError{Line: lineNo, Reason: err.Error(), Input: string(line)}
 		}
+		if points == nil {
+			// One allocation for the batch: at most one point per remaining line.
+			points = make([]Point, 0, 1+bytes.Count(data, []byte{'\n'}))
+		}
 		points = append(points, p)
 	}
 	return points, nil
@@ -412,15 +424,6 @@ func ParseLine(line string) (Point, error) {
 		return Point{}, &ParseError{Line: 1, Reason: err.Error(), Input: line}
 	}
 	return p, nil
-}
-
-func indexByte(b []byte, c byte) int {
-	for i := range b {
-		if b[i] == c {
-			return i
-		}
-	}
-	return -1
 }
 
 func trimSpace(b []byte) []byte {
@@ -442,9 +445,29 @@ type scanner struct {
 func (sc *scanner) eof() bool { return sc.pos >= len(sc.s) }
 
 // token consumes until an unescaped byte in stop is found; the stop byte is
-// not consumed. Escapes are resolved in the returned string.
+// not consumed. A token without a backslash — every token a collector
+// emits — is returned as a substring of the line, which Parse already
+// copied off the request body; only an escape pays for a builder.
 func (sc *scanner) token(stop string) (string, error) {
+	start := sc.pos
+	for !sc.eof() {
+		c := sc.s[sc.pos]
+		if c == '\\' {
+			return sc.escapedToken(start, stop)
+		}
+		if strings.IndexByte(stop, c) >= 0 {
+			break
+		}
+		sc.pos++
+	}
+	return sc.s[start:sc.pos], nil
+}
+
+// escapedToken finishes a token whose first backslash sits at sc.pos,
+// resolving escapes into a fresh string.
+func (sc *scanner) escapedToken(start int, stop string) (string, error) {
 	var b strings.Builder
+	b.WriteString(sc.s[start:sc.pos])
 	for !sc.eof() {
 		c := sc.s[sc.pos]
 		if c == '\\' {
@@ -503,7 +526,13 @@ func parseLine(line string) (Point, error) {
 			return Point{}, errors.New("empty tag key or value")
 		}
 		if p.Tags == nil {
-			p.Tags = make(map[string]string, 4)
+			// Size the map once: this tag plus one per comma left before the
+			// field section (an escaped space only makes that an underestimate).
+			rest := sc.s[sc.pos:]
+			if sp := strings.IndexByte(rest, ' '); sp >= 0 {
+				rest = rest[:sp]
+			}
+			p.Tags = make(map[string]string, 1+strings.Count(rest, ","))
 		}
 		p.Tags[key] = val
 	}

@@ -1,6 +1,7 @@
 package lineproto
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -596,4 +597,26 @@ func TestAppendFieldsSortedAndReusable(t *testing.T) {
 	if none := (Point{}).AppendFields(nil); len(none) != 0 {
 		t.Fatalf("no fields should append nothing, got %+v", none)
 	}
+}
+
+// TestParseAllocsPerPoint pins the allocation budget of the text parse
+// on the shape a replicated collector line has after enrichment (9 tags,
+// 4 fields, no escapes): the line copy, the batch slice and the two maps —
+// not one string per token.
+func TestParseAllocsPerPoint(t *testing.T) {
+	const points = 100
+	var body []byte
+	for i := 0; i < points; i++ {
+		body = fmt.Appendf(body, "cpu,cluster=emmy,hostname=h%03d,jobid=4711.master,project=p1,queue=batch,rack=r07,socket=1,type=node,username=user2 idle=91.5,iowait=0.25,system=3.125,user=5.125 %d\n",
+			i, 1501804800000000000+int64(i))
+	}
+	pts, err := Parse(body)
+	if err != nil || len(pts) != points || len(pts[0].Tags) != 9 || len(pts[0].Fields) != 4 {
+		t.Fatalf("fixture: %d points, err %v", len(pts), err)
+	}
+	perPoint := testing.AllocsPerRun(20, func() { _, _ = Parse(body) }) / points
+	if perPoint > 8 {
+		t.Fatalf("Parse allocates %.1f times per point, want <= 8", perPoint)
+	}
+	t.Logf("%.2f allocs/point", perPoint)
 }

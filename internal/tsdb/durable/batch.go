@@ -1,7 +1,10 @@
 package durable
 
-// Binary encoding of one point batch — the payload of one WAL record.
-// The line protocol would work here too, but the WAL sits on the
+// Binary encoding of one point batch — the batch frame. One frame is the
+// payload of one WAL record, the body of one hinted-handoff record and
+// the body of one coordinator → replica write (DESIGN.md §9, §12): the
+// same bytes in all three places, encoded once.
+// The line protocol would work here too, but the frame sits on the
 // acknowledgement path of every write, so the format trades human
 // readability for compactness and allocation-free encoding: length-
 // prefixed strings, one type byte per field value, zigzag varints for
@@ -41,7 +44,7 @@ func appendFixed64(dst []byte, v uint64) []byte {
 // replay reproduces the stored state exactly.
 func AppendBatch(dst []byte, pts []lineproto.Point, nowNS int64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(pts)))
-	var fieldBuf []lineproto.Field
+	fieldBuf := make([]lineproto.Field, 0, 8) // on the stack up to 8 fields
 	for i := range pts {
 		p := &pts[i]
 		dst = appendString(dst, p.Measurement)
@@ -182,9 +185,13 @@ func (r *batchReader) value() (lineproto.Value, error) {
 	}
 }
 
-// DecodeBatch decodes one AppendBatch payload back into points. The
-// payload sits behind a CRC32 frame, so a decode error means a format
-// version mismatch or a software bug, not media corruption.
+// DecodeBatch decodes one AppendBatch payload back into points, strictly:
+// every count is checked against the bytes left, unknown value kinds and
+// trailing bytes are errors. In the WAL the payload sits behind a CRC32
+// frame, so a decode error there means a format version mismatch or a
+// software bug, not media corruption; off the wire (tsdb.Handler's frame
+// door) it is the whole structural check of an untrusted body, and
+// Point.Validate follows it.
 func DecodeBatch(payload []byte) ([]lineproto.Point, error) {
 	r := &batchReader{b: payload}
 	n, err := r.count()

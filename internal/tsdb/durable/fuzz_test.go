@@ -124,6 +124,10 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(seed[:len(seed)-2])           // torn tail
 	f.Add([]byte{0xff, 0xff, 0xff})     // implausible count
 	f.Add(binary.AppendUvarint(nil, 0)) // empty batch
+	// testdata/fuzz/FuzzDecodeBatch/cluster-writenode-frame adds a replica
+	// share as cluster.writeNode put it on the wire (11 enriched collector
+	// points, 9 tags each): since the frame is also the peer body, this
+	// decoder faces the network, not only a CRC-checked log.
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		got, err := DecodeBatch(payload)

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/lineproto"
 	"repro/internal/obs"
+	"repro/internal/tsdb/durable"
 )
 
 // Handler exposes a Store over the InfluxDB HTTP API. The LMS router, the
@@ -20,6 +22,7 @@ import (
 // to this interface (paper Fig. 1):
 //
 //	POST /write?db=<name>[&precision=ns|u|ms|s|m|h]   line-protocol body
+//	POST /write?db=<name>&local=1                     BatchContentType body (replica share)
 //	GET|POST /query?db=<name>&q=<influxql>            JSON results
 //	GET /ping                                         204 No Content
 //
@@ -71,6 +74,13 @@ type Handler struct {
 // DefaultMaxBodyBytes is the /write body cap used when Handler.MaxBodyBytes
 // (or router.Config.MaxBodyBytes) is zero.
 const DefaultMaxBodyBytes int64 = 64 << 20
+
+// BatchContentType marks a /write body as one durable batch frame
+// (durable.AppendBatch) instead of line-protocol text. It is the cluster's
+// coordinator → replica wire (DESIGN.md §12): the codec the replica's WAL
+// and the coordinator's hint queue already hold, so a replica share is
+// encoded once and never parsed as text.
+const BatchContentType = "application/x-lms-batch"
 
 // NewHandler returns an HTTP handler serving the store, including its
 // observability bundle on GET /metrics (Prometheus text format).
@@ -179,11 +189,20 @@ func shedRequest(w http.ResponseWriter) {
 // than max reports tooLarge=true: reading on a truncating limit and
 // parsing the prefix would silently drop the tail (a 64 MiB body cut at a
 // line boundary parses cleanly!), so callers refuse with 413 instead.
-func readBodyLimited(r io.Reader, max int64) (body []byte, tooLarge bool, err error) {
-	body, err = io.ReadAll(io.LimitReader(r, max+1))
-	if err != nil {
+// size is the declared Content-Length (-1 when unknown): a known length
+// sizes the buffer once, an unknown one grows it as it reads.
+func readBodyLimited(r io.Reader, size, max int64) (body []byte, tooLarge bool, err error) {
+	if size < 0 {
+		size = 0
+	}
+	// MinRead of slack is what ReadFrom wants free before every read, the
+	// one that finds EOF included; min so a declared length past the cap
+	// reserves no more than the cap.
+	buf := bytes.NewBuffer(make([]byte, 0, min(size, max+1)+bytes.MinRead))
+	if _, err = buf.ReadFrom(io.LimitReader(r, max+1)); err != nil {
 		return nil, false, err
 	}
+	body = buf.Bytes()
 	if int64(len(body)) > max {
 		return nil, true, nil
 	}
@@ -247,7 +266,7 @@ func (h *Handler) handleWrite(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body, tooLarge, err := readBodyLimited(r.Body, h.maxBody())
+	body, tooLarge, err := readBodyLimited(r.Body, r.ContentLength, h.maxBody())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
@@ -256,12 +275,22 @@ func (h *Handler) handleWrite(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusRequestEntityTooLarge, "write body exceeds %d bytes", h.maxBody())
 		return
 	}
-	pts, err := lineproto.Parse(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+	// The body becomes points through one of two codecs; everything after
+	// that is one path. A frame carries resolved nanosecond timestamps and
+	// doubles as the WAL record of the batch decoded from it.
+	var pts []lineproto.Point
+	var frame []byte
+	if r.Header.Get("Content-Type") == BatchContentType {
+		if mult != 1 {
+			httpError(w, http.StatusBadRequest, "a batch frame carries nanosecond timestamps; precision must be ns")
+			return
+		}
+		pts, err = durable.DecodeBatch(body)
+		frame = body
+	} else if pts, err = lineproto.Parse(body); err == nil {
+		err = scaleTimes(pts, mult)
 	}
-	if err := scaleTimes(pts, mult); err != nil {
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -269,7 +298,7 @@ func (h *Handler) handleWrite(w http.ResponseWriter, r *http.Request) {
 	// fan-out, so this node's WAL/apply spans land under the same id.
 	tr := h.traceRing().StartTrace("tsdb.write", r.Header.Get(obs.TraceHeader))
 	sp := tr.Start("tsdb.http.write").Attr("db", dbName).AttrInt("points", int64(len(pts)))
-	err = db.WriteBatchContext(obs.WithTrace(r.Context(), tr), pts)
+	err = db.writeBatch(obs.WithTrace(r.Context(), tr), pts, frame)
 	sp.End()
 	tr.Finish()
 	if err != nil {
@@ -511,16 +540,32 @@ func (c *Client) WriteBody(body []byte) error {
 // A trace riding the context is propagated to the server via X-Lms-Trace
 // and annotated with a client-side rpc.write span.
 func (c *Client) WriteBodyContext(ctx context.Context, body []byte) error {
+	return c.postWrite(ctx, "text/plain", body)
+}
+
+// WriteFrameContext posts one durable batch frame (durable.AppendBatch,
+// timestamps resolved) to an lms-db's /write as BatchContentType, with the
+// trace propagation of WriteBodyContext. It is the cluster coordinator's
+// replica write; only an lms-db understands it, so everything that may face
+// a real InfluxDB keeps to WriteBody*/WritePoints*.
+func (c *Client) WriteFrameContext(ctx context.Context, frame []byte) error {
+	return c.postWrite(ctx, BatchContentType, frame)
+}
+
+func (c *Client) postWrite(ctx context.Context, contentType string, body []byte) error {
 	vals := url.Values{}
 	for k, vs := range c.Params {
 		vals[k] = vs
 	}
 	vals.Set("db", c.Database)
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/write?"+vals.Encode(), readerOf(body))
+	// bytes.Reader, so net/http knows the length: the request carries
+	// Content-Length (what the receiver's admission gate charges) and a
+	// GetBody (a POST that hit a stale keep-alive connection is replayed).
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/write?"+vals.Encode(), bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	hreq.Header.Set("Content-Type", "text/plain")
+	hreq.Header.Set("Content-Type", contentType)
 	tr := obs.TraceFrom(ctx)
 	if id := tr.ID(); id != "" {
 		hreq.Header.Set(obs.TraceHeader, id)
@@ -676,23 +721,6 @@ func readResponseStream(r io.Reader) (Response, error) {
 		out.Results = append(out.Results, chunk.Results...)
 	}
 	return out, nil
-}
-
-// readerOf avoids importing bytes just for NewReader.
-type byteReader struct {
-	b []byte
-	i int
-}
-
-func readerOf(b []byte) io.Reader { return &byteReader{b: b} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
 }
 
 // FloatValue converts an InfluxDB JSON value cell to float64: float64 and

@@ -115,13 +115,19 @@ const ckptRetryBackoff = 5 * time.Second
 var batchBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // writeDurable is WriteBatch's durable path: log first, apply second,
-// acknowledge last. A context carrying a trace (obs.WithTrace) gets
+// acknowledge last. The WAL record is frame when the batch arrived
+// already in the record's codec (a replica share, see DB.writeBatch), else
+// pts encoded here. A context carrying a trace (obs.WithTrace) gets
 // spans for the WAL append — which, under the per-batch fsync policy,
 // includes the group-commit fsync wait — and the in-memory apply.
-func (d *durability) writeDurable(ctx context.Context, db *DB, pts []lineproto.Point, now time.Time) error {
+func (d *durability) writeDurable(ctx context.Context, db *DB, pts []lineproto.Point, now time.Time, frame []byte) error {
 	tr := obs.TraceFrom(ctx)
-	bufp := batchBufPool.Get().(*[]byte)
-	payload := durable.AppendBatch((*bufp)[:0], pts, now.UnixNano())
+	payload := frame
+	var bufp *[]byte
+	if frame == nil {
+		bufp = batchBufPool.Get().(*[]byte)
+		payload = durable.AppendBatch((*bufp)[:0], pts, now.UnixNano())
+	}
 	d.gate.RLock()
 	wsp := tr.Start("tsdb.wal.append").AttrInt("bytes", int64(len(payload)))
 	_, _, err := d.wal.Append(payload)
@@ -132,8 +138,10 @@ func (d *durability) writeDurable(ctx context.Context, db *DB, pts []lineproto.P
 		asp.End()
 	}
 	d.gate.RUnlock()
-	*bufp = payload[:0]
-	batchBufPool.Put(bufp)
+	if bufp != nil {
+		*bufp = payload[:0]
+		batchBufPool.Put(bufp)
+	}
 	if err != nil {
 		if errors.Is(err, durable.ErrClosed) {
 			return ErrDBClosed

@@ -618,6 +618,15 @@ func (db *DB) WriteBatch(pts []lineproto.Point) error {
 // and the in-memory apply. The context is not used for cancellation —
 // a batch appended to the WAL is already acknowledged territory.
 func (db *DB) WriteBatchContext(ctx context.Context, pts []lineproto.Point) error {
+	return db.writeBatch(ctx, pts, nil)
+}
+
+// writeBatch is the one write path. frame, when non-nil, is the durable
+// batch encoding pts were decoded from (a coordinator's replica share,
+// Handler.handleWrite): the WAL logs it as received instead of encoding
+// pts a second time. Only the re-encode is skipped — validation, the WAL
+// and the apply see a frame's points like any other batch.
+func (db *DB) writeBatch(ctx context.Context, pts []lineproto.Point, frame []byte) error {
 	if len(pts) == 0 {
 		return nil
 	}
@@ -633,7 +642,7 @@ func (db *DB) WriteBatchContext(ctx context.Context, pts []lineproto.Point) erro
 			db.noteDrop(len(pts))
 			return ErrDBClosed
 		}
-		if err := db.dur.writeDurable(ctx, db, pts, now); err != nil {
+		if err := db.dur.writeDurable(ctx, db, pts, now, frame); err != nil {
 			db.noteDrop(len(pts))
 			return err
 		}
