@@ -13,6 +13,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/cluster"
 	"repro/internal/dashboard"
+	"repro/internal/lineproto"
 	"repro/internal/obs"
 	"repro/internal/pubsub"
 	"repro/internal/router"
@@ -193,7 +194,11 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	}
 	if cfg.PerUserDBs {
 		rcfg.UserSink = func(user string) router.Sink {
-			return router.LocalSink{DB: store.CreateDatabase("user_" + user)}
+			db, err := store.OpenDatabase("user_" + user)
+			if err != nil {
+				return failedSink{fmt.Errorf("core: %w", err)}
+			}
+			return router.LocalSink{DB: db}
 		}
 		if clu != nil {
 			rcfg.UserSink = func(user string) router.Sink {
@@ -250,6 +255,13 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		cfg:       cfg,
 	}, nil
 }
+
+// failedSink refuses every batch with the error that kept its database from
+// opening, so the router counts the points as dropped instead of
+// acknowledging them into a database nobody will ever read.
+type failedSink struct{ err error }
+
+func (s failedSink) WritePoints([]lineproto.Point) error { return s.err }
 
 // DBName returns the primary database name.
 func (s *Stack) DBName() string { return s.cfg.DBName }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/hpm"
 	"repro/internal/jobsched"
 	"repro/internal/lineproto"
+	"repro/internal/router"
 	"repro/internal/tsdb"
 	"repro/internal/workload"
 )
@@ -374,5 +378,53 @@ func TestStackDurableRestart(t *testing.T) {
 func TestStackBadFsyncPolicy(t *testing.T) {
 	if _, err := NewStack(StackConfig{DataDir: t.TempDir(), FsyncPolicy: "bogus"}); err == nil {
 		t.Fatal("NewStack accepted a bogus fsync policy")
+	}
+}
+
+// TestStackUserDatabaseOpenFailureIsCounted: on a durable stack whose
+// per-user database cannot be opened, a job batch's duplicate must be
+// refused and counted as dropped — not acknowledged into a throwaway
+// in-memory database that is gone when the write returns. Every point the
+// router reports forwarded is in the primary database.
+func TestStackUserDatabaseOpenFailureIsCounted(t *testing.T) {
+	dir := t.TempDir()
+	// A regular file where the database directory would go.
+	if err := os.WriteFile(filepath.Join(dir, "user_x"), []byte("in the way"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stack, err := NewStack(StackConfig{DataDir: dir, FsyncPolicy: "off", PerUserDBs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
+	if err := stack.Router.JobStart(router.JobSignal{JobID: "7", User: "x", Nodes: []string{"n1"}}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 10
+	pts := make([]lineproto.Point, n)
+	for i := range pts {
+		pts[i] = lineproto.Point{
+			Measurement: "cpu",
+			Tags:        map[string]string{"hostname": "n1"},
+			Fields:      map[string]lineproto.Value{"percent": lineproto.Float(float64(i))},
+			Time:        time.Unix(1600000000+int64(i), 0),
+		}
+	}
+	if err := stack.Router.IngestContext(context.Background(), pts); err != nil {
+		t.Fatalf("a broken user database must not fail ingest into the primary: %v", err)
+	}
+	_, forwarded, dropped := stack.Router.Stats()
+	if dropped != n {
+		t.Errorf("router dropped = %d, want %d: the duplicate batch was acknowledged into a database nobody holds", dropped, n)
+	}
+	res, err := stack.DB.Select(tsdb.Query{Measurement: "cpu"})
+	if err != nil || len(res) != 1 || len(res[0].Rows) != n {
+		t.Fatalf("primary holds %v (err %v), want %d cpu rows", res, err, n)
+	}
+	if got := int64(stack.DB.PointCount()); got != forwarded {
+		t.Errorf("primary holds %d points, router forwarded %d", got, forwarded)
+	}
+	if db := stack.Store.DB("user_x"); db != nil {
+		t.Errorf("store serves a user_x database (%d points) that has no directory", db.PointCount())
 	}
 }

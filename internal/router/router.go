@@ -16,7 +16,6 @@ package router
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -223,53 +222,36 @@ func httpError(w http.ResponseWriter, code int, format string, args ...interface
 }
 
 func (r *Router) handleWrite(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	release, ok := r.gate.Acquire(req.ContentLength)
+	body, mult, release, ok := tsdb.AdmitWrite(w, req, r.gate, r.maxBody())
 	if !ok {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "ingest overloaded, retry later")
 		return
 	}
 	defer release()
-	// Read one byte past the cap so an oversized body is refused with 413
-	// instead of silently truncated at a line boundary.
-	max := r.maxBody()
-	body, err := io.ReadAll(io.LimitReader(req.Body, max+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > max {
-		httpError(w, http.StatusRequestEntityTooLarge, "write body exceeds %d bytes", max)
-		return
-	}
 	// One trace per /write: the root of the distributed write path. The
 	// trace id fans out with the batch (ContextSink → cluster → replicas),
 	// so /debug/traces here shows the whole journey.
 	tr := r.cfg.Traces.StartTrace("router.write", req.Header.Get(obs.TraceHeader))
 	sp := tr.Start("router.http.write").AttrInt("bytes", int64(len(body)))
-	err = r.IngestBatchContext(obs.WithTrace(req.Context(), tr), body)
+	status := http.StatusBadRequest // a body that does not parse
+	pts, err := tsdb.ParseLines(body, mult)
+	if err == nil {
+		status = http.StatusInternalServerError // a sink that refused it
+		err = r.IngestContext(obs.WithTrace(req.Context(), tr), pts)
+	}
 	sp.End()
 	tr.Finish()
 	if err != nil {
-		var perr *lineproto.ParseError
-		if errors.As(err, &perr) {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		httpError(w, status, "%v", err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// IngestBatch parses a line-protocol payload and runs the router pipeline on
-// it. It is the batched entry point shared by the HTTP /write handler and by
+// IngestBatch parses a line-protocol payload (nanosecond timestamps) and
+// runs the router pipeline on it. It is the batched entry point of
 // in-process producers (collection agents, libusermetric clients) whose
-// flush callback delivers an encoded payload.
+// flush callback delivers an encoded payload; the HTTP /write handler
+// parses under the request's precision and enters at IngestContext.
 func (r *Router) IngestBatch(payload []byte) error {
 	return r.IngestBatchContext(context.Background(), payload)
 }

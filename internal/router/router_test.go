@@ -408,6 +408,55 @@ func TestWriteValidation(t *testing.T) {
 	}
 }
 
+// TestWritePrecision: the router's /write is an InfluxDB /write, so the
+// precision parameter scales the body's timestamps exactly as lms-db's own
+// door does — and an invalid or overflowing one is a 400, not a point
+// stored in 1970.
+func TestWritePrecision(t *testing.T) {
+	e := newEnv(t, nil)
+	stored := func(meas string) time.Time {
+		t.Helper()
+		res, err := e.db.Select(tsdb.Query{Measurement: meas})
+		if err != nil || len(res) != 1 || len(res[0].Rows) != 1 {
+			t.Fatalf("%s: %+v, %v", meas, res, err)
+		}
+		return res[0].Rows[0].Time
+	}
+	for _, c := range []struct {
+		meas, precision string
+		want            time.Time
+	}{
+		{"p_default", "", time.Unix(0, 1600000000)},
+		{"p_ns", "ns", time.Unix(0, 1600000000)},
+		{"p_ms", "ms", time.Unix(1600000, 0)},
+		{"p_s", "s", time.Unix(1600000000, 0)},
+	} {
+		path := "/write"
+		if c.precision != "" {
+			path += "?precision=" + c.precision
+		}
+		if resp := e.post(t, path, c.meas+",hostname=h1 value=1 1600000000\n"); resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("precision %q: status %d", c.precision, resp.StatusCode)
+		}
+		if got := stored(c.meas); !got.Equal(c.want) {
+			t.Errorf("precision %q: stored at %v, want %v", c.precision, got.UTC(), c.want.UTC())
+		}
+	}
+	received, _, _ := e.router.Stats()
+	if resp := e.post(t, "/write?precision=fortnights", "bad,hostname=h1 value=1 1\n"); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("invalid precision: status %d, want 400", resp.StatusCode)
+	}
+	if resp := e.post(t, "/write?precision=h", "bad,hostname=h1 value=1 9000000000000000\n"); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("timestamp overflowing at precision h: status %d, want 400", resp.StatusCode)
+	}
+	if got, _, _ := e.router.Stats(); got != received {
+		t.Errorf("refused writes entered the pipeline: received %d -> %d", received, got)
+	}
+	if _, err := e.db.Select(tsdb.Query{Measurement: "bad"}); err == nil {
+		t.Error("a refused write was stored")
+	}
+}
+
 func TestPing(t *testing.T) {
 	e := newEnv(t, nil)
 	resp, err := http.Get(e.srv.URL + "/ping")

@@ -324,11 +324,11 @@ func foldView(p *partial, rs *runSnap, ci, lo, hi int, strs []string) {
 	if !v.ok || lo >= hi {
 		return
 	}
-	if v.mixed {
+	if v.Mixed {
 		// Mixed-kind columns fall back to the per-row observe loop.
 		for i := lo; i < hi; i++ {
 			if v.has(i) {
-				p.observe(rs.ts[i], v.vals[i])
+				p.observe(rs.ts[i], v.Vals[i])
 			}
 		}
 		return
@@ -347,14 +347,12 @@ func foldView(p *partial, rs *runSnap, ci, lo, hi int, strs []string) {
 			return
 		}
 		last := v.lastPresent(lo, hi)
-		fv, _ := v.valueAt(first, strs)
-		lv, _ := v.valueAt(last, strs)
-		p.observe(rs.ts[first], fv)
-		p.observe(rs.ts[last], lv)
+		p.observe(rs.ts[first], v.At(first, strs))
+		p.observe(rs.ts[last], v.At(last, strs))
 		return
 	}
 	// The remaining modes are numeric: string columns contribute nothing.
-	if v.kind == lineproto.KindString {
+	if v.Kind == lineproto.KindString {
 		return
 	}
 	switch p.mode {
@@ -377,8 +375,8 @@ func foldView(p *partial, rs *runSnap, ci, lo, hi int, strs []string) {
 		p.n += n
 		p.hasNum = true
 	case modeSum:
-		if v.kind == lineproto.KindFloat && v.present == nil {
-			for _, f := range v.floats[lo:hi] {
+		if v.Kind == lineproto.KindFloat && v.present == nil {
+			for _, f := range v.Floats[lo:hi] {
 				p.sum, p.comp = kahanStep(p.sum, p.comp, f)
 			}
 			p.n += int64(hi - lo)
@@ -397,8 +395,8 @@ func foldView(p *partial, rs *runSnap, ci, lo, hi int, strs []string) {
 			p.hasNum = true
 		}
 	case modeMinMax:
-		if v.kind == lineproto.KindFloat && v.present == nil {
-			for _, f := range v.floats[lo:hi] {
+		if v.Kind == lineproto.KindFloat && v.present == nil {
+			for _, f := range v.Floats[lo:hi] {
 				if !p.hasNum {
 					p.min, p.max, p.hasNum = f, f, true
 					continue
@@ -429,8 +427,8 @@ func foldView(p *partial, rs *runSnap, ci, lo, hi int, strs []string) {
 			}
 		}
 	case modeVals:
-		if v.kind == lineproto.KindFloat && v.present == nil {
-			p.vals = append(p.vals, v.floats[lo:hi]...)
+		if v.Kind == lineproto.KindFloat && v.present == nil {
+			p.vals = append(p.vals, v.Floats[lo:hi]...)
 			return
 		}
 		for i := lo; i < hi; i++ {
@@ -444,10 +442,10 @@ func foldView(p *partial, rs *runSnap, ci, lo, hi int, strs []string) {
 // floatAt returns local row i of a typed numeric column as float64,
 // mirroring lineproto.Value.FloatVal (ints and bools convert).
 func (v *colView) floatAt(i int) float64 {
-	if v.kind == lineproto.KindFloat {
-		return v.floats[i]
+	if v.Kind == lineproto.KindFloat {
+		return v.Floats[i]
 	}
-	return float64(v.ints[i]) // KindInt, KindBool (0/1)
+	return float64(v.Ints[i]) // KindInt, KindBool (0/1)
 }
 
 // result produces the final aggregate value; false when no value applies.

@@ -1,0 +1,160 @@
+package tsdb
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/lineproto"
+)
+
+// allocFixture is the store the allocation gates run on: one shard, the
+// serial query engine and no result cache, so the counts are those of the
+// storage paths alone; hosts series of rows points each (two float fields,
+// one int, one interned string), one raw run per series.
+func allocFixture(t *testing.T, hosts, rows int) *DB {
+	t.Helper()
+	db := NewDBShards("lms", 1)
+	db.SetQueryWorkers(1)
+	db.SetQueryCacheTTL(0)
+	for h := 0; h < hosts; h++ {
+		pts := make([]lineproto.Point, rows)
+		for i := range pts {
+			pts[i] = lineproto.Point{
+				Measurement: "cpu",
+				Tags:        map[string]string{"hostname": fmt.Sprintf("h%02d", h)},
+				Fields: map[string]lineproto.Value{
+					"user":  lineproto.Float(float64(i%13) + 0.25),
+					"sys":   lineproto.Float(float64(i % 5)),
+					"ctx":   lineproto.Int(int64(i) * 7),
+					"state": lineproto.String([]string{"idle", "busy"}[i%2]),
+				},
+				Time: time.Unix(int64(i)*10, 0),
+			}
+		}
+		if err := db.WriteBatch(pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestStorageAllocs pins the allocation counts of the paths the column
+// type crosses, write path to checkpoint, at the figures measured on the
+// commit before it was introduced (in the comments; the bounds leave a
+// little headroom). A wrapper that boxes a column, clones a header it used
+// to alias or decodes into fresh arrays instead of the arena shows up here.
+func TestStorageAllocs(t *testing.T) {
+	const hosts, rows = 8, 2000
+	windowed := Query{
+		Measurement: "cpu",
+		Fields:      []string{"user", "ctx"},
+		Start:       time.Unix(0, 0),
+		End:         time.Unix(rows*10, 0),
+		GroupByTags: []string{"hostname"},
+		Every:       10 * time.Minute,
+		Agg:         AggMean,
+	}
+	selectAllocs := func(db *DB) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if res, err := db.Select(windowed); err != nil || len(res) != hosts {
+				t.Fatal(err, len(res))
+			}
+		})
+	}
+
+	t.Run("applyBatch", func(t *testing.T) {
+		// One collector flush: 100 points of one series, timestamps rising
+		// past everything stored, appended onto the series' newest run.
+		db := allocFixture(t, 1, 100)
+		pts := make([]lineproto.Point, 100)
+		for i := range pts {
+			pts[i] = lineproto.Point{
+				Measurement: "cpu",
+				Tags:        map[string]string{"hostname": "h00"},
+				Fields: map[string]lineproto.Value{
+					"user": lineproto.Float(1), "sys": lineproto.Float(2),
+					"ctx": lineproto.Int(3), "state": lineproto.String("idle"),
+				},
+			}
+		}
+		next := int64(100 * 10)
+		now := time.Now()
+		allocs := testing.AllocsPerRun(200, func() {
+			for i := range pts {
+				pts[i].Time = time.Unix(next, 0)
+				next += 10
+			}
+			db.applyBatch(pts, now)
+		})
+		t.Logf("%.0f allocs per 100-point in-order applyBatch", allocs)
+		if allocs > applyBatchAllocs {
+			t.Fatalf("applyBatch allocates %.0f times per 100-point batch, want <= %d", allocs, applyBatchAllocs)
+		}
+	})
+
+	t.Run("select raw", func(t *testing.T) {
+		allocs := selectAllocs(allocFixture(t, hosts, rows))
+		t.Logf("%.0f allocs per windowed Select over %d raw runs", allocs, hosts)
+		if allocs > selectRawAllocs {
+			t.Fatalf("windowed Select over raw runs allocates %.0f times, want <= %d", allocs, selectRawAllocs)
+		}
+	})
+
+	t.Run("select compressed", func(t *testing.T) {
+		db := allocFixture(t, hosts, rows)
+		if db.Compress() != hosts {
+			t.Fatal("fixture did not compress to one chunk per series")
+		}
+		selectAllocs(db) // warm the decode arena
+		allocs := selectAllocs(db)
+		t.Logf("%.0f allocs per windowed Select over %d compressed runs", allocs, hosts)
+		if allocs > selectCompressedAllocs {
+			t.Fatalf("windowed Select over compressed runs allocates %.0f times, want <= %d", allocs, selectCompressedAllocs)
+		}
+	})
+
+	t.Run("buildSnapshot", func(t *testing.T) {
+		// Half the runs raw, half compressed: the per-run cost of capturing
+		// a checkpoint image, fixed per-measurement work subtracted by
+		// measuring two sizes.
+		perRun := func(n int) float64 {
+			db := allocFixture(t, n, 50)
+			db.Compress()
+			for h := 1; h < n; h += 2 {
+				// A block as large as the chunk next to it: compaction merges
+				// the two into one raw run.
+				pts := make([]lineproto.Point, 50)
+				for i := range pts {
+					pts[i] = lineproto.Point{
+						Measurement: "cpu",
+						Tags:        map[string]string{"hostname": fmt.Sprintf("h%02d", h)},
+						Fields:      map[string]lineproto.Value{"user": lineproto.Float(1), "ctx": lineproto.Int(2)},
+						Time:        time.Unix(int64(50+i)*10, 0),
+					}
+				}
+				if err := db.WriteBatch(pts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := db.compressionStats(); st.chunks == 0 || st.buildingBytes == 0 {
+				t.Fatalf("fixture holds no mix of raw and compressed runs: %+v", st)
+			}
+			return testing.AllocsPerRun(20, func() { db.buildSnapshot() })
+		}
+		small, large := perRun(hosts), perRun(hosts*9)
+		allocs := (large - small) / (hosts * 8)
+		t.Logf("%.2f allocs per run captured by buildSnapshot (%.0f for %d runs, %.0f for %d)", allocs, small, hosts, large, hosts*9)
+		if allocs > buildSnapshotAllocsPerRun {
+			t.Fatalf("buildSnapshot allocates %.2f times per run, want <= %.2f", allocs, buildSnapshotAllocsPerRun)
+		}
+	})
+}
+
+// The gates' bounds; the parent commit's measurements are in the comments.
+const (
+	applyBatchAllocs          = 4    // measured 3
+	selectRawAllocs           = 960  // measured 941
+	selectCompressedAllocs    = 960  // measured 941, the same: a warm arena decodes for free
+	buildSnapshotAllocsPerRun = 4.75 // measured 4.56
+)

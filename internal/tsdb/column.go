@@ -25,9 +25,11 @@ package tsdb
 // with straight slice sweeps.
 
 import (
+	"cmp"
 	"sort"
 
 	"repro/internal/lineproto"
+	"repro/internal/tsdb/durable"
 )
 
 // --- bit helpers -------------------------------------------------------
@@ -85,88 +87,57 @@ func (t *strTable) intern(s string) uint32 {
 
 // --- columns -----------------------------------------------------------
 
-// col is one field's value column over a run. Exactly one storage arm is
-// active: floats (KindFloat), ints (KindInt and KindBool, booleans as
-// 0/1), strs (KindString, ids into the measurement strTable) — or vals
-// when the field was written with conflicting kinds (mixed). Absent rows
-// hold a zero placeholder in the active arm and a cleared presence bit.
+// col is one field's value column over a run: the shared column shape
+// (durable.Col — name, presence bitmap, and the Values holding the rows in
+// one typed arm; buildSnapshot hands it to the checkpoint codec as is)
+// plus the row count. Absent rows hold a zero placeholder in the active
+// arm and a cleared presence bit; Present is nil while the column is
+// dense, and copy-on-write once published (see the file comment).
 type col struct {
-	name  string
-	kind  lineproto.ValueKind // element kind while !mixed
-	mixed bool
-	n     int // rows covered (values + gaps); equals len(run.ts) once committed
+	durable.Col
+	n int // rows covered (values + gaps); equals len(run.ts) once committed
+}
 
-	floats []float64
-	ints   []int64
-	strs   []uint32
-	vals   []lineproto.Value
-
-	// present marks value-carrying rows, bit i ↔ row i; nil means dense.
-	// Copy-on-write once published (see the file comment).
-	present []uint64
+// newCol returns an empty column for a field first seen with the given kind.
+func newCol(name string, kind lineproto.ValueKind) col {
+	return col{Col: durable.Col{Name: name, Values: durable.Values{Kind: kind}}}
 }
 
 // has reports whether row i carries a value.
-func (c *col) has(i int) bool { return c.present == nil || bitGet(c.present, i) }
+func (c *col) has(i int) bool { return c.Present == nil || bitGet(c.Present, i) }
 
-// valueAt reconstructs the lineproto.Value of row i. strs is the
-// measurement intern table (only consulted for string columns).
-func (c *col) valueAt(i int, strs []string) (lineproto.Value, bool) {
-	if !c.has(i) {
-		return lineproto.Value{}, false
-	}
-	if c.mixed {
-		return c.vals[i], true
-	}
-	switch c.kind {
-	case lineproto.KindFloat:
-		return lineproto.Float(c.floats[i]), true
-	case lineproto.KindInt:
-		return lineproto.Int(c.ints[i]), true
-	case lineproto.KindBool:
-		return lineproto.Bool(c.ints[i] != 0), true
-	default:
-		return lineproto.String(strs[c.strs[i]]), true
-	}
-}
-
-// padValues appends k zero placeholders to the active storage arm.
-func (c *col) padValues(k int) {
-	switch {
-	case c.mixed:
-		for i := 0; i < k; i++ {
-			c.vals = append(c.vals, lineproto.Value{})
-		}
-	case c.kind == lineproto.KindFloat:
-		for i := 0; i < k; i++ {
-			c.floats = append(c.floats, 0)
-		}
-	case c.kind == lineproto.KindString:
-		for i := 0; i < k; i++ {
-			c.strs = append(c.strs, 0)
-		}
-	default: // KindInt, KindBool
-		for i := 0; i < k; i++ {
-			c.ints = append(c.ints, 0)
-		}
-	}
+// sameKind reports whether c and o hold one kind of value unboxed, or are
+// both mixed: their rows then sit in the same typed array and can be
+// appended or merged as they are.
+func (c *col) sameKind(o *col) bool {
+	return c.Mixed == o.Mixed && (c.Mixed || c.Kind == o.Kind)
 }
 
 // toMixed converts a typed column to the mixed representation into a
 // freshly allocated vals array (copy-on-write safe for published columns).
+// Kind keeps recording what the column started as.
 func (c *col) toMixed(strs []string) {
-	if c.mixed {
+	if c.Mixed {
 		return
 	}
 	vals := make([]lineproto.Value, c.n)
-	for i := 0; i < c.n; i++ {
-		if v, ok := c.valueAt(i, strs); ok {
-			vals[i] = v
+	for i := range vals {
+		if c.has(i) {
+			vals[i] = c.At(i, strs)
 		}
 	}
-	c.vals = vals
-	c.mixed = true
-	c.floats, c.ints, c.strs = nil, nil, nil
+	c.Values = durable.Values{Kind: c.Kind, Mixed: true, Vals: vals}
+}
+
+// boxed returns src, or a mixed copy of it when it is typed: the form a
+// typed block takes to meet a column that a kind conflict has promoted.
+func boxed(src *col, strs []string) *col {
+	if src.Mixed {
+		return src
+	}
+	cp := *src
+	cp.toMixed(strs)
+	return &cp
 }
 
 // --- builder-side mutation (private pending columns only) ---------------
@@ -177,36 +148,37 @@ func (c *col) padTo(r int) {
 	if c.n >= r {
 		return
 	}
-	if c.present == nil {
-		c.present = denseBits(c.n)
+	if c.Present == nil {
+		c.Present = denseBits(c.n)
 	}
-	for len(c.present) < bitWords(r) {
-		c.present = append(c.present, 0)
+	for len(c.Present) < bitWords(r) {
+		c.Present = append(c.Present, 0)
 	}
-	c.padValues(r - c.n)
+	c.Pad(r - c.n)
 	c.n = r
 }
 
-// add appends one value as row c.n. Builder-only (in-place bit append).
+// add appends one value as row c.n, promoting the column to mixed when the
+// value's kind is not the column's. Builder-only (in-place bit append).
 func (c *col) add(v lineproto.Value, st *strTable) {
-	if !c.mixed && v.Kind() != c.kind {
+	if v.Kind() != c.Kind {
 		c.toMixed(st.vals)
 	}
-	if c.present != nil {
-		for len(c.present) < bitWords(c.n+1) {
-			c.present = append(c.present, 0)
+	if c.Present != nil {
+		for len(c.Present) < bitWords(c.n+1) {
+			c.Present = append(c.Present, 0)
 		}
-		bitSet(c.present, c.n)
+		bitSet(c.Present, c.n)
 	}
-	switch {
-	case c.mixed:
-		c.vals = append(c.vals, v)
-	case c.kind == lineproto.KindFloat:
-		c.floats = append(c.floats, v.FloatVal())
-	case c.kind == lineproto.KindString:
-		c.strs = append(c.strs, st.intern(v.StringVal()))
-	default: // KindInt, KindBool
-		c.ints = append(c.ints, v.IntVal())
+	switch c.Arm() {
+	case durable.ArmVals:
+		c.Vals = append(c.Vals, v)
+	case durable.ArmFloats:
+		c.Floats = append(c.Floats, v.FloatVal())
+	case durable.ArmStrIDs:
+		c.StrIDs = append(c.StrIDs, st.intern(v.StringVal()))
+	default:
+		c.Ints = append(c.Ints, v.IntVal())
 	}
 	c.n++
 }
@@ -215,41 +187,16 @@ func (c *col) add(v lineproto.Value, st *strTable) {
 // old row idx[i]) into fresh arrays. Builder-only (used by the stable
 // timestamp sort of out-of-order batches).
 func (c *col) gather(idx []int32) {
-	if c.present != nil {
+	if c.Present != nil {
 		np := make([]uint64, bitWords(len(idx)))
 		for i, j := range idx {
-			if bitGet(c.present, int(j)) {
+			if bitGet(c.Present, int(j)) {
 				bitSet(np, i)
 			}
 		}
-		c.present = np
+		c.Present = np
 	}
-	switch {
-	case c.mixed:
-		nv := make([]lineproto.Value, len(idx))
-		for i, j := range idx {
-			nv[i] = c.vals[j]
-		}
-		c.vals = nv
-	case c.kind == lineproto.KindFloat:
-		nv := make([]float64, len(idx))
-		for i, j := range idx {
-			nv[i] = c.floats[j]
-		}
-		c.floats = nv
-	case c.kind == lineproto.KindString:
-		nv := make([]uint32, len(idx))
-		for i, j := range idx {
-			nv[i] = c.strs[j]
-		}
-		c.strs = nv
-	default:
-		nv := make([]int64, len(idx))
-		for i, j := range idx {
-			nv[i] = c.ints[j]
-		}
-		c.ints = nv
-	}
+	c.Take(c.Values, durable.Values{}, idx)
 }
 
 // truncate empties a builder column slot for reuse, keeping the allocated
@@ -257,30 +204,21 @@ func (c *col) gather(idx []int32) {
 // commit).
 func (c *col) truncate() {
 	c.n = 0
-	c.mixed = false
-	c.present = nil
-	c.floats = c.floats[:0]
-	c.ints = c.ints[:0]
-	c.strs = c.strs[:0]
-	c.vals = c.vals[:0]
+	c.Mixed = false
+	c.Present = nil
+	c.Floats = c.Floats[:0]
+	c.Ints = c.Ints[:0]
+	c.StrIDs = c.StrIDs[:0]
+	c.Vals = c.Vals[:0]
 }
 
 // clone returns a deep copy (fresh arrays) of the column.
 func (c *col) clone() col {
 	out := *c
-	if c.present != nil {
-		out.present = append([]uint64(nil), c.present...)
+	if c.Present != nil {
+		out.Present = append([]uint64(nil), c.Present...)
 	}
-	switch {
-	case c.mixed:
-		out.vals = append([]lineproto.Value(nil), c.vals...)
-	case c.kind == lineproto.KindFloat:
-		out.floats = append([]float64(nil), c.floats...)
-	case c.kind == lineproto.KindString:
-		out.strs = append([]uint32(nil), c.strs...)
-	default:
-		out.ints = append([]int64(nil), c.ints...)
-	}
+	out.Values = c.CloneRange(0, c.n)
 	return out
 }
 
@@ -291,13 +229,13 @@ func (c *col) clone() col {
 // bitmap is rebuilt into a fresh array.
 func (c *col) padAppendCOW(newN int) {
 	np := make([]uint64, bitWords(newN))
-	if c.present != nil {
-		copy(np, c.present)
+	if c.Present != nil {
+		copy(np, c.Present)
 	} else {
 		setBitRange(np, 0, c.n)
 	}
-	c.present = np
-	c.padValues(newN - c.n)
+	c.Present = np
+	c.Pad(newN - c.n)
 	c.n = newN
 }
 
@@ -307,10 +245,10 @@ func (c *col) padAppendCOW(newN int) {
 func (c *col) appendBlockCOW(src *col, strs []string) {
 	oldN := c.n
 	newN := oldN + src.n
-	if c.present != nil || src.present != nil {
+	if c.Present != nil || src.Present != nil {
 		np := make([]uint64, bitWords(newN))
-		if c.present != nil {
-			copy(np, c.present)
+		if c.Present != nil {
+			copy(np, c.Present)
 		} else {
 			setBitRange(np, 0, oldN)
 		}
@@ -319,29 +257,13 @@ func (c *col) appendBlockCOW(src *col, strs []string) {
 				bitSet(np, oldN+i)
 			}
 		}
-		c.present = np
+		c.Present = np
 	}
-	switch {
-	case !c.mixed && !src.mixed && c.kind == src.kind:
-		switch c.kind {
-		case lineproto.KindFloat:
-			c.floats = append(c.floats, src.floats...)
-		case lineproto.KindString:
-			c.strs = append(c.strs, src.strs...)
-		default:
-			c.ints = append(c.ints, src.ints...)
-		}
-	default:
+	if !c.sameKind(src) {
 		c.toMixed(strs)
-		if src.mixed {
-			c.vals = append(c.vals, src.vals...)
-		} else {
-			for i := 0; i < src.n; i++ {
-				v, _ := src.valueAt(i, strs)
-				c.vals = append(c.vals, v)
-			}
-		}
+		src = boxed(src, strs)
 	}
+	c.Append(&src.Values)
 	c.n = newN
 }
 
@@ -349,104 +271,63 @@ func (c *col) appendBlockCOW(src *col, strs []string) {
 // rows) with last-write-wins per row, into freshly allocated arrays so
 // concurrent snapshots keep reading the previous version.
 func (c *col) overwriteCOW(src *col, strs []string) {
-	if !c.mixed && !src.mixed && c.kind == src.kind {
-		if src.present == nil {
-			// The block rewrites every row: the new arrays replace the
-			// old ones wholesale and the column is dense afterwards.
-			nc := src.clone()
-			c.floats, c.ints, c.strs, c.present = nc.floats, nc.ints, nc.strs, nil
-			return
+	kind := c.Kind
+	if c.sameKind(src) && src.Present == nil {
+		// The block rewrites every row: the new arrays replace the old
+		// ones wholesale and the column is dense afterwards.
+		c.Values = src.CloneRange(0, src.n)
+		c.Present = nil
+	} else {
+		// Row i comes from src where src carries a value and stays c's
+		// own otherwise: a two-source merge ordered by src's presence.
+		take := make([]int32, c.n)
+		for i := range take {
+			take[i] = int32(i)
+			if src.has(i) {
+				take[i] = int32(^i)
+			}
 		}
-		switch c.kind {
-		case lineproto.KindFloat:
-			nv := append([]float64(nil), c.floats...)
-			for i := 0; i < src.n; i++ {
-				if src.has(i) {
-					nv[i] = src.floats[i]
-				}
-			}
-			c.floats = nv
-		case lineproto.KindString:
-			nv := append([]uint32(nil), c.strs...)
-			for i := 0; i < src.n; i++ {
-				if src.has(i) {
-					nv[i] = src.strs[i]
-				}
-			}
-			c.strs = nv
-		default:
-			nv := append([]int64(nil), c.ints...)
-			for i := 0; i < src.n; i++ {
-				if src.has(i) {
-					nv[i] = src.ints[i]
-				}
-			}
-			c.ints = nv
-		}
+		c.Values = mergeValues(c, src, take, strs)
 		c.unionPresentCOW(src)
-		return
 	}
-	// Kind conflict: rebuild as mixed.
-	vals := make([]lineproto.Value, c.n)
-	for i := 0; i < c.n; i++ {
-		if v, ok := c.valueAt(i, strs); ok {
-			vals[i] = v
-		}
-	}
-	for i := 0; i < src.n; i++ {
-		if v, ok := src.valueAt(i, strs); ok {
-			vals[i] = v
-		}
-	}
-	c.vals = vals
-	c.mixed = true
-	c.floats, c.ints, c.strs = nil, nil, nil
-	c.unionPresentCOW(src)
+	c.Kind = kind // promoted or not, a column keeps the kind it started as
 }
 
 // unionPresentCOW merges src's presence into c (rows map 1:1).
 func (c *col) unionPresentCOW(src *col) {
-	if c.present == nil {
+	if c.Present == nil {
 		return // already dense, union is a no-op
 	}
-	if src.present == nil {
-		c.present = nil // src covers every row
+	if src.Present == nil {
+		c.Present = nil // src covers every row
 		return
 	}
-	np := append([]uint64(nil), c.present...)
-	for i := range src.present {
-		np[i] |= src.present[i]
+	np := append([]uint64(nil), c.Present...)
+	for i := range src.Present {
+		np[i] |= src.Present[i]
 	}
-	c.present = np
+	c.Present = np
 }
 
 // sliceRows returns a fresh column holding rows [lo, hi) (used by the
 // retention pruner; readers may still hold the old arrays).
 func (c *col) sliceRows(lo, hi int) col {
 	k := hi - lo
-	out := col{name: c.name, kind: c.kind, mixed: c.mixed, n: k}
-	switch {
-	case c.mixed:
-		out.vals = append([]lineproto.Value(nil), c.vals[lo:hi]...)
-	case c.kind == lineproto.KindFloat:
-		out.floats = append([]float64(nil), c.floats[lo:hi]...)
-	case c.kind == lineproto.KindString:
-		out.strs = append([]uint32(nil), c.strs[lo:hi]...)
-	default:
-		out.ints = append([]int64(nil), c.ints[lo:hi]...)
-	}
-	if c.present != nil {
+	out := col{n: k}
+	out.Name = c.Name
+	out.Values = c.CloneRange(lo, hi)
+	if c.Present != nil {
 		np := make([]uint64, bitWords(k))
 		all := true
 		for i := 0; i < k; i++ {
-			if bitGet(c.present, lo+i) {
+			if bitGet(c.Present, lo+i) {
 				bitSet(np, i)
 			} else {
 				all = false
 			}
 		}
 		if !all {
-			out.present = np
+			out.Present = np
 		}
 	}
 	return out
@@ -472,7 +353,7 @@ func pastSparseRollLimit(r *colRun, b *runBuilder) bool {
 		return false
 	}
 	for i := range r.cols {
-		if r.cols[i].present != nil {
+		if r.cols[i].Present != nil {
 			return true
 		}
 	}
@@ -480,7 +361,7 @@ func pastSparseRollLimit(r *colRun, b *runBuilder) bool {
 		return true
 	}
 	for i := range b.cols {
-		if b.cols[i].present != nil || r.colByName(b.cols[i].name) < 0 {
+		if b.cols[i].Present != nil || r.colByName(b.cols[i].Name) < 0 {
 			return true
 		}
 	}
@@ -513,7 +394,7 @@ type colRun struct {
 
 func (r *colRun) colByName(name string) int {
 	for i := range r.cols {
-		if r.cols[i].name == name {
+		if r.cols[i].Name == name {
 			return i
 		}
 	}
@@ -523,7 +404,7 @@ func (r *colRun) colByName(name string) int {
 // rows is the run's row count in either resident state.
 func (r *colRun) rows() int {
 	if r.comp != nil {
-		return r.comp.n
+		return r.comp.N
 	}
 	return len(r.ts)
 }
@@ -534,7 +415,7 @@ func (r *colRun) rawRun(strsLen int) (*colRun, error) {
 	if r.comp == nil {
 		return r, nil
 	}
-	return r.comp.decompress(strsLen)
+	return decompress(r.comp, strsLen)
 }
 
 // appendBlock extends the run with a finished builder block whose first
@@ -545,9 +426,9 @@ func (r *colRun) appendBlock(b *runBuilder, m *measurement) {
 	newN := oldN + len(b.ts)
 	for i := range b.cols {
 		bc := &b.cols[i]
-		ci := r.colByName(bc.name)
+		ci := r.colByName(bc.Name)
 		if ci < 0 {
-			r.cols = append(r.cols, col{name: bc.name, kind: bc.kind})
+			r.cols = append(r.cols, newCol(bc.Name, bc.Kind))
 			ci = len(r.cols) - 1
 			if oldN > 0 {
 				r.cols[ci].padAppendCOW(oldN)
@@ -572,7 +453,7 @@ func (r *colRun) appendBlock(b *runBuilder, m *measurement) {
 func (r *colRun) rewriteBlock(b *runBuilder, m *measurement) {
 	for i := range b.cols {
 		bc := &b.cols[i]
-		ci := r.colByName(bc.name)
+		ci := r.colByName(bc.Name)
 		if ci < 0 {
 			// A field the run had never seen: the cloned builder column
 			// becomes the run column (same row count by construction).
@@ -628,14 +509,14 @@ func mergeRuns(m *measurement, a, b *colRun) *colRun {
 	for ci := range a.cols {
 		ca := &a.cols[ci]
 		var cb *col
-		if bi := b.colByName(ca.name); bi >= 0 {
+		if bi := b.colByName(ca.Name); bi >= 0 {
 			cb = &b.cols[bi]
 		}
 		out.cols = append(out.cols, mergeCols(ca, cb, take, m.strs.vals))
 	}
 	for ci := range b.cols {
 		cb := &b.cols[ci]
-		if a.colByName(cb.name) < 0 {
+		if a.colByName(cb.Name) < 0 {
 			out.cols = append(out.cols, mergeCols(nil, cb, take, m.strs.vals))
 		}
 	}
@@ -646,66 +527,48 @@ func mergeRuns(m *measurement, a, b *colRun) *colRun {
 // by take values >= 0, cb rows by values < 0; a nil side contributes
 // absent rows.
 func mergeCols(ca, cb *col, take []int32, strs []string) col {
-	n := len(take)
 	pick := func(t int32) (*col, int) {
 		if t >= 0 {
 			return ca, int(t)
 		}
 		return cb, int(^t)
 	}
-	ref := ca
-	if ref == nil {
-		ref = cb
-	}
-	out := col{name: ref.name, n: n}
-
-	typed := !ref.mixed &&
-		(ca == nil || cb == nil || (!ca.mixed && !cb.mixed && ca.kind == cb.kind))
-	dense := typed && ca != nil && cb != nil && ca.present == nil && cb.present == nil
+	out := col{n: len(take)}
+	out.Name = cmp.Or(ca, cb).Name
+	out.Values = mergeValues(ca, cb, take, strs)
+	dense := !out.Mixed && ca != nil && cb != nil && ca.Present == nil && cb.Present == nil
 	if !dense {
-		out.present = make([]uint64, bitWords(n))
+		out.Present = make([]uint64, bitWords(len(take)))
 		for r, t := range take {
 			if c, idx := pick(t); c != nil && c.has(idx) {
-				bitSet(out.present, r)
+				bitSet(out.Present, r)
 			}
 		}
 	}
-	if typed {
-		out.kind = ref.kind
-		switch ref.kind {
-		case lineproto.KindFloat:
-			out.floats = make([]float64, n)
-			for r, t := range take {
-				if c, idx := pick(t); c != nil && c.has(idx) {
-					out.floats[r] = c.floats[idx]
-				}
-			}
-		case lineproto.KindString:
-			out.strs = make([]uint32, n)
-			for r, t := range take {
-				if c, idx := pick(t); c != nil && c.has(idx) {
-					out.strs[r] = c.strs[idx]
-				}
-			}
-		default:
-			out.ints = make([]int64, n)
-			for r, t := range take {
-				if c, idx := pick(t); c != nil && c.has(idx) {
-					out.ints[r] = c.ints[idx]
-				}
-			}
-		}
-		return out
+	return out
+}
+
+// mergeValues selects the rows of a merged column (durable.Values.Take)
+// from ca and cb, either of which may be nil. Sides whose rows sit in
+// different typed arrays — a kind conflict, or one side already mixed —
+// meet boxed, and the result is mixed; it then carries the zero kind (a
+// merge builds a new column, and a mixed column's kind is never read).
+func mergeValues(ca, cb *col, take []int32, strs []string) durable.Values {
+	ref := cmp.Or(ca, cb)
+	out := durable.Values{Kind: ref.Kind}
+	if ref.Mixed || (ca != nil && cb != nil && !ca.sameKind(cb)) {
+		out = durable.Values{Mixed: true}
 	}
-	out.mixed = true
-	out.vals = make([]lineproto.Value, n)
-	for r, t := range take {
-		if c, idx := pick(t); c != nil {
-			if v, ok := c.valueAt(idx, strs); ok {
-				out.vals[r] = v
-			}
+	side := func(c *col) durable.Values {
+		switch {
+		case c == nil:
+			return durable.Values{}
+		case out.Mixed:
+			return boxed(c, strs).Values
 		}
+		return c.Values
 	}
+	out.Take(side(ca), side(cb), take)
 	return out
 }
 
@@ -738,11 +601,11 @@ func (b *runBuilder) handoff() {
 // field list): consecutive points with an identical schema hit their
 // column without any search.
 func (b *runBuilder) colIdx(m *measurement, j int, name string, kind lineproto.ValueKind) int {
-	if j < len(b.cols) && b.cols[j].name == name {
+	if j < len(b.cols) && b.cols[j].Name == name {
 		return j
 	}
 	for i := range b.cols {
-		if b.cols[i].name == name {
+		if b.cols[i].Name == name {
 			return i
 		}
 	}
@@ -752,14 +615,14 @@ func (b *runBuilder) colIdx(m *measurement, j int, name string, kind lineproto.V
 	if len(b.cols) < cap(b.cols) {
 		b.cols = b.cols[:len(b.cols)+1]
 		c := &b.cols[len(b.cols)-1]
-		if c.name == canon && c.kind == kind {
+		if c.Name == canon && c.Kind == kind {
 			c.truncate()
 			return len(b.cols) - 1
 		}
-		*c = col{name: canon, kind: kind}
+		*c = newCol(canon, kind)
 		return len(b.cols) - 1
 	}
-	b.cols = append(b.cols, col{name: canon, kind: kind})
+	b.cols = append(b.cols, newCol(canon, kind))
 	return len(b.cols) - 1
 }
 

@@ -40,45 +40,33 @@ import (
 
 	"repro/internal/lineproto"
 	"repro/internal/obs"
+	"repro/internal/tsdb/durable"
 )
 
-// compRun is one compressed run: the per-column chunks plus the header
-// fields phase 1 of Select needs without decoding (row count, time
-// bounds). Immutable once published.
-type compRun struct {
-	n            int
-	minTS, maxTS int64
-	ts           []byte // delta-of-delta timestamp chunk
-	cols         []compCol
-	rawBytes     int64 // resident-byte estimate of the sealed form (ratio gauge)
-}
+// compRun and compCol are the resident compressed form of a run and of one
+// of its columns: the durable package's chunk structs, which checkpoints
+// write and recovery adopts as they are (persist.go).
+type (
+	compRun = durable.CompRun
+	compCol = durable.CompCol
+)
 
-// compCol is one field's compressed column.
-type compCol struct {
-	name    string
-	kind    lineproto.ValueKind
-	mixed   bool
-	width   uint8             // bit width of packed string ids (0 = all id 0)
-	data    []byte            // XOR floats / zigzag-delta varints / bit-packed ids
-	present []uint64          // raw bitmap words; nil = dense
-	vals    []lineproto.Value // mixed columns stay raw
-}
-
-func (c *compRun) colByName(name string) int {
-	for i := range c.cols {
-		if c.cols[i].name == name {
+// compColByName returns the index of the named column in c, or -1.
+func compColByName(c *compRun, name string) int {
+	for i := range c.Cols {
+		if c.Cols[i].Name == name {
 			return i
 		}
 	}
 	return -1
 }
 
-// sizeBytes estimates the resident footprint of the compressed run.
-func (c *compRun) sizeBytes() int64 {
-	n := int64(len(c.ts))
-	for i := range c.cols {
-		cc := &c.cols[i]
-		n += int64(len(cc.data)) + int64(len(cc.present))*8 + int64(len(cc.vals))*valueBytes
+// compSizeBytes estimates the resident footprint of the compressed run.
+func compSizeBytes(c *compRun) int64 {
+	n := int64(len(c.Ts))
+	for i := range c.Cols {
+		cc := &c.Cols[i]
+		n += int64(len(cc.Data)) + int64(len(cc.Present))*8 + int64(len(cc.Vals))*valueBytes
 	}
 	return n
 }
@@ -91,9 +79,9 @@ func rawRunBytes(ts []int64, cols []col) int64 {
 	n := int64(len(ts)) * 8
 	for i := range cols {
 		c := &cols[i]
-		n += int64(len(c.floats))*8 + int64(len(c.ints))*8 +
-			int64(len(c.strs))*4 + int64(len(c.vals))*valueBytes +
-			int64(len(c.present))*8
+		n += int64(len(c.Floats))*8 + int64(len(c.Ints))*8 +
+			int64(len(c.StrIDs))*4 + int64(len(c.Vals))*valueBytes +
+			int64(len(c.Present))*8
 	}
 	return n
 }
@@ -387,31 +375,31 @@ func decodeStrIDs(data []byte, width uint8, maxID uint32, dst []uint32) error {
 func compressColumns(ts []int64, cols []col) *compRun {
 	n := len(ts)
 	c := &compRun{
-		n:        n,
-		minTS:    ts[0],
-		maxTS:    ts[n-1],
-		ts:       encodeTimestamps(ts),
-		rawBytes: rawRunBytes(ts, cols),
+		N:        n,
+		MinTS:    ts[0],
+		MaxTS:    ts[n-1],
+		Ts:       encodeTimestamps(ts),
+		RawBytes: rawRunBytes(ts, cols),
 	}
-	c.cols = make([]compCol, len(cols))
+	c.Cols = make([]compCol, len(cols))
 	for i := range cols {
 		src := &cols[i]
-		dst := &c.cols[i]
-		dst.name = src.name
-		dst.kind = src.kind
-		dst.mixed = src.mixed
-		if src.present != nil {
-			dst.present = append([]uint64(nil), src.present[:bitWords(n)]...)
+		dst := &c.Cols[i]
+		dst.Name = src.Name
+		dst.Kind = src.Kind
+		dst.Mixed = src.Mixed
+		if src.Present != nil {
+			dst.Present = append([]uint64(nil), src.Present[:bitWords(n)]...)
 		}
-		switch {
-		case src.mixed:
-			dst.vals = append([]lineproto.Value(nil), src.vals[:n]...)
-		case src.kind == lineproto.KindFloat:
-			dst.data = encodeFloats(src.floats[:n])
-		case src.kind == lineproto.KindString:
-			dst.data, dst.width = encodeStrIDs(src.strs[:n])
-		default: // KindInt, KindBool
-			dst.data = encodeInts(src.ints[:n])
+		switch src.Arm() {
+		case durable.ArmVals:
+			dst.Vals = append([]lineproto.Value(nil), src.Vals[:n]...)
+		case durable.ArmFloats:
+			dst.Data = encodeFloats(src.Floats[:n])
+		case durable.ArmStrIDs:
+			dst.Data, dst.Width = encodeStrIDs(src.StrIDs[:n])
+		default:
+			dst.Data = encodeInts(src.Ints[:n])
 		}
 	}
 	return c
@@ -421,43 +409,53 @@ func compressColumns(ts []int64, cols []col) *compRun {
 // lock (read mode suffices: it only reads the immutable arrays).
 func compressRun(r *colRun) *compRun { return compressColumns(r.ts, r.cols) }
 
-// decompress rebuilds the full sealed form of the run into freshly
-// allocated arrays. strsLen bounds string ids (0 disables the check for
-// runs that cannot contain string columns).
-func (c *compRun) decompress(strsLen int) (*colRun, error) {
-	out := &colRun{ts: make([]int64, c.n)}
-	if err := decodeTimestamps(c.ts, out.ts); err != nil {
+// decodeCol decodes one column of an n-row chunk: the one place that turns
+// chunk bytes back into typed arrays. The arrays come from a — a nil arena
+// allocates them fresh, and then the mixed values a chunk keeps raw are
+// cloned as well, so the result shares nothing with the chunk; with an
+// arena they are aliased (a chunk is immutable). strsLen bounds decoded
+// string ids.
+func decodeCol(cc *compCol, n, strsLen int, a *decodeArena) (durable.Values, error) {
+	v := durable.Values{Kind: cc.Kind, Mixed: cc.Mixed}
+	var err error
+	switch v.Arm() {
+	case durable.ArmVals:
+		v.Vals = cc.Vals
+		if a == nil {
+			v.Vals = append([]lineproto.Value(nil), cc.Vals...)
+		}
+	case durable.ArmFloats:
+		v.Floats = a.takeF64(n)
+		err = decodeFloats(cc.Data, v.Floats)
+	case durable.ArmStrIDs:
+		v.StrIDs = a.takeU32(n)
+		err = decodeStrIDs(cc.Data, cc.Width, uint32(strsLen), v.StrIDs)
+	default:
+		v.Ints = a.takeI64(n)
+		err = decodeInts(cc.Data, v.Ints)
+	}
+	return v, err
+}
+
+// decompress rebuilds the full sealed form of a compressed run into freshly
+// allocated arrays.
+func decompress(c *compRun, strsLen int) (*colRun, error) {
+	out := &colRun{ts: make([]int64, c.N)}
+	if err := decodeTimestamps(c.Ts, out.ts); err != nil {
 		return nil, err
 	}
-	out.cols = make([]col, len(c.cols))
-	for i := range c.cols {
-		src := &c.cols[i]
+	out.cols = make([]col, len(c.Cols))
+	for i := range c.Cols {
+		src := &c.Cols[i]
 		dst := &out.cols[i]
-		dst.name = src.name
-		dst.kind = src.kind
-		dst.mixed = src.mixed
-		dst.n = c.n
-		if src.present != nil {
-			dst.present = append([]uint64(nil), src.present...)
+		dst.Name = src.Name
+		dst.n = c.N
+		if src.Present != nil {
+			dst.Present = append([]uint64(nil), src.Present...)
 		}
-		switch {
-		case src.mixed:
-			dst.vals = append([]lineproto.Value(nil), src.vals...)
-		case src.kind == lineproto.KindFloat:
-			dst.floats = make([]float64, c.n)
-			if err := decodeFloats(src.data, dst.floats); err != nil {
-				return nil, err
-			}
-		case src.kind == lineproto.KindString:
-			dst.strs = make([]uint32, c.n)
-			if err := decodeStrIDs(src.data, src.width, uint32(strsLen), dst.strs); err != nil {
-				return nil, err
-			}
-		default:
-			dst.ints = make([]int64, c.n)
-			if err := decodeInts(src.data, dst.ints); err != nil {
-				return nil, err
-			}
+		var err error
+		if dst.Values, err = decodeCol(src, c.N, strsLen, nil); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -475,6 +473,7 @@ func (c *compRun) decompress(strsLen int) (*colRun, error) {
 // decodeArena hands out typed scratch slices. Slices taken from it stay
 // valid until reset: exhausting a block allocates a fresh one and strands
 // the old block with its outstanding slices (freed by GC after the query).
+// A nil arena allocates every slice on its own (decompress).
 type decodeArena struct {
 	i64                    []int64
 	f64                    []float64
@@ -492,6 +491,9 @@ func arenaGrow(need int) int {
 }
 
 func (a *decodeArena) takeI64(n int) []int64 {
+	if a == nil {
+		return make([]int64, n)
+	}
 	if a.i64off+n > len(a.i64) {
 		a.i64 = make([]int64, arenaGrow(n))
 		a.i64off = 0
@@ -502,6 +504,9 @@ func (a *decodeArena) takeI64(n int) []int64 {
 }
 
 func (a *decodeArena) takeF64(n int) []float64 {
+	if a == nil {
+		return make([]float64, n)
+	}
 	if a.f64off+n > len(a.f64) {
 		a.f64 = make([]float64, arenaGrow(n))
 		a.f64off = 0
@@ -512,6 +517,9 @@ func (a *decodeArena) takeF64(n int) []float64 {
 }
 
 func (a *decodeArena) takeU32(n int) []uint32 {
+	if a == nil {
+		return make([]uint32, n)
+	}
 	if a.u32off+n > len(a.u32) {
 		a.u32 = make([]uint32, arenaGrow(n))
 		a.u32off = 0
@@ -546,8 +554,8 @@ func materializeSnap(rs *runSnap, q Query, cols []string, strsLen int, a *decode
 	c := rs.comp
 	rs.comp = nil
 	rs.cols = make([]colView, len(cols))
-	ts := a.takeI64(c.n)
-	if err := decodeTimestamps(c.ts, ts); err != nil {
+	ts := a.takeI64(c.N)
+	if err := decodeTimestamps(c.Ts, ts); err != nil {
 		noteDecodeError(err)
 		return
 	}
@@ -562,45 +570,18 @@ func materializeSnap(rs *runSnap, q Query, cols []string, strsLen int, a *decode
 	}
 	rs.ts = ts[lo:hi]
 	for ci, name := range cols {
-		cci := c.colByName(name)
+		cci := compColByName(c, name)
 		if cci < 0 {
 			continue
 		}
-		cc := &c.cols[cci]
-		v := &rs.cols[ci]
-		v.ok = true
-		v.kind = cc.kind
-		v.mixed = cc.mixed
-		v.off = lo
-		v.present = cc.present
-		switch {
-		case cc.mixed:
-			v.vals = cc.vals[lo:hi]
-		case cc.kind == lineproto.KindFloat:
-			buf := a.takeF64(c.n)
-			if err := decodeFloats(cc.data, buf); err != nil {
-				noteDecodeError(err)
-				*rs = runSnap{cols: make([]colView, len(cols))}
-				return
-			}
-			v.floats = buf[lo:hi]
-		case cc.kind == lineproto.KindString:
-			buf := a.takeU32(c.n)
-			if err := decodeStrIDs(cc.data, cc.width, uint32(strsLen), buf); err != nil {
-				noteDecodeError(err)
-				*rs = runSnap{cols: make([]colView, len(cols))}
-				return
-			}
-			v.strs = buf[lo:hi]
-		default:
-			buf := a.takeI64(c.n)
-			if err := decodeInts(cc.data, buf); err != nil {
-				noteDecodeError(err)
-				*rs = runSnap{cols: make([]colView, len(cols))}
-				return
-			}
-			v.ints = buf[lo:hi]
+		cc := &c.Cols[cci]
+		vals, err := decodeCol(cc, c.N, strsLen, a)
+		if err != nil {
+			noteDecodeError(err)
+			*rs = runSnap{cols: make([]colView, len(cols))}
+			return
 		}
+		rs.cols[ci] = colView{ok: true, off: lo, present: cc.Present, Values: vals.Slice(lo, hi)}
 	}
 }
 

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -187,7 +188,8 @@ func TestDBConcurrentRetentionWrites(t *testing.T) {
 }
 
 // TestRetentionPrunesIdleShards guards the retention sweep: a write to one
-// shard must expire old data living in *other* shards, not only its own.
+// shard must expire old data living in *other* shards, not only its own
+// (the retention ticker sweeps every shard against the newest point of any).
 func TestRetentionPrunesIdleShards(t *testing.T) {
 	t.Parallel()
 	db := NewDBShards("lms", 4)
@@ -203,16 +205,17 @@ func TestRetentionPrunesIdleShards(t *testing.T) {
 	for i := 0; db.shardIndex(fresh) == db.shardIndex("oldmeas"); i++ {
 		fresh = fmt.Sprintf("fresh%d", i)
 	}
-	db.lastPrune.Store(0) // bypass the once-per-second throttle
 	p := concPoint(fresh, "h", 0)
 	p.Time = time.Unix(100, 0).Add(2 * time.Hour)
 	if err := db.WritePoint(p); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range db.Measurements() {
-		if m == "oldmeas" {
+	defer db.Close()
+	for deadline := time.Now().Add(10 * time.Second); slices.Contains(db.Measurements(), "oldmeas"); {
+		if time.Now().After(deadline) {
 			t.Fatalf("expired measurement in an idle shard was not pruned: %v", db.Measurements())
 		}
+		time.Sleep(20 * time.Millisecond)
 	}
 	if got := db.PointCount(); got != 1 {
 		t.Fatalf("PointCount = %d, want 1 (only the fresh point)", got)

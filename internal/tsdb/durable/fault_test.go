@@ -250,13 +250,13 @@ func TestSnapshotFaultSweep(t *testing.T) {
 		Name:   "cpu",
 		Fields: []FieldSchema{{Name: "user", Kind: 0}},
 		Series: []Series{{Tags: map[string]string{"host": "a"},
-			Runs: []Run{{Ts: []int64{1, 2, 3}, Cols: []Col{{Name: "user", Floats: []float64{1, 2, 3}}}}}}},
+			Runs: []Run{{Ts: []int64{1, 2, 3}, Cols: []Col{{Name: "user", Values: Values{Floats: []float64{1, 2, 3}}}}}}}},
 	}}}
 	newer := &Snapshot{Measurements: []Measurement{{
 		Name:   "mem",
 		Fields: []FieldSchema{{Name: "used", Kind: 0}},
 		Series: []Series{{Tags: map[string]string{"host": "b"},
-			Runs: []Run{{Ts: []int64{9}, Cols: []Col{{Name: "used", Floats: []float64{42}}}}}}},
+			Runs: []Run{{Ts: []int64{9}, Cols: []Col{{Name: "used", Values: Values{Floats: []float64{42}}}}}}}},
 	}}}
 
 	// Rehearse: ops consumed writing the older checkpoint, then the newer.

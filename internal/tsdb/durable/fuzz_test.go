@@ -165,9 +165,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 			Runs: []Run{{
 				Ts: []int64{100, 200, 350},
 				Cols: []Col{
-					{Name: "user", Kind: lineproto.KindFloat, Floats: []float64{1, 2, 3}},
-					{Name: "mode", Kind: lineproto.KindString, StrIDs: []uint32{0, 1, 0},
-						Present: []uint64{0b101}},
+					{Name: "user", Values: Values{Kind: lineproto.KindFloat, Floats: []float64{1, 2, 3}}},
+					{Name: "mode", Present: []uint64{0b101}, Values: Values{Kind: lineproto.KindString, StrIDs: []uint32{0, 1, 0}}},
 				},
 			}},
 		}},

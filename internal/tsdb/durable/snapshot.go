@@ -92,13 +92,16 @@ type Run struct {
 	Comp *CompRun
 }
 
-// CompRun mirrors the tsdb layer's compressed run: per-column chunk bytes
-// plus the header fields needed without decoding. The durable layer
-// frames and CRCs the chunks; it never decodes them.
+// CompRun is one compressed run: per-column chunk bytes plus the header
+// fields needed without decoding (row count, time bounds). It is the tsdb
+// layer's resident form of the run as well as the checkpoint's; the codecs
+// that fill and read the chunks live there (tsdb/compress.go), this
+// package frames and CRCs them and never decodes them. Immutable once
+// published.
 type CompRun struct {
 	N            int
 	MinTS, MaxTS int64
-	RawBytes     int64
+	RawBytes     int64  // resident-byte estimate of the raw form (ratio gauge)
 	Ts           []byte // delta-of-delta timestamp chunk
 	Cols         []CompCol
 }
@@ -108,25 +111,19 @@ type CompCol struct {
 	Name    string
 	Kind    lineproto.ValueKind
 	Mixed   bool
-	Width   uint8
-	Present []uint64
-	Data    []byte
+	Width   uint8             // bit width of packed string ids (0 = all id 0)
+	Present []uint64          // raw bitmap words; nil = dense
+	Data    []byte            // XOR floats / zigzag-delta varints / bit-packed ids
 	Vals    []lineproto.Value // mixed columns stay raw
 }
 
-// Col is one field's value column. Exactly one value arm is populated:
-// Floats (KindFloat), Ints (KindInt and KindBool), StrIDs (KindString,
-// ids into Measurement.Strs) or Vals when Mixed. A nil Present bitmap
-// means every row carries a value.
+// Col is one field's value column over a raw run: the values (string ids
+// index Measurement.Strs) and the presence bitmap, bit i ↔ row i. A nil
+// Present means every row carries a value.
 type Col struct {
 	Name    string
-	Kind    lineproto.ValueKind
-	Mixed   bool
 	Present []uint64
-	Floats  []float64
-	Ints    []int64
-	StrIDs  []uint32
-	Vals    []lineproto.Value
+	Values
 }
 
 func snapshotName(seg int) string { return fmt.Sprintf("checkpoint-%08d.snap", seg) }
@@ -214,25 +211,11 @@ func appendCompRun(dst []byte, c *CompRun) []byte {
 	dst = appendUvarint(dst, uint64(len(c.Cols)))
 	for ci := range c.Cols {
 		cc := &c.Cols[ci]
-		dst = appendString(dst, cc.Name)
-		dst = append(dst, byte(cc.Kind))
-		flags := byte(0)
+		dst = appendColHeader(dst, cc.Name, cc.Kind, cc.Mixed, cc.Present)
+		dst = append(dst, cc.Width)
+		dst = appendWords(dst, cc.Present)
 		if cc.Mixed {
-			flags |= colFlagMixed
-		}
-		if cc.Present != nil {
-			flags |= colFlagPresent
-		}
-		dst = append(dst, flags, cc.Width)
-		if cc.Present != nil {
-			for _, w := range cc.Present {
-				dst = appendFixed64(dst, w)
-			}
-		}
-		if cc.Mixed {
-			for i := 0; i < c.N; i++ {
-				dst = appendValue(dst, cc.Vals[i])
-			}
+			dst = appendVals(dst, cc.Vals[:c.N])
 		} else {
 			dst = appendBytes(dst, cc.Data)
 		}
@@ -250,38 +233,51 @@ const (
 	colFlagPresent = 1 << 1
 )
 
-func appendCol(dst []byte, c *Col, n int) []byte {
-	dst = appendString(dst, c.Name)
-	dst = append(dst, byte(c.Kind))
+// appendColHeader writes what a raw and a compressed column start with:
+// name, kind and the flags byte.
+func appendColHeader(dst []byte, name string, kind lineproto.ValueKind, mixed bool, present []uint64) []byte {
+	dst = appendString(dst, name)
 	flags := byte(0)
-	if c.Mixed {
+	if mixed {
 		flags |= colFlagMixed
 	}
-	if c.Present != nil {
+	if present != nil {
 		flags |= colFlagPresent
 	}
-	dst = append(dst, flags)
-	if c.Present != nil {
-		for _, w := range c.Present {
-			dst = appendFixed64(dst, w)
-		}
+	return append(dst, byte(kind), flags)
+}
+
+func appendWords(dst []byte, words []uint64) []byte {
+	for _, w := range words {
+		dst = appendFixed64(dst, w)
 	}
-	switch {
-	case c.Mixed:
-		for i := 0; i < n; i++ {
-			dst = appendValue(dst, c.Vals[i])
+	return dst
+}
+
+func appendVals(dst []byte, vals []lineproto.Value) []byte {
+	for _, v := range vals {
+		dst = appendValue(dst, v)
+	}
+	return dst
+}
+
+func appendCol(dst []byte, c *Col, n int) []byte {
+	dst = appendColHeader(dst, c.Name, c.Kind, c.Mixed, c.Present)
+	dst = appendWords(dst, c.Present)
+	switch c.Arm() {
+	case ArmVals:
+		dst = appendVals(dst, c.Vals[:n])
+	case ArmFloats:
+		for _, f := range c.Floats[:n] {
+			dst = appendFixed64(dst, math.Float64bits(f))
 		}
-	case c.Kind == lineproto.KindFloat:
-		for i := 0; i < n; i++ {
-			dst = appendFixed64(dst, math.Float64bits(c.Floats[i]))
+	case ArmStrIDs:
+		for _, id := range c.StrIDs[:n] {
+			dst = appendUvarint(dst, uint64(id))
 		}
-	case c.Kind == lineproto.KindString:
-		for i := 0; i < n; i++ {
-			dst = appendUvarint(dst, uint64(c.StrIDs[i]))
-		}
-	default: // KindInt, KindBool
-		for i := 0; i < n; i++ {
-			dst = binary.AppendVarint(dst, c.Ints[i])
+	default:
+		for _, i := range c.Ints[:n] {
+			dst = binary.AppendVarint(dst, i)
 		}
 	}
 	return dst
@@ -464,68 +460,95 @@ func decodeRun(r *batchReader) (Run, error) {
 	return run, nil
 }
 
-func decodeCol(r *batchReader, n int) (Col, error) {
-	var c Col
-	var err error
-	if c.Name, err = r.str(); err != nil {
-		return c, err
+// colHeader reads what appendColHeader wrote; sparse reports that presence
+// words follow.
+func (r *batchReader) colHeader() (name string, kind lineproto.ValueKind, mixed, sparse bool, err error) {
+	if name, err = r.str(); err != nil {
+		return
 	}
 	if len(r.b) < 2 {
-		return c, errShortBatch
+		err = errShortBatch
+		return
 	}
-	c.Kind = lineproto.ValueKind(r.b[0])
+	kind = lineproto.ValueKind(r.b[0])
 	flags := r.b[1]
 	r.b = r.b[2:]
-	c.Mixed = flags&colFlagMixed != 0
-	if flags&colFlagPresent != 0 {
-		words := (n + 63) / 64
-		c.Present = make([]uint64, words)
-		for i := 0; i < words; i++ {
-			w, err := r.fixed64()
-			if err != nil {
-				return c, err
-			}
-			c.Present[i] = w
+	return name, kind, flags&colFlagMixed != 0, flags&colFlagPresent != 0, nil
+}
+
+// words reads the presence bitmap of an n-row column.
+func (r *batchReader) words(n int) ([]uint64, error) {
+	out := make([]uint64, (n+63)/64)
+	for i := range out {
+		w, err := r.fixed64()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = w
+	}
+	return out, nil
+}
+
+// vals reads n boxed values, each at least one byte long.
+func (r *batchReader) vals(n int) ([]lineproto.Value, error) {
+	if n > len(r.b) {
+		return nil, errShortBatch
+	}
+	out := make([]lineproto.Value, n)
+	for i := range out {
+		var err error
+		if out[i], err = r.value(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func decodeCol(r *batchReader, n int) (Col, error) {
+	var c Col
+	var sparse bool
+	var err error
+	if c.Name, c.Kind, c.Mixed, sparse, err = r.colHeader(); err != nil {
+		return c, err
+	}
+	if sparse {
+		if c.Present, err = r.words(n); err != nil {
+			return c, err
 		}
 	}
 	if n == 0 {
 		return c, nil
 	}
-	switch {
-	case c.Mixed:
-		c.Vals = make([]lineproto.Value, n)
-		for i := 0; i < n; i++ {
-			if c.Vals[i], err = r.value(); err != nil {
-				return c, err
-			}
-		}
-	case c.Kind == lineproto.KindFloat:
+	switch c.Arm() {
+	case ArmVals:
+		c.Vals, err = r.vals(n)
+	case ArmFloats:
 		c.Floats = make([]float64, n)
-		for i := 0; i < n; i++ {
-			bits, err := r.fixed64()
-			if err != nil {
-				return c, err
+		for i := range c.Floats {
+			var bits uint64
+			if bits, err = r.fixed64(); err != nil {
+				break
 			}
 			c.Floats[i] = math.Float64frombits(bits)
 		}
-	case c.Kind == lineproto.KindString:
+	case ArmStrIDs:
 		c.StrIDs = make([]uint32, n)
-		for i := 0; i < n; i++ {
-			id, err := r.uvarint()
-			if err != nil {
-				return c, err
+		for i := range c.StrIDs {
+			var id uint64
+			if id, err = r.uvarint(); err != nil {
+				break
 			}
 			c.StrIDs[i] = uint32(id)
 		}
 	default:
 		c.Ints = make([]int64, n)
-		for i := 0; i < n; i++ {
+		for i := range c.Ints {
 			if c.Ints[i], err = r.varint(); err != nil {
-				return c, err
+				break
 			}
 		}
 	}
-	return c, nil
+	return c, err
 }
 
 // byteSlice reads a length-prefixed chunk. The returned slice is a copy,
@@ -602,40 +625,24 @@ func decodeCompRun(r *batchReader) (*CompRun, error) {
 
 func decodeCompCol(r *batchReader, n int) (CompCol, error) {
 	var c CompCol
+	var sparse bool
 	var err error
-	if c.Name, err = r.str(); err != nil {
+	if c.Name, c.Kind, c.Mixed, sparse, err = r.colHeader(); err != nil {
 		return c, err
 	}
-	if len(r.b) < 3 {
+	if len(r.b) < 1 {
 		return c, errShortBatch
 	}
-	c.Kind = lineproto.ValueKind(r.b[0])
-	flags := r.b[1]
-	c.Width = r.b[2]
-	r.b = r.b[3:]
-	c.Mixed = flags&colFlagMixed != 0
-	if flags&colFlagPresent != 0 {
-		words := (n + 63) / 64
-		c.Present = make([]uint64, words)
-		for i := 0; i < words; i++ {
-			w, err := r.fixed64()
-			if err != nil {
-				return c, err
-			}
-			c.Present[i] = w
+	c.Width = r.b[0]
+	r.b = r.b[1:]
+	if sparse {
+		if c.Present, err = r.words(n); err != nil {
+			return c, err
 		}
 	}
 	if c.Mixed {
-		if n > len(r.b) { // every encoded value costs at least one byte
-			return c, errShortBatch
-		}
-		c.Vals = make([]lineproto.Value, n)
-		for i := 0; i < n; i++ {
-			if c.Vals[i], err = r.value(); err != nil {
-				return c, err
-			}
-		}
-		return c, nil
+		c.Vals, err = r.vals(n)
+		return c, err
 	}
 	if c.Data, err = r.byteSlice(); err != nil {
 		return c, err
@@ -643,19 +650,19 @@ func decodeCompCol(r *batchReader, n int) (CompCol, error) {
 	// Per-codec minimum chunk sizes for n rows (see tsdb/compress.go):
 	// XOR floats spend 64 bits on the first value and >= 1 bit after,
 	// varint ints >= 1 byte/row, bit-packed string ids Width bits/row.
-	switch {
-	case c.Kind == lineproto.KindFloat:
+	switch ArmOf(c.Kind, false) {
+	case ArmFloats:
 		if len(c.Data)*8 < 64+(n-1) {
 			return c, fmt.Errorf("durable: float chunk shorter than %d rows", n)
 		}
-	case c.Kind == lineproto.KindString:
+	case ArmStrIDs:
 		if c.Width > 32 {
 			return c, fmt.Errorf("durable: string-id width %d out of range", c.Width)
 		}
 		if len(c.Data)*8 < int(c.Width)*n {
 			return c, fmt.Errorf("durable: string-id chunk shorter than %d rows", n)
 		}
-	default: // KindInt, KindBool
+	default:
 		if len(c.Data) < n {
 			return c, fmt.Errorf("durable: int chunk shorter than %d rows", n)
 		}

@@ -24,13 +24,13 @@ func sampleSnapshot() *Snapshot {
 						{
 							Ts: []int64{-50, 100, 100, 250},
 							Cols: []Col{
-								{Name: "user", Kind: lineproto.KindFloat, Floats: []float64{1.5, 2.5, 0, 4}},
-								{Name: "ctx", Kind: lineproto.KindInt, Ints: []int64{-7, 0, 9, 0}, Present: []uint64{0b0111}},
+								{Name: "user", Values: Values{Kind: lineproto.KindFloat, Floats: []float64{1.5, 2.5, 0, 4}}},
+								{Name: "ctx", Present: []uint64{0b0111}, Values: Values{Kind: lineproto.KindInt, Ints: []int64{-7, 0, 9, 0}}},
 							},
 						},
 						{
 							Ts:   []int64{300},
-							Cols: []Col{{Name: "user", Kind: lineproto.KindFloat, Floats: []float64{9}}},
+							Cols: []Col{{Name: "user", Values: Values{Kind: lineproto.KindFloat, Floats: []float64{9}}}},
 						},
 					},
 				},
@@ -39,9 +39,9 @@ func sampleSnapshot() *Snapshot {
 					Runs: []Run{{
 						Ts: []int64{1, 2},
 						Cols: []Col{
-							{Name: "up", Kind: lineproto.KindBool, Ints: []int64{1, 0}},
-							{Name: "mix", Kind: lineproto.KindFloat, Mixed: true,
-								Vals: []lineproto.Value{lineproto.Float(1), lineproto.String("two")}},
+							{Name: "up", Values: Values{Kind: lineproto.KindBool, Ints: []int64{1, 0}}},
+							{Name: "mix", Values: Values{Kind: lineproto.KindFloat, Mixed: true,
+								Vals: []lineproto.Value{lineproto.Float(1), lineproto.String("two")}}},
 						},
 					}},
 				},
@@ -55,7 +55,7 @@ func sampleSnapshot() *Snapshot {
 				Tags: map[string]string{"hostname": "node02"},
 				Runs: []Run{{
 					Ts:   []int64{10, 20, 30},
-					Cols: []Col{{Name: "msg", Kind: lineproto.KindString, StrIDs: []uint32{0, 1, 0}}},
+					Cols: []Col{{Name: "msg", Values: Values{Kind: lineproto.KindString, StrIDs: []uint32{0, 1, 0}}}},
 				}},
 			}},
 		},

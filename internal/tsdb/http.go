@@ -177,12 +177,53 @@ func precisionMult(p string) (int64, error) {
 	}
 }
 
-// shedRequest refuses an ingest request the admission gate would not
-// admit: 429 with a Retry-After hint, the standard backpressure signal
-// for InfluxDB-protocol writers.
-func shedRequest(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	httpError(w, http.StatusTooManyRequests, "ingest overloaded, retry later")
+// AdmitWrite runs the admission sequence every InfluxDB-protocol /write
+// door shares (this handler and the router's): POST only; a slot in gate
+// (nil admits everything) or 429 with a Retry-After hint, the standard
+// backpressure signal for such writers; the precision parameter; then the
+// body, read up to maxBody bytes or refused with 413. ok is false when the
+// request was refused and already answered. Otherwise mult scales the
+// body's timestamps to nanoseconds (ParseLines) and the caller calls
+// release once it is done with the body.
+func AdmitWrite(w http.ResponseWriter, r *http.Request, gate *obs.Gate, maxBody int64) (body []byte, mult int64, release func(), ok bool) {
+	if r.Method != http.MethodPost {
+		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		return nil, 0, nil, false
+	}
+	release, ok = gate.Acquire(r.ContentLength)
+	if !ok {
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusTooManyRequests, "ingest overloaded, retry later")
+		return nil, 0, nil, false
+	}
+	mult, err := precisionMult(r.URL.Query().Get("precision"))
+	if err != nil {
+		release()
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return nil, 0, nil, false
+	}
+	body, tooLarge, err := readBodyLimited(r.Body, r.ContentLength, maxBody)
+	if err != nil || tooLarge {
+		release()
+		if tooLarge {
+			httpError(w, http.StatusRequestEntityTooLarge, "write body exceeds %d bytes", maxBody)
+		} else {
+			httpError(w, http.StatusBadRequest, "read body: %v", err)
+		}
+		return nil, 0, nil, false
+	}
+	return body, mult, release, true
+}
+
+// ParseLines parses a line-protocol body whose timestamps are in the
+// precision mult stands for (AdmitWrite) into points carrying nanosecond
+// timestamps.
+func ParseLines(body []byte, mult int64) ([]lineproto.Point, error) {
+	pts, err := lineproto.Parse(body)
+	if err == nil {
+		err = scaleTimes(pts, mult)
+	}
+	return pts, err
 }
 
 // readBodyLimited reads a request body of at most max bytes. A body larger
@@ -230,13 +271,8 @@ func scaleTimes(pts []lineproto.Point, mult int64) error {
 }
 
 func (h *Handler) handleWrite(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	release, ok := h.gate.Acquire(r.ContentLength)
+	body, mult, release, ok := AdmitWrite(w, r, h.gate, h.maxBody())
 	if !ok {
-		shedRequest(w)
 		return
 	}
 	defer release()
@@ -245,20 +281,13 @@ func (h *Handler) handleWrite(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing db parameter")
 		return
 	}
-	mult, err := precisionMult(r.URL.Query().Get("precision"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	db := h.store.DB(dbName)
 	if db == nil {
 		if !h.AutoCreate {
 			httpError(w, http.StatusNotFound, "database %q not found", dbName)
 			return
 		}
-		// OpenDatabase, not CreateDatabase: on a durable store a failed
-		// durable open must fail the write, not silently degrade the
-		// database to memory-only and keep acknowledging.
+		// On a durable store a failed durable open must fail the write.
 		var err error
 		db, err = h.store.OpenDatabase(dbName)
 		if err != nil {
@@ -266,20 +295,12 @@ func (h *Handler) handleWrite(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body, tooLarge, err := readBodyLimited(r.Body, r.ContentLength, h.maxBody())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if tooLarge {
-		httpError(w, http.StatusRequestEntityTooLarge, "write body exceeds %d bytes", h.maxBody())
-		return
-	}
 	// The body becomes points through one of two codecs; everything after
 	// that is one path. A frame carries resolved nanosecond timestamps and
 	// doubles as the WAL record of the batch decoded from it.
 	var pts []lineproto.Point
 	var frame []byte
+	var err error
 	if r.Header.Get("Content-Type") == BatchContentType {
 		if mult != 1 {
 			httpError(w, http.StatusBadRequest, "a batch frame carries nanosecond timestamps; precision must be ns")
@@ -287,8 +308,8 @@ func (h *Handler) handleWrite(w http.ResponseWriter, r *http.Request) {
 		}
 		pts, err = durable.DecodeBatch(body)
 		frame = body
-	} else if pts, err = lineproto.Parse(body); err == nil {
-		err = scaleTimes(pts, mult)
+	} else {
+		pts, err = ParseLines(body, mult)
 	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)

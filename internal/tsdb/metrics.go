@@ -241,9 +241,9 @@ func (db *DB) compressionStats() compStats {
 			for _, sr := range m.series {
 				for i, run := range sr.runs {
 					if c := run.comp; c != nil {
-						cs.compressedBytes += c.sizeBytes()
-						cs.rawOfCompressed += c.rawBytes
-						cs.chunks += 1 + len(c.cols)
+						cs.compressedBytes += compSizeBytes(c)
+						cs.rawOfCompressed += c.RawBytes
+						cs.chunks += 1 + len(c.Cols)
 						continue
 					}
 					b := rawRunBytes(run.ts, run.cols)

@@ -29,9 +29,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -350,9 +352,11 @@ func openDurableDB(name string, shards int, opts Durability) (*DB, error) {
 // --- in-memory state <-> durable.Snapshot -------------------------------
 
 // buildSnapshot captures the database's full columnar state as a
-// durable.Snapshot. It only copies slice headers: runs are immutable to
-// readers (the same invariants Select's phase 1 relies on), so the
-// serialization can proceed outside any lock. Callers must hold the
+// durable.Snapshot. It only copies headers: a compressed run hands over its
+// chunk pointer (no re-encode on write, no decode on recovery — DESIGN.md
+// §13), a raw run its timestamp slice and column structs, and runs are
+// immutable to readers (the same invariants Select's phase 1 relies on), so
+// the serialization can proceed outside any lock. Callers must hold the
 // durability gate in write mode (or otherwise exclude writers) so the
 // capture is an exact WAL prefix.
 func (db *DB) buildSnapshot() *durable.Snapshot {
@@ -360,63 +364,22 @@ func (db *DB) buildSnapshot() *durable.Snapshot {
 	for _, sh := range db.shards {
 		sh.mu.RLock()
 		for _, m := range sh.measurements {
-			dm := durable.Measurement{Name: m.name}
-			fields := make([]string, 0, len(m.fields))
-			for f := range m.fields {
-				fields = append(fields, f)
-			}
-			sort.Strings(fields)
-			for _, f := range fields {
+			dm := durable.Measurement{Name: m.name, Strs: m.strs.vals[:len(m.strs.vals):len(m.strs.vals)]}
+			for _, f := range slices.Sorted(maps.Keys(m.fields)) {
 				dm.Fields = append(dm.Fields, durable.FieldSchema{Name: f, Kind: m.fields[f]})
 			}
-			dm.Strs = m.strs.vals[:len(m.strs.vals):len(m.strs.vals)]
-			keys := make([]string, 0, len(m.series))
-			for k := range m.series {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
+			for _, k := range slices.Sorted(maps.Keys(m.series)) {
 				sr := m.series[k]
-				ds := durable.Series{Tags: sr.tags}
-				for _, run := range sr.runs {
-					if c := run.comp; c != nil {
-						// Compressed runs pass their chunks through to the
-						// checkpoint verbatim: no re-encode on write, no
-						// decode on recovery (DESIGN.md §13).
-						dc := &durable.CompRun{
-							N: c.n, MinTS: c.minTS, MaxTS: c.maxTS,
-							RawBytes: c.rawBytes, Ts: c.ts,
+				ds := durable.Series{Tags: sr.tags, Runs: make([]durable.Run, len(sr.runs))}
+				for ri, run := range sr.runs {
+					dr := &ds.Runs[ri]
+					dr.Ts, dr.Comp = run.ts, run.comp
+					if len(run.cols) > 0 {
+						dr.Cols = make([]durable.Col, len(run.cols))
+						for ci := range run.cols {
+							dr.Cols[ci] = run.cols[ci].Col
 						}
-						for ci := range c.cols {
-							cc := &c.cols[ci]
-							dc.Cols = append(dc.Cols, durable.CompCol{
-								Name:    cc.name,
-								Kind:    cc.kind,
-								Mixed:   cc.mixed,
-								Width:   cc.width,
-								Present: cc.present,
-								Data:    cc.data,
-								Vals:    cc.vals,
-							})
-						}
-						ds.Runs = append(ds.Runs, durable.Run{Comp: dc})
-						continue
 					}
-					dr := durable.Run{Ts: run.ts}
-					for ci := range run.cols {
-						c := &run.cols[ci]
-						dr.Cols = append(dr.Cols, durable.Col{
-							Name:    c.name,
-							Kind:    c.kind,
-							Mixed:   c.mixed,
-							Present: c.present,
-							Floats:  c.floats,
-							Ints:    c.ints,
-							StrIDs:  c.strs,
-							Vals:    c.vals,
-						})
-					}
-					ds.Runs = append(ds.Runs, dr)
 				}
 				dm.Series = append(dm.Series, ds)
 			}
@@ -430,9 +393,9 @@ func (db *DB) buildSnapshot() *durable.Snapshot {
 	return snap
 }
 
-// loadSnapshot rebuilds the in-memory columnar state from a checkpoint.
-// Only called while the DB is private to the opener (before any reader or
-// writer can see it).
+// loadSnapshot rebuilds the in-memory columnar state from a checkpoint,
+// adopting the decoded chunks and columns as they are. Only called while
+// the DB is private to the opener (before any reader or writer can see it).
 func (db *DB) loadSnapshot(snap *durable.Snapshot) {
 	newest := int64(minInt64)
 	// Recovered runs are "fresh" for the background compressor: they only
@@ -448,8 +411,7 @@ func (db *DB) loadSnapshot(snap *durable.Snapshot) {
 			names:  make(map[string]string, len(dm.Fields)),
 		}
 		for _, f := range dm.Fields {
-			m.names[f.Name] = f.Name
-			m.fields[f.Name] = f.Kind
+			m.internField(f.Name, f.Kind)
 		}
 		m.strs.vals = dm.Strs
 		if len(dm.Strs) > 0 {
@@ -460,70 +422,28 @@ func (db *DB) loadSnapshot(snap *durable.Snapshot) {
 		}
 		for si := range dm.Series {
 			ds := &dm.Series[si]
-			sr := &series{tags: ds.Tags}
+			sr := &series{tags: ds.Tags, runs: make([]*colRun, len(ds.Runs))}
 			if sr.tags == nil {
 				sr.tags = map[string]string{}
 			}
 			for ri := range ds.Runs {
 				dr := &ds.Runs[ri]
-				if dc := dr.Comp; dc != nil {
-					// Compressed frame: adopt the chunks as-is — no decode
-					// pass on the recovery path.
-					run := &colRun{modNS: loadNS, comp: &compRun{
-						n: dc.N, minTS: dc.MinTS, maxTS: dc.MaxTS,
-						rawBytes: dc.RawBytes, ts: dc.Ts,
-					}}
-					for ci := range dc.Cols {
-						cc := &dc.Cols[ci]
-						name := cc.Name
-						if canon, ok := m.names[name]; ok {
-							name = canon
-						} else {
-							m.names[name] = name
-							m.fields[name] = cc.Kind
-						}
-						run.comp.cols = append(run.comp.cols, compCol{
-							name:    name,
-							kind:    cc.Kind,
-							mixed:   cc.Mixed,
-							width:   cc.Width,
-							present: cc.Present,
-							data:    cc.Data,
-							vals:    cc.Vals,
-						})
+				run := &colRun{ts: dr.Ts, comp: dr.Comp, modNS: loadNS}
+				// Column headers share one name string per schema field.
+				if c := dr.Comp; c != nil {
+					for ci := range c.Cols {
+						c.Cols[ci].Name = m.internField(c.Cols[ci].Name, c.Cols[ci].Kind)
 					}
-					sr.runs = append(sr.runs, run)
-					if dc.MaxTS > newest {
-						newest = dc.MaxTS
+					newest = max(newest, c.MaxTS)
+				} else if n := len(dr.Ts); n > 0 {
+					run.cols = make([]col, len(dr.Cols))
+					for ci := range dr.Cols {
+						run.cols[ci] = col{Col: dr.Cols[ci], n: n}
+						run.cols[ci].Name = m.internField(dr.Cols[ci].Name, dr.Cols[ci].Kind)
 					}
-					continue
+					newest = max(newest, dr.Ts[n-1])
 				}
-				run := &colRun{ts: dr.Ts, modNS: loadNS}
-				for ci := range dr.Cols {
-					dc := &dr.Cols[ci]
-					name := dc.Name
-					if canon, ok := m.names[name]; ok {
-						name = canon // share one string per schema field
-					} else {
-						m.names[name] = name
-						m.fields[name] = dc.Kind
-					}
-					run.cols = append(run.cols, col{
-						name:    name,
-						kind:    dc.Kind,
-						mixed:   dc.Mixed,
-						n:       len(dr.Ts),
-						present: dc.Present,
-						floats:  dc.Floats,
-						ints:    dc.Ints,
-						strs:    dc.StrIDs,
-						vals:    dc.Vals,
-					})
-				}
-				sr.runs = append(sr.runs, run)
-				if n := len(dr.Ts); n > 0 && dr.Ts[n-1] > newest {
-					newest = dr.Ts[n-1]
-				}
+				sr.runs[ri] = run
 			}
 			m.series[seriesKey(sr.tags)] = sr
 		}
@@ -536,19 +456,6 @@ func (db *DB) loadSnapshot(snap *durable.Snapshot) {
 
 // --- store-level lifecycle ---------------------------------------------
 
-// StoreOptions configure OpenStore.
-type StoreOptions struct {
-	// ShardsPerDB and QueryWorkersPerDB mirror the Store fields of the
-	// same name (0 = GOMAXPROCS each).
-	ShardsPerDB       int
-	QueryWorkersPerDB int
-	// CompressAfter mirrors Store.CompressAfter: sealed runs idle this
-	// long are background-compressed (0 = never).
-	CompressAfter time.Duration
-	// Durability enables the durable storage engine when Dir is set.
-	Durability Durability
-}
-
 // OpenStore builds a store with the given options and, when durability is
 // enabled, recovers every database already present under the data
 // directory, so a restarted server answers queries for all of them
@@ -558,22 +465,20 @@ type StoreOptions struct {
 // refused instead.
 func OpenStore(o StoreOptions) (*Store, error) {
 	s := NewStore()
-	s.ShardsPerDB = o.ShardsPerDB
-	s.QueryWorkersPerDB = o.QueryWorkersPerDB
-	s.CompressAfter = o.CompressAfter
+	s.StoreOptions = o
 	if o.Durability.Dir == "" {
 		return s, nil
 	}
-	s.durOpts = o.Durability.withDefaults()
-	if err := os.MkdirAll(s.durOpts.Dir, 0o755); err != nil {
+	s.Durability = o.Durability.withDefaults()
+	if err := os.MkdirAll(s.Durability.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	lock, err := lockDataDir(s.durOpts.Dir)
+	lock, err := lockDataDir(s.Durability.Dir)
 	if err != nil {
 		return nil, err
 	}
 	s.dirLock = lock
-	entries, err := os.ReadDir(s.durOpts.Dir)
+	entries, err := os.ReadDir(s.Durability.Dir)
 	if err != nil {
 		s.unlockDataDir()
 		return nil, err
@@ -617,9 +522,10 @@ func (s *Store) unlockDataDir() {
 	}
 }
 
-// OpenDatabase creates (or returns the existing) database with that name,
-// reporting durable-open failures instead of falling back the way
-// CreateDatabase does.
+// OpenDatabase creates (or returns the existing) database with that name.
+// On a durable store a failure to open the on-disk state (an I/O error;
+// corrupt files are recovered from, not failed on) is returned and nothing
+// is cached, so the next call retries.
 func (s *Store) OpenDatabase(name string) (*DB, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -631,7 +537,7 @@ func (s *Store) openLocked(name string) (*DB, error) {
 		return db, nil
 	}
 	var db *DB
-	if s.durOpts.Dir != "" {
+	if s.Durability.Dir != "" {
 		if s.closed {
 			// The directory flock was released by Close/Abort: opening a
 			// fresh durable database now would write into a directory
@@ -639,7 +545,7 @@ func (s *Store) openLocked(name string) (*DB, error) {
 			return nil, ErrDBClosed
 		}
 		var err error
-		db, err = openDurableDB(name, s.ShardsPerDB, s.durOpts)
+		db, err = openDurableDB(name, s.ShardsPerDB, s.Durability)
 		if err != nil {
 			return nil, err
 		}

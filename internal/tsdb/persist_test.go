@@ -358,8 +358,6 @@ func TestDurableRetentionDeletesOnDiskState(t *testing.T) {
 		Time: now.Add(-2 * time.Hour)}
 	fresh := lineproto.Point{Measurement: "cpu", Fields: map[string]lineproto.Value{"v": lineproto.Float(2)},
 		Time: now}
-	// Suppress the write-path sweep so the background ticker does the drop.
-	db.lastPrune.Store(now.UnixNano())
 	if err := db.WriteBatch([]lineproto.Point{old, fresh}); err != nil {
 		t.Fatal(err)
 	}
@@ -613,10 +611,12 @@ func TestDurableInvalidDatabaseNamesRefused(t *testing.T) {
 			t.Errorf("OpenDatabase(%q) succeeded, want error", name)
 		}
 	}
-	// CreateDatabase degrades to an uncached volatile DB rather than
-	// touching the disk outside the store.
-	db := st.CreateDatabase("..")
-	if db == nil || db.dur != nil {
-		t.Fatal("CreateDatabase(..) must degrade to a volatile DB")
-	}
+	// CreateDatabase is for stores where opening cannot fail: it must not
+	// answer a refused open with a database that persists nothing.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CreateDatabase(..) on a durable store returned a database")
+		}
+	}()
+	st.CreateDatabase("..")
 }

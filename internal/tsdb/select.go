@@ -26,50 +26,25 @@ import (
 	"time"
 
 	"repro/internal/lineproto"
+	"repro/internal/tsdb/durable"
 )
 
 // colView is the read-only window one snapshotted run exposes over one
-// requested column: sliced typed-value headers plus the run's full
-// presence bitmap with the slice offset (presence bitmaps are
-// copy-on-write on the writer side, so aliasing them is safe). ok is
-// false when the run never saw the field.
+// requested column: the sliced value headers plus the run's full presence
+// bitmap with the slice offset (presence bitmaps are copy-on-write on the
+// writer side, so aliasing them is safe). ok is false when the run never
+// saw the field.
 type colView struct {
-	ok    bool
-	kind  lineproto.ValueKind
-	mixed bool
-	off   int // row offset of this view within the presence bitmap
-
-	floats  []float64
-	ints    []int64
-	strs    []uint32
-	vals    []lineproto.Value
+	ok      bool
+	off     int      // row offset of this view within the presence bitmap
 	present []uint64 // nil = dense
+	durable.Values
 }
 
 // has reports whether local row i (0-based within the view) has a value.
 // A view over a run that never saw the field (ok == false) has no rows.
 func (v *colView) has(i int) bool {
 	return v.ok && (v.present == nil || bitGet(v.present, v.off+i))
-}
-
-// valueAt reconstructs the lineproto.Value of local row i.
-func (v *colView) valueAt(i int, strs []string) (lineproto.Value, bool) {
-	if !v.has(i) {
-		return lineproto.Value{}, false
-	}
-	if v.mixed {
-		return v.vals[i], true
-	}
-	switch v.kind {
-	case lineproto.KindFloat:
-		return lineproto.Float(v.floats[i]), true
-	case lineproto.KindInt:
-		return lineproto.Int(v.ints[i]), true
-	case lineproto.KindBool:
-		return lineproto.Bool(v.ints[i] != 0), true
-	default:
-		return lineproto.String(strs[v.strs[i]]), true
-	}
 }
 
 // firstPresent returns the first local row in [lo, hi) carrying a value,
@@ -195,7 +170,7 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]string, []string, []*
 				// one pointer. The precise range cut (and the discovery
 				// that a bounds-overlapping run holds no row in range)
 				// happens at decode time in phase 2.
-				if c.minTS > endNS || c.maxTS < startNS {
+				if c.MinTS > endNS || c.MaxTS < startNS {
 					if prof != nil {
 						prof.RunsPruned++
 					}
@@ -203,7 +178,7 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]string, []string, []*
 				}
 				if prof != nil {
 					prof.RunsScanned++
-					prof.PointsExamined += int64(c.n)
+					prof.PointsExamined += int64(c.N)
 				}
 				runs = append(runs, seriesRun{key: key, tags: sr.tags, snap: runSnap{comp: c}})
 				continue
@@ -227,26 +202,9 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]string, []string, []*
 			}
 			snap := runSnap{ts: run.ts[lo:hi], cols: make([]colView, len(cols))}
 			for ci, name := range cols {
-				rci := run.colByName(name)
-				if rci < 0 {
-					continue
-				}
-				rc := &run.cols[rci]
-				v := &snap.cols[ci]
-				v.ok = true
-				v.kind = rc.kind
-				v.mixed = rc.mixed
-				v.off = lo
-				v.present = rc.present
-				switch {
-				case rc.mixed:
-					v.vals = rc.vals[lo:hi]
-				case rc.kind == lineproto.KindFloat:
-					v.floats = rc.floats[lo:hi]
-				case rc.kind == lineproto.KindString:
-					v.strs = rc.strs[lo:hi]
-				default:
-					v.ints = rc.ints[lo:hi]
+				if rci := run.colByName(name); rci >= 0 {
+					rc := &run.cols[rci]
+					snap.cols[ci] = colView{ok: true, off: lo, present: rc.Present, Values: rc.Slice(lo, hi)}
 				}
 			}
 			runs = append(runs, seriesRun{key: key, tags: sr.tags, snap: snap})
@@ -301,7 +259,7 @@ func (db *DB) executeGroups(ctx context.Context, q Query, cols, strs []string, g
 		for _, g := range groups {
 			for i := range g.runs {
 				if c := g.runs[i].comp; c != nil {
-					prof.ChunksDecoded += 1 + len(c.cols)
+					prof.ChunksDecoded += 1 + len(c.Cols)
 				}
 			}
 		}
@@ -434,9 +392,9 @@ func emitRaw(runs []runSnap, cols, strs []string, limit int) []Row {
 		vals := make([]*lineproto.Value, len(cols))
 		any := false
 		for ci := range cols {
-			if v, ok := rs.cols[ci].valueAt(i, strs); ok {
-				vv := v
-				vals[ci] = &vv
+			if c := &rs.cols[ci]; c.has(i) {
+				v := c.At(i, strs)
+				vals[ci] = &v
 				any = true
 			}
 		}

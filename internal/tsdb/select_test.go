@@ -33,8 +33,8 @@ func decodeRun(m *measurement, run *colRun) []row {
 	for i := range run.ts {
 		fields := make(map[string]lineproto.Value)
 		for ci := range run.cols {
-			if v, ok := run.cols[ci].valueAt(i, m.strs.vals); ok {
-				fields[run.cols[ci].name] = v
+			if c := &run.cols[ci]; c.has(i) {
+				fields[c.Name] = c.At(i, m.strs.vals)
 			}
 		}
 		out[i] = row{t: run.ts[i], fields: fields}

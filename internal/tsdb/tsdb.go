@@ -25,7 +25,7 @@
 // a measurement lives wholly inside one shard and all query semantics are
 // unaffected; writers and readers touching different measurements proceed in
 // parallel. N defaults to GOMAXPROCS and is configurable with NewDBShards
-// (or Store.ShardsPerDB for databases created through a Store).
+// (or StoreOptions.ShardsPerDB for databases opened through a Store).
 //
 // The batched entry point is WriteBatch: it validates the whole batch,
 // splits it per shard, and inside each shard appends consecutive points of
@@ -85,29 +85,32 @@ var (
 	ErrNoMeasurement = errors.New("tsdb: measurement does not exist")
 )
 
+// StoreOptions configure a Store: pass them to OpenStore, or set the
+// per-database ones on a NewStore store before it starts serving traffic.
+type StoreOptions struct {
+	// ShardsPerDB is the shard count of every database the store opens
+	// (0 = GOMAXPROCS).
+	ShardsPerDB int
+	// QueryWorkersPerDB bounds the Select aggregation fan-out of every
+	// database the store opens (0 = GOMAXPROCS).
+	QueryWorkersPerDB int
+	// CompressAfter enables background chunk compression (DESIGN.md §13)
+	// on every database the store opens: sealed runs idle for this long
+	// are re-encoded into Gorilla-style compressed chunks. 0 keeps runs
+	// sealed forever.
+	CompressAfter time.Duration
+	// Durability enables the durable storage engine (persist.go, DESIGN.md
+	// §9) when its Dir is set. It takes effect through OpenStore only,
+	// which creates and locks the directory.
+	Durability Durability
+}
+
 // Store is a collection of named databases, the equivalent of one InfluxDB
 // server instance.
 type Store struct {
-	// ShardsPerDB is the shard count for databases created by
-	// CreateDatabase; 0 selects the default (GOMAXPROCS). Set it before the
-	// store starts serving traffic.
-	ShardsPerDB int
+	StoreOptions
 
-	// QueryWorkersPerDB bounds the Select aggregation fan-out of databases
-	// created by CreateDatabase; 0 selects the default (GOMAXPROCS). Set it
-	// before the store starts serving traffic.
-	QueryWorkersPerDB int
-
-	// CompressAfter enables background chunk compression (DESIGN.md §13)
-	// on databases opened through the store: sealed runs idle for this
-	// long are re-encoded into Gorilla-style compressed chunks. 0 keeps
-	// runs sealed forever. Set it before the store starts serving traffic.
-	CompressAfter time.Duration
-
-	// durOpts enables the durable storage engine (persist.go, DESIGN.md
-	// §9) when its Dir is non-empty; dirLock holds the flock on the data
-	// directory. Both set through OpenStore.
-	durOpts Durability
+	// dirLock holds the flock on the data directory of a durable store.
 	dirLock *os.File
 
 	// metrics is the observability bundle (metrics.go, DESIGN.md §10),
@@ -119,35 +122,21 @@ type Store struct {
 	closed bool // set by Close/Abort; durable opens are refused after
 }
 
-// NewStore returns an empty store.
+// NewStore returns an empty in-memory store.
 func NewStore() *Store {
 	s := &Store{dbs: make(map[string]*DB)}
 	s.metrics = newMetrics(s)
 	return s
 }
 
-// CreateDatabase creates (or returns the existing) database with that
-// name. On a durable store a failure to open the on-disk state (an I/O
-// error; corrupt files are recovered from, not failed on) degrades to a
-// fresh in-memory database so in-process callers keep accepting data.
-// The degraded database is NOT cached: the next call retries the durable
-// open, so the degradation lasts one caller, not the store's lifetime.
-// Callers that must not lose durability silently — the HTTP /write
-// auto-create and InfluxQL CREATE DATABASE do this — use OpenDatabase
-// and check the error instead.
+// CreateDatabase creates (or returns the existing) database with that name
+// on an in-memory store, where that cannot fail. Callers that may hold a
+// durable store use OpenDatabase and handle the error; CreateDatabase
+// panics on it rather than hand out a database that persists nothing.
 func (s *Store) CreateDatabase(name string) *DB {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	db, err := s.openLocked(name)
+	db, err := s.OpenDatabase(name)
 	if err != nil {
-		db = NewDBShards(name, s.ShardsPerDB)
-		if s.QueryWorkersPerDB > 0 {
-			db.SetQueryWorkers(s.QueryWorkersPerDB)
-		}
-		if s.CompressAfter > 0 {
-			db.SetCompressAfter(s.CompressAfter)
-		}
-		db.metrics.Store(s.metrics)
+		panic(fmt.Sprintf("tsdb: CreateDatabase(%q): %v (use OpenDatabase on a durable store)", name, err))
 	}
 	return db
 }
@@ -207,7 +196,6 @@ type DB struct {
 	shards    []*shard
 	retention atomic.Int64 // nanoseconds; 0 = keep forever
 	newest    atomic.Int64 // unix ns of the newest point ever written
-	lastPrune atomic.Int64 // wall-clock unix ns of the last retention sweep
 	lastWrite atomic.Int64 // wall-clock unix ns of the last applied batch
 
 	// dur is the durable storage engine (persist.go, DESIGN.md §9); nil
@@ -278,7 +266,7 @@ func DefaultQueryWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // SetQueryWorkers bounds the number of goroutines one Select may fan
 // group aggregation out to. n <= 0 restores the default (GOMAXPROCS),
-// n == 1 forces the serial engine. Like Store.ShardsPerDB it must be set
+// n == 1 forces the serial engine. Like StoreOptions.ShardsPerDB it must be set
 // before the database starts serving queries.
 func (db *DB) SetQueryWorkers(n int) {
 	if n <= 0 {
@@ -367,13 +355,13 @@ func (t *ticker) stop() {
 	t.restart(0, nil)
 }
 
-// SetRetention configures the retention window. Points older than d
-// relative to the newest inserted point are pruned lazily during writes,
-// and a background ticker (stopped by Close) sweeps idle databases so
-// expired data ages out without further ingest. The ticker advances the
-// cutoff anchor by the wall-clock time elapsed since the last write —
-// an idle database keeps aging as if its stream clock kept running —
-// rather than jumping to the wall clock outright, so historical data
+// SetRetention configures the retention window: points older than d
+// relative to the newest inserted point are dropped by a background ticker
+// (period d/2, clamped to [10ms, 1s]; stopped by Close) — the one trigger,
+// whether the database is ingesting or idle. The cutoff anchor is the
+// newest point advanced by the wall-clock time elapsed since the last
+// write — an idle database keeps aging as if its stream clock kept
+// running — rather than the wall clock outright, so historical data
 // (simulation dumps, backfills, the 2017-era corpora of this repo) keeps
 // its retention window anchored at its own newest point. Zero disables
 // pruning and stops the ticker.
@@ -382,25 +370,19 @@ func (db *DB) SetRetention(d time.Duration) {
 	db.retTick.restart(d, db.pruneTick)
 }
 
-// pruneTick is the ticker-driven retention sweep. Unlike the write-path
-// sweep it advances the cutoff anchor past the newest point by the time
-// the database has sat idle, so expired data ages out without further
-// ingest while historical data keeps its window anchored at the stream's
-// own newest timestamp (see SetRetention).
+// pruneTick is the ticker-driven retention sweep (see SetRetention).
 func (db *DB) pruneTick() {
 	ret := db.retention.Load()
 	if ret <= 0 {
 		return
 	}
-	now := time.Now().UnixNano()
 	anchor := db.newest.Load()
 	if anchor == 0 {
 		return // nothing ever written or recovered
 	}
-	if idle := now - db.lastWrite.Load(); idle > 0 {
+	if idle := time.Now().UnixNano() - db.lastWrite.Load(); idle > 0 {
 		anchor += idle
 	}
-	db.lastPrune.Store(now)
 	db.pruneNow(anchor - ret)
 }
 
@@ -664,7 +646,6 @@ func (db *DB) writeBatch(ctx context.Context, pts []lineproto.Point, frame []byt
 // exactly.
 func (db *DB) applyBatch(pts []lineproto.Point, now time.Time) {
 	db.lastWrite.Store(now.UnixNano())
-	defer db.maybePrune()
 	defer db.bumpMeasGens(pts) // invalidate cached query results per measurement
 	if len(db.shards) == 1 {
 		db.shards[0].writeBatch(db, pts, now)
@@ -747,8 +728,8 @@ func (sh *shard) writeBatch(db *DB, pts []lineproto.Point, now time.Time) {
 				// (the dashboard upsert pattern): decompress, merge
 				// last-write-wins, recompress, swap the chunk pointer.
 				// Anything else opens a new run next to it.
-				if len(b.ts) == c.n && b.ts[0] == c.minTS && b.ts[len(b.ts)-1] == c.maxTS {
-					if raw, err := c.decompress(len(curM.strs.vals)); err == nil && b.tsEqual(raw.ts) {
+				if len(b.ts) == c.N && b.ts[0] == c.MinTS && b.ts[len(b.ts)-1] == c.MaxTS {
+					if raw, err := decompress(c, len(curM.strs.vals)); err == nil && b.tsEqual(raw.ts) {
 						raw.rewriteBlock(b, curM)
 						last.comp = compressRun(raw)
 						last.gen++
@@ -866,23 +847,6 @@ func (sh *shard) writeBatch(db *DB, pts []lineproto.Point, now time.Time) {
 	}
 }
 
-// maybePrune runs a retention sweep over every shard, at most once per
-// second, with the cutoff anchored at the newest inserted point. It is
-// called after batch writes, outside any shard lock, so the sweep can take
-// each shard lock in turn without nesting.
-func (db *DB) maybePrune() {
-	ret := db.retention.Load()
-	if ret <= 0 {
-		return
-	}
-	now := time.Now().UnixNano()
-	last := db.lastPrune.Load()
-	if now-last < int64(time.Second) || !db.lastPrune.CompareAndSwap(last, now) {
-		return
-	}
-	db.pruneNow(db.newest.Load() - ret)
-}
-
 // pruneNow sweeps every shard with the given cutoff. A sweep that
 // removed rows invalidates every cached query result (an empty sweep
 // must not flush unrelated entries) and, on a durable database,
@@ -918,12 +882,12 @@ func (sh *shard) pruneLocked(beforeNS int64) bool {
 					// a partially expired run pays a decode (and is left
 					// sealed — the compressor re-compresses it later).
 					switch {
-					case c.minTS >= beforeNS:
+					case c.MinTS >= beforeNS:
 						kept = append(kept, run)
-					case c.maxTS < beforeNS:
+					case c.MaxTS < beforeNS:
 						changed = true
 					default:
-						raw, err := c.decompress(len(m.strs.vals))
+						raw, err := decompress(c, len(m.strs.vals))
 						if err != nil {
 							noteDecodeError(err)
 							kept = append(kept, run) // keep data over dropping it

@@ -352,7 +352,8 @@ func TestRetention(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		_ = db.WritePoint(pt("m", nil, float64(i), base.Add(time.Duration(i)*time.Second).UnixNano()))
 	}
-	// Writing a fresh point triggers pruning of everything older than 1m.
+	// A fresh point makes everything older than 1m expired; sweep now
+	// rather than wait for the retention ticker.
 	_ = db.WritePoint(pt("m", nil, 1, time.Now().UnixNano()))
 	db.DropBefore(time.Now().Add(-time.Minute))
 	if n := db.PointCount(); n != 1 {

@@ -35,7 +35,7 @@
 //
 // The write path is batch-oriented end to end. Every tsdb database is
 // partitioned into measurement-hashed shards with per-shard locks
-// (default: GOMAXPROCS shards; see tsdb.NewDBShards, tsdb.Store.ShardsPerDB
+// (default: GOMAXPROCS shards; see tsdb.NewDBShards, tsdb.StoreOptions.ShardsPerDB
 // and StackConfig.TSDBShards), so concurrent agents writing different
 // measurements never serialize behind a single database mutex. Producers
 // accumulate points into line-protocol batches (lineproto.Batch), the
@@ -52,7 +52,7 @@
 // runs (with the time range and raw-query row limits pushed down into the
 // snapshot), and an aggregation phase that buckets, groups and aggregates
 // entirely outside any lock, fanning result groups out over a bounded
-// worker pool (tsdb.DB.SetQueryWorkers, tsdb.Store.QueryWorkersPerDB,
+// worker pool (tsdb.DB.SetQueryWorkers, tsdb.StoreOptions.QueryWorkersPerDB,
 // StackConfig.QueryWorkers). Per-run partial aggregates merge in a fixed
 // order, so parallel results are byte-identical to the serial engine. A
 // TTL'd query-result cache, invalidated per measurement on write, absorbs
