@@ -537,12 +537,11 @@ func BenchmarkO3_TSDBQueryWindowed(b *testing.B) {
 	db.SetQueryCacheTTL(0)
 	q := tsdb.Query{
 		Measurement: "likwid_mem_dp",
-		Fields:      []string{"dp_mflop_s"},
+		Cols:        []tsdb.AggCol{{Field: "dp_mflop_s", Agg: tsdb.AggMean}},
 		Start:       meta.Start,
 		End:         meta.End,
 		GroupByTags: []string{"hostname"},
 		Every:       5 * time.Minute,
-		Agg:         tsdb.AggMean,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -579,7 +578,7 @@ func BenchmarkO3_TSDBQueryInfluxQL(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tsdb.Execute(store, "lms", stmts[0]); err != nil {
+		if _, err := tsdb.ExecuteContext(context.Background(), store, "lms", stmts[0], tsdb.ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -643,7 +642,7 @@ func BenchmarkC2_CompressedSelect(b *testing.B) {
 	db := loadFootprintDB(b, points)
 	db.SetQueryCacheTTL(0)
 	db.Compress()
-	q := tsdb.Query{Measurement: "cpu", Fields: []string{"value"}, Agg: tsdb.AggMean}
+	q := tsdb.Query{Measurement: "cpu", Cols: []tsdb.AggCol{{Field: "value", Agg: tsdb.AggMean}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := db.Select(q)
@@ -971,7 +970,7 @@ var windowQuery = tsdb.Query{
 	End:         time.Unix(7200*4, 0),
 	GroupByTags: []string{"hostname"},
 	Every:       60 * time.Second,
-	Agg:         tsdb.AggMean,
+	Cols:        []tsdb.AggCol{{Field: "*", Agg: tsdb.AggMean}},
 }
 
 // BenchmarkQ1_SelectWindowParallel measures the mixed workload the paper's

@@ -57,9 +57,8 @@ func main() {
 	// The same data, queried the way a Grafana panel would.
 	res, err := stack.DB.Select(tsdb.Query{
 		Measurement: "minimd",
-		Fields:      []string{"pressure"},
+		Cols:        []tsdb.AggCol{{Field: "pressure", Agg: tsdb.AggMean}},
 		Filter:      tsdb.TagFilter{"jobid": "1234.master"},
-		Agg:         tsdb.AggMean,
 	})
 	if err != nil {
 		log.Fatal(err)

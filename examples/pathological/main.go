@@ -54,7 +54,7 @@ func main() {
 	for _, field := range []string{"dp_mflop_s", "memory_bandwidth_mbytes_s"} {
 		res, err := stack.DB.Select(tsdb.Query{
 			Measurement: "likwid_mem_dp",
-			Fields:      []string{field},
+			Cols:        []tsdb.AggCol{{Field: field}},
 			Filter:      tsdb.TagFilter{"jobid": "4711.master"},
 			GroupByTags: []string{"hostname"},
 		})
@@ -90,7 +90,7 @@ func main() {
 func jobSeries(stack *lms.Stack, meta lms.JobMeta, node string) []analysis.TimedValue {
 	res, err := stack.DB.Select(tsdb.Query{
 		Measurement: "likwid_mem_dp",
-		Fields:      []string{"dp_mflop_s"},
+		Cols:        []tsdb.AggCol{{Field: "dp_mflop_s"}},
 		Filter:      tsdb.TagFilter{"hostname": node},
 		Start:       meta.Start,
 		End:         meta.End,

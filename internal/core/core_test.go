@@ -102,9 +102,8 @@ func TestSimulationEndToEndTriad(t *testing.T) {
 	// Bandwidth during the job matches the model: 4 cores x 6 GB/s.
 	agg, err := stack.DB.Select(tsdb.Query{
 		Measurement: "likwid_mem_dp",
-		Fields:      []string{"memory_bandwidth_mbytes_s"},
+		Cols:        []tsdb.AggCol{{Field: "memory_bandwidth_mbytes_s", Agg: tsdb.AggMax}},
 		Filter:      tsdb.TagFilter{"jobid": "100", "hostname": "node01"},
-		Agg:         tsdb.AggMax,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +126,7 @@ func TestSimulationEndToEndTriad(t *testing.T) {
 	// System metrics present and quiet after job end.
 	cpuRes, err := stack.DB.Select(tsdb.Query{
 		Measurement: "cpu",
-		Fields:      []string{"percent"},
+		Cols:        []tsdb.AggCol{{Field: "percent"}},
 		Filter:      tsdb.TagFilter{"hostname": "node01"},
 	})
 	if err != nil {

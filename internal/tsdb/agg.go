@@ -155,10 +155,6 @@ type partial struct {
 	vals []float64 // time-ordered while observing, sorted by finalize
 }
 
-func newPartial(agg AggFunc, pct float64) *partial {
-	return &partial{agg: agg, pct: pct, mode: modeOf(agg)}
-}
-
 // observe folds one value in. t must be non-decreasing within a run.
 func (p *partial) observe(t int64, v lineproto.Value) {
 	if p.mode == modeCount {
@@ -446,6 +442,15 @@ func (v *colView) floatAt(i int) float64 {
 		return v.Floats[i]
 	}
 	return float64(v.Ints[i]) // KindInt, KindBool (0/1)
+}
+
+// value is result as a result cell: nil when no value applies.
+func (p *partial) value() *lineproto.Value {
+	if v, ok := p.result(); ok {
+		vv := v // boxed only when there is a value
+		return &vv
+	}
+	return nil
 }
 
 // result produces the final aggregate value; false when no value applies.

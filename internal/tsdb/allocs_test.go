@@ -48,12 +48,11 @@ func TestStorageAllocs(t *testing.T) {
 	const hosts, rows = 8, 2000
 	windowed := Query{
 		Measurement: "cpu",
-		Fields:      []string{"user", "ctx"},
+		Cols:        []AggCol{{Field: "user", Agg: AggMean}, {Field: "ctx", Agg: AggMean}},
 		Start:       time.Unix(0, 0),
 		End:         time.Unix(rows*10, 0),
 		GroupByTags: []string{"hostname"},
 		Every:       10 * time.Minute,
-		Agg:         AggMean,
 	}
 	selectAllocs := func(db *DB) float64 {
 		return testing.AllocsPerRun(20, func() {

@@ -172,9 +172,10 @@ func (c *queryCache) evictLocked(db *DB) {
 	}
 }
 
-// normKey builds the canonical cache identity of a query. Field and
-// group-by order are semantically relevant (column order) and kept; the
-// tag filter is order-free and sorted. Every string component is
+// normKey builds the canonical cache identity of a query. Every column
+// contributes its field, aggregate and percentile argument; column and
+// group-by order are semantically relevant and kept; the tag filter is
+// order-free and sorted. Every string component is
 // length-prefixed, so no legal measurement, field, tag key or tag value
 // (line-protocol escaping permits commas and '=' in all of them) can make
 // two distinct queries collide on one key.
@@ -201,8 +202,11 @@ func normKey(q Query) string {
 		frame(q.Filter[k])
 	}
 	b.WriteByte(';')
-	for _, f := range q.Fields {
-		frame(f)
+	for _, c := range q.Cols {
+		frame(c.Field)
+		frame(string(c.Agg))
+		b.WriteString(strconv.FormatFloat(c.Pct, 'g', -1, 64))
+		b.WriteByte(',')
 	}
 	b.WriteByte(';')
 	for _, t := range q.GroupByTags {
@@ -210,9 +214,6 @@ func normKey(q Query) string {
 	}
 	b.WriteByte(';')
 	b.WriteString(strconv.FormatInt(q.Every.Nanoseconds(), 10))
-	b.WriteByte(';')
-	frame(string(q.Agg))
-	b.WriteString(strconv.FormatFloat(q.Percentile, 'g', -1, 64))
 	b.WriteByte(';')
 	b.WriteString(strconv.Itoa(q.Limit))
 	return b.String()

@@ -54,17 +54,21 @@ func (mo *model) add(p lineproto.Point) {
 	sr.rows = append(sr.rows, row{t: p.Time.UnixNano(), fields: fields})
 }
 
+// fieldNames lists the model's field keys, sorted.
+func (mo *model) fieldNames() []string {
+	fields := make([]string, 0, len(mo.fields))
+	for k := range mo.fields {
+		fields = append(fields, k)
+	}
+	sort.Strings(fields)
+	return fields
+}
+
 // naiveSelect executes q over the model with the seed concat-sort-
 // aggregate pipeline (aggregateColumn / windowAggregate from
 // select_test.go).
 func (mo *model) naiveSelect(q Query) []Series {
-	cols := q.Fields
-	if len(cols) == 0 {
-		for k := range mo.fields {
-			cols = append(cols, k)
-		}
-		sort.Strings(cols)
-	}
+	fields := mo.fieldNames()
 	startNS, endNS := rangeNS(q.Start, q.End)
 
 	type group struct {
@@ -111,43 +115,7 @@ func (mo *model) naiveSelect(q Query) []Series {
 	for _, key := range order {
 		g := groups[key]
 		sort.SliceStable(g.rows, func(i, j int) bool { return g.rows[i].t < g.rows[j].t })
-		res := Series{Name: q.Measurement, Tags: g.tags, Columns: cols}
-		switch {
-		case q.Agg == "" || q.Agg == AggNone:
-			for _, r := range g.rows {
-				vals := make([]*lineproto.Value, len(cols))
-				any := false
-				for i, c := range cols {
-					if v, ok := r.fields[c]; ok {
-						vv := v
-						vals[i] = &vv
-						any = true
-					}
-				}
-				if any {
-					res.Rows = append(res.Rows, Row{Time: time.Unix(0, r.t).UTC(), Values: vals})
-				}
-			}
-		case q.Every > 0:
-			res.Rows = windowAggregate(g.rows, cols, q.Agg, q.Percentile, q.Every, startNS, endNS)
-		default:
-			vals := make([]*lineproto.Value, len(cols))
-			for i, c := range cols {
-				if v, ok := aggregateColumn(g.rows, c, q.Agg, q.Percentile); ok {
-					vv := v
-					vals[i] = &vv
-				}
-			}
-			t := q.Start
-			if t.IsZero() && len(g.rows) > 0 {
-				t = time.Unix(0, g.rows[0].t).UTC()
-			}
-			res.Rows = append(res.Rows, Row{Time: t, Values: vals})
-		}
-		if q.Limit > 0 && len(res.Rows) > q.Limit {
-			res.Rows = res.Rows[:q.Limit]
-		}
-		out = append(out, res)
+		out = append(out, oracleRender(q, fields, g.tags, g.rows))
 	}
 	return out
 }
@@ -161,47 +129,49 @@ var exactAggs = map[AggFunc]bool{
 	AggDerivative: true, AggNone: true,
 }
 
-// compareResults holds got to want, exactly for discrete aggregators and
-// within 1e-9 relative tolerance for the float-merge family.
-func compareResults(t *testing.T, label string, q Query, want, got []Series) {
+// compareResults holds got to want, each column by its own aggregate
+// (cols is the oracle's expanded column list, oracleCols): exactly for
+// discrete aggregators and within 1e-9 relative tolerance for the
+// float-merge family.
+func compareResults(t *testing.T, label string, cols []AggCol, want, got []Series) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s agg %q: series %d != %d\nwant %+v\ngot  %+v", label, q.Agg, len(got), len(want), want, got)
+		t.Fatalf("%s cols %v: series %d != %d\nwant %+v\ngot  %+v", label, cols, len(got), len(want), want, got)
 	}
 	for si := range want {
 		ws, gs := want[si], got[si]
 		if !reflect.DeepEqual(ws.Tags, gs.Tags) || !reflect.DeepEqual(ws.Columns, gs.Columns) {
-			t.Fatalf("%s agg %q series %d: header mismatch (%v/%v vs %v/%v)",
-				label, q.Agg, si, gs.Tags, gs.Columns, ws.Tags, ws.Columns)
+			t.Fatalf("%s cols %v series %d: header mismatch (%v/%v vs %v/%v)",
+				label, cols, si, gs.Tags, gs.Columns, ws.Tags, ws.Columns)
 		}
 		if len(ws.Rows) != len(gs.Rows) {
-			t.Fatalf("%s agg %q series %d: rows %d != %d", label, q.Agg, si, len(gs.Rows), len(ws.Rows))
+			t.Fatalf("%s cols %v series %d: rows %d != %d", label, cols, si, len(gs.Rows), len(ws.Rows))
 		}
 		for ri := range ws.Rows {
 			wr, gr := ws.Rows[ri], gs.Rows[ri]
 			if !wr.Time.Equal(gr.Time) {
-				t.Fatalf("%s agg %q series %d row %d: time %v != %v", label, q.Agg, si, ri, gr.Time, wr.Time)
+				t.Fatalf("%s cols %v series %d row %d: time %v != %v", label, cols, si, ri, gr.Time, wr.Time)
 			}
 			for ci := range wr.Values {
 				wv, gv := wr.Values[ci], gr.Values[ci]
 				if (wv == nil) != (gv == nil) {
-					t.Fatalf("%s agg %q series %d row %d col %d: nil mismatch (%v vs %v)",
-						label, q.Agg, si, ri, ci, wv, gv)
+					t.Fatalf("%s cols %v series %d row %d col %d: nil mismatch (%v vs %v)",
+						label, cols, si, ri, ci, wv, gv)
 				}
 				if wv == nil {
 					continue
 				}
-				if exactAggs[q.Agg] {
+				if exactAggs[cols[ci].Agg] {
 					if !reflect.DeepEqual(*wv, *gv) {
-						t.Fatalf("%s agg %q series %d row %d col %d: %v != %v",
-							label, q.Agg, si, ri, ci, gv, wv)
+						t.Fatalf("%s cols %v series %d row %d col %d: %v != %v",
+							label, cols, si, ri, ci, gv, wv)
 					}
 					continue
 				}
 				a, b := wv.FloatVal(), gv.FloatVal()
 				if diff := math.Abs(a - b); diff > 1e-9*math.Max(1, math.Abs(a)) {
-					t.Fatalf("%s agg %q series %d row %d col %d: %g != %g (diff %g)",
-						label, q.Agg, si, ri, ci, b, a, diff)
+					t.Fatalf("%s cols %v series %d row %d col %d: %g != %g (diff %g)",
+						label, cols, si, ri, ci, b, a, diff)
 				}
 			}
 		}
@@ -276,14 +246,14 @@ func TestColumnarRandomizedOracle(t *testing.T) {
 			{Measurement: "m"},
 			{Measurement: "m", Limit: 13},
 			{Measurement: "m", GroupByTags: []string{"hostname"}},
-			{Measurement: "m", Fields: []string{"note", "weird"}},
+			{Measurement: "m", Cols: []AggCol{{Field: "note"}, {Field: "weird"}}},
 			{Measurement: "m", Filter: TagFilter{"hostname": "h1"}, Start: start, End: end},
 		}
 		for _, agg := range allAggs {
 			queries = append(queries,
-				Query{Measurement: "m", Agg: agg, Percentile: 90},
-				Query{Measurement: "m", Agg: agg, Percentile: 37.5, Every: 30 * time.Second, GroupByTags: []string{"hostname"}},
-				Query{Measurement: "m", Agg: agg, Percentile: 75, Every: 45 * time.Second, Start: start, End: end, Limit: 4},
+				Query{Measurement: "m", Cols: star(agg, 90)},
+				Query{Measurement: "m", Cols: star(agg, 37.5), Every: 30 * time.Second, GroupByTags: []string{"hostname"}},
+				Query{Measurement: "m", Cols: star(agg, 75), Every: 45 * time.Second, Start: start, End: end, Limit: 4},
 			)
 		}
 		for _, q := range queries {
@@ -292,7 +262,7 @@ func TestColumnarRandomizedOracle(t *testing.T) {
 			if err != nil && err != ErrNoMeasurement {
 				t.Fatalf("round %d: %v", round, err)
 			}
-			compareResults(t, fmt.Sprintf("round %d", round), q, want, got)
+			compareResults(t, fmt.Sprintf("round %d", round), oracleCols(q, mo.fieldNames()), want, got)
 		}
 	}
 
@@ -536,7 +506,7 @@ func TestConcurrentRewriteVsSelect(t *testing.T) {
 					return
 				default:
 				}
-				res, err := db.Select(Query{Measurement: "m", Agg: AggSum})
+				res, err := db.Select(Query{Measurement: "m", Cols: star(AggSum, 0)})
 				if err != nil {
 					t.Errorf("select: %v", err)
 					return
@@ -546,7 +516,7 @@ func TestConcurrentRewriteVsSelect(t *testing.T) {
 					t.Errorf("torn rewrite snapshot: sum %v is not n×(one generation)", sum)
 					return
 				}
-				cres, err := db.Select(Query{Measurement: "m", Agg: AggCount})
+				cres, err := db.Select(Query{Measurement: "m", Cols: star(AggCount, 0)})
 				if err != nil {
 					t.Errorf("count: %v", err)
 					return
@@ -562,7 +532,7 @@ func TestConcurrentRewriteVsSelect(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	res, err := db.Select(Query{Measurement: "m", Agg: AggSum})
+	res, err := db.Select(Query{Measurement: "m", Cols: star(AggSum, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -741,14 +711,14 @@ func TestSparseRunRollsOverPastLimit(t *testing.T) {
 	if runs < 2 {
 		t.Fatalf("runs = %d, want >= 2 (sparse run must roll over past %d rows)", runs, maxSparseRunRows)
 	}
-	res, err := db.Select(Query{Measurement: "m", Fields: []string{"v"}, Agg: AggCount})
+	res, err := db.Select(Query{Measurement: "m", Cols: []AggCol{{Field: "v", Agg: AggCount}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res[0].Rows[0].Values[0].IntVal(); got != int64(total) {
 		t.Fatalf("count(v) = %d, want %d", got, total)
 	}
-	res, err = db.Select(Query{Measurement: "m", Fields: []string{"note"}, Agg: AggCount})
+	res, err = db.Select(Query{Measurement: "m", Cols: []AggCol{{Field: "note", Agg: AggCount}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -550,7 +550,7 @@ func noteDecodeError(err error) {
 // phase 1 applies to sealed runs. On return rs is an ordinary runSnap:
 // the foldView sweeps, raw emission and window bucketing never know the
 // rows came out of a chunk.
-func materializeSnap(rs *runSnap, q Query, cols []string, strsLen int, a *decodeArena) {
+func materializeSnap(rs *runSnap, q Query, cols []AggCol, strsLen int, a *decodeArena) {
 	c := rs.comp
 	rs.comp = nil
 	rs.cols = make([]colView, len(cols))
@@ -565,12 +565,12 @@ func materializeSnap(rs *runSnap, q Query, cols []string, strsLen int, a *decode
 	if lo >= hi {
 		return
 	}
-	if q.Limit > 0 && (q.Agg == "" || q.Agg == AggNone) && len(q.Fields) == 0 && hi-lo > q.Limit {
-		hi = lo + q.Limit // the raw-Limit pushdown, post-decode
+	if n := q.rawLimit(); n > 0 && hi-lo > n {
+		hi = lo + n // the raw-Limit pushdown, post-decode
 	}
 	rs.ts = ts[lo:hi]
-	for ci, name := range cols {
-		cci := compColByName(c, name)
+	for ci := range cols {
+		cci := compColByName(c, cols[ci].Field)
 		if cci < 0 {
 			continue
 		}
@@ -590,7 +590,7 @@ func materializeSnap(rs *runSnap, q Query, cols []string, strsLen int, a *decode
 // min/max timestamp, so a run may turn out to hold no row in range — a
 // sealed run would never have been snapshotted, and byte-identity demands
 // the same here). Returns false when the whole group vanished.
-func materializeGroup(g *selectGroup, q Query, cols []string, strsLen int, a *decodeArena) bool {
+func materializeGroup(g *selectGroup, q Query, cols []AggCol, strsLen int, a *decodeArena) bool {
 	kept := g.runs[:0]
 	for ri := range g.runs {
 		if g.runs[ri].comp != nil {

@@ -318,7 +318,7 @@ func TestCompressConcurrentWithQueries(t *testing.T) {
 		}
 	}()
 	for {
-		if _, err := db.Select(Query{Measurement: "m", Agg: AggCount}); err != nil && err != ErrNoMeasurement {
+		if _, err := db.Select(Query{Measurement: "m", Cols: star(AggCount, 0)}); err != nil && err != ErrNoMeasurement {
 			t.Fatal(err)
 		}
 		select {

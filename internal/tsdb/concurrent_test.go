@@ -124,7 +124,7 @@ func TestDBConcurrentWriteReadDrop(t *testing.T) {
 				meas := fmt.Sprintf("cpu%02d", r%writers)
 				if _, err := db.Select(Query{
 					Measurement: meas,
-					Agg:         AggMean,
+					Cols:        star(AggMean, 0),
 					Every:       10 * time.Second,
 				}); err != nil && err != ErrNoMeasurement {
 					t.Errorf("select: %v", err)
@@ -269,9 +269,9 @@ func TestDBConcurrentSelectVsWriteBatchOneShard(t *testing.T) {
 	queries := []Query{
 		{Measurement: "cpu00"},
 		{Measurement: "cpu01", Limit: 10},
-		{Measurement: "cpu00", Agg: AggMean, Every: 10 * time.Second, GroupByTags: []string{"hostname"}},
-		{Measurement: "cpu01", Agg: AggPercentile, Percentile: 95},
-		{Measurement: "cpu00", Agg: AggSum, Start: time.Unix(100, 0), End: time.Unix(800, 0)},
+		{Measurement: "cpu00", Cols: star(AggMean, 0), Every: 10 * time.Second, GroupByTags: []string{"hostname"}},
+		{Measurement: "cpu01", Cols: star(AggPercentile, 95)},
+		{Measurement: "cpu00", Cols: star(AggSum, 0), Start: time.Unix(100, 0), End: time.Unix(800, 0)},
 	}
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
@@ -312,7 +312,7 @@ func TestDBConcurrentSelectVsWriteBatchOneShard(t *testing.T) {
 	if got, want := db.PointCount(), writers*batches*perB; got != want {
 		t.Fatalf("PointCount = %d, want %d", got, want)
 	}
-	res, err := db.Select(Query{Measurement: "cpu00", Agg: AggCount, GroupByTags: []string{"hostname"}})
+	res, err := db.Select(Query{Measurement: "cpu00", Cols: star(AggCount, 0), GroupByTags: []string{"hostname"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package tsdb_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -27,9 +28,8 @@ func ExampleQuery() {
 	}
 	res, err := db.Select(tsdb.Query{
 		Measurement: "cpu",
-		Fields:      []string{"percent"},
+		Cols:        []tsdb.AggCol{{Field: "percent", Agg: tsdb.AggMean}},
 		Every:       time.Minute,
-		Agg:         tsdb.AggMean,
 	})
 	if err != nil {
 		fmt.Println(err)
@@ -66,7 +66,7 @@ func ExampleParseQuery() {
 		fmt.Println(err)
 		return
 	}
-	res, err := tsdb.Execute(store, "lms", stmts[0])
+	res, err := tsdb.ExecuteContext(context.Background(), store, "lms", stmts[0], tsdb.ExecOptions{})
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -23,7 +23,7 @@ func TestParseExplainAnalyze(t *testing.T) {
 	if st.Kind != StmtExplainAnalyze {
 		t.Fatalf("kind %v", st.Kind)
 	}
-	if st.Query.Measurement != "cpu" || st.AggCols[0].Agg != AggMean || st.Query.Every != 10*time.Second {
+	if st.Query.Measurement != "cpu" || st.Query.Cols[0].Agg != AggMean || st.Query.Every != 10*time.Second {
 		t.Fatalf("wrapped select lost: %+v", st)
 	}
 
@@ -39,7 +39,7 @@ func TestParseExplainAnalyze(t *testing.T) {
 	}
 
 	// The constructor agrees with the parser.
-	built := ExplainAnalyzeStatement(st.Query, st.AggCols...)
+	built := ExplainAnalyzeStatement(st.Query, st.Query.Cols...)
 	if built.Kind != StmtExplainAnalyze {
 		t.Fatalf("constructor kind %v", built.Kind)
 	}

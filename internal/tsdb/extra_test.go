@@ -86,7 +86,7 @@ func TestWindowedDerivative(t *testing.T) {
 	res, err := db.Select(Query{
 		Measurement: "net",
 		Every:       30 * time.Second,
-		Agg:         AggDerivative,
+		Cols:        star(AggDerivative, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestSelectFieldSubset(t *testing.T) {
 	p := pt("m", nil, 2, 2)
 	p.Fields["extra"] = p.Fields["value"]
 	_ = db.WritePoint(p)
-	res, err := db.Select(Query{Measurement: "m", Fields: []string{"extra"}})
+	res, err := db.Select(Query{Measurement: "m", Cols: []AggCol{{Field: "extra"}}})
 	if err != nil {
 		t.Fatal(err)
 	}

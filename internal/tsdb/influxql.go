@@ -13,7 +13,7 @@ import (
 
 // This file implements the InfluxQL subset that the LMS components issue:
 //
-//	SELECT <field>|<agg>(<field>)[, ...] FROM <measurement>
+//	SELECT *|<field>|<agg>(<field>|*)[, ...] FROM <measurement>
 //	    [WHERE time >= <t> [AND time <= <t>] [AND <tag> = '<v>']...]
 //	    [GROUP BY time(<interval>)[, <tag>...]] [LIMIT <n>]
 //	SHOW DATABASES
@@ -30,18 +30,9 @@ import (
 
 // Statement is a parsed InfluxQL statement.
 type Statement struct {
-	Kind    StmtKind
-	Query   Query    // for SELECT
-	Star    bool     // SELECT * (all fields)
-	Target  string   // database name / measurement / tag key, by kind
-	AggCols []AggCol // aggregation per selected column
-}
-
-// AggCol is one selected column with its aggregation.
-type AggCol struct {
-	Field string
-	Agg   AggFunc
-	Pct   float64
+	Kind   StmtKind
+	Query  Query  // for SELECT, projection included (Query.Cols)
+	Target string // database name / measurement / tag key, by kind
 }
 
 // StmtKind discriminates statement types.
@@ -242,6 +233,9 @@ func ParseQuery(s string) ([]Statement, error) {
 			break
 		}
 		st, err := p.parseStatement()
+		if err == nil {
+			err = st.Query.validate()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("tsdb: parse %q: %w", s, err)
 		}
@@ -393,71 +387,23 @@ func (p *parser) parseSelect() (Statement, error) {
 	if err := p.advance(); err != nil {
 		return st, err
 	}
-	// Column list.
+	// Column list. A bare "*" and the field of agg(*) are the AggCol field
+	// "*"; a lone "*" is the empty list, the one spelling of SELECT *.
 	for {
-		if p.tok.kind == tokPunct && p.tok.text == "*" {
-			st.Star = true
-			if err := p.advance(); err != nil {
-				return st, err
-			}
-		} else {
-			name, err := p.expectIdent()
-			if err != nil {
-				return st, err
-			}
-			if p.tok.kind == tokPunct && p.tok.text == "(" {
-				// Aggregation function call.
-				fn := strings.ToLower(name)
-				if !ValidAgg(fn) {
-					return st, fmt.Errorf("unknown function %q", name)
-				}
-				if err := p.advance(); err != nil {
-					return st, err
-				}
-				col := AggCol{Agg: AggFunc(fn)}
-				if p.tok.kind == tokPunct && p.tok.text == "*" {
-					col.Field = "*"
-					if err := p.advance(); err != nil {
-						return st, err
-					}
-				} else {
-					f, err := p.expectIdent()
-					if err != nil {
-						return st, err
-					}
-					col.Field = f
-				}
-				if col.Agg == AggPercentile {
-					if err := p.expectPunct(","); err != nil {
-						return st, err
-					}
-					if p.tok.kind != tokNumber {
-						return st, fmt.Errorf("percentile needs a numeric argument")
-					}
-					pctv, err := strconv.ParseFloat(p.tok.text, 64)
-					if err != nil {
-						return st, err
-					}
-					col.Pct = pctv
-					if err := p.advance(); err != nil {
-						return st, err
-					}
-				}
-				if err := p.expectPunct(")"); err != nil {
-					return st, err
-				}
-				st.AggCols = append(st.AggCols, col)
-			} else {
-				st.AggCols = append(st.AggCols, AggCol{Field: name})
-			}
+		col, err := p.parseColumn()
+		if err != nil {
+			return st, err
 		}
-		if p.tok.kind == tokPunct && p.tok.text == "," {
-			if err := p.advance(); err != nil {
-				return st, err
-			}
-			continue
+		st.Query.Cols = append(st.Query.Cols, col)
+		if p.tok.kind != tokPunct || p.tok.text != "," {
+			break
 		}
-		break
+		if err := p.advance(); err != nil {
+			return st, err
+		}
+	}
+	if len(st.Query.Cols) == 1 && st.Query.Cols[0] == (AggCol{Field: "*"}) {
+		st.Query.Cols = nil
 	}
 	if !p.keyword("FROM") {
 		return st, fmt.Errorf("expected FROM, got %q", p.tok.text)
@@ -514,6 +460,9 @@ func (p *parser) parseSelect() (Statement, error) {
 				if err != nil {
 					return st, err
 				}
+				if d <= 0 {
+					return st, fmt.Errorf("GROUP BY time() interval %q is not positive", p.tok.text)
+				}
 				st.Query.Every = d
 				if err := p.advance(); err != nil {
 					return st, err
@@ -551,8 +500,8 @@ func (p *parser) parseSelect() (Statement, error) {
 			return st, fmt.Errorf("expected number after LIMIT")
 		}
 		n, err := strconv.Atoi(p.tok.text)
-		if err != nil {
-			return st, err
+		if err != nil || n < 0 {
+			return st, fmt.Errorf("bad LIMIT %q", p.tok.text)
 		}
 		st.Query.Limit = n
 		if err := p.advance(); err != nil {
@@ -560,6 +509,50 @@ func (p *parser) parseSelect() (Statement, error) {
 		}
 	}
 	return st, nil
+}
+
+// parseColumn parses one entry of the SELECT list: *, <field>,
+// <agg>(<field>|*) or percentile(<field>|*, <p>).
+func (p *parser) parseColumn() (AggCol, error) {
+	fieldOrStar := func() (string, error) {
+		if p.tok.kind == tokPunct && p.tok.text == "*" {
+			return "*", p.advance()
+		}
+		return p.expectIdent()
+	}
+	name, err := fieldOrStar()
+	if err != nil {
+		return AggCol{}, err
+	}
+	if name == "*" || p.tok.kind != tokPunct || p.tok.text != "(" {
+		return AggCol{Field: name}, nil
+	}
+	fn := strings.ToLower(name)
+	if !ValidAgg(fn) {
+		return AggCol{}, fmt.Errorf("unknown function %q", name)
+	}
+	if err := p.advance(); err != nil {
+		return AggCol{}, err
+	}
+	col := AggCol{Agg: AggFunc(fn)}
+	if col.Field, err = fieldOrStar(); err != nil {
+		return AggCol{}, err
+	}
+	if col.Agg == AggPercentile {
+		if err := p.expectPunct(","); err != nil {
+			return AggCol{}, err
+		}
+		if p.tok.kind != tokNumber {
+			return AggCol{}, fmt.Errorf("percentile needs a numeric argument")
+		}
+		if col.Pct, err = strconv.ParseFloat(p.tok.text, 64); err != nil {
+			return AggCol{}, err
+		}
+		if err := p.advance(); err != nil {
+			return AggCol{}, err
+		}
+	}
+	return col, p.expectPunct(")")
 }
 
 func (p *parser) parseCondition(st *Statement) error {
@@ -593,6 +586,13 @@ func (p *parser) parseCondition(st *Statement) error {
 			st.Query.Start, st.Query.End = t, t
 		default:
 			return fmt.Errorf("unsupported time operator %q", op)
+		}
+		// The engine compares int64 nanoseconds (rangeNS); a bound it cannot
+		// hold would wrap around to the other end of time.
+		for _, b := range []time.Time{st.Query.Start, st.Query.End} {
+			if !b.IsZero() && !time.Unix(0, b.UnixNano()).Equal(b) {
+				return fmt.Errorf("time bound %s outside the nanosecond clock", b.Format(time.RFC3339Nano))
+			}
 		}
 		return nil
 	}
@@ -687,17 +687,11 @@ type ExecOptions struct {
 	Limit int
 }
 
-// Execute runs a parsed statement against the store using db as the current
-// database ("" allowed for SHOW DATABASES / CREATE / DROP). It is the
-// context-free convenience form of ExecuteContext.
-func Execute(store *Store, dbName string, st Statement) (ExecResult, error) {
-	return ExecuteContext(context.Background(), store, dbName, st, ExecOptions{})
-}
-
-// ExecuteContext runs a parsed statement against the store. The context is
-// observed by the Select engine between aggregation tasks, so a caller that
-// goes away (HTTP client disconnect, cancelled dashboard refresh) stops
-// burning worker-pool slots.
+// ExecuteContext runs a parsed statement against the store using dbName as
+// the current database ("" allowed for SHOW DATABASES / CREATE / DROP). The
+// context is observed by the Select engine between aggregation tasks, so a
+// caller that goes away (HTTP client disconnect, cancelled dashboard
+// refresh) stops burning worker-pool slots.
 func ExecuteContext(ctx context.Context, store *Store, dbName string, st Statement, opts ExecOptions) (ExecResult, error) {
 	switch st.Kind {
 	case StmtCreateDatabase:
@@ -776,40 +770,15 @@ func executeSelect(ctx context.Context, db *DB, st Statement, opts ExecOptions) 
 		return ExecResult{}, err
 	}
 	q := st.Query
+	if err := q.validate(); err != nil {
+		return ExecResult{}, err
+	}
 	if opts.Limit > 0 && (q.Limit == 0 || q.Limit > opts.Limit) {
 		q.Limit = opts.Limit
 	}
 	// GROUP BY * expands to all tag keys of the measurement.
 	if len(q.GroupByTags) == 1 && q.GroupByTags[0] == "*" {
 		q.GroupByTags = db.TagKeys(q.Measurement)
-	}
-	var colNames []string
-	if st.Star || len(st.AggCols) == 0 {
-		q.Fields = nil // all
-	} else {
-		agg := AggNone
-		pct := 0.0
-		for _, c := range st.AggCols {
-			if c.Agg != AggNone {
-				agg = c.Agg
-				pct = c.Pct
-			}
-		}
-		for _, c := range st.AggCols {
-			if c.Field == "*" {
-				q.Fields = nil
-				colNames = nil
-				break
-			}
-			q.Fields = append(q.Fields, c.Field)
-			if c.Agg != AggNone {
-				colNames = append(colNames, string(c.Agg)+"_"+c.Field)
-			} else {
-				colNames = append(colNames, c.Field)
-			}
-		}
-		q.Agg = agg
-		q.Percentile = pct
 	}
 	series, err := db.SelectContext(ctx, q)
 	if err == ErrNoMeasurement {
@@ -821,9 +790,6 @@ func executeSelect(ctx context.Context, db *DB, st Statement, opts ExecOptions) 
 	res := ExecResult{}
 	for _, s := range series {
 		rs := ResultSeries{Name: s.Name, Columns: append([]string{"time"}, s.Columns...)}
-		if len(colNames) == len(s.Columns) && len(colNames) > 0 {
-			rs.Columns = append([]string{"time"}, colNames...)
-		}
 		if len(s.Tags) > 0 {
 			rs.Tags = s.Tags
 		}
@@ -872,9 +838,7 @@ const (
 // rendered exactly as a bare SELECT would render them.
 func executeExplainAnalyze(ctx context.Context, db *DB, st Statement, opts ExecOptions) (ExecResult, error) {
 	prof := &selectProf{}
-	sel := st
-	sel.Kind = StmtSelect
-	res, err := executeSelect(withProf(ctx, prof), db, sel, opts)
+	res, err := executeSelect(withProf(ctx, prof), db, st, opts)
 	if err != nil {
 		return ExecResult{}, err
 	}

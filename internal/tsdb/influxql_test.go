@@ -24,22 +24,22 @@ func TestParseSelectSimple(t *testing.T) {
 	if st.Kind != StmtSelect || st.Query.Measurement != "cpu_load" {
 		t.Fatalf("%+v", st)
 	}
-	if len(st.AggCols) != 1 || st.AggCols[0].Field != "value" || st.AggCols[0].Agg != AggNone {
-		t.Fatalf("cols %+v", st.AggCols)
+	if len(st.Query.Cols) != 1 || st.Query.Cols[0] != (AggCol{Field: "value"}) {
+		t.Fatalf("cols %+v", st.Query.Cols)
 	}
 }
 
 func TestParseSelectStar(t *testing.T) {
 	st := mustParse(t, "SELECT * FROM mem")
-	if !st.Star {
-		t.Fatal("star not detected")
+	if len(st.Query.Cols) != 0 {
+		t.Fatalf("SELECT * is the empty column list, got %+v", st.Query.Cols)
 	}
 }
 
 func TestParseSelectAggregate(t *testing.T) {
 	st := mustParse(t, "SELECT mean(value) FROM likwid_mem WHERE time >= 100 AND time <= 200 GROUP BY time(10s), hostname LIMIT 5")
-	if st.AggCols[0].Agg != AggMean || st.AggCols[0].Field != "value" {
-		t.Fatalf("agg %+v", st.AggCols)
+	if st.Query.Cols[0] != (AggCol{Field: "value", Agg: AggMean}) {
+		t.Fatalf("agg %+v", st.Query.Cols)
 	}
 	if st.Query.Start.UnixNano() != 100 || st.Query.End.UnixNano() != 200 {
 		t.Fatalf("range %v %v", st.Query.Start, st.Query.End)
@@ -57,8 +57,8 @@ func TestParseSelectAggregate(t *testing.T) {
 
 func TestParseSelectPercentile(t *testing.T) {
 	st := mustParse(t, "SELECT percentile(value, 95) FROM m")
-	if st.AggCols[0].Agg != AggPercentile || st.AggCols[0].Pct != 95 {
-		t.Fatalf("%+v", st.AggCols)
+	if st.Query.Cols[0] != (AggCol{Field: "value", Agg: AggPercentile, Pct: 95}) {
+		t.Fatalf("%+v", st.Query.Cols)
 	}
 }
 
@@ -199,7 +199,7 @@ func execOne(t *testing.T, store *Store, db, q string) ExecResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(store, db, stmts[0])
+	res, err := ExecuteContext(context.Background(), store, db, stmts[0], ExecOptions{})
 	if err != nil {
 		t.Fatalf("execute %q: %v", q, err)
 	}
@@ -307,7 +307,7 @@ func TestExecuteCreateDrop(t *testing.T) {
 func TestExecuteMissingDatabase(t *testing.T) {
 	store := NewStore()
 	stmts, _ := ParseQuery("SELECT value FROM cpu")
-	if _, err := Execute(store, "ghost", stmts[0]); err != ErrNoDatabase {
+	if _, err := ExecuteContext(context.Background(), store, "ghost", stmts[0], ExecOptions{}); err != ErrNoDatabase {
 		t.Fatalf("err %v", err)
 	}
 }
@@ -359,4 +359,50 @@ func TestStrictTimeBoundsExclusive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzParseQuery feeds the /query door's q= parameter — text from outside
+// the program — to the parser: it must never panic, and whatever parses
+// must survive the wire form, ParseQuery(st.Text()) ≡ st, so a statement
+// means the same on the node that parsed it and on the peer it is
+// forwarded to.
+func FuzzParseQuery(f *testing.F) {
+	for _, seed := range []string{
+		// The benchmark pool's four shapes: panel, eval, tail, meta.
+		"SELECT mean(dp_mflop_s) FROM likwid_mem_dp WHERE jobid = '4711.master' AND time >= 1501804800000000000 AND time < 1501808400000000000 GROUP BY time(60s), hostname",
+		"SELECT mean(dp_mflop_s), max(memory_bandwidth_mbytes_s) FROM likwid_mem_dp WHERE jobid = '4711.master' AND time >= 1501804800000000000 GROUP BY hostname",
+		"SELECT percent FROM cpu WHERE hostname = 'node01' AND time >= 1501804800000000000 AND time < 1501808400000000000 LIMIT 100",
+		"SHOW TAG VALUES FROM cpu WITH KEY = hostname; SHOW MEASUREMENTS",
+		// The rest of the grammar.
+		`SELECT *, "no such \"field\"" FROM "weird meas" WHERE "host name" = 'it\'s h1&co' GROUP BY *`,
+		"EXPLAIN ANALYZE SELECT count(*), percentile(value, 37.5), first(note) FROM m WHERE time > '2017-08-04T00:00:00Z' AND time <= 90m GROUP BY time(500ms), rack LIMIT 7",
+		"SHOW FIELD KEYS FROM cpu; SHOW TAG KEYS; SHOW DATABASES; CREATE DATABASE x; DROP DATABASE x",
+		`SELECT "", "-x", "9lives" FROM "" WHERE "0" = ''`, // identifiers that would lex as numbers
+		// The refused forms.
+		"SELECT mean(user), sys FROM cpu",
+		"SELECT *, mean(user) FROM cpu",
+		"SELECT user FROM cpu GROUP BY time(3s)",
+		"SELECT percentile(user, 150) FROM cpu",
+		"SELECT percentile(user, -5) FROM cpu",
+		"SELECT value FROM cpu LIMIT -1",
+		"SELECT mean(value) FROM cpu WHERE time > 9223372036854775807 GROUP BY time(-5s)",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		stmts, err := ParseQuery(q)
+		if err != nil {
+			return
+		}
+		for _, st := range stmts {
+			text := st.Text()
+			again, err := ParseQuery(text)
+			if err != nil {
+				t.Fatalf("%q parsed, but its wire form %q does not: %v", q, text, err)
+			}
+			if len(again) != 1 || !reflect.DeepEqual(again[0], st) {
+				t.Fatalf("%q: wire form %q reparsed to %+v, want %+v", q, text, again, st)
+			}
+		}
+	})
 }

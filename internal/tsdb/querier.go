@@ -152,18 +152,10 @@ func QuerierFor(db *DB) Querier {
 // remote wire form (Text) round-trips to the same statement.
 
 // SelectStatement builds a SELECT over q's measurement, range, filter,
-// grouping and limit. cols lists the projected columns with their
-// aggregation; none selects every field (SELECT *). q.Fields, q.Agg and
-// q.Percentile are derived from cols at execution time and need not be set.
+// grouping and limit, projecting cols; none selects every field (SELECT *).
 func SelectStatement(q Query, cols ...AggCol) Statement {
-	q.Fields = nil
-	q.Agg = ""
-	q.Percentile = 0
-	st := Statement{Kind: StmtSelect, Query: q, AggCols: cols}
-	if len(cols) == 0 {
-		st.Star = true
-	}
-	return st
+	q.Cols = cols
+	return Statement{Kind: StmtSelect, Query: q}
 }
 
 // ExplainAnalyzeStatement wraps the same SELECT in EXPLAIN ANALYZE: it
@@ -249,26 +241,25 @@ func (st Statement) Text() string {
 			b.WriteString("EXPLAIN ANALYZE ")
 		}
 		b.WriteString("SELECT ")
-		if st.Star || len(st.AggCols) == 0 {
+		if len(st.Query.Cols) == 0 {
 			b.WriteByte('*')
-		} else {
-			for i, c := range st.AggCols {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				field := identText(c.Field)
-				if c.Field == "*" {
-					field = "*" // count(*) etc.: all fields, not an identifier
-				}
-				switch {
-				case c.Agg == "" || c.Agg == AggNone:
-					b.WriteString(field)
-				case c.Agg == AggPercentile:
-					fmt.Fprintf(&b, "percentile(%s, %s)", field,
-						strconv.FormatFloat(c.Pct, 'g', -1, 64))
-				default:
-					fmt.Fprintf(&b, "%s(%s)", string(c.Agg), field)
-				}
+		}
+		for i, c := range st.Query.Cols {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			field := identText(c.Field)
+			if c.Field == "*" {
+				field = "*" // every field, not an identifier
+			}
+			switch c.Agg {
+			case AggNone:
+				b.WriteString(field)
+			case AggPercentile:
+				fmt.Fprintf(&b, "percentile(%s, %s)", field,
+					strconv.FormatFloat(c.Pct, 'f', -1, 64))
+			default:
+				fmt.Fprintf(&b, "%s(%s)", string(c.Agg), field)
 			}
 		}
 		b.WriteString(" FROM ")
@@ -347,12 +338,12 @@ func (st Statement) Text() string {
 
 // identText renders an identifier, double-quoting (with backslash escapes
 // for '"' and '\') when it contains bytes outside the bare-identifier
-// alphabet of the lexer.
+// alphabet of the lexer or would lex as a number (leading digit or '-').
 func identText(s string) string {
 	if s == "" {
 		return `""`
 	}
-	bare := true
+	bare := s[0] != '-' && (s[0] < '0' || s[0] > '9')
 	for i := 0; i < len(s); i++ {
 		if !isIdentChar(s[i]) {
 			bare = false

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -217,6 +218,14 @@ func TestQuerierRequestLimit(t *testing.T) {
 // TestStatementTextRoundTrip checks that Text() is a fixed point under
 // parsing: parse(text) renders to the same text, and both execute to the
 // same result. This is what lets the Client ship pre-built ASTs.
+// sameStatement is statement equality up to the time zone the bounds are
+// expressed in (the parser speaks UTC).
+func sameStatement(a, b Statement) bool {
+	a.Query.Start, a.Query.End = a.Query.Start.UTC(), a.Query.End.UTC()
+	b.Query.Start, b.Query.End = b.Query.Start.UTC(), b.Query.End.UTC()
+	return reflect.DeepEqual(a, b)
+}
+
 func TestStatementTextRoundTrip(t *testing.T) {
 	store := seedQuerierStore(t)
 	local := LocalQuerier{Store: store}
@@ -236,6 +245,12 @@ func TestStatementTextRoundTrip(t *testing.T) {
 			AggCol{Field: "value", Agg: AggPercentile, Pct: 95}),
 		SelectStatement(Query{Measurement: "cpu", GroupByTags: []string{"hostname"}},
 			AggCol{Field: "value"}, AggCol{Field: "ticks"}),
+		SelectStatement(Query{Measurement: "cpu", GroupByTags: []string{"hostname"}},
+			AggCol{Field: "value", Agg: AggMean}, AggCol{Field: "ticks", Agg: AggMax},
+			AggCol{Field: "value", Agg: AggPercentile, Pct: 37.5}),
+		SelectStatement(Query{Measurement: "cpu", Every: 20 * time.Second},
+			AggCol{Field: "*", Agg: AggCount}, AggCol{Field: "value", Agg: AggLast}),
+		SelectStatement(Query{Measurement: "cpu"}, AggCol{Field: "*"}, AggCol{Field: "note"}),
 		ShowMeasurementsStatement(),
 		ShowFieldKeysStatement("cpu"),
 		ShowTagValuesStatement("", "hostname"),
@@ -252,6 +267,9 @@ func TestStatementTextRoundTrip(t *testing.T) {
 		}
 		if got := reparsed[0].Text(); got != text {
 			t.Fatalf("text not a fixed point: %q -> %q", text, got)
+		}
+		if !sameStatement(reparsed[0], st) {
+			t.Fatalf("%q reparsed to %+v, built from %+v", text, reparsed[0], st)
 		}
 		orig, err := local.Query(ctx, Request{Database: "lms", Statements: []Statement{st}})
 		if err != nil {
@@ -287,6 +305,8 @@ func TestStatementTextRoundTrip(t *testing.T) {
 	}
 	for _, quoted := range []Statement{
 		SelectStatement(Query{Measurement: `nvme"0\disk`}, AggCol{Field: "v"}),
+		SelectStatement(Query{Measurement: `nvme"0\disk`},
+			AggCol{Field: "v", Agg: AggMax}, AggCol{Field: `no such "field"`, Agg: AggCount}),
 		ShowFieldKeysStatement(`nvme"0\disk`),
 	} {
 		reparsed, err := ParseQuery(quoted.Text())
@@ -369,7 +389,7 @@ func TestSelectContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	q := Query{Measurement: "cpu", GroupByTags: []string{"hostname"}, Agg: AggMean, Fields: []string{"value"}}
+	q := Query{Measurement: "cpu", GroupByTags: []string{"hostname"}, Cols: []AggCol{{Field: "value", Agg: AggMean}}}
 	if _, err := db.SelectContext(ctx, q); err != context.Canceled {
 		t.Fatalf("SelectContext error %v, want context.Canceled", err)
 	}

@@ -82,7 +82,7 @@ func (v *colView) lastPresent(lo, hi int) int {
 }
 
 // runSnap is one run's in-range snapshot: the timestamp window plus one
-// colView per requested column (parallel to the query column list). A
+// colView per requested column (parallel to the resolved column list). A
 // compressed run is snapshotted as its immutable chunk pointer instead
 // (comp != nil, ts/cols empty); phase 2 decodes it into scratch-backed
 // views (materializeSnap, compress.go) before aggregation starts.
@@ -116,6 +116,38 @@ func (g *selectGroup) hasComp() bool {
 	return false
 }
 
+// resolve expands the projection against the measurement's schema: the
+// empty list and every "*" become the sorted field names, a "*" under an
+// aggregate carrying that aggregate to each of them. A list naming its
+// fields outright is returned as it is.
+func (q Query) resolve(m *measurement) []AggCol {
+	list := q.Cols
+	if len(list) == 0 {
+		list = []AggCol{{Field: "*"}}
+	}
+	stars := 0
+	for _, c := range list {
+		if c.Field == "*" {
+			stars++
+		}
+	}
+	if stars == 0 {
+		return list
+	}
+	names := m.fieldNames()
+	cols := make([]AggCol, 0, len(list)+stars*(len(names)-1))
+	for _, c := range list {
+		if c.Field != "*" {
+			cols = append(cols, c)
+			continue
+		}
+		for _, f := range names {
+			cols = append(cols, AggCol{Field: f, Agg: c.Agg, Pct: c.Pct})
+		}
+	}
+	return cols
+}
+
 // snapshotSelect is phase 1: resolve the column set and snapshot the
 // matching runs' column windows, grouped by the group-by tag projection.
 // Only the shard read lock is held, and only while slicing headers. The
@@ -125,19 +157,9 @@ func (g *selectGroup) hasComp() bool {
 // prof, when non-nil (EXPLAIN ANALYZE, profile.go), counts the runs
 // admitted vs pruned on time bounds and the rows examined; nil — every
 // ordinary query — costs one predictable branch per run.
-func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]string, []string, []*selectGroup, error) {
+func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]AggCol, []string, []*selectGroup, error) {
 	startNS, endNS := rangeNS(q.Start, q.End)
-	// Raw all-column queries return at most Limit rows per result series,
-	// and every stored row carries at least one field (Validate enforces
-	// it), so every snapshotted row produces an output row and each run can
-	// be clamped to Limit during the snapshot. With an explicit field
-	// projection a row may lack all requested columns and emit nothing, so
-	// the clamp would drop matching rows further down the run — those
-	// queries truncate at emission instead.
-	rawLimit := 0
-	if q.Limit > 0 && (q.Agg == "" || q.Agg == AggNone) && len(q.Fields) == 0 {
-		rawLimit = q.Limit
-	}
+	rawLimit := q.rawLimit()
 
 	sh := db.shardFor(q.Measurement)
 	if prof != nil {
@@ -149,14 +171,7 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]string, []string, []*
 		sh.mu.RUnlock()
 		return nil, nil, nil, ErrNoMeasurement
 	}
-	cols := q.Fields
-	if len(cols) == 0 {
-		cols = make([]string, 0, len(m.fields))
-		for k := range m.fields {
-			cols = append(cols, k)
-		}
-		sort.Strings(cols)
-	}
+	cols := q.resolve(m)
 	strs := m.strs.vals
 	runs := make([]seriesRun, 0, len(m.series))
 	for key, sr := range m.series {
@@ -201,8 +216,8 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]string, []string, []*
 				prof.PointsExamined += int64(hi - lo)
 			}
 			snap := runSnap{ts: run.ts[lo:hi], cols: make([]colView, len(cols))}
-			for ci, name := range cols {
-				if rci := run.colByName(name); rci >= 0 {
+			for ci := range cols {
+				if rci := run.colByName(cols[ci].Field); rci >= 0 {
 					rc := &run.cols[rci]
 					snap.cols[ci] = colView{ok: true, off: lo, present: rc.Present, Values: rc.Slice(lo, hi)}
 				}
@@ -247,9 +262,13 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]string, []string, []*
 // before it starts aggregating, so cancellation is observed at
 // run-aggregation-task granularity: the task in flight finishes, the rest
 // never start.
-func (db *DB) executeGroups(ctx context.Context, q Query, cols, strs []string, groups []*selectGroup, prof *selectProf) ([]Series, error) {
+func (db *DB) executeGroups(ctx context.Context, q Query, cols []AggCol, strs []string, groups []*selectGroup, prof *selectProf) ([]Series, error) {
 	if len(groups) == 0 {
 		return nil, nil
+	}
+	names := make([]string, len(cols))
+	for ci, c := range cols {
+		names[ci] = c.name()
 	}
 	if prof != nil {
 		// Count the decode work up front, before the fan-out: every
@@ -281,14 +300,14 @@ func (db *DB) executeGroups(ctx context.Context, q Query, cols, strs []string, g
 			a := arenaPool.Get().(*decodeArena)
 			a.reset()
 			if materializeGroup(g, q, cols, len(strs), a) {
-				out[i] = executeGroup(q, cols, strs, g)
+				out[i] = executeGroup(q, cols, names, strs, g)
 			} else {
 				drop[i] = true
 			}
 			arenaPool.Put(a)
 			return
 		}
-		out[i] = executeGroup(q, cols, strs, g)
+		out[i] = executeGroup(q, cols, names, strs, g)
 	}
 	filter := func() []Series {
 		kept := out[:0]
@@ -341,38 +360,36 @@ func (db *DB) executeGroups(ctx context.Context, q Query, cols, strs []string, g
 	return filter(), nil
 }
 
-// executeGroup renders one result series from its snapshot runs.
-func executeGroup(q Query, cols, strs []string, g *selectGroup) Series {
-	res := Series{Name: q.Measurement, Tags: g.tags, Columns: cols}
+// executeGroup renders one result series from its snapshot runs. Every
+// aggregate column folds into a partial of its own aggregate.
+func executeGroup(q Query, cols []AggCol, names, strs []string, g *selectGroup) Series {
+	res := Series{Name: q.Measurement, Tags: g.tags, Columns: names}
 	switch {
-	case q.Agg == "" || q.Agg == AggNone:
-		res.Rows = emitRaw(g.runs, cols, strs, q.Limit)
+	case !q.aggregated():
+		res.Rows = emitRaw(g.runs, len(cols), strs, q.Limit)
 	case q.Every > 0:
-		startNS, endNS := rangeNS(q.Start, q.End)
-		res.Rows = windowAggregateRuns(g.runs, cols, strs, q.Agg, q.Percentile, q.Every, startNS, endNS, q.Limit)
+		startNS, _ := rangeNS(q.Start, q.End)
+		res.Rows = windowAggregateRuns(g.runs, cols, strs, q.Every, startNS, q.Limit)
 	default:
 		vals := make([]*lineproto.Value, len(cols))
-		for ci := range cols {
+		for ci, c := range cols {
 			// Aggregation pushdown: one partial per run, merged in run
 			// order (count/sum/min/max/mean merge exactly; percentile
 			// merges sorted value runs). A single-run group folds straight
 			// into the final partial.
-			p := newPartial(q.Agg, q.Percentile)
+			p := c.partial()
 			if len(g.runs) == 1 {
-				foldView(p, &g.runs[0], ci, 0, len(g.runs[0].ts), strs)
+				foldView(&p, &g.runs[0], ci, 0, len(g.runs[0].ts), strs)
 				p.finalize()
 			} else {
 				for ri := range g.runs {
-					rp := newPartial(q.Agg, q.Percentile)
-					foldView(rp, &g.runs[ri], ci, 0, len(g.runs[ri].ts), strs)
+					rp := c.partial()
+					foldView(&rp, &g.runs[ri], ci, 0, len(g.runs[ri].ts), strs)
 					rp.finalize()
-					p.merge(rp)
+					p.merge(&rp)
 				}
 			}
-			if v, ok := p.result(); ok {
-				vv := v
-				vals[ci] = &vv
-			}
+			vals[ci] = p.value()
 		}
 		t := q.Start
 		if t.IsZero() {
@@ -384,14 +401,14 @@ func executeGroup(q Query, cols, strs []string, g *selectGroup) Series {
 }
 
 // emitRaw merges the sorted runs by timestamp (stable: lower run index
-// first on ties) and projects the requested columns, stopping as soon as
-// limit rows were produced.
-func emitRaw(runs []runSnap, cols, strs []string, limit int) []Row {
+// first on ties) and projects the ncols requested columns, stopping as
+// soon as limit rows were produced.
+func emitRaw(runs []runSnap, ncols int, strs []string, limit int) []Row {
 	var out []Row
 	emit := func(rs *runSnap, i int) bool {
-		vals := make([]*lineproto.Value, len(cols))
+		vals := make([]*lineproto.Value, ncols)
 		any := false
-		for ci := range cols {
+		for ci := range vals {
 			if c := &rs.cols[ci]; c.has(i) {
 				v := c.At(i, strs)
 				vals[ci] = &v
@@ -452,7 +469,7 @@ func minFirstT(runs []runSnap) int64 {
 // per-column partials are filled by vectorized column folds (agg.go) and
 // merged across runs in run order, and windows are emitted in time order,
 // truncated at limit. Empty windows are skipped (InfluxDB fill(none)).
-func windowAggregateRuns(runs []runSnap, cols, strs []string, agg AggFunc, pct float64, every time.Duration, startNS, endNS int64, limit int) []Row {
+func windowAggregateRuns(runs []runSnap, cols []AggCol, strs []string, every time.Duration, startNS int64, limit int) []Row {
 	w := every.Nanoseconds()
 	if w <= 0 || len(runs) == 0 {
 		return nil
@@ -465,8 +482,7 @@ func windowAggregateRuns(runs []runSnap, cols, strs []string, agg AggFunc, pct f
 	if first < startNS {
 		first = startNS
 	}
-	base := alignNS(first, w)
-	_ = endNS // rows beyond the end were already cut in phase 1
+	base := alignNS(first, w) // rows beyond the range end were already cut in phase 1
 
 	// Single-run groups (the common GROUP BY hostname shape) need no
 	// cross-run merge: windows arrive in order, rows fold straight into
@@ -477,24 +493,13 @@ func windowAggregateRuns(runs []runSnap, cols, strs []string, agg AggFunc, pct f
 		var out []Row
 		i := 0
 		for i < len(rs.ts) {
-			ws := alignNS(rs.ts[i], w)
-			if ws < base {
-				ws = base
-			}
-			we := ws + w
-			j := i
-			for j < len(rs.ts) && rs.ts[j] < we {
-				j++
-			}
+			ws, j := windowAt(rs.ts, i, w, base)
 			vals := make([]*lineproto.Value, len(cols))
-			for ci := range cols {
-				p := partial{agg: agg, pct: pct, mode: modeOf(agg)}
+			for ci, c := range cols {
+				p := c.partial()
 				foldView(&p, rs, ci, i, j, strs)
 				p.finalize()
-				if v, ok := p.result(); ok {
-					vv := v
-					vals[ci] = &vv
-				}
+				vals[ci] = p.value()
 			}
 			out = append(out, Row{Time: time.Unix(0, ws).UTC(), Values: vals})
 			if limit > 0 && len(out) >= limit {
@@ -514,25 +519,17 @@ func windowAggregateRuns(runs []runSnap, cols, strs []string, agg AggFunc, pct f
 		rs := &runs[ri]
 		i := 0
 		for i < len(rs.ts) {
-			ws := alignNS(rs.ts[i], w)
-			if ws < base {
-				ws = base
-			}
-			we := ws + w
-			j := i
-			for j < len(rs.ts) && rs.ts[j] < we {
-				j++
-			}
+			ws, j := windowAt(rs.ts, i, w, base)
 			parts, ok := wins[ws]
 			if !ok {
 				parts = make([]partial, len(cols))
-				for ci := range parts {
-					parts[ci] = partial{agg: agg, pct: pct, mode: modeOf(agg)}
+				for ci, c := range cols {
+					parts[ci] = c.partial()
 				}
 				wins[ws] = parts
 			}
-			for ci := range cols {
-				rp := partial{agg: agg, pct: pct, mode: modeOf(agg)}
+			for ci, c := range cols {
+				rp := c.partial()
 				foldView(&rp, rs, ci, i, j, strs)
 				rp.finalize()
 				parts[ci].merge(&rp)
@@ -553,14 +550,22 @@ func windowAggregateRuns(runs []runSnap, cols, strs []string, agg AggFunc, pct f
 		parts := wins[ws]
 		vals := make([]*lineproto.Value, len(cols))
 		for ci := range parts {
-			if v, ok := parts[ci].result(); ok {
-				vv := v
-				vals[ci] = &vv
-			}
+			vals[ci] = parts[ci].value()
 		}
 		out = append(out, Row{Time: time.Unix(0, ws).UTC(), Values: vals})
 	}
 	return out
+}
+
+// windowAt returns the aligned window row i of the sorted ts falls into:
+// its start, never before base, and the index of the first row past it.
+func windowAt(ts []int64, i int, w, base int64) (ws int64, j int) {
+	if ws = alignNS(ts[i], w); ws < base {
+		ws = base
+	}
+	for j = i; j < len(ts) && ts[j] < ws+w; j++ {
+	}
+	return ws, j
 }
 
 // alignNS floors t to a multiple of w, mirroring InfluxDB window alignment

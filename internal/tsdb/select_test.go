@@ -166,8 +166,9 @@ func aggregateColumn(rows []row, col string, agg AggFunc, pct float64) (lineprot
 }
 
 // windowAggregate buckets rows into aligned windows of width every and
-// applies agg per column. Empty windows are skipped (InfluxDB fill(none)).
-func windowAggregate(rows []row, cols []string, agg AggFunc, pct float64, every time.Duration, startNS, endNS int64) []Row {
+// applies each column's own aggregate. Empty windows are skipped (InfluxDB
+// fill(none)).
+func windowAggregate(rows []row, cols []AggCol, every time.Duration, startNS, endNS int64) []Row {
 	if len(rows) == 0 {
 		return nil
 	}
@@ -199,7 +200,7 @@ func windowAggregate(rows []row, cols []string, agg AggFunc, pct float64, every 
 		if j > i {
 			vals := make([]*lineproto.Value, len(cols))
 			for ci, c := range cols {
-				if v, ok := aggregateColumn(rows[i:j], c, agg, pct); ok {
+				if v, ok := aggregateColumn(rows[i:j], c.Field, c.Agg, c.Pct); ok {
 					vv := v
 					vals[ci] = &vv
 				}
@@ -214,6 +215,82 @@ func windowAggregate(rows []row, cols []string, agg AggFunc, pct float64, every 
 	return out
 }
 
+// oracleCols is the oracles' own reading of a projection over a
+// measurement's sorted field names: the empty list and "*" stand for every
+// field, each under the aggregate the "*" was written under.
+func oracleCols(q Query, fields []string) []AggCol {
+	list := q.Cols
+	if len(list) == 0 {
+		list = []AggCol{{Field: "*"}}
+	}
+	var cols []AggCol
+	for _, c := range list {
+		expanded := []string{c.Field}
+		if c.Field == "*" {
+			expanded = fields
+		}
+		for _, f := range expanded {
+			cols = append(cols, AggCol{Field: f, Agg: c.Agg, Pct: c.Pct})
+		}
+	}
+	return cols
+}
+
+// oracleRender is the tail both row-at-a-time oracles (referenceSelect
+// here, model.naiveSelect in column_test.go) share: project or aggregate
+// one group's time-sorted rows into its result series, naming an aggregate
+// column "<agg>_<field>".
+func oracleRender(q Query, fields []string, tags map[string]string, rows []row) Series {
+	cols := oracleCols(q, fields)
+	res := Series{Name: q.Measurement, Tags: tags}
+	aggregated := false
+	for _, c := range cols {
+		name := c.Field
+		if c.Agg != AggNone {
+			name = string(c.Agg) + "_" + c.Field
+			aggregated = true
+		}
+		res.Columns = append(res.Columns, name)
+	}
+	startNS, endNS := rangeNS(q.Start, q.End)
+	switch {
+	case !aggregated:
+		for _, r := range rows {
+			vals := make([]*lineproto.Value, len(cols))
+			any := false
+			for i, c := range cols {
+				if v, ok := r.fields[c.Field]; ok {
+					vv := v
+					vals[i] = &vv
+					any = true
+				}
+			}
+			if any {
+				res.Rows = append(res.Rows, Row{Time: time.Unix(0, r.t).UTC(), Values: vals})
+			}
+		}
+	case q.Every > 0:
+		res.Rows = windowAggregate(rows, cols, q.Every, startNS, endNS)
+	default:
+		vals := make([]*lineproto.Value, len(cols))
+		for i, c := range cols {
+			if v, ok := aggregateColumn(rows, c.Field, c.Agg, c.Pct); ok {
+				vv := v
+				vals[i] = &vv
+			}
+		}
+		t := q.Start
+		if t.IsZero() && len(rows) > 0 {
+			t = time.Unix(0, rows[0].t).UTC()
+		}
+		res.Rows = append(res.Rows, Row{Time: t, Values: vals})
+	}
+	if q.Limit > 0 && len(res.Rows) > q.Limit {
+		res.Rows = res.Rows[:q.Limit]
+	}
+	return res
+}
+
 // referenceSelect is the pre-pushdown serial engine: lock the shard, merge
 // every matching row into per-group slices, stable-sort by time, aggregate
 // with aggregateColumn/windowAggregate. It is kept verbatim as the oracle
@@ -226,14 +303,11 @@ func referenceSelect(db *DB, q Query) ([]Series, error) {
 	if !ok {
 		return nil, ErrNoMeasurement
 	}
-	cols := q.Fields
-	if len(cols) == 0 {
-		cols = make([]string, 0, len(m.fields))
-		for k := range m.fields {
-			cols = append(cols, k)
-		}
-		sort.Strings(cols)
+	fields := make([]string, 0, len(m.fields))
+	for k := range m.fields {
+		fields = append(fields, k)
 	}
+	sort.Strings(fields)
 	startNS, endNS := rangeNS(q.Start, q.End)
 
 	type group struct {
@@ -285,43 +359,7 @@ func referenceSelect(db *DB, q Query) ([]Series, error) {
 	for _, key := range order {
 		g := groups[key]
 		sort.SliceStable(g.rows, func(i, j int) bool { return g.rows[i].t < g.rows[j].t })
-		res := Series{Name: q.Measurement, Tags: g.tags, Columns: cols}
-		switch {
-		case q.Agg == "" || q.Agg == AggNone:
-			for _, r := range g.rows {
-				vals := make([]*lineproto.Value, len(cols))
-				any := false
-				for i, c := range cols {
-					if v, ok := r.fields[c]; ok {
-						vv := v
-						vals[i] = &vv
-						any = true
-					}
-				}
-				if any {
-					res.Rows = append(res.Rows, Row{Time: time.Unix(0, r.t).UTC(), Values: vals})
-				}
-			}
-		case q.Every > 0:
-			res.Rows = windowAggregate(g.rows, cols, q.Agg, q.Percentile, q.Every, startNS, endNS)
-		default:
-			vals := make([]*lineproto.Value, len(cols))
-			for i, c := range cols {
-				if v, ok := aggregateColumn(g.rows, c, q.Agg, q.Percentile); ok {
-					vv := v
-					vals[i] = &vv
-				}
-			}
-			t := q.Start
-			if t.IsZero() && len(g.rows) > 0 {
-				t = time.Unix(0, g.rows[0].t).UTC()
-			}
-			res.Rows = append(res.Rows, Row{Time: t, Values: vals})
-		}
-		if q.Limit > 0 && len(res.Rows) > q.Limit {
-			res.Rows = res.Rows[:q.Limit]
-		}
-		out = append(out, res)
+		out = append(out, oracleRender(q, fields, g.tags, g.rows))
 	}
 	return out, nil
 }
@@ -332,13 +370,12 @@ var allAggs = []AggFunc{
 	AggSpread, AggStddev, AggMedian, AggPercentile, AggDerivative,
 }
 
-// seedSelectDB builds a deterministic multi-series dataset: 6 series over
+// seedSelectBatches is a deterministic multi-series dataset: 6 series over
 // hostname/rack, a numeric column, an int column, a sparse string column,
-// and per-series timestamp offsets so no two series share a timestamp.
-func seedSelectDB(t testing.TB, shards int) *DB {
-	t.Helper()
-	db := NewDBShards("lms", shards)
-	db.SetQueryCacheTTL(0)
+// and per-series timestamp offsets so no two series share a timestamp. It
+// comes in two halves, the later half first, so writing them in order
+// exercises the copy-on-reorder write path as well.
+func seedSelectBatches() [][]lineproto.Point {
 	rnd := uint64(1)
 	next := func() float64 {
 		rnd = rnd*6364136223846793005 + 1442695040888963407
@@ -365,15 +402,25 @@ func seedSelectDB(t testing.TB, shards int) *DB {
 			})
 		}
 	}
-	// Write in two halves with the second half out of order to exercise the
-	// copy-on-reorder write path as well.
-	if err := db.WriteBatch(pts[len(pts)/2:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.WriteBatch(pts[:len(pts)/2]); err != nil {
-		t.Fatal(err)
+	return [][]lineproto.Point{pts[len(pts)/2:], pts[:len(pts)/2]}
+}
+
+// seedSelectDB loads seedSelectBatches into a fresh uncached database.
+func seedSelectDB(t testing.TB, shards int) *DB {
+	t.Helper()
+	db := NewDBShards("lms", shards)
+	db.SetQueryCacheTTL(0)
+	for _, batch := range seedSelectBatches() {
+		if err := db.WriteBatch(batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return db
+}
+
+// star projects agg over every field of the measurement: agg(*).
+func star(agg AggFunc, pct float64) []AggCol {
+	return []AggCol{{Field: "*", Agg: agg, Pct: pct}}
 }
 
 func selectQueries() []Query {
@@ -382,18 +429,18 @@ func selectQueries() []Query {
 	var qs []Query
 	for _, agg := range allAggs {
 		qs = append(qs,
-			Query{Measurement: "m", Agg: agg, Percentile: 90},
-			Query{Measurement: "m", Agg: agg, Percentile: 37.5, Every: 60 * time.Second, Start: start, End: end},
-			Query{Measurement: "m", Agg: agg, Percentile: 99, GroupByTags: []string{"rack"}},
-			Query{Measurement: "m", Agg: agg, Percentile: 50, GroupByTags: []string{"hostname"}, Every: 45 * time.Second},
-			Query{Measurement: "m", Agg: agg, Percentile: 75, Filter: TagFilter{"rack": "r1"}, Every: 90 * time.Second, Limit: 5},
+			Query{Measurement: "m", Cols: star(agg, 90)},
+			Query{Measurement: "m", Cols: star(agg, 37.5), Every: 60 * time.Second, Start: start, End: end},
+			Query{Measurement: "m", Cols: star(agg, 99), GroupByTags: []string{"rack"}},
+			Query{Measurement: "m", Cols: star(agg, 50), GroupByTags: []string{"hostname"}, Every: 45 * time.Second},
+			Query{Measurement: "m", Cols: star(agg, 75), Filter: TagFilter{"rack": "r1"}, Every: 90 * time.Second, Limit: 5},
 		)
 	}
 	qs = append(qs,
 		Query{Measurement: "m"},
 		Query{Measurement: "m", Limit: 7},
 		Query{Measurement: "m", GroupByTags: []string{"rack"}, Limit: 11},
-		Query{Measurement: "m", Fields: []string{"value", "note"}, Filter: TagFilter{"hostname": "h3"}},
+		Query{Measurement: "m", Cols: []AggCol{{Field: "value"}, {Field: "note"}}, Filter: TagFilter{"hostname": "h3"}},
 	)
 	return qs
 }
@@ -412,11 +459,11 @@ func TestSelectParallelByteIdenticalToSerial(t *testing.T) {
 		want, err1 := serial.Select(q)
 		got, err2 := parallel.Select(q)
 		if err1 != nil || err2 != nil {
-			t.Fatalf("agg %q: errors %v / %v", q.Agg, err1, err2)
+			t.Fatalf("cols %v: errors %v / %v", q.Cols, err1, err2)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("agg %q every=%v group=%v: parallel result differs from serial\nserial:   %+v\nparallel: %+v",
-				q.Agg, q.Every, q.GroupByTags, want, got)
+			t.Fatalf("cols %v every=%v group=%v: parallel result differs from serial\nserial:   %+v\nparallel: %+v",
+				q.Cols, q.Every, q.GroupByTags, want, got)
 		}
 	}
 }
@@ -429,57 +476,13 @@ func TestSelectParallelByteIdenticalToSerial(t *testing.T) {
 func TestSelectMatchesReferenceEngine(t *testing.T) {
 	t.Parallel()
 	db := seedSelectDB(t, 4)
-	exact := map[AggFunc]bool{
-		AggCount: true, AggMin: true, AggMax: true, AggSpread: true,
-		AggFirst: true, AggLast: true, AggMedian: true, AggPercentile: true,
-		AggDerivative: true, AggNone: true,
-	}
 	for _, q := range selectQueries() {
 		want, err1 := referenceSelect(db, q)
 		got, err2 := db.Select(q)
 		if err1 != nil || err2 != nil {
-			t.Fatalf("agg %q: errors %v / %v", q.Agg, err1, err2)
+			t.Fatalf("cols %v: errors %v / %v", q.Cols, err1, err2)
 		}
-		if len(want) != len(got) {
-			t.Fatalf("agg %q: series %d != %d", q.Agg, len(got), len(want))
-		}
-		for si := range want {
-			ws, gs := want[si], got[si]
-			if !reflect.DeepEqual(ws.Tags, gs.Tags) || !reflect.DeepEqual(ws.Columns, gs.Columns) {
-				t.Fatalf("agg %q series %d: header mismatch", q.Agg, si)
-			}
-			if len(ws.Rows) != len(gs.Rows) {
-				t.Fatalf("agg %q series %d: rows %d != %d", q.Agg, si, len(gs.Rows), len(ws.Rows))
-			}
-			for ri := range ws.Rows {
-				wr, gr := ws.Rows[ri], gs.Rows[ri]
-				if !wr.Time.Equal(gr.Time) {
-					t.Fatalf("agg %q series %d row %d: time %v != %v", q.Agg, si, ri, gr.Time, wr.Time)
-				}
-				for ci := range wr.Values {
-					wv, gv := wr.Values[ci], gr.Values[ci]
-					if (wv == nil) != (gv == nil) {
-						t.Fatalf("agg %q series %d row %d col %d: nil mismatch (%v vs %v)",
-							q.Agg, si, ri, ci, wv, gv)
-					}
-					if wv == nil {
-						continue
-					}
-					if exact[q.Agg] {
-						if !reflect.DeepEqual(*wv, *gv) {
-							t.Fatalf("agg %q series %d row %d col %d: %v != %v",
-								q.Agg, si, ri, ci, gv, wv)
-						}
-						continue
-					}
-					a, b := wv.FloatVal(), gv.FloatVal()
-					if diff := math.Abs(a - b); diff > 1e-9*math.Max(1, math.Abs(a)) {
-						t.Fatalf("agg %q series %d row %d col %d: %g != %g (diff %g)",
-							q.Agg, si, ri, ci, b, a, diff)
-					}
-				}
-			}
-		}
+		compareResults(t, "reference", oracleCols(q, db.FieldKeys("m")), want, got)
 	}
 }
 
@@ -528,7 +531,7 @@ func TestSelectLimitWithFieldProjection(t *testing.T) {
 	if err := db.WriteBatch(pts); err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Measurement: "m", Fields: []string{"b"}, Limit: 5}
+	q := Query{Measurement: "m", Cols: []AggCol{{Field: "b"}}, Limit: 5}
 	want, err := referenceSelect(db, q)
 	if err != nil {
 		t.Fatal(err)
@@ -566,7 +569,7 @@ func TestQueryCacheHitAndInvalidation(t *testing.T) {
 	}
 	sumOf := func() float64 {
 		t.Helper()
-		res, err := db.Select(Query{Measurement: "m1", Agg: AggSum})
+		res, err := db.Select(Query{Measurement: "m1", Cols: star(AggSum, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -637,7 +640,7 @@ func TestQueryCacheKeyCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := db.Select(Query{Measurement: "m", Fields: []string{"a", "b"}})
+	r1, err := db.Select(Query{Measurement: "m", Cols: []AggCol{{Field: "a"}, {Field: "b"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,12 +649,39 @@ func TestQueryCacheKeyCollision(t *testing.T) {
 	}
 	// "a,b" is one (nonexistent) column, not two: no rows may come back,
 	// and in particular not the cached result of the two-column query.
-	r2, err := db.Select(Query{Measurement: "m", Fields: []string{"a,b"}})
+	r2, err := db.Select(Query{Measurement: "m", Cols: []AggCol{{Field: "a,b"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r2) != 0 && len(r2[0].Rows) != 0 {
 		t.Fatalf("colliding cache key served wrong result: %+v", r2)
+	}
+
+	// Projections that differ only in one column's aggregate, only in column
+	// order, or only in the percentile argument are different queries: each
+	// gets its own key and its own (correct) answer, cached or not.
+	for _, pair := range [][2][]AggCol{
+		{{{Field: "a", Agg: AggMin}, {Field: "b", Agg: AggMin}}, {{Field: "a", Agg: AggMin}, {Field: "b", Agg: AggCount}}},
+		{{{Field: "a", Agg: AggMax}, {Field: "b", Agg: AggMax}}, {{Field: "b", Agg: AggMax}, {Field: "a", Agg: AggMax}}},
+		{{{Field: "a", Agg: AggPercentile, Pct: 10}}, {{Field: "a", Agg: AggPercentile, Pct: 90}}},
+	} {
+		qa, qb := Query{Measurement: "m", Cols: pair[0]}, Query{Measurement: "m", Cols: pair[1]}
+		if normKey(qa) == normKey(qb) {
+			t.Fatalf("%v and %v share the cache key %q", pair[0], pair[1], normKey(qa))
+		}
+		for _, q := range []Query{qa, qb, qa, qb} {
+			want, err := referenceSelect(db, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := db.Select(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%v through the cache:\nwant %+v\ngot  %+v", q.Cols, want, got)
+			}
+		}
 	}
 }
 

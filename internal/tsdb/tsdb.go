@@ -501,6 +501,17 @@ func (m *measurement) internField(name string, kind lineproto.ValueKind) string 
 	return name
 }
 
+// fieldNames lists the schema's field keys, sorted. The caller holds the
+// shard lock (either mode).
+func (m *measurement) fieldNames() []string {
+	keys := make([]string, 0, len(m.fields))
+	for k := range m.fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // series holds the point runs of one tag set, log-structured: a list of
 // individually sorted columnar runs (column.go), ordered by creation.
 // Invariants the lock-light read path (select.go) relies on:
@@ -960,12 +971,7 @@ func (db *DB) FieldKeys(measurement string) []string {
 	if !ok {
 		return nil
 	}
-	keys := make([]string, 0, len(m.fields))
-	for k := range m.fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return m.fieldNames()
 }
 
 // TagKeys lists tag keys across all series of a measurement, sorted.
@@ -1061,20 +1067,79 @@ func (f TagFilter) matches(tags map[string]string) bool {
 	return true
 }
 
-// Query describes a programmatic read. Zero Start/End mean unbounded. If
-// Every > 0 points are grouped into aligned time windows and Agg is applied
-// per window and field; if Every == 0 and Agg != "" a single aggregate row is
-// produced per series; otherwise raw points are returned.
+// Query describes a read. Zero Start/End mean unbounded. Cols is the
+// projection — the one description of it, from InfluxQL text to the fold.
+// Raw columns return the stored points; aggregate columns produce one row
+// per aligned window (Every > 0) or one row per result series (Every == 0).
+// The two kinds do not mix in one list (Query.validate).
 type Query struct {
 	Measurement string
 	Start, End  time.Time
 	Filter      TagFilter
-	Fields      []string // nil = all fields
+	Cols        []AggCol // empty = every field, raw (SELECT *)
 	GroupByTags []string // produce one result series per distinct combination
 	Every       time.Duration
-	Agg         AggFunc
-	Percentile  float64 // used by AggPercentile
-	Limit       int     // max rows per series, 0 = unlimited
+	Limit       int // max rows per series, 0 = unlimited
+}
+
+// AggCol is one projected column: a field, raw (Agg == AggNone) or under
+// its own aggregate. Field "*" stands for every field of the measurement,
+// expanded in place in sorted order.
+type AggCol struct {
+	Field string
+	Agg   AggFunc
+	Pct   float64 // the percentile argument of AggPercentile, in [0, 100]
+}
+
+// name is the result column the engine emits for c — the one place a
+// column is named: the field for a raw column, "<agg>_<field>" otherwise.
+func (c AggCol) name() string {
+	if c.Agg == AggNone {
+		return c.Field
+	}
+	return string(c.Agg) + "_" + c.Field
+}
+
+// partial is the empty mergeable state of c's aggregate.
+func (c AggCol) partial() partial {
+	return partial{agg: c.Agg, pct: c.Pct, mode: modeOf(c.Agg)}
+}
+
+// aggregated reports whether the projection aggregates. validate holds a
+// list to one kind, so the first column decides.
+func (q Query) aggregated() bool {
+	return len(q.Cols) > 0 && q.Cols[0].Agg != AggNone
+}
+
+// rawLimit is the row count each run may be clamped to while it is
+// snapshotted (or decoded), 0 for no clamp. Only the raw all-column query
+// qualifies: every stored row carries at least one field (Validate enforces
+// it), so each snapshotted row is an output row. With an explicit
+// projection a row may lack every requested column and emit nothing, so
+// the clamp would drop matching rows further down the run — those queries
+// truncate at emission instead.
+func (q Query) rawLimit() int {
+	if len(q.Cols) == 0 {
+		return q.Limit
+	}
+	return 0
+}
+
+// validate refuses a projection the engine cannot answer as asked, rather
+// than answering something else under the asked-for names.
+func (q Query) validate() error {
+	for _, c := range q.Cols {
+		if (c.Agg != AggNone) != q.aggregated() {
+			return errors.New("raw and aggregate columns cannot be mixed in one SELECT")
+		}
+		if c.Agg == AggPercentile && !(c.Pct >= 0 && c.Pct <= 100) {
+			return fmt.Errorf("percentile argument %v outside [0, 100]", c.Pct)
+		}
+	}
+	if q.Every > 0 && !q.aggregated() {
+		return errors.New("GROUP BY time() needs an aggregate column")
+	}
+	return nil
 }
 
 // Row is one result row: a timestamp and one value per requested column.

@@ -155,7 +155,7 @@ func TestSelectAggregate(t *testing.T) {
 		{AggFirst, 4}, {AggLast, 6}, {AggSpread, 6}, {AggMedian, 5},
 	}
 	for _, c := range cases {
-		res, err := db.Select(Query{Measurement: "m", Agg: c.agg})
+		res, err := db.Select(Query{Measurement: "m", Cols: star(c.agg, 0)})
 		if err != nil {
 			t.Fatalf("%s: %v", c.agg, err)
 		}
@@ -164,16 +164,16 @@ func TestSelectAggregate(t *testing.T) {
 			t.Errorf("%s: got %v want %v", c.agg, got, c.want)
 		}
 	}
-	res, _ := db.Select(Query{Measurement: "m", Agg: AggCount})
+	res, _ := db.Select(Query{Measurement: "m", Cols: star(AggCount, 0)})
 	if res[0].Rows[0].Values[0].IntVal() != 4 {
 		t.Error("count")
 	}
-	res, _ = db.Select(Query{Measurement: "m", Agg: AggStddev})
+	res, _ = db.Select(Query{Measurement: "m", Cols: star(AggStddev, 0)})
 	want := math.Sqrt((1 + 9 + 9 + 1) / 3.0)
 	if got := res[0].Rows[0].Values[0].FloatVal(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("stddev got %v want %v", got, want)
 	}
-	res, _ = db.Select(Query{Measurement: "m", Agg: AggPercentile, Percentile: 100})
+	res, _ = db.Select(Query{Measurement: "m", Cols: star(AggPercentile, 100)})
 	if res[0].Rows[0].Values[0].FloatVal() != 8 {
 		t.Error("p100")
 	}
@@ -185,7 +185,7 @@ func TestSelectDerivative(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		_ = db.WritePoint(pt("net_bytes", nil, float64(i*10), int64(i)*time.Second.Nanoseconds()))
 	}
-	res, err := db.Select(Query{Measurement: "net_bytes", Agg: AggDerivative})
+	res, err := db.Select(Query{Measurement: "net_bytes", Cols: star(AggDerivative, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSelectWindowed(t *testing.T) {
 		Start:       ts(0),
 		End:         ts(59 * time.Second.Nanoseconds()),
 		Every:       10 * time.Second,
-		Agg:         AggMean,
+		Cols:        star(AggMean, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestSelectWindowAlignment(t *testing.T) {
 	// aligned buckets.
 	_ = db.WritePoint(pt("m", nil, 1, 15*time.Second.Nanoseconds()))
 	_ = db.WritePoint(pt("m", nil, 2, 25*time.Second.Nanoseconds()))
-	res, err := db.Select(Query{Measurement: "m", Every: 10 * time.Second, Agg: AggSum})
+	res, err := db.Select(Query{Measurement: "m", Every: 10 * time.Second, Cols: star(AggSum, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestStringEvents(t *testing.T) {
 		t.Fatalf("event %q", got)
 	}
 	// Numeric aggregation over a string column yields no value.
-	res, err = db.Select(Query{Measurement: "events", Agg: AggMean})
+	res, err = db.Select(Query{Measurement: "events", Cols: star(AggMean, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestStringEvents(t *testing.T) {
 		t.Fatal("mean of string column should be nil")
 	}
 	// count/last work on strings.
-	res, _ = db.Select(Query{Measurement: "events", Agg: AggLast})
+	res, _ = db.Select(Query{Measurement: "events", Cols: star(AggLast, 0)})
 	if res[0].Rows[0].Values[0].StringVal() != "job 42 start" {
 		t.Fatal("last of string column")
 	}
@@ -426,7 +426,7 @@ func TestQueryInvariantsProperty(t *testing.T) {
 			}
 			prev = row.Time.UnixNano()
 		}
-		agg, err := db.Select(Query{Measurement: "m", Agg: AggMean})
+		agg, err := db.Select(Query{Measurement: "m", Cols: star(AggMean, 0)})
 		if err != nil {
 			return false
 		}
@@ -510,7 +510,7 @@ func TestConcurrentWriteAndQuery(t *testing.T) {
 		}(g)
 	}
 	for i := 0; i < 200; i++ {
-		_, _ = db.Select(Query{Measurement: "m", Agg: AggMean})
+		_, _ = db.Select(Query{Measurement: "m", Cols: star(AggMean, 0)})
 	}
 	for g := 0; g < 4; g++ {
 		<-done

@@ -77,7 +77,7 @@ func TestFacadeJobMetaAndQueries(t *testing.T) {
 	res, err := stack.DB.Select(tsdb.Query{
 		Measurement: "likwid_mem_dp",
 		Filter:      tsdb.TagFilter{"jobid": "j"},
-		Agg:         tsdb.AggCount,
+		Cols:        []tsdb.AggCol{{Field: "*", Agg: tsdb.AggCount}},
 	})
 	if err != nil || len(res) == 0 {
 		t.Fatalf("%v %v", res, err)

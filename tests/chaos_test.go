@@ -261,7 +261,7 @@ func TestChaosRestartNoAckedPointLost(t *testing.T) {
 	}
 	series, err := fdb.Select(tsdb.Query{
 		Measurement: "chaos",
-		Fields:      []string{"seq"},
+		Cols:        []tsdb.AggCol{{Field: "seq"}},
 		GroupByTags: []string{"writer"},
 	})
 	if err != nil {

@@ -211,7 +211,7 @@ func TestChaosCrashKillNoAckedPointLost(t *testing.T) {
 	}
 	series, err := fdb.Select(tsdb.Query{
 		Measurement: "crashkill",
-		Fields:      []string{"seq"},
+		Cols:        []tsdb.AggCol{{Field: "seq"}},
 		GroupByTags: []string{"writer"},
 	})
 	if err != nil {
