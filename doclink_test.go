@@ -8,11 +8,13 @@ import (
 	"testing"
 )
 
-// mdRefPattern matches documentation references like DESIGN.md or
-// EXPERIMENTS.md in Go sources and markdown. Doc files in this repo are
-// upper-case by convention, which keeps the pattern from tripping over
-// identifiers.
-var mdRefPattern = regexp.MustCompile(`\b([A-Z][A-Za-z0-9_-]*\.md)\b`)
+// mdRefPattern matches documentation references like DESIGN.md,
+// EXPERIMENTS.md or bench/README.md in Go sources and markdown, with the
+// directory they are written under, if any: a reference resolves from the
+// repo root (an absolute path is not a reference into the repo and is
+// skipped). Doc files in this repo are upper-case by convention, which
+// keeps the pattern from tripping over identifiers.
+var mdRefPattern = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])((?:[A-Za-z0-9_.-]+/)*[A-Z][A-Za-z0-9_-]*\.md)\b`)
 
 // externalRef reports whether a line marks its doc references as living
 // outside this repository — "external", "related repo" or "related-repo"

@@ -41,10 +41,11 @@ func encodeHint(db string, frame []byte) []byte {
 	return append(dst, frame...)
 }
 
-// decodeHint reads one record back at recovery. The frame is checked the
-// way the WAL's own replay checks a batch record — a queue that would only
-// ever draw 400s from its peer must fail the open, not stall the drain —
-// and copied, because payload aliases the segment being replayed.
+// decodeHint reads one record back at recovery. The frame is checked with
+// the check the peer's frame door will run on it (durable.CheckBatch:
+// structure and point validity) — a queue that would only ever draw 400s
+// from its peer must fail the open, not stall the drain — and copied,
+// because payload aliases the segment being replayed.
 func decodeHint(payload []byte) (hint, error) {
 	n, sz := binary.Uvarint(payload)
 	if sz <= 0 || uint64(len(payload)-sz) < n {
@@ -52,7 +53,7 @@ func decodeHint(payload []byte) (hint, error) {
 	}
 	db := string(payload[sz : sz+int(n)])
 	frame := payload[sz+int(n):]
-	if _, err := durable.DecodeBatch(frame); err != nil {
+	if _, err := durable.CheckBatch(frame); err != nil {
 		return hint{}, err
 	}
 	return hint{db: db, frame: append([]byte(nil), frame...), bytes: int64(len(payload))}, nil
@@ -107,8 +108,13 @@ func openHintQueue(root, peer string, opts durable.Options) (*hintQueue, error) 
 // enqueue parks one missed share and takes ownership of frame. The hint is
 // durable before enqueue returns (subject to the queue's fsync policy); a
 // full queue or a sealed log rejects the hint with an error — the caller
-// counts the drop, the write itself was already decided by quorum.
+// counts the drop, the write itself was already decided by quorum. So does
+// a frame the peer's door would refuse (durable.CheckBatch): parked, it
+// would stall every hint behind it.
 func (q *hintQueue) enqueue(db string, frame []byte) error {
+	if _, err := durable.CheckBatch(frame); err != nil {
+		return fmt.Errorf("cluster: hint for %s: %w", q.peer, err)
+	}
 	payload := encodeHint(db, frame)
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -30,14 +30,15 @@ func testFrame(measurement, host string, n int) []byte {
 	return durable.AppendBatch(nil, testPoints(measurement, host, n), 1e9)
 }
 
-// framePoints decodes a parked frame, failing the test on a bad one.
-func framePoints(t *testing.T, frame []byte) []lineproto.Point {
-	t.Helper()
-	pts, err := durable.DecodeBatch(frame)
-	if err != nil {
-		t.Fatalf("parked frame does not decode: %v", err)
+// frameMeasurement names the first point of a parked frame; a frame that
+// does not read is "".
+func frameMeasurement(frame []byte) string {
+	var c durable.BatchCursor
+	c.Reset(frame)
+	if !c.Next() {
+		return ""
 	}
-	return pts
+	return string(c.Measurement)
 }
 
 // hintScenario opens a queue on fs and enqueues n hints with measurements
@@ -125,7 +126,7 @@ func TestHintQueueKillSweep(t *testing.T) {
 			t.Fatalf("kill at op %d: acked %d hints, only %d recovered", idx, acked, len(got))
 		}
 		for i, h := range got {
-			if m := framePoints(t, h.frame)[0].Measurement; m != fmt.Sprintf("m%d", i) {
+			if m := frameMeasurement(h.frame); m != fmt.Sprintf("m%d", i) {
 				t.Fatalf("kill at op %d: recovered hint %d out of order: %q", idx, i, m)
 			}
 		}
@@ -220,12 +221,8 @@ func TestHintQueueConcurrentDrain(t *testing.T) {
 	delivered := map[string]int{}
 	slowSend := func(_ string, frame []byte) error {
 		time.Sleep(time.Millisecond) // a peer slow enough for the drains to overlap
-		pts, err := durable.DecodeBatch(frame)
-		if err != nil {
-			return err
-		}
 		mu.Lock()
-		delivered[pts[0].Measurement]++
+		delivered[frameMeasurement(frame)]++
 		mu.Unlock()
 		return nil
 	}
@@ -247,5 +244,55 @@ func TestHintQueueConcurrentDrain(t *testing.T) {
 	}
 	if n, b := q.depth(); n != 0 || b != 0 {
 		t.Fatalf("drained queue reports depth %d, %d bytes", n, b)
+	}
+}
+
+// TestHintQueueRefusesInvalidFrames: the queue checks a frame with the
+// check the peer's frame door runs (durable.CheckBatch), going in and
+// coming back. A frame holding a point the peer would answer 400 to — no
+// fields, an empty tag value — is refused at enqueue, and a log that holds
+// one (written before the check existed) fails the open with the named
+// error, instead of parking at the head of the queue and stalling every
+// hint behind it for good.
+func TestHintQueueRefusesInvalidFrames(t *testing.T) {
+	v := map[string]lineproto.Value{"value": lineproto.Float(1)}
+	bad := map[string][]byte{
+		"no fields":       durable.AppendBatch(nil, []lineproto.Point{{Measurement: "m", Tags: map[string]string{"hostname": "h1"}}}, 1),
+		"empty tag value": durable.AppendBatch(nil, []lineproto.Point{{Measurement: "m", Tags: map[string]string{"hostname": ""}, Fields: v}}, 1),
+	}
+	for name, frame := range bad {
+		root := t.TempDir()
+		const peer = "http://peer:8086"
+		q, err := openHintQueue(root, peer, durable.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := q.enqueue("lms", frame); !errors.Is(err, durable.ErrInvalidPoint) {
+			t.Fatalf("%s: enqueue: %v, want durable.ErrInvalidPoint", name, err)
+		}
+		if err := q.enqueue("lms", testFrame("m0", "h1", 2)); err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := q.depth(); n != 1 {
+			t.Fatalf("%s: %d hints pending, want the valid one only", name, n)
+		}
+		if err := q.close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// The same frame, put into the log behind the queue's back.
+		w, err := durable.OpenWAL(q.dir, 0, durable.Options{}, func([]byte) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := w.Append(encodeHint("lms", frame)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := openHintQueue(root, peer, durable.Options{}); !errors.Is(err, durable.ErrInvalidPoint) {
+			t.Fatalf("%s: open over a log holding the frame: %v, want durable.ErrInvalidPoint", name, err)
+		}
 	}
 }

@@ -193,25 +193,6 @@ func (p Point) AppendFields(dst []Field) []Field {
 	return dst
 }
 
-// Clone returns a deep copy of the point. Mutating the clone's maps does not
-// affect the original; the router relies on this before tag enrichment.
-func (p Point) Clone() Point {
-	c := Point{Measurement: p.Measurement, Time: p.Time}
-	if p.Tags != nil {
-		c.Tags = make(map[string]string, len(p.Tags))
-		for k, v := range p.Tags {
-			c.Tags[k] = v
-		}
-	}
-	if p.Fields != nil {
-		c.Fields = make(map[string]Value, len(p.Fields))
-		for k, v := range p.Fields {
-			c.Fields[k] = v
-		}
-	}
-	return c
-}
-
 // Equal reports semantic equality of two points (map order irrelevant,
 // timestamps compared at nanosecond resolution).
 func (p Point) Equal(o Point) bool {

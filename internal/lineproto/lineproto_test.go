@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -326,24 +325,6 @@ func TestValueEqualNaN(t *testing.T) {
 	}
 }
 
-func TestPointClone(t *testing.T) {
-	p := Point{
-		Measurement: "m",
-		Tags:        map[string]string{"a": "1"},
-		Fields:      map[string]Value{"f": Float(1)},
-		Time:        ts(3),
-	}
-	c := p.Clone()
-	c.Tags["a"] = "changed"
-	c.Fields["f"] = Float(2)
-	if p.Tags["a"] != "1" || p.Fields["f"].FloatVal() != 1 {
-		t.Fatal("clone shares maps with original")
-	}
-	if !p.Equal(p.Clone()) {
-		t.Fatal("clone not equal to original")
-	}
-}
-
 func TestPointEqual(t *testing.T) {
 	base := Point{Measurement: "m", Tags: map[string]string{"a": "1"},
 		Fields: map[string]Value{"f": Float(1)}, Time: ts(1)}
@@ -356,7 +337,7 @@ func TestPointEqual(t *testing.T) {
 		{Measurement: "m", Tags: base.Tags, Fields: base.Fields, Time: ts(2)},
 		{Measurement: "m", Fields: base.Fields, Time: base.Time},
 	}
-	if !base.Equal(base.Clone()) {
+	if !base.Equal(base) {
 		t.Fatal("self equality")
 	}
 	for i, d := range diffs {
@@ -553,13 +534,6 @@ func TestParseErrorMessageTruncation(t *testing.T) {
 	}
 	if len(err.Error()) > 200 {
 		t.Errorf("error message too long: %d bytes", len(err.Error()))
-	}
-}
-
-func TestReflectDeepEqualAfterClone(t *testing.T) {
-	p := randomPoint(rand.New(rand.NewSource(3)))
-	if !reflect.DeepEqual(p, p.Clone()) {
-		t.Fatal("clone differs structurally")
 	}
 }
 

@@ -296,12 +296,18 @@ func (r *Router) IngestContext(ctx context.Context, pts []lineproto.Point) error
 		host := p.Tags["hostname"]
 		if host != "" {
 			if jobTags, ok := r.tags.Lookup(host); ok {
-				p = p.Clone()
+				// Enrichment mutates the tag set and nothing else, so that is
+				// all it copies — once, at its final size. The caller's batch
+				// keeps its own tags; the fields, which nobody writes, stay
+				// shared.
+				tags := make(map[string]string, len(p.Tags)+len(jobTags))
 				for k, v := range jobTags {
-					if _, exists := p.Tags[k]; !exists {
-						p.Tags[k] = v
-					}
+					tags[k] = v
 				}
+				for k, v := range p.Tags {
+					tags[k] = v // a tag the agent sent wins over the job's
+				}
+				p.Tags = tags
 				if user := jobTags["username"]; user != "" && r.cfg.UserSink != nil {
 					perUser[user] = append(perUser[user], p)
 				}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -213,6 +214,60 @@ func TestPerUserDuplication(t *testing.T) {
 	// Duplicated point carries the job tags.
 	if res[0].Rows[0].Values[0].FloatVal() != 1 {
 		t.Fatal("wrong point duplicated")
+	}
+}
+
+// captureSink keeps the batches it is handed, maps and all.
+type captureSink struct{ got [][]lineproto.Point }
+
+func (c *captureSink) WritePoints(pts []lineproto.Point) error {
+	c.got = append(c.got, pts)
+	return nil
+}
+
+// TestEnrichmentCopiesOnlyTags: enrichment writes into a tag set of its
+// own — the caller's batch never shows the job tags, however often it is
+// ingested — and shares the fields it does not touch. Primary and per-user
+// sinks both see the enriched tags, with the agent's own tags winning.
+func TestEnrichmentCopiesOnlyTags(t *testing.T) {
+	primary, user := &captureSink{}, &captureSink{}
+	r, err := New(Config{Primary: primary, Now: fixedNow, UserSink: func(string) Sink { return user }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.JobStart(JobSignal{JobID: "7", User: "dave", Nodes: []string{"h1"}, Tags: map[string]string{"queue": "batch"}}); err != nil {
+		t.Fatal(err)
+	}
+	primary.got = nil // the start event
+	pts, err := lineproto.Parse([]byte("cpu,hostname=h1,queue=mine value=1 100\nmem,hostname=h9 used=2 100\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		if err := r.IngestContext(context.Background(), pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]string{"hostname": "h1", "queue": "mine"}
+	if !reflect.DeepEqual(pts[0].Tags, want) {
+		t.Fatalf("enrichment wrote into the caller's batch: %v", pts[0].Tags)
+	}
+	if len(primary.got) != 2 || len(user.got) != 2 {
+		t.Fatalf("primary got %d batches, user sink %d, want 2 and 2", len(primary.got), len(user.got))
+	}
+	for _, batch := range [][]lineproto.Point{primary.got[0], primary.got[1], user.got[0], user.got[1]} {
+		p := batch[0]
+		if p.Tags["jobid"] != "7" || p.Tags["username"] != "dave" || p.Tags["queue"] != "mine" {
+			t.Fatalf("sink saw tags %v", p.Tags)
+		}
+		p.Fields["probe"] = lineproto.Int(1) // shared with the parsed point, by design
+		if _, ok := pts[0].Fields["probe"]; !ok {
+			t.Fatal("enrichment copied the fields it never changes")
+		}
+		delete(p.Fields, "probe")
+	}
+	if got := primary.got[0][1].Tags; !reflect.DeepEqual(got, map[string]string{"hostname": "h9"}) {
+		t.Fatalf("a point of no job changed tags: %v", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/lineproto"
+	"repro/internal/tsdb/durable"
 )
 
 // allocFixture is the store the allocation gates run on: one shard, the
@@ -62,7 +63,7 @@ func TestStorageAllocs(t *testing.T) {
 		})
 	}
 
-	t.Run("applyBatch", func(t *testing.T) {
+	t.Run("WriteBatch", func(t *testing.T) {
 		// One collector flush: 100 points of one series, timestamps rising
 		// past everything stored, appended onto the series' newest run.
 		db := allocFixture(t, 1, 100)
@@ -78,17 +79,18 @@ func TestStorageAllocs(t *testing.T) {
 			}
 		}
 		next := int64(100 * 10)
-		now := time.Now()
 		allocs := testing.AllocsPerRun(200, func() {
 			for i := range pts {
 				pts[i].Time = time.Unix(next, 0)
 				next += 10
 			}
-			db.applyBatch(pts, now)
+			if err := db.WriteBatch(pts); err != nil {
+				t.Fatal(err)
+			}
 		})
-		t.Logf("%.0f allocs per 100-point in-order applyBatch", allocs)
-		if allocs > applyBatchAllocs {
-			t.Fatalf("applyBatch allocates %.0f times per 100-point batch, want <= %d", allocs, applyBatchAllocs)
+		t.Logf("%.0f allocs per 100-point in-order WriteBatch", allocs)
+		if allocs > writeBatchAllocs {
+			t.Fatalf("WriteBatch allocates %.0f times per 100-point batch, want <= %d", allocs, writeBatchAllocs)
 		}
 	})
 
@@ -150,10 +152,74 @@ func TestStorageAllocs(t *testing.T) {
 	})
 }
 
+// collectorCycle is one host's 100-line collector flush at time sec: eight
+// measurements — the 72 per-core lines are 72 series — one point per
+// series, nine tags each as the router's enrichment leaves them.
+func collectorCycle(sec int64) []lineproto.Point {
+	var pts []lineproto.Point
+	add := func(meas string, n int, fields map[string]lineproto.Value) {
+		for i := 0; i < n; i++ {
+			pts = append(pts, lineproto.Point{
+				Measurement: meas,
+				Tags: map[string]string{
+					"hostname": "h017", "cluster": "emmy", "rack": "r07", "type": "node", "unit": fmt.Sprint(i),
+					"jobid": "4711.master", "username": "user2", "queue": "batch", "project": "p1",
+				},
+				Fields: fields,
+				Time:   time.Unix(sec, 0),
+			})
+		}
+	}
+	add("cpu_core", 72, map[string]lineproto.Value{"user": lineproto.Float(float64(sec)), "ctx": lineproto.Int(sec)})
+	for i, meas := range []string{"mem", "net", "disk", "load", "ib", "lustre", "events"} {
+		fields := map[string]lineproto.Value{"value": lineproto.Float(float64(i)), "state": lineproto.String("ok")}
+		add(meas, 4, fields)
+	}
+	return pts
+}
+
+// TestFrameApplyAllocs pins what it costs to take a batch frame into the
+// shards: checked, indexed by shard and applied from the frame's bytes,
+// a cycle of 100 known series allocates next to nothing — no point, no
+// map, no series-key string. (Decoding the same frame into points took
+// 2 057 allocations before a shard saw any of it.)
+func TestFrameApplyAllocs(t *testing.T) {
+	db := NewDBShards("lms", 4)
+	const warm, runs = 130, 100 // the runs' slices last doubled at 129 rows and hold 256
+	var frames [][]byte
+	for i := int64(0); i < warm+runs+1; i++ {
+		frames = append(frames, durable.AppendBatch(nil, collectorCycle(i*10), 1))
+	}
+	apply := func() {
+		fb, err := db.checkFrame(frames[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fb.refs) != 100 || !fb.multi {
+			t.Fatalf("fixture: %d points, multi-shard %v", len(fb.refs), fb.multi)
+		}
+		db.applyFrame(fb)
+		fb.release()
+		frames = frames[1:]
+	}
+	for i := 0; i < warm; i++ {
+		apply()
+	}
+	allocs := testing.AllocsPerRun(runs, apply)
+	t.Logf("%.1f allocs per 100-point collector frame checked and applied", allocs)
+	if allocs > frameApplyAllocs {
+		t.Fatalf("a known-series collector frame costs %.1f allocations to check and apply, want <= %d", allocs, frameApplyAllocs)
+	}
+	if n := db.PointCount(); n != 100*(warm+runs+1) {
+		t.Fatalf("%d points stored, want %d", n, 100*(warm+runs+1))
+	}
+}
+
 // The gates' bounds; the parent commit's measurements are in the comments.
 const (
-	applyBatchAllocs          = 4    // measured 3
+	writeBatchAllocs          = 4    // measured 3 for applyBatch alone, which this path (encode, check, apply) replaced
 	selectRawAllocs           = 960  // measured 941
 	selectCompressedAllocs    = 960  // measured 941, the same: a warm arena decodes for free
 	buildSnapshotAllocsPerRun = 4.75 // measured 4.56
+	frameApplyAllocs          = 10   // measured 4; DecodeBatch + applyBatch took 2 060
 )

@@ -17,8 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/lineproto"
 )
 
 const (
@@ -84,20 +82,6 @@ func (db *DB) cacheGens(measurement string) (mgen, ggen uint64) {
 		mgen = v.(*atomic.Uint64).Load()
 	}
 	return mgen, db.globalGen.Load()
-}
-
-// bumpMeasGens invalidates the cache for every measurement of a written
-// batch. Batches arrive as runs per measurement, so bumping on run
-// boundaries touches every distinct measurement (duplicate bumps for
-// non-adjacent repeats are harmless).
-func (db *DB) bumpMeasGens(pts []lineproto.Point) {
-	prev := ""
-	for i := range pts {
-		if m := pts[i].Measurement; m != prev {
-			db.measGen(m).Add(1)
-			prev = m
-		}
-	}
 }
 
 // cacheRef carries the normalized key and pre-snapshot generations from a

@@ -26,6 +26,7 @@ package tsdb
 
 import (
 	"cmp"
+	"math"
 	"sort"
 
 	"repro/internal/lineproto"
@@ -72,13 +73,17 @@ type strTable struct {
 	vals []string
 }
 
-func (t *strTable) intern(s string) uint32 {
-	if id, ok := t.ids[s]; ok {
+// intern returns the id of the payload b, a view into a batch frame: a
+// known value is found without becoming a string, a new one is copied out
+// once.
+func (t *strTable) intern(b []byte) uint32 {
+	if id, ok := t.ids[string(b)]; ok {
 		return id
 	}
 	if t.ids == nil {
 		t.ids = make(map[string]uint32)
 	}
+	s := string(b)
 	id := uint32(len(t.vals))
 	t.ids[s] = id
 	t.vals = append(t.vals, s)
@@ -158,10 +163,11 @@ func (c *col) padTo(r int) {
 	c.n = r
 }
 
-// add appends one value as row c.n, promoting the column to mixed when the
-// value's kind is not the column's. Builder-only (in-place bit append).
-func (c *col) add(v lineproto.Value, st *strTable) {
-	if v.Kind() != c.Kind {
+// add appends one field's value as row c.n, promoting the column to mixed
+// when the value's kind is not the column's. Builder-only (in-place bit
+// append).
+func (c *col) add(f *durable.BatchField, st *strTable) {
+	if f.Kind != c.Kind {
 		c.toMixed(st.vals)
 	}
 	if c.Present != nil {
@@ -172,13 +178,13 @@ func (c *col) add(v lineproto.Value, st *strTable) {
 	}
 	switch c.Arm() {
 	case durable.ArmVals:
-		c.Vals = append(c.Vals, v)
+		c.Vals = append(c.Vals, f.Value())
 	case durable.ArmFloats:
-		c.Floats = append(c.Floats, v.FloatVal())
+		c.Floats = append(c.Floats, math.Float64frombits(f.Num))
 	case durable.ArmStrIDs:
-		c.StrIDs = append(c.StrIDs, st.intern(v.StringVal()))
+		c.StrIDs = append(c.StrIDs, st.intern(f.Str))
 	default:
-		c.Ints = append(c.Ints, v.IntVal())
+		c.Ints = append(c.Ints, int64(f.Num))
 	}
 	c.n++
 }
@@ -596,20 +602,23 @@ func (b *runBuilder) handoff() {
 	b.sorted = true
 }
 
-// colIdx finds or creates the builder column for one field. The caller
-// passes the position hint j (the field's index in the point's sorted
-// field list): consecutive points with an identical schema hit their
-// column without any search.
-func (b *runBuilder) colIdx(m *measurement, j int, name string, kind lineproto.ValueKind) int {
-	if j < len(b.cols) && b.cols[j].Name == name {
+// colIdx finds or creates the builder column for one field, named by a
+// view into the batch frame. The caller passes the position hint j (the
+// field's index in the point's ascending field list): consecutive points
+// with an identical schema hit their column without any search.
+func (b *runBuilder) colIdx(m *measurement, j int, name []byte, kind lineproto.ValueKind) int {
+	if j < len(b.cols) && b.cols[j].Name == string(name) {
 		return j
 	}
 	for i := range b.cols {
-		if b.cols[i].Name == name {
+		if b.cols[i].Name == string(name) {
 			return i
 		}
 	}
-	canon := m.internField(name, kind)
+	canon, ok := m.names[string(name)]
+	if !ok {
+		canon = m.internField(string(name), kind)
+	}
 	// Reuse the spare col slot (and its typed arrays) left by a previous
 	// batch when its shape matches; otherwise start a fresh column.
 	if len(b.cols) < cap(b.cols) {
@@ -626,19 +635,20 @@ func (b *runBuilder) colIdx(m *measurement, j int, name string, kind lineproto.V
 	return len(b.cols) - 1
 }
 
-// addPoint appends one point's timestamp and fields. fields must be the
-// point's sorted field list (lineproto.Point.AppendFields).
-func (b *runBuilder) addPoint(m *measurement, fields []lineproto.Field, tns int64) {
+// addPoint appends one point's timestamp and fields. fields must be in
+// ascending key order without duplicates (what a durable.BatchCursor
+// presents).
+func (b *runBuilder) addPoint(m *measurement, fields []durable.BatchField, tns int64) {
 	r := len(b.ts)
 	if r > 0 && b.ts[r-1] > tns {
 		b.sorted = false
 	}
 	b.ts = append(b.ts, tns)
 	for j := range fields {
-		idx := b.colIdx(m, j, fields[j].Key, fields[j].Value.Kind())
+		idx := b.colIdx(m, j, fields[j].Key, fields[j].Kind)
 		c := &b.cols[idx]
 		c.padTo(r)
-		c.add(fields[j].Value, &m.strs)
+		c.add(&fields[j], &m.strs)
 	}
 }
 

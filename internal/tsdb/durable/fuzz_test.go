@@ -150,6 +150,80 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
+// FuzzBatchCursor: arbitrary bytes through the frame cursor — the reader
+// every door that receives frames validates with, and the one the shards
+// ingest from — held against the reference decoder: it accepts exactly the
+// frames DecodeBatch decodes into points Point.Validate passes, presents
+// exactly those points (tags and fields strictly ascending, the last of
+// duplicate keys winning), finds them again by offset, and never panics.
+func FuzzBatchCursor(f *testing.F) {
+	pts := samplePoints()
+	seed := AppendBatch(nil, pts, 42)
+	f.Add(append([]byte(nil), seed...))
+	f.Add(seed[:len(seed)-2])           // torn tail
+	f.Add([]byte{0xff, 0xff, 0xff})     // implausible count
+	f.Add(binary.AppendUvarint(nil, 0)) // empty batch
+	f.Add(scrambledFrame(pts, 42))      // unsorted, duplicate tags and fields
+	f.Add(AppendBatch(nil, []lineproto.Point{{Measurement: "m"}}, 1))
+	f.Add(AppendBatch(nil, []lineproto.Point{{Measurement: "m", Tags: map[string]string{"t": ""},
+		Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}}}, 1))
+	// testdata/fuzz/FuzzBatchCursor/cluster-writenode-frame is the replica
+	// share FuzzDecodeBatch is seeded with: written before AppendBatch
+	// sorted tags, so every point of it takes the canonicalising path.
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		want, wantErr := DecodeBatch(payload)
+		for i := 0; wantErr == nil && i < len(want); i++ {
+			wantErr = want[i].Validate()
+		}
+		var c BatchCursor
+		c.Reset(payload)
+		var offsets []int
+		for c.Next() {
+			if wantErr != nil {
+				continue
+			}
+			i := len(offsets)
+			if i >= len(want) {
+				t.Fatalf("cursor reads more than the %d points of the frame", len(want))
+			}
+			checkCursorPoint(t, &c, want[i])
+			offsets = append(offsets, c.Offset)
+		}
+		if (c.Err() == nil) != (wantErr == nil) {
+			t.Fatalf("cursor: %v, reference: %v", c.Err(), wantErr)
+		}
+		if n, err := CheckBatch(payload); (err == nil) != (wantErr == nil) || (err == nil && n != len(want)) {
+			t.Fatalf("CheckBatch: %d, %v; reference: %d points, %v", n, err, len(want), wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		if len(offsets) != len(want) || c.Len() != len(want) {
+			t.Fatalf("cursor read %d points (declared %d), reference %d", len(offsets), c.Len(), len(want))
+		}
+		for i := len(offsets) - 1; i >= 0; i-- {
+			if !c.Seek(offsets[i]) {
+				t.Fatalf("Seek to point %d: %v", i, c.Err())
+			}
+			checkCursorPoint(t, &c, want[i])
+		}
+		// The canonical re-encoding holds the same points, in bytes that
+		// are a function of the points alone.
+		enc := AppendBatch(nil, want, 42)
+		if again, err := DecodeBatch(enc); err != nil || !bytes.Equal(AppendBatch(nil, again, 42), enc) {
+			t.Fatalf("canonical encoding is not a fixed point (%v)", err)
+		}
+		c.Reset(enc)
+		for i := 0; c.Next(); i++ {
+			checkCursorPoint(t, &c, want[i])
+		}
+		if c.Err() != nil {
+			t.Fatalf("canonical encoding refused: %v", c.Err())
+		}
+	})
+}
+
 // FuzzCheckpointDecode: arbitrary bytes through the checkpoint codec.
 // decodeSnapshot must never panic, and an accepted snapshot must be a
 // fixed point of the codec: encoding it and decoding the result must

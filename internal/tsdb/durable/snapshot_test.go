@@ -144,3 +144,41 @@ func TestSnapshotNoneFound(t *testing.T) {
 		t.Fatalf("LoadLatestSnapshot(missing dir) = %v, %d, %v", s, seg, err)
 	}
 }
+
+// TestSnapshotSizeHint: WriteSnapshot encodes into a buffer sized by the
+// hint, so the hint must cover the payload of the shapes checkpoints are
+// made of — long raw runs of metric samples, compressed chunks, the small
+// sample — without reserving much more than it needs.
+func TestSnapshotSizeHint(t *testing.T) {
+	const n = 20000
+	run := Run{Ts: make([]int64, n)}
+	user := Col{Name: "user", Values: Values{Kind: lineproto.KindFloat, Floats: make([]float64, n)}}
+	ctx := Col{Name: "ctx", Values: Values{Kind: lineproto.KindInt, Ints: make([]int64, n)}}
+	state := Col{Name: "state", Present: make([]uint64, (n+63)/64), Values: Values{Kind: lineproto.KindString, StrIDs: make([]uint32, n)}}
+	for i := 0; i < n; i++ {
+		run.Ts[i] = 1500000000e9 + int64(i)*10e9
+		user.Floats[i] = float64(i) / 3
+		ctx.Ints[i] = int64(i) * 977
+		state.StrIDs[i] = uint32(i % 2)
+	}
+	run.Cols = []Col{user, ctx, state}
+	comp := Run{Comp: &CompRun{N: n, MinTS: 1, MaxTS: 2, Ts: make([]byte, 3000), Cols: []CompCol{
+		{Name: "user", Kind: lineproto.KindFloat, Data: make([]byte, 40000)},
+		{Name: "state", Kind: lineproto.KindString, Width: 1, Present: make([]uint64, (n+63)/64), Data: make([]byte, 2500)},
+	}}}
+	big := &Snapshot{Measurements: []Measurement{{
+		Name:   "cpu",
+		Fields: []FieldSchema{{Name: "ctx", Kind: lineproto.KindInt}, {Name: "state", Kind: lineproto.KindString}, {Name: "user", Kind: lineproto.KindFloat}},
+		Strs:   []string{"idle", "busy"},
+		Series: []Series{{Tags: map[string]string{"hostname": "node01"}, Runs: []Run{comp, run}}},
+	}}}
+	for name, s := range map[string]*Snapshot{"sample": sampleSnapshot(), "long runs": big, "empty": {}} {
+		hint, size := snapshotSizeHint(s), len(appendSnapshot(nil, s))
+		if hint < size {
+			t.Errorf("%s: hint %d below the %d-byte payload: the buffer regrows", name, hint, size)
+		}
+		if hint > size+size/4+512 {
+			t.Errorf("%s: hint %d reserves far more than the %d-byte payload", name, hint, size)
+		}
+	}
+}

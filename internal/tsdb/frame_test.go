@@ -11,10 +11,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -224,13 +226,7 @@ func TestFrameWALReplayByteIdentical(t *testing.T) {
 	for _, b := range batches {
 		frame := durable.AppendBatch(nil, b, 1)
 		frames = append(frames, frame)
-		req := httptest.NewRequest("POST", "/write?db=lms&local=1", bytes.NewReader(frame))
-		req.Header.Set("Content-Type", BatchContentType)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusNoContent {
-			t.Fatalf("frame write: status %d: %s", rec.Code, rec.Body.String())
-		}
+		serveFrame(t, h, frame)
 	}
 	want := queryFingerprint(t, st, "lms")
 	if oracle := queryFingerprint(t, memoryOracle(t, batches), "lms"); want != oracle {
@@ -261,5 +257,115 @@ func TestFrameWALReplayByteIdentical(t *testing.T) {
 	defer st2.Abort()
 	if got := queryFingerprint(t, st2, "lms"); got != want {
 		t.Fatal("WAL replay of received frames differs from the pre-crash answers")
+	}
+}
+
+// scrambledFrame encodes pts the way durable.AppendBatch does not: tags
+// and fields in descending key order, each preceded by a duplicate of its
+// key holding a value the last-wins rule must discard.
+func scrambledFrame(pts []lineproto.Point) []byte {
+	str := func(dst []byte, s string) []byte {
+		return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+	}
+	dst := binary.AppendUvarint(nil, uint64(len(pts)))
+	for _, p := range pts {
+		dst = str(dst, p.Measurement)
+		keys := slices.Sorted(maps.Keys(p.Tags))
+		slices.Reverse(keys)
+		dst = binary.AppendUvarint(dst, uint64(2*len(keys)))
+		for _, k := range keys {
+			dst = str(str(dst, k), "stale")
+			dst = str(str(dst, k), p.Tags[k])
+		}
+		fields := p.AppendFields(nil)
+		slices.Reverse(fields)
+		dst = binary.AppendUvarint(dst, uint64(2*len(fields)))
+		for _, f := range fields {
+			dst = str(append(str(dst, f.Key), byte(lineproto.KindString)), "stale")
+			// One field in the frame's own codec, cut out of a one-point frame:
+			// ... | key | kind | value | 8 timestamp bytes.
+			one := durable.AppendBatch(nil, []lineproto.Point{{Measurement: "m", Fields: map[string]lineproto.Value{f.Key: f.Value}}}, 1)
+			dst = append(dst, one[5:len(one)-8]...)
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Time.UnixNano()))
+	}
+	return dst
+}
+
+// TestFrameOrderDoesNotReachTheStore: a frame with unsorted and duplicated
+// tags and fields (what an old WAL record or a foreign producer holds), its
+// canonical re-encoding and the same points through WriteBatch build the
+// same store — byte-identical checkpoint files and /query bodies — because
+// all three are ingested from the cursor's one canonical view.
+func TestFrameOrderDoesNotReachTheStore(t *testing.T) {
+	doors := []struct {
+		name  string
+		write func(t *testing.T, st *Store, h *Handler, pts []lineproto.Point)
+	}{
+		{"WriteBatch", func(t *testing.T, st *Store, _ *Handler, pts []lineproto.Point) {
+			if err := st.DB("lms").WriteBatch(pts); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"canonical frame", func(t *testing.T, _ *Store, h *Handler, pts []lineproto.Point) {
+			serveFrame(t, h, durable.AppendBatch(nil, pts, 1))
+		}},
+		{"scrambled frame", func(t *testing.T, _ *Store, h *Handler, pts []lineproto.Point) {
+			frame := scrambledFrame(pts)
+			if bytes.Equal(frame, durable.AppendBatch(nil, pts, 1)) {
+				t.Fatal("the scrambled frame is canonical")
+			}
+			serveFrame(t, h, frame)
+		}},
+	}
+	var wantQueries string
+	var wantCheckpoint []byte
+	for _, door := range doors {
+		dir := t.TempDir()
+		st := openDurableStore(t, Durability{Dir: dir, Fsync: durable.FsyncOff})
+		if _, err := st.OpenDatabase("lms"); err != nil {
+			t.Fatal(err)
+		}
+		h := NewHandler(st)
+		for _, b := range corpusBatches() {
+			door.write(t, st, h, b)
+		}
+		queries := queryFingerprint(t, st, "lms")
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snaps, _ := filepath.Glob(filepath.Join(dir, "lms", "checkpoint-*.snap"))
+		if len(snaps) != 1 {
+			t.Fatalf("%s: %d checkpoint files after Close", door.name, len(snaps))
+		}
+		checkpoint, err := os.ReadFile(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantQueries == "" {
+			wantQueries, wantCheckpoint = queries, checkpoint
+			if oracle := queryFingerprint(t, memoryOracle(t, corpusBatches()), "lms"); queries != oracle {
+				t.Fatal("durable WriteBatch differs from the in-memory oracle")
+			}
+			continue
+		}
+		if queries != wantQueries {
+			t.Errorf("%s: /query bodies differ from WriteBatch's", door.name)
+		}
+		if !bytes.Equal(checkpoint, wantCheckpoint) {
+			t.Errorf("%s: checkpoint bytes differ from WriteBatch's", door.name)
+		}
+	}
+}
+
+// serveFrame posts one frame to h's frame door and wants a 204.
+func serveFrame(t *testing.T, h *Handler, frame []byte) {
+	t.Helper()
+	req := httptest.NewRequest("POST", "/write?db=lms&local=1", bytes.NewReader(frame))
+	req.Header.Set("Content-Type", BatchContentType)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("frame write: status %d: %s", rec.Code, rec.Body.String())
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/lineproto"
 	"repro/internal/obs"
-	"repro/internal/tsdb/durable"
 )
 
 // Handler exposes a Store over the InfluxDB HTTP API. The LMS router, the
@@ -295,19 +294,18 @@ func (h *Handler) handleWrite(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The body becomes points through one of two codecs; everything after
-	// that is one path. A frame carries resolved nanosecond timestamps and
-	// doubles as the WAL record of the batch decoded from it.
+	// A frame body is checked as it stands — it carries resolved nanosecond
+	// timestamps and is the WAL record of the batch as received — and text
+	// is parsed into points; both end in DB.writeFrame.
 	var pts []lineproto.Point
-	var frame []byte
+	var fb *frameBatch
 	var err error
 	if r.Header.Get("Content-Type") == BatchContentType {
 		if mult != 1 {
 			httpError(w, http.StatusBadRequest, "a batch frame carries nanosecond timestamps; precision must be ns")
 			return
 		}
-		pts, err = durable.DecodeBatch(body)
-		frame = body
+		fb, err = db.checkFrame(body)
 	} else {
 		pts, err = ParseLines(body, mult)
 	}
@@ -318,8 +316,15 @@ func (h *Handler) handleWrite(w http.ResponseWriter, r *http.Request) {
 	// Continue (or start) a trace: the router stamps X-Lms-Trace on its
 	// fan-out, so this node's WAL/apply spans land under the same id.
 	tr := h.traceRing().StartTrace("tsdb.write", r.Header.Get(obs.TraceHeader))
-	sp := tr.Start("tsdb.http.write").Attr("db", dbName).AttrInt("points", int64(len(pts)))
-	err = db.writeBatch(obs.WithTrace(r.Context(), tr), pts, frame)
+	ctx := obs.WithTrace(r.Context(), tr)
+	sp := tr.Start("tsdb.http.write").Attr("db", dbName)
+	if fb != nil {
+		sp.AttrInt("points", int64(len(fb.refs)))
+		err = db.writeFrame(ctx, fb)
+	} else {
+		sp.AttrInt("points", int64(len(pts)))
+		err = db.WriteBatchContext(ctx, pts)
+	}
 	sp.End()
 	tr.Finish()
 	if err != nil {

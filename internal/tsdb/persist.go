@@ -13,8 +13,8 @@ package tsdb
 //     serialize them to a checkpoint file and delete the covered WAL
 //     segments;
 //   - recovery: load the newest valid checkpoint, then replay the WAL
-//     tail through the ordinary columnar write path (applyBatch and its
-//     runBuilder), truncating at the first torn frame;
+//     tail through the ordinary columnar write path (applyFrame and the
+//     shards' runBuilders), truncating at the first torn frame;
 //   - retention: a sweep that dropped rows schedules a checkpoint (rate
 //     limited by Durability.RetentionCheckpointEvery), which rewrites the
 //     on-disk state without the expired blocks and deletes the expired
@@ -113,37 +113,24 @@ type durability struct {
 // rotate, fsync, rebuild the snapshot — on every subsequent batch.
 const ckptRetryBackoff = 5 * time.Second
 
-// batchBufPool recycles WAL encode buffers across concurrent writers.
-var batchBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// writeDurable is WriteBatch's durable path: log first, apply second,
-// acknowledge last. The WAL record is frame when the batch arrived
-// already in the record's codec (a replica share, see DB.writeBatch), else
-// pts encoded here. A context carrying a trace (obs.WithTrace) gets
-// spans for the WAL append — which, under the per-batch fsync policy,
-// includes the group-commit fsync wait — and the in-memory apply.
-func (d *durability) writeDurable(ctx context.Context, db *DB, pts []lineproto.Point, now time.Time, frame []byte) error {
+// writeDurable is writeFrame's durable path: log first, apply second,
+// acknowledge last. The WAL record is the frame itself — as received when
+// it came over the frame door, as WriteBatchContext encoded it otherwise.
+// A context carrying a trace (obs.WithTrace) gets spans for the WAL append
+// — which, under the per-batch fsync policy, includes the group-commit
+// fsync wait — and the in-memory apply.
+func (d *durability) writeDurable(ctx context.Context, db *DB, fb *frameBatch) error {
 	tr := obs.TraceFrom(ctx)
-	payload := frame
-	var bufp *[]byte
-	if frame == nil {
-		bufp = batchBufPool.Get().(*[]byte)
-		payload = durable.AppendBatch((*bufp)[:0], pts, now.UnixNano())
-	}
 	d.gate.RLock()
-	wsp := tr.Start("tsdb.wal.append").AttrInt("bytes", int64(len(payload)))
-	_, _, err := d.wal.Append(payload)
+	wsp := tr.Start("tsdb.wal.append").AttrInt("bytes", int64(len(fb.frame)))
+	_, _, err := d.wal.Append(fb.frame)
 	wsp.End()
 	if err == nil {
-		asp := tr.Start("tsdb.apply").AttrInt("points", int64(len(pts)))
-		db.applyBatch(pts, now)
+		asp := tr.Start("tsdb.apply").AttrInt("points", int64(len(fb.refs)))
+		db.applyFrame(fb)
 		asp.End()
 	}
 	d.gate.RUnlock()
-	if bufp != nil {
-		*bufp = payload[:0]
-		batchBufPool.Put(bufp)
-	}
 	if err != nil {
 		if errors.Is(err, durable.ErrClosed) {
 			return ErrDBClosed
@@ -327,7 +314,7 @@ func openDurableDB(name string, shards int, opts Durability) (*DB, error) {
 		obs.Errorf("tsdb: %s: %v", name, err)
 	}
 	wal, err := durable.OpenWAL(dir, floor, wo, func(payload []byte) error {
-		pts, err := durable.DecodeBatch(payload)
+		fb, err := db.checkFrame(payload)
 		if err != nil {
 			return fmt.Errorf("tsdb: WAL replay of %q: %w", name, err)
 		}
@@ -335,7 +322,8 @@ func openDurableDB(name string, shards int, opts Durability) (*DB, error) {
 		// (shard runBuilders, compaction, rewrite dedup), so the recovered
 		// state is bit-for-bit what the pre-crash writes built. Timestamps
 		// were resolved before encoding, so the wall clock is never used.
-		db.applyBatch(pts, time.Now())
+		db.applyFrame(fb)
+		fb.release()
 		return nil
 	})
 	if err != nil {

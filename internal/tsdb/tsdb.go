@@ -63,11 +63,13 @@
 package tsdb
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,6 +79,7 @@ import (
 
 	"repro/internal/lineproto"
 	"repro/internal/obs"
+	"repro/internal/tsdb/durable"
 )
 
 // Common errors returned by the storage layer.
@@ -233,8 +236,10 @@ type DB struct {
 type shard struct {
 	mu           sync.RWMutex
 	measurements map[string]*measurement
-	bld          runBuilder        // reusable columnar pending buffer, guarded by mu
-	fieldBuf     []lineproto.Field // reusable sorted-fields scratch, guarded by mu
+	bld          runBuilder // reusable columnar pending buffer, guarded by mu
+	// key holds the series key of the block the builder is accumulating,
+	// nextKey the one being built for the point at hand; reused, guarded by mu.
+	key, nextKey []byte
 }
 
 // DefaultShards is the shard count used when none is configured: one lock
@@ -295,7 +300,13 @@ const (
 )
 
 func (db *DB) shardIndex(measurement string) int {
-	if len(db.shards) == 1 {
+	return shardIndex(measurement, len(db.shards))
+}
+
+// shardIndex hashes a measurement name, as text or as the bytes of a
+// frame, onto one of n shards.
+func shardIndex[S string | []byte](measurement S, n int) int {
+	if n == 1 {
 		return 0
 	}
 	h := uint32(fnvOffset32)
@@ -303,7 +314,7 @@ func (db *DB) shardIndex(measurement string) int {
 		h ^= uint32(measurement[i])
 		h *= fnvPrime32
 	}
-	return int(h % uint32(len(db.shards)))
+	return int(h % uint32(n))
 }
 
 // ticker is the lifecycle of one background maintenance loop of a DB:
@@ -566,23 +577,6 @@ func seriesKey(tags map[string]string) string {
 	return b.String()
 }
 
-// tagsEqual reports whether two tag maps hold the same pairs. It is the
-// per-point fast path of the series-key cache in writeBatch: comparing
-// maps costs two lookups per tag, while seriesKey sorts keys and builds a
-// fresh string — batches overwhelmingly repeat one tag set, so the key is
-// built once per series run instead of once per point.
-func tagsEqual(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
-}
-
 // WritePoint inserts one point. Points without a timestamp get the current
 // time, mirroring InfluxDB's server-side timestamping.
 func (db *DB) WritePoint(p lineproto.Point) error {
@@ -600,7 +594,9 @@ func (db *DB) WritePoints(pts []lineproto.Point) error {
 // touched shard. Points without a timestamp share one server-side
 // timestamp, mirroring InfluxDB. On a durable database the batch is
 // appended to the write-ahead log — fsynced per the configured policy —
-// before it is applied and acknowledged (persist.go).
+// before it is applied and acknowledged (persist.go). An invalid point
+// (durable.ErrInvalidPoint: what Point.Validate refuses) refuses the
+// whole batch.
 func (db *DB) WriteBatch(pts []lineproto.Point) error {
 	return db.WriteBatchContext(context.Background(), pts)
 }
@@ -610,101 +606,154 @@ func (db *DB) WriteBatch(pts []lineproto.Point) error {
 // WAL append (which includes the fsync wait under the per-batch policy)
 // and the in-memory apply. The context is not used for cancellation —
 // a batch appended to the WAL is already acknowledged territory.
+//
+// The batch is encoded into its frame (durable.AppendBatch, points without
+// a timestamp resolved to now) and written as one: the frame is what the
+// WAL logs and what the shards ingest, so a batch that arrives as points
+// and one that arrives as a frame (Handler.handleWrite's frame door, WAL
+// replay) take the same path from here on. An in-memory database pays the
+// encode too: it is cheaper than the per-point key sorting the frame's
+// order makes unnecessary, and it buys one apply path instead of two.
 func (db *DB) WriteBatchContext(ctx context.Context, pts []lineproto.Point) error {
-	return db.writeBatch(ctx, pts, nil)
-}
-
-// writeBatch is the one write path. frame, when non-nil, is the durable
-// batch encoding pts were decoded from (a coordinator's replica share,
-// Handler.handleWrite): the WAL logs it as received instead of encoding
-// pts a second time. Only the re-encode is skipped — validation, the WAL
-// and the apply see a frame's points like any other batch.
-func (db *DB) writeBatch(ctx context.Context, pts []lineproto.Point, frame []byte) error {
 	if len(pts) == 0 {
 		return nil
 	}
-	for i := range pts {
-		if err := pts[i].Validate(); err != nil {
-			db.noteDrop(len(pts))
-			return fmt.Errorf("point %d: %w", i, err)
-		}
+	bufp := batchBufPool.Get().(*[]byte)
+	frame := durable.AppendBatch((*bufp)[:0], pts, time.Now().UnixNano())
+	fb, err := db.checkFrame(frame)
+	if err == nil {
+		err = db.writeFrame(ctx, fb)
 	}
-	now := time.Now()
-	if db.dur != nil {
-		if db.closed.Load() {
-			db.noteDrop(len(pts))
-			return ErrDBClosed
+	*bufp = frame[:0]
+	batchBufPool.Put(bufp)
+	return err
+}
+
+// batchBufPool recycles frame encode buffers across concurrent writers.
+var batchBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+// pointRef locates one point of a checked frame: where it starts, and the
+// shard its measurement hashes to.
+type pointRef struct{ off, shard int }
+
+// frameBatch is a batch frame that passed the cursor's strict pass —
+// structure and Point.Validate's rules, the whole frame before anything is
+// logged or applied, so a batch stays all-or-nothing — with its points
+// indexed by shard. It is the only form in which a batch reaches the WAL
+// and the shards, and only checkFrame makes one.
+type frameBatch struct {
+	frame []byte
+	cur   durable.BatchCursor // walked once to check, then re-seated per point by the shards
+	refs  []pointRef
+	multi bool // the points hash to more than one shard
+}
+
+var frameBatchPool = sync.Pool{New: func() any { return new(frameBatch) }}
+
+// checkFrame validates frame for db and indexes its points. A frame that
+// holds an invalid point counts as a refused batch (lms_dropped_points_total);
+// one that is not a frame at all has no points to count.
+func (db *DB) checkFrame(frame []byte) (*frameBatch, error) {
+	fb := frameBatchPool.Get().(*frameBatch)
+	fb.frame, fb.refs, fb.multi = frame, fb.refs[:0], false
+	cur := &fb.cur
+	cur.Reset(frame)
+	// A point takes at least 16 bytes, which bounds what a declared count
+	// can reserve here.
+	fb.refs = slices.Grow(fb.refs, min(cur.Len(), len(frame)/16))
+	var runMeas []byte
+	runIdx := -1
+	for cur.Next() {
+		// Batches are runs of one measurement (one agent flush): hash on
+		// run boundaries only.
+		if runIdx < 0 || !bytes.Equal(cur.Measurement, runMeas) {
+			runMeas = cur.Measurement
+			runIdx = shardIndex(runMeas, len(db.shards))
 		}
-		if err := db.dur.writeDurable(ctx, db, pts, now, frame); err != nil {
-			db.noteDrop(len(pts))
-			return err
+		fb.refs = append(fb.refs, pointRef{cur.Offset, runIdx})
+		fb.multi = fb.multi || runIdx != fb.refs[0].shard
+	}
+	if err := cur.Err(); err != nil {
+		if errors.Is(err, durable.ErrInvalidPoint) {
+			db.noteDrop(cur.Len())
 		}
-		db.noteIngest(len(pts))
+		fb.release()
+		return nil, err
+	}
+	return fb, nil
+}
+
+// release returns fb to the pool, dropping its views of the frame.
+func (fb *frameBatch) release() {
+	fb.frame = nil
+	fb.cur.Reset(nil)
+	frameBatchPool.Put(fb)
+}
+
+// writeFrame is the one write path: on a durable database the frame is
+// appended to the write-ahead log — fsynced per the configured policy —
+// before it is applied and acknowledged (persist.go). It consumes fb.
+func (db *DB) writeFrame(ctx context.Context, fb *frameBatch) error {
+	defer fb.release()
+	n := len(fb.refs)
+	if n == 0 {
 		return nil
 	}
-	sp := obs.TraceFrom(ctx).Start("tsdb.apply").AttrInt("points", int64(len(pts)))
-	db.applyBatch(pts, now)
+	if db.dur != nil {
+		if db.closed.Load() {
+			db.noteDrop(n)
+			return ErrDBClosed
+		}
+		if err := db.dur.writeDurable(ctx, db, fb); err != nil {
+			db.noteDrop(n)
+			return err
+		}
+		db.noteIngest(n)
+		return nil
+	}
+	sp := obs.TraceFrom(ctx).Start("tsdb.apply").AttrInt("points", int64(n))
+	db.applyFrame(fb)
 	sp.End()
-	db.noteIngest(len(pts))
+	db.noteIngest(n)
 	return nil
 }
 
-// applyBatch inserts a pre-validated batch into the in-memory columnar
-// state. It is the whole write path for in-memory databases and the
-// post-WAL half for durable ones (both live writes and recovery replay).
-// Points without a timestamp are resolved to now — the same value the
-// durable path encoded into the WAL, so replay reproduces this state
-// exactly.
-func (db *DB) applyBatch(pts []lineproto.Point, now time.Time) {
-	db.lastWrite.Store(now.UnixNano())
-	defer db.bumpMeasGens(pts) // invalidate cached query results per measurement
-	if len(db.shards) == 1 {
-		db.shards[0].writeBatch(db, pts, now)
+// applyFrame inserts a checked frame into the in-memory columnar state,
+// one lock acquisition per touched shard. It is the whole write path for
+// in-memory databases and the post-WAL half for durable ones (both live
+// writes and recovery replay). The frame carries resolved timestamps, so
+// replay reproduces this state exactly; the wall clock only stamps the
+// idle clocks of the database and its runs.
+func (db *DB) applyFrame(fb *frameBatch) {
+	if len(fb.refs) == 0 {
 		return
 	}
-
-	// Batches are usually runs of one measurement (one agent flush), so
-	// first scan for the single-shard case before paying for bucketing.
-	runMeas := pts[0].Measurement
-	runIdx := db.shardIndex(runMeas)
-	firstIdx := runIdx
-	single := true
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Measurement == runMeas {
-			continue
-		}
-		runMeas = pts[i].Measurement
-		runIdx = db.shardIndex(runMeas)
-		if runIdx != firstIdx {
-			single = false
-			break
-		}
-	}
-	if single {
-		db.shards[firstIdx].writeBatch(db, pts, now)
+	nowNS := time.Now().UnixNano()
+	db.lastWrite.Store(nowNS)
+	if !fb.multi {
+		idx := fb.refs[0].shard
+		db.shards[idx].writeFrame(db, fb, idx, nowNS)
 		return
 	}
-
-	buckets := make([][]lineproto.Point, len(db.shards))
-	runMeas, runIdx = pts[0].Measurement, firstIdx
-	for _, p := range pts {
-		if p.Measurement != runMeas {
-			runMeas = p.Measurement
-			runIdx = db.shardIndex(runMeas)
-		}
-		buckets[runIdx] = append(buckets[runIdx], p)
-	}
-	for idx, bucket := range buckets {
-		if len(bucket) > 0 {
-			db.shards[idx].writeBatch(db, bucket, now)
+	for idx, sh := range db.shards {
+		for _, ref := range fb.refs {
+			if ref.shard == idx {
+				sh.writeFrame(db, fb, idx, nowNS)
+				break
+			}
 		}
 	}
 }
 
-// writeBatch inserts pre-validated points under one lock acquisition.
-// Consecutive points of the same series are appended into the shard's
-// reusable columnar builder (column.go) — no per-point field map is
-// allocated — and committed per series run:
+// writeFrame inserts the points of fb that belong to shard idx under one
+// lock acquisition, straight from the frame's bytes: the measurement is
+// compared against the previous point's, the series key is built from the
+// cursor's ascending tags into a reused scratch and looked up without
+// becoming a string, field names and string values are resolved through
+// the measurement's intern tables, and values go into the shard's reusable
+// columnar builder (column.go) by kind. Nothing is allocated per point of
+// a known series; a tag map is built when a series is first seen.
+// Consecutive points of the same series are committed per series run:
 //
 //   - in-order blocks (the agent hot path) bulk-append onto the newest
 //     run's columns,
@@ -712,18 +761,15 @@ func (db *DB) applyBatch(pts []lineproto.Point, now time.Time) {
 //     field-by-field with last-write-wins (InfluxDB duplicate-point
 //     semantics) instead of opening a run and paying compaction,
 //   - anything else opens a new run and compacts similar-sized runs.
-func (sh *shard) writeBatch(db *DB, pts []lineproto.Point, now time.Time) {
+func (sh *shard) writeFrame(db *DB, fb *frameBatch, idx int, nowNS int64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
 	var (
-		curM     *measurement
-		curName  string
-		curS     *series
-		curKey   string
-		prevTags map[string]string
+		curM *measurement
+		curS *series
 	)
-	nowNS := now.UnixNano()
+	cur := &fb.cur
 	b := &sh.bld
 	b.reset()
 	commit := func() {
@@ -802,52 +848,65 @@ func (sh *shard) writeBatch(db *DB, pts []lineproto.Point, now time.Time) {
 	}
 
 	newest := int64(minInt64)
-	for _, p := range pts {
-		if p.Time.IsZero() {
-			p.Time = now
+	for _, ref := range fb.refs {
+		if ref.shard != idx {
+			continue
 		}
-		if curM == nil || p.Measurement != curName {
+		if !cur.Seek(ref.off) {
+			// checkFrame accepted these very bytes; they changed under us.
+			panic(fmt.Sprintf("tsdb: checked frame no longer reads: %v", cur.Err()))
+		}
+		if curM == nil || string(cur.Measurement) != curM.name {
 			commit()
+			if curM != nil {
+				db.measGen(curM.name).Add(1)
+			}
 			curS = nil
-			curName = p.Measurement
-			m, ok := sh.measurements[curName]
+			m, ok := sh.measurements[string(cur.Measurement)]
 			if !ok {
 				m = &measurement{
-					name:   curName,
+					name:   string(cur.Measurement),
 					series: make(map[string]*series),
 					fields: make(map[string]lineproto.ValueKind),
 					names:  make(map[string]string),
 				}
-				sh.measurements[curName] = m
+				sh.measurements[m.name] = m
 			}
 			curM = m
 		}
-		if curS == nil || !tagsEqual(p.Tags, prevTags) {
-			key := seriesKey(p.Tags)
-			prevTags = p.Tags
-			if curS == nil || key != curKey {
-				commit()
-				curKey = key
-				sr, ok := curM.series[key]
-				if !ok {
-					tags := make(map[string]string, len(p.Tags))
-					for k, v := range p.Tags {
-						tags[k] = v
-					}
-					sr = &series{tags: tags}
-					curM.series[key] = sr
-				}
-				curS = sr
+		key := sh.nextKey[:0]
+		for i, t := range cur.Tags {
+			if i > 0 {
+				key = append(key, ',')
 			}
+			key = append(key, t.Key...)
+			key = append(key, '=')
+			key = append(key, t.Value...)
 		}
-		sh.fieldBuf = p.AppendFields(sh.fieldBuf[:0])
-		ns := p.Time.UnixNano()
-		b.addPoint(curM, sh.fieldBuf, ns)
-		if ns > newest {
-			newest = ns
+		sh.nextKey = key
+		if curS == nil || !bytes.Equal(key, sh.key) {
+			commit()
+			sh.key, sh.nextKey = key, sh.key
+			sr, ok := curM.series[string(key)]
+			if !ok {
+				tags := make(map[string]string, len(cur.Tags))
+				for _, t := range cur.Tags {
+					tags[string(t.Key)] = string(t.Value)
+				}
+				sr = &series{tags: tags}
+				curM.series[string(key)] = sr
+			}
+			curS = sr
 		}
+		b.addPoint(curM, cur.Fields, cur.TimeNS)
+		newest = max(newest, cur.TimeNS)
 	}
 	commit()
+	// Cached query results are invalidated per run of a measurement, once
+	// its rows are in and before the lock is released: a reader that sees
+	// the new generation takes the lock after this writer and finds the
+	// rows (duplicate bumps for non-adjacent repeats are harmless).
+	db.measGen(curM.name).Add(1)
 
 	// Publish the newest timestamp for retention sweeps (atomic max).
 	for {
