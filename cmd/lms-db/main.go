@@ -41,16 +41,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"repro/internal/cli"
 	"repro/internal/cluster"
@@ -61,7 +56,7 @@ import (
 
 func main() { cli.Main("lms-db", run) }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("lms-db", flag.ContinueOnError)
 	addr := fs.String("addr", ":8086", "listen address")
 	dbName := fs.String("db", "lms", "database to create at startup")
@@ -110,6 +105,18 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Deferred closes run newest first once Serve has drained the requests
+	// (or a later start-up step failed): the debug listener, the cluster,
+	// then the store's WAL flush and final checkpoint, which must not race
+	// an in-flight /write.
+	defer func() {
+		if cerr := store.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			fmt.Fprintln(stdout, "lms-db: shut down")
+		}
+	}()
 	db, err := store.OpenDatabase(*dbName)
 	if err != nil {
 		return err
@@ -139,30 +146,22 @@ func run(args []string, stdout io.Writer) error {
 			Replication: *replication,
 		})
 		if err != nil {
-			_ = store.Close()
 			return err
 		}
+		defer clu.Close()
 		handler.Distributed = clu.Querier()
 		clu.RegisterMetrics(store.Metrics().Registry())
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		if clu != nil {
-			_ = clu.Close()
-		}
-		_ = store.Close()
 		return err
 	}
-	var debugLn net.Listener
 	if *debugAddr != "" {
-		debugLn, err = net.Listen("tcp", *debugAddr)
+		debugLn, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
-			if clu != nil {
-				_ = clu.Close()
-			}
-			_ = store.Close()
 			return err
 		}
+		defer debugLn.Close()
 		go func() { _ = http.Serve(debugLn, obs.DebugMux(ring)) }()
 		fmt.Fprintf(stdout, "lms-db: pprof and /debug/traces on %s\n", debugLn.Addr())
 	}
@@ -176,44 +175,5 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "lms-db: durable storage in %s (fsync=%s, %d databases recovered)\n",
 			*dataDir, policy, len(store.Databases()))
 	}
-
-	// Serve until SIGINT/SIGTERM, then shut down gracefully: stop
-	// accepting, let in-flight /write and /query requests finish, flush
-	// the WAL and write the final checkpoint. The final checkpoint must
-	// not race an in-flight /write, hence Shutdown strictly before
-	// store.Close.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	srv := &http.Server{Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	closeCluster := func() {
-		if debugLn != nil {
-			_ = debugLn.Close()
-		}
-		if clu != nil {
-			_ = clu.Close()
-		}
-	}
-	select {
-	case err := <-errc:
-		closeCluster()
-		_ = store.Close()
-		return err
-	case <-ctx.Done():
-		stop()
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutCtx); err != nil {
-			closeCluster()
-			_ = store.Close()
-			return err
-		}
-		closeCluster()
-		if err := store.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "lms-db: shut down")
-		return nil
-	}
+	return cli.Serve(ln, handler)
 }

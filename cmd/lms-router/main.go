@@ -26,6 +26,10 @@
 // share parked in the durable hinted-handoff queue under -hints-dir and
 // replayed when it heals. -db-url is ignored in cluster mode.
 //
+// SIGINT/SIGTERM shut the router down gracefully (exit status 0):
+// in-flight requests finish, then the hint drain stops and the hint queues
+// and the publisher close.
+//
 // Usage:
 //
 //	lms-router -addr :8090 -db-url http://localhost:8086 -db lms \
@@ -151,5 +155,5 @@ func run(args []string, stdout io.Writer) error {
 	} else {
 		fmt.Fprintf(stdout, "lms-router: forwarding to %s (db %q) on %s\n", *dbURL, *dbName, ln.Addr())
 	}
-	return http.Serve(ln, rt)
+	return cli.Serve(ln, rt)
 }

@@ -8,16 +8,24 @@
 //     (flag.ExitOnError's status),
 //   - runtime errors go to stderr and exit with status 1,
 //   - normal output never mixes with flag diagnostics, so stdout stays
-//     pipeable.
+//     pipeable,
+//   - servers end on SIGINT/SIGTERM by draining their requests (Serve) and
+//     then running what their main deferred.
 package cli
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
+	"time"
 )
 
 // ErrUsage marks a command-line usage error; mains exit 2 for it.
@@ -83,4 +91,26 @@ func Exit(name string, err error) {
 // Main is the shared main() body.
 func Main(name string, run func(args []string, stdout io.Writer) error) {
 	Exit(name, run(os.Args[1:], os.Stdout))
+}
+
+// Serve serves h on ln until SIGINT/SIGTERM, then stops accepting and lets
+// in-flight requests finish (10 s at most). It returns nil after such a
+// shutdown, so the closes a main has deferred run newest first and strictly
+// after the last request: a final checkpoint or a hint queue's close never
+// races one.
+func Serve(ln net.Listener, h http.Handler) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	srv := &http.Server{Handler: h}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+		stop() // a second signal kills the process the default way
+		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		return srv.Shutdown(shutCtx)
+	}
 }

@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,7 +52,7 @@ type Config struct {
 	// peer's queue is capped at DefaultMaxHintBytes.
 	HintsDir string
 
-	// DrainInterval is the base retry delay of the hint drain loop; it
+	// DrainInterval is the base retry delay of the hint drain job; it
 	// doubles per consecutive failure up to 16x. 0 selects 250ms.
 	DrainInterval time.Duration
 
@@ -107,10 +110,12 @@ type Cluster struct {
 	frameBytesPerPoint atomic.Int64
 	fanout             atomic.Pointer[obs.Histogram]
 
-	drainKick chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	// Background jobs; Close stops both and waits before it closes the
+	// hint queues. drain replays hints every DrainInterval and when a write
+	// parks one, backing off (x2 per failed round, up to 16x) while a peer
+	// stays down; ensure is the CREATE DATABASE fan-out the write path kicks.
+	drain  obs.Job
+	ensure obs.Job
 }
 
 // New builds the cluster view and recovers any hinted-handoff queues left
@@ -140,13 +145,11 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.DrainInterval = defaultDrainInterval
 	}
 	c := &Cluster{
-		cfg:       cfg,
-		ring:      ring,
-		nodes:     make(map[string]*node, len(ring.Nodes())),
-		httpc:     cfg.HTTPClient,
-		ensured:   make(map[string]map[string]bool),
-		drainKick: make(chan struct{}, 1),
-		done:      make(chan struct{}),
+		cfg:     cfg,
+		ring:    ring,
+		nodes:   make(map[string]*node, len(ring.Nodes())),
+		httpc:   cfg.HTTPClient,
+		ensured: make(map[string]map[string]bool),
 	}
 	foundSelf := cfg.Self == ""
 	for _, id := range ring.Nodes() {
@@ -169,8 +172,14 @@ func New(cfg Config) (*Cluster, error) {
 		c.closeQueues()
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list", cfg.Self)
 	}
-	c.wg.Add(1)
-	go c.drainLoop()
+	c.ensure.Every(0, c.ensureAll)
+	c.drain.MaxBackoff = 16
+	c.drain.Every(cfg.DrainInterval, func(ctx context.Context) error {
+		if replayed, err := c.drainPeers(ctx); replayed == 0 {
+			return err
+		}
+		return nil // progress: the peer is back, whatever stalled after it
+	})
 	return c, nil
 }
 
@@ -240,15 +249,25 @@ func (c *Cluster) pendingHints(id string) int {
 // has not confirmed it yet. It returns immediately; Ensure is the
 // synchronous form.
 func (c *Cluster) ensureDatabase(db string) {
-	if missing := c.unensured(db); len(missing) > 0 {
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			_ = c.Ensure(ctx, db)
-		}()
+	if len(c.unensured(db)) > 0 {
+		c.ensure.Kick()
 	}
+}
+
+// ensureAll is one run of the ensure job: every database the write path
+// has seen, on every member still missing it, 10 s for the lot (what a dead
+// member costs; the next write kicks again).
+func (c *Cluster) ensureAll(ctx context.Context) error {
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	c.ensureMu.Lock()
+	dbs := slices.Collect(maps.Keys(c.ensured))
+	c.ensureMu.Unlock()
+	var err error
+	for _, db := range dbs {
+		err = errors.Join(err, c.Ensure(ctx, db))
+	}
+	return err
 }
 
 func (c *Cluster) unensured(db string) []string {
@@ -301,54 +320,13 @@ func (c *Cluster) Ensure(ctx context.Context, db string) error {
 }
 
 // ---------------------------------------------------------------------------
-// Hint drain loop.
-
-// kickDrain wakes the drain loop early (a write just parked a hint).
-func (c *Cluster) kickDrain() {
-	select {
-	case c.drainKick <- struct{}{}:
-	default:
-	}
-}
-
-// drainLoop retries every peer's hint queue with exponential backoff:
-// base interval after a kick, doubling per consecutive failed round up to
-// 16x while a peer stays down, resetting once a drain makes progress.
-func (c *Cluster) drainLoop() {
-	defer c.wg.Done()
-	backoff := c.cfg.DrainInterval
-	timer := time.NewTimer(backoff)
-	defer timer.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-c.drainKick:
-			backoff = c.cfg.DrainInterval
-		case <-timer.C:
-		}
-		replayed, err := c.drainPeers(context.Background())
-		switch {
-		case replayed > 0 || err == nil:
-			backoff = c.cfg.DrainInterval
-		case backoff < 16*c.cfg.DrainInterval:
-			backoff *= 2
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(backoff)
-	}
-}
+// Hint drain.
 
 // drainPeers is the one drain routine: one round over every peer with
 // pending hints, replaying each queue until it empties or its peer fails
 // again. It returns the batches replayed and the first per-peer failure.
-// The background loop and DrainHints may run it at once; each queue
-// serializes its own drain (hintQueue.drain).
+// The drain job and DrainHints may run it at once; each queue serializes
+// its own drain (hintQueue.drain).
 func (c *Cluster) drainPeers(ctx context.Context) (replayed int, firstErr error) {
 	for _, id := range c.ring.Nodes() {
 		if err := ctx.Err(); err != nil {
@@ -380,7 +358,7 @@ func (c *Cluster) drainPeers(ctx context.Context) (replayed int, firstErr error)
 
 // DrainHints synchronously replays every pending hint, returning the
 // first per-peer failure (nil when all queues emptied). Tests and
-// graceful shutdown use it; production relies on the background loop.
+// graceful shutdown use it; production relies on the drain job.
 func (c *Cluster) DrainHints(ctx context.Context) error {
 	_, err := c.drainPeers(ctx)
 	return err
@@ -406,13 +384,12 @@ func (c *Cluster) closeQueues() {
 	}
 }
 
-// Close stops the drain loop and closes the hint WALs. Pending hints stay
-// on disk and are recovered by the next New with the same HintsDir.
+// Close stops the background jobs, waits for a drain or fan-out in flight
+// (its peer requests are cancelled) and closes the hint WALs. Pending hints
+// stay on disk and are recovered by the next New with the same HintsDir.
 func (c *Cluster) Close() error {
-	c.closeOnce.Do(func() {
-		close(c.done)
-	})
-	c.wg.Wait()
+	c.drain.Stop()
+	c.ensure.Stop()
 	c.closeQueues()
 	return nil
 }
@@ -425,6 +402,7 @@ func (c *Cluster) Close() error {
 // RegisterMetrics adds the cluster series to reg. Call once, before
 // serving.
 func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
+	c.drain.Export(reg.NewJob("hint_drain"))
 	c.fanout.Store(reg.NewHistogram("lms_cluster_fanout_seconds",
 		"Scatter-gather fan-out latency of distributed queries.", nil))
 	reg.NewFunc("lms_cluster_ring_generation",

@@ -179,7 +179,7 @@ func (c *Cluster) writeDB(ctx context.Context, db string, pts []lineproto.Point)
 			n.hintDropped.Add(1)
 			c.logf("cluster: dropping hint for %s (%d points): %v", id, len(sh.pts), herr)
 		} else {
-			c.kickDrain()
+			c.drain.Kick()
 		}
 		hsp.End()
 	}

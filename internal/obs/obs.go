@@ -23,6 +23,10 @@
 // Retry-After instead of letting goroutines and buffers pile up without
 // bound — and every shed is counted, so overload is visible on /metrics
 // rather than silent.
+//
+// And it owns the lifecycle of background work, Job (job.go): every loop of
+// the stack is scheduled, kicked, backed off, stopped-and-waited-for, timed
+// and exported (lms_job_*) there and nowhere else.
 package obs
 
 import (
@@ -51,6 +55,7 @@ type Registry struct {
 	mu      sync.Mutex
 	metrics []metric
 	names   map[string]bool
+	jobs    []*JobStats // job.go: the samples of the lms_job_* families
 }
 
 // NewRegistry returns an empty registry.

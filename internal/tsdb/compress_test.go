@@ -288,7 +288,7 @@ func TestCompressConcurrentWithQueries(t *testing.T) {
 	db := NewDBShards("lms", 4)
 	db.SetQueryCacheTTL(0)
 	db.SetCompressAfter(time.Millisecond)
-	defer db.compTick.stop()
+	defer db.compJob.Stop()
 
 	const writers, batches, per = 4, 30, 20
 	done := make(chan struct{})

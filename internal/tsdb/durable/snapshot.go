@@ -749,13 +749,11 @@ func decodeCompCol(r *batchReader, n int) (CompCol, error) {
 // returned error is nil only once the new checkpoint is durably on disk:
 // temp file written and fsynced, renamed into place, directory synced. A
 // crash anywhere before that last barrier leaves at worst a stray .tmp
-// file and the previous checkpoint intact.
+// file and the previous checkpoint intact. dir is the one OpenWAL made: a
+// checkpoint that finds it gone (DROP DATABASE) fails, it never rebuilds it.
 func WriteSnapshot(fs fsys.FS, dir string, seg int, s *Snapshot) error {
 	if fs == nil {
 		fs = fsys.OS{}
-	}
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
-		return err
 	}
 	payload := appendSnapshot(make([]byte, 0, snapshotSizeHint(s)), s)
 	final := filepath.Join(dir, snapshotName(seg))

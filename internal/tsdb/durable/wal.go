@@ -24,6 +24,7 @@ package durable
 // bad frame rather than guess at the integrity of what follows.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/fsys"
+	"repro/internal/obs"
 )
 
 const (
@@ -82,9 +84,9 @@ type WAL struct {
 	syncedSeq int64 // guarded by mu
 	syncMu    sync.Mutex
 
-	stopSync sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	// syncJob is the FsyncEveryInterval background syncer; Close and Abort
+	// stop it and wait before they touch the segment.
+	syncJob obs.Job
 }
 
 // OpenWAL opens (or creates) the log in dir. Segments below floor are
@@ -120,7 +122,7 @@ func OpenWAL(dir string, floor int, o Options, fn func(payload []byte) error) (*
 	}
 	sort.Ints(segs)
 
-	w := &WAL{dir: dir, opts: o, fs: o.FS, sizes: make(map[int]int64), stop: make(chan struct{})}
+	w := &WAL{dir: dir, opts: o, fs: o.FS, sizes: make(map[int]int64)}
 	for i, idx := range segs {
 		size, ok, err := w.replaySegment(idx, fn)
 		if err != nil {
@@ -160,8 +162,7 @@ func OpenWAL(dir string, floor int, o Options, fn func(payload []byte) error) (*
 		return nil, err
 	}
 	if o.Fsync == FsyncEveryInterval {
-		w.wg.Add(1)
-		go w.syncLoop()
+		w.syncJob.Every(o.FsyncInterval, w.syncDirty)
 	}
 	return w, nil
 }
@@ -528,14 +529,9 @@ func (w *WAL) SegmentPath(idx int) string {
 	return filepath.Join(w.dir, segmentName(idx))
 }
 
-func (w *WAL) stopSyncLoop() {
-	w.stopSync.Do(func() { close(w.stop) })
-	w.wg.Wait()
-}
-
 // Close syncs outstanding records and closes the log.
 func (w *WAL) Close() error {
-	w.stopSyncLoop()
+	w.syncJob.Stop()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -559,7 +555,7 @@ func (w *WAL) Close() error {
 // process had died. Crash-recovery tests and benchmarks use it in place
 // of Close.
 func (w *WAL) Abort() {
-	w.stopSyncLoop()
+	w.syncJob.Stop()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -572,29 +568,24 @@ func (w *WAL) Abort() {
 	_ = w.f.Close()
 }
 
-// syncLoop is the FsyncEveryInterval background syncer.
-func (w *WAL) syncLoop() {
-	defer w.wg.Done()
-	t := time.NewTicker(w.opts.FsyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-t.C:
-			w.mu.Lock()
-			if w.dirty && !w.closed {
-				if err := w.syncFile(w.f); err != nil {
-					// The documented loss bound is one interval; a disk
-					// that stops syncing must seal the log so appends
-					// start failing, not silently widen the window.
-					w.sealLocked("fsync", err)
-				} else {
-					w.dirty = false
-					w.syncedSeq = w.writeSeq
-				}
-			}
-			w.mu.Unlock()
-		}
+// syncDirty is one run of the FsyncEveryInterval syncer. The documented
+// loss bound is one interval (plus one fsync); a disk that stops syncing
+// must seal the log so appends start failing, not silently widen the
+// window.
+func (w *WAL) syncDirty(context.Context) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.dirty || w.closed {
+		return nil
 	}
+	if err := w.syncFile(w.f); err != nil {
+		return w.sealLocked("fsync", err)
+	}
+	w.dirty = false
+	w.syncedSeq = w.writeSeq
+	return nil
 }
+
+// ExportSync counts the interval syncer's runs into s (the wal_sync job of
+// /metrics).
+func (w *WAL) ExportSync(s *obs.JobStats) { w.syncJob.Export(s) }

@@ -12,6 +12,9 @@ package tsdb
 //   - lms_wal_fsync_seconds: latency of every WAL fsync (group commits,
 //     interval syncs, rotations, Close), via durable.Options.SyncObserver;
 //   - lms_checkpoints_total: completed columnar checkpoints;
+//   - lms_job_*{job}: runs, failures, time spent and last success of the
+//     background jobs (retention, compaction, checkpoint, wal_sync), counted
+//     by the one lifecycle they all run on (obs.Job) over every database;
 //   - lms_query_seconds + lms_slow_queries_total: /query handler latency
 //     and the slow-query log counter (Handler.SlowQueryThreshold);
 //   - lms_http_requests_shed_total, lms_http_inflight_requests/bytes:
@@ -48,6 +51,8 @@ type Metrics struct {
 	WALFsync      *obs.Histogram
 	QuerySeconds  *obs.Histogram
 
+	jobRetention, jobCompaction, jobCheckpoint, jobWALSync *obs.JobStats
+
 	// gate is the ingest admission gate installed by Handler.SetAdmission;
 	// the shed/in-flight Func metrics sample it at scrape time.
 	gate atomic.Pointer[obs.Gate]
@@ -72,6 +77,10 @@ func newMetrics(s *Store) *Metrics {
 		SlowQueries:   reg.NewCounter("lms_slow_queries_total", "Queries slower than the slow-query threshold."),
 		WALFsync:      reg.NewHistogram("lms_wal_fsync_seconds", "WAL fsync latency.", nil),
 		QuerySeconds:  reg.NewHistogram("lms_query_seconds", "/query request latency.", nil),
+		jobRetention:  reg.NewJob("retention"),
+		jobCompaction: reg.NewJob("compaction"),
+		jobCheckpoint: reg.NewJob("checkpoint"),
+		jobWALSync:    reg.NewJob("wal_sync"),
 	}
 	reg.NewFunc("lms_http_requests_shed_total", "Ingest requests shed with 429 by the admission gate.", "counter",
 		func(emit func(string, float64)) {
@@ -188,6 +197,19 @@ func (db *DB) traceRing() *obs.TraceRing {
 }
 
 // --- DB-side hooks (nil-safe: standalone DBs carry no bundle) -------------
+
+// attachMetrics publishes a store's bundle onto db: the write-path hooks
+// read the pointer per observation, the background jobs count into the
+// bundle's lms_job_* series from their next run on.
+func (db *DB) attachMetrics(m *Metrics) {
+	db.metrics.Store(m)
+	db.retJob.Export(m.jobRetention)
+	db.compJob.Export(m.jobCompaction)
+	if db.dur != nil {
+		db.dur.ckptJob.Export(m.jobCheckpoint)
+		db.dur.wal.ExportSync(m.jobWALSync)
+	}
+}
 
 // noteIngest counts an acknowledged batch.
 func (db *DB) noteIngest(points int) {

@@ -102,10 +102,12 @@ type durability struct {
 	// the batches in the segments it covers.
 	gate sync.RWMutex
 	// ckptMu serializes whole checkpoint operations.
-	ckptMu     sync.Mutex
-	ckptFlight atomic.Bool
-	lastCkpt   atomic.Int64 // unix ns of the last completed checkpoint
-	lastTry    atomic.Int64 // unix ns of the last background attempt (retry backoff)
+	ckptMu   sync.Mutex
+	lastCkpt atomic.Int64 // unix ns of the last completed checkpoint
+	// ckptJob runs the background checkpoints, kicked by WAL growth and by
+	// retention drops. A failed one leaves the WAL intact, so no data is at
+	// risk; the next trigger past the floor (or Close) retries.
+	ckptJob obs.Job
 }
 
 // ckptRetryBackoff is the floor between background checkpoint attempts:
@@ -138,38 +140,18 @@ func (d *durability) writeDurable(ctx context.Context, db *DB, fb *frameBatch) e
 		return fmt.Errorf("tsdb: WAL append: %w", err)
 	}
 	if d.wal.TotalSize() >= d.opts.CheckpointBytes {
-		d.asyncCheckpoint(db)
+		d.ckptJob.Kick()
 	}
 	return nil
-}
-
-// asyncCheckpoint starts a background checkpoint unless one is already in
-// flight or one was attempted within the retry backoff. A failed
-// background checkpoint leaves the WAL intact, so no data is at risk; the
-// next trigger past the backoff (or Close) retries.
-func (d *durability) asyncCheckpoint(db *DB) {
-	now := time.Now().UnixNano()
-	last := d.lastTry.Load()
-	if now-last < int64(ckptRetryBackoff) || !d.lastTry.CompareAndSwap(last, now) {
-		return
-	}
-	if !d.ckptFlight.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer d.ckptFlight.Store(false)
-		_ = db.Checkpoint()
-	}()
 }
 
 // noteRetentionDrop is called after a retention sweep removed rows:
 // schedule a checkpoint so the expired rows leave the disk too, rate
 // limited so steady ingest with retention does not checkpoint every sweep.
-func (d *durability) noteRetentionDrop(db *DB) {
-	if time.Now().UnixNano()-d.lastCkpt.Load() < int64(d.opts.RetentionCheckpointEvery) {
-		return
+func (d *durability) noteRetentionDrop() {
+	if time.Now().UnixNano()-d.lastCkpt.Load() >= int64(d.opts.RetentionCheckpointEvery) {
+		d.ckptJob.Kick()
 	}
-	d.asyncCheckpoint(db)
 }
 
 // Checkpoint writes the database's current state to a fresh checkpoint
@@ -229,45 +211,44 @@ func (db *DB) WALSealed() error {
 	return db.dur.wal.Sealed()
 }
 
-// Close stops the retention ticker and, for a durable database, writes a
+// Close stops the background jobs and, for a durable database, writes a
 // final checkpoint and closes the WAL. Further writes return ErrDBClosed.
 // Closing twice is safe.
 func (db *DB) Close() error {
-	return db.closeInternal(true)
+	if !db.shut() || db.dur == nil {
+		return nil
+	}
+	err := db.Checkpoint()
+	if cerr := db.dur.wal.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Abort closes a durable database the hard way: no final checkpoint, no
 // fsync — exactly the state a process crash would leave behind. The
 // crash-recovery tests and benchmarks reopen the data directory after
-// calling it.
+// calling it; DROP DATABASE removes the directory after calling it.
 func (db *DB) Abort() {
-	if !db.closed.CompareAndSwap(false, true) {
-		return
-	}
-	db.retTick.stop()
-	db.compTick.stop()
-	if db.dur != nil {
+	if db.shut() && db.dur != nil {
 		db.dur.wal.Abort()
 	}
 }
 
-func (db *DB) closeInternal(checkpoint bool) error {
+// shut marks the database closed — false if it was already — and stops its
+// background jobs, waiting for the runs in flight (the sweeps first, a
+// sweep may kick a checkpoint): whoever closes the WAL or removes the
+// directory next is alone with it.
+func (db *DB) shut() bool {
 	if !db.closed.CompareAndSwap(false, true) {
-		return nil
+		return false
 	}
-	db.retTick.stop()
-	db.compTick.stop()
-	if db.dur == nil {
-		return nil
+	db.retJob.Stop()
+	db.compJob.Stop()
+	if db.dur != nil {
+		db.dur.ckptJob.Stop()
 	}
-	var err error
-	if checkpoint {
-		err = db.Checkpoint()
-	}
-	if cerr := db.dur.wal.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return true
 }
 
 // dbDirName maps a database name to its directory name under the data
@@ -331,8 +312,10 @@ func openDurableDB(name string, shards int, opts Durability) (*DB, error) {
 	}
 	db.dur = &durability{dir: dir, opts: opts, wal: wal}
 	db.dur.lastCkpt.Store(time.Now().UnixNano())
+	db.dur.ckptJob.Floor = ckptRetryBackoff
+	db.dur.ckptJob.Every(0, func(context.Context) error { return db.Checkpoint() })
 	// Recovery resumes the stream clock: the downtime does not count as
-	// idle time for the retention ticker (SetRetention).
+	// idle time for the retention sweep (SetRetention).
 	db.lastWrite.Store(time.Now().UnixNano())
 	return db, nil
 }
@@ -546,7 +529,7 @@ func (s *Store) openLocked(name string) (*DB, error) {
 	if s.CompressAfter > 0 {
 		db.SetCompressAfter(s.CompressAfter)
 	}
-	db.metrics.Store(s.metrics)
+	db.attachMetrics(s.metrics)
 	s.dbs[name] = db
 	return db, nil
 }

@@ -150,7 +150,7 @@ func (s *Store) CreateDatabase(name string) *DB {
 func (s *Store) Attach(db *DB) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	db.metrics.Store(s.metrics)
+	db.attachMetrics(s.metrics)
 	s.dbs[db.name] = db
 }
 
@@ -165,7 +165,8 @@ func (s *Store) DB(name string) *DB {
 // on-disk directory when the store is durable. The store lock is held
 // across the close and directory removal: a concurrent auto-create of
 // the same name must not re-open the directory only to have its live
-// WAL deleted from under it.
+// WAL deleted from under it. The close waits for a checkpoint in flight,
+// so nothing writes into the directory after it is gone.
 func (s *Store) DropDatabase(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -174,7 +175,7 @@ func (s *Store) DropDatabase(name string) {
 	if db == nil {
 		return
 	}
-	_ = db.closeInternal(false)
+	db.Abort()
 	if db.dur != nil {
 		_ = os.RemoveAll(db.dur.dir)
 	}
@@ -212,12 +213,12 @@ type DB struct {
 	// publish a bundle onto a DB that is already serving writes.
 	metrics atomic.Pointer[Metrics]
 
-	// Background maintenance loops (ticker below). retTick sweeps retention
-	// (SetRetention), so expired data ages out of an idle database too;
-	// compTick re-encodes sealed runs that have gone idle into compressed
-	// chunks (SetCompressAfter, compress.go).
-	retTick  ticker
-	compTick ticker
+	// Background maintenance (obs.Job; Close and Abort stop and wait for
+	// both). retJob sweeps retention (SetRetention), so expired data ages
+	// out of an idle database too; compJob re-encodes sealed runs that have
+	// gone idle into compressed chunks (SetCompressAfter, compress.go).
+	retJob  obs.Job
+	compJob obs.Job
 
 	// Read path (select.go, cache.go). queryWorkers bounds the phase-2
 	// fan-out of Select; qsem is the shared slot pool sized to it.
@@ -317,95 +318,58 @@ func shardIndex[S string | []byte](measurement S, n int) int {
 	return int(h % uint32(n))
 }
 
-// ticker is the lifecycle of one background maintenance loop of a DB:
-// restarted whenever its window is reconfigured, stopped for good when the
-// database closes.
-type ticker struct {
-	mu      sync.Mutex
-	done    chan struct{} // stop channel of the running loop, nil when none runs
-	stopped bool          // the DB closed: restart no longer starts anything
-}
-
-// restart replaces the running loop, if any, with one calling fn every
-// half window, so work is done within ~1.5x the window of becoming due;
-// the period is clamped to [10ms, 1s] (tests use tiny windows). window <= 0
-// only halts the loop.
-func (t *ticker) restart(window time.Duration, fn func()) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.done != nil {
-		close(t.done)
-		t.done = nil
+// sweepPeriod is how often a window-driven maintenance job runs: every
+// half window, so work is done within ~1.5x the window of becoming due,
+// clamped to [10ms, 1s] (tests use tiny windows). window <= 0 halts it.
+func sweepPeriod(window time.Duration) time.Duration {
+	if window <= 0 {
+		return 0
 	}
-	if window <= 0 || t.stopped {
-		return
-	}
-	period := min(max(window/2, 10*time.Millisecond), time.Second)
-	done := make(chan struct{})
-	t.done = done
-	go func() {
-		tk := time.NewTicker(period)
-		defer tk.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tk.C:
-				fn()
-			}
-		}
-	}()
-}
-
-// stop halts the loop for good (Close/Abort): a restart racing the close
-// is serialized by mu and finds stopped set, so no loop outlives the DB.
-func (t *ticker) stop() {
-	t.mu.Lock()
-	t.stopped = true
-	t.mu.Unlock()
-	t.restart(0, nil)
+	return min(max(window/2, 10*time.Millisecond), time.Second)
 }
 
 // SetRetention configures the retention window: points older than d
-// relative to the newest inserted point are dropped by a background ticker
-// (period d/2, clamped to [10ms, 1s]; stopped by Close) — the one trigger,
+// relative to the newest inserted point are dropped by a background job
+// (sweepPeriod; stopped by Close) — the one trigger,
 // whether the database is ingesting or idle. The cutoff anchor is the
 // newest point advanced by the wall-clock time elapsed since the last
 // write — an idle database keeps aging as if its stream clock kept
 // running — rather than the wall clock outright, so historical data
 // (simulation dumps, backfills, the 2017-era corpora of this repo) keeps
 // its retention window anchored at its own newest point. Zero disables
-// pruning and stops the ticker.
+// pruning and halts the job.
 func (db *DB) SetRetention(d time.Duration) {
 	db.retention.Store(int64(d))
-	db.retTick.restart(d, db.pruneTick)
+	db.retJob.Every(sweepPeriod(d), db.pruneTick)
 }
 
-// pruneTick is the ticker-driven retention sweep (see SetRetention).
-func (db *DB) pruneTick() {
+// pruneTick is the timed retention sweep (see SetRetention).
+func (db *DB) pruneTick(context.Context) error {
 	ret := db.retention.Load()
 	if ret <= 0 {
-		return
+		return nil
 	}
 	anchor := db.newest.Load()
 	if anchor == 0 {
-		return // nothing ever written or recovered
+		return nil // nothing ever written or recovered
 	}
 	if idle := time.Now().UnixNano() - db.lastWrite.Load(); idle > 0 {
 		anchor += idle
 	}
 	db.pruneNow(anchor - ret)
+	return nil
 }
 
 // SetCompressAfter configures the compressed run state (DESIGN.md §13):
-// a background ticker re-encodes sealed runs that have gone d without a
+// a background job re-encodes sealed runs that have gone d without a
 // mutation into Gorilla-style compressed chunks (compress.go), cutting
 // their resident footprint several-fold while queries stay
-// byte-identical. Zero disables the compactor and stops the ticker;
+// byte-identical. Zero disables the compactor and halts the job;
 // already-compressed runs stay compressed.
 func (db *DB) SetCompressAfter(d time.Duration) {
-	db.compTick.restart(d, func() {
+	db.compJob.Every(sweepPeriod(d), func(context.Context) error {
 		db.compressNow(time.Now().UnixNano()-int64(d), true)
+		return nil
 	})
 }
 
@@ -933,7 +897,7 @@ func (db *DB) pruneNow(beforeNS int64) {
 	}
 	db.globalGen.Add(1)
 	if db.dur != nil {
-		db.dur.noteRetentionDrop(db)
+		db.dur.noteRetentionDrop()
 	}
 }
 

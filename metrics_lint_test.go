@@ -202,13 +202,23 @@ func TestMetricsLint(t *testing.T) {
 		return string(body)
 	}
 
-	dbNames := lintPromText(t, "lms-db", scrape(dbSrv.URL))
+	dbScrape := scrape(dbSrv.URL)
+	dbNames := lintPromText(t, "lms-db", dbScrape)
 	for _, want := range []string{
 		"lms_ingest_points_total", "lms_query_seconds", "lms_http_requests_shed_total",
 		"lms_cluster_nodes", "lms_db_points", "lms_wal_fsync_seconds",
+		"lms_job_runs_total", "lms_job_failures_total", "lms_job_run_seconds_total",
+		"lms_job_last_success_timestamp_seconds",
 	} {
 		if !dbNames[want] {
 			t.Fatalf("lms-db scrape missing %s (have %v)", want, dbNames)
+		}
+	}
+	// Every background job is one series per family, labelled by job alone:
+	// the store's four and, registered into the same registry, the cluster's.
+	for _, job := range []string{"retention", "compaction", "checkpoint", "wal_sync", "hint_drain"} {
+		if want := `lms_job_runs_total{job="` + job + `"} `; strings.Count(dbScrape, want) != 1 {
+			t.Errorf("lms-db scrape: want exactly one %s sample", want)
 		}
 	}
 
