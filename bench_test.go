@@ -78,9 +78,10 @@ func BenchmarkE1_EndToEndPipeline(b *testing.B) {
 
 // --- E2: Fig. 2, online job evaluation ------------------------------------
 
-func seedEvaluationDB(b *testing.B, nodes, minutes int) (*tsdb.DB, analysis.JobMeta) {
+func seedEvaluationDB(b *testing.B, nodes, minutes int) (*tsdb.Store, analysis.JobMeta) {
 	b.Helper()
-	db := tsdb.NewDB("lms")
+	store := tsdb.NewStore()
+	db := store.CreateDatabase("lms")
 	start := time.Unix(0, 0).UTC()
 	meta := analysis.JobMeta{ID: "e2", User: "u", Start: start, End: start.Add(time.Duration(minutes) * time.Minute)}
 	for n := 0; n < nodes; n++ {
@@ -88,7 +89,7 @@ func seedEvaluationDB(b *testing.B, nodes, minutes int) (*tsdb.DB, analysis.JobM
 		meta.Nodes = append(meta.Nodes, host)
 		for i := 0; i < minutes; i++ {
 			ts := start.Add(time.Duration(i) * time.Minute)
-			err := db.WritePoints([]lineproto.Point{
+			err := db.WriteBatchContext(context.Background(), []lineproto.Point{
 				{
 					Measurement: "likwid_mem_dp",
 					Tags:        map[string]string{"hostname": host},
@@ -111,7 +112,15 @@ func seedEvaluationDB(b *testing.B, nodes, minutes int) (*tsdb.DB, analysis.JobM
 			}
 		}
 	}
-	return db, meta
+	return store, meta
+}
+
+// newBenchDB builds database "lms" in a fresh in-memory store whose
+// databases have the given shard count (0 = one per CPU).
+func newBenchDB(shards int) *tsdb.DB {
+	store := tsdb.NewStore()
+	store.ShardsPerDB = shards
+	return store.CreateDatabase("lms")
 }
 
 // BenchmarkE2_JobEvaluation measures the cost of computing the Fig. 2
@@ -119,8 +128,8 @@ func seedEvaluationDB(b *testing.B, nodes, minutes int) (*tsdb.DB, analysis.JobM
 // 4-node, 2-hour job at 1-minute sampling — the work done every time a
 // dashboard is loaded.
 func BenchmarkE2_JobEvaluation(b *testing.B) {
-	db, meta := seedEvaluationDB(b, 4, 120)
-	ev := &analysis.Evaluator{Querier: tsdb.QuerierFor(db), Database: db.Name(), PeakMemBWMBs: 120000, PeakDPMFlops: 500000}
+	store, meta := seedEvaluationDB(b, 4, 120)
+	ev := &analysis.Evaluator{Querier: tsdb.LocalQuerier{Store: store}, Database: "lms", PeakMemBWMBs: 120000, PeakDPMFlops: 500000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := ev.Evaluate(meta)
@@ -139,7 +148,7 @@ func BenchmarkE2_JobEvaluation(b *testing.B) {
 // one 100-iteration sample block of miniMD: model state, buffered client,
 // line-protocol encoding, router ingest, database insert.
 func BenchmarkE3_MiniMDMonitoring(b *testing.B) {
-	db := tsdb.NewDB("lms")
+	db := tsdb.NewStore().CreateDatabase("lms")
 	rt, err := router.New(router.Config{Primary: router.LocalSink{DB: db}})
 	if err != nil {
 		b.Fatal(err)
@@ -282,10 +291,10 @@ func BenchmarkO1_RouterThroughput(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			db := tsdb.NewDB("lms")
+			db := tsdb.NewStore().CreateDatabase("lms")
 			cfg := router.Config{Primary: router.LocalSink{DB: db}}
 			if c.dup {
-				udb := tsdb.NewDB("user")
+				udb := tsdb.NewStore().CreateDatabase("user")
 				cfg.UserSink = func(string) router.Sink { return router.LocalSink{DB: udb} }
 			}
 			if c.publish {
@@ -403,11 +412,11 @@ func BenchmarkO2_BatchedVsSingle(b *testing.B) {
 // duplicate-point semantics, no run churn. In-order ingest — rising
 // timestamps, the realistic agent pattern — is BenchmarkO3_TSDBWriteInOrder.
 func BenchmarkO3_TSDBWrite(b *testing.B) {
-	db := tsdb.NewDB("lms")
+	db := tsdb.NewStore().CreateDatabase("lms")
 	batch := routerBatch(100, "h1")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := db.WritePoints(batch); err != nil {
+		if err := db.WriteBatchContext(context.Background(), batch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -420,7 +429,7 @@ func BenchmarkO3_TSDBWrite(b *testing.B) {
 // workload whose allocs/op the columnar builders and the series-key cache
 // are meant to shrink (EXPERIMENTS.md, experiment O3).
 func BenchmarkO3_TSDBWriteInOrder(b *testing.B) {
-	db := tsdb.NewDB("lms")
+	db := tsdb.NewStore().CreateDatabase("lms")
 	batch := routerBatch(100, "h1")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -428,7 +437,7 @@ func BenchmarkO3_TSDBWriteInOrder(b *testing.B) {
 		for k := range batch {
 			batch[k].Time = base.Add(time.Duration(k) * time.Second)
 		}
-		if err := db.WritePoints(batch); err != nil {
+		if err := db.WriteBatchContext(context.Background(), batch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -454,7 +463,7 @@ func BenchmarkO3_TSDBMemoryFootprint(b *testing.B) {
 		runtime.ReadMemStats(&before)
 		b.StartTimer()
 
-		db := tsdb.NewDBShards("lms", 4)
+		db := newBenchDB(4)
 		pts := make([]lineproto.Point, perB)
 		for wrote := 0; wrote < points; wrote += perB {
 			for k := range pts {
@@ -469,7 +478,7 @@ func BenchmarkO3_TSDBMemoryFootprint(b *testing.B) {
 					Time: time.Unix(int64(n/series), int64(n%series)),
 				}
 			}
-			if err := db.WriteBatch(pts); err != nil {
+			if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -496,13 +505,13 @@ func BenchmarkO3_TSDBMemoryFootprint(b *testing.B) {
 // over independent locks and throughput scales with cores instead of
 // serializing behind one database mutex.
 func BenchmarkO3_TSDBWriteParallel(b *testing.B) {
-	db := tsdb.NewDB("lms") // default shard count = GOMAXPROCS
+	db := tsdb.NewStore().CreateDatabase("lms") // default shard count = GOMAXPROCS
 	var writer atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		id := writer.Add(1)
 		batch := measurementBatch(100, fmt.Sprintf("cpu%02d", id), "h1")
 		for pb.Next() {
-			if err := db.WriteBatch(batch); err != nil {
+			if err := db.WriteBatchContext(context.Background(), batch); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -514,13 +523,13 @@ func BenchmarkO3_TSDBWriteParallel(b *testing.B) {
 // parallel workload forced onto one shard, i.e. the pre-sharding lock
 // layout.
 func BenchmarkO3_TSDBWriteParallelSingleShard(b *testing.B) {
-	db := tsdb.NewDBShards("lms", 1)
+	db := newBenchDB(1)
 	var writer atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		id := writer.Add(1)
 		batch := measurementBatch(100, fmt.Sprintf("cpu%02d", id), "h1")
 		for pb.Next() {
-			if err := db.WriteBatch(batch); err != nil {
+			if err := db.WriteBatchContext(context.Background(), batch); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -533,7 +542,8 @@ func BenchmarkO3_TSDBWriteParallelSingleShard(b *testing.B) {
 // aggregation engine itself is measured (BenchmarkQ3_SelectCachedRefresh
 // covers the cached path).
 func BenchmarkO3_TSDBQueryWindowed(b *testing.B) {
-	db, meta := seedEvaluationDB(b, 4, 120)
+	store, meta := seedEvaluationDB(b, 4, 120)
+	db := store.DB("lms")
 	db.SetQueryCacheTTL(0)
 	q := tsdb.Query{
 		Measurement: "likwid_mem_dp",
@@ -545,7 +555,7 @@ func BenchmarkO3_TSDBQueryWindowed(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Select(q)
+		res, err := db.SelectContext(context.Background(), q)
 		if err != nil || len(res) != 4 {
 			b.Fatal(err)
 		}
@@ -567,7 +577,7 @@ func BenchmarkO3_TSDBQueryInfluxQL(b *testing.B) {
 		for k := range batch {
 			batch[k].Time = base.Add(time.Duration(k) * time.Second)
 		}
-		if err := db.WritePoints(batch); err != nil {
+		if err := db.WriteBatchContext(context.Background(), batch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -594,7 +604,7 @@ func loadFootprintDB(b *testing.B, points int) *tsdb.DB {
 		perB   = 1000
 		series = 4
 	)
-	db := tsdb.NewDBShards("lms", 4)
+	db := newBenchDB(4)
 	pts := make([]lineproto.Point, perB)
 	for wrote := 0; wrote < points; wrote += perB {
 		for k := range pts {
@@ -609,7 +619,7 @@ func loadFootprintDB(b *testing.B, points int) *tsdb.DB {
 				Time: time.Unix(int64(n/series), int64(n%series)),
 			}
 		}
-		if err := db.WriteBatch(pts); err != nil {
+		if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -645,7 +655,7 @@ func BenchmarkC2_CompressedSelect(b *testing.B) {
 	q := tsdb.Query{Measurement: "cpu", Cols: []tsdb.AggCol{{Field: "value", Agg: tsdb.AggMean}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Select(q)
+		res, err := db.SelectContext(context.Background(), q)
 		if err != nil || len(res) != 1 {
 			b.Fatal(err, res)
 		}
@@ -717,7 +727,7 @@ func benchCompressedStoreDir(b *testing.B, points int) (string, int64) {
 				Time: time.Unix(int64(n/series), int64(n%series)),
 			}
 		}
-		if err := db.WriteBatch(pts); err != nil {
+		if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -938,13 +948,15 @@ func BenchmarkO6_HPMFormulaEval(b *testing.B) {
 
 // --- Q: query path (DESIGN.md §4/§6) ----------------------------------------
 
-// seedQueryDB fills an n-shard DB with 8 measurements x 4 hostname series
+// seedQueryStore fills an n-shard database "lms" with 8 measurements x 4 hostname series
 // x 7200 points: the queried measurement carries the shape of an 8-hour
 // job at 4-second sampling, heavy enough that the aggregation engine (not
 // goroutine scheduling) dominates the mixed benchmark below.
-func seedQueryDB(b *testing.B, shards int) *tsdb.DB {
+func seedQueryStore(b *testing.B, shards int) *tsdb.Store {
 	b.Helper()
-	db := tsdb.NewDBShards("lms", shards)
+	store := tsdb.NewStore()
+	store.ShardsPerDB = shards
+	db := store.CreateDatabase("lms")
 	for m := 0; m < 8; m++ {
 		for h := 0; h < 4; h++ {
 			pts := make([]lineproto.Point, 0, 7200)
@@ -956,12 +968,12 @@ func seedQueryDB(b *testing.B, shards int) *tsdb.DB {
 					Time:        time.Unix(int64(i*4+h), 0),
 				})
 			}
-			if err := db.WriteBatch(pts); err != nil {
+			if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	return db
+	return store
 }
 
 var windowQuery = tsdb.Query{
@@ -984,7 +996,7 @@ var windowQuery = tsdb.Query{
 // the readers were aggregating. The cache is disabled so the engine itself
 // is measured (BenchmarkQ3 measures the cache).
 func BenchmarkQ1_SelectWindowParallel(b *testing.B) {
-	db := seedQueryDB(b, 8)
+	db := seedQueryStore(b, 8).DB("lms")
 	db.SetQueryCacheTTL(0)
 	const writers, readers = 4, 2
 	var off atomic.Int64
@@ -1011,7 +1023,7 @@ func BenchmarkQ1_SelectWindowParallel(b *testing.B) {
 					}
 				}
 				t0 := time.Now()
-				if err := db.WriteBatch(pts); err != nil {
+				if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 					b.Error(err)
 					return
 				}
@@ -1028,7 +1040,7 @@ func BenchmarkQ1_SelectWindowParallel(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := db.Select(windowQuery); err != nil {
+				if _, err := db.SelectContext(context.Background(), windowQuery); err != nil {
 					b.Error(err)
 				}
 			}()
@@ -1046,7 +1058,7 @@ func BenchmarkQ1_SelectWindowParallel(b *testing.B) {
 // copied every row before truncating; phase 1 now clamps the snapshot to
 // the limit.
 func BenchmarkQ2_SelectRawLimit(b *testing.B) {
-	db := tsdb.NewDB("lms")
+	db := tsdb.NewStore().CreateDatabase("lms")
 	db.SetQueryCacheTTL(0)
 	pts := make([]lineproto.Point, 0, 100000)
 	for i := 0; i < 100000; i++ {
@@ -1057,13 +1069,13 @@ func BenchmarkQ2_SelectRawLimit(b *testing.B) {
 			Time:        time.Unix(int64(i), 0),
 		})
 	}
-	if err := db.WriteBatch(pts); err != nil {
+	if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 		b.Fatal(err)
 	}
 	q := tsdb.Query{Measurement: "raw", Limit: 10}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Select(q)
+		res, err := db.SelectContext(context.Background(), q)
 		if err != nil || len(res[0].Rows) != 10 {
 			b.Fatal(err)
 		}
@@ -1074,11 +1086,11 @@ func BenchmarkQ2_SelectRawLimit(b *testing.B) {
 // refresh pattern: the identical windowed query re-issued inside the cache
 // TTL, served from the query-result cache.
 func BenchmarkQ3_SelectCachedRefresh(b *testing.B) {
-	db := seedQueryDB(b, 8)
+	db := seedQueryStore(b, 8).DB("lms")
 	db.SetQueryCacheTTL(time.Hour)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Select(windowQuery); err != nil {
+		if _, err := db.SelectContext(context.Background(), windowQuery); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1097,8 +1109,7 @@ func BenchmarkQ3_SelectCachedRefresh(b *testing.B) {
 // gap between the two is the price of scale-out per panel refresh. The
 // cache is disabled so the full path is measured every iteration.
 func BenchmarkQ4_RemoteQuery(b *testing.B) {
-	store := tsdb.NewStore()
-	store.Attach(seedQueryDB(b, 8))
+	store := seedQueryStore(b, 8)
 	store.DB("lms").SetQueryCacheTTL(0)
 	stmt := tsdb.SelectStatement(tsdb.Query{
 		Measurement: windowQuery.Measurement,
@@ -1207,7 +1218,7 @@ func BenchmarkD2_IngestDurable(b *testing.B) {
 	run := func(b *testing.B, db *tsdb.DB) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := db.WriteBatch(durBatch(i)); err != nil {
+			if err := db.WriteBatchContext(context.Background(), durBatch(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1215,7 +1226,7 @@ func BenchmarkD2_IngestDurable(b *testing.B) {
 		b.ReportMetric(float64(100*b.N)/b.Elapsed().Seconds(), "points/s")
 	}
 	b.Run("volatile", func(b *testing.B) {
-		db := tsdb.NewDB("bench")
+		db := tsdb.NewStore().CreateDatabase("bench")
 		defer db.Close()
 		run(b, db)
 	})
@@ -1266,7 +1277,7 @@ func BenchmarkD3_Recovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < batches; i++ {
-			if err := db.WriteBatch(durBatch(i)); err != nil {
+			if err := db.WriteBatchContext(context.Background(), durBatch(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1414,7 +1425,7 @@ func BenchmarkT1_TracingOff(b *testing.B) {
 		b.Fatalf("disabled tracing allocates: %v allocs/op", allocs)
 	}
 
-	db := seedQueryDB(b, 8)
+	db := seedQueryStore(b, 8).DB("lms")
 	db.SetQueryCacheTTL(time.Hour)
 	if _, err := db.SelectContext(ctx, windowQuery); err != nil {
 		b.Fatal(err)

@@ -202,7 +202,7 @@ func dumpDB(db *tsdb.DB, path string) error {
 	}
 	defer f.Close()
 	for _, meas := range db.Measurements() {
-		series, err := db.Select(tsdb.Query{Measurement: meas, GroupByTags: db.TagKeys(meas)})
+		series, err := db.SelectContext(context.Background(), tsdb.Query{Measurement: meas, GroupByTags: db.TagKeys(meas)})
 		if err != nil {
 			return err
 		}

@@ -55,7 +55,7 @@ func main() {
 	fmt.Print(text)
 
 	// The same data, queried the way a Grafana panel would.
-	res, err := stack.DB.Select(tsdb.Query{
+	res, err := stack.DB.SelectContext(context.Background(), tsdb.Query{
 		Measurement: "minimd",
 		Cols:        []tsdb.AggCol{{Field: "pressure", Agg: tsdb.AggMean}},
 		Filter:      tsdb.TagFilter{"jobid": "1234.master"},

@@ -9,9 +9,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"time"
 
 	lms "repro"
 	"repro/internal/analysis"
@@ -52,7 +52,7 @@ func main() {
 	// The Fig. 4 timeline: per-host DP FP rate and memory bandwidth.
 	fmt.Println()
 	for _, field := range []string{"dp_mflop_s", "memory_bandwidth_mbytes_s"} {
-		res, err := stack.DB.Select(tsdb.Query{
+		res, err := stack.DB.SelectContext(context.Background(), tsdb.Query{
 			Measurement: "likwid_mem_dp",
 			Cols:        []tsdb.AggCol{{Field: field}},
 			Filter:      tsdb.TagFilter{"jobid": "4711.master"},
@@ -88,7 +88,7 @@ func main() {
 }
 
 func jobSeries(stack *lms.Stack, meta lms.JobMeta, node string) []analysis.TimedValue {
-	res, err := stack.DB.Select(tsdb.Query{
+	res, err := stack.DB.SelectContext(context.Background(), tsdb.Query{
 		Measurement: "likwid_mem_dp",
 		Cols:        []tsdb.AggCol{{Field: "dp_mflop_s"}},
 		Filter:      tsdb.TagFilter{"hostname": node},
@@ -102,6 +102,5 @@ func jobSeries(stack *lms.Stack, meta lms.JobMeta, node string) []analysis.Timed
 	for _, r := range res[0].Rows {
 		out = append(out, analysis.TimedValue{T: r.Time, V: r.Values[0].FloatVal()})
 	}
-	_ = time.Second
 	return out
 }

@@ -15,7 +15,7 @@ import (
 // the hostnames of series tagged with the job id come back — not every
 // host the database has ever seen.
 func TestDiscoverJobNodesScopedByJob(t *testing.T) {
-	db := tsdb.NewDB("lms")
+	db, ev := newEvaluator()
 	ts := time.Unix(1000, 0)
 	write := func(meas, host, jobid string) {
 		t.Helper()
@@ -23,12 +23,12 @@ func TestDiscoverJobNodesScopedByJob(t *testing.T) {
 		if jobid != "" {
 			tags["jobid"] = jobid
 		}
-		if err := db.WritePoint(lineproto.Point{
+		if err := db.WriteBatchContext(context.Background(), []lineproto.Point{{
 			Measurement: meas,
 			Tags:        tags,
 			Fields:      map[string]lineproto.Value{"v": lineproto.Float(1)},
 			Time:        ts,
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -37,7 +37,7 @@ func TestDiscoverJobNodesScopedByJob(t *testing.T) {
 	write("cpu", "node99", "7") // another job on the same cluster
 	write("memory", "node50", "")
 
-	nodes, err := DiscoverJobNodes(context.Background(), tsdb.QuerierFor(db), "lms", "42")
+	nodes, err := DiscoverJobNodes(context.Background(), ev.Querier, "lms", "42")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +68,18 @@ func TestEvaluateRemoteFailureIsAnError(t *testing.T) {
 // TestDiscoverJobNodesFallback: a dump recorded without job enrichment has
 // no jobid tags anywhere; discovery falls back to every hostname.
 func TestDiscoverJobNodesFallback(t *testing.T) {
-	db := tsdb.NewDB("lms")
+	db, ev := newEvaluator()
 	for _, host := range []string{"h2", "h1"} {
-		if err := db.WritePoint(lineproto.Point{
+		if err := db.WriteBatchContext(context.Background(), []lineproto.Point{{
 			Measurement: "cpu",
 			Tags:        map[string]string{"hostname": host},
 			Fields:      map[string]lineproto.Value{"v": lineproto.Float(1)},
 			Time:        time.Unix(1000, 0),
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	nodes, err := DiscoverJobNodes(context.Background(), tsdb.QuerierFor(db), "lms", "42")
+	nodes, err := DiscoverJobNodes(context.Background(), ev.Querier, "lms", "42")
 	if err != nil {
 		t.Fatal(err)
 	}

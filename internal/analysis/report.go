@@ -95,12 +95,6 @@ type Evaluator struct {
 	Now func() time.Time
 }
 
-// NewDBEvaluator wires an evaluator directly to one in-process database,
-// the common offline-analysis construction.
-func NewDBEvaluator(db *tsdb.DB) *Evaluator {
-	return &Evaluator{Querier: tsdb.QuerierFor(db), Database: db.Name()}
-}
-
 func (e *Evaluator) specs() []MetricSpec {
 	if e.Specs != nil {
 		return e.Specs

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -10,12 +11,19 @@ import (
 	"repro/internal/tsdb"
 )
 
+// newEvaluator returns an empty database "lms" in a fresh store and an
+// evaluator querying it in-process.
+func newEvaluator() (*tsdb.DB, *Evaluator) {
+	st := tsdb.NewStore()
+	return st.CreateDatabase("lms"), &Evaluator{Querier: tsdb.LocalQuerier{Store: st}, Database: "lms"}
+}
+
 // seedJobData writes a 4-node job's monitoring data covering the Fig. 2 and
 // Fig. 4 scenarios: nodes h1..h3 compute steadily, h4 has an 15-minute
 // idle break starting at minute 30.
-func seedJobData(t *testing.T) (*tsdb.DB, JobMeta) {
+func seedJobData(t *testing.T) (*Evaluator, JobMeta) {
 	t.Helper()
-	db := tsdb.NewDB("lms")
+	db, ev := newEvaluator()
 	nodes := []string{"h1", "h2", "h3", "h4"}
 	start := time.Unix(10000, 0).UTC()
 	for i := 0; i < 120; i++ { // 2 hours, one sample per minute
@@ -63,20 +71,19 @@ func seedJobData(t *testing.T) (*tsdb.DB, JobMeta) {
 					Time:        ts,
 				},
 			}
-			if err := db.WritePoints(pts); err != nil {
+			if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	return db, JobMeta{
+	return ev, JobMeta{
 		ID: "42", User: "alice", Nodes: nodes,
 		Start: start, End: start.Add(2 * time.Hour),
 	}
 }
 
 func TestEvaluateJobReport(t *testing.T) {
-	db, job := seedJobData(t)
-	ev := NewDBEvaluator(db)
+	ev, job := seedJobData(t)
 	ev.PeakMemBWMBs, ev.PeakDPMFlops = 100000, 500000
 	rep, err := ev.Evaluate(job)
 	if err != nil {
@@ -107,8 +114,7 @@ func TestEvaluateJobReport(t *testing.T) {
 }
 
 func TestEvaluateDetectsFig4Break(t *testing.T) {
-	db, job := seedJobData(t)
-	ev := NewDBEvaluator(db)
+	ev, job := seedJobData(t)
 	rep, err := ev.Evaluate(job)
 	if err != nil {
 		t.Fatal(err)
@@ -135,10 +141,10 @@ func TestEvaluateDetectsFig4Break(t *testing.T) {
 }
 
 func TestEvaluateHealthyJobClean(t *testing.T) {
-	db := tsdb.NewDB("lms")
+	db, ev := newEvaluator()
 	start := time.Unix(0, 0).UTC()
 	for i := 0; i < 60; i++ {
-		_ = db.WritePoint(lineproto.Point{
+		_ = db.WriteBatchContext(context.Background(), []lineproto.Point{{
 			Measurement: "likwid_mem_dp",
 			Tags:        map[string]string{"hostname": "h1"},
 			Fields: map[string]lineproto.Value{
@@ -147,15 +153,14 @@ func TestEvaluateHealthyJobClean(t *testing.T) {
 				"ipc":                       lineproto.Float(1.8),
 			},
 			Time: start.Add(time.Duration(i) * time.Minute),
-		})
-		_ = db.WritePoint(lineproto.Point{
+		}})
+		_ = db.WriteBatchContext(context.Background(), []lineproto.Point{{
 			Measurement: "cpu",
 			Tags:        map[string]string{"hostname": "h1"},
 			Fields:      map[string]lineproto.Value{"percent": lineproto.Float(98)},
 			Time:        start.Add(time.Duration(i) * time.Minute),
-		})
+		}})
 	}
-	ev := NewDBEvaluator(db)
 	ev.PeakMemBWMBs, ev.PeakDPMFlops = 50000, 400000
 	rep, err := ev.Evaluate(JobMeta{ID: "1", Nodes: []string{"h1"}, Start: start, End: start.Add(time.Hour)})
 	if err != nil {
@@ -171,17 +176,16 @@ func TestEvaluateHealthyJobClean(t *testing.T) {
 }
 
 func TestEvaluateIdleJobClassifiedIdle(t *testing.T) {
-	db := tsdb.NewDB("lms")
+	db, ev := newEvaluator()
 	start := time.Unix(0, 0).UTC()
 	for i := 0; i < 60; i++ {
-		_ = db.WritePoint(lineproto.Point{
+		_ = db.WriteBatchContext(context.Background(), []lineproto.Point{{
 			Measurement: "cpu",
 			Tags:        map[string]string{"hostname": "h1"},
 			Fields:      map[string]lineproto.Value{"percent": lineproto.Float(0.5)},
 			Time:        start.Add(time.Duration(i) * time.Minute),
-		})
+		}})
 	}
-	ev := NewDBEvaluator(db)
 	rep, err := ev.Evaluate(JobMeta{ID: "1", Nodes: []string{"h1"}, Start: start, End: start.Add(time.Hour)})
 	if err != nil {
 		t.Fatal(err)
@@ -202,10 +206,9 @@ func TestEvaluateIdleJobClassifiedIdle(t *testing.T) {
 }
 
 func TestEvaluateRunningJobUsesNow(t *testing.T) {
-	db, job := seedJobData(t)
+	ev, job := seedJobData(t)
 	job.End = time.Time{} // running
 	fixed := job.Start.Add(20 * time.Minute)
-	ev := NewDBEvaluator(db)
 	ev.Now = func() time.Time { return fixed }
 	rep, err := ev.Evaluate(job)
 	if err != nil {
@@ -222,8 +225,8 @@ func TestEvaluateValidation(t *testing.T) {
 	if _, err := ev.Evaluate(JobMeta{ID: "x", Nodes: []string{"h"}}); err == nil {
 		t.Error("nil querier accepted")
 	}
-	ev.Querier = tsdb.QuerierFor(tsdb.NewDB("lms"))
-	ev.Database = "lms"
+	_, empty := newEvaluator()
+	ev.Querier, ev.Database = empty.Querier, empty.Database
 	if _, err := ev.Evaluate(JobMeta{ID: "x"}); err == nil {
 		t.Error("no nodes accepted")
 	}
@@ -243,8 +246,7 @@ func TestEvaluateValidation(t *testing.T) {
 }
 
 func TestFormatTableFig2Shape(t *testing.T) {
-	db, job := seedJobData(t)
-	ev := NewDBEvaluator(db)
+	ev, job := seedJobData(t)
 	rep, _ := ev.Evaluate(job)
 	table := rep.FormatTable()
 	// Header names the job and the four rightmost columns are the nodes.
@@ -275,16 +277,15 @@ func TestFormatTableFig2Shape(t *testing.T) {
 }
 
 func TestFormatTableHealthy(t *testing.T) {
-	db := tsdb.NewDB("lms")
+	db, ev := newEvaluator()
 	start := time.Unix(0, 0).UTC()
 	for i := 0; i < 30; i++ {
-		_ = db.WritePoint(lineproto.Point{
+		_ = db.WriteBatchContext(context.Background(), []lineproto.Point{{
 			Measurement: "cpu", Tags: map[string]string{"hostname": "h1"},
 			Fields: map[string]lineproto.Value{"percent": lineproto.Float(90)},
 			Time:   start.Add(time.Duration(i) * time.Minute),
-		})
+		}})
 	}
-	ev := NewDBEvaluator(db)
 	rep, _ := ev.Evaluate(JobMeta{ID: "ok", Nodes: []string{"h1"}, Start: start, End: start.Add(time.Hour)})
 	table := rep.FormatTable()
 	if !strings.Contains(table, "No pathological behaviour detected") {

@@ -93,20 +93,6 @@ func (s *UsageStats) Add(rec UsageRecord) {
 	s.records = append(s.records, rec)
 }
 
-// Merge folds the records of o into s. It enables the same
-// partial-aggregate pattern the tsdb read path uses (DESIGN.md §6): when
-// a large job history is evaluated across workers, each worker accumulates
-// a private UsageStats and the partials are merged afterwards — PerUser
-// and Summary over the merged accumulator equal the serial result, since
-// both are order-insensitive over the record set. o is not modified and
-// may be reused; neither accumulator is safe for concurrent mutation.
-func (s *UsageStats) Merge(o *UsageStats) {
-	if o == nil {
-		return
-	}
-	s.records = append(s.records, o.records...)
-}
-
 // Len returns the record count.
 func (s *UsageStats) Len() int { return len(s.records) }
 

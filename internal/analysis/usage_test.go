@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -120,30 +119,6 @@ func TestClusterSummary(t *testing.T) {
 	}
 	if math.Abs(sum.ComputeBoundShare-0.25) > 1e-9 {
 		t.Fatalf("compute share %v", sum.ComputeBoundShare)
-	}
-}
-
-func TestUsageStatsMerge(t *testing.T) {
-	// Evaluating jobs across workers and merging the partial accumulators
-	// must equal the serial accumulation, whatever the split.
-	serial := seedUsage()
-	var a, b UsageStats
-	a.Add(RecordFromReport(mkReport("1", "alice", 4, 2, PatternBandwidthBound, 0)))
-	a.Add(RecordFromReport(mkReport("2", "alice", 2, 1, PatternBandwidthBound, 1)))
-	b.Add(RecordFromReport(mkReport("3", "bob", 8, 4, PatternComputeBound, 0)))
-	b.Add(RecordFromReport(mkReport("4", "carol", 1, 10, PatternIdle, 3)))
-	var merged UsageStats
-	merged.Merge(&a)
-	merged.Merge(&b)
-	merged.Merge(nil) // no-op
-	if merged.Len() != serial.Len() {
-		t.Fatalf("len %d != %d", merged.Len(), serial.Len())
-	}
-	if got, want := merged.Summary(), serial.Summary(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("summary mismatch:\n%+v\n%+v", got, want)
-	}
-	if got, want := merged.PerUser(), serial.PerUser(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("per-user mismatch:\n%+v\n%+v", got, want)
 	}
 }
 

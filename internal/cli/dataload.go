@@ -85,7 +85,7 @@ func loadDump(path, dbName string) (qr tsdb.Querier, start, end time.Time, err e
 		return nil, start, end, fmt.Errorf("no points in %s", path)
 	}
 	store := tsdb.NewStore()
-	if err := store.CreateDatabase(dbName).WriteBatch(pts); err != nil {
+	if err := store.CreateDatabase(dbName).WriteBatchContext(context.Background(), pts); err != nil {
 		return nil, start, end, fmt.Errorf("load %s: %w", path, err)
 	}
 	start, end = pts[0].Time, pts[0].Time

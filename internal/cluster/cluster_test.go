@@ -217,7 +217,7 @@ func (h *harness) seed(t *testing.T) {
 	db := h.oracle.CreateDatabase("lms")
 	sink := h.coord.SinkFor("lms")
 	for _, batch := range corpusBatches() {
-		if err := db.WriteBatch(batch); err != nil {
+		if err := db.WriteBatchContext(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,7 +326,7 @@ func TestClusterHintedHandoffDrains(t *testing.T) {
 				Time:        base.Add(time.Duration(i) * time.Second),
 			},
 		}
-		if err := db.WriteBatch(batch); err != nil {
+		if err := db.WriteBatchContext(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		if err := sink.WritePoints(batch); err != nil {
@@ -492,7 +492,7 @@ func TestClusterDrainsParentFormatHints(t *testing.T) {
 		t.Fatal("hints still pending after drain")
 	}
 	oracle := tsdb.NewStore()
-	if err := oracle.CreateDatabase("lms").WriteBatch(append(testPoints("old_m", "h9", 4), events...)); err != nil {
+	if err := oracle.CreateDatabase("lms").WriteBatchContext(context.Background(), append(testPoints("old_m", "h9", 4), events...)); err != nil {
 		t.Fatal(err)
 	}
 	req := tsdb.Request{Database: "lms", RawQuery: "SELECT * FROM old_m", Epoch: "ns"}

@@ -88,7 +88,7 @@ func TestSimulationEndToEndTriad(t *testing.T) {
 		t.Fatalf("finished %+v", fin)
 	}
 	// Metrics landed in the primary DB, tagged with the job.
-	res, err := stack.DB.Select(tsdb.Query{
+	res, err := stack.DB.SelectContext(context.Background(), tsdb.Query{
 		Measurement: "likwid_mem_dp",
 		Filter:      tsdb.TagFilter{"jobid": "100"},
 		GroupByTags: []string{"hostname"},
@@ -100,7 +100,7 @@ func TestSimulationEndToEndTriad(t *testing.T) {
 		t.Fatalf("per-host series %d", len(res))
 	}
 	// Bandwidth during the job matches the model: 4 cores x 6 GB/s.
-	agg, err := stack.DB.Select(tsdb.Query{
+	agg, err := stack.DB.SelectContext(context.Background(), tsdb.Query{
 		Measurement: "likwid_mem_dp",
 		Cols:        []tsdb.AggCol{{Field: "memory_bandwidth_mbytes_s", Agg: tsdb.AggMax}},
 		Filter:      tsdb.TagFilter{"jobid": "100", "hostname": "node01"},
@@ -119,12 +119,12 @@ func TestSimulationEndToEndTriad(t *testing.T) {
 		t.Fatal("user database empty")
 	}
 	// Job start/end events stored.
-	ev, err := stack.DB.Select(tsdb.Query{Measurement: "events", Filter: tsdb.TagFilter{"jobid": "100"}})
+	ev, err := stack.DB.SelectContext(context.Background(), tsdb.Query{Measurement: "events", Filter: tsdb.TagFilter{"jobid": "100"}})
 	if err != nil || len(ev) == 0 {
 		t.Fatalf("events %v %v", ev, err)
 	}
 	// System metrics present and quiet after job end.
-	cpuRes, err := stack.DB.Select(tsdb.Query{
+	cpuRes, err := stack.DB.SelectContext(context.Background(), tsdb.Query{
 		Measurement: "cpu",
 		Cols:        []tsdb.AggCol{{Field: "percent"}},
 		Filter:      tsdb.TagFilter{"hostname": "node01"},
@@ -149,7 +149,7 @@ func TestSimulationMiniMDAppMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Application-level series tagged with the job by the router.
-	res, err := stack.DB.Select(tsdb.Query{
+	res, err := stack.DB.SelectContext(context.Background(), tsdb.Query{
 		Measurement: "minimd",
 		Filter:      tsdb.TagFilter{"jobid": "mm1"},
 	})
@@ -177,7 +177,7 @@ func TestSimulationMiniMDAppMetrics(t *testing.T) {
 		}
 	}
 	// Start and end events from the CLI-equivalent.
-	ev, err := stack.DB.Select(tsdb.Query{Measurement: "events", Filter: tsdb.TagFilter{"jobid": "mm1", "app": "minimd"}})
+	ev, err := stack.DB.SelectContext(context.Background(), tsdb.Query{Measurement: "events", Filter: tsdb.TagFilter{"jobid": "mm1", "app": "minimd"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,14 +334,14 @@ func TestStackDurableRestart(t *testing.T) {
 			Fields: map[string]lineproto.Value{"percent": lineproto.Float(43)},
 			Time:   time.Unix(1600000001, 0)},
 	}
-	if err := stack.DB.WriteBatch(pts); err != nil {
+	if err := stack.DB.WriteBatchContext(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
 	userDB, err := stack.Store.OpenDatabase("user_alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := userDB.WriteBatch(pts[:1]); err != nil {
+	if err := userDB.WriteBatchContext(context.Background(), pts[:1]); err != nil {
 		t.Fatal(err)
 	}
 	wantPrimary := stack.DB.PointCount()
@@ -368,7 +368,7 @@ func TestStackDurableRestart(t *testing.T) {
 	if got := user.PointCount(); got != wantUser {
 		t.Fatalf("user PointCount after restart = %d, want %d", got, wantUser)
 	}
-	res, err := stack2.DB.Select(tsdb.Query{Measurement: "cpu"})
+	res, err := stack2.DB.SelectContext(context.Background(), tsdb.Query{Measurement: "cpu"})
 	if err != nil || len(res) == 0 {
 		t.Fatalf("Select after restart: %v, %v", res, err)
 	}
@@ -416,7 +416,7 @@ func TestStackUserDatabaseOpenFailureIsCounted(t *testing.T) {
 	if dropped != n {
 		t.Errorf("router dropped = %d, want %d: the duplicate batch was acknowledged into a database nobody holds", dropped, n)
 	}
-	res, err := stack.DB.Select(tsdb.Query{Measurement: "cpu"})
+	res, err := stack.DB.SelectContext(context.Background(), tsdb.Query{Measurement: "cpu"})
 	if err != nil || len(res) != 1 || len(res[0].Rows) != n {
 		t.Fatalf("primary holds %v (err %v), want %d cpu rows", res, err, n)
 	}

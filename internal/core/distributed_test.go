@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -148,13 +149,13 @@ func TestDistributedDeployment(t *testing.T) {
 		t.Fatal("primary db missing")
 	}
 	for _, meas := range []string{"cpu", "memory", "likwid_mem_dp", "ganglia_pkts_in", "pressure", "events"} {
-		res, err := db.Select(tsdb.Query{Measurement: meas})
+		res, err := db.SelectContext(context.Background(), tsdb.Query{Measurement: meas})
 		if err != nil || len(res) == 0 {
 			t.Fatalf("measurement %q missing: %v", meas, err)
 		}
 	}
 	// Tagged with job id (collector data from the second cycle).
-	res, err := db.Select(tsdb.Query{Measurement: "likwid_mem_dp", Filter: tsdb.TagFilter{"jobid": "777", "queue": "devel"}})
+	res, err := db.SelectContext(context.Background(), tsdb.Query{Measurement: "likwid_mem_dp", Filter: tsdb.TagFilter{"jobid": "777", "queue": "devel"}})
 	if err != nil || len(res) == 0 {
 		t.Fatalf("job tagging failed: %v %v", res, err)
 	}

@@ -26,7 +26,7 @@ func seedStore(t *testing.T) (*tsdb.Store, analysis.JobMeta) {
 	for i := 0; i < 30; i++ {
 		ts := start.Add(time.Duration(i) * time.Minute)
 		for _, node := range nodes {
-			err := db.WritePoints([]lineproto.Point{
+			err := db.WriteBatchContext(context.Background(), []lineproto.Point{
 				{
 					Measurement: "cpu",
 					Tags:        map[string]string{"hostname": node, "jobid": "42"},
@@ -55,12 +55,12 @@ func seedStore(t *testing.T) (*tsdb.Store, analysis.JobMeta) {
 			}
 		}
 	}
-	_ = db.WritePoint(lineproto.Point{
+	_ = db.WriteBatchContext(context.Background(), []lineproto.Point{{
 		Measurement: "events",
 		Tags:        map[string]string{"jobid": "42", "type": "jobstart"},
 		Fields:      map[string]lineproto.Value{"text": lineproto.String("jobstart job 42")},
 		Time:        start,
-	})
+	}})
 	job := analysis.JobMeta{
 		ID: "42", User: "alice", Nodes: nodes,
 		Start: start, End: start.Add(30 * time.Minute),
@@ -136,12 +136,12 @@ func TestGenerateJobDashboardHostSelection(t *testing.T) {
 	store, job := seedStore(t)
 	db := store.DB("lms")
 	// Data from an unrelated host in another measurement must not add a row.
-	_ = db.WritePoint(lineproto.Point{
+	_ = db.WriteBatchContext(context.Background(), []lineproto.Point{{
 		Measurement: "othermetric",
 		Tags:        map[string]string{"hostname": "h99"},
 		Fields:      map[string]lineproto.Value{"v": lineproto.Float(1)},
 		Time:        job.Start,
-	})
+	}})
 	agent := &Agent{Querier: tsdb.LocalQuerier{Store: store}, Database: "lms"}
 	d, err := agent.GenerateJobDashboard(job)
 	if err != nil {
@@ -215,12 +215,6 @@ func TestDashboardValidateCatchesBadness(t *testing.T) {
 }
 
 func TestRenderPanelTemplateErrors(t *testing.T) {
-	agent := &Agent{
-		Querier:   tsdb.QuerierFor(tsdb.NewDB("lms")),
-		Database:  "lms",
-		Templates: []PanelTemplate{{Measurement: "*", JSON: `{{.Broken`}},
-	}
-	_ = agent
 	if _, err := renderPanel(PanelTemplate{Measurement: "x", JSON: "{{.Broken"}, templateContext{}, 1); err == nil {
 		t.Fatal("broken template accepted")
 	}

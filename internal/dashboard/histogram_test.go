@@ -113,12 +113,12 @@ func TestHistogramPanelRendering(t *testing.T) {
 	store := tsdb.NewStore()
 	db := store.CreateDatabase("lms")
 	for i := 0; i < 100; i++ {
-		_ = db.WritePoint(lineproto.Point{
+		_ = db.WriteBatchContext(context.Background(), []lineproto.Point{{
 			Measurement: "likwid_mem_dp",
 			Tags:        map[string]string{"hostname": "h1"},
 			Fields:      map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(float64(i % 10))},
 			Time:        time.Unix(int64(i), 0),
-		})
+		}})
 	}
 	p := Panel{
 		ID: 1, Title: "FP rate distribution", Type: "histogram",

@@ -146,7 +146,7 @@ func TestProxyIntoRouterEnrichment(t *testing.T) {
 	if _, err := p.Pull(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Select(tsdb.Query{Measurement: "ganglia_load_one", Filter: tsdb.TagFilter{"jobid": "77"}})
+	res, err := db.SelectContext(context.Background(), tsdb.Query{Measurement: "ganglia_load_one", Filter: tsdb.TagFilter{"jobid": "77"}})
 	if err != nil {
 		t.Fatal(err)
 	}

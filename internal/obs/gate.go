@@ -81,11 +81,3 @@ func (g *Gate) Shed() uint64 {
 	}
 	return g.shed.Load()
 }
-
-// Limits returns the configured budgets (0 = unlimited).
-func (g *Gate) Limits() (maxReqs, maxBytes int64) {
-	if g == nil {
-		return 0, 0
-	}
-	return g.maxReqs, g.maxBytes
-}

@@ -114,7 +114,7 @@ func TestRouterConcurrentIngestBatch(t *testing.T) {
 		rounds = 25
 		perB   = 8
 	)
-	db := tsdb.NewDB("lms")
+	db := tsdb.NewStore().CreateDatabase("lms")
 	rt, err := New(Config{Primary: LocalSink{DB: db}})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestRouterConcurrentIngestBatch(t *testing.T) {
 func TestRouterConcurrentJobChurn(t *testing.T) {
 	t.Parallel()
 	const rounds = 40
-	db := tsdb.NewDB("lms")
+	db := tsdb.NewStore().CreateDatabase("lms")
 	rt, err := New(Config{
 		Primary: LocalSink{DB: db},
 		Now:     func() time.Time { return time.Unix(2000, 0) },

@@ -60,9 +60,9 @@ func writeSink(ctx context.Context, s Sink, pts []lineproto.Point) error {
 // sharded batch entry point.
 type LocalSink struct{ DB *tsdb.DB }
 
-// WritePoints implements Sink by flushing the batch via DB.WriteBatch.
+// WritePoints implements Sink by flushing the batch via DB.WriteBatchContext.
 func (s LocalSink) WritePoints(pts []lineproto.Point) error {
-	return s.DB.WriteBatch(pts)
+	return s.DB.WriteBatchContext(context.Background(), pts)
 }
 
 // WritePointsContext implements ContextSink.
@@ -253,17 +253,11 @@ func (r *Router) handleWrite(w http.ResponseWriter, req *http.Request) {
 // flush callback delivers an encoded payload; the HTTP /write handler
 // parses under the request's precision and enters at IngestContext.
 func (r *Router) IngestBatch(payload []byte) error {
-	return r.IngestBatchContext(context.Background(), payload)
-}
-
-// IngestBatchContext is IngestBatch under a caller context (trace
-// propagation into the sinks).
-func (r *Router) IngestBatchContext(ctx context.Context, payload []byte) error {
 	pts, err := lineproto.Parse(payload)
 	if err != nil {
 		return err
 	}
-	return r.IngestContext(ctx, pts)
+	return r.IngestContext(context.Background(), pts)
 }
 
 // IngestContext runs the router pipeline on a batch of points:
@@ -271,8 +265,8 @@ func (r *Router) IngestBatchContext(ctx context.Context, payload []byte) error {
 // forwarding, per-user duplication and publishing. Points are accumulated
 // per destination database and each accumulated batch is flushed with a
 // single sink write, which the local sink hands to the store's sharded
-// DB.WriteBatch. A trace riding the context gets enrich/forward spans, and
-// context-aware sinks carry it onward.
+// DB.WriteBatchContext. A trace riding the context gets enrich/forward
+// spans, and context-aware sinks carry it onward.
 func (r *Router) IngestContext(ctx context.Context, pts []lineproto.Point) error {
 	if len(pts) == 0 {
 		return nil

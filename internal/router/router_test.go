@@ -92,7 +92,7 @@ func TestWriteForwardsUntagged(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	res, err := e.db.Select(tsdb.Query{Measurement: "cpu"})
+	res, err := e.db.SelectContext(context.Background(), tsdb.Query{Measurement: "cpu"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +114,14 @@ func TestJobTagEnrichment(t *testing.T) {
 	})
 	e.post(t, "/write", "cpu,hostname=h1 value=1 100\ncpu,hostname=h3 value=2 100\n")
 	// h1 is in the job: tagged. h3 is not: untouched.
-	res, _ := e.db.Select(tsdb.Query{Measurement: "cpu", Filter: tsdb.TagFilter{"jobid": "42.master"}})
+	res, _ := e.db.SelectContext(context.Background(), tsdb.Query{Measurement: "cpu", Filter: tsdb.TagFilter{"jobid": "42.master"}})
 	if len(res) != 1 || len(res[0].Rows) != 1 {
 		t.Fatalf("tagged rows %+v", res)
 	}
 	if res[0].Rows[0].Values[0].FloatVal() != 1 {
 		t.Fatal("wrong point tagged")
 	}
-	res, _ = e.db.Select(tsdb.Query{Measurement: "cpu", Filter: tsdb.TagFilter{"hostname": "h3"}})
+	res, _ = e.db.SelectContext(context.Background(), tsdb.Query{Measurement: "cpu", Filter: tsdb.TagFilter{"hostname": "h3"}})
 	found := false
 	for _, s := range res {
 		for range s.Rows {
@@ -132,7 +132,7 @@ func TestJobTagEnrichment(t *testing.T) {
 		t.Fatal("untagged point lost")
 	}
 	// Enrichment includes username and custom tags.
-	res, _ = e.db.Select(tsdb.Query{Measurement: "cpu",
+	res, _ = e.db.SelectContext(context.Background(), tsdb.Query{Measurement: "cpu",
 		Filter: tsdb.TagFilter{"username": "alice", "queue": "batch"}})
 	if len(res) != 1 {
 		t.Fatalf("custom tags %+v", res)
@@ -145,7 +145,7 @@ func TestJobEndStopsEnrichment(t *testing.T) {
 	e.post(t, "/write", "cpu,hostname=h1 value=1 100\n")
 	e.endJob(t, "1")
 	e.post(t, "/write", "cpu,hostname=h1 value=2 200\n")
-	res, _ := e.db.Select(tsdb.Query{Measurement: "cpu", Filter: tsdb.TagFilter{"jobid": "1"}})
+	res, _ := e.db.SelectContext(context.Background(), tsdb.Query{Measurement: "cpu", Filter: tsdb.TagFilter{"jobid": "1"}})
 	if len(res) != 1 || len(res[0].Rows) != 1 {
 		t.Fatalf("rows tagged after job end: %+v", res)
 	}
@@ -160,7 +160,7 @@ func TestExplicitTagsWin(t *testing.T) {
 	// A point already carrying a jobid (e.g. from libusermetric with custom
 	// default tags) keeps it.
 	e.post(t, "/write", "app,hostname=h1,jobid=custom value=1 100\n")
-	res, _ := e.db.Select(tsdb.Query{Measurement: "app", Filter: tsdb.TagFilter{"jobid": "custom"}})
+	res, _ := e.db.SelectContext(context.Background(), tsdb.Query{Measurement: "app", Filter: tsdb.TagFilter{"jobid": "custom"}})
 	if len(res) != 1 {
 		t.Fatalf("%+v", res)
 	}
@@ -170,7 +170,7 @@ func TestJobSignalsStoredAsEvents(t *testing.T) {
 	e := newEnv(t, nil)
 	e.startJob(t, JobSignal{JobID: "9", User: "carol", Nodes: []string{"h1", "h2"}})
 	e.endJob(t, "9")
-	res, err := e.db.Select(tsdb.Query{Measurement: "events", GroupByTags: []string{"type"}})
+	res, err := e.db.SelectContext(context.Background(), tsdb.Query{Measurement: "events", GroupByTags: []string{"type"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestPerUserDuplication(t *testing.T) {
 	if udb == nil {
 		t.Fatal("user db not created")
 	}
-	res, _ := udb.Select(tsdb.Query{Measurement: "cpu"})
+	res, _ := udb.SelectContext(context.Background(), tsdb.Query{Measurement: "cpu"})
 	if len(res) != 1 || len(res[0].Rows) != 1 {
 		t.Fatalf("user rows %+v", res)
 	}
@@ -471,7 +471,7 @@ func TestWritePrecision(t *testing.T) {
 	e := newEnv(t, nil)
 	stored := func(meas string) time.Time {
 		t.Helper()
-		res, err := e.db.Select(tsdb.Query{Measurement: meas})
+		res, err := e.db.SelectContext(context.Background(), tsdb.Query{Measurement: meas})
 		if err != nil || len(res) != 1 || len(res[0].Rows) != 1 {
 			t.Fatalf("%s: %+v, %v", meas, res, err)
 		}
@@ -507,7 +507,7 @@ func TestWritePrecision(t *testing.T) {
 	if got, _, _ := e.router.Stats(); got != received {
 		t.Errorf("refused writes entered the pipeline: received %d -> %d", received, got)
 	}
-	if _, err := e.db.Select(tsdb.Query{Measurement: "bad"}); err == nil {
+	if _, err := e.db.SelectContext(context.Background(), tsdb.Query{Measurement: "bad"}); err == nil {
 		t.Error("a refused write was stored")
 	}
 }

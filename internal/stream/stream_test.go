@@ -170,7 +170,7 @@ func TestAttachToLivePublisherViaRouter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	db := tsdb.NewDB("lms")
+	db := tsdb.NewStore().CreateDatabase("lms")
 	rt, err := router.New(router.Config{Primary: router.LocalSink{DB: db}, Publisher: pub})
 	if err != nil {
 		t.Fatal(err)

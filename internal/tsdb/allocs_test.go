@@ -15,8 +15,7 @@ import (
 // one int, one interned string), one raw run per series.
 func allocFixture(t *testing.T, hosts, rows int) *DB {
 	t.Helper()
-	db := NewDBShards("lms", 1)
-	db.SetQueryWorkers(1)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1, QueryWorkersPerDB: 1})
 	db.SetQueryCacheTTL(0)
 	for h := 0; h < hosts; h++ {
 		pts := make([]lineproto.Point, rows)
@@ -33,7 +32,7 @@ func allocFixture(t *testing.T, hosts, rows int) *DB {
 				Time: time.Unix(int64(i)*10, 0),
 			}
 		}
-		if err := db.WriteBatch(pts); err != nil {
+		if err := db.WriteBatchContext(bg, pts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +56,7 @@ func TestStorageAllocs(t *testing.T) {
 	}
 	selectAllocs := func(db *DB) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if res, err := db.Select(windowed); err != nil || len(res) != hosts {
+			if res, err := db.SelectContext(bg, windowed); err != nil || len(res) != hosts {
 				t.Fatal(err, len(res))
 			}
 		})
@@ -84,7 +83,7 @@ func TestStorageAllocs(t *testing.T) {
 				pts[i].Time = time.Unix(next, 0)
 				next += 10
 			}
-			if err := db.WriteBatch(pts); err != nil {
+			if err := db.WriteBatchContext(bg, pts); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -134,7 +133,7 @@ func TestStorageAllocs(t *testing.T) {
 						Time:        time.Unix(int64(50+i)*10, 0),
 					}
 				}
-				if err := db.WriteBatch(pts); err != nil {
+				if err := db.WriteBatchContext(bg, pts); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -184,7 +183,7 @@ func collectorCycle(sec int64) []lineproto.Point {
 // map, no series-key string. (Decoding the same frame into points took
 // 2 057 allocations before a shard saw any of it.)
 func TestFrameApplyAllocs(t *testing.T) {
-	db := NewDBShards("lms", 4)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
 	const warm, runs = 130, 100 // the runs' slices last doubled at 129 rows and hold 256
 	var frames [][]byte
 	for i := int64(0); i < warm+runs+1; i++ {

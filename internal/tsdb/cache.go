@@ -1,10 +1,10 @@
 package tsdb
 
-// A small TTL'd query-result cache in front of DB.Select, sized for the
+// A small TTL'd query-result cache in front of DB.SelectContext, sized for the
 // dashboard viewer's repeated panel refreshes: the same handful of
 // normalized queries re-executed every few hundred milliseconds. Entries
 // are keyed on the normalized Query and carry the invalidation generations
-// captured *before* the snapshot was taken: every WriteBatch bumps the
+// captured *before* the snapshot was taken: every write bumps the
 // generation of each touched measurement and every retention sweep or
 // DropBefore bumps the global generation, so a hit is only served while
 // the underlying data is provably unchanged. Cached []Series values are

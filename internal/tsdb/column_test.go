@@ -190,7 +190,7 @@ func TestColumnarRandomizedOracle(t *testing.T) {
 	// byte-identical to the uncompressed baseline, so any divergence below
 	// is the compressed read path's fault, not a reshuffled workload.
 	crnd := rand.New(rand.NewSource(7))
-	db := NewDBShards("lms", 2)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 2})
 	db.SetQueryCacheTTL(0)
 	mo := newModel()
 
@@ -258,7 +258,7 @@ func TestColumnarRandomizedOracle(t *testing.T) {
 		}
 		for _, q := range queries {
 			want := mo.naiveSelect(q)
-			got, err := db.Select(q)
+			got, err := db.SelectContext(bg, q)
 			if err != nil && err != ErrNoMeasurement {
 				t.Fatalf("round %d: %v", round, err)
 			}
@@ -288,7 +288,7 @@ func TestColumnarRandomizedOracle(t *testing.T) {
 		uniq.Time = time.Unix(0, nextUnique).UTC()
 		pts = append(pts, uniq)
 
-		if err := db.WriteBatch(pts); err != nil {
+		if err := db.WriteBatchContext(bg, pts); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range pts {
@@ -330,12 +330,12 @@ func rewriteBatchPts(host string, n int, fields func(i int) map[string]lineproto
 // instead of accumulating duplicate rows.
 func TestSameTimestampRewrite(t *testing.T) {
 	t.Parallel()
-	db := NewDB("lms")
+	db := newDB("lms")
 	db.SetQueryCacheTTL(0)
 	const n = 10
 	write := func(pts []lineproto.Point) {
 		t.Helper()
-		if err := db.WriteBatch(pts); err != nil {
+		if err := db.WriteBatchContext(bg, pts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -353,7 +353,7 @@ func TestSameTimestampRewrite(t *testing.T) {
 	if got := db.PointCount(); got != n {
 		t.Fatalf("PointCount after rewrite = %d, want %d (no duplicate rows)", got, n)
 	}
-	res, err := db.Select(Query{Measurement: "m"})
+	res, err := db.SelectContext(bg, Query{Measurement: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestSameTimestampRewrite(t *testing.T) {
 	if got := db.PointCount(); got != n {
 		t.Fatalf("PointCount after 4 rewrites = %d, want %d", got, n)
 	}
-	res, err = db.Select(Query{Measurement: "m"})
+	res, err = db.SelectContext(bg, Query{Measurement: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,17 +424,17 @@ func TestSameTimestampRewrite(t *testing.T) {
 // per series: the same timestamps on another tag set still append.
 func TestSameTimestampRewriteDoesNotCrossSeries(t *testing.T) {
 	t.Parallel()
-	db := NewDB("lms")
+	db := newDB("lms")
 	db.SetQueryCacheTTL(0)
 	mk := func(host string) []lineproto.Point {
 		return rewriteBatchPts(host, 5, func(i int) map[string]lineproto.Value {
 			return map[string]lineproto.Value{"v": lineproto.Float(float64(i))}
 		})
 	}
-	if err := db.WriteBatch(mk("h1")); err != nil {
+	if err := db.WriteBatchContext(bg, mk("h1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WriteBatch(mk("h2")); err != nil {
+	if err := db.WriteBatchContext(bg, mk("h2")); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.PointCount(); got != 10 {
@@ -448,15 +448,15 @@ func TestSameTimestampRewriteDoesNotCrossSeries(t *testing.T) {
 // duplicate-preserving log-structured behaviour.
 func TestSameTimestampRewritePartialOverlapKeepsDuplicates(t *testing.T) {
 	t.Parallel()
-	db := NewDB("lms")
+	db := newDB("lms")
 	db.SetQueryCacheTTL(0)
-	if err := db.WriteBatch(rewriteBatchPts("h1", 5, func(i int) map[string]lineproto.Value {
+	if err := db.WriteBatchContext(bg, rewriteBatchPts("h1", 5, func(i int) map[string]lineproto.Value {
 		return map[string]lineproto.Value{"v": lineproto.Float(1)}
 	})); err != nil {
 		t.Fatal(err)
 	}
 	// Rewrites t=0..3 only (4 of 5 timestamps): not an exact match.
-	if err := db.WriteBatch(rewriteBatchPts("h1", 4, func(i int) map[string]lineproto.Value {
+	if err := db.WriteBatchContext(bg, rewriteBatchPts("h1", 4, func(i int) map[string]lineproto.Value {
 		return map[string]lineproto.Value{"v": lineproto.Float(2)}
 	})); err != nil {
 		t.Fatal(err)
@@ -473,7 +473,7 @@ func TestSameTimestampRewritePartialOverlapKeepsDuplicates(t *testing.T) {
 // -race this also proves the rewrite never mutates a snapshotted array.
 func TestConcurrentRewriteVsSelect(t *testing.T) {
 	t.Parallel()
-	db := NewDBShards("lms", 1)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1})
 	db.SetQueryCacheTTL(0)
 	const n = 50
 	gen := func(v float64) []lineproto.Point {
@@ -481,7 +481,7 @@ func TestConcurrentRewriteVsSelect(t *testing.T) {
 			return map[string]lineproto.Value{"v": lineproto.Float(v)}
 		})
 	}
-	if err := db.WriteBatch(gen(0)); err != nil {
+	if err := db.WriteBatchContext(bg, gen(0)); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -490,7 +490,7 @@ func TestConcurrentRewriteVsSelect(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for g := 1; g <= 200; g++ {
-			if err := db.WriteBatch(gen(float64(g))); err != nil {
+			if err := db.WriteBatchContext(bg, gen(float64(g))); err != nil {
 				t.Errorf("rewrite: %v", err)
 				return
 			}
@@ -506,7 +506,7 @@ func TestConcurrentRewriteVsSelect(t *testing.T) {
 					return
 				default:
 				}
-				res, err := db.Select(Query{Measurement: "m", Cols: star(AggSum, 0)})
+				res, err := db.SelectContext(bg, Query{Measurement: "m", Cols: star(AggSum, 0)})
 				if err != nil {
 					t.Errorf("select: %v", err)
 					return
@@ -516,7 +516,7 @@ func TestConcurrentRewriteVsSelect(t *testing.T) {
 					t.Errorf("torn rewrite snapshot: sum %v is not n×(one generation)", sum)
 					return
 				}
-				cres, err := db.Select(Query{Measurement: "m", Cols: star(AggCount, 0)})
+				cres, err := db.SelectContext(bg, Query{Measurement: "m", Cols: star(AggCount, 0)})
 				if err != nil {
 					t.Errorf("count: %v", err)
 					return
@@ -532,7 +532,7 @@ func TestConcurrentRewriteVsSelect(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	res, err := db.Select(Query{Measurement: "m", Cols: star(AggSum, 0)})
+	res, err := db.SelectContext(bg, Query{Measurement: "m", Cols: star(AggSum, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,11 +546,11 @@ func TestConcurrentRewriteVsSelect(t *testing.T) {
 // select (presence bitmaps must track which side each row came from).
 func TestColumnarCompactionMergesDisjointFields(t *testing.T) {
 	t.Parallel()
-	db := NewDBShards("lms", 1)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1})
 	db.SetQueryCacheTTL(0)
 	w := func(tsec int64, field string, v lineproto.Value) {
 		t.Helper()
-		err := db.WriteBatch([]lineproto.Point{{
+		err := db.WriteBatchContext(bg, []lineproto.Point{{
 			Measurement: "m",
 			Tags:        map[string]string{"hostname": "h1"},
 			Fields:      map[string]lineproto.Value{field: v},
@@ -566,7 +566,7 @@ func TestColumnarCompactionMergesDisjointFields(t *testing.T) {
 	w(25, "c", lineproto.String("x"))
 	w(10, "a", lineproto.Bool(true))
 
-	res, err := db.Select(Query{Measurement: "m"})
+	res, err := db.SelectContext(bg, Query{Measurement: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +608,7 @@ func TestColumnarCompactionMergesDisjointFields(t *testing.T) {
 // through the per-measurement intern table and round-trip exactly.
 func TestColumnarStringInterning(t *testing.T) {
 	t.Parallel()
-	db := NewDBShards("lms", 1)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1})
 	db.SetQueryCacheTTL(0)
 	var pts []lineproto.Point
 	for i := 0; i < 100; i++ {
@@ -618,7 +618,7 @@ func TestColumnarStringInterning(t *testing.T) {
 			Time:        time.Unix(int64(i), 0).UTC(),
 		})
 	}
-	if err := db.WriteBatch(pts); err != nil {
+	if err := db.WriteBatchContext(bg, pts); err != nil {
 		t.Fatal(err)
 	}
 	sh := db.shardFor("ev")
@@ -628,7 +628,7 @@ func TestColumnarStringInterning(t *testing.T) {
 	if nDistinct != 3 {
 		t.Fatalf("interned strings = %d, want 3", nDistinct)
 	}
-	res, err := db.Select(Query{Measurement: "ev"})
+	res, err := db.SelectContext(bg, Query{Measurement: "ev"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +645,7 @@ func TestColumnarStringInterning(t *testing.T) {
 // must take the rewrite path, not the in-order append.
 func TestSameTimestampRewriteSinglePoint(t *testing.T) {
 	t.Parallel()
-	db := NewDB("lms")
+	db := newDB("lms")
 	db.SetQueryCacheTTL(0)
 	p := func(v float64) lineproto.Point {
 		return lineproto.Point{
@@ -656,14 +656,14 @@ func TestSameTimestampRewriteSinglePoint(t *testing.T) {
 		}
 	}
 	for i := 1; i <= 3; i++ {
-		if err := db.WritePoint(p(float64(i) * 10)); err != nil {
+		if err := db.WriteBatchContext(bg, []lineproto.Point{p(float64(i) * 10)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := db.PointCount(); got != 1 {
 		t.Fatalf("PointCount = %d, want 1 (repeated point upserts)", got)
 	}
-	res, err := db.Select(Query{Measurement: "m"})
+	res, err := db.SelectContext(bg, Query{Measurement: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,7 +679,7 @@ func TestSameTimestampRewriteSinglePoint(t *testing.T) {
 // seam.
 func TestSparseRunRollsOverPastLimit(t *testing.T) {
 	t.Parallel()
-	db := NewDBShards("lms", 1)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1})
 	db.SetQueryCacheTTL(0)
 	const perBatch = 512
 	total := maxSparseRunRows + 2*perBatch
@@ -700,7 +700,7 @@ func TestSparseRunRollsOverPastLimit(t *testing.T) {
 				Time:        time.Unix(int64(n), 0).UTC(),
 			}
 		}
-		if err := db.WriteBatch(pts); err != nil {
+		if err := db.WriteBatchContext(bg, pts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -711,14 +711,14 @@ func TestSparseRunRollsOverPastLimit(t *testing.T) {
 	if runs < 2 {
 		t.Fatalf("runs = %d, want >= 2 (sparse run must roll over past %d rows)", runs, maxSparseRunRows)
 	}
-	res, err := db.Select(Query{Measurement: "m", Cols: []AggCol{{Field: "v", Agg: AggCount}}})
+	res, err := db.SelectContext(bg, Query{Measurement: "m", Cols: []AggCol{{Field: "v", Agg: AggCount}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res[0].Rows[0].Values[0].IntVal(); got != int64(total) {
 		t.Fatalf("count(v) = %d, want %d", got, total)
 	}
-	res, err = db.Select(Query{Measurement: "m", Cols: []AggCol{{Field: "note", Agg: AggCount}}})
+	res, err = db.SelectContext(bg, Query{Measurement: "m", Cols: []AggCol{{Field: "note", Agg: AggCount}}})
 	if err != nil {
 		t.Fatal(err)
 	}

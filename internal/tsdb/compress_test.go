@@ -166,10 +166,10 @@ func TestCompressedSelectByteIdentical(t *testing.T) {
 	pdb.SetQueryCacheTTL(0)
 	cdb.SetQueryCacheTTL(0)
 	for i, b := range corpusBatches() {
-		if err := pdb.WriteBatch(b); err != nil {
+		if err := pdb.WriteBatchContext(bg, b); err != nil {
 			t.Fatal(err)
 		}
-		if err := cdb.WriteBatch(b); err != nil {
+		if err := cdb.WriteBatchContext(bg, b); err != nil {
 			t.Fatal(err)
 		}
 		cdb.Compress()
@@ -188,12 +188,12 @@ func TestCompressedSelectByteIdentical(t *testing.T) {
 // new run beside it.
 func TestCompressedRewriteUpsert(t *testing.T) {
 	t.Parallel()
-	db := NewDB("lms")
+	db := newDB("lms")
 	db.SetQueryCacheTTL(0)
 	const n = 10
 	write := func(pts []lineproto.Point) {
 		t.Helper()
-		if err := db.WriteBatch(pts); err != nil {
+		if err := db.WriteBatchContext(bg, pts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestCompressedRewriteUpsert(t *testing.T) {
 	if cs.compressedBytes == 0 || cs.buildingBytes != 0 || cs.sealedBytes != 0 {
 		t.Fatalf("exact rewrite left the run uncompressed: %+v", cs)
 	}
-	res, err := db.Select(Query{Measurement: "m"})
+	res, err := db.SelectContext(bg, Query{Measurement: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestCompressionStatsAndMetrics(t *testing.T) {
 			Time: time.Unix(int64(i), 0).UTC(),
 		}
 	}
-	if err := db.WriteBatch(pts); err != nil {
+	if err := db.WriteBatchContext(bg, pts); err != nil {
 		t.Fatal(err)
 	}
 	before := db.compressionStats()
@@ -285,7 +285,7 @@ func TestCompressionStatsAndMetrics(t *testing.T) {
 // are unique per series, so the final row count is exact.
 func TestCompressConcurrentWithQueries(t *testing.T) {
 	t.Parallel()
-	db := NewDBShards("lms", 4)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
 	db.SetQueryCacheTTL(0)
 	db.SetCompressAfter(time.Millisecond)
 	defer db.compJob.Stop()
@@ -310,7 +310,7 @@ func TestCompressConcurrentWithQueries(t *testing.T) {
 						Time:        time.Unix(seq, int64(g)).UTC(),
 					}
 				}
-				if err := db.WriteBatch(pts); err != nil {
+				if err := db.WriteBatchContext(bg, pts); err != nil {
 					t.Error(err)
 					return
 				}
@@ -318,7 +318,7 @@ func TestCompressConcurrentWithQueries(t *testing.T) {
 		}
 	}()
 	for {
-		if _, err := db.Select(Query{Measurement: "m", Cols: star(AggCount, 0)}); err != nil && err != ErrNoMeasurement {
+		if _, err := db.SelectContext(bg, Query{Measurement: "m", Cols: star(AggCount, 0)}); err != nil && err != ErrNoMeasurement {
 			t.Fatal(err)
 		}
 		select {
@@ -345,7 +345,7 @@ func TestCheckpointCompressedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range batches {
-		if err := db.WriteBatch(b); err != nil {
+		if err := db.WriteBatchContext(bg, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -381,7 +381,7 @@ func TestCheckpointV1Refused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range corpusBatches() {
-		if err := db.WriteBatch(b); err != nil {
+		if err := db.WriteBatchContext(bg, b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -31,7 +31,7 @@ func TestDBConcurrentWriters(t *testing.T) {
 		batches = 25
 		perB    = 20
 	)
-	db := NewDBShards("lms", 4)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -50,7 +50,7 @@ func TestDBConcurrentWriters(t *testing.T) {
 				for i := range pts {
 					pts[i] = concPoint(meas, host, bi*perB+i)
 				}
-				if err := db.WriteBatch(pts); err != nil {
+				if err := db.WriteBatchContext(bg, pts); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -67,7 +67,7 @@ func TestDBConcurrentWriters(t *testing.T) {
 		t.Fatalf("Measurements = %v, want %d entries", meas, want)
 	}
 	for _, m := range meas {
-		res, err := db.Select(Query{Measurement: m})
+		res, err := db.SelectContext(bg, Query{Measurement: m})
 		if err != nil {
 			t.Fatalf("Select(%s): %v", m, err)
 		}
@@ -87,7 +87,7 @@ func TestDBConcurrentWriteReadDrop(t *testing.T) {
 		readers = 4
 		rounds  = 50
 	)
-	db := NewDBShards("lms", 4)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -101,7 +101,7 @@ func TestDBConcurrentWriteReadDrop(t *testing.T) {
 					concPoint(meas, "h1", i),
 					concPoint(meas, "h2", i),
 				}
-				if err := db.WriteBatch(pts); err != nil {
+				if err := db.WriteBatchContext(bg, pts); err != nil {
 					t.Errorf("write: %v", err)
 					return
 				}
@@ -122,7 +122,7 @@ func TestDBConcurrentWriteReadDrop(t *testing.T) {
 				db.Measurements()
 				db.TagValues("", "hostname")
 				meas := fmt.Sprintf("cpu%02d", r%writers)
-				if _, err := db.Select(Query{
+				if _, err := db.SelectContext(bg, Query{
 					Measurement: meas,
 					Cols:        star(AggMean, 0),
 					Every:       10 * time.Second,
@@ -165,7 +165,7 @@ func TestDBConcurrentWriteReadDrop(t *testing.T) {
 // concurrent batch writes.
 func TestDBConcurrentRetentionWrites(t *testing.T) {
 	t.Parallel()
-	db := NewDBShards("lms", 2)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 2})
 	db.SetRetention(time.Hour)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -174,7 +174,7 @@ func TestDBConcurrentRetentionWrites(t *testing.T) {
 			defer wg.Done()
 			meas := fmt.Sprintf("m%d", w)
 			for i := 0; i < 100; i++ {
-				if err := db.WritePoint(concPoint(meas, "h", i)); err != nil {
+				if err := db.WriteBatchContext(bg, []lineproto.Point{concPoint(meas, "h", i)}); err != nil {
 					t.Errorf("write: %v", err)
 					return
 				}
@@ -192,11 +192,11 @@ func TestDBConcurrentRetentionWrites(t *testing.T) {
 // (the retention ticker sweeps every shard against the newest point of any).
 func TestRetentionPrunesIdleShards(t *testing.T) {
 	t.Parallel()
-	db := NewDBShards("lms", 4)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
 	db.SetRetention(time.Hour)
 	old := concPoint("oldmeas", "h", 0)
 	old.Time = time.Unix(100, 0)
-	if err := db.WritePoint(old); err != nil {
+	if err := db.WriteBatchContext(bg, []lineproto.Point{old}); err != nil {
 		t.Fatal(err)
 	}
 	// Pick a measurement that hashes into a different shard, then write a
@@ -207,7 +207,7 @@ func TestRetentionPrunesIdleShards(t *testing.T) {
 	}
 	p := concPoint(fresh, "h", 0)
 	p.Time = time.Unix(100, 0).Add(2 * time.Hour)
-	if err := db.WritePoint(p); err != nil {
+	if err := db.WriteBatchContext(bg, []lineproto.Point{p}); err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
@@ -236,7 +236,7 @@ func TestDBConcurrentSelectVsWriteBatchOneShard(t *testing.T) {
 		batches = 40
 		perB    = 25
 	)
-	db := NewDBShards("lms", 1)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1})
 	db.SetQueryCacheTTL(0) // exercise the engine, not the cache
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -259,7 +259,7 @@ func TestDBConcurrentSelectVsWriteBatchOneShard(t *testing.T) {
 					}
 					pts[i] = concPoint(meas, host, n)
 				}
-				if err := db.WriteBatch(pts); err != nil {
+				if err := db.WriteBatchContext(bg, pts); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -284,7 +284,7 @@ func TestDBConcurrentSelectVsWriteBatchOneShard(t *testing.T) {
 				default:
 				}
 				q := queries[(r+i)%len(queries)]
-				res, err := db.Select(q)
+				res, err := db.SelectContext(bg, q)
 				if err != nil && err != ErrNoMeasurement {
 					t.Errorf("select: %v", err)
 					return
@@ -312,7 +312,7 @@ func TestDBConcurrentSelectVsWriteBatchOneShard(t *testing.T) {
 	if got, want := db.PointCount(), writers*batches*perB; got != want {
 		t.Fatalf("PointCount = %d, want %d", got, want)
 	}
-	res, err := db.Select(Query{Measurement: "cpu00", Cols: star(AggCount, 0), GroupByTags: []string{"hostname"}})
+	res, err := db.SelectContext(bg, Query{Measurement: "cpu00", Cols: star(AggCount, 0), GroupByTags: []string{"hostname"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestStoreConcurrentCreateDrop(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				name := fmt.Sprintf("db%d", i%5)
 				db := s.CreateDatabase(name)
-				if err := db.WritePoint(concPoint("cpu", "h", i)); err != nil {
+				if err := db.WriteBatchContext(bg, []lineproto.Point{concPoint("cpu", "h", i)}); err != nil {
 					t.Errorf("write: %v", err)
 					return
 				}
@@ -355,20 +355,20 @@ func TestStoreConcurrentCreateDrop(t *testing.T) {
 // sorted.
 func TestWriteBatchOutOfOrder(t *testing.T) {
 	t.Parallel()
-	db := NewDBShards("lms", 4)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
 	var pts []lineproto.Point
 	// Two series interleaved, timestamps deliberately regressing.
 	for _, i := range []int{5, 3, 9, 1, 7, 2} {
 		pts = append(pts, concPoint("cpu", "h1", i), concPoint("cpu", "h2", 100-i))
 	}
-	if err := db.WriteBatch(pts); err != nil {
+	if err := db.WriteBatchContext(bg, pts); err != nil {
 		t.Fatal(err)
 	}
 	// A second batch older than everything already stored.
-	if err := db.WriteBatch([]lineproto.Point{concPoint("cpu", "h1", 0)}); err != nil {
+	if err := db.WriteBatchContext(bg, []lineproto.Point{concPoint("cpu", "h1", 0)}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Select(Query{Measurement: "cpu", GroupByTags: []string{"hostname"}})
+	res, err := db.SelectContext(bg, Query{Measurement: "cpu", GroupByTags: []string{"hostname"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestWriteBatchOutOfOrder(t *testing.T) {
 // over more than one shard (FNV should not degenerate).
 func TestShardDistribution(t *testing.T) {
 	t.Parallel()
-	db := NewDBShards("lms", 4)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
 	if db.ShardCount() != 4 {
 		t.Fatalf("ShardCount = %d, want 4", db.ShardCount())
 	}

@@ -117,7 +117,7 @@ func newDiffStack(t *testing.T) *diffStack {
 			db := s.CreateDatabase(name)
 			db.SetQueryCacheTTL(0)
 			for _, b := range batches {
-				if err := db.WriteBatch(b); err != nil {
+				if err := db.WriteBatchContext(context.Background(), b); err != nil {
 					t.Fatal(err)
 				}
 			}

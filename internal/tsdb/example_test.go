@@ -10,9 +10,10 @@ import (
 )
 
 // ExampleQuery shows the programmatic read path: write a small batch, then
-// aggregate it into aligned one-minute windows with DB.Select.
+// aggregate it into aligned one-minute windows with DB.SelectContext.
 func ExampleQuery() {
-	db := tsdb.NewDB("lms")
+	ctx := context.Background()
+	db := tsdb.NewStore().CreateDatabase("lms")
 	var pts []lineproto.Point
 	for i := 0; i < 4; i++ {
 		pts = append(pts, lineproto.Point{
@@ -22,11 +23,11 @@ func ExampleQuery() {
 			Time:        time.Unix(int64(i*30), 0).UTC(),
 		})
 	}
-	if err := db.WriteBatch(pts); err != nil {
+	if err := db.WriteBatchContext(ctx, pts); err != nil {
 		fmt.Println(err)
 		return
 	}
-	res, err := db.Select(tsdb.Query{
+	res, err := db.SelectContext(ctx, tsdb.Query{
 		Measurement: "cpu",
 		Cols:        []tsdb.AggCol{{Field: "percent", Agg: tsdb.AggMean}},
 		Every:       time.Minute,
@@ -47,18 +48,18 @@ func ExampleQuery() {
 // the statements a dashboard panel would send to /query.
 func ExampleParseQuery() {
 	store := tsdb.NewStore()
-	db := store.CreateDatabase("lms")
+	var pts []lineproto.Point
 	for i := 0; i < 4; i++ {
-		err := db.WritePoint(lineproto.Point{
+		pts = append(pts, lineproto.Point{
 			Measurement: "likwid_mem_dp",
 			Tags:        map[string]string{"hostname": "node01"},
 			Fields:      map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(9000 + float64(100*i))},
 			Time:        time.Unix(int64(i*60), 0).UTC(),
 		})
-		if err != nil {
-			fmt.Println(err)
-			return
-		}
+	}
+	if err := store.CreateDatabase("lms").WriteBatchContext(context.Background(), pts); err != nil {
+		fmt.Println(err)
+		return
 	}
 	stmts, err := tsdb.ParseQuery(
 		"SELECT max(dp_mflop_s) FROM likwid_mem_dp WHERE hostname = 'node01' GROUP BY time(120s)")

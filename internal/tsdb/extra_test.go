@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/lineproto"
 )
 
 // TestHTTPMultiStatementQuery checks that one request may carry several
@@ -17,7 +19,7 @@ func TestHTTPMultiStatementQuery(t *testing.T) {
 	store := NewStore()
 	db := store.CreateDatabase("lms")
 	for i := 0; i < 5; i++ {
-		_ = db.WritePoint(pt("cpu", map[string]string{"hostname": "h1"}, float64(i), int64(i)))
+		_ = db.WriteBatchContext(bg, []lineproto.Point{pt("cpu", map[string]string{"hostname": "h1"}, float64(i), int64(i))})
 	}
 	srv := httptest.NewServer(NewHandler(store))
 	defer srv.Close()
@@ -72,7 +74,7 @@ func TestHTTPQueryErrorInResults(t *testing.T) {
 // TestWindowedDerivative exercises the derivative aggregator inside GROUP
 // BY time windows, the query shape behind rate graphs of counter metrics.
 func TestWindowedDerivative(t *testing.T) {
-	db := NewDB("lms")
+	db := newDB("lms")
 	// Counter rising 100/s for 60 s, then 200/s for 60 s.
 	total := 0.0
 	for i := 0; i <= 120; i++ {
@@ -81,9 +83,9 @@ func TestWindowedDerivative(t *testing.T) {
 			rate = 200.0
 		}
 		total += rate
-		_ = db.WritePoint(pt("net", nil, total, int64(i)*time.Second.Nanoseconds()))
+		_ = db.WriteBatchContext(bg, []lineproto.Point{pt("net", nil, total, int64(i)*time.Second.Nanoseconds())})
 	}
-	res, err := db.Select(Query{
+	res, err := db.SelectContext(bg, Query{
 		Measurement: "net",
 		Every:       30 * time.Second,
 		Cols:        star(AggDerivative, 0),
@@ -136,12 +138,12 @@ func TestLimitThroughInfluxQL(t *testing.T) {
 // TestSelectFieldSubset checks that selecting one of several fields leaves
 // the others out of the columns.
 func TestSelectFieldSubset(t *testing.T) {
-	db := NewDB("lms")
-	_ = db.WritePoint(pt("m", nil, 1, 1))
+	db := newDB("lms")
+	_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 1, 1)})
 	p := pt("m", nil, 2, 2)
 	p.Fields["extra"] = p.Fields["value"]
-	_ = db.WritePoint(p)
-	res, err := db.Select(Query{Measurement: "m", Cols: []AggCol{{Field: "extra"}}})
+	_ = db.WriteBatchContext(bg, []lineproto.Point{p})
+	res, err := db.SelectContext(bg, Query{Measurement: "m", Cols: []AggCol{{Field: "extra"}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,7 +303,7 @@ func TestFrameOrderDoesNotReachTheStore(t *testing.T) {
 		write func(t *testing.T, st *Store, h *Handler, pts []lineproto.Point)
 	}{
 		{"WriteBatch", func(t *testing.T, st *Store, _ *Handler, pts []lineproto.Point) {
-			if err := st.DB("lms").WriteBatch(pts); err != nil {
+			if err := st.DB("lms").WriteBatchContext(bg, pts); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -34,7 +34,7 @@ func dumpDatabase(t *testing.T, db *DB) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, m := range db.Measurements() {
-		res, err := db.Select(Query{Measurement: m, GroupByTags: db.TagKeys(m)})
+		res, err := db.SelectContext(bg, Query{Measurement: m, GroupByTags: db.TagKeys(m)})
 		if err != nil {
 			t.Fatalf("select %s: %v", m, err)
 		}
@@ -108,7 +108,7 @@ func writeGoldenDir(t *testing.T, root string) {
 	}
 	write := func(db *DB, batches ...[]lineproto.Point) {
 		for _, b := range batches {
-			if err := db.WriteBatch(b); err != nil {
+			if err := db.WriteBatchContext(bg, b); err != nil {
 				t.Fatal(err)
 			}
 		}

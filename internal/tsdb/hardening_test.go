@@ -89,7 +89,7 @@ func TestHTTPWritePrecisionOverflow(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("valid hour write status %d", resp.StatusCode)
 	}
-	res, err := store.DB("lms").Select(Query{Measurement: "cpu"})
+	res, err := store.DB("lms").SelectContext(bg, Query{Measurement: "cpu"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestMetricsOracle(t *testing.T) {
 	}
 
 	// A refused batch counts drops, not ingest.
-	err = store.DB("lms").WriteBatch([]lineproto.Point{{Measurement: ""}})
+	err = store.DB("lms").WriteBatchContext(bg, []lineproto.Point{{Measurement: ""}})
 	if err == nil {
 		t.Fatal("invalid point accepted")
 	}
@@ -309,7 +309,7 @@ func mustWrite(t *testing.T, db *DB, lines string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WriteBatch(pts); err != nil {
+	if err := db.WriteBatchContext(bg, pts); err != nil {
 		t.Fatal(err)
 	}
 }

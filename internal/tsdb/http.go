@@ -2,8 +2,10 @@ package tsdb
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,6 +16,7 @@ import (
 
 	"repro/internal/lineproto"
 	"repro/internal/obs"
+	"repro/internal/tsdb/durable"
 )
 
 // Handler exposes a Store over the InfluxDB HTTP API. The LMS router, the
@@ -30,11 +33,11 @@ import (
 // before an administrator provisions anything.
 //
 // SELECTs served through /query run on the lock-light two-phase engine
-// behind DB.Select (select.go): a query holds its shard's read lock only
-// while snapshotting the matching point runs, so dashboard polling through
-// this handler no longer stalls agents writing to the same shard, and
-// repeated identical queries inside the cache TTL are answered from the
-// query-result cache (cache.go).
+// behind DB.SelectContext (select.go): a query holds its shard's read lock
+// only while snapshotting the matching point runs, so dashboard polling
+// through this handler no longer stalls agents writing to the same shard,
+// and repeated identical queries inside the cache TTL are answered from
+// the query-result cache (cache.go).
 type Handler struct {
 	store   *Store
 	mux     *http.ServeMux
@@ -155,27 +158,6 @@ func httpError(w http.ResponseWriter, code int, format string, args ...interface
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// precisionMult returns the multiplier converting a timestamp in the given
-// precision to nanoseconds.
-func precisionMult(p string) (int64, error) {
-	switch p {
-	case "", "ns", "n":
-		return 1, nil
-	case "u", "µ":
-		return int64(time.Microsecond), nil
-	case "ms":
-		return int64(time.Millisecond), nil
-	case "s":
-		return int64(time.Second), nil
-	case "m":
-		return int64(time.Minute), nil
-	case "h":
-		return int64(time.Hour), nil
-	default:
-		return 0, fmt.Errorf("invalid precision %q", p)
-	}
-}
-
 // AdmitWrite runs the admission sequence every InfluxDB-protocol /write
 // door shares (this handler and the router's): POST only; a slot in gate
 // (nil admits everything) or 429 with a Retry-After hint, the standard
@@ -195,10 +177,10 @@ func AdmitWrite(w http.ResponseWriter, r *http.Request, gate *obs.Gate, maxBody 
 		httpError(w, http.StatusTooManyRequests, "ingest overloaded, retry later")
 		return nil, 0, nil, false
 	}
-	mult, err := precisionMult(r.URL.Query().Get("precision"))
-	if err != nil {
+	precision := r.URL.Query().Get("precision")
+	if mult, ok = timeUnits[cmp.Or(precision, "ns")]; !ok {
 		release()
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, http.StatusBadRequest, "invalid precision %q", precision)
 		return nil, 0, nil, false
 	}
 	body, tooLarge, err := readBodyLimited(r.Body, r.ContentLength, maxBody)
@@ -328,7 +310,14 @@ func (h *Handler) handleWrite(w http.ResponseWriter, r *http.Request) {
 	sp.End()
 	tr.Finish()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		// A refused point is the writer's to fix (400, do not retry); a WAL
+		// that failed or a database that closed is the server's (500, so an
+		// InfluxDB-protocol writer retries).
+		status := http.StatusInternalServerError
+		if errors.Is(err, durable.ErrInvalidPoint) {
+			status = http.StatusBadRequest
+		}
+		httpError(w, status, "%v", err)
 		return
 	}
 	h.metrics.IngestBytes.Add(uint64(len(body)))

@@ -79,7 +79,7 @@ func TestHTTPWritePrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	res, err := store.DB("lms").Select(Query{Measurement: "cpu"})
+	res, err := store.DB("lms").SelectContext(bg, Query{Measurement: "cpu"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +181,12 @@ func TestClientWritePoints(t *testing.T) {
 func TestClientQueryEscaping(t *testing.T) {
 	store, srv := newTestServer(t)
 	db := store.CreateDatabase("lms")
-	_ = db.WritePoint(lineproto.Point{
+	_ = db.WriteBatchContext(bg, []lineproto.Point{{
 		Measurement: "cpu",
 		Tags:        map[string]string{"hostname": "node 01"},
 		Fields:      map[string]lineproto.Value{"value": lineproto.Float(3)},
 		Time:        time.Unix(0, 5),
-	})
+	}})
 	c := &Client{BaseURL: srv.URL, Database: "lms"}
 	res, err := queryText(c, "SELECT value FROM cpu WHERE hostname = 'node 01'")
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/lineproto"
 )
 
 func mustParse(t *testing.T, q string) Statement {
@@ -215,7 +217,7 @@ func seedStore(t *testing.T) *Store {
 		if i%2 == 1 {
 			host = "h2"
 		}
-		if err := db.WritePoint(pt("cpu", map[string]string{"hostname": host}, float64(i), int64(i)*time.Second.Nanoseconds())); err != nil {
+		if err := db.WriteBatchContext(bg, []lineproto.Point{pt("cpu", map[string]string{"hostname": host}, float64(i), int64(i)*time.Second.Nanoseconds())}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -106,7 +106,7 @@ func openParked(t *testing.T) (*Store, *parkFS, string) {
 		t.Fatal(err)
 	}
 	fs.arm()
-	if err := db.WriteBatch(corpusBatches()[0]); err != nil { // past CheckpointBytes: kicks the job
+	if err := db.WriteBatchContext(bg, corpusBatches()[0]); err != nil { // past CheckpointBytes: kicks the job
 		t.Fatal(err)
 	}
 	<-fs.parked
@@ -200,7 +200,7 @@ func TestCloseWaitsForBackground(t *testing.T) {
 		"Close": func(db *DB) { _ = db.Close() },
 		"Abort": (*DB).Abort,
 	} {
-		db := NewDB("sweep")
+		db := newDB("sweep")
 		parked, release := make(chan struct{}), make(chan struct{})
 		var once sync.Once
 		db.retJob.Every(time.Millisecond, func(context.Context) error {
@@ -226,7 +226,7 @@ func TestCloseWaitsForBackground(t *testing.T) {
 	}
 	db.SetRetention(time.Hour)
 	fs.arm()
-	if err := db.WriteBatch(corpusBatches()[0]); err != nil {
+	if err := db.WriteBatchContext(bg, corpusBatches()[0]); err != nil {
 		t.Fatal(err)
 	}
 	<-fs.parked

@@ -4,7 +4,7 @@ package tsdb
 // carries a Metrics bundle — obs instruments fed by the hot paths —
 // rendered on GET /metrics by the HTTP handler:
 //
-//   - lms_ingest_points_total / lms_ingest_batches_total: WriteBatch
+//   - lms_ingest_points_total / lms_ingest_batches_total: write
 //     acknowledgements (recovery replay is not ingest and does not count);
 //   - lms_dropped_points_total: points in batches the engine refused
 //     (validation failures, WAL append errors, writes after Close);
@@ -24,10 +24,9 @@ package tsdb
 //     DB and per shard (the "queue depth" of each lock domain), and busy
 //     query-pool workers.
 //
-// The bundle is created with the Store, so instrument pointers are always
-// valid; databases opened through the store carry a reference for the
-// write-path counters. Standalone DBs (NewDB, never attached) simply skip
-// metrics — every hook is nil-safe.
+// The bundle is created with the Store, and every database is born in its
+// store (Store.openLocked) holding a reference to it: instrument pointers
+// are always valid and no hook needs a nil check.
 
 import (
 	"net/http"
@@ -69,8 +68,8 @@ func newMetrics(s *Store) *Metrics {
 	reg := obs.NewRegistry()
 	m := &Metrics{
 		reg:           reg,
-		IngestPoints:  reg.NewCounter("lms_ingest_points_total", "Points acknowledged by WriteBatch."),
-		IngestBatches: reg.NewCounter("lms_ingest_batches_total", "Batches acknowledged by WriteBatch."),
+		IngestPoints:  reg.NewCounter("lms_ingest_points_total", "Points acknowledged by the write path."),
+		IngestBatches: reg.NewCounter("lms_ingest_batches_total", "Batches acknowledged by the write path."),
 		IngestBytes:   reg.NewCounter("lms_ingest_bytes_total", "Line-protocol body bytes accepted by /write."),
 		DroppedPoints: reg.NewCounter("lms_dropped_points_total", "Points in batches the engine refused (validation, WAL failure, closed DB)."),
 		Checkpoints:   reg.NewCounter("lms_checkpoints_total", "Completed columnar checkpoints."),
@@ -187,58 +186,25 @@ func (s *Store) Metrics() *Metrics { return s.metrics }
 // HTTP handler (SetTraces there too) serves it on /debug/traces.
 func (s *Store) SetTraces(r *obs.TraceRing) { s.metrics.traces.Store(r) }
 
-// traceRing returns the store's trace ring, nil for standalone DBs or
-// when tracing is off.
-func (db *DB) traceRing() *obs.TraceRing {
-	if m := db.metrics.Load(); m != nil {
-		return m.traces.Load()
-	}
-	return nil
-}
+// traceRing returns the store's trace ring, nil when tracing is off.
+func (db *DB) traceRing() *obs.TraceRing { return db.metrics.traces.Load() }
 
-// --- DB-side hooks (nil-safe: standalone DBs carry no bundle) -------------
-
-// attachMetrics publishes a store's bundle onto db: the write-path hooks
-// read the pointer per observation, the background jobs count into the
-// bundle's lms_job_* series from their next run on.
-func (db *DB) attachMetrics(m *Metrics) {
-	db.metrics.Store(m)
-	db.retJob.Export(m.jobRetention)
-	db.compJob.Export(m.jobCompaction)
-	if db.dur != nil {
-		db.dur.ckptJob.Export(m.jobCheckpoint)
-		db.dur.wal.ExportSync(m.jobWALSync)
-	}
-}
+// --- DB-side hooks --------------------------------------------------------
 
 // noteIngest counts an acknowledged batch.
 func (db *DB) noteIngest(points int) {
-	if m := db.metrics.Load(); m != nil {
-		m.IngestPoints.Add(uint64(points))
-		m.IngestBatches.Inc()
-	}
+	db.metrics.IngestPoints.Add(uint64(points))
+	db.metrics.IngestBatches.Inc()
 }
 
 // noteDrop counts a refused batch.
-func (db *DB) noteDrop(points int) {
-	if m := db.metrics.Load(); m != nil {
-		m.DroppedPoints.Add(uint64(points))
-	}
-}
+func (db *DB) noteDrop(points int) { db.metrics.DroppedPoints.Add(uint64(points)) }
 
 // noteCheckpoint counts a completed checkpoint.
-func (db *DB) noteCheckpoint() {
-	if m := db.metrics.Load(); m != nil {
-		m.Checkpoints.Inc()
-	}
-}
+func (db *DB) noteCheckpoint() { db.metrics.Checkpoints.Inc() }
 
 // observeFsync feeds the WAL fsync histogram (durable.Options.SyncObserver).
-func (db *DB) observeFsync(d time.Duration) {
-	if m := db.metrics.Load(); m != nil {
-		m.WALFsync.Observe(d.Seconds())
-	}
-}
+func (db *DB) observeFsync(d time.Duration) { db.metrics.WALFsync.Observe(d.Seconds()) }
 
 // compStats is one scrape-time sweep of the run states (DESIGN.md §13):
 // estimated resident bytes per state, the compressed chunk count, and the

@@ -4,7 +4,7 @@ package tsdb
 // CRC32-framed WAL, columnar checkpoint files — live in the durable
 // subpackage; this file owns their lifecycle around a DB:
 //
-//   - the durable write path: WriteBatch encodes the batch and appends it
+//   - the durable write path: a write encodes the batch and appends it
 //     to the WAL (fsynced per Durability.Fsync) *before* applying it in
 //     memory and acknowledging, under a read-gate shared with checkpoints;
 //   - checkpoints: rotate the WAL under the write gate, snapshot the
@@ -33,6 +33,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -96,7 +97,7 @@ type durability struct {
 	opts Durability
 	wal  *durable.WAL
 
-	// gate serializes checkpoints against writers: WriteBatch holds it in
+	// gate serializes checkpoints against writers: writeDurable holds it in
 	// read mode across "WAL append + memory apply", Checkpoint in write
 	// mode across "rotate + snapshot", so a checkpoint captures exactly
 	// the batches in the segments it covers.
@@ -266,38 +267,35 @@ func dbDirName(name string) (string, error) {
 	return esc, nil
 }
 
-// openDurableDB opens (recovering if the directory already has state) a
-// durable database under opts.Dir.
-func openDurableDB(name string, shards int, opts Durability) (*DB, error) {
+// openDurable recovers a database openLocked has just built — its newest
+// checkpoint, then the WAL tail — from its directory under opts.Dir
+// (creating it if new), and attaches the WAL later writes append to.
+func (db *DB) openDurable(opts Durability) error {
 	opts = opts.withDefaults()
-	dirName, err := dbDirName(name)
+	dirName, err := dbDirName(db.name)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	db := NewDBShards(name, shards)
 	dir := filepath.Join(opts.Dir, dirName)
 	snap, floor, err := durable.LoadLatestSnapshot(opts.FS, dir)
 	if err != nil {
-		return nil, fmt.Errorf("tsdb: open %q: %w", name, err)
+		return fmt.Errorf("tsdb: open %q: %w", db.name, err)
 	}
 	if snap != nil {
 		db.loadSnapshot(snap)
 	}
 	wo := opts.walOptions()
-	// Feed the WAL fsync latency histogram (metrics.go). The DB reads its
-	// metrics pointer per observation, so attaching the bundle after the
-	// open (openLocked does) still instruments every later sync.
 	wo.SyncObserver = db.observeFsync
 	// A sealed log is an operational event, not just a stream of failed
 	// writes: log the reason once, and let the lms_db_wal_sealed gauge
 	// (metrics.go, sampling WALSealed at scrape time) raise the alert.
 	wo.OnSeal = func(err error) {
-		obs.Errorf("tsdb: %s: %v", name, err)
+		obs.Errorf("tsdb: %s: %v", db.name, err)
 	}
 	wal, err := durable.OpenWAL(dir, floor, wo, func(payload []byte) error {
 		fb, err := db.checkFrame(payload)
 		if err != nil {
-			return fmt.Errorf("tsdb: WAL replay of %q: %w", name, err)
+			return fmt.Errorf("tsdb: WAL replay of %q: %w", db.name, err)
 		}
 		// Replay feeds the tail through the ordinary columnar write path
 		// (shard runBuilders, compaction, rewrite dedup), so the recovered
@@ -308,16 +306,18 @@ func openDurableDB(name string, shards int, opts Durability) (*DB, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("tsdb: open %q: %w", name, err)
+		return fmt.Errorf("tsdb: open %q: %w", db.name, err)
 	}
+	wal.ExportSync(db.metrics.jobWALSync)
 	db.dur = &durability{dir: dir, opts: opts, wal: wal}
 	db.dur.lastCkpt.Store(time.Now().UnixNano())
 	db.dur.ckptJob.Floor = ckptRetryBackoff
+	db.dur.ckptJob.Export(db.metrics.jobCheckpoint)
 	db.dur.ckptJob.Every(0, func(context.Context) error { return db.Checkpoint() })
 	// Recovery resumes the stream clock: the downtime does not count as
 	// idle time for the retention sweep (SetRetention).
 	db.lastWrite.Store(time.Now().UnixNano())
-	return db, nil
+	return nil
 }
 
 // --- in-memory state <-> durable.Snapshot -------------------------------
@@ -503,35 +503,50 @@ func (s *Store) OpenDatabase(name string) (*DB, error) {
 	return s.openLocked(name)
 }
 
+// openLocked is where every database is born: built with the store's
+// shard count, query workers, metrics bundle and job stats, recovered from
+// disk on a durable store, its compactor started — and only then published.
 func (s *Store) openLocked(name string) (*DB, error) {
 	if db, ok := s.dbs[name]; ok {
 		return db, nil
 	}
-	var db *DB
+	if s.Durability.Dir != "" && s.closed {
+		// The directory flock was released by Close/Abort: opening a fresh
+		// durable database now would write into a directory another
+		// process may legitimately hold.
+		return nil, ErrDBClosed
+	}
+	db := &DB{
+		name:    name,
+		shards:  make([]*shard, perCPU(s.ShardsPerDB)),
+		qsem:    make(chan struct{}, perCPU(s.QueryWorkersPerDB)),
+		metrics: s.metrics,
+	}
+	for i := range db.shards {
+		db.shards[i] = &shard{measurements: make(map[string]*measurement)}
+	}
+	db.qcache.init()
+	db.retJob.Export(s.metrics.jobRetention)
+	db.compJob.Export(s.metrics.jobCompaction)
 	if s.Durability.Dir != "" {
-		if s.closed {
-			// The directory flock was released by Close/Abort: opening a
-			// fresh durable database now would write into a directory
-			// another process may legitimately hold.
-			return nil, ErrDBClosed
-		}
-		var err error
-		db, err = openDurableDB(name, s.ShardsPerDB, s.Durability)
-		if err != nil {
+		if err := db.openDurable(s.Durability); err != nil {
 			return nil, err
 		}
-	} else {
-		db = NewDBShards(name, s.ShardsPerDB)
-	}
-	if s.QueryWorkersPerDB > 0 {
-		db.SetQueryWorkers(s.QueryWorkersPerDB)
 	}
 	if s.CompressAfter > 0 {
 		db.SetCompressAfter(s.CompressAfter)
 	}
-	db.attachMetrics(s.metrics)
 	s.dbs[name] = db
 	return db, nil
+}
+
+// perCPU is n, or one per schedulable CPU when n <= 0: the default shard
+// count and query fan-out of a database.
+func perCPU(n int) int {
+	if n <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return n
 }
 
 // Close closes every database: final checkpoints are written, WALs

@@ -1,7 +1,7 @@
 package tsdb
 
 // Whole-engine fault-injection sweeps (DESIGN.md §11): the corpus write
-// sequence runs through the real durable engine — WriteBatch's
+// sequence runs through the real durable engine — WriteBatchContext's
 // log-then-apply path, a mid-stream checkpoint, WAL rotations — on a
 // faultfs, with a fault injected at every filesystem operation index.
 // After the fault (and, in the power-cut variant, after every unsynced
@@ -14,6 +14,7 @@ import (
 	"errors"
 	"io"
 	"log"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -32,12 +33,23 @@ func faultDurability(f *faultfs.FS) Durability {
 	return Durability{Dir: "data", Fsync: durable.FsyncPerBatch, SegmentBytes: 2048, FS: f}
 }
 
+// openFaultDB opens database "lms" on a store running on f. Not through
+// OpenStore: its MkdirAll, LOCK flock and ReadDir go to the real disk, not
+// Durability.FS.
+func openFaultDB(f *faultfs.FS) (*Store, *DB, error) {
+	st := NewStore()
+	st.ShardsPerDB = 4
+	st.Durability = faultDurability(f)
+	db, err := st.OpenDatabase("lms")
+	return st, db, err
+}
+
 // driveEngine writes the corpus through a durable DB on f with a
 // checkpoint midway, returning how many batches were acknowledged.
 // Failed batches keep going — the sweep wants the sealed WAL to refuse
 // them, not the workload to stop.
 func driveEngine(f *faultfs.FS) (acked int) {
-	db, err := openDurableDB("lms", 4, faultDurability(f))
+	_, db, err := openFaultDB(f)
 	if err != nil {
 		return 0
 	}
@@ -46,7 +58,7 @@ func driveEngine(f *faultfs.FS) (acked int) {
 		if i == len(batches)/2 {
 			_ = db.Checkpoint()
 		}
-		if err := db.WriteBatch(b); err == nil {
+		if err := db.WriteBatchContext(bg, b); err == nil {
 			acked++
 		}
 	}
@@ -58,14 +70,10 @@ func driveEngine(f *faultfs.FS) (acked int) {
 // renders the full corpus-query fingerprint of the recovered state.
 func recoverFingerprint(t *testing.T, f *faultfs.FS) string {
 	t.Helper()
-	db, err := openDurableDB("lms", 4, faultDurability(f))
+	st, db, err := openFaultDB(f)
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
-	st := NewStore()
-	st.ShardsPerDB = 4
-	st.dbs["lms"] = db
-	db.metrics.Store(st.metrics)
 	fp := queryFingerprint(t, st, "lms")
 	db.Abort()
 	return fp
@@ -90,7 +98,7 @@ func oracleFingerprints(t *testing.T) []string {
 func runEngineFaultSweep(t *testing.T, cut bool, arm func(f *faultfs.FS, idx int64)) {
 	t.Helper()
 	// The sweeps seal the WAL hundreds of times; keep the per-seal log
-	// line (openDurableDB's OnSeal) out of the test output.
+	// line (openDurable's OnSeal) out of the test output.
 	log.SetOutput(io.Discard)
 	t.Cleanup(func() { log.SetOutput(os.Stderr) })
 
@@ -161,17 +169,13 @@ func TestWALSealedGaugeAndRefusal(t *testing.T) {
 	t.Cleanup(func() { log.SetOutput(os.Stderr) })
 
 	f := faultfs.New()
-	db, err := openDurableDB("lms", 4, faultDurability(f))
+	st, db, err := openFaultDB(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStore()
-	st.ShardsPerDB = 4
-	st.dbs["lms"] = db
-	db.metrics.Store(st.metrics)
 
 	batches := corpusBatches()
-	if err := db.WriteBatch(batches[0]); err != nil {
+	if err := db.WriteBatchContext(bg, batches[0]); err != nil {
 		t.Fatalf("healthy write: %v", err)
 	}
 	if db.WALSealed() != nil {
@@ -188,7 +192,7 @@ func TestWALSealedGaugeAndRefusal(t *testing.T) {
 		}
 		return nil
 	})
-	if err := db.WriteBatch(batches[1]); err == nil {
+	if err := db.WriteBatchContext(bg, batches[1]); err == nil {
 		t.Fatal("write acked through a failing fsync")
 	}
 	if db.WALSealed() == nil {
@@ -200,7 +204,7 @@ func TestWALSealedGaugeAndRefusal(t *testing.T) {
 
 	// The disk recovers, but the seal must hold until restart.
 	f.SetInject(nil)
-	if err := db.WriteBatch(batches[2]); err == nil {
+	if err := db.WriteBatchContext(bg, batches[2]); err == nil {
 		t.Fatal("sealed WAL acknowledged a write")
 	}
 	db.Abort()
@@ -212,6 +216,45 @@ func TestWALSealedGaugeAndRefusal(t *testing.T) {
 	if want := queryFingerprint(t, memoryOracle(t, batches[:1]), "lms"); fp != want {
 		t.Fatal("recovered state does not match the acked prefix")
 	}
+}
+
+// TestWriteStorageFailureIs500: /write answers a write the storage failed
+// — a WAL sealed by a failed fsync, a closed database — with 500, which an
+// InfluxDB-protocol writer retries. A 400 would tell it to drop the batch.
+// What the writer sent wrong stays 400 (TestHTTPWriteErrors, the frame
+// door's refusals in frame_test.go).
+func TestWriteStorageFailureIs500(t *testing.T) {
+	log.SetOutput(io.Discard)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	f := faultfs.New()
+	st, db, err := openFaultDB(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(st)
+	write := func(what string, want int) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/write?db=lms", strings.NewReader("cpu,hostname=h1 v=1 1\n")))
+		if rec.Code != want {
+			t.Fatalf("%s: status %d (%s), want %d", what, rec.Code, strings.TrimSpace(rec.Body.String()), want)
+		}
+	}
+	write("healthy", http.StatusNoContent)
+
+	f.SetInject(func(i faultfs.Info) *faultfs.Fault {
+		if i.Op == faultfs.OpSync {
+			return &faultfs.Fault{Err: faultfs.ErrIO}
+		}
+		return nil
+	})
+	write("failing fsync", http.StatusInternalServerError)
+	f.SetInject(nil)
+	write("sealed WAL", http.StatusInternalServerError)
+
+	db.Abort()
+	write("closed database", http.StatusInternalServerError)
 }
 
 // scrapeMetric renders /metrics and returns the value of one series.
@@ -244,16 +287,14 @@ func TestEngineFaultSweepPowerCut(t *testing.T) {
 // error on the span of the step that failed.
 func TestFailedCheckpointIsTraced(t *testing.T) {
 	f := faultfs.New()
-	db, err := openDurableDB("lms", 4, faultDurability(f))
+	st, db, err := openFaultDB(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Abort()
-	st := NewStore()
 	ring := obs.NewTraceRing(4)
 	st.SetTraces(ring)
-	st.Attach(db)
-	if err := db.WriteBatch(corpusBatches()[0]); err != nil {
+	if err := db.WriteBatchContext(bg, corpusBatches()[0]); err != nil {
 		t.Fatal(err)
 	}
 

@@ -139,7 +139,7 @@ func memoryOracle(t *testing.T, batches [][]lineproto.Point) *Store {
 	st.ShardsPerDB = 4
 	db := st.CreateDatabase("lms")
 	for _, b := range batches {
-		if err := db.WriteBatch(b); err != nil {
+		if err := db.WriteBatchContext(bg, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestDurableCloseReopenByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range batches {
-		if err := db.WriteBatch(b); err != nil {
+		if err := db.WriteBatchContext(bg, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +188,7 @@ func TestDurableCloseReopenByteIdentical(t *testing.T) {
 	}
 	// Writes keep working after recovery and survive a second restart.
 	db2 := st2.DB("lms")
-	if err := db2.WriteBatch(batches[len(batches)-1]); err != nil {
+	if err := db2.WriteBatchContext(bg, batches[len(batches)-1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := st2.Close(); err != nil {
@@ -217,7 +217,7 @@ func TestDurableCheckpointPlusReplayOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range batches[:half] {
-		if err := db.WriteBatch(b); err != nil {
+		if err := db.WriteBatchContext(bg, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +225,7 @@ func TestDurableCheckpointPlusReplayOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range batches[half:] {
-		if err := db.WriteBatch(b); err != nil {
+		if err := db.WriteBatchContext(bg, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -287,7 +287,7 @@ func TestDurableCrashRecoveryTornTail(t *testing.T) {
 	}
 	ends := make([]int64, 0, len(batches)) // WAL offset just past each batch's frame
 	for _, b := range batches {
-		if err := db.WriteBatch(b); err != nil {
+		if err := db.WriteBatchContext(bg, b); err != nil {
 			t.Fatal(err)
 		}
 		ends = append(ends, db.dur.wal.TotalSize())
@@ -358,7 +358,7 @@ func TestDurableRetentionDeletesOnDiskState(t *testing.T) {
 		Time: now.Add(-2 * time.Hour)}
 	fresh := lineproto.Point{Measurement: "cpu", Fields: map[string]lineproto.Value{"v": lineproto.Float(2)},
 		Time: now}
-	if err := db.WriteBatch([]lineproto.Point{old, fresh}); err != nil {
+	if err := db.WriteBatchContext(bg, []lineproto.Point{old, fresh}); err != nil {
 		t.Fatal(err)
 	}
 	if got := db.PointCount(); got != 2 {
@@ -423,7 +423,7 @@ func TestDurableConcurrentWritesAndCheckpoints(t *testing.T) {
 						Time:        time.Unix(int64(i*perBatch+j), 0),
 					})
 				}
-				if err := db.WriteBatch(b); err != nil {
+				if err := db.WriteBatchContext(bg, b); err != nil {
 					t.Errorf("write: %v", err)
 					return
 				}
@@ -465,7 +465,7 @@ func TestStoreRecoversAllDatabases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := db.WriteBatch([]lineproto.Point{{
+		if err := db.WriteBatchContext(bg, []lineproto.Point{{
 			Measurement: "cpu",
 			Fields:      map[string]lineproto.Value{"v": lineproto.Float(1)},
 			Time:        time.Unix(1, 0),
@@ -504,7 +504,7 @@ func TestDurableWriteAfterCloseErrors(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	err = db.WriteBatch([]lineproto.Point{{
+	err = db.WriteBatchContext(bg, []lineproto.Point{{
 		Measurement: "cpu", Fields: map[string]lineproto.Value{"v": lineproto.Float(1)},
 	}})
 	if err != ErrDBClosed {
@@ -524,7 +524,7 @@ func TestDropDatabaseRemovesDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WriteBatch([]lineproto.Point{{
+	if err := db.WriteBatchContext(bg, []lineproto.Point{{
 		Measurement: "cpu", Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}, Time: time.Unix(1, 0),
 	}}); err != nil {
 		t.Fatal(err)
@@ -574,7 +574,7 @@ func TestCheckpointIdempotentSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WriteBatch(corpusBatches()[0]); err != nil {
+	if err := db.WriteBatchContext(bg, corpusBatches()[0]); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {

@@ -135,14 +135,6 @@ func execStatements(ctx context.Context, store *Store, dbName string, stmts []St
 	return nil
 }
 
-// QuerierFor wraps a standalone DB (built with NewDB, outside any Store) in
-// a local querier serving exactly that database under its own name.
-func QuerierFor(db *DB) Querier {
-	s := NewStore()
-	s.Attach(db)
-	return LocalQuerier{Store: s}
-}
-
 // ---------------------------------------------------------------------------
 // Programmatic statement construction.
 //
@@ -388,25 +380,26 @@ func textOf(stmts []Statement) string {
 	return strings.Join(parts, "; ")
 }
 
+// timeUnits maps the InfluxDB time-unit spellings — the /write precision
+// and the /query epoch parameter share them — to nanoseconds per unit.
+// What an empty parameter means is each caller's own.
+var timeUnits = map[string]int64{
+	"ns": 1, "n": 1,
+	"u": int64(time.Microsecond), "µ": int64(time.Microsecond),
+	"ms": int64(time.Millisecond),
+	"s":  int64(time.Second),
+	"m":  int64(time.Minute),
+	"h":  int64(time.Hour),
+}
+
 // epochMult returns the nanoseconds-per-unit divisor of an epoch parameter
 // value; "" means RFC3339 string timestamps.
 func epochMult(epoch string) (int64, error) {
-	switch epoch {
-	case "":
+	if epoch == "" {
 		return 0, nil
-	case "ns", "n":
-		return 1, nil
-	case "u", "µ":
-		return int64(time.Microsecond), nil
-	case "ms":
-		return int64(time.Millisecond), nil
-	case "s":
-		return int64(time.Second), nil
-	case "m":
-		return int64(time.Minute), nil
-	case "h":
-		return int64(time.Hour), nil
-	default:
-		return 0, fmt.Errorf("tsdb: invalid epoch %q", epoch)
 	}
+	if mult, ok := timeUnits[epoch]; ok {
+		return mult, nil
+	}
+	return 0, fmt.Errorf("tsdb: invalid epoch %q", epoch)
 }

@@ -68,11 +68,11 @@ func seedQuerierStore(t testing.TB) *Store {
 		Fields:      map[string]lineproto.Value{"text": lineproto.String("jobstart")},
 		Time:        base,
 	})
-	if err := db.WriteBatch(pts); err != nil {
+	if err := db.WriteBatchContext(bg, pts); err != nil {
 		t.Fatal(err)
 	}
 	// An out-of-order batch, so multiple point runs exist.
-	if err := db.WriteBatch([]lineproto.Point{{
+	if err := db.WriteBatchContext(bg, []lineproto.Point{{
 		Measurement: "cpu",
 		Tags:        map[string]string{"hostname": "h1", "jobid": "42"},
 		Fields:      map[string]lineproto.Value{"value": lineproto.Float(99)},
@@ -287,7 +287,7 @@ func TestStatementTextRoundTrip(t *testing.T) {
 	// Identifiers and string values outside the bare alphabet survive via
 	// quoting.
 	db := store.CreateDatabase("lms")
-	if err := db.WriteBatch([]lineproto.Point{{
+	if err := db.WriteBatchContext(bg, []lineproto.Point{{
 		Measurement: "weird meas",
 		Tags:        map[string]string{"host name": "it's h1&co"},
 		Fields:      map[string]lineproto.Value{"v": lineproto.Float(1)},
@@ -295,7 +295,7 @@ func TestStatementTextRoundTrip(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WriteBatch([]lineproto.Point{{
+	if err := db.WriteBatchContext(bg, []lineproto.Point{{
 		Measurement: `nvme"0\disk`,
 		Tags:        map[string]string{"hostname": "h1"},
 		Fields:      map[string]lineproto.Value{"v": lineproto.Float(2)},
@@ -409,9 +409,8 @@ func TestSelectContextCancellation(t *testing.T) {
 
 	// And the serial engine path (workers=1) observes it between groups
 	// too.
-	db1 := NewDBShards("one", 1)
-	db1.SetQueryWorkers(1)
-	if err := db1.WriteBatch([]lineproto.Point{
+	db1 := newDBOpts("one", StoreOptions{ShardsPerDB: 1, QueryWorkersPerDB: 1})
+	if err := db1.WriteBatchContext(bg, []lineproto.Point{
 		{Measurement: "m", Tags: map[string]string{"h": "a"}, Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}, Time: time.Unix(1, 0)},
 		{Measurement: "m", Tags: map[string]string{"h": "b"}, Fields: map[string]lineproto.Value{"v": lineproto.Float(2)}, Time: time.Unix(1, 0)},
 	}); err != nil {

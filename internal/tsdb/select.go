@@ -1,6 +1,7 @@
 package tsdb
 
-// The two-phase, lock-light query engine behind DB.Select (DESIGN.md §6).
+// The two-phase, lock-light query engine behind DB.SelectContext
+// (DESIGN.md §6).
 //
 // Phase 1 (snapshotSelect) takes the shard lock of the queried measurement
 // in *read* mode and only long enough to collect slice headers of the
@@ -13,11 +14,11 @@ package tsdb
 //
 // Phase 2 (executeGroups) buckets the runs by the group-by tag combination
 // and runs filtering, window bucketing and aggregation outside any lock,
-// fanning the groups out over a bounded worker pool (DB.SetQueryWorkers,
-// StackConfig.QueryWorkers). Aggregates are computed as per-run partials
-// (filled by the vectorized column folds in agg.go) merged in a fixed
-// order, so the result is byte-identical no matter how many workers run —
-// the serial engine is simply workers=1.
+// fanning the groups out over a bounded worker pool
+// (StoreOptions.QueryWorkersPerDB, StackConfig.QueryWorkers). Aggregates
+// are computed as per-run partials (filled by the vectorized column folds
+// in agg.go) merged in a fixed order, so the result is byte-identical no
+// matter how many workers run — the serial engine is simply workers=1.
 
 import (
 	"context"
@@ -318,7 +319,7 @@ func (db *DB) executeGroups(ctx context.Context, q Query, cols []AggCol, strs []
 		}
 		return kept
 	}
-	if len(groups) == 1 || db.queryWorkers <= 1 {
+	if len(groups) == 1 || cap(db.qsem) <= 1 {
 		for i := range groups {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -329,21 +330,18 @@ func (db *DB) executeGroups(ctx context.Context, q Query, cols []AggCol, strs []
 	}
 	// Bounded fan-out: a group runs on a pool slot when one is free and
 	// inline otherwise, so a query never queues behind itself and the
-	// goroutine count stays capped across concurrent Selects. The channel
-	// is captured once so acquire and release always pair on the same pool
-	// even if SetQueryWorkers swaps it mid-flight.
-	qsem := db.qsem
+	// goroutine count stays capped across concurrent Selects.
 	var wg sync.WaitGroup
 	for i := range groups {
 		if ctx.Err() != nil {
 			break
 		}
 		select {
-		case qsem <- struct{}{}:
+		case db.qsem <- struct{}{}:
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				defer func() { <-qsem }()
+				defer func() { <-db.qsem }()
 				if ctx.Err() != nil {
 					return
 				}

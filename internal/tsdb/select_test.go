@@ -406,12 +406,12 @@ func seedSelectBatches() [][]lineproto.Point {
 }
 
 // seedSelectDB loads seedSelectBatches into a fresh uncached database.
-func seedSelectDB(t testing.TB, shards int) *DB {
+func seedSelectDB(t testing.TB, o StoreOptions) *DB {
 	t.Helper()
-	db := NewDBShards("lms", shards)
+	db := newDBOpts("lms", o)
 	db.SetQueryCacheTTL(0)
 	for _, batch := range seedSelectBatches() {
-		if err := db.WriteBatch(batch); err != nil {
+		if err := db.WriteBatchContext(bg, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -451,13 +451,11 @@ func selectQueries() []Query {
 // query shape.
 func TestSelectParallelByteIdenticalToSerial(t *testing.T) {
 	t.Parallel()
-	serial := seedSelectDB(t, 4)
-	serial.SetQueryWorkers(1)
-	parallel := seedSelectDB(t, 4)
-	parallel.SetQueryWorkers(8)
+	serial := seedSelectDB(t, StoreOptions{ShardsPerDB: 4, QueryWorkersPerDB: 1})
+	parallel := seedSelectDB(t, StoreOptions{ShardsPerDB: 4, QueryWorkersPerDB: 8})
 	for _, q := range selectQueries() {
-		want, err1 := serial.Select(q)
-		got, err2 := parallel.Select(q)
+		want, err1 := serial.SelectContext(bg, q)
+		got, err2 := parallel.SelectContext(bg, q)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("cols %v: errors %v / %v", q.Cols, err1, err2)
 		}
@@ -475,10 +473,10 @@ func TestSelectParallelByteIdenticalToSerial(t *testing.T) {
 // additions).
 func TestSelectMatchesReferenceEngine(t *testing.T) {
 	t.Parallel()
-	db := seedSelectDB(t, 4)
+	db := seedSelectDB(t, StoreOptions{ShardsPerDB: 4})
 	for _, q := range selectQueries() {
 		want, err1 := referenceSelect(db, q)
-		got, err2 := db.Select(q)
+		got, err2 := db.SelectContext(bg, q)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("cols %v: errors %v / %v", q.Cols, err1, err2)
 		}
@@ -490,14 +488,14 @@ func TestSelectMatchesReferenceEngine(t *testing.T) {
 // phase 1 preserves the truncation semantics over multi-series groups.
 func TestSelectRawLimitPushdown(t *testing.T) {
 	t.Parallel()
-	db := seedSelectDB(t, 2)
+	db := seedSelectDB(t, StoreOptions{ShardsPerDB: 2})
 	for _, limit := range []int{1, 3, 10, 199, 200, 5000} {
 		q := Query{Measurement: "m", Limit: limit}
 		want, err := referenceSelect(db, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := db.Select(q)
+		got, err := db.SelectContext(bg, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +511,7 @@ func TestSelectRawLimitPushdown(t *testing.T) {
 // matching rows further down the series would be lost.
 func TestSelectLimitWithFieldProjection(t *testing.T) {
 	t.Parallel()
-	db := NewDBShards("lms", 2)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 2})
 	db.SetQueryCacheTTL(0)
 	var pts []lineproto.Point
 	for i := 0; i < 40; i++ {
@@ -528,7 +526,7 @@ func TestSelectLimitWithFieldProjection(t *testing.T) {
 			Time:        time.Unix(int64(i), 0),
 		})
 	}
-	if err := db.WriteBatch(pts); err != nil {
+	if err := db.WriteBatchContext(bg, pts); err != nil {
 		t.Fatal(err)
 	}
 	q := Query{Measurement: "m", Cols: []AggCol{{Field: "b"}}, Limit: 5}
@@ -536,7 +534,7 @@ func TestSelectLimitWithFieldProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.Select(q)
+	got, err := db.SelectContext(bg, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,11 +551,11 @@ func TestSelectLimitWithFieldProjection(t *testing.T) {
 // an unrelated measurement does not, and DropBefore invalidates globally.
 func TestQueryCacheHitAndInvalidation(t *testing.T) {
 	t.Parallel()
-	db := NewDBShards("lms", 4)
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
 	db.SetQueryCacheTTL(time.Hour)
 	write := func(meas string, val float64, sec int64) {
 		t.Helper()
-		err := db.WriteBatch([]lineproto.Point{{
+		err := db.WriteBatchContext(bg, []lineproto.Point{{
 			Measurement: meas,
 			Tags:        map[string]string{"hostname": "h1"},
 			Fields:      map[string]lineproto.Value{"value": lineproto.Float(val)},
@@ -569,7 +567,7 @@ func TestQueryCacheHitAndInvalidation(t *testing.T) {
 	}
 	sumOf := func() float64 {
 		t.Helper()
-		res, err := db.Select(Query{Measurement: "m1", Cols: star(AggSum, 0)})
+		res, err := db.SelectContext(bg, Query{Measurement: "m1", Cols: star(AggSum, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -626,9 +624,9 @@ func TestQueryCacheHitAndInvalidation(t *testing.T) {
 // a cache entry.
 func TestQueryCacheKeyCollision(t *testing.T) {
 	t.Parallel()
-	db := NewDB("lms")
+	db := newDB("lms")
 	db.SetQueryCacheTTL(time.Hour)
-	err := db.WriteBatch([]lineproto.Point{{
+	err := db.WriteBatchContext(bg, []lineproto.Point{{
 		Measurement: "m",
 		Tags:        map[string]string{"hostname": "h1"},
 		Fields: map[string]lineproto.Value{
@@ -640,7 +638,7 @@ func TestQueryCacheKeyCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := db.Select(Query{Measurement: "m", Cols: []AggCol{{Field: "a"}, {Field: "b"}}})
+	r1, err := db.SelectContext(bg, Query{Measurement: "m", Cols: []AggCol{{Field: "a"}, {Field: "b"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +647,7 @@ func TestQueryCacheKeyCollision(t *testing.T) {
 	}
 	// "a,b" is one (nonexistent) column, not two: no rows may come back,
 	// and in particular not the cached result of the two-column query.
-	r2, err := db.Select(Query{Measurement: "m", Cols: []AggCol{{Field: "a,b"}}})
+	r2, err := db.SelectContext(bg, Query{Measurement: "m", Cols: []AggCol{{Field: "a,b"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,7 +672,7 @@ func TestQueryCacheKeyCollision(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := db.Select(q)
+			got, err := db.SelectContext(bg, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -688,9 +686,9 @@ func TestQueryCacheKeyCollision(t *testing.T) {
 // TestQueryCacheDisabled checks that a zero TTL bypasses the cache.
 func TestQueryCacheDisabled(t *testing.T) {
 	t.Parallel()
-	db := NewDB("lms")
+	db := newDB("lms")
 	db.SetQueryCacheTTL(0)
-	err := db.WriteBatch([]lineproto.Point{{
+	err := db.WriteBatchContext(bg, []lineproto.Point{{
 		Measurement: "m",
 		Fields:      map[string]lineproto.Value{"value": lineproto.Float(1)},
 		Time:        time.Unix(1, 0),
@@ -699,7 +697,7 @@ func TestQueryCacheDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := db.Select(Query{Measurement: "m"}); err != nil {
+		if _, err := db.SelectContext(bg, Query{Measurement: "m"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -711,9 +709,9 @@ func TestQueryCacheDisabled(t *testing.T) {
 // TestQueryCacheExpiry checks that entries stop being served after the TTL.
 func TestQueryCacheExpiry(t *testing.T) {
 	t.Parallel()
-	db := NewDB("lms")
+	db := newDB("lms")
 	db.SetQueryCacheTTL(time.Millisecond)
-	err := db.WriteBatch([]lineproto.Point{{
+	err := db.WriteBatchContext(bg, []lineproto.Point{{
 		Measurement: "m",
 		Fields:      map[string]lineproto.Value{"value": lineproto.Float(1)},
 		Time:        time.Unix(1, 0),
@@ -721,11 +719,11 @@ func TestQueryCacheExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Select(Query{Measurement: "m"}); err != nil {
+	if _, err := db.SelectContext(bg, Query{Measurement: "m"}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(5 * time.Millisecond)
-	if _, err := db.Select(Query{Measurement: "m"}); err != nil {
+	if _, err := db.SelectContext(bg, Query{Measurement: "m"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := db.QueryCacheStats(); misses != 2 {

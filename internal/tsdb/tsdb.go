@@ -24,10 +24,10 @@
 // lock. Points are routed to a shard by a hash of their measurement name, so
 // a measurement lives wholly inside one shard and all query semantics are
 // unaffected; writers and readers touching different measurements proceed in
-// parallel. N defaults to GOMAXPROCS and is configurable with NewDBShards
-// (or StoreOptions.ShardsPerDB for databases opened through a Store).
+// parallel. N defaults to GOMAXPROCS and is configurable with
+// StoreOptions.ShardsPerDB: a database is only ever built by its Store.
 //
-// The batched entry point is WriteBatch: it validates the whole batch,
+// The one write door is WriteBatchContext: it validates the whole batch,
 // splits it per shard, and inside each shard appends consecutive points of
 // the same series into a columnar run builder (column.go, DESIGN.md §8) —
 // one sorted timestamp column plus one typed value column per field, no
@@ -37,22 +37,22 @@
 //
 // # Read path
 //
-// DB.Select runs on a two-phase, lock-light engine (select.go, DESIGN.md
-// §6): phase 1 holds the shard *read* lock only while snapshotting slice
-// headers of the matching columnar runs — with the time range and, for raw
-// queries, the row Limit pushed into the snapshot — and phase 2 buckets,
-// groups and aggregates entirely outside the lock, fanning result groups
-// out over a bounded worker pool (SetQueryWorkers) and merging per-run
-// partial aggregates (agg.go) computed by vectorized sweeps over the
-// typed columns. A small TTL'd query-result cache (cache.go) absorbs the
-// dashboard viewer's repeated panel refreshes and is invalidated per
-// measurement on write.
+// DB.SelectContext runs on a two-phase, lock-light engine (select.go,
+// DESIGN.md §6): phase 1 holds the shard *read* lock only while
+// snapshotting slice headers of the matching columnar runs — with the time
+// range and, for raw queries, the row Limit pushed into the snapshot — and
+// phase 2 buckets, groups and aggregates entirely outside the lock, fanning
+// result groups out over a bounded worker pool
+// (StoreOptions.QueryWorkersPerDB) and merging per-run partial aggregates
+// (agg.go) computed by vectorized sweeps over the typed columns. A small
+// TTL'd query-result cache (cache.go) absorbs the dashboard viewer's
+// repeated panel refreshes and is invalidated per measurement on write.
 //
 // # Durability
 //
 // A store opened with OpenStore and a data directory survives restarts
 // (persist.go and the durable subpackage, DESIGN.md §9), mirroring the
-// InfluxDB storage engine the paper's stack persists into: WriteBatch
+// InfluxDB storage engine the paper's stack persists into: a write
 // appends each batch to a segmented, CRC32-framed write-ahead log before
 // acknowledging (fsync per batch, on an interval, or off), checkpoints
 // serialize the sealed columnar runs to immutable on-disk blocks and
@@ -68,7 +68,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -103,8 +102,9 @@ type StoreOptions struct {
 	// sealed forever.
 	CompressAfter time.Duration
 	// Durability enables the durable storage engine (persist.go, DESIGN.md
-	// §9) when its Dir is set. It takes effect through OpenStore only,
-	// which creates and locks the directory.
+	// §9) when its Dir is set. OpenStore creates and locks the directory
+	// and recovers the databases in it; set on a NewStore store (the
+	// faultfs sweeps), databases open on Durability.FS alone.
 	Durability Durability
 }
 
@@ -142,16 +142,6 @@ func (s *Store) CreateDatabase(name string) *DB {
 		panic(fmt.Sprintf("tsdb: CreateDatabase(%q): %v (use OpenDatabase on a durable store)", name, err))
 	}
 	return db
-}
-
-// Attach registers an existing database (built with NewDB / NewDBShards)
-// under its own name, so DB-first callers can serve it through the query
-// API (QuerierFor). An existing database of the same name is replaced.
-func (s *Store) Attach(db *DB) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	db.attachMetrics(s.metrics)
-	s.dbs[db.name] = db
 }
 
 // DB returns the database with that name, or nil.
@@ -194,7 +184,8 @@ func (s *Store) Databases() []string {
 }
 
 // DB is one named time-series database, partitioned into measurement-hashed
-// shards (see the package comment).
+// shards (see the package comment). Only its Store builds one
+// (Store.openLocked), fully wired before anyone else can see it.
 type DB struct {
 	name      string
 	shards    []*shard
@@ -208,10 +199,8 @@ type DB struct {
 	dur    *durability
 	closed atomic.Bool
 
-	// metrics points at the owning store's observability bundle
-	// (metrics.go); nil for standalone DBs. Atomic because Attach may
-	// publish a bundle onto a DB that is already serving writes.
-	metrics atomic.Pointer[Metrics]
+	// metrics is the owning store's observability bundle (metrics.go).
+	metrics *Metrics
 
 	// Background maintenance (obs.Job; Close and Abort stop and wait for
 	// both). retJob sweeps retention (SetRetention), so expired data ages
@@ -220,11 +209,10 @@ type DB struct {
 	retJob  obs.Job
 	compJob obs.Job
 
-	// Read path (select.go, cache.go). queryWorkers bounds the phase-2
-	// fan-out of Select; qsem is the shared slot pool sized to it.
-	queryWorkers int
-	qsem         chan struct{}
-	qcache       queryCache
+	// Read path (select.go, cache.go). qsem is the shared slot pool whose
+	// capacity bounds the phase-2 fan-out of a query.
+	qsem   chan struct{}
+	qcache queryCache
 	// measGens holds one invalidation generation counter per measurement
 	// (*atomic.Uint64); globalGen invalidates everything (retention sweeps,
 	// DropBefore).
@@ -241,45 +229,6 @@ type shard struct {
 	// key holds the series key of the block the builder is accumulating,
 	// nextKey the one being built for the point at hand; reused, guarded by mu.
 	key, nextKey []byte
-}
-
-// DefaultShards is the shard count used when none is configured: one lock
-// domain per schedulable CPU.
-func DefaultShards() int { return runtime.GOMAXPROCS(0) }
-
-// NewDB returns an empty database with the default shard count.
-func NewDB(name string) *DB { return NewDBShards(name, 0) }
-
-// NewDBShards returns an empty database with n shards. n <= 0 selects
-// DefaultShards.
-func NewDBShards(name string, n int) *DB {
-	if n <= 0 {
-		n = DefaultShards()
-	}
-	db := &DB{name: name, shards: make([]*shard, n)}
-	for i := range db.shards {
-		db.shards[i] = &shard{measurements: make(map[string]*measurement)}
-	}
-	db.queryWorkers = DefaultQueryWorkers()
-	db.qsem = make(chan struct{}, db.queryWorkers)
-	db.qcache.init()
-	return db
-}
-
-// DefaultQueryWorkers is the phase-2 fan-out bound used when none is
-// configured: one aggregation worker per schedulable CPU.
-func DefaultQueryWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// SetQueryWorkers bounds the number of goroutines one Select may fan
-// group aggregation out to. n <= 0 restores the default (GOMAXPROCS),
-// n == 1 forces the serial engine. Like StoreOptions.ShardsPerDB it must be set
-// before the database starts serving queries.
-func (db *DB) SetQueryWorkers(n int) {
-	if n <= 0 {
-		n = DefaultQueryWorkers()
-	}
-	db.queryWorkers = n
-	db.qsem = make(chan struct{}, n)
 }
 
 // Name returns the database name.
@@ -541,35 +490,18 @@ func seriesKey(tags map[string]string) string {
 	return b.String()
 }
 
-// WritePoint inserts one point. Points without a timestamp get the current
-// time, mirroring InfluxDB's server-side timestamping.
-func (db *DB) WritePoint(p lineproto.Point) error {
-	return db.WriteBatch([]lineproto.Point{p})
-}
-
-// WritePoints inserts a batch of points. It is an alias of WriteBatch, kept
-// for callers predating the sharded write path.
-func (db *DB) WritePoints(pts []lineproto.Point) error {
-	return db.WriteBatch(pts)
-}
-
-// WriteBatch is the batched ingest entry point: the whole batch is
+// WriteBatchContext is the write door of a database: the whole batch is
 // validated, split per shard, and written with one lock acquisition per
 // touched shard. Points without a timestamp share one server-side
 // timestamp, mirroring InfluxDB. On a durable database the batch is
 // appended to the write-ahead log — fsynced per the configured policy —
 // before it is applied and acknowledged (persist.go). An invalid point
 // (durable.ErrInvalidPoint: what Point.Validate refuses) refuses the
-// whole batch.
-func (db *DB) WriteBatch(pts []lineproto.Point) error {
-	return db.WriteBatchContext(context.Background(), pts)
-}
-
-// WriteBatchContext is WriteBatch with a context carrying an optional
-// trace (obs.WithTrace): a traced durable write records spans for the
-// WAL append (which includes the fsync wait under the per-batch policy)
-// and the in-memory apply. The context is not used for cancellation —
-// a batch appended to the WAL is already acknowledged territory.
+// whole batch. A context carrying a trace (obs.WithTrace) gets spans for
+// the WAL append (which includes the fsync wait under the per-batch
+// policy) and the in-memory apply. The context is not used for
+// cancellation — a batch appended to the WAL is already acknowledged
+// territory.
 //
 // The batch is encoded into its frame (durable.AppendBatch, points without
 // a timestamp resolved to now) and written as one: the frame is what the
@@ -1180,20 +1112,16 @@ type Series struct {
 	Rows    []Row
 }
 
-// Select executes a query against the database with the two-phase,
-// lock-light engine in select.go: phase 1 snapshots matching point runs
-// under the shard read lock, phase 2 filters, buckets and aggregates them
-// outside any lock on a bounded worker pool. Results may be served from and
-// are stored into a small TTL'd cache (cache.go); treat them as read-only.
-func (db *DB) Select(q Query) ([]Series, error) {
-	return db.SelectContext(context.Background(), q)
-}
-
-// SelectContext is Select with cancellation: the context is observed
-// between phase-2 aggregation tasks (and by the pool workers before they
-// start one), so a caller that goes away stops the query instead of
-// finishing aggregation nobody will read. A cancelled query returns the
-// context's error and stores nothing in the result cache.
+// SelectContext is the read door of a database: it executes a query with
+// the two-phase, lock-light engine in select.go — phase 1 snapshots
+// matching point runs under the shard read lock, phase 2 filters, buckets
+// and aggregates them outside any lock on a bounded worker pool. Results
+// may be served from and are stored into a small TTL'd cache (cache.go);
+// treat them as read-only. The context is observed between phase-2
+// aggregation tasks (and by the pool workers before they start one), so a
+// caller that goes away stops the query instead of finishing aggregation
+// nobody will read. A cancelled query returns the context's error and
+// stores nothing in the result cache.
 //
 // A context carrying a trace (obs.WithTrace) gets per-phase spans, and
 // one carrying a profile collector (withProf — EXPLAIN ANALYZE) gets the

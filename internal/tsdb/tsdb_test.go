@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,6 +14,19 @@ import (
 )
 
 func ts(ns int64) time.Time { return time.Unix(0, ns).UTC() }
+
+// bg is the context of the tests' writes and selects.
+var bg = context.Background()
+
+// newDB builds a database the one way there is: in a fresh in-memory store.
+func newDB(name string) *DB { return newDBOpts(name, StoreOptions{}) }
+
+// newDBOpts is newDB on a store with the per-database options of o.
+func newDBOpts(name string, o StoreOptions) *DB {
+	st := NewStore()
+	st.StoreOptions = o
+	return st.CreateDatabase(name)
+}
 
 func pt(meas string, tags map[string]string, val float64, t int64) lineproto.Point {
 	return lineproto.Point{
@@ -45,13 +59,13 @@ func TestStoreCreateAndDrop(t *testing.T) {
 }
 
 func TestWriteAndSelectRaw(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	for i := 0; i < 10; i++ {
-		if err := db.WritePoint(pt("cpu", map[string]string{"hostname": "h1"}, float64(i), int64(i*100))); err != nil {
+		if err := db.WriteBatchContext(bg, []lineproto.Point{pt("cpu", map[string]string{"hostname": "h1"}, float64(i), int64(i*100))}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.Select(Query{Measurement: "cpu"})
+	res, err := db.SelectContext(bg, Query{Measurement: "cpu"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +86,11 @@ func TestWriteAndSelectRaw(t *testing.T) {
 }
 
 func TestSelectTimeRange(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	for i := 0; i < 100; i++ {
-		_ = db.WritePoint(pt("m", nil, float64(i), int64(i)))
+		_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, float64(i), int64(i))})
 	}
-	res, err := db.Select(Query{Measurement: "m", Start: ts(10), End: ts(19)})
+	res, err := db.SelectContext(bg, Query{Measurement: "m", Start: ts(10), End: ts(19)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +103,12 @@ func TestSelectTimeRange(t *testing.T) {
 }
 
 func TestSelectTagFilter(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	for i := 0; i < 4; i++ {
 		host := fmt.Sprintf("h%d", i%2+1)
-		_ = db.WritePoint(pt("cpu", map[string]string{"hostname": host}, float64(i), int64(i)))
+		_ = db.WriteBatchContext(bg, []lineproto.Point{pt("cpu", map[string]string{"hostname": host}, float64(i), int64(i))})
 	}
-	res, err := db.Select(Query{Measurement: "cpu", Filter: TagFilter{"hostname": "h1"}})
+	res, err := db.SelectContext(bg, Query{Measurement: "cpu", Filter: TagFilter{"hostname": "h1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +116,7 @@ func TestSelectTagFilter(t *testing.T) {
 		t.Fatalf("res %+v", res)
 	}
 	// Wildcard: tag must exist.
-	res, err = db.Select(Query{Measurement: "cpu", Filter: TagFilter{"hostname": "*"}})
+	res, err = db.SelectContext(bg, Query{Measurement: "cpu", Filter: TagFilter{"hostname": "*"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,19 +124,19 @@ func TestSelectTagFilter(t *testing.T) {
 		t.Fatalf("wildcard rows %d", len(res[0].Rows))
 	}
 	// Missing tag never matches.
-	res, _ = db.Select(Query{Measurement: "cpu", Filter: TagFilter{"rack": "*"}})
+	res, _ = db.SelectContext(bg, Query{Measurement: "cpu", Filter: TagFilter{"rack": "*"}})
 	if len(res) != 0 {
 		t.Fatalf("expected no series, got %+v", res)
 	}
 }
 
 func TestSelectGroupByTag(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	for i := 0; i < 6; i++ {
 		host := fmt.Sprintf("h%d", i%3+1)
-		_ = db.WritePoint(pt("cpu", map[string]string{"hostname": host, "core": "0"}, float64(i), int64(i)))
+		_ = db.WriteBatchContext(bg, []lineproto.Point{pt("cpu", map[string]string{"hostname": host, "core": "0"}, float64(i), int64(i))})
 	}
-	res, err := db.Select(Query{Measurement: "cpu", GroupByTags: []string{"hostname"}})
+	res, err := db.SelectContext(bg, Query{Measurement: "cpu", GroupByTags: []string{"hostname"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +156,10 @@ func TestSelectGroupByTag(t *testing.T) {
 }
 
 func TestSelectAggregate(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	vals := []float64{4, 2, 8, 6}
 	for i, v := range vals {
-		_ = db.WritePoint(pt("m", nil, v, int64(i)))
+		_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, v, int64(i))})
 	}
 	cases := []struct {
 		agg  AggFunc
@@ -155,7 +169,7 @@ func TestSelectAggregate(t *testing.T) {
 		{AggFirst, 4}, {AggLast, 6}, {AggSpread, 6}, {AggMedian, 5},
 	}
 	for _, c := range cases {
-		res, err := db.Select(Query{Measurement: "m", Cols: star(c.agg, 0)})
+		res, err := db.SelectContext(bg, Query{Measurement: "m", Cols: star(c.agg, 0)})
 		if err != nil {
 			t.Fatalf("%s: %v", c.agg, err)
 		}
@@ -164,28 +178,28 @@ func TestSelectAggregate(t *testing.T) {
 			t.Errorf("%s: got %v want %v", c.agg, got, c.want)
 		}
 	}
-	res, _ := db.Select(Query{Measurement: "m", Cols: star(AggCount, 0)})
+	res, _ := db.SelectContext(bg, Query{Measurement: "m", Cols: star(AggCount, 0)})
 	if res[0].Rows[0].Values[0].IntVal() != 4 {
 		t.Error("count")
 	}
-	res, _ = db.Select(Query{Measurement: "m", Cols: star(AggStddev, 0)})
+	res, _ = db.SelectContext(bg, Query{Measurement: "m", Cols: star(AggStddev, 0)})
 	want := math.Sqrt((1 + 9 + 9 + 1) / 3.0)
 	if got := res[0].Rows[0].Values[0].FloatVal(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("stddev got %v want %v", got, want)
 	}
-	res, _ = db.Select(Query{Measurement: "m", Cols: star(AggPercentile, 100)})
+	res, _ = db.SelectContext(bg, Query{Measurement: "m", Cols: star(AggPercentile, 100)})
 	if res[0].Rows[0].Values[0].FloatVal() != 8 {
 		t.Error("p100")
 	}
 }
 
 func TestSelectDerivative(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	// A counter increasing by 10 per second.
 	for i := 0; i < 5; i++ {
-		_ = db.WritePoint(pt("net_bytes", nil, float64(i*10), int64(i)*time.Second.Nanoseconds()))
+		_ = db.WriteBatchContext(bg, []lineproto.Point{pt("net_bytes", nil, float64(i*10), int64(i)*time.Second.Nanoseconds())})
 	}
-	res, err := db.Select(Query{Measurement: "net_bytes", Cols: star(AggDerivative, 0)})
+	res, err := db.SelectContext(bg, Query{Measurement: "net_bytes", Cols: star(AggDerivative, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +209,12 @@ func TestSelectDerivative(t *testing.T) {
 }
 
 func TestSelectWindowed(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	// 60 points, one per second, value == second index.
 	for i := 0; i < 60; i++ {
-		_ = db.WritePoint(pt("m", nil, float64(i), int64(i)*time.Second.Nanoseconds()))
+		_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, float64(i), int64(i)*time.Second.Nanoseconds())})
 	}
-	res, err := db.Select(Query{
+	res, err := db.SelectContext(bg, Query{
 		Measurement: "m",
 		Start:       ts(0),
 		End:         ts(59 * time.Second.Nanoseconds()),
@@ -227,12 +241,12 @@ func TestSelectWindowed(t *testing.T) {
 }
 
 func TestSelectWindowAlignment(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	// Points at t=15s and t=25s with 10s windows must land in the 10s and 20s
 	// aligned buckets.
-	_ = db.WritePoint(pt("m", nil, 1, 15*time.Second.Nanoseconds()))
-	_ = db.WritePoint(pt("m", nil, 2, 25*time.Second.Nanoseconds()))
-	res, err := db.Select(Query{Measurement: "m", Every: 10 * time.Second, Cols: star(AggSum, 0)})
+	_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 1, 15*time.Second.Nanoseconds())})
+	_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 2, 25*time.Second.Nanoseconds())})
+	res, err := db.SelectContext(bg, Query{Measurement: "m", Every: 10 * time.Second, Cols: star(AggSum, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,35 +261,35 @@ func TestSelectWindowAlignment(t *testing.T) {
 }
 
 func TestSelectMissingMeasurement(t *testing.T) {
-	db := NewDB("test")
-	if _, err := db.Select(Query{Measurement: "nope"}); err != ErrNoMeasurement {
+	db := newDB("test")
+	if _, err := db.SelectContext(bg, Query{Measurement: "nope"}); err != ErrNoMeasurement {
 		t.Fatalf("err %v", err)
 	}
 }
 
 func TestSelectLimit(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	for i := 0; i < 10; i++ {
-		_ = db.WritePoint(pt("m", nil, float64(i), int64(i)))
+		_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, float64(i), int64(i))})
 	}
-	res, _ := db.Select(Query{Measurement: "m", Limit: 3})
+	res, _ := db.SelectContext(bg, Query{Measurement: "m", Limit: 3})
 	if len(res[0].Rows) != 3 {
 		t.Fatalf("rows %d", len(res[0].Rows))
 	}
 }
 
 func TestStringEvents(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	ev := lineproto.Point{
 		Measurement: "events",
 		Tags:        map[string]string{"hostname": "h1"},
 		Fields:      map[string]lineproto.Value{"text": lineproto.String("job 42 start")},
 		Time:        ts(100),
 	}
-	if err := db.WritePoint(ev); err != nil {
+	if err := db.WriteBatchContext(bg, []lineproto.Point{ev}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Select(Query{Measurement: "events"})
+	res, err := db.SelectContext(bg, Query{Measurement: "events"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +297,7 @@ func TestStringEvents(t *testing.T) {
 		t.Fatalf("event %q", got)
 	}
 	// Numeric aggregation over a string column yields no value.
-	res, err = db.Select(Query{Measurement: "events", Cols: star(AggMean, 0)})
+	res, err = db.SelectContext(bg, Query{Measurement: "events", Cols: star(AggMean, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,19 +305,19 @@ func TestStringEvents(t *testing.T) {
 		t.Fatal("mean of string column should be nil")
 	}
 	// count/last work on strings.
-	res, _ = db.Select(Query{Measurement: "events", Cols: star(AggLast, 0)})
+	res, _ = db.SelectContext(bg, Query{Measurement: "events", Cols: star(AggLast, 0)})
 	if res[0].Rows[0].Values[0].StringVal() != "job 42 start" {
 		t.Fatal("last of string column")
 	}
 }
 
 func TestOutOfOrderInsertIsSorted(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	order := []int64{50, 10, 30, 20, 40}
 	for _, n := range order {
-		_ = db.WritePoint(pt("m", nil, float64(n), n))
+		_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, float64(n), n)})
 	}
-	res, err := db.Select(Query{Measurement: "m"})
+	res, err := db.SelectContext(bg, Query{Measurement: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,14 +331,14 @@ func TestOutOfOrderInsertIsSorted(t *testing.T) {
 }
 
 func TestMetadataQueries(t *testing.T) {
-	db := NewDB("test")
-	_ = db.WritePoint(lineproto.Point{
+	db := newDB("test")
+	_ = db.WriteBatchContext(bg, []lineproto.Point{{
 		Measurement: "cpu",
 		Tags:        map[string]string{"hostname": "h1", "core": "0"},
 		Fields:      map[string]lineproto.Value{"user": lineproto.Float(1), "system": lineproto.Float(2)},
 		Time:        ts(1),
-	})
-	_ = db.WritePoint(pt("mem", map[string]string{"hostname": "h2"}, 1, 2))
+	}})
+	_ = db.WriteBatchContext(bg, []lineproto.Point{pt("mem", map[string]string{"hostname": "h2"}, 1, 2)})
 	if got := db.Measurements(); len(got) != 2 || got[0] != "cpu" || got[1] != "mem" {
 		t.Fatalf("measurements %v", got)
 	}
@@ -346,15 +360,15 @@ func TestMetadataQueries(t *testing.T) {
 }
 
 func TestRetention(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	db.SetRetention(time.Minute)
 	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 100; i++ {
-		_ = db.WritePoint(pt("m", nil, float64(i), base.Add(time.Duration(i)*time.Second).UnixNano()))
+		_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, float64(i), base.Add(time.Duration(i)*time.Second).UnixNano())})
 	}
 	// A fresh point makes everything older than 1m expired; sweep now
 	// rather than wait for the retention ticker.
-	_ = db.WritePoint(pt("m", nil, 1, time.Now().UnixNano()))
+	_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 1, time.Now().UnixNano())})
 	db.DropBefore(time.Now().Add(-time.Minute))
 	if n := db.PointCount(); n != 1 {
 		t.Fatalf("points after retention: %d", n)
@@ -362,8 +376,8 @@ func TestRetention(t *testing.T) {
 }
 
 func TestDropBeforeRemovesEmptyMeasurements(t *testing.T) {
-	db := NewDB("test")
-	_ = db.WritePoint(pt("m", nil, 1, 10))
+	db := newDB("test")
+	_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 1, 10)})
 	db.DropBefore(ts(100))
 	if got := db.Measurements(); len(got) != 0 {
 		t.Fatalf("measurements %v", got)
@@ -371,11 +385,11 @@ func TestDropBeforeRemovesEmptyMeasurements(t *testing.T) {
 }
 
 func TestWriteInvalidPoint(t *testing.T) {
-	db := NewDB("test")
-	if err := db.WritePoint(lineproto.Point{}); err == nil {
+	db := newDB("test")
+	if err := db.WriteBatchContext(bg, []lineproto.Point{{}}); err == nil {
 		t.Fatal("expected error")
 	}
-	err := db.WritePoints([]lineproto.Point{pt("m", nil, 1, 1), {}})
+	err := db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 1, 1), {}})
 	if err == nil {
 		t.Fatal("expected batch error")
 	}
@@ -385,11 +399,11 @@ func TestWriteInvalidPoint(t *testing.T) {
 }
 
 func TestWriteAssignsNow(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	p := lineproto.Point{Measurement: "m", Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}}
 	before := time.Now()
-	_ = db.WritePoint(p)
-	res, _ := db.Select(Query{Measurement: "m"})
+	_ = db.WriteBatchContext(bg, []lineproto.Point{p})
+	res, _ := db.SelectContext(bg, Query{Measurement: "m"})
 	got := res[0].Rows[0].Time
 	if got.Before(before.Add(-time.Second)) || got.After(time.Now().Add(time.Second)) {
 		t.Fatalf("assigned time %v", got)
@@ -402,7 +416,7 @@ func TestQueryInvariantsProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	f := func(seed int64) bool {
 		_ = seed
-		db := NewDB("prop")
+		db := newDB("prop")
 		n := r.Intn(200) + 2
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for i := 0; i < n; i++ {
@@ -413,9 +427,9 @@ func TestQueryInvariantsProperty(t *testing.T) {
 			if v > hi {
 				hi = v
 			}
-			_ = db.WritePoint(pt("m", nil, v, r.Int63n(1_000_000)))
+			_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, v, r.Int63n(1_000_000))})
 		}
-		res, err := db.Select(Query{Measurement: "m"})
+		res, err := db.SelectContext(bg, Query{Measurement: "m"})
 		if err != nil || len(res) != 1 {
 			return false
 		}
@@ -426,7 +440,7 @@ func TestQueryInvariantsProperty(t *testing.T) {
 			}
 			prev = row.Time.UnixNano()
 		}
-		agg, err := db.Select(Query{Measurement: "m", Cols: star(AggMean, 0)})
+		agg, err := db.SelectContext(bg, Query{Measurement: "m", Cols: star(AggMean, 0)})
 		if err != nil {
 			return false
 		}
@@ -449,18 +463,18 @@ func TestIngestOrderIndependenceProperty(t *testing.T) {
 			// Unique timestamps so ordering is deterministic.
 			pts[i] = pt("m", nil, r.Float64(), int64(i)*1000+r.Int63n(999))
 		}
-		db1 := NewDB("a")
+		db1 := newDB("a")
 		for _, p := range pts {
-			_ = db1.WritePoint(p)
+			_ = db1.WriteBatchContext(bg, []lineproto.Point{p})
 		}
 		shuffled := append([]lineproto.Point(nil), pts...)
 		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		db2 := NewDB("b")
+		db2 := newDB("b")
 		for _, p := range shuffled {
-			_ = db2.WritePoint(p)
+			_ = db2.WriteBatchContext(bg, []lineproto.Point{p})
 		}
-		r1, _ := db1.Select(Query{Measurement: "m"})
-		r2, _ := db2.Select(Query{Measurement: "m"})
+		r1, _ := db1.SelectContext(bg, Query{Measurement: "m"})
+		r2, _ := db2.SelectContext(bg, Query{Measurement: "m"})
 		if len(r1) != 1 || len(r2) != 1 || len(r1[0].Rows) != len(r2[0].Rows) {
 			return false
 		}
@@ -499,18 +513,18 @@ func TestPercentileFunction(t *testing.T) {
 }
 
 func TestConcurrentWriteAndQuery(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 500; i++ {
-				_ = db.WritePoint(pt("m", map[string]string{"g": fmt.Sprint(g)}, float64(i), int64(g*1000+i)))
+				_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", map[string]string{"g": fmt.Sprint(g)}, float64(i), int64(g*1000+i))})
 			}
 		}(g)
 	}
 	for i := 0; i < 200; i++ {
-		_, _ = db.Select(Query{Measurement: "m", Cols: star(AggMean, 0)})
+		_, _ = db.SelectContext(bg, Query{Measurement: "m", Cols: star(AggMean, 0)})
 	}
 	for g := 0; g < 4; g++ {
 		<-done
@@ -577,9 +591,9 @@ func TestMedianProperty(t *testing.T) {
 // database kept expired data forever. The ticker anchors the cutoff at
 // the wall clock, so this data must disappear with no further ingest.
 func TestRetentionTickerAgesOutIdleData(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	defer db.Close()
-	if err := db.WritePoint(pt("m", nil, 1, time.Now().UnixNano())); err != nil {
+	if err := db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 1, time.Now().UnixNano())}); err != nil {
 		t.Fatal(err)
 	}
 	db.SetRetention(100 * time.Millisecond) // ticker sweeps every 50ms
@@ -595,11 +609,11 @@ func TestRetentionTickerAgesOutIdleData(t *testing.T) {
 // TestSetRetentionZeroStopsTicker: disabling retention stops the sweeper,
 // so data written afterwards stays put.
 func TestSetRetentionZeroStopsTicker(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	defer db.Close()
 	db.SetRetention(20 * time.Millisecond)
 	db.SetRetention(0)
-	if err := db.WritePoint(pt("m", nil, 1, time.Now().Add(-time.Hour).UnixNano())); err != nil {
+	if err := db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 1, time.Now().Add(-time.Hour).UnixNano())}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(60 * time.Millisecond)
@@ -621,11 +635,11 @@ func TestSetRetentionZeroStopsTicker(t *testing.T) {
 // newest point (advanced only by idle wall time), not jump to the wall
 // clock and instantly purge everything.
 func TestRetentionTickerPreservesHistoricalData(t *testing.T) {
-	db := NewDB("test")
+	db := newDB("test")
 	defer db.Close()
 	newest := time.Now().Add(-time.Hour) // a 2017-style historical corpus
-	_ = db.WritePoint(pt("m", nil, 1, newest.Add(-5*time.Second).UnixNano()))
-	_ = db.WritePoint(pt("m", nil, 2, newest.UnixNano()))
+	_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 1, newest.Add(-5*time.Second).UnixNano())})
+	_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 2, newest.UnixNano())})
 	db.SetRetention(10 * time.Second)
 	time.Sleep(2500 * time.Millisecond) // several ticker periods
 	if got := db.PointCount(); got != 2 {

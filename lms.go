@@ -35,24 +35,24 @@
 //
 // The write path is batch-oriented end to end. Every tsdb database is
 // partitioned into measurement-hashed shards with per-shard locks
-// (default: GOMAXPROCS shards; see tsdb.NewDBShards, tsdb.StoreOptions.ShardsPerDB
-// and StackConfig.TSDBShards), so concurrent agents writing different
+// (default: GOMAXPROCS shards; see tsdb.StoreOptions.ShardsPerDB and
+// StackConfig.TSDBShards), so concurrent agents writing different
 // measurements never serialize behind a single database mutex. Producers
 // accumulate points into line-protocol batches (lineproto.Batch), the
 // router enriches a batch and flushes it per destination database in one
-// write, and tsdb.DB.WriteBatch commits each batch with one lock
+// write, and tsdb.DB.WriteBatchContext commits each batch with one lock
 // acquisition per touched shard. README.md describes the sharded store and
 // the shard-count knob in more detail.
 //
 // # Query scaling
 //
-// The read path is lock-light and parallel (DESIGN.md §6). tsdb.DB.Select
-// runs in two phases: a snapshot phase that holds the shard read lock only
-// while collecting slice headers of the matching sorted, immutable point
-// runs (with the time range and raw-query row limits pushed down into the
-// snapshot), and an aggregation phase that buckets, groups and aggregates
-// entirely outside any lock, fanning result groups out over a bounded
-// worker pool (tsdb.DB.SetQueryWorkers, tsdb.StoreOptions.QueryWorkersPerDB,
+// The read path is lock-light and parallel (DESIGN.md §6).
+// tsdb.DB.SelectContext runs in two phases: a snapshot phase that holds the
+// shard read lock only while collecting slice headers of the matching
+// sorted, immutable point runs (with the time range and raw-query row
+// limits pushed down into the snapshot), and an aggregation phase that
+// buckets, groups and aggregates entirely outside any lock, fanning result
+// groups out over a bounded worker pool (tsdb.StoreOptions.QueryWorkersPerDB,
 // StackConfig.QueryWorkers). Per-run partial aggregates merge in a fixed
 // order, so parallel results are byte-identical to the serial engine. A
 // TTL'd query-result cache, invalidated per measurement on write, absorbs

@@ -1,6 +1,7 @@
 package lms
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestFacadeJobMetaAndQueries(t *testing.T) {
 	if err := sim.Run(600); err != nil {
 		t.Fatal(err)
 	}
-	res, err := stack.DB.Select(tsdb.Query{
+	res, err := stack.DB.SelectContext(context.Background(), tsdb.Query{
 		Measurement: "likwid_mem_dp",
 		Filter:      tsdb.TagFilter{"jobid": "j"},
 		Cols:        []tsdb.AggCol{{Field: "*", Agg: tsdb.AggCount}},

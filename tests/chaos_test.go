@@ -259,7 +259,7 @@ func TestChaosRestartNoAckedPointLost(t *testing.T) {
 	if fdb == nil {
 		t.Fatal("database lms not recovered")
 	}
-	series, err := fdb.Select(tsdb.Query{
+	series, err := fdb.SelectContext(context.Background(), tsdb.Query{
 		Measurement: "chaos",
 		Cols:        []tsdb.AggCol{{Field: "seq"}},
 		GroupByTags: []string{"writer"},

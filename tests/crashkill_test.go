@@ -13,6 +13,7 @@ package tests
 // recovered through the real WAL + checkpoint recovery path.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -209,7 +210,7 @@ func TestChaosCrashKillNoAckedPointLost(t *testing.T) {
 	if fdb == nil {
 		t.Fatal("database lms not recovered")
 	}
-	series, err := fdb.Select(tsdb.Query{
+	series, err := fdb.SelectContext(context.Background(), tsdb.Query{
 		Measurement: "crashkill",
 		Cols:        []tsdb.AggCol{{Field: "seq"}},
 		GroupByTags: []string{"writer"},
