@@ -92,20 +92,22 @@ func (t *strTable) intern(b []byte) uint32 {
 
 // --- columns -----------------------------------------------------------
 
-// col is one field's value column over a run: the shared column shape
-// (durable.Col — name, presence bitmap, and the Values holding the rows in
-// one typed arm; buildSnapshot hands it to the checkpoint codec as is)
-// plus the row count. Absent rows hold a zero placeholder in the active
-// arm and a cleared presence bit; Present is nil while the column is
-// dense, and copy-on-write once published (see the file comment).
+// col is one field's value column over a run: its name, the presence
+// bitmap (bit i ↔ row i), the shared column shape (durable.Values, the
+// rows in one typed arm) and the row count. Absent rows hold a zero
+// placeholder in the active arm and a cleared presence bit; Present is nil
+// while the column is dense, and copy-on-write once published (see the
+// file comment).
 type col struct {
-	durable.Col
+	Name    string
+	Present []uint64
+	durable.Values
 	n int // rows covered (values + gaps); equals len(run.ts) once committed
 }
 
 // newCol returns an empty column for a field first seen with the given kind.
 func newCol(name string, kind lineproto.ValueKind) col {
-	return col{Col: durable.Col{Name: name, Values: durable.Values{Kind: kind}}}
+	return col{Name: name, Values: durable.Values{Kind: kind}}
 }
 
 // has reports whether row i carries a value.

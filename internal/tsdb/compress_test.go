@@ -2,10 +2,11 @@ package tsdb
 
 // Tests of the compressed run state (DESIGN.md §13): chunk codec round
 // trips over adversarial values, byte-identical query answers across
-// compression, the rewrite-on-compressed upsert, the durable V2 frame
-// round trip plus V1 back-compat, and the race posture of the background
-// compactor. The randomized oracle (column_test.go) additionally
-// interleaves sealed-run compression with its workload.
+// compression, the rewrite-on-compressed upsert, the checkpoint's chunk
+// frames across a restart and the refusal of the retired formats, and the
+// race posture of the background compactor. The randomized oracle
+// (column_test.go) additionally interleaves sealed-run compression with
+// its workload.
 
 import (
 	"cmp"
@@ -378,10 +379,11 @@ func runLayout(db *DB) string {
 	return strings.Join(lines, "\n")
 }
 
-// oneRowBatches writes k one-row in-order batches to each of two series.
-func oneRowBatches(t *testing.T, db *DB, k int) {
+// oneRowBatches writes rows [from, to) as one-row in-order batches to each
+// of two series.
+func oneRowBatches(t *testing.T, db *DB, from, to int) {
 	t.Helper()
-	for i := 0; i < k; i++ {
+	for i := from; i < to; i++ {
 		for _, host := range []string{"h1", "h2"} {
 			if err := db.WriteBatchContext(bg, []lineproto.Point{{
 				Measurement: "cpu",
@@ -421,7 +423,7 @@ func TestSealByRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneRowBatches(t, db, k)
+	oneRowBatches(t, db, 0, k)
 	settle(db) // finish whatever the kicked job has not
 	if got := runLayout(db); got != want {
 		t.Fatalf("layout after %d one-row batches:\n%s\nwant\n%s", k, got, want)
@@ -439,12 +441,96 @@ func TestSealByRule(t *testing.T) {
 	idleSt.ShardsPerDB = 4
 	idle := idleSt.CreateDatabase("lms")
 	idle.compJob.Stop()
-	oneRowBatches(t, idle, k)
+	oneRowBatches(t, idle, 0, k)
 	if got, want := runLayout(idle), layout(strings.Repeat(fmt.Sprintf(" %dr", sealRows), k/sealRows)+" 28r"); got != want {
 		t.Fatalf("layout without the job:\n%s\nwant\n%s", got, want)
 	}
 	if queryFingerprint(t, idleSt, "lms") != queryFingerprint(t, st2, "lms") {
 		t.Fatal("a store whose job never ran answers differently")
+	}
+}
+
+// TestCheckpointRestartContinuity: Close checkpoints every run as a chunk,
+// the building run too, run for run as the store held them; a reopened
+// store adopts those chunks, and the next in-order blocks land where a
+// store that never restarted puts them — the same layout once both jobs
+// settle, byte-identical /query bodies. With k = 1536 the building run is
+// full when the store closes, so the first block after the reopen seals a
+// chunk, which the job kicked by that seal must merge with the sealed 32-row
+// chunk before it.
+func TestCheckpointRestartContinuity(t *testing.T) {
+	for _, k := range []int{1500, 1536} {
+		t.Run(fmt.Sprint(k), func(t *testing.T) {
+			ref := NewStore()
+			ref.ShardsPerDB = 4
+			oneRowBatches(t, ref.CreateDatabase("lms"), 0, k)
+
+			dir := t.TempDir()
+			st := openDurableStore(t, Durability{Dir: dir, Fsync: durable.FsyncOff})
+			db, err := st.OpenDatabase("lms")
+			if err != nil {
+				t.Fatal(err)
+			}
+			oneRowBatches(t, db, 0, k)
+			settle(db)
+			held := strings.ReplaceAll(runLayout(db), "r", "c")
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			snap, _, err := durable.LoadLatestSnapshot(nil, filepath.Join(dir, "lms"))
+			if err != nil || snap == nil {
+				t.Fatalf("checkpoint unreadable: %v", err)
+			}
+			var onDisk []string
+			for _, sr := range snap.Measurements[0].Series {
+				line := "cpu " + seriesKey(sr.Tags) + ":"
+				for _, c := range sr.Runs {
+					line += fmt.Sprintf(" %dc", c.N)
+				}
+				onDisk = append(onDisk, line)
+			}
+			if got := strings.Join(onDisk, "\n"); got != held {
+				t.Fatalf("runs on disk:\n%s\nwant every resident run as a chunk:\n%s", got, held)
+			}
+
+			st2 := openDurableStore(t, Durability{Dir: dir, Fsync: durable.FsyncOff})
+			defer st2.Close()
+			db2 := st2.DB("lms")
+			if got := runLayout(db2); got != held {
+				t.Fatalf("recovered layout:\n%s\nwant\n%s", got, held)
+			}
+			// The pass the open kicked finishes first: whatever merges below
+			// was kicked by the block.
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				var scrape strings.Builder
+				st2.Metrics().Registry().Render(&scrape)
+				if strings.Contains(scrape.String(), `lms_job_runs_total{job="compaction"} 1`+"\n") {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the open's compaction pass never ran")
+				}
+			}
+			oneRowBatches(t, db2, k, k+1)
+			oneRowBatches(t, ref.DB("lms"), k, k+1)
+			settle(ref.DB("lms"))
+			want := runLayout(ref.DB("lms"))
+			for deadline := time.Now().Add(10 * time.Second); runLayout(db2) != want; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("layout after the reopen's first block:\n%s\nnever restarted:\n%s", runLayout(db2), want)
+				}
+			}
+			oneRowBatches(t, db2, k+1, k+40)
+			oneRowBatches(t, ref.DB("lms"), k+1, k+40)
+			settle(db2)
+			settle(ref.DB("lms"))
+			if got, want := runLayout(db2), runLayout(ref.DB("lms")); got != want {
+				t.Fatalf("layout after the reopen's writes:\n%s\nnever restarted:\n%s", got, want)
+			}
+			if queryFingerprint(t, st2, "lms") != queryFingerprint(t, ref, "lms") {
+				t.Fatal("the restarted store answers differently")
+			}
+		})
 	}
 }
 
@@ -525,7 +611,7 @@ func TestCorruptChunkCounted(t *testing.T) {
 	st := NewStore()
 	db := st.CreateDatabase("lms")
 	db.SetQueryCacheTTL(0)
-	oneRowBatches(t, db, 3*sealRows)
+	oneRowBatches(t, db, 0, 3*sealRows)
 	db.Compress()
 	sh := db.shardFor("cpu")
 	sh.mu.Lock()
@@ -547,7 +633,7 @@ func TestCorruptChunkCounted(t *testing.T) {
 }
 
 // TestCheckpointCompressedRoundTrip: a checkpoint taken over compressed
-// runs stores the chunks verbatim (SnapV2), and recovery adopts them
+// runs stores the chunks verbatim, and recovery adopts them
 // still compressed — no decode on either path — with byte-identical
 // query answers.
 func TestCheckpointCompressedRoundTrip(t *testing.T) {
@@ -583,50 +669,56 @@ func TestCheckpointCompressedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1Refused: a checkpoint in the retired PR 5 on-disk format
-// (LMSCKP1 magic) must fail the open with an error naming the format. The
-// WAL segments it covers are already deleted, so treating it as one more
-// corrupt file to skip would recover an empty database without a word.
+// TestCheckpointV1Refused: a checkpoint in a retired on-disk format — the
+// raw-runs-only LMSCKP1, or the LMSCKP2 that kept a raw-run codec beside
+// the chunks — must fail the open with an error naming the format. The WAL
+// segments it covers are already deleted, so treating it as one more
+// corrupt file to skip would recover a partial or empty database without a
+// word.
 func TestCheckpointV1Refused(t *testing.T) {
-	dir := t.TempDir()
-	st := openDurableStore(t, Durability{Dir: dir})
-	db, err := st.OpenDatabase("lms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range corpusBatches() {
-		if err := db.WriteBatchContext(bg, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, magic := range []string{"LMSCKP1", "LMSCKP2"} {
+		t.Run(magic, func(t *testing.T) {
+			dir := t.TempDir()
+			st := openDurableStore(t, Durability{Dir: dir})
+			db, err := st.OpenDatabase("lms")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range corpusBatches() {
+				if err := db.WriteBatchContext(bg, b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	snaps, err := filepath.Glob(filepath.Join(dir, "lms", "checkpoint-*.snap"))
-	if err != nil || len(snaps) != 1 {
-		t.Fatalf("checkpoints on disk: %v (err %v)", snaps, err)
-	}
-	data, err := os.ReadFile(snaps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data[:8]) != "LMSCKP2\n" {
-		t.Fatalf("checkpoint magic %q", data[:8])
-	}
-	data[6] = '1'
-	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			snaps, err := filepath.Glob(filepath.Join(dir, "lms", "checkpoint-*.snap"))
+			if err != nil || len(snaps) != 1 {
+				t.Fatalf("checkpoints on disk: %v (err %v)", snaps, err)
+			}
+			data, err := os.ReadFile(snaps[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(data[:8]) != "LMSCKP3\n" {
+				t.Fatalf("checkpoint magic %q", data[:8])
+			}
+			copy(data, magic)
+			if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	st2, err := OpenStore(StoreOptions{Durability: Durability{Dir: dir}})
-	if err == nil {
-		n := st2.DB("lms").PointCount()
-		_ = st2.Close()
-		t.Fatalf("store opened over an LMSCKP1 checkpoint and serves %d points", n)
-	}
-	if !strings.Contains(err.Error(), "LMSCKP1") {
-		t.Fatalf("open error does not name the format: %v", err)
+			st2, err := OpenStore(StoreOptions{Durability: Durability{Dir: dir}})
+			if err == nil {
+				n := st2.DB("lms").PointCount()
+				_ = st2.Close()
+				t.Fatalf("store opened over an %s checkpoint and serves %d points", magic, n)
+			}
+			if !strings.Contains(err.Error(), magic) {
+				t.Fatalf("open error does not name the format: %v", err)
+			}
+		})
 	}
 }
 

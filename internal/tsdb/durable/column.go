@@ -2,9 +2,9 @@ package durable
 
 // The column shape (DESIGN.md §8): the one declaration of the typed arrays
 // a field's values live in, shared by the in-memory runs of the tsdb
-// layer, its query views and the checkpoint codec of this package — so a
-// column travels from the write path to the checkpoint file and back as
-// the same struct, never copied field by field.
+// layer, its query views and its chunk codecs. This package stores no raw
+// column any more — a checkpoint holds every run as chunks (snapshot.go) —
+// and reads ArmOf only to size-check a decoded chunk column.
 
 import (
 	"slices"

@@ -250,13 +250,13 @@ func TestSnapshotFaultSweep(t *testing.T) {
 		Name:   "cpu",
 		Fields: []FieldSchema{{Name: "user", Kind: 0}},
 		Series: []Series{{Tags: map[string]string{"host": "a"},
-			Runs: []Run{{Ts: []int64{1, 2, 3}, Cols: []Col{{Name: "user", Values: Values{Floats: []float64{1, 2, 3}}}}}}}},
+			Runs: []*CompRun{{N: 3, MinTS: 1, MaxTS: 3, Ts: make([]byte, 9), Cols: []CompCol{{Name: "user", Data: make([]byte, 9)}}}}}},
 	}}}
 	newer := &Snapshot{Measurements: []Measurement{{
 		Name:   "mem",
 		Fields: []FieldSchema{{Name: "used", Kind: 0}},
 		Series: []Series{{Tags: map[string]string{"host": "b"},
-			Runs: []Run{{Ts: []int64{9}, Cols: []Col{{Name: "used", Values: Values{Floats: []float64{42}}}}}}}},
+			Runs: []*CompRun{{N: 1, MinTS: 9, MaxTS: 9, Ts: make([]byte, 8), Cols: []CompCol{{Name: "used", Data: make([]byte, 8)}}}}}},
 	}}}
 
 	// Rehearse: ops consumed writing the older checkpoint, then the newer.

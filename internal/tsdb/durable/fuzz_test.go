@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -228,48 +229,41 @@ func FuzzBatchCursor(f *testing.F) {
 // decodeSnapshot must never panic, and an accepted snapshot must be a
 // fixed point of the codec: encoding it and decoding the result must
 // land on the identical byte string, so checkpoint contents cannot
-// drift across save/load cycles.
+// drift across save/load cycles. The seeds include the payload of the
+// golden checkpoint the tsdb package pins (testdata/golden/recheckpoint),
+// whose chunks are the real codecs' output.
 func FuzzCheckpointDecode(f *testing.F) {
-	snap := &Snapshot{Measurements: []Measurement{{
-		Name:   "cpu",
-		Fields: []FieldSchema{{Name: "user", Kind: lineproto.KindFloat}, {Name: "mode", Kind: lineproto.KindString}},
-		Strs:   []string{"idle", "busy"},
-		Series: []Series{{
-			Tags: map[string]string{"host": "a"},
-			Runs: []Run{{
-				Ts: []int64{100, 200, 350},
-				Cols: []Col{
-					{Name: "user", Values: Values{Kind: lineproto.KindFloat, Floats: []float64{1, 2, 3}}},
-					{Name: "mode", Present: []uint64{0b101}, Values: Values{Kind: lineproto.KindString, StrIDs: []uint32{0, 1, 0}}},
-				},
-			}},
-		}},
-	}}}
 	compSnap := &Snapshot{Measurements: []Measurement{{
 		Name:   "cpu",
 		Fields: []FieldSchema{{Name: "user", Kind: lineproto.KindFloat}},
 		Series: []Series{{
 			Tags: map[string]string{"host": "a"},
-			Runs: []Run{{Comp: &CompRun{
+			Runs: []*CompRun{{
 				N: 3, MinTS: 100, MaxTS: 350, RawBytes: 48,
 				Ts: []byte{1, 2, 3, 4, 5, 6, 7, 8, 0xaa},
 				Cols: []CompCol{{Name: "user", Kind: lineproto.KindFloat,
 					Data: []byte{9, 8, 7, 6, 5, 4, 3, 2, 0x55}}},
-			}}},
+			}},
 		}},
 	}}}
-	f.Add(appendSnapshot(nil, snap))
+	golden, err := filepath.Glob(filepath.Join("..", "testdata", "golden", "recheckpoint", "checkpoint-*.snap"))
+	if err != nil || len(golden) != 1 {
+		f.Fatalf("golden checkpoint: %v (err %v)", golden, err)
+	}
+	data, err := os.ReadFile(golden[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := decodeSnapshot(data[len(snapMagic) : len(data)-4]); err != nil {
+		f.Fatalf("golden checkpoint does not decode: %v", err)
+	}
+	f.Add(appendSnapshot(nil, sampleSnapshot())) // sparse, mixed, string and bool columns
 	f.Add(appendSnapshot(nil, &Snapshot{}))
 	f.Add(appendSnapshot(nil, compSnap))
-	mixed := &Snapshot{Measurements: []Measurement{snap.Measurements[0]}}
-	mixed.Measurements[0].Series = []Series{{
-		Tags: map[string]string{"host": "a"},
-		Runs: []Run{snap.Measurements[0].Series[0].Runs[0], compSnap.Measurements[0].Series[0].Runs[0]},
-	}}
-	f.Add(appendSnapshot(nil, mixed)) // raw and compressed runs in one series
-	f.Add([]byte{0x01})               // one measurement, then nothing
-	f.Add([]byte{0xff, 0xff, 0x7f})   // implausible measurement count
-	// one measurement, one series, one run of an unknown kind
+	f.Add(data[len(snapMagic) : len(data)-4])
+	f.Add([]byte{0x01})             // one measurement, then nothing
+	f.Add([]byte{0xff, 0xff, 0x7f}) // implausible measurement count
+	// one measurement, one series, one run of more rows than bytes follow
 	f.Add([]byte{1, 1, 'm', 0, 0, 1, 0, 1, 7})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {

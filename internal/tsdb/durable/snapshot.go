@@ -7,18 +7,14 @@ package durable
 //
 // Layout:
 //
-//	[8B magic "LMSCKP2\n"][payload][4B CRC32 (IEEE) of payload]
+//	[8B magic "LMSCKP3\n"][payload][4B CRC32 (IEEE) of payload]
 //
-// The payload nests measurements → series → runs → columns. Every run
-// starts with a kind byte: raw runs follow with their columns, compressed
-// runs carry their Gorilla-style chunks verbatim — checkpoint write skips
-// re-encoding, recovery loads them without a decode pass. Sorted
-// timestamp columns are delta-encoded as uvarints after a fixed 64-bit
-// anchor (metric samples arrive at near-constant intervals, so deltas are
-// 1-5 bytes instead of 8), integer columns are zigzag varints, float
-// columns raw 64-bit words, string columns varint ids into the
-// measurement's interned table. The file is written to a temp name,
-// fsynced and atomically renamed to
+// The payload nests measurements → series → runs → columns. Every run is
+// a compressed run frame: its header (row count, time bounds) and its
+// Gorilla-style chunks verbatim, as the tsdb layer encoded them — the one
+// run codec at rest, as InfluxDB's TSM files hold only compressed blocks.
+// A chunk's string ids index the measurement's interned table. The file is
+// written to a temp name, fsynced and atomically renamed to
 //
 //	checkpoint-%08d.snap
 //
@@ -34,10 +30,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
-	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,20 +40,14 @@ import (
 	"repro/internal/lineproto"
 )
 
-// snapMagic opens every checkpoint file. snapMagicV1 is the retired PR 5
-// format (raw runs without the kind byte): no writer for it exists any
-// more and LoadLatestSnapshot refuses it by name instead of treating it as
-// garbage.
-const (
-	snapMagic   = "LMSCKP2\n"
-	snapMagicV1 = "LMSCKP1\n"
-)
+// snapMagic opens every checkpoint file.
+const snapMagic = "LMSCKP3\n"
 
-// Per-run kind bytes.
-const (
-	runKindRaw  = 0
-	runKindComp = 1
-)
+// retiredMagics are the formats no writer or reader exists for any more:
+// LMSCKP1 (raw runs only) and LMSCKP2 (a kind byte per run, raw or
+// compressed). LoadLatestSnapshot refuses them by name instead of
+// treating them as garbage.
+var retiredMagics = []string{"LMSCKP1\n", "LMSCKP2\n"}
 
 // Snapshot is the neutral, format-owning image of one database.
 type Snapshot struct {
@@ -82,23 +71,15 @@ type FieldSchema struct {
 // Series is one tag set's run list, in creation (log-structured) order.
 type Series struct {
 	Tags map[string]string
-	Runs []Run
-}
-
-// Run is one sorted columnar run: either raw (a timestamp column plus one
-// column per field) or compressed (Comp non-nil, Ts/Cols empty).
-type Run struct {
-	Ts   []int64
-	Cols []Col
-	Comp *CompRun
+	Runs []*CompRun
 }
 
 // CompRun is one compressed run: per-column chunk bytes plus the header
 // fields needed without decoding (row count, time bounds). It is the tsdb
-// layer's resident form of the run as well as the checkpoint's; the codecs
-// that fill and read the chunks live there (tsdb/compress.go), this
-// package frames and CRCs them and never decodes them. Immutable once
-// published.
+// layer's resident form of the run as well as the checkpoint's only one;
+// the codecs that fill and read the chunks live there (tsdb/compress.go),
+// this package frames and CRCs them and never decodes them. Immutable
+// once published.
 type CompRun struct {
 	N            int
 	MinTS, MaxTS int64
@@ -116,15 +97,6 @@ type CompCol struct {
 	Present []uint64          // raw bitmap words; nil = dense
 	Data    []byte            // XOR floats / zigzag-delta varints / bit-packed ids
 	Vals    []lineproto.Value // mixed columns stay raw
-}
-
-// Col is one field's value column over a raw run: the values (string ids
-// index Measurement.Strs) and the presence bitmap, bit i ↔ row i. A nil
-// Present means every row carries a value.
-type Col struct {
-	Name    string
-	Present []uint64
-	Values
 }
 
 func snapshotName(seg int) string { return fmt.Sprintf("checkpoint-%08d.snap", seg) }
@@ -164,14 +136,10 @@ func appendSnapshot(dst []byte, s *Snapshot) []byte {
 	return dst
 }
 
-// snapshotSizeHint estimates len(appendSnapshot(nil, s)) from the headers,
-// without walking the values: a multi-MiB payload appended to a nil slice
-// is copied several times over as the slice doubles, and that copying was
-// most of a checkpoint's CPU. Fixed-width parts (float columns, presence
-// words, compressed chunks) are counted exactly; a varint column is taken
-// at the width of its ends — timestamps arrive at near-constant intervals,
-// counters grow — so the hint can fall short, and append then grows the
-// buffer as before: only speed depends on it, never the bytes.
+// snapshotSizeHint estimates len(appendSnapshot(nil, s)) from the headers:
+// a multi-MiB payload appended to a nil slice is copied several times over
+// as the slice doubles. A hint that falls short only costs that regrowth,
+// never a byte of the payload.
 func snapshotSizeHint(s *Snapshot) int {
 	const perString = binary.MaxVarintLen32 // a length prefix, a count
 	size := perString
@@ -191,48 +159,25 @@ func snapshotSizeHint(s *Snapshot) int {
 				size += 2*perString + len(k) + len(v)
 			}
 			for ri := range sr.Runs {
-				size += runSizeHint(&sr.Runs[ri])
+				size += runSizeHint(sr.Runs[ri])
 			}
 		}
 	}
 	return size + size/16
 }
 
-func runSizeHint(r *Run) int {
-	if c := r.Comp; c != nil {
-		size := 64 + len(c.Ts)
-		for ci := range c.Cols {
-			cc := &c.Cols[ci]
-			size += 16 + len(cc.Name) + 8*len(cc.Present) + len(cc.Data) + 16*len(cc.Vals)
-		}
-		return size
-	}
-	n := len(r.Ts)
-	size := 32
-	if n > 1 {
-		size += n * max(uvarintLen(uint64(r.Ts[1]-r.Ts[0])), uvarintLen(uint64(r.Ts[n-1]-r.Ts[n-2])))
-	}
-	for ci := range r.Cols {
-		c := &r.Cols[ci]
-		size += 16 + len(c.Name) + 8*len(c.Present)
-		switch arm := c.Arm(); {
-		case n == 0:
-		case arm == ArmVals:
-			size += 16 * n
-		case arm == ArmFloats:
-			size += 8 * n
-		case arm == ArmStrIDs:
-			size += n * uvarintLen(uint64(max(c.StrIDs[0], c.StrIDs[n-1])))
-		default:
-			size += n * max(varintLen(c.Ints[0]), varintLen(c.Ints[n-1]))
-		}
+// runSizeHint counts a run frame's chunks and presence words exactly, its
+// varint headers at the widths of realistic counts (a row count below 2M,
+// a chunk below 2 MiB, a name below 128 bytes) and a boxed mixed value at
+// 16 bytes.
+func runSizeHint(c *CompRun) int {
+	size := 28 + len(c.Ts)
+	for ci := range c.Cols {
+		cc := &c.Cols[ci]
+		size += 7 + len(cc.Name) + 8*len(cc.Present) + len(cc.Data) + 16*len(cc.Vals)
 	}
 	return size
 }
-
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 func appendSeries(dst []byte, sr *Series) []byte {
 	keys := make([]string, 0, len(sr.Tags))
@@ -246,33 +191,16 @@ func appendSeries(dst []byte, sr *Series) []byte {
 		dst = appendString(dst, sr.Tags[k])
 	}
 	dst = appendUvarint(dst, uint64(len(sr.Runs)))
-	for ri := range sr.Runs {
-		dst = appendRun(dst, &sr.Runs[ri])
+	for _, c := range sr.Runs {
+		dst = appendCompRun(dst, c)
 	}
 	return dst
 }
 
-func appendRun(dst []byte, r *Run) []byte {
-	if r.Comp != nil {
-		dst = append(dst, runKindComp)
-		return appendCompRun(dst, r.Comp)
-	}
-	dst = append(dst, runKindRaw)
-	n := len(r.Ts)
-	dst = appendUvarint(dst, uint64(n))
-	if n > 0 {
-		dst = appendFixed64(dst, uint64(r.Ts[0]))
-		for i := 1; i < n; i++ {
-			dst = appendUvarint(dst, uint64(r.Ts[i]-r.Ts[i-1])) // sorted: non-negative
-		}
-	}
-	dst = appendUvarint(dst, uint64(len(r.Cols)))
-	for ci := range r.Cols {
-		dst = appendCol(dst, &r.Cols[ci], n)
-	}
-	return dst
-}
-
+// appendCompRun writes one run frame: the header, the timestamp chunk,
+// then per column its name, kind, flags and string-id width, the presence
+// words of a sparse column, and a mixed column's boxed values or any other
+// column's chunk.
 func appendCompRun(dst []byte, c *CompRun) []byte {
 	dst = appendUvarint(dst, uint64(c.N))
 	dst = appendFixed64(dst, uint64(c.MinTS))
@@ -282,13 +210,23 @@ func appendCompRun(dst []byte, c *CompRun) []byte {
 	dst = appendUvarint(dst, uint64(len(c.Cols)))
 	for ci := range c.Cols {
 		cc := &c.Cols[ci]
-		dst = appendColHeader(dst, cc.Name, cc.Kind, cc.Mixed, cc.Present)
-		dst = append(dst, cc.Width)
-		dst = appendWords(dst, cc.Present)
+		flags := byte(0)
 		if cc.Mixed {
-			dst = appendVals(dst, cc.Vals[:c.N])
-		} else {
+			flags |= colFlagMixed
+		}
+		if cc.Present != nil {
+			flags |= colFlagPresent
+		}
+		dst = append(appendString(dst, cc.Name), byte(cc.Kind), flags, cc.Width)
+		for _, w := range cc.Present {
+			dst = appendFixed64(dst, w)
+		}
+		if !cc.Mixed {
 			dst = appendBytes(dst, cc.Data)
+			continue
+		}
+		for _, v := range cc.Vals[:c.N] {
+			dst = appendValue(dst, v)
 		}
 	}
 	return dst
@@ -303,56 +241,6 @@ const (
 	colFlagMixed   = 1 << 0
 	colFlagPresent = 1 << 1
 )
-
-// appendColHeader writes what a raw and a compressed column start with:
-// name, kind and the flags byte.
-func appendColHeader(dst []byte, name string, kind lineproto.ValueKind, mixed bool, present []uint64) []byte {
-	dst = appendString(dst, name)
-	flags := byte(0)
-	if mixed {
-		flags |= colFlagMixed
-	}
-	if present != nil {
-		flags |= colFlagPresent
-	}
-	return append(dst, byte(kind), flags)
-}
-
-func appendWords(dst []byte, words []uint64) []byte {
-	for _, w := range words {
-		dst = appendFixed64(dst, w)
-	}
-	return dst
-}
-
-func appendVals(dst []byte, vals []lineproto.Value) []byte {
-	for _, v := range vals {
-		dst = appendValue(dst, v)
-	}
-	return dst
-}
-
-func appendCol(dst []byte, c *Col, n int) []byte {
-	dst = appendColHeader(dst, c.Name, c.Kind, c.Mixed, c.Present)
-	dst = appendWords(dst, c.Present)
-	switch c.Arm() {
-	case ArmVals:
-		dst = appendVals(dst, c.Vals[:n])
-	case ArmFloats:
-		for _, f := range c.Floats[:n] {
-			dst = appendFixed64(dst, math.Float64bits(f))
-		}
-	case ArmStrIDs:
-		for _, id := range c.StrIDs[:n] {
-			dst = appendUvarint(dst, uint64(id))
-		}
-	default:
-		for _, i := range c.Ints[:n] {
-			dst = binary.AppendVarint(dst, i)
-		}
-	}
-	return dst
-}
 
 // --- decoding ----------------------------------------------------------
 
@@ -460,91 +348,16 @@ func decodeSeries(r *batchReader) (Series, error) {
 		return sr, err
 	}
 	if nr > 0 {
-		sr.Runs = make([]Run, 0, nr)
+		sr.Runs = make([]*CompRun, 0, nr)
 	}
 	for i := 0; i < nr; i++ {
-		run, err := decodeRun(r)
+		c, err := decodeCompRun(r)
 		if err != nil {
 			return sr, err
 		}
-		sr.Runs = append(sr.Runs, run)
+		sr.Runs = append(sr.Runs, c)
 	}
 	return sr, nil
-}
-
-func decodeRun(r *batchReader) (Run, error) {
-	var run Run
-	if len(r.b) < 1 {
-		return run, errShortBatch
-	}
-	kind := r.b[0]
-	r.b = r.b[1:]
-	switch kind {
-	case runKindRaw:
-	case runKindComp:
-		c, err := decodeCompRun(r)
-		if err != nil {
-			return run, err
-		}
-		run.Comp = c
-		return run, nil
-	default:
-		return run, fmt.Errorf("durable: unknown run kind %d", kind)
-	}
-	n64, err := r.uvarint()
-	if err != nil {
-		return run, err
-	}
-	if n64 > uint64(len(r.b)) {
-		return run, fmt.Errorf("durable: implausible run length %d", n64)
-	}
-	n := int(n64)
-	if n > 0 {
-		anchor, err := r.fixed64()
-		if err != nil {
-			return run, err
-		}
-		run.Ts = make([]int64, n)
-		run.Ts[0] = int64(anchor)
-		for i := 1; i < n; i++ {
-			d, err := r.uvarint()
-			if err != nil {
-				return run, err
-			}
-			run.Ts[i] = run.Ts[i-1] + int64(d)
-		}
-	}
-	nc, err := r.count()
-	if err != nil {
-		return run, err
-	}
-	if nc > 0 {
-		run.Cols = make([]Col, 0, nc)
-	}
-	for i := 0; i < nc; i++ {
-		c, err := decodeCol(r, n)
-		if err != nil {
-			return run, err
-		}
-		run.Cols = append(run.Cols, c)
-	}
-	return run, nil
-}
-
-// colHeader reads what appendColHeader wrote; sparse reports that presence
-// words follow.
-func (r *batchReader) colHeader() (name string, kind lineproto.ValueKind, mixed, sparse bool, err error) {
-	if name, err = r.str(); err != nil {
-		return
-	}
-	if len(r.b) < 2 {
-		err = errShortBatch
-		return
-	}
-	kind = lineproto.ValueKind(r.b[0])
-	flags := r.b[1]
-	r.b = r.b[2:]
-	return name, kind, flags&colFlagMixed != 0, flags&colFlagPresent != 0, nil
 }
 
 // words reads the presence bitmap of an n-row column.
@@ -573,53 +386,6 @@ func (r *batchReader) vals(n int) ([]lineproto.Value, error) {
 		}
 	}
 	return out, nil
-}
-
-func decodeCol(r *batchReader, n int) (Col, error) {
-	var c Col
-	var sparse bool
-	var err error
-	if c.Name, c.Kind, c.Mixed, sparse, err = r.colHeader(); err != nil {
-		return c, err
-	}
-	if sparse {
-		if c.Present, err = r.words(n); err != nil {
-			return c, err
-		}
-	}
-	if n == 0 {
-		return c, nil
-	}
-	switch c.Arm() {
-	case ArmVals:
-		c.Vals, err = r.vals(n)
-	case ArmFloats:
-		c.Floats = make([]float64, n)
-		for i := range c.Floats {
-			var bits uint64
-			if bits, err = r.fixed64(); err != nil {
-				break
-			}
-			c.Floats[i] = math.Float64frombits(bits)
-		}
-	case ArmStrIDs:
-		c.StrIDs = make([]uint32, n)
-		for i := range c.StrIDs {
-			var id uint64
-			if id, err = r.uvarint(); err != nil {
-				break
-			}
-			c.StrIDs[i] = uint32(id)
-		}
-	default:
-		c.Ints = make([]int64, n)
-		for i := range c.Ints {
-			if c.Ints[i], err = r.varint(); err != nil {
-				break
-			}
-		}
-	}
-	return c, err
 }
 
 // byteSlice reads a length-prefixed chunk. The returned slice is a copy,
@@ -696,16 +462,16 @@ func decodeCompRun(r *batchReader) (*CompRun, error) {
 
 func decodeCompCol(r *batchReader, n int) (CompCol, error) {
 	var c CompCol
-	var sparse bool
 	var err error
-	if c.Name, c.Kind, c.Mixed, sparse, err = r.colHeader(); err != nil {
+	if c.Name, err = r.str(); err != nil {
 		return c, err
 	}
-	if len(r.b) < 1 {
+	if len(r.b) < 3 {
 		return c, errShortBatch
 	}
-	c.Width = r.b[0]
-	r.b = r.b[1:]
+	c.Kind, c.Mixed, c.Width = lineproto.ValueKind(r.b[0]), r.b[1]&colFlagMixed != 0, r.b[2]
+	sparse := r.b[1]&colFlagPresent != 0
+	r.b = r.b[3:]
 	if sparse {
 		if c.Present, err = r.words(n); err != nil {
 			return c, err
@@ -809,9 +575,10 @@ func WriteSnapshot(fs fsys.FS, dir string, seg int, s *Snapshot) error {
 // segment index replay must start from, or (nil, 0, nil) when no usable
 // checkpoint exists. Corrupt checkpoint files are skipped in favour of
 // older ones — a longer WAL tail still reaches the same state. A file in
-// the retired LMSCKP1 format is not corruption and is refused with an
-// error instead: the WAL segments it covers are already deleted, so
-// skipping it would bring the store up silently missing that data.
+// a retired format (retiredMagics) is not corruption and is refused with
+// an error naming it instead: the WAL segments it covers are already
+// deleted, so skipping it would bring the store up silently missing that
+// data.
 func LoadLatestSnapshot(fs fsys.FS, dir string) (*Snapshot, int, error) {
 	if fs == nil {
 		fs = fsys.OS{}
@@ -838,12 +605,12 @@ func LoadLatestSnapshot(fs fsys.FS, dir string) (*Snapshot, int, error) {
 		if len(data) < len(snapMagic)+4 {
 			continue
 		}
-		switch string(data[:len(snapMagic)]) {
-		case snapMagic:
-		case snapMagicV1:
-			return nil, 0, fmt.Errorf("durable: %s is in the retired LMSCKP1 checkpoint format, which this version no longer reads",
-				filepath.Join(dir, snapshotName(idx)))
-		default:
+		magic := string(data[:len(snapMagic)])
+		if slices.Contains(retiredMagics, magic) {
+			return nil, 0, fmt.Errorf("durable: %s is in the retired %s checkpoint format, which this version no longer reads",
+				filepath.Join(dir, snapshotName(idx)), strings.TrimSuffix(magic, "\n"))
+		}
+		if magic != snapMagic {
 			continue
 		}
 		payload := data[len(snapMagic) : len(data)-4]

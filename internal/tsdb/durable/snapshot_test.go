@@ -9,6 +9,17 @@ import (
 	"repro/internal/lineproto"
 )
 
+// chunk returns n opaque chunk bytes: this package frames chunks and
+// never decodes them, so any bytes of a plausible length stand in for
+// what the tsdb codecs would encode.
+func chunk(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i)
+	}
+	return b
+}
+
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{Measurements: []Measurement{
 		{
@@ -20,28 +31,28 @@ func sampleSnapshot() *Snapshot {
 			Series: []Series{
 				{
 					Tags: map[string]string{"hostname": "node01", "cpu": "0"},
-					Runs: []Run{
+					Runs: []*CompRun{
 						{
-							Ts: []int64{-50, 100, 100, 250},
-							Cols: []Col{
-								{Name: "user", Values: Values{Kind: lineproto.KindFloat, Floats: []float64{1.5, 2.5, 0, 4}}},
-								{Name: "ctx", Present: []uint64{0b0111}, Values: Values{Kind: lineproto.KindInt, Ints: []int64{-7, 0, 9, 0}}},
+							N: 4, MinTS: -50, MaxTS: 250, RawBytes: 96, Ts: chunk(10, 1),
+							Cols: []CompCol{
+								{Name: "user", Kind: lineproto.KindFloat, Data: chunk(12, 2)},
+								{Name: "ctx", Kind: lineproto.KindInt, Present: []uint64{0b0111}, Data: chunk(4, 3)},
 							},
 						},
 						{
-							Ts:   []int64{300},
-							Cols: []Col{{Name: "user", Values: Values{Kind: lineproto.KindFloat, Floats: []float64{9}}}},
+							N: 1, MinTS: 300, MaxTS: 300, RawBytes: 16, Ts: chunk(8, 4),
+							Cols: []CompCol{{Name: "user", Kind: lineproto.KindFloat, Data: chunk(8, 5)}},
 						},
 					},
 				},
 				{
 					// Tag-less series with bool and mixed columns.
-					Runs: []Run{{
-						Ts: []int64{1, 2},
-						Cols: []Col{
-							{Name: "up", Values: Values{Kind: lineproto.KindBool, Ints: []int64{1, 0}}},
-							{Name: "mix", Values: Values{Kind: lineproto.KindFloat, Mixed: true,
-								Vals: []lineproto.Value{lineproto.Float(1), lineproto.String("two")}}},
+					Runs: []*CompRun{{
+						N: 2, MinTS: 1, MaxTS: 2, RawBytes: 112, Ts: chunk(9, 6),
+						Cols: []CompCol{
+							{Name: "up", Kind: lineproto.KindBool, Data: chunk(2, 7)},
+							{Name: "mix", Kind: lineproto.KindFloat, Mixed: true,
+								Vals: []lineproto.Value{lineproto.Float(1), lineproto.String("two")}},
 						},
 					}},
 				},
@@ -53,9 +64,9 @@ func sampleSnapshot() *Snapshot {
 			Strs:   []string{"started", "finished"},
 			Series: []Series{{
 				Tags: map[string]string{"hostname": "node02"},
-				Runs: []Run{{
-					Ts:   []int64{10, 20, 30},
-					Cols: []Col{{Name: "msg", Values: Values{Kind: lineproto.KindString, StrIDs: []uint32{0, 1, 0}}}},
+				Runs: []*CompRun{{
+					N: 3, MinTS: 10, MaxTS: 30, RawBytes: 36, Ts: chunk(9, 8),
+					Cols: []CompCol{{Name: "msg", Kind: lineproto.KindString, Width: 1, Data: []byte{0b010}}},
 				}},
 			}},
 		},
@@ -147,32 +158,30 @@ func TestSnapshotNoneFound(t *testing.T) {
 
 // TestSnapshotSizeHint: WriteSnapshot encodes into a buffer sized by the
 // hint, so the hint must cover the payload of the shapes checkpoints are
-// made of — long raw runs of metric samples, compressed chunks, the small
-// sample — without reserving much more than it needs.
+// made of — a long chunk of metric samples, many short ones with sparse
+// string columns, the small sample — without reserving much more than it
+// needs.
 func TestSnapshotSizeHint(t *testing.T) {
 	const n = 20000
-	run := Run{Ts: make([]int64, n)}
-	user := Col{Name: "user", Values: Values{Kind: lineproto.KindFloat, Floats: make([]float64, n)}}
-	ctx := Col{Name: "ctx", Values: Values{Kind: lineproto.KindInt, Ints: make([]int64, n)}}
-	state := Col{Name: "state", Present: make([]uint64, (n+63)/64), Values: Values{Kind: lineproto.KindString, StrIDs: make([]uint32, n)}}
-	for i := 0; i < n; i++ {
-		run.Ts[i] = 1500000000e9 + int64(i)*10e9
-		user.Floats[i] = float64(i) / 3
-		ctx.Ints[i] = int64(i) * 977
-		state.StrIDs[i] = uint32(i % 2)
+	long := &CompRun{N: n, MinTS: 1500000000e9, MaxTS: 1500000000e9 + (n-1)*10e9, RawBytes: 28 * n, Ts: chunk(2600, 1), Cols: []CompCol{
+		{Name: "user", Kind: lineproto.KindFloat, Data: chunk(40000, 2)},
+		{Name: "ctx", Kind: lineproto.KindInt, Data: chunk(2*n, 3)},
+		{Name: "state", Kind: lineproto.KindString, Width: 1, Present: make([]uint64, (n+63)/64), Data: chunk(n/8, 4)},
+	}}
+	runs := []*CompRun{long}
+	for i := 0; i < 200; i++ {
+		runs = append(runs, &CompRun{N: 32, MinTS: int64(i) * 320, MaxTS: int64(i)*320 + 310, RawBytes: 1024, Ts: chunk(12, 5), Cols: []CompCol{
+			{Name: "user", Kind: lineproto.KindFloat, Data: chunk(40, 6)},
+			{Name: "state", Kind: lineproto.KindString, Width: 1, Present: []uint64{1<<32 - 2}, Data: chunk(4, 7)},
+		}})
 	}
-	run.Cols = []Col{user, ctx, state}
-	comp := Run{Comp: &CompRun{N: n, MinTS: 1, MaxTS: 2, Ts: make([]byte, 3000), Cols: []CompCol{
-		{Name: "user", Kind: lineproto.KindFloat, Data: make([]byte, 40000)},
-		{Name: "state", Kind: lineproto.KindString, Width: 1, Present: make([]uint64, (n+63)/64), Data: make([]byte, 2500)},
-	}}}
 	big := &Snapshot{Measurements: []Measurement{{
 		Name:   "cpu",
 		Fields: []FieldSchema{{Name: "ctx", Kind: lineproto.KindInt}, {Name: "state", Kind: lineproto.KindString}, {Name: "user", Kind: lineproto.KindFloat}},
 		Strs:   []string{"idle", "busy"},
-		Series: []Series{{Tags: map[string]string{"hostname": "node01"}, Runs: []Run{comp, run}}},
+		Series: []Series{{Tags: map[string]string{"hostname": "node01"}, Runs: runs}},
 	}}}
-	for name, s := range map[string]*Snapshot{"sample": sampleSnapshot(), "long runs": big, "empty": {}} {
+	for name, s := range map[string]*Snapshot{"sample": sampleSnapshot(), "long and short chunks": big, "empty": {}} {
 		hint, size := snapshotSizeHint(s), len(appendSnapshot(nil, s))
 		if hint < size {
 			t.Errorf("%s: hint %d below the %d-byte payload: the buffer regrows", name, hint, size)

@@ -1,20 +1,30 @@
 package tsdb
 
 // The on-disk format pin (DESIGN.md §9): testdata/golden holds a data
-// directory written by the commit before the column-shape refactor
-// (cd4965c, "PR 14") — one LMSCKP2 checkpoint with raw, sparse, string,
-// mixed and compressed runs plus a WAL tail — and what that commit read
-// back out of it. A build that cannot recover every point from those
-// bytes, or that checkpoints the recovered state to different bytes, has
-// changed the format. recheckpoint/ was re-taken once since, when the seal
-// rule (DESIGN.md §13) changed which runs the replayed tail builds and
-// which recovered runs are compressed; data/ and expected.txt never were.
+// directory — one LMSCKP3 checkpoint whose chunks hold dense, sparse,
+// string and mixed columns, plus a WAL tail — and what the commit that
+// wrote it (cd4965c) read back out of it. A build that cannot recover
+// every point from those bytes, or that checkpoints the recovered state to
+// different bytes, has changed the format.
+//
+// cd4965c wrote data/ by the procedure below, in the LMSCKP2 format of the
+// day. When the raw-run codec left the checkpoint, that file was carried to
+// LMSCKP3 run for run: each raw run compressed in place by the chunk
+// codecs, no run merged, the WAL tail untouched. So expected.txt, never
+// re-taken, still pins cd4965c's answers. recheckpoint/ is re-taken when
+// the format or the seal rule (DESIGN.md §13) changes what a recovered
+// store checkpoints.
 //
 // The committed files are only ever read. To rebuild them, check out the
 // commit that should own the format, copy this file next to its
 // persist_test.go and run
 //
 //	LMS_GOLDEN_WRITE=$PWD/testdata/golden go test -run TestGoldenDataDir ./internal/tsdb/
+//
+// Under today's seal rule a rebuild cuts the series into shorter runs than
+// cd4965c did, so the WAL tail's shifted rewrite batch matches its run
+// exactly and upserts where cd4965c kept both rows: the rebuilt
+// expected.txt lacks those duplicates.
 
 import (
 	"bytes"
@@ -150,20 +160,11 @@ func writeGoldenDir(t *testing.T, root string) {
 	if err != nil || snap == nil {
 		t.Fatalf("generated checkpoint unreadable: %v", err)
 	}
-	var raw, comp, sparse, mixed, strs int
+	var runs, sparse, mixed, strs int
 	for _, m := range snap.Measurements {
 		for _, sr := range m.Series {
 			for _, r := range sr.Runs {
-				if r.Comp != nil {
-					comp++
-					for _, c := range r.Comp.Cols {
-						if c.Mixed {
-							mixed++
-						}
-					}
-					continue
-				}
-				raw++
+				runs++
 				for _, c := range r.Cols {
 					if c.Present != nil {
 						sparse++
@@ -178,8 +179,8 @@ func writeGoldenDir(t *testing.T, root string) {
 			}
 		}
 	}
-	t.Logf("checkpoint holds %d raw runs, %d compressed runs; %d sparse, %d mixed, %d string columns", raw, comp, sparse, mixed, strs)
-	if raw < 3 || comp < 3 || sparse == 0 || mixed < 2 || strs == 0 {
+	t.Logf("checkpoint holds %d chunks; %d sparse, %d mixed, %d string columns", runs, sparse, mixed, strs)
+	if runs < 6 || sparse == 0 || mixed < 2 || strs == 0 {
 		t.Fatal("generated checkpoint does not cover every run shape")
 	}
 

@@ -10,11 +10,12 @@ package tsdb
 //   - checkpoints: rotate the WAL under the write gate, snapshot the
 //     immutable in-memory column blocks (slice headers only — the same
 //     invariants the lock-light read path relies on make this cheap),
-//     serialize them to a checkpoint file and delete the covered WAL
-//     segments;
-//   - recovery: load the newest valid checkpoint, then replay the WAL
-//     tail through the ordinary columnar write path (applyFrame and the
-//     shards' runBuilders), truncating at the first torn frame;
+//     compress the raw ones outside the gate, serialize every run as a
+//     chunk to a checkpoint file and delete the covered WAL segments;
+//   - recovery: load the newest valid checkpoint, adopting its chunks as
+//     they are, then replay the WAL tail through the ordinary columnar
+//     write path (applyFrame and the shards' runBuilders), truncating at
+//     the first torn frame;
 //   - retention: a sweep that dropped rows schedules a checkpoint (rate
 //     limited by Durability.RetentionCheckpointEvery), which rewrites the
 //     on-disk state without the expired blocks and deletes the expired
@@ -186,9 +187,17 @@ func (db *DB) Checkpoint() error {
 		return err
 	}
 	ssp := tr.Start("tsdb.checkpoint.snapshot")
-	snap := db.buildSnapshot()
+	snap, held := db.buildSnapshot()
 	ssp.End()
 	d.gate.Unlock()
+	// Every run reaches the file as a chunk. The raw ones are encoded here,
+	// outside the gate, from headers that stay immutable to readers; the
+	// chunks go to the file only — resident runs are the compaction job's.
+	esp := tr.Start("tsdb.checkpoint.encode").AttrInt("runs", int64(len(held)))
+	for _, h := range held {
+		*h.slot = compressColumns(h.ts, h.cols)
+	}
+	esp.End()
 	wsp := tr.Start("tsdb.checkpoint.write")
 	err = durable.WriteSnapshot(d.opts.FS, d.dir, seg, snap)
 	wsp.End()
@@ -322,16 +331,25 @@ func (db *DB) openDurable(opts Durability) error {
 
 // --- in-memory state <-> durable.Snapshot -------------------------------
 
+// heldRun is a raw run a checkpoint captured: its headers, and the slot of
+// the snapshot its chunk fills.
+type heldRun struct {
+	slot **durable.CompRun
+	ts   []int64
+	cols []col
+}
+
 // buildSnapshot captures the database's full columnar state as a
 // durable.Snapshot. It only copies headers: a compressed run hands over its
 // chunk pointer (no re-encode on write, no decode on recovery — DESIGN.md
-// §13), a raw run its timestamp slice and column structs, and runs are
-// immutable to readers (the same invariants Select's phase 1 relies on), so
-// the serialization can proceed outside any lock. Callers must hold the
+// §13), a raw run its timestamp slice and column structs, returned in held
+// for the caller to encode into the snapshot. Runs are immutable to readers
+// (the same invariants Select's phase 1 relies on), so the encoding and the
+// serialization can proceed outside any lock. Callers must hold the
 // durability gate in write mode (or otherwise exclude writers) so the
 // capture is an exact WAL prefix.
-func (db *DB) buildSnapshot() *durable.Snapshot {
-	snap := &durable.Snapshot{}
+func (db *DB) buildSnapshot() (snap *durable.Snapshot, held []heldRun) {
+	snap = &durable.Snapshot{}
 	for _, sh := range db.shards {
 		sh.mu.RLock()
 		for _, m := range sh.measurements {
@@ -341,15 +359,10 @@ func (db *DB) buildSnapshot() *durable.Snapshot {
 			}
 			for _, k := range slices.Sorted(maps.Keys(m.series)) {
 				sr := m.series[k]
-				ds := durable.Series{Tags: sr.tags, Runs: make([]durable.Run, len(sr.runs))}
+				ds := durable.Series{Tags: sr.tags, Runs: make([]*durable.CompRun, len(sr.runs))}
 				for ri, run := range sr.runs {
-					dr := &ds.Runs[ri]
-					dr.Ts, dr.Comp = run.ts, run.comp
-					if len(run.cols) > 0 {
-						dr.Cols = make([]durable.Col, len(run.cols))
-						for ci := range run.cols {
-							dr.Cols[ci] = run.cols[ci].Col
-						}
+					if ds.Runs[ri] = run.comp; run.comp == nil {
+						held = append(held, heldRun{&ds.Runs[ri], run.ts, slices.Clone(run.cols)})
 					}
 				}
 				dm.Series = append(dm.Series, ds)
@@ -361,12 +374,14 @@ func (db *DB) buildSnapshot() *durable.Snapshot {
 	sort.Slice(snap.Measurements, func(i, j int) bool {
 		return snap.Measurements[i].Name < snap.Measurements[j].Name
 	})
-	return snap
+	return snap, held
 }
 
 // loadSnapshot rebuilds the in-memory columnar state from a checkpoint,
-// adopting the decoded chunks and columns as they are. Only called while
-// the DB is private to the opener (before any reader or writer can see it).
+// adopting every run as the chunk it was stored as: a recovered building
+// run is frozen, as Compress leaves it, and thaws on its next in-order
+// block. Only called while the DB is private to the opener (before any
+// reader or writer can see it).
 func (db *DB) loadSnapshot(snap *durable.Snapshot) {
 	newest := int64(minInt64)
 	for mi := range snap.Measurements {
@@ -393,24 +408,13 @@ func (db *DB) loadSnapshot(snap *durable.Snapshot) {
 			if sr.tags == nil {
 				sr.tags = map[string]string{}
 			}
-			for ri := range ds.Runs {
-				dr := &ds.Runs[ri]
-				run := &colRun{ts: dr.Ts, comp: dr.Comp}
+			for ri, c := range ds.Runs {
 				// Column headers share one name string per schema field.
-				if c := dr.Comp; c != nil {
-					for ci := range c.Cols {
-						c.Cols[ci].Name = m.internField(c.Cols[ci].Name, c.Cols[ci].Kind)
-					}
-					newest = max(newest, c.MaxTS)
-				} else if n := len(dr.Ts); n > 0 {
-					run.cols = make([]col, len(dr.Cols))
-					for ci := range dr.Cols {
-						run.cols[ci] = col{Col: dr.Cols[ci], n: n}
-						run.cols[ci].Name = m.internField(dr.Cols[ci].Name, dr.Cols[ci].Kind)
-					}
-					newest = max(newest, dr.Ts[n-1])
+				for ci := range c.Cols {
+					c.Cols[ci].Name = m.internField(c.Cols[ci].Name, c.Cols[ci].Kind)
 				}
-				sr.runs[ri] = run
+				newest = max(newest, c.MaxTS)
+				sr.runs[ri] = &colRun{comp: c}
 			}
 			m.series[seriesKey(sr.tags)] = sr
 		}

@@ -72,7 +72,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -534,7 +533,9 @@ func (sr *series) lastSpan(spans []runSpan) []runSpan {
 }
 
 // commit applies a finished builder block to the series and reports
-// whether it sealed a run:
+// whether it sealed a run: left one behind a new run, the compaction job's
+// cue whether it is raw or a chunk that recovery or Compress froze (the
+// job may merge either):
 //
 //   - a block whose timestamps exactly rewrite the newest run merges
 //     field-by-field with last-write-wins (InfluxDB duplicate-point
@@ -607,29 +608,53 @@ func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) (sealed boo
 		}
 		sr.runs = append(sr.runs[:k-2], mergeRuns(m.strs.vals, ra, rb))
 	}
-	return len(sr.runs) > 1 && sr.sealed(len(sr.runs)-2)
+	return len(sr.runs) > 1
 }
 
-// seriesKey builds the canonical identity of a tag set.
+// seriesKey builds the canonical identity of a tag set: its pairs in
+// ascending key order, as the write path builds it from a frame.
 func seriesKey(tags map[string]string) string {
 	if len(tags) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(tags))
-	for k := range tags {
-		keys = append(keys, k)
+	keys, size := make([]string, 0, len(tags)), 0
+	for k, v := range tags {
+		keys, size = append(keys, k), size+len(k)+len(v)+2
 	}
 	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(tags[k])
+	key := make([]byte, 0, size)
+	for _, k := range keys {
+		key = appendKeyTag(key, k, tags[k])
 	}
-	return b.String()
+	return string(key)
+}
+
+// appendKeyTag appends one tag to the series key built so far, as text or
+// as the bytes of a frame. Line protocol lets a tag key or value hold ','
+// and '=' (escaped on the wire), so the key backslash-escapes them and '\'
+// itself: {a: "1,b=2"} and {a: "1", b: "2"} are two series, and a key
+// whose tags hold none of the three bytes is plain "k=v,k=v".
+func appendKeyTag[S string | []byte](key []byte, k, v S) []byte {
+	if len(key) > 0 {
+		key = append(key, ',')
+	}
+	key = appendKeyEscaped(key, k)
+	key = append(key, '=')
+	return appendKeyEscaped(key, v)
+}
+
+// keyEscapes marks the bytes appendKeyEscaped escapes.
+var keyEscapes = [256]bool{',': true, '=': true, '\\': true}
+
+func appendKeyEscaped[S string | []byte](key []byte, s S) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if keyEscapes[s[i]] {
+			key = append(append(key, s[start:i]...), '\\')
+			start = i
+		}
+	}
+	return append(key, s[start:]...)
 }
 
 // WriteBatchContext is the write door of a database: the whole batch is
@@ -843,13 +868,8 @@ func (sh *shard) writeFrame(db *DB, fb *frameBatch, idx int) (sealed bool) {
 			curM = m
 		}
 		key := sh.nextKey[:0]
-		for i, t := range cur.Tags {
-			if i > 0 {
-				key = append(key, ',')
-			}
-			key = append(key, t.Key...)
-			key = append(key, '=')
-			key = append(key, t.Value...)
+		for _, t := range cur.Tags {
+			key = appendKeyTag(key, t.Key, t.Value)
 		}
 		sh.nextKey = key
 		if curS == nil || !bytes.Equal(key, sh.key) {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/lineproto"
+	"repro/internal/tsdb/durable"
 )
 
 func ts(ns int64) time.Time { return time.Unix(0, ns).UTC() }
@@ -543,6 +544,75 @@ func TestSeriesKeyCanonical(t *testing.T) {
 	if seriesKey(nil) != "" {
 		t.Fatal("nil tags key")
 	}
+	if k := seriesKey(map[string]string{"a": `1,b=2\`}); k != `a=1\,b\=2\\` {
+		t.Fatalf("escaped key %q", k)
+	}
+}
+
+// TestSeriesKeyEscapesTagBytes: line protocol lets a tag value hold ','
+// and '=' (escaped on the wire), so tag bytes must never spell out other
+// tags. {a: "1,b=2"} and {a: "1", b: "2"} are two series when written;
+// grouped on a and b, {a: "1,b=2"} and {a: "1", b: "2,b="} are two groups;
+// and after a checkpoint and a reopen the next writes land in the series
+// they landed in before.
+func TestSeriesKeyEscapesTagBytes(t *testing.T) {
+	dir := t.TempDir()
+	write := func(st *Store, lines string) {
+		t.Helper()
+		pts, err := lineproto.Parse([]byte(lines))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := st.OpenDatabase("lms")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.WriteBatchContext(bg, pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(st *Store, want string) {
+		t.Helper()
+		db := st.DB("lms")
+		db.SetQueryCacheTTL(0)
+		if n := len(db.shardFor("m").measurements["m"].series); n != 3 {
+			t.Fatalf("%d series, want 3", n)
+		}
+		if got := db.TagValues("m", "b"); fmt.Sprint(got) != "[2 2,b=]" {
+			t.Fatalf("TagValues(m, b) = %q", got)
+		}
+		res, err := db.SelectContext(bg, Query{Measurement: "m", GroupByTags: []string{"a", "b"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		for _, sr := range res {
+			got += fmt.Sprint(sr.Tags, ":")
+			for _, row := range sr.Rows {
+				got += " " + row.Values[0].StringVal()
+			}
+			got += "\n"
+		}
+		if got != want {
+			t.Fatalf("GROUP BY a, b:\n%swant\n%s", got, want)
+		}
+	}
+	st := openDurableStore(t, Durability{Dir: dir, Fsync: durable.FsyncOff})
+	write(st, `m,a=1\,b\=2 v=1 1000
+m,a=1,b=2 v=2 2000
+m,a=1,b=2\,b\= v=3 3000
+`)
+	check(st, "map[a:1 b:2]: 2\nmap[a:1 b:2,b=]: 3\nmap[a:1,b=2 b:]: 1\n")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = openDurableStore(t, Durability{Dir: dir, Fsync: durable.FsyncOff})
+	defer st.Close()
+	write(st, `m,a=1\,b\=2 v=4 4000
+m,a=1,b=2 v=5 5000
+m,a=1,b=2\,b\= v=6 6000
+`)
+	check(st, "map[a:1 b:2]: 2 5\nmap[a:1 b:2,b=]: 3 6\nmap[a:1,b=2 b:]: 1 4\n")
 }
 
 func TestAggValidNames(t *testing.T) {
