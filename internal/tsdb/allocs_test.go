@@ -40,6 +40,29 @@ func allocFixture(t *testing.T, hosts, rows int) *DB {
 	return db
 }
 
+// sealFixture stops db's compaction job and seals the run of each of the
+// hosts series of allocFixture(db, hosts, rows) with an in-order block of
+// more rows, past everything stored: a raw head of its own behind the
+// sealed run, left for Compress.
+func sealFixture(t *testing.T, db *DB, hosts, rows, more int) {
+	t.Helper()
+	db.compJob.Stop()
+	for h := 0; h < hosts; h++ {
+		pts := make([]lineproto.Point, more)
+		for i := range pts {
+			pts[i] = lineproto.Point{
+				Measurement: "cpu",
+				Tags:        map[string]string{"hostname": fmt.Sprintf("h%02d", h)},
+				Fields:      map[string]lineproto.Value{"user": lineproto.Float(1), "ctx": lineproto.Int(2)},
+				Time:        time.Unix(int64(rows+1+i)*10, 0),
+			}
+		}
+		if err := db.WriteBatchContext(bg, pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestStorageAllocs pins the allocation counts of the paths the column
 // type crosses, write path to checkpoint, at the figures measured on the
 // commit before it was introduced (in the comments; the bounds leave a
@@ -112,6 +135,8 @@ func TestStorageAllocs(t *testing.T) {
 
 	t.Run("select compressed", func(t *testing.T) {
 		db := allocFixture(t, hosts, rows)
+		// A row past the window seals each series' run for Compress.
+		sealFixture(t, db, hosts, rows, 1)
 		if db.Compress() != hosts {
 			t.Fatal("fixture did not compress to one chunk per series")
 		}
@@ -124,36 +149,22 @@ func TestStorageAllocs(t *testing.T) {
 	})
 
 	t.Run("buildSnapshot", func(t *testing.T) {
-		// Half the runs raw, half compressed: the per-run cost of capturing
-		// a checkpoint image, fixed per-measurement work subtracted by
+		// Half the runs raw, half compressed — every series a chunk and the
+		// raw head that sealed it: the per-run cost of capturing a
+		// checkpoint image, fixed per-measurement work subtracted by
 		// measuring two sizes.
 		perRun := func(n int) float64 {
 			db := allocFixture(t, n, 50)
+			sealFixture(t, db, n, 50, 50)
 			db.Compress()
-			for h := 1; h < n; h += 2 {
-				// The next in-order block behind every other full chunk: a
-				// raw run of its own.
-				pts := make([]lineproto.Point, 50)
-				for i := range pts {
-					pts[i] = lineproto.Point{
-						Measurement: "cpu",
-						Tags:        map[string]string{"hostname": fmt.Sprintf("h%02d", h)},
-						Fields:      map[string]lineproto.Value{"user": lineproto.Float(1), "ctx": lineproto.Int(2)},
-						Time:        time.Unix(int64(50+i)*10, 0),
-					}
-				}
-				if err := db.WriteBatchContext(bg, pts); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if st := db.compressionStats(); st.chunks == 0 || st.buildingBytes == 0 {
+			if st := db.compressionStats(); st.chunks == 0 || st.buildingBytes == 0 || st.sealedBytes != 0 {
 				t.Fatalf("fixture holds no mix of raw and compressed runs: %+v", st)
 			}
 			return testing.AllocsPerRun(20, func() { db.buildSnapshot() })
 		}
 		small, large := perRun(hosts), perRun(hosts*9)
-		allocs := (large - small) / (hosts * 8)
-		t.Logf("%.2f allocs per run captured by buildSnapshot (%.0f for %d runs, %.0f for %d)", allocs, small, hosts, large, hosts*9)
+		allocs := (large - small) / (2 * hosts * 8)
+		t.Logf("%.2f allocs per run captured by buildSnapshot (%.0f for %d runs, %.0f for %d)", allocs, small, 2*hosts, large, 2*hosts*9)
 		if allocs > buildSnapshotAllocsPerRun {
 			t.Fatalf("buildSnapshot allocates %.2f times per run, want <= %.2f", allocs, buildSnapshotAllocsPerRun)
 		}
@@ -237,14 +248,14 @@ func TestFrameApplyAllocs(t *testing.T) {
 // and returns the passes' mallocs per write.
 func jobAllocsPerWrite(t *testing.T, db *DB, n int, write func()) float64 {
 	t.Helper()
-	db.compressSealed()
+	db.Compress()
 	var mallocs uint64
 	took := 0
 	for i := 0; i < n; i++ {
 		write()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		took += db.compressSealed()
+		took += db.Compress()
 		runtime.ReadMemStats(&after)
 		mallocs += after.Mallocs - before.Mallocs
 	}
@@ -274,11 +285,14 @@ const (
 	// chunks merged, one drain pass after the window took 7.1 per sealed
 	// 100-row run and 18.0 per frame; before the seal rule no job ran on the
 	// write path at all, and Compress took 52 on a 20 000-row run.
-	writeBatchJobAllocs       = 40
-	frameApplyJobAllocs       = 70
-	selectRawAllocs           = 960  // measured 945, 944 before the series key escaped tag bytes
-	selectCompressedAllocs    = 960  // measured 945, the same: a warm arena decodes for free
-	buildSnapshotAllocsPerRun = 4.75 // measured 1.67, 1.62 before every raw run was held for its encode
+	writeBatchJobAllocs    = 40
+	frameApplyJobAllocs    = 70
+	selectRawAllocs        = 960 // measured 945, 944 before the series key escaped tag bytes
+	selectCompressedAllocs = 960 // measured 945, the same: a warm arena decodes for free
+	// Measured 1.09 per run over a chunk and a raw head per series; 1.67
+	// per series (1.5 runs, a third raw) before the head stayed raw, 1.62
+	// before every raw run was held for its encode.
+	buildSnapshotAllocsPerRun = 4.75
 	// Measured 20.0 over 128 frames (four seals; 22 under -race): 4 per
 	// frame plus 5 per seal of each of the 100 series. Before the seal
 	// rule 6.0 over the same frames (4 plus a doubling of every series'

@@ -373,9 +373,10 @@ type colRun struct {
 	cols []col
 
 	// comp is the compressed form; non-nil exactly when ts/cols are nil.
+	// Only construction sets it: a chunk is never written to.
 	comp *compRun
-	// gen counts in-place mutations (appendBlock/rewriteBlock), so the
-	// compressor can encode outside the lock and verify-and-swap under it.
+	// gen counts the head's in-place mutations (appendBlock/rewriteBlock), so
+	// the compressor can encode outside the lock and verify-and-swap under it.
 	gen uint64
 }
 
@@ -394,6 +395,14 @@ func (r *colRun) rows() int {
 		return r.comp.N
 	}
 	return len(r.ts)
+}
+
+// minTS is the run's oldest timestamp in either resident state.
+func (r *colRun) minTS() int64 {
+	if r.comp != nil {
+		return r.comp.MinTS
+	}
+	return r.ts[0]
 }
 
 // maxTS is the run's newest timestamp in either resident state.

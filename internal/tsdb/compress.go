@@ -5,7 +5,7 @@ package tsdb
 // Runs progress building → sealed → compressed. A building run is each
 // series' newest run, the append target (column.go); it seals when it
 // holds sealRows rows and the next in-order block opens a new run, and
-// the seal kicks the compaction job (tsdb.go, compressSealed), which
+// the seal kicks the compaction job (tsdb.go, DB.Compress), which
 // re-encodes every sealed run into a compRun — per-column compressed
 // chunks — and drops the raw arrays, merging sealed runs into chunks of
 // up to maxChunkRows rows as they accumulate:
@@ -24,10 +24,10 @@ package tsdb
 //
 // Everything is byte-exact: decompression reproduces the raw columns
 // bit for bit, so aggregation answers are byte-identical to the sealed
-// state. A compressed run is immutable; the write path handles the rare
-// mutations by decompress-merge-recompress (exact-timestamp rewrites) or
-// by opening a fresh run next to it (appends and late blocks), and the
-// job decodes the chunks it merges into a new one.
+// state. A chunk is never written to: writes land on the raw head or open
+// a fresh run next to it, the job decodes the chunks it merges into a new
+// one, and pruning and recovery decode a chunk they must cut or leave at
+// the head into a raw run that replaces it.
 //
 // Arithmetic note: deltas and delta-of-deltas are computed in uint64 with
 // wraparound and zigzag-coded, so the codec is total over all int64
@@ -535,16 +535,13 @@ func (a *decodeArena) reset() { a.i64off, a.f64off, a.u32off = 0, 0, 0 }
 
 var arenaPool = sync.Pool{New: func() any { return &decodeArena{} }}
 
-// decodeErrOnce rate-limits the corrupt-chunk log: a decode failure means
-// bytes that passed the checkpoint CRC still failed the codec, which is
-// outside the storage fault model.
-var decodeErrOnce sync.Once
-
 // noteDecodeError counts every chunk that failed to decode, served as an
-// empty run rather than failing every query forever, and logs the first.
+// empty run rather than failing every query forever, and logs the store's
+// first: a decode failure means bytes that passed the checkpoint CRC still
+// failed the codec, which is outside the storage fault model.
 func (mt *Metrics) noteDecodeError(err error) {
 	mt.ChunkDecodeErrors.Inc()
-	decodeErrOnce.Do(func() {
+	mt.decodeErrOnce.Do(func() {
 		obs.Errorf("tsdb: compressed chunk decode failed (serving affected runs as empty): %v", err)
 	})
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/lineproto"
+	"repro/internal/obs"
 	"repro/internal/tsdb/durable"
 )
 
@@ -198,75 +199,93 @@ func TestCompressedSelectByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCompressedRewriteUpsert pins the one mutation a compressed run
-// accepts: a batch whose timestamps exactly rewrite the run decompresses,
-// merges last-write-wins and recompresses in place. Anything else opens a
-// new run beside it.
+// TestCompressedRewriteUpsert: a chunk is never written to. The exact
+// rewrite — the dashboard upsert pattern — lands on the head, which stays
+// raw whatever the job compressed behind it: values update last-write-wins,
+// the row count holds, and the chunk is the same chunk afterwards. A block
+// that exactly rewrites the chunk's own timestamps, or overlaps them
+// partially, is no rewrite of the head: it opens a run beside it, exactly
+// as it would against a raw run.
 func TestCompressedRewriteUpsert(t *testing.T) {
 	t.Parallel()
 	db := newDB("lms")
 	db.SetQueryCacheTTL(0)
-	const n = 10
+	db.compJob.Stop()
+	const n = 40 // past sealRows, so the next in-order block seals the run
 	write := func(pts []lineproto.Point) {
 		t.Helper()
 		if err := db.WriteBatchContext(bg, pts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	write(rewriteBatchPts("h1", n, func(i int) map[string]lineproto.Value {
+	rows := rewriteBatchPts("h1", 2*n, func(i int) map[string]lineproto.Value {
 		return map[string]lineproto.Value{
 			"a": lineproto.Float(float64(i)),
 			"b": lineproto.Int(int64(i) * 10),
 		}
-	}))
+	})
+	write(rows[:n])
+	write(rows[n:])
 	if got := db.Compress(); got != 1 {
 		t.Fatalf("Compress() = %d runs, want 1", got)
 	}
-
-	// Exact rewrite of field a: values update, row count and compressed
-	// state are unchanged, field b keeps its stored values.
-	write(rewriteBatchPts("h1", n, func(i int) map[string]lineproto.Value {
-		return map[string]lineproto.Value{"a": lineproto.Float(float64(i) + 100)}
-	}))
-	if got := db.PointCount(); got != n {
-		t.Fatalf("exact rewrite changed row count: %d != %d", got, n)
+	sr := db.shardFor("m").measurements["m"].series["hostname=h1"]
+	chunk := sr.runs[0]
+	if chunk.comp == nil || len(sr.runs) != 2 || sr.runs[1].comp != nil {
+		t.Fatalf("fixture layout: %s", runLayout(db))
 	}
-	cs := db.compressionStats()
-	if cs.compressedBytes == 0 || cs.buildingBytes != 0 || cs.sealedBytes != 0 {
-		t.Fatalf("exact rewrite left the run uncompressed: %+v", cs)
+
+	// Exact rewrite of the head's field a: values update, the row count is
+	// unchanged, field b keeps its stored values, the chunk is untouched.
+	write(rewriteBatchPts("h1", 2*n, func(i int) map[string]lineproto.Value {
+		return map[string]lineproto.Value{"a": lineproto.Float(float64(i) + 100)}
+	})[n:])
+	if got := db.PointCount(); got != 2*n {
+		t.Fatalf("exact rewrite changed row count: %d != %d", got, 2*n)
+	}
+	if sr.runs[0] != chunk || len(sr.runs) != 2 {
+		t.Fatalf("exact rewrite of the head touched the chunk: %s", runLayout(db))
 	}
 	res, err := db.SelectContext(bg, Query{Measurement: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, row := range res[0].Rows {
-		if got := row.Values[0].FloatVal(); got != float64(i)+100 {
-			t.Fatalf("row %d field a = %v, want %v", i, got, float64(i)+100)
+		want := float64(i)
+		if i >= n {
+			want += 100
+		}
+		if got := row.Values[0].FloatVal(); got != want {
+			t.Fatalf("row %d field a = %v, want %v", i, got, want)
 		}
 		if got := row.Values[1].IntVal(); got != int64(i)*10 {
 			t.Fatalf("row %d field b = %v, want %v", i, got, int64(i)*10)
 		}
 	}
 
-	// A partially overlapping batch is not a rewrite: it lands in a new
-	// run (possibly merged), and the duplicate timestamp resolves by merge
-	// order, exactly as it would against a raw run.
+	// The chunk's exact timestamps, and a partial overlap, append: each
+	// lands in a run of its own and the duplicates resolve by merge order.
+	write(rows[:n])
 	write(rewriteBatchPts("h1", 3, func(i int) map[string]lineproto.Value {
 		return map[string]lineproto.Value{"a": lineproto.Float(-1)}
 	})[2:])
-	if got := db.PointCount(); got != n+1 {
-		t.Fatalf("overlapping batch upserted instead of appending: %d rows, want %d", got, n+1)
+	if got := db.PointCount(); got != 3*n+1 {
+		t.Fatalf("a block over the chunk upserted instead of appending: %d rows, want %d", got, 3*n+1)
+	}
+	if sr.runs[0] != chunk {
+		t.Fatalf("a block over the chunk touched it: %s", runLayout(db))
 	}
 }
 
 // TestCompressionStatsAndMetrics covers the scrape-time sweep: resident
-// bytes shift from building to compressed, the chunk count appears, and
-// the ratio gauge reports the achieved factor.
+// bytes shift from sealed to compressed, the building run stays, the chunk
+// count appears, and the ratio gauge reports the achieved factor.
 func TestCompressionStatsAndMetrics(t *testing.T) {
 	t.Parallel()
 	st := NewStore()
 	db := st.CreateDatabase("lms")
-	pts := make([]lineproto.Point, 2000)
+	db.compJob.Stop()
+	pts := make([]lineproto.Point, 2001)
 	for i := range pts {
 		pts[i] = lineproto.Point{
 			Measurement: "cpu",
@@ -278,16 +297,19 @@ func TestCompressionStatsAndMetrics(t *testing.T) {
 			Time: time.Unix(int64(i), 0).UTC(),
 		}
 	}
-	if err := db.WriteBatchContext(bg, pts); err != nil {
-		t.Fatal(err)
+	// 2000 rows in one run, sealed by the next in-order block.
+	for _, b := range [][]lineproto.Point{pts[:2000], pts[2000:]} {
+		if err := db.WriteBatchContext(bg, b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	before := db.compressionStats()
-	if before.buildingBytes == 0 || before.compressedBytes != 0 {
+	if before.buildingBytes == 0 || before.sealedBytes == 0 || before.compressedBytes != 0 {
 		t.Fatalf("pre-compress stats: %+v", before)
 	}
 	db.Compress()
 	after := db.compressionStats()
-	if after.compressedBytes == 0 || after.chunks == 0 {
+	if after.compressedBytes == 0 || after.chunks == 0 || after.sealedBytes != 0 || after.buildingBytes != before.buildingBytes {
 		t.Fatalf("post-compress stats: %+v", after)
 	}
 	if after.rawOfCompressed <= after.compressedBytes {
@@ -401,7 +423,7 @@ func oneRowBatches(t *testing.T, db *DB, from, to int) {
 // nothing racing it, one pass reaches the layout the job converges to.
 func settle(db *DB) int {
 	db.compJob.Stop()
-	return db.compressSealed()
+	return db.Compress()
 }
 
 // TestSealByRule pins the seal rule and the job's chunk sizes (DESIGN.md
@@ -452,11 +474,12 @@ func TestSealByRule(t *testing.T) {
 
 // TestCheckpointRestartContinuity: Close checkpoints every run as a chunk,
 // the building run too, run for run as the store held them; a reopened
-// store adopts those chunks, and the next in-order blocks land where a
-// store that never restarted puts them — the same layout once both jobs
-// settle, byte-identical /query bodies. With k = 1536 the building run is
-// full when the store closes, so the first block after the reopen seals a
-// chunk, which the job kicked by that seal must merge with the sealed 32-row
+// store adopts those chunks and decodes each series' head back to raw, so
+// it holds the layout it closed with, and the next in-order blocks land
+// where a store that never restarted puts them — the same layout once both
+// jobs settle, byte-identical /query bodies. With k = 1536 the building run
+// is full when the store closes, so the first block after the reopen seals
+// it, and the job kicked by that seal must merge it with the sealed 32-row
 // chunk before it.
 func TestCheckpointRestartContinuity(t *testing.T) {
 	for _, k := range []int{1500, 1536} {
@@ -473,7 +496,8 @@ func TestCheckpointRestartContinuity(t *testing.T) {
 			}
 			oneRowBatches(t, db, 0, k)
 			settle(db)
-			held := strings.ReplaceAll(runLayout(db), "r", "c")
+			closed := runLayout(db)
+			held := strings.ReplaceAll(closed, "r", "c")
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -496,8 +520,8 @@ func TestCheckpointRestartContinuity(t *testing.T) {
 			st2 := openDurableStore(t, Durability{Dir: dir, Fsync: durable.FsyncOff})
 			defer st2.Close()
 			db2 := st2.DB("lms")
-			if got := runLayout(db2); got != held {
-				t.Fatalf("recovered layout:\n%s\nwant\n%s", got, held)
+			if got := runLayout(db2); got != closed {
+				t.Fatalf("recovered layout:\n%s\nwant\n%s", got, closed)
 			}
 			// The pass the open kicked finishes first: whatever merges below
 			// was kicked by the block.
@@ -561,7 +585,7 @@ func TestLateBlockLeavesChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.compressSealed()
+	db.Compress()
 	const history = " 1024c 1024c 1024c 128c"
 	if got, want := runLayout(db), "cpu hostname=h1:"+history+" 32r"; got != want {
 		t.Fatalf("layout of the history:\n%s\nwant\n%s", got, want)
@@ -589,7 +613,7 @@ func TestLateBlockLeavesChunks(t *testing.T) {
 	if got, want := runLayout(db), "cpu hostname=h1:"+history+" 32r 16r"; got != want {
 		t.Fatalf("layout after the late block:\n%s\nwant\n%s", got, want)
 	}
-	db.compressSealed()
+	db.Compress()
 	untouched("after the job's pass")
 	if got, want := runLayout(db), "cpu hostname=h1:"+history+" 32c 16r"; got != want {
 		t.Fatalf("layout after the job's pass:\n%s\nwant\n%s", got, want)
@@ -603,39 +627,207 @@ func TestLateBlockLeavesChunks(t *testing.T) {
 	}
 }
 
+// TestRetentionOverChunks: the retention sweep over a series of chunks and
+// a raw head. A cutoff inside one chunk drops the chunks wholly before it
+// without decoding them — they are corrupt here, and the decode counter
+// stays 0 — keeps the ones after it as they are, and cuts the one it falls
+// in, which comes back raw for the job to compress again. A late block that
+// expires before the runs written after it leaves a chunk at the head: the
+// sweep decodes it, so an exact rewrite of its timestamps still upserts.
+// Throughout, a store whose job never ran answers byte for byte the same.
+func TestRetentionOverChunks(t *testing.T) {
+	t.Parallel()
+	st, twinSt := NewStore(), NewStore()
+	db, twin := st.CreateDatabase("lms"), twinSt.CreateDatabase("lms")
+	db.compJob.Stop()
+	twin.compJob.Stop()
+	hosts := []string{"h1", "h2"}
+	series := func(host string) *series { return db.shardFor("cpu").measurements["cpu"].series["hostname="+host] }
+	both := func(f func(db *DB)) { f(db); f(twin) }
+	at := func(row int) time.Time { return time.Unix(int64(row)*10, 0) } // oneRowBatches' row times
+	// block writes rows [from, to) of each host as one batch.
+	block := func(db *DB, from, to int, at func(row int) time.Time) {
+		for _, host := range hosts {
+			var pts []lineproto.Point
+			for i := from; i < to; i++ {
+				pts = append(pts, lineproto.Point{
+					Measurement: "cpu", Tags: map[string]string{"hostname": host},
+					Fields: map[string]lineproto.Value{"user": lineproto.Float(-1), "ctx": lineproto.Int(int64(-i))},
+					Time:   at(i),
+				})
+			}
+			if err := db.WriteBatchContext(bg, pts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(when, runs string) {
+		t.Helper()
+		if got, want := runLayout(db), "cpu hostname=h1:"+runs+"\ncpu hostname=h2:"+runs; got != want {
+			t.Fatalf("layout %s:\n%s\nwant\n%s", when, got, want)
+		}
+		if got := st.Metrics().ChunkDecodeErrors.Value(); got != 0 {
+			t.Fatalf("%s: lms_db_chunk_decode_errors_total = %d", when, got)
+		}
+		if queryFingerprint(t, st, "lms") != queryFingerprint(t, twinSt, "lms") {
+			t.Fatalf("%s: a store whose job never ran answers differently", when)
+		}
+	}
+
+	both(func(db *DB) { oneRowBatches(t, db, 0, 500) })
+	db.Compress()
+	var after [][]*colRun
+	for _, host := range hosts {
+		sr := series(host)
+		after = append(after, slices.Clone(sr.runs[2:4]))
+		c := sr.runs[0].comp
+		data := c.Cols[compColByName(c, "ctx")].Data
+		data[len(data)-1] ^= 0x80
+	}
+	both(func(db *DB) { db.DropBefore(at(300)) }) // inside the chunk of rows 256-383
+	check("after the sweep", " 84r 64c 32c 20r")
+	for i, host := range hosts {
+		if !slices.Equal(series(host).runs[1:3], after[i]) {
+			t.Fatalf("the sweep replaced a chunk past the cutoff:\n%s", runLayout(db))
+		}
+	}
+	db.Compress()
+	check("after the job's pass", " 148c 32c 20r")
+
+	// The head fills up, and a late block behind it is compressed behind
+	// nothing: it is the head until it expires.
+	both(func(db *DB) { oneRowBatches(t, db, 500, 512) })
+	both(func(db *DB) { block(db, 300, 310, func(row int) time.Time { return at(row).Add(5 * time.Second) }) })
+	db.Compress()
+	check("after the late block", " 148c 64c 10r")
+	both(func(db *DB) { db.DropBefore(at(310)) })
+	check("after the late block expired", " 138r 64r")
+
+	points := db.PointCount()
+	block(db, 448, 512, at) // the decoded head's timestamps exactly
+	if got := db.PointCount(); got != points {
+		t.Fatalf("an exact rewrite of the decoded head changed the row count: %d, want %d", got, points)
+	}
+	res, err := db.SelectContext(bg, Query{Measurement: "cpu", Cols: []AggCol{{Field: "ctx", Agg: AggMin}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res[0].Rows[0].Values[0].IntVal(); got != -511 {
+		t.Fatalf("min(ctx) = %d after the rewrite, want -511", got)
+	}
+	if got, want := runLayout(db), "cpu hostname=h1: 138r 64r\ncpu hostname=h2: 138r 64r"; got != want {
+		t.Fatalf("layout after the rewrite:\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestCorruptChunkCounted: a resident chunk that no longer decodes is
 // served as an empty run — the query still answers — and every failure
 // moves lms_db_chunk_decode_errors_total.
 func TestCorruptChunkCounted(t *testing.T) {
 	t.Parallel()
-	st := NewStore()
-	db := st.CreateDatabase("lms")
-	db.SetQueryCacheTTL(0)
-	oneRowBatches(t, db, 0, 3*sealRows)
-	db.Compress()
-	sh := db.shardFor("cpu")
-	sh.mu.Lock()
-	c := sh.measurements["cpu"].series["hostname=h1"].runs[0].comp
-	data := c.Cols[compColByName(c, "ctx")].Data
-	data[len(data)-1] ^= 0x80 // the last varint no longer terminates
-	sh.mu.Unlock()
-
+	st, _ := corruptChunkStore(t)
 	for i := 1; i <= 2; i++ {
-		rec := httptest.NewRecorder()
-		NewHandler(st).ServeHTTP(rec, httptest.NewRequest("GET", "/query?db=lms&q="+url.QueryEscape("SELECT sum(ctx) FROM cpu"), nil))
-		if rec.Code != 200 {
-			t.Fatalf("query over a corrupt chunk: status %d: %s", rec.Code, rec.Body.String())
-		}
+		querySumCtx(t, st)
 		if got := st.Metrics().ChunkDecodeErrors.Value(); got != uint64(i) {
 			t.Fatalf("after query %d: lms_db_chunk_decode_errors_total = %d, want %d", i, got, i)
 		}
 	}
 }
 
+// corruptChunkStore is a store whose database lms holds oneRowBatches'
+// two series, settled, with the ctx column of h1's oldest chunk broken:
+// its last varint no longer terminates.
+func corruptChunkStore(t *testing.T) (*Store, *DB) {
+	t.Helper()
+	st := NewStore()
+	db := st.CreateDatabase("lms")
+	db.SetQueryCacheTTL(0)
+	oneRowBatches(t, db, 0, 3*sealRows)
+	settle(db)
+	sh := db.shardFor("cpu")
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	c := sh.measurements["cpu"].series["hostname=h1"].runs[0].comp
+	data := c.Cols[compColByName(c, "ctx")].Data
+	data[len(data)-1] ^= 0x80
+	return st, db
+}
+
+// querySumCtx asks st's lms for sum(ctx) over cpu through the HTTP handler
+// and fails unless it answers 200.
+func querySumCtx(t *testing.T, st *Store) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	NewHandler(st).ServeHTTP(rec, httptest.NewRequest("GET", "/query?db=lms&q="+url.QueryEscape("SELECT sum(ctx) FROM cpu"), nil))
+	if rec.Code != 200 {
+		t.Fatalf("query over a corrupt chunk: status %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestDecodeErrorLoggedPerStore: the corrupt-chunk log line is rate-limited
+// per store, not per process. A process hosting several stores (the
+// in-process cluster harness, lms-sim) logs each store's first failure and
+// no more. Not parallel: it captures the process-wide logger.
+func TestDecodeErrorLoggedPerStore(t *testing.T) {
+	var log strings.Builder
+	prev := obs.Log().SetOutput(&log)
+	defer obs.Log().SetOutput(prev)
+	for range 2 {
+		st, _ := corruptChunkStore(t)
+		querySumCtx(t, st)
+		querySumCtx(t, st)
+	}
+	if got := strings.Count(log.String(), "compressed chunk decode failed"); got != 2 {
+		t.Fatalf("%d corrupt-chunk log lines from two stores, want 2:\n%s", got, log.String())
+	}
+}
+
+// TestCorruptHeadChunkAtRecovery: a checkpoint that passes its CRC but
+// whose head chunk fails the codec still opens. Recovery counts the failed
+// decode and leaves the chunk, the next block opens a run beside it instead
+// of appending into it, and queries answer.
+func TestCorruptHeadChunkAtRecovery(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "lms"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ts := []int64{10e9, 20e9, 30e9}
+	good := compressColumns(ts, []col{{Name: "ctx", n: 3, Values: durable.Values{Kind: lineproto.KindInt, Ints: []int64{1, 2, 3}}}})
+	head := &compRun{N: 3, MinTS: 40e9, MaxTS: 60e9, Ts: encodeTimestamps([]int64{40e9, 50e9, 60e9}),
+		Cols: []compCol{{Name: "ctx", Kind: lineproto.KindInt, Data: []byte{0x80, 0x80, 0x80}}}} // no varint terminates
+	snap := &durable.Snapshot{Measurements: []durable.Measurement{{
+		Name:   "cpu",
+		Fields: []durable.FieldSchema{{Name: "ctx", Kind: lineproto.KindInt}},
+		Series: []durable.Series{{Tags: map[string]string{"hostname": "h1"}, Runs: []*compRun{good, head}}},
+	}}}
+	if err := durable.WriteSnapshot(nil, filepath.Join(dir, "lms"), 1, snap); err != nil {
+		t.Fatal(err)
+	}
+
+	st := openDurableStore(t, Durability{Dir: dir, Fsync: durable.FsyncOff})
+	defer st.Close()
+	db := st.DB("lms")
+	db.compJob.Stop()
+	if got := st.Metrics().ChunkDecodeErrors.Value(); got != 1 {
+		t.Fatalf("lms_db_chunk_decode_errors_total = %d after the open, want 1", got)
+	}
+	if err := db.WriteBatchContext(bg, []lineproto.Point{{
+		Measurement: "cpu", Tags: map[string]string{"hostname": "h1"},
+		Fields: map[string]lineproto.Value{"ctx": lineproto.Int(7)}, Time: time.Unix(70, 0),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := runLayout(db), "cpu hostname=h1: 3c 3c 1r"; got != want {
+		t.Fatalf("layout after the next block:\n%s\nwant\n%s", got, want)
+	}
+	querySumCtx(t, st)
+}
+
 // TestCheckpointCompressedRoundTrip: a checkpoint taken over compressed
-// runs stores the chunks verbatim, and recovery adopts them
-// still compressed — no decode on either path — with byte-identical
-// query answers.
+// runs stores the chunks verbatim, and recovery adopts them still
+// compressed — no decode on either path, only the raw heads are encoded
+// for the file and decoded back — with byte-identical query answers.
 func TestCheckpointCompressedRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	batches := corpusBatches()
@@ -649,8 +841,10 @@ func TestCheckpointCompressedRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.Compress() == 0 {
-		t.Fatal("nothing compressed before checkpoint")
+	settle(db)
+	cs := db.compressionStats()
+	if cs.chunks == 0 || cs.buildingBytes == 0 {
+		t.Fatalf("no mix of chunks and raw heads before the checkpoint: %+v", cs)
 	}
 	before := queryFingerprint(t, st, "lms")
 	if err := st.Close(); err != nil {
@@ -661,8 +855,8 @@ func TestCheckpointCompressedRoundTrip(t *testing.T) {
 	if after := queryFingerprint(t, st2, "lms"); after != before {
 		t.Fatal("recovered answers differ from pre-restart answers")
 	}
-	if cs := st2.DB("lms").compressionStats(); cs.compressedBytes == 0 {
-		t.Fatal("recovery decompressed the checkpointed runs")
+	if got := st2.DB("lms").compressionStats(); got != cs {
+		t.Fatalf("recovered run states %+v, want the chunks adopted and the heads raw as before the restart: %+v", got, cs)
 	}
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)

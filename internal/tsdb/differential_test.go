@@ -54,8 +54,8 @@ func errText(err error) string {
 // diffStack is the fixture: a single-node store behind the local and HTTP
 // doors, a 3-node R=2 ring behind the coordinator, both holding the same
 // databases, and a twin of every database for the oracle to read (the
-// doors' "variant" is frozen by Compress, every store's "sealed" is
-// compressed by its compaction job as the seal rule cuts it).
+// doors' "variant" and "sealed" are compressed by their compaction jobs,
+// all but each series' raw head).
 type diffStack struct {
 	doors  []door
 	oracle map[string]*tsdb.DB
@@ -63,10 +63,12 @@ type diffStack struct {
 
 // variantBatches is seedSelectBatches made nasty: a bool column that only
 // some rows carry, an out-of-order block landing inside every series, and
-// same-timestamp rewrites that change values and widen rows.
+// same-timestamp rewrites that change values and widen rows — then one
+// in-order row per series after every stored one, which seals the run the
+// rewrites ended in, so the job compresses everything before it.
 func variantBatches() [][]lineproto.Point {
 	batches := tsdb.SeedSelectBatches()
-	var late, rewrite []lineproto.Point
+	var late, rewrite, seal []lineproto.Point
 	for s := 0; s < 6; s++ {
 		tags := map[string]string{"hostname": fmt.Sprintf("h%d", s), "rack": fmt.Sprintf("r%d", s%2)}
 		for i := 0; i < 40; i++ {
@@ -84,8 +86,13 @@ func variantBatches() [][]lineproto.Point {
 				Time:   time.Unix(0, int64(i)*7e9+int64(s)).UTC(),
 			})
 		}
+		seal = append(seal, lineproto.Point{
+			Measurement: "m", Tags: tags,
+			Fields: map[string]lineproto.Value{"value": lineproto.Float(-1), "ops": lineproto.Int(-1)},
+			Time:   time.Unix(0, 200*7e9+int64(s)).UTC(),
+		})
 	}
-	return append(batches, late, rewrite)
+	return append(batches, late, rewrite, seal)
 }
 
 // sealedBatches is seedSelectBatches in time order, 48 points a batch: the
@@ -149,11 +156,6 @@ func newDiffStack(t *testing.T) *diffStack {
 		"sealed":  sealedBatches(),
 		"fixture": {fixtureBatch()},
 	}
-	compress := func(s *tsdb.Store) {
-		if s.DB("variant").Compress() == 0 {
-			t.Fatal("variant did not compress")
-		}
-	}
 	load := func(s *tsdb.Store) {
 		for name, batches := range data {
 			db := s.CreateDatabase(name)
@@ -174,7 +176,7 @@ func newDiffStack(t *testing.T) *diffStack {
 
 	single := tsdb.NewStore()
 	load(single)
-	compress(single)
+	awaitCompaction(t, single, "variant")
 	awaitCompaction(t, single, "sealed")
 	srv := httptest.NewServer(tsdb.NewHandler(single))
 	t.Cleanup(srv.Close)
@@ -220,11 +222,10 @@ func newDiffStack(t *testing.T) *diffStack {
 		}
 	}
 	for _, st := range stores {
-		if db := st.DB("variant"); db != nil && db.PointCount() > 0 {
-			compress(st)
-		}
-		if db := st.DB("sealed"); db != nil && db.PointCount() > 0 {
-			awaitCompaction(t, st, "sealed")
+		for _, name := range []string{"variant", "sealed"} {
+			if db := st.DB(name); db != nil && db.PointCount() > 0 {
+				awaitCompaction(t, st, name)
+			}
 		}
 	}
 	ds.doors = append(ds.doors,

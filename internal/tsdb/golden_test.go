@@ -13,7 +13,8 @@ package tsdb
 // codecs, no run merged, the WAL tail untouched. So expected.txt, never
 // re-taken, still pins cd4965c's answers. recheckpoint/ is re-taken when
 // the format or the seal rule (DESIGN.md §13) changes what a recovered
-// store checkpoints.
+// store checkpoints. Decoding each series' head at recovery did not: the
+// head chunk re-encodes to the bytes it was read from.
 //
 // The committed files are only ever read. To rebuild them, check out the
 // commit that should own the format, copy this file next to its
@@ -86,9 +87,9 @@ func shiftBatches(d time.Duration, gen string) [][]lineproto.Point {
 	return batches
 }
 
-// bigRun is one 500-row in-order series: large enough that the small runs
-// written next to it never pull it into a compaction merge, so its chunk
-// stays compressed through checkpoint and replay.
+// bigRun is one 500-row in-order series, one run: the head of its series,
+// a chunk in the checkpoint that recovery decodes for the WAL tail's exact
+// rewrite of it.
 func bigRun(bump float64) []lineproto.Point {
 	base := time.Unix(0, 1600000000_000000000).UTC()
 	pts := make([]lineproto.Point, 500)
@@ -131,8 +132,9 @@ func writeGoldenDir(t *testing.T, root string) {
 		t.Fatal(err)
 	}
 	db.compJob.Stop() // sealed runs stay raw until Compress: the shapes below are pinned
-	// Every write shape, then frozen: raw, sparse, string and mixed columns
-	// all end up as compressed chunks.
+	// Every write shape, then the job's pass: raw, sparse, string and mixed
+	// columns in resident chunks behind raw heads, which the checkpoint
+	// encodes.
 	write(db, bigRun(0))
 	write(db, corpusBatches()...)
 	if n := db.Compress(); n == 0 {
@@ -146,8 +148,9 @@ func writeGoldenDir(t *testing.T, root string) {
 	}
 	// The WAL tail, replayed through the write path on every open: cpu
 	// blocks landing next to (and merging with) compressed chunks, sparse
-	// and mixed blocks extending raw runs, and the exact-timestamp rewrite
-	// of the big chunk (decompress, merge, recompress).
+	// and mixed blocks extending the heads recovery decoded, and the
+	// exact-timestamp rewrite of the big run (the head of its series: an
+	// upsert of the decoded chunk).
 	write(db, shiftBatches(2000*time.Second, "")[:6]...)
 	write(db, shiftBatches(2000*time.Second, "2")[6:]...)
 	write(db, bigRun(0.5))

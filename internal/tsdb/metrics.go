@@ -33,6 +33,7 @@ package tsdb
 import (
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,6 +55,10 @@ type Metrics struct {
 	QuerySeconds      *obs.Histogram
 
 	jobRetention, jobCompaction, jobCheckpoint, jobWALSync *obs.JobStats
+
+	// decodeErrOnce rate-limits the corrupt-chunk log to one line per store
+	// (noteDecodeError); the counter takes every failure.
+	decodeErrOnce sync.Once
 
 	// gate is the ingest admission gate installed by Handler.SetAdmission;
 	// the shed/in-flight Func metrics sample it at scrape time.

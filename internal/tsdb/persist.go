@@ -13,9 +13,10 @@ package tsdb
 //     compress the raw ones outside the gate, serialize every run as a
 //     chunk to a checkpoint file and delete the covered WAL segments;
 //   - recovery: load the newest valid checkpoint, adopting its chunks as
-//     they are, then replay the WAL tail through the ordinary columnar
-//     write path (applyFrame and the shards' runBuilders), truncating at
-//     the first torn frame;
+//     they are but each series' head, which is decoded back to raw, then
+//     replay the WAL tail through the ordinary columnar write path
+//     (applyFrame and the shards' runBuilders), truncating at the first
+//     torn frame;
 //   - retention: a sweep that dropped rows schedules a checkpoint (rate
 //     limited by Durability.RetentionCheckpointEvery), which rewrites the
 //     on-disk state without the expired blocks and deletes the expired
@@ -341,13 +342,13 @@ type heldRun struct {
 
 // buildSnapshot captures the database's full columnar state as a
 // durable.Snapshot. It only copies headers: a compressed run hands over its
-// chunk pointer (no re-encode on write, no decode on recovery — DESIGN.md
-// §13), a raw run its timestamp slice and column structs, returned in held
-// for the caller to encode into the snapshot. Runs are immutable to readers
-// (the same invariants Select's phase 1 relies on), so the encoding and the
-// serialization can proceed outside any lock. Callers must hold the
-// durability gate in write mode (or otherwise exclude writers) so the
-// capture is an exact WAL prefix.
+// chunk pointer (no re-encode on write, no decode on recovery but a head's
+// — DESIGN.md §13), a raw run its timestamp slice and column structs,
+// returned in held for the caller to encode into the snapshot. Runs are
+// immutable to readers (the same invariants Select's phase 1 relies on), so
+// the encoding and the serialization can proceed outside any lock. Callers
+// must hold the durability gate in write mode (or otherwise exclude
+// writers) so the capture is an exact WAL prefix.
 func (db *DB) buildSnapshot() (snap *durable.Snapshot, held []heldRun) {
 	snap = &durable.Snapshot{}
 	for _, sh := range db.shards {
@@ -378,10 +379,10 @@ func (db *DB) buildSnapshot() (snap *durable.Snapshot, held []heldRun) {
 }
 
 // loadSnapshot rebuilds the in-memory columnar state from a checkpoint,
-// adopting every run as the chunk it was stored as: a recovered building
-// run is frozen, as Compress leaves it, and thaws on its next in-order
-// block. Only called while the DB is private to the opener (before any
-// reader or writer can see it).
+// adopting every run as the chunk it was stored as but each series' head,
+// decoded back to the raw run writes land on (series.rawHead). Only called
+// while the DB is private to the opener (before any reader or writer can
+// see it).
 func (db *DB) loadSnapshot(snap *durable.Snapshot) {
 	newest := int64(minInt64)
 	for mi := range snap.Measurements {
@@ -416,6 +417,7 @@ func (db *DB) loadSnapshot(snap *durable.Snapshot) {
 				newest = max(newest, c.MaxTS)
 				sr.runs[ri] = &colRun{comp: c}
 			}
+			sr.rawHead(db.metrics, len(m.strs.vals))
 			m.series[seriesKey(sr.tags)] = sr
 		}
 		db.shardFor(dm.Name).measurements[dm.Name] = m
@@ -534,7 +536,7 @@ func (s *Store) openLocked(name string) (*DB, error) {
 			return nil, err
 		}
 	}
-	db.compJob.Every(0, func(context.Context) error { db.compressSealed(); return nil })
+	db.compJob.Every(0, func(context.Context) error { db.Compress(); return nil })
 	if db.dur != nil {
 		db.compJob.Kick()
 	}

@@ -204,7 +204,7 @@ type DB struct {
 	// both). retJob sweeps retention (SetRetention), so expired data ages
 	// out of an idle database too; compJob, kicked by every seal,
 	// compresses the sealed runs and merges them into larger chunks
-	// (compressSealed).
+	// (Compress).
 	retJob  obs.Job
 	compJob obs.Job
 
@@ -303,21 +303,6 @@ func (db *DB) pruneTick(context.Context) error {
 	return nil
 }
 
-// Compress compresses every raw run now and returns how many runs it took
-// — "freeze the resident set", for tooling, benchmarks and tests: each
-// series' building run, then the compaction job's pass. A frozen building
-// run still takes the in-order blocks its row count allows (decompressed
-// for the first), so freezing never moves where later writes land.
-func (db *DB) Compress() int {
-	return db.compact((*series).lastSpan) + db.compressSealed()
-}
-
-// compressSealed is the compaction job (compJob), kicked by every seal:
-// it compresses every sealed run and merges sealed runs into chunks of up
-// to maxChunkRows rows (series.jobSpans) — never a series' last run, where
-// appends and rewrites land. It returns the number of runs it took.
-func (db *DB) compressSealed() int { return db.compact((*series).jobSpans) }
-
 // runSpan is the adjacent runs sr.runs[lo:hi], rows rows in all.
 type runSpan struct{ lo, hi, rows int }
 
@@ -333,13 +318,16 @@ type compGroup struct {
 	out   *colRun
 }
 
-// compact turns every span the plan names into one compressed run. It
+// Compress is the compaction job's pass (compJob runs it on every kick;
+// tooling, benchmarks and tests call it directly): every span of sealed
+// runs series.jobSpans plans becomes one chunk. Each series' newest run,
+// the head, is never taken — writes land there, and it stays raw. The pass
 // encodes outside any lock and commits, under one write lock per shard,
-// each span whose runs are still in their place and unmutated — pruning
-// may have replaced them meanwhile, a write may have rewritten one; a stale
-// encode is dropped for the next pass. It returns the number of runs
+// each span whose runs are still in their place behind the head and
+// unmutated — pruning may have replaced or uncovered them meanwhile; a
+// stale encode is dropped for the next pass. It returns the number of runs
 // replaced.
-func (db *DB) compact(plan func(*series, []runSpan) []runSpan) int {
+func (db *DB) Compress() int {
 	total := 0
 	var spans []runSpan
 	for _, sh := range db.shards {
@@ -347,7 +335,7 @@ func (db *DB) compact(plan func(*series, []runSpan) []runSpan) int {
 		sh.mu.RLock()
 		for _, m := range sh.measurements {
 			for _, sr := range m.series {
-				spans = plan(sr, spans[:0])
+				spans = sr.jobSpans(spans[:0])
 				for _, s := range spans {
 					g := compGroup{sr: sr, idx: s.lo, strs: m.strs.vals, runs: slices.Clone(sr.runs[s.lo:s.hi])}
 					g.snaps = make([]colRun, len(g.runs))
@@ -416,14 +404,15 @@ func (g *compGroup) encode(mt *Metrics) {
 	g.out = &colRun{comp: compressColumns(parts[0].ts, parts[0].cols)}
 }
 
-// current reports whether the span's runs are still in their place and
-// unmutated. The caller holds the shard write lock.
+// current reports whether the span's runs are still in their place behind
+// the head (a sweep may have expired the runs after them) and unmutated.
+// The caller holds the shard write lock.
 func (g *compGroup) current() bool {
-	if g.idx+len(g.runs) > len(g.sr.runs) {
+	if g.idx+len(g.runs) >= len(g.sr.runs) {
 		return false
 	}
 	for j, run := range g.runs {
-		if g.sr.runs[g.idx+j] != run || run.gen != g.snaps[j].gen || run.comp != g.snaps[j].comp {
+		if g.sr.runs[g.idx+j] != run || run.gen != g.snaps[j].gen {
 			return false
 		}
 	}
@@ -476,11 +465,13 @@ func (m *measurement) fieldNames() []string {
 //     same-timestamp rewrite path swaps whole value arrays.
 //
 // A reader that snapshotted column sub-slices under the shard RLock may
-// therefore keep reading them after releasing the lock. The compaction
-// job grows sealed runs geometrically into chunks of up to maxChunkRows
-// rows, so an in-order series of n rows holds about n/maxChunkRows + 5
-// runs (5 = log2(maxChunkRows/sealRows)), and a row is re-encoded once per
-// doubling of its chunk, at most 5 times.
+// therefore keep reading them after releasing the lock. The newest run,
+// the head, is the only one a write touches, and it is raw (rawHead); a
+// chunk is never written to. The compaction job grows sealed runs
+// geometrically into chunks of up to maxChunkRows rows, so an in-order
+// series of n rows holds about n/maxChunkRows + 5 runs (5 =
+// log2(maxChunkRows/sealRows)), and a row is re-encoded once per doubling
+// of its chunk, at most 5 times.
 type series struct {
 	tags map[string]string // immutable after creation
 	runs []*colRun
@@ -524,76 +515,45 @@ func (sr *series) jobSpans(stack []runSpan) []runSpan {
 	return slices.DeleteFunc(stack, func(s runSpan) bool { return s.hi-s.lo == 1 && sr.runs[s.lo].comp != nil })
 }
 
-// lastSpan is Compress's freeze: sr's building run, if raw.
-func (sr *series) lastSpan(spans []runSpan) []runSpan {
-	if n := len(sr.runs); sr.runs[n-1].comp == nil {
-		spans = append(spans, runSpan{n - 1, n, 0})
-	}
-	return spans
-}
-
 // commit applies a finished builder block to the series and reports
 // whether it sealed a run: left one behind a new run, the compaction job's
-// cue whether it is raw or a chunk that recovery or Compress froze (the
-// job may merge either):
+// cue. Only the head takes a block, and only while it is raw:
 //
-//   - a block whose timestamps exactly rewrite the newest run merges
+//   - a block whose timestamps exactly rewrite the head merges
 //     field-by-field with last-write-wins (InfluxDB duplicate-point
 //     semantics) instead of opening a run and paying compaction,
-//   - an in-order block (the agent hot path) bulk-appends onto the newest
-//     run's columns while it holds fewer than sealRows rows,
+//   - an in-order block (the agent hot path) bulk-appends onto the head's
+//     columns while it holds fewer than sealRows rows,
 //   - anything else opens a new run; an out-of-order one then absorbs the
 //     short run it cut off.
+//
+// A head chunk — one recovery could not decode — counts as full.
 func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) (sealed bool) {
-	n := len(sr.runs)
-	if n > 0 {
+	if n := len(sr.runs); n > 0 && sr.runs[n-1].comp == nil {
 		last := sr.runs[n-1]
-		inOrder := last.rows() < sealRows && last.maxTS() <= b.ts[0]
-		frozen := last.comp
-		if c := frozen; c != nil && (inOrder || len(b.ts) == c.N && b.ts[0] == c.MinTS && b.ts[len(b.ts)-1] == c.MaxTS) {
-			// A compressed run takes a block only decompressed, into fresh
-			// arrays (readers keep the chunk): the exact rewrite (the
-			// dashboard upsert pattern), or an in-order block while it is
-			// short of sealRows — a building run Compress froze, so
-			// freezing never moves where later writes land.
-			if raw, err := decompress(c, len(m.strs.vals)); err != nil {
-				mt.noteDecodeError(err)
-			} else {
-				last.ts, last.cols, last.comp = raw.ts, raw.cols, nil
-				last.gen++
-			}
+		// The exact-match check precedes the in-order check: a run whose
+		// timestamps are all equal (e.g. a single point) satisfies both,
+		// and re-writing it must upsert, not accumulate duplicates. The
+		// rewrite is copy-on-write (EXPERIMENTS.md, experiment O3).
+		if b.tsEqual(last.ts) {
+			last.rewriteBlock(b, m)
+			last.gen++
+			return false
 		}
-		if last.comp == nil {
-			// The exact-match check precedes the in-order check: a run
-			// whose timestamps are all equal (e.g. a single point)
-			// satisfies both, and re-writing it must upsert, not
-			// accumulate duplicates. The rewrite is copy-on-write
-			// (EXPERIMENTS.md, experiment O3); a compressed run stays
-			// compressed.
-			if b.tsEqual(last.ts) {
-				last.rewriteBlock(b, m)
-				if frozen != nil {
-					last.comp, last.ts, last.cols = compressColumns(last.ts, last.cols), nil, nil
-				}
-				last.gen++
-				return false
-			}
-			if inOrder {
-				last.appendBlock(b, m.strs.vals)
-				last.gen++
-				return false
-			}
+		if last.rows() < sealRows && last.maxTS() <= b.ts[0] {
+			last.appendBlock(b, m.strs.vals)
+			last.gen++
+			return false
 		}
 	}
 	// An in-order block behind a full run (the seal) or a series' first
 	// block stands alone. An out-of-order block absorbs the short runs
 	// before it — the building run it cut off — and never a full one: a
-	// seal is never undone, a chunk never decompressed, and a late block
-	// costs its rows plus fewer than sealRows under the lock however long
-	// the history. Overlapping runs are left to queries, which merge runs
-	// anyway, and to the job. Merging allocates fresh columns (decompressing
-	// a frozen operand first), so readers holding snapshots of the old runs
-	// are unaffected.
+	// seal is never undone, and a late block costs its rows plus fewer than
+	// sealRows under the lock however long the history. Overlapping runs
+	// are left to queries, which merge runs anyway, and to the job. Merging
+	// allocates fresh columns (decoding a short chunk first), so readers
+	// holding snapshots of the old runs are unaffected.
 	sr.runs = append(sr.runs, b.newRun(m.strs.vals, sealRows))
 	for k := len(sr.runs); k >= 2 && sr.runs[k-2].rows() < sealRows; k = len(sr.runs) {
 		ra, err := sr.runs[k-2].rawRun(len(m.strs.vals))
@@ -601,14 +561,21 @@ func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) (sealed boo
 			mt.noteDecodeError(err)
 			break
 		}
-		rb, err := sr.runs[k-1].rawRun(len(m.strs.vals))
-		if err != nil {
-			mt.noteDecodeError(err)
-			break
-		}
-		sr.runs = append(sr.runs[:k-2], mergeRuns(m.strs.vals, ra, rb))
+		sr.runs = append(sr.runs[:k-2], mergeRuns(m.strs.vals, ra, sr.runs[k-1]))
 	}
 	return len(sr.runs) > 1
+}
+
+// rawHead decodes a chunk at the head back to raw, the run writes land on.
+// A chunk that fails to decode stays, counted; commit treats it as full.
+func (sr *series) rawHead(mt *Metrics, strsLen int) {
+	if n := len(sr.runs); n > 0 {
+		if head, err := sr.runs[n-1].rawRun(strsLen); err != nil {
+			mt.noteDecodeError(err)
+		} else {
+			sr.runs[n-1] = head
+		}
+	}
 }
 
 // seriesKey builds the canonical identity of a tag set: its pairs in
@@ -929,7 +896,9 @@ func (db *DB) pruneNow(beforeNS int64) {
 }
 
 // pruneLocked drops rows older than beforeNS and reports whether anything
-// was removed.
+// was removed. A run's bounds decide its fate in either state; only a
+// partially expired run is decoded and cut into fresh arrays (readers may
+// hold the old ones), and so is a chunk left at the head.
 func (sh *shard) pruneLocked(mt *Metrics, beforeNS int64) bool {
 	anyDropped := false
 	for mname, m := range sh.measurements {
@@ -937,43 +906,23 @@ func (sh *shard) pruneLocked(mt *Metrics, beforeNS int64) bool {
 			changed := false
 			kept := sr.runs[:0:0]
 			for _, run := range sr.runs {
-				if c := run.comp; c != nil {
-					// Whole-run decisions come from the chunk header; only
-					// a partially expired run pays a decode (and comes back
-					// raw — the compaction job re-compresses it).
-					switch {
-					case c.MinTS >= beforeNS:
-						kept = append(kept, run)
-					case c.MaxTS < beforeNS:
-						changed = true
-					default:
-						raw, err := decompress(c, len(m.strs.vals))
-						if err != nil {
-							mt.noteDecodeError(err)
-							kept = append(kept, run) // keep data over dropping it
-							continue
-						}
-						idx := sort.Search(len(raw.ts), func(i int) bool { return raw.ts[i] >= beforeNS })
-						kept = append(kept, raw.sliceRun(idx, len(raw.ts)))
-						changed = true
-					}
+				if run.maxTS() < beforeNS {
+					changed = true
 					continue
 				}
-				idx := sort.Search(len(run.ts), func(i int) bool { return run.ts[i] >= beforeNS })
-				switch {
-				case idx == 0:
-					kept = append(kept, run)
-				case idx == len(run.ts):
-					changed = true
-				default:
-					// Copy the survivors: readers may still hold snapshots
-					// of the old backing arrays.
-					kept = append(kept, run.sliceRun(idx, len(run.ts)))
-					changed = true
+				if run.minTS() < beforeNS {
+					if raw, err := run.rawRun(len(m.strs.vals)); err != nil {
+						mt.noteDecodeError(err) // keep data over dropping it
+					} else {
+						idx := sort.Search(len(raw.ts), func(i int) bool { return raw.ts[i] >= beforeNS })
+						run, changed = raw.sliceRun(idx, len(raw.ts)), true
+					}
 				}
+				kept = append(kept, run)
 			}
 			if changed {
 				sr.runs = kept
+				sr.rawHead(mt, len(m.strs.vals))
 				anyDropped = true
 			}
 			if len(sr.runs) == 0 {
