@@ -628,7 +628,7 @@ func loadFootprintDB(b *testing.B, points int) *tsdb.DB {
 
 // BenchmarkC2_CompressedSelect measures the phase-2 vectorized decode
 // feeding the aggregation sweeps: a full-scan mean over 1M compressed
-// points, per-worker arenas reused across calls. ns/op over points is the
+// points, the pooled arena reused across calls. ns/op over points is the
 // decode throughput EXPERIMENTS.md records.
 func BenchmarkC2_CompressedSelect(b *testing.B) {
 	const points = 1_000_000

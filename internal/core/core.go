@@ -46,9 +46,6 @@ type StackConfig struct {
 	FsyncPolicy string
 	// TSDBShards is the lock-shard count per database (0 = GOMAXPROCS).
 	TSDBShards int
-	// QueryWorkers bounds the per-Select aggregation fan-out of the read
-	// path (0 = GOMAXPROCS, 1 = serial engine).
-	QueryWorkers int
 	// PeakMemBWMBs / PeakDPMFlops parameterize the pattern decision tree.
 	PeakMemBWMBs float64
 	PeakDPMFlops float64
@@ -119,9 +116,8 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	store, err := tsdb.OpenStore(tsdb.StoreOptions{
-		ShardsPerDB:       cfg.TSDBShards,
-		QueryWorkersPerDB: cfg.QueryWorkers,
-		Durability:        tsdb.Durability{Dir: cfg.DataDir, Fsync: fsync},
+		ShardsPerDB: cfg.TSDBShards,
+		Durability:  tsdb.Durability{Dir: cfg.DataDir, Fsync: fsync},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -10,13 +10,13 @@ import (
 	"repro/internal/tsdb/durable"
 )
 
-// allocFixture is the store the allocation gates run on: one shard, the
-// serial query engine and no result cache, so the counts are those of the
-// storage paths alone; hosts series of rows points each (two float fields,
-// one int, one interned string), one raw run per series.
+// allocFixture is the store the allocation gates run on: one shard and no
+// result cache, so the counts are those of the storage paths alone; hosts
+// series of rows points each (two float fields, one int, one interned
+// string), one raw run per series.
 func allocFixture(t *testing.T, hosts, rows int) *DB {
 	t.Helper()
-	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1, QueryWorkersPerDB: 1})
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1})
 	db.SetQueryCacheTTL(0)
 	for h := 0; h < hosts; h++ {
 		pts := make([]lineproto.Point, rows)

@@ -467,7 +467,7 @@ func decompress(c *compRun, strsLen int) (*colRun, error) {
 //
 // Phase 1 of Select snapshots a compressed run as its immutable compRun
 // pointer (after a min/max time-bound cut); phase 2 decodes the chunk
-// into a per-worker scratch arena right before the vectorized foldView
+// into a pooled scratch arena right before the vectorized foldView
 // sweeps run over it. The arena recycles its backing arrays across
 // queries (sync.Pool), so steady dashboard traffic decodes into warm
 // memory instead of allocating per run.
@@ -593,11 +593,16 @@ func materializeSnap(mt *Metrics, rs *runSnap, q Query, cols []AggCol, strsLen i
 // the precise time cut left empty (phase 1 can only bound-check a chunk's
 // min/max timestamp, so a run may turn out to hold no row in range — a
 // raw run would never have been snapshotted, and byte-identity demands
-// the same here). Returns false when the whole group vanished.
-func materializeGroup(mt *Metrics, g *selectGroup, q Query, cols []AggCol, strsLen int, a *decodeArena) bool {
+// the same here). Returns false when the whole group vanished. prof, when
+// non-nil, counts each chunk decoded: one timestamp chunk plus one per
+// column.
+func materializeGroup(mt *Metrics, g *selectGroup, q Query, cols []AggCol, strsLen int, a *decodeArena, prof *selectProf) bool {
 	kept := g.runs[:0]
 	for ri := range g.runs {
-		if g.runs[ri].comp != nil {
+		if c := g.runs[ri].comp; c != nil {
+			if prof != nil {
+				prof.ChunksDecoded += 1 + len(c.Cols)
+			}
 			materializeSnap(mt, &g.runs[ri], q, cols, strsLen, a)
 			if len(g.runs[ri].ts) == 0 {
 				continue

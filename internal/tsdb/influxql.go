@@ -689,9 +689,9 @@ type ExecOptions struct {
 
 // ExecuteContext runs a parsed statement against the store using dbName as
 // the current database ("" allowed for SHOW DATABASES / CREATE / DROP). The
-// context is observed by the Select engine between aggregation tasks, so a
+// context is observed by the Select engine before each result group, so a
 // caller that goes away (HTTP client disconnect, cancelled dashboard
-// refresh) stops burning worker-pool slots.
+// refresh) stops burning CPU on an answer nobody reads.
 func ExecuteContext(ctx context.Context, store *Store, dbName string, st Statement, opts ExecOptions) (ExecResult, error) {
 	switch st.Kind {
 	case StmtCreateDatabase:
@@ -770,9 +770,6 @@ func executeSelect(ctx context.Context, db *DB, st Statement, opts ExecOptions) 
 		return ExecResult{}, err
 	}
 	q := st.Query
-	if err := q.validate(); err != nil {
-		return ExecResult{}, err
-	}
 	if opts.Limit > 0 && (q.Limit == 0 || q.Limit > opts.Limit) {
 		q.Limit = opts.Limit
 	}

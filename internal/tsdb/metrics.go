@@ -22,9 +22,8 @@ package tsdb
 //   - lms_http_requests_shed_total, lms_http_inflight_requests/bytes:
 //     the ingest admission gate (Handler.SetAdmission);
 //   - per-database Func metrics sampled at scrape time: query-cache
-//     hits/misses (the cache keeps its own atomics), resident points per
-//     DB and per shard (the "queue depth" of each lock domain), and busy
-//     query-pool workers.
+//     hits/misses (the cache keeps its own atomics) and resident points
+//     per DB and per shard (the "queue depth" of each lock domain).
 //
 // The bundle is created with the Store, and every database is born in its
 // store (Store.openLocked) holding a reference to it: instrument pointers
@@ -130,12 +129,6 @@ func newMetrics(s *Store) *Metrics {
 				for i, n := range db.shardPointCounts() {
 					emit(obs.L("db", db.Name(), "shard", strconv.Itoa(i)), float64(n))
 				}
-			}
-		})
-	reg.NewFunc("lms_db_query_workers_busy", "Query-pool workers currently aggregating.", "gauge",
-		func(emit func(string, float64)) {
-			for _, db := range s.snapshotDBs() {
-				emit(obs.L("db", db.Name()), float64(len(db.qsem)))
 			}
 		})
 	reg.NewFunc("lms_db_resident_bytes", "Estimated resident column bytes per database, split by run state (building = each series' newest raw run, open to appends; sealed = raw runs behind a newer one, the compaction job's backlog; compressed = chunk-encoded runs, DESIGN.md §13).", "gauge",

@@ -506,7 +506,7 @@ func (s *Store) OpenDatabase(name string) (*DB, error) {
 }
 
 // openLocked is where every database is born: built with the store's
-// shard count, query workers, metrics bundle and job stats, recovered from
+// shard count, metrics bundle and job stats, recovered from
 // disk on a durable store, its compaction job armed (and kicked once for
 // the sealed runs recovery brought back) — and only then published.
 func (s *Store) openLocked(name string) (*DB, error) {
@@ -522,7 +522,6 @@ func (s *Store) openLocked(name string) (*DB, error) {
 	db := &DB{
 		name:    name,
 		shards:  make([]*shard, perCPU(s.ShardsPerDB)),
-		qsem:    make(chan struct{}, perCPU(s.QueryWorkersPerDB)),
 		metrics: s.metrics,
 	}
 	for i := range db.shards {
@@ -545,7 +544,7 @@ func (s *Store) openLocked(name string) (*DB, error) {
 }
 
 // perCPU is n, or one per schedulable CPU when n <= 0: the default shard
-// count and query fan-out of a database.
+// count of a database.
 func perCPU(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)

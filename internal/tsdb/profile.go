@@ -27,7 +27,7 @@ import (
 const (
 	phaseCache    = iota // cache probe
 	phaseSnapshot        // run snapshot under the shard RLock
-	phaseExecute         // decode + aggregation fan-out
+	phaseExecute         // decode + aggregation
 	phaseTotal           // whole SelectContext call
 	numPhases
 )
@@ -40,8 +40,7 @@ var phaseSpanNames = [numPhases]string{
 }
 
 // selectProf accumulates the execution profile of one SelectContext call.
-// It is written by a single goroutine: snapshotSelect runs serially, and
-// executeGroups pre-counts decode work before fanning out.
+// It is written by the request's goroutine alone: both phases run on it.
 type selectProf struct {
 	ShardsVisited  int   // lock domains consulted (1 per measurement)
 	RunsScanned    int   // runs admitted into the snapshot

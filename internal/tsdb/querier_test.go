@@ -407,18 +407,66 @@ func TestSelectContextCancellation(t *testing.T) {
 		t.Fatalf("local querier error %v, want context.Canceled", err)
 	}
 
-	// And the serial engine path (workers=1) observes it between groups
-	// too.
-	db1 := newDBOpts("one", StoreOptions{ShardsPerDB: 1, QueryWorkersPerDB: 1})
-	if err := db1.WriteBatchContext(bg, []lineproto.Point{
-		{Measurement: "m", Tags: map[string]string{"h": "a"}, Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}, Time: time.Unix(1, 0)},
-		{Measurement: "m", Tags: map[string]string{"h": "b"}, Fields: map[string]lineproto.Value{"v": lineproto.Float(2)}, Time: time.Unix(1, 0)},
-	}); err != nil {
+	// Cancelled between groups: the context turns to Canceled once the
+	// first group's chunks are decoded. No later group is decoded, and the
+	// next live call misses the cache rather than hitting a partial answer.
+	db1 := newDBOpts("one", StoreOptions{ShardsPerDB: 1})
+	db1.compJob.Stop()
+	for lo := 0; lo < 100; lo += 40 { // 40-row blocks: each one seals the run before it
+		var pts []lineproto.Point
+		for _, h := range []string{"a", "b", "c"} {
+			for i := lo; i < min(lo+40, 100); i++ {
+				pts = append(pts, lineproto.Point{Measurement: "m", Tags: map[string]string{"h": h},
+					Fields: map[string]lineproto.Value{"v": lineproto.Float(float64(i))}, Time: time.Unix(int64(i), 0)})
+			}
+		}
+		if err := db1.WriteBatchContext(bg, pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if db1.Compress() == 0 {
+		t.Fatal("Compress made no chunk")
+	}
+	q1 := Query{Measurement: "m", GroupByTags: []string{"h"}, Cols: []AggCol{{Field: "v", Agg: AggSum}}}
+	prof := &selectProf{}
+	if _, err := db1.SelectContext(cancelOnDecode{withProf(bg, prof), prof}, q1); err != context.Canceled {
+		t.Fatalf("between-groups cancellation: error %v, want context.Canceled", err)
+	}
+	first := &selectProf{}
+	qa := q1
+	qa.Filter = TagFilter{"h": "a"}
+	if _, err := db1.SelectContext(withProf(bg, first), qa); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db1.SelectContext(ctx, Query{Measurement: "m"}); err != context.Canceled {
-		t.Fatalf("serial engine error %v, want context.Canceled", err)
+	if first.ChunksDecoded == 0 || prof.ChunksDecoded != first.ChunksDecoded {
+		t.Fatalf("cancelled query decoded %d chunks, want the first group's %d alone", prof.ChunksDecoded, first.ChunksDecoded)
 	}
+	hits, misses := db1.QueryCacheStats()
+	live := &selectProf{}
+	res, err = db1.SelectContext(withProf(bg, live), q1)
+	if err != nil || len(res) != 3 {
+		t.Fatalf("post-cancel select: %v %v", res, err)
+	}
+	if h, m := db1.QueryCacheStats(); h != hits || m != misses+1 || live.CacheHit {
+		t.Fatalf("post-cancel select: cache hits %d→%d, misses %d→%d; want a miss", hits, h, misses, m)
+	}
+	if live.ChunksDecoded != 3*first.ChunksDecoded {
+		t.Fatalf("live query decoded %d chunks, want %d", live.ChunksDecoded, 3*first.ChunksDecoded)
+	}
+}
+
+// cancelOnDecode is a context whose Err turns to context.Canceled once the
+// query profiled by prof has decoded a chunk.
+type cancelOnDecode struct {
+	context.Context
+	prof *selectProf
+}
+
+func (c cancelOnDecode) Err() error {
+	if c.prof.ChunksDecoded > 0 {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestClientRetriesTransientFailures checks the backoff loop: 5xx and

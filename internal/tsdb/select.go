@@ -13,19 +13,17 @@ package tsdb
 // return are never snapshotted.
 //
 // Phase 2 (executeGroups) buckets the runs by the group-by tag combination
-// and runs filtering, window bucketing and aggregation outside any lock,
-// fanning the groups out over a bounded worker pool
-// (StoreOptions.QueryWorkersPerDB, StackConfig.QueryWorkers). Aggregates
-// are computed as per-run partials (filled by the vectorized column folds
-// in agg.go) merged in a fixed order, so the result is byte-identical no
-// matter how many workers run — the serial engine is simply workers=1.
+// and runs filtering, window bucketing and aggregation outside any lock, one
+// group after another on the request's own goroutine: concurrent queries
+// already run on goroutines of their own. Aggregates are computed as per-run
+// partials (filled by the vectorized column folds in agg.go) merged in run
+// order, so the result depends on the data alone.
 
 import (
 	"context"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/lineproto"
@@ -108,16 +106,6 @@ type seriesSpan struct {
 type selectGroup struct {
 	tags map[string]string
 	runs []runSnap
-}
-
-// hasComp reports whether any snapshotted run still needs decoding.
-func (g *selectGroup) hasComp() bool {
-	for i := range g.runs {
-		if g.runs[i].comp != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // resolve expands the projection against the measurement's schema: the
@@ -264,13 +252,12 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]AggCol, []string, []*
 	return cols, strs, ordered, nil
 }
 
-// executeGroups is phase 2: aggregate each group into its result series,
-// fanning out across the DB's bounded worker pool. Group i always lands in
-// slot i, so the output order (sorted group keys) is deterministic. The
-// context is checked between group dispatches and by each pool worker
-// before it starts aggregating, so cancellation is observed at
-// run-aggregation-task granularity: the task in flight finishes, the rest
-// never start.
+// executeGroups is phase 2: aggregate each group, in the sorted group-key
+// order, into its result series on the caller's goroutine. The context is
+// checked before each group, so a cancelled query finishes the group in
+// flight and starts no other. Compressed runs decode into one pooled
+// arena, reset per group: executeGroup copies every value out, so nothing
+// aliases the arena afterwards.
 func (db *DB) executeGroups(ctx context.Context, q Query, cols []AggCol, strs []string, groups []*selectGroup, prof *selectProf) ([]Series, error) {
 	if len(groups) == 0 {
 		return nil, nil
@@ -279,91 +266,22 @@ func (db *DB) executeGroups(ctx context.Context, q Query, cols []AggCol, strs []
 	for ci, c := range cols {
 		names[ci] = c.name()
 	}
-	if prof != nil {
-		// Count the decode work up front, before the fan-out: every
-		// compressed run admitted by phase 1 is decoded by
-		// materializeGroup (one timestamp chunk plus one per column), so
-		// the profile needs no atomics inside the workers.
-		for _, g := range groups {
-			for i := range g.runs {
-				if c := g.runs[i].comp; c != nil {
-					prof.ChunksDecoded += 1 + len(c.Cols)
-				}
-			}
+	a := arenaPool.Get().(*decodeArena)
+	defer arenaPool.Put(a)
+	out := make([]Series, 0, len(groups))
+	for _, g := range groups {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// A group whose runs all decode to no in-range row does not
+		// surface: phase 1 admitted its chunks on their time bounds alone,
+		// and the raw path would never have snapshotted them.
+		a.reset()
+		if materializeGroup(db.metrics, g, q, cols, len(strs), a, prof) {
+			out = append(out, executeGroup(q, cols, names, strs, g))
 		}
 	}
-	out := make([]Series, len(groups))
-	// drop[i] marks a group whose runs all decoded to zero in-range rows:
-	// phase 1 admitted its compressed runs on chunk time bounds alone, but
-	// the raw path would never have snapshotted (or grouped) them, so the
-	// group must not surface. The filter below keeps slot order, so the
-	// output stays deterministic.
-	drop := make([]bool, len(groups))
-	run := func(i int) {
-		g := groups[i]
-		if g.hasComp() {
-			// Decode compressed runs into a pooled per-worker scratch
-			// arena. The arena is recycled only after executeGroup is done
-			// with the views; the emitted Series copies every value out,
-			// so nothing aliases the arena afterwards.
-			a := arenaPool.Get().(*decodeArena)
-			a.reset()
-			if materializeGroup(db.metrics, g, q, cols, len(strs), a) {
-				out[i] = executeGroup(q, cols, names, strs, g)
-			} else {
-				drop[i] = true
-			}
-			arenaPool.Put(a)
-			return
-		}
-		out[i] = executeGroup(q, cols, names, strs, g)
-	}
-	filter := func() []Series {
-		kept := out[:0]
-		for i := range out {
-			if !drop[i] {
-				kept = append(kept, out[i])
-			}
-		}
-		return kept
-	}
-	if len(groups) == 1 || cap(db.qsem) <= 1 {
-		for i := range groups {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			run(i)
-		}
-		return filter(), nil
-	}
-	// Bounded fan-out: a group runs on a pool slot when one is free and
-	// inline otherwise, so a query never queues behind itself and the
-	// goroutine count stays capped across concurrent Selects.
-	var wg sync.WaitGroup
-	for i := range groups {
-		if ctx.Err() != nil {
-			break
-		}
-		select {
-		case db.qsem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-db.qsem }()
-				if ctx.Err() != nil {
-					return
-				}
-				run(i)
-			}(i)
-		default:
-			run(i)
-		}
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return filter(), nil
+	return out, nil
 }
 
 // executeGroup renders one result series from its snapshot runs. Every
@@ -518,8 +436,7 @@ func windowAggregateRuns(runs []runSnap, cols []AggCol, strs []string, every tim
 
 	// Multi-run groups: per-run per-window partials, merged across runs in
 	// run order. Feeding rows of run k only after every row of runs <k
-	// keeps the merge order fixed and the result independent of worker
-	// scheduling.
+	// keeps the merge order fixed by the data.
 	wins := map[int64][]partial{}
 	for ri := range runs {
 		rs := &runs[ri]

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -451,24 +452,38 @@ func selectQueries() []Query {
 	return qs
 }
 
-// TestSelectParallelByteIdenticalToSerial checks the acceptance property
-// of the two-phase engine: the result with a parallel worker pool is
-// byte-identical to the serial engine (workers=1) for every AggFunc and
-// query shape.
-func TestSelectParallelByteIdenticalToSerial(t *testing.T) {
+// TestSelectContextRefusesInvalidQuery checks that the read door itself
+// refuses what it cannot answer as asked — a direct SelectContext call and
+// a pre-built statement through LocalQuerier alike — instead of answering
+// something else under the asked-for name, or panicking.
+func TestSelectContextRefusesInvalidQuery(t *testing.T) {
 	t.Parallel()
-	serial := seedSelectDB(t, StoreOptions{ShardsPerDB: 4, QueryWorkersPerDB: 1})
-	parallel := seedSelectDB(t, StoreOptions{ShardsPerDB: 4, QueryWorkersPerDB: 8})
-	for _, q := range selectQueries() {
-		want, err1 := serial.SelectContext(bg, q)
-		got, err2 := parallel.SelectContext(bg, q)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("cols %v: errors %v / %v", q.Cols, err1, err2)
+	store := NewStore()
+	db := store.CreateDatabase("lms")
+	if err := db.WriteBatchContext(bg, []lineproto.Point{
+		{Measurement: "m", Tags: map[string]string{"h": "a"}, Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}, Time: time.Unix(1, 0)},
+		{Measurement: "m", Tags: map[string]string{"h": "a"}, Fields: map[string]lineproto.Value{"v": lineproto.Float(3)}, Time: time.Unix(2, 0)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cols []AggCol
+		want string
+	}{
+		{"mixed", []AggCol{{Field: "v", Agg: AggMean}, {Field: "v"}}, "cannot be mixed"},
+		{"unknown", []AggCol{{Field: "v", Agg: "bogus"}}, `unknown function "bogus"`},
+		{"nan-percentile", []AggCol{{Field: "v", Agg: AggPercentile, Pct: math.NaN()}}, "outside [0, 100]"},
+	} {
+		res, err := db.SelectContext(bg, Query{Measurement: "m", Cols: tc.cols})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: SelectContext = %+v, %v; want an error containing %q", tc.name, res, err, tc.want)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("cols %v every=%v group=%v: parallel result differs from serial\nserial:   %+v\nparallel: %+v",
-				q.Cols, q.Every, q.GroupByTags, want, got)
-		}
+	}
+	resp, err := LocalQuerier{Store: store}.Query(bg, Request{Database: "lms",
+		Statements: []Statement{SelectStatement(Query{Measurement: "m"}, AggCol{Field: "v", Agg: "bogus"})}})
+	if err != nil || len(resp.Results) != 1 || !strings.Contains(resp.Results[0].Err, `unknown function "bogus"`) {
+		t.Errorf("LocalQuerier = %+v, %v; want one result embedding unknown function \"bogus\"", resp, err)
 	}
 }
 

@@ -41,10 +41,9 @@
 // DESIGN.md §6): phase 1 holds the shard *read* lock only while
 // snapshotting slice headers of the matching columnar runs — with the time
 // range and, for raw queries, the row Limit pushed into the snapshot — and
-// phase 2 buckets, groups and aggregates entirely outside the lock, fanning
-// result groups out over a bounded worker pool
-// (StoreOptions.QueryWorkersPerDB) and merging per-run partial aggregates
-// (agg.go) computed by vectorized sweeps over the typed columns. A small
+// phase 2 buckets, groups and aggregates entirely outside the lock, on the
+// request's own goroutine, merging per-run partial aggregates (agg.go)
+// computed by vectorized sweeps over the typed columns. A small
 // TTL'd query-result cache (cache.go) absorbs the dashboard viewer's
 // repeated panel refreshes and is invalidated per measurement on write.
 //
@@ -93,9 +92,6 @@ type StoreOptions struct {
 	// ShardsPerDB is the shard count of every database the store opens
 	// (0 = GOMAXPROCS).
 	ShardsPerDB int
-	// QueryWorkersPerDB bounds the Select aggregation fan-out of every
-	// database the store opens (0 = GOMAXPROCS).
-	QueryWorkersPerDB int
 	// CompressAfter is ignored: a run is compressed when it seals
 	// (DESIGN.md §13). It stays only while bench/layers.go sets it.
 	CompressAfter time.Duration
@@ -208,9 +204,7 @@ type DB struct {
 	retJob  obs.Job
 	compJob obs.Job
 
-	// Read path (select.go, cache.go). qsem is the shared slot pool whose
-	// capacity bounds the phase-2 fan-out of a query.
-	qsem   chan struct{}
+	// Read path (select.go, cache.go).
 	qcache queryCache
 	// measGens holds one invalidation generation counter per measurement
 	// (*atomic.Uint64); globalGen invalidates everything (retention sweeps,
@@ -1123,6 +1117,9 @@ func (q Query) rawLimit() int {
 // than answering something else under the asked-for names.
 func (q Query) validate() error {
 	for _, c := range q.Cols {
+		if c.Agg != AggNone && !ValidAgg(string(c.Agg)) {
+			return fmt.Errorf("unknown function %q", c.Agg)
+		}
 		if (c.Agg != AggNone) != q.aggregated() {
 			return errors.New("raw and aggregate columns cannot be mixed in one SELECT")
 		}
@@ -1151,13 +1148,13 @@ type Series struct {
 	Rows    []Row
 }
 
-// SelectContext is the read door of a database: it executes a query with
-// the two-phase, lock-light engine in select.go — phase 1 snapshots
-// matching point runs under the shard read lock, phase 2 filters, buckets
-// and aggregates them outside any lock on a bounded worker pool. Results
-// may be served from and are stored into a small TTL'd cache (cache.go);
-// treat them as read-only. The context is observed between phase-2
-// aggregation tasks (and by the pool workers before they start one), so a
+// SelectContext is the read door of a database: it refuses a query it
+// cannot answer as asked (validate), then executes it with the two-phase,
+// lock-light engine in select.go — phase 1 snapshots matching point runs
+// under the shard read lock, phase 2 filters, buckets and aggregates them
+// outside any lock on the caller's goroutine. Results may be served from
+// and are stored into a small TTL'd cache (cache.go); treat them as
+// read-only. The context is observed before each result group, so a
 // caller that goes away stops the query instead of finishing aggregation
 // nobody will read. A cancelled query returns the context's error and
 // stores nothing in the result cache.
@@ -1168,6 +1165,9 @@ type Series struct {
 // timed once for both (phase, profile.go). On ordinary queries both
 // lookups are zero-allocation no-ops and no clock is read.
 func (db *DB) SelectContext(ctx context.Context, q Query) ([]Series, error) {
+	if err := q.validate(); err != nil {
+		return nil, err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

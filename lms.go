@@ -46,15 +46,14 @@
 //
 // # Query scaling
 //
-// The read path is lock-light and parallel (DESIGN.md §6).
-// tsdb.DB.SelectContext runs in two phases: a snapshot phase that holds the
-// shard read lock only while collecting slice headers of the matching
-// sorted, immutable point runs (with the time range and raw-query row
-// limits pushed down into the snapshot), and an aggregation phase that
-// buckets, groups and aggregates entirely outside any lock, fanning result
-// groups out over a bounded worker pool (tsdb.StoreOptions.QueryWorkersPerDB,
-// StackConfig.QueryWorkers). Per-run partial aggregates merge in a fixed
-// order, so parallel results are byte-identical to the serial engine. A
+// The read path is lock-light (DESIGN.md §6). tsdb.DB.SelectContext runs
+// in two phases: a snapshot phase that holds the shard read lock only while
+// collecting slice headers of the matching sorted, immutable point runs
+// (with the time range and raw-query row limits pushed down into the
+// snapshot), and an aggregation phase that buckets, groups and aggregates
+// entirely outside any lock, on the request's own goroutine: concurrent
+// queries scale across cores because each already has a goroutine of its
+// own. Per-run partial aggregates merge in a data-determined order. A
 // TTL'd query-result cache, invalidated per measurement on write, absorbs
 // the dashboard viewer's repeated panel refreshes. README.md's "Query
 // path" section and DESIGN.md §6 describe the design; EXPERIMENTS.md
@@ -72,8 +71,8 @@
 // paper's separate database, dashboard and analysis services on separate
 // hosts via -db-url) but never the results: the equivalence suite holds
 // both to byte-identical JSON. Contexts flow from the HTTP handlers
-// through DB.SelectContext into the aggregation worker pool, so
-// disconnected clients cancel their queries.
+// through DB.SelectContext, which checks them before each result group,
+// so disconnected clients cancel their queries.
 //
 // # Durability
 //
