@@ -4,14 +4,23 @@
 // database back-end, optionally duplicates job metrics into per-user
 // databases and publishes everything on a ZeroMQ-style PUB socket.
 //
+// Small writes share a forward (DESIGN.md §1 "Group forward"): a batch of
+// fewer than 64 points that arrives while the router's forward to the
+// back-end is in flight queues, and the queued batches go downstream
+// together in one request when it returns. A lone request never waits,
+// bigger batches forward at once, in parallel, and there is nothing to
+// configure. It applies with -db-url and with -cluster-peers alike.
+//
 // Job signals are received on POST /api/job/start and /api/job/end with a
-// JSON body {"jobid": "...", "username": "...", "nodes": ["h1", ...]}.
+// JSON body {"jobid": "...", "username": "...", "nodes": ["h1", ...]}. A
+// start whose tags hold an empty key or value is refused with 400.
 //
 // GET /metrics exposes the router's own pipeline counters (received,
-// forwarded, dropped, shed) in the Prometheus text format. Ingest is
-// bounded the same way as lms-db: -max-body-mb (413 on oversized bodies)
-// and -max-inflight-reqs / -max-inflight-mb (429 + Retry-After on
-// overload).
+// forwarded, dropped, shed, and forwards: the downstream writes, so
+// forwarded points per forward is the grouping) in the Prometheus text
+// format. Ingest is bounded the same way as lms-db: -max-body-mb (413 on
+// oversized bodies) and -max-inflight-reqs / -max-inflight-mb (429 +
+// Retry-After on overload).
 //
 // Observability (DESIGN.md §14): each /write starts a distributed trace
 // whose id fans out to the lms-db replicas via X-Lms-Trace; the completed

@@ -16,6 +16,7 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -106,6 +107,7 @@ type Router struct {
 	jobs *JobRegistry
 	gate *obs.Gate
 	reg  *obs.Registry
+	fwd  forwarder
 
 	received  atomic.Int64
 	forwarded atomic.Int64
@@ -127,6 +129,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:  cfg,
 		tags: NewTagStore(),
 		jobs: NewJobRegistry(maxJobHistory),
+		fwd:  forwarder{sink: cfg.Primary},
 	}
 	if cfg.MaxInFlightRequests > 0 || cfg.MaxInFlightBytes > 0 {
 		r.gate = obs.NewGate(cfg.MaxInFlightRequests, cfg.MaxInFlightBytes)
@@ -154,6 +157,8 @@ func newRouterMetrics(r *Router) *obs.Registry {
 		func(emit func(string, float64)) { emit("", float64(r.received.Load())) })
 	reg.NewFunc("lms_router_forwarded_points_total", "Points forwarded to the primary sink.", "counter",
 		func(emit func(string, float64)) { emit("", float64(r.forwarded.Load())) })
+	reg.NewFunc("lms_router_forwards_total", "Writes to the primary sink; forwarded points per forward is the group size.", "counter",
+		func(emit func(string, float64)) { emit("", float64(r.fwd.forwards.Load())) })
 	reg.NewFunc("lms_router_dropped_points_total", "Points dropped on sink errors.", "counter",
 		func(emit func(string, float64)) { emit("", float64(r.dropped.Load())) })
 	reg.NewFunc("lms_router_shed_requests_total", "Ingest requests shed with 429 by the admission gate.", "counter",
@@ -263,10 +268,11 @@ func (r *Router) IngestBatch(payload []byte) error {
 // IngestContext runs the router pipeline on a batch of points:
 // timestamping, tag-store enrichment, per-destination batching,
 // forwarding, per-user duplication and publishing. Points are accumulated
-// per destination database and each accumulated batch is flushed with a
-// single sink write, which the local sink hands to the store's sharded
-// DB.WriteBatchContext. A trace riding the context gets enrich/forward
-// spans, and context-aware sinks carry it onward.
+// per destination database; the primary batch goes through the group
+// forward (forward.go), which may carry it in one sink write with other
+// callers' small batches, and each per-user batch is flushed with a single
+// sink write. A trace riding the context gets enrich/forward spans, and
+// context-aware sinks carry it onward.
 func (r *Router) IngestContext(ctx context.Context, pts []lineproto.Point) error {
 	if len(pts) == 0 {
 		return nil
@@ -311,13 +317,11 @@ func (r *Router) IngestContext(ctx context.Context, pts []lineproto.Point) error
 	}
 	esp.End()
 	fsp := tr.Start("router.forward").AttrInt("points", int64(len(enriched)))
-	err := writeSink(ctx, r.cfg.Primary, enriched)
+	err := r.forward(ctx, fsp, enriched)
 	fsp.End()
 	if err != nil {
-		r.dropped.Add(int64(len(enriched)))
 		return fmt.Errorf("router: forward to primary: %w", err)
 	}
-	r.forwarded.Add(int64(len(enriched)))
 
 	// Per-user duplication is best-effort: a broken user database must not
 	// fail ingest into the primary store.
@@ -342,6 +346,18 @@ func (r *Router) IngestContext(ctx context.Context, pts []lineproto.Point) error
 			}
 		}
 	}
+	return nil
+}
+
+// forward is the one door to the primary sink, for metrics and job events
+// alike: the group forward, then the forwarded/dropped accounting of this
+// caller's points.
+func (r *Router) forward(ctx context.Context, sp *obs.Span, pts []lineproto.Point) error {
+	if err := r.fwd.forward(ctx, sp, pts); err != nil {
+		r.dropped.Add(int64(len(pts)))
+		return err
+	}
+	r.forwarded.Add(int64(len(pts)))
 	return nil
 }
 
@@ -395,7 +411,12 @@ func (r *Router) handleJobStart(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if err := r.JobStart(sig); err != nil {
-		httpError(w, http.StatusConflict, "%v", err)
+		code := http.StatusBadRequest
+		var dup errDuplicateJob
+		if errors.As(err, &dup) {
+			code = http.StatusConflict
+		}
+		httpError(w, code, "%v", err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -420,7 +441,9 @@ func (r *Router) handleJobEnd(w http.ResponseWriter, req *http.Request) {
 
 // JobStart registers a job: its tags enter the tag store for every
 // participating node, the signal is forwarded into the database as an
-// annotation event, and meta information is published.
+// annotation event, and meta information is published. A signal whose tag
+// set has an empty key or value is refused before anything is registered:
+// every point of its nodes would carry that tag, and a store refuses it.
 func (r *Router) JobStart(sig JobSignal) error {
 	now := r.cfg.Now()
 	tags := map[string]string{"jobid": sig.JobID}
@@ -429,6 +452,11 @@ func (r *Router) JobStart(sig JobSignal) error {
 	}
 	for k, v := range sig.Tags {
 		tags[k] = v
+	}
+	for k, v := range tags {
+		if k == "" || v == "" {
+			return fmt.Errorf("router: job %q: tag %q=%q: empty tag key or value", sig.JobID, k, v)
+		}
 	}
 	job := &Job{
 		ID:    sig.JobID,
@@ -480,11 +508,9 @@ func (r *Router) writeEvent(kind string, job *Job, now time.Time) {
 	if job.User != "" {
 		ev.Tags["username"] = job.User
 	}
-	if err := r.cfg.Primary.WritePoints([]lineproto.Point{ev}); err == nil {
-		r.forwarded.Add(1)
-	} else {
-		r.dropped.Add(1)
-	}
+	// An annotation is best-effort: the job is registered either way, and a
+	// refused event shows as a dropped point.
+	_ = r.forward(context.Background(), nil, []lineproto.Point{ev})
 }
 
 func (r *Router) publishMeta(topic string, job *Job) {

@@ -433,12 +433,22 @@ func TestJobSignalValidation(t *testing.T) {
 		{"/api/job/start", `notjson`, http.StatusBadRequest},       // bad json
 		{"/api/job/end", `{"jobid":"ghost"}`, http.StatusNotFound}, // unknown job
 		{"/api/job/end", `{}`, http.StatusBadRequest},              // no jobid
+		// A tag no store accepts would poison every write of the node.
+		{"/api/job/start", `{"jobid":"7","nodes":["n1"],"tags":{"project":""}}`, http.StatusBadRequest},
+		{"/api/job/start", `{"jobid":"8","nodes":["n1"],"tags":{"":"v"}}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp := e.post(t, c.path, c.body)
 		if resp.StatusCode != c.wantStatus {
 			t.Errorf("%s %q: status %d want %d", c.path, c.body, resp.StatusCode, c.wantStatus)
 		}
+	}
+	// The refused signals registered nothing, so n1 still writes.
+	if n := len(e.router.Jobs().Running()); n != 0 {
+		t.Errorf("%d jobs running after refused signals", n)
+	}
+	if resp := e.post(t, "/write", "cpu,hostname=n1 value=1 100\n"); resp.StatusCode != http.StatusNoContent {
+		t.Errorf("write from n1 after refused signals: status %d", resp.StatusCode)
 	}
 	// Duplicate start conflicts.
 	e.startJob(t, JobSignal{JobID: "dup", Nodes: []string{"h1"}})
