@@ -902,7 +902,11 @@ func BenchmarkO6_HPMCollection(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	plugin := &collector.HPMPlugin{Machine: machine, GroupName: "MEM_DP"}
+	group, err := hpm.Builtin().Lookup("MEM_DP")
+	if err != nil {
+		b.Fatal(err)
+	}
+	plugin := &collector.HPMPlugin{Machine: machine, Group: group}
 	if _, err := plugin.Collect(time.Unix(0, 0)); err != nil { // arm
 		b.Fatal(err)
 	}

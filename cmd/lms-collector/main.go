@@ -145,7 +145,11 @@ func run(args []string, stdout io.Writer) error {
 			if g == "" {
 				continue
 			}
-			if err := agent.Register(&collector.HPMPlugin{Machine: machine, GroupName: g, Groups: groupSet}); err != nil {
+			group, err := groupSet.Lookup(g)
+			if err != nil {
+				return err
+			}
+			if err := agent.Register(&collector.HPMPlugin{Machine: machine, Group: group}); err != nil {
 				return err
 			}
 		}

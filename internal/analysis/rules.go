@@ -104,43 +104,24 @@ func (v Violation) String() string {
 
 // Detect finds all maximal runs of consecutive samples satisfying the rule
 // condition whose span is at least the rule timeout. Samples must be in
-// chronological order (the tsdb returns them sorted).
+// chronological order (the tsdb returns them sorted). It is the streaming
+// detector folded over the series: each run keeps its last, widest
+// violation.
 func Detect(rule Rule, series []TimedValue) []Violation {
 	var out []Violation
-	i := 0
-	matches := func(v float64) bool {
-		if rule.Cond == Below {
-			return v < rule.Threshold
+	d := DetectStreaming{Rule: rule}
+	open := false // out's last violation belongs to the current run
+	for _, s := range series {
+		v, ok := d.Feed(s)
+		switch {
+		case !ok:
+			open = false
+		case open:
+			out[len(out)-1] = v
+		default:
+			out = append(out, v)
+			open = true
 		}
-		return v > rule.Threshold
-	}
-	for i < len(series) {
-		if !matches(series[i].V) {
-			i++
-			continue
-		}
-		j := i
-		extremum := series[i].V
-		for j+1 < len(series) && matches(series[j+1].V) {
-			j++
-			if rule.Cond == Below && series[j].V < extremum {
-				extremum = series[j].V
-			}
-			if rule.Cond == Above && series[j].V > extremum {
-				extremum = series[j].V
-			}
-		}
-		span := series[j].T.Sub(series[i].T)
-		if span >= rule.Timeout {
-			out = append(out, Violation{
-				Rule:     rule,
-				Start:    series[i].T,
-				End:      series[j].T,
-				Extremum: extremum,
-				Samples:  j - i + 1,
-			})
-		}
-		i = j + 1
 	}
 	return out
 }
@@ -156,7 +137,6 @@ type DetectStreaming struct {
 	extremum float64
 	samples  int
 	inRun    bool
-	reported bool
 }
 
 // InRun reports whether the detector is currently inside a run of
@@ -173,7 +153,6 @@ func (d *DetectStreaming) Feed(s TimedValue) (Violation, bool) {
 	}
 	if !matches {
 		d.inRun = false
-		d.reported = false
 		return Violation{}, false
 	}
 	if !d.inRun {
@@ -191,7 +170,6 @@ func (d *DetectStreaming) Feed(s TimedValue) (Violation, bool) {
 		}
 	}
 	if s.T.Sub(d.runStart) >= d.Rule.Timeout {
-		d.reported = true
 		return Violation{
 			Rule:     d.Rule,
 			Start:    d.runStart,

@@ -60,11 +60,6 @@ type Config struct {
 	// peer traffic (tests shorten its timeout). Nil shares tsdb's default
 	// transport, whose MaxConnsPerHost bounds the fan-out socket load.
 	HTTPClient *http.Client
-
-	// Logf receives cluster log lines; nil selects the process-wide
-	// leveled logger (obs.Warnf) — cluster lines are all degradation
-	// reports (stalled drains, dropped hints), warnings by nature.
-	Logf func(format string, args ...interface{})
 }
 
 // DefaultReplication is R when Config.Replication is zero: two copies of
@@ -192,14 +187,6 @@ func (c *Cluster) Replication() int { return c.cfg.Replication }
 // WriteQuorum returns the effective W after capping.
 func (c *Cluster) WriteQuorum() int { return c.cfg.WriteQuorum }
 
-func (c *Cluster) logf(format string, args ...interface{}) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-		return
-	}
-	obs.Warnf(format, args...)
-}
-
 // clientFor returns a write/query client for a peer bound to db. The
 // struct is cheap; the connection pool behind it is shared (Config.
 // HTTPClient or tsdb's package-level transport), so fan-out to the same
@@ -325,7 +312,7 @@ func (c *Cluster) Ensure(ctx context.Context, db string) error {
 // drainPeers is the one drain routine: one round over every peer with
 // pending hints, replaying each queue until it empties or its peer fails
 // again. It returns the batches replayed and the first per-peer failure.
-// The drain job and DrainHints may run it at once; each queue serializes
+// The drain job and a test's DrainHints may run it at once; each queue serializes
 // its own drain (hintQueue.drain).
 func (c *Cluster) drainPeers(ctx context.Context) (replayed int, firstErr error) {
 	for _, id := range c.ring.Nodes() {
@@ -345,23 +332,15 @@ func (c *Cluster) drainPeers(ctx context.Context) (replayed int, firstErr error)
 		n.replayed.Add(uint64(got))
 		replayed += got
 		if err != nil {
-			c.logf("cluster: hint drain to %s stalled after %d batches: %v", id, got, err)
+			obs.Warnf("cluster: hint drain to %s stalled after %d batches: %v", id, got, err)
 			if firstErr == nil {
 				firstErr = fmt.Errorf("cluster: drain to %s: %w", id, err)
 			}
 		} else if got > 0 {
-			c.logf("cluster: hint queue for %s drained (%d batches replayed)", id, got)
+			obs.Warnf("cluster: hint queue for %s drained (%d batches replayed)", id, got)
 		}
 	}
 	return replayed, firstErr
-}
-
-// DrainHints synchronously replays every pending hint, returning the
-// first per-peer failure (nil when all queues emptied). Tests and
-// graceful shutdown use it; production relies on the drain job.
-func (c *Cluster) DrainHints(ctx context.Context) error {
-	_, err := c.drainPeers(ctx)
-	return err
 }
 
 // PendingHints sums the queued hint batches across all peers.

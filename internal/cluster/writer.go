@@ -177,7 +177,7 @@ func (c *Cluster) writeDB(ctx context.Context, db string, pts []lineproto.Point)
 		if herr := n.hints.enqueue(db, sh.frame); herr != nil {
 			hsp.Attr("error", herr.Error())
 			n.hintDropped.Add(1)
-			c.logf("cluster: dropping hint for %s (%d points): %v", id, len(sh.pts), herr)
+			obs.Warnf("cluster: dropping hint for %s (%d points): %v", id, len(sh.pts), herr)
 		} else {
 			c.drain.Kick()
 		}

@@ -15,6 +15,16 @@ import (
 
 func ts(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 
+// group resolves a built-in performance group.
+func group(t *testing.T, name string) *hpm.Group {
+	t.Helper()
+	g, err := hpm.Builtin().Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 type memSink struct {
 	mu       sync.Mutex
 	payloads [][]byte
@@ -332,7 +342,7 @@ func TestHPMPluginTimeline(t *testing.T) {
 	for core := 0; core < 4; core++ {
 		_ = m.SetRates(core, w.ProfileAt(1, core).Rates(2200))
 	}
-	p := &HPMPlugin{Machine: m, GroupName: "MEM_DP", PerThread: true}
+	p := &HPMPlugin{Machine: m, Group: group(t, "MEM_DP"), PerThread: true}
 	// First cycle arms.
 	pts, err := p.Collect(ts(0))
 	if err != nil || pts != nil {
@@ -377,7 +387,9 @@ func TestHPMPluginTimeline(t *testing.T) {
 
 func TestHPMPluginBadGroup(t *testing.T) {
 	m, _ := hpm.NewMachine(hpm.DefaultTopology())
-	p := &HPMPlugin{Machine: m, GroupName: "NOPE"}
+	// A group the session cannot arm fails the cycle; an unknown group
+	// name never gets this far (lms-collector fails at start).
+	p := &HPMPlugin{Machine: m, Group: group(t, "CLOCK"), Threads: []int{99}}
 	if _, err := p.Collect(ts(0)); err == nil {
 		t.Fatal("bad group accepted")
 	}
@@ -435,7 +447,7 @@ func TestFullNodeAgentCycle(t *testing.T) {
 		&MemoryPlugin{FS: st},
 		&NetworkPlugin{FS: st},
 		&DiskPlugin{FS: st},
-		&HPMPlugin{Machine: m, GroupName: "FLOPS_DP"},
+		&HPMPlugin{Machine: m, Group: group(t, "FLOPS_DP")},
 	} {
 		if err := a.Register(p); err != nil {
 			t.Fatal(err)
@@ -487,12 +499,12 @@ func TestPluginNames(t *testing.T) {
 	st := newProcState(t)
 	m, _ := hpm.NewMachine(hpm.DefaultTopology())
 	names := map[Plugin]string{
-		&LoadPlugin{FS: st}:                           "load",
-		&CPUPlugin{FS: st}:                            "cpu",
-		&MemoryPlugin{FS: st}:                         "memory",
-		&NetworkPlugin{FS: st}:                        "network",
-		&DiskPlugin{FS: st}:                           "disk",
-		&HPMPlugin{Machine: m, GroupName: "FLOPS_DP"}: "likwid_flops_dp",
+		&LoadPlugin{FS: st}:    "load",
+		&CPUPlugin{FS: st}:     "cpu",
+		&MemoryPlugin{FS: st}:  "memory",
+		&NetworkPlugin{FS: st}: "network",
+		&DiskPlugin{FS: st}:    "disk",
+		&HPMPlugin{Machine: m, Group: group(t, "FLOPS_DP")}: "likwid_flops_dp",
 	}
 	for p, want := range names {
 		if p.Name() != want {

@@ -24,34 +24,24 @@ import (
 // (".../s]", "volume", "Energy", "MUOPS", "MFLOP", "MIPS", "misses") are
 // summed over threads, intensive metrics (CPI, Clock, ratios) are averaged.
 type HPMPlugin struct {
-	Machine   *hpm.Machine
-	GroupName string
+	Machine *hpm.Machine
+	// Group is the measured group, resolved by the caller through a
+	// GroupSet (built-in plus site-local group files).
+	Group     *hpm.Group
 	Threads   []int // nil = all
 	PerThread bool
-	// Groups optionally resolves GroupName against a custom set (built-in
-	// plus site-local group files); nil uses the built-in groups.
-	Groups *hpm.GroupSet
 
 	sess    *hpm.Session
 	started bool
 }
 
 // Name implements Plugin.
-func (p *HPMPlugin) Name() string { return "likwid_" + strings.ToLower(p.GroupName) }
+func (p *HPMPlugin) Name() string { return "likwid_" + strings.ToLower(p.Group.Name) }
 
 // Collect implements Plugin.
 func (p *HPMPlugin) Collect(now time.Time) ([]lineproto.Point, error) {
 	if p.sess == nil {
-		var sess *hpm.Session
-		var err error
-		if p.Groups != nil {
-			var g *hpm.Group
-			if g, err = p.Groups.Lookup(p.GroupName); err == nil {
-				sess, err = hpm.NewSessionGroup(p.Machine, g, p.Threads)
-			}
-		} else {
-			sess, err = hpm.NewSession(p.Machine, p.GroupName, p.Threads)
-		}
+		sess, err := hpm.NewSession(p.Machine, p.Group, p.Threads)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +69,7 @@ func (p *HPMPlugin) Collect(now time.Time) ([]lineproto.Point, error) {
 		return nil, nil
 	}
 
-	meas := "likwid_" + strings.ToLower(p.GroupName)
+	meas := p.Name()
 	fields := map[string]lineproto.Value{}
 	for _, metric := range res.MetricNames() {
 		key := SanitizeFieldKey(metric)

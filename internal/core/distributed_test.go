@@ -83,10 +83,14 @@ func TestDistributedDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	group, err := hpm.Builtin().Lookup("MEM_DP")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range []collector.Plugin{
 		&collector.CPUPlugin{FS: pstate},
 		&collector.MemoryPlugin{FS: pstate},
-		&collector.HPMPlugin{Machine: machine, GroupName: "MEM_DP"},
+		&collector.HPMPlugin{Machine: machine, Group: group},
 	} {
 		if err := agent.Register(p); err != nil {
 			t.Fatal(err)

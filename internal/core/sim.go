@@ -89,6 +89,15 @@ func NewSimulation(stack *Stack, cfg SimConfig) (*Simulation, error) {
 	if len(cfg.HPMGroups) == 0 {
 		cfg.HPMGroups = []string{"MEM_DP"}
 	}
+	var groups []*hpm.Group
+	builtin := hpm.Builtin()
+	for _, name := range cfg.HPMGroups {
+		g, err := builtin.Lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		groups = append(groups, g)
+	}
 	sim := &Simulation{
 		Stack:  stack,
 		cfg:    cfg,
@@ -124,8 +133,8 @@ func NewSimulation(stack *Stack, cfg SimConfig) (*Simulation, error) {
 			&collector.NetworkPlugin{FS: pstate},
 			&collector.DiskPlugin{FS: pstate},
 		}
-		for _, g := range cfg.HPMGroups {
-			plugins = append(plugins, &collector.HPMPlugin{Machine: machine, GroupName: g})
+		for _, g := range groups {
+			plugins = append(plugins, &collector.HPMPlugin{Machine: machine, Group: g})
 		}
 		for _, p := range plugins {
 			if err := agent.Register(p); err != nil {

@@ -300,43 +300,6 @@ func (a *Agent) GenerateJobDashboardContext(ctx context.Context, job analysis.Jo
 	return d, nil
 }
 
-// GenerateAdminDashboard builds the administrator main view: "all currently
-// running jobs with small thumbnails of the job's graphs and further
-// information".
-func (a *Agent) GenerateAdminDashboard(jobs []analysis.JobMeta) (*Dashboard, error) {
-	d := &Dashboard{
-		Title: "Running jobs",
-		UID:   "admin-running",
-		Tags:  []string{"lms", "admin"},
-	}
-	row := Row{Title: "Jobs"}
-	id := 1
-	for _, job := range jobs {
-		end := job.End
-		var endNS int64
-		if end.IsZero() {
-			endNS = time.Now().UnixNano()
-		} else {
-			endNS = end.UnixNano()
-		}
-		row.Panels = append(row.Panels, Panel{
-			ID:    id,
-			Title: fmt.Sprintf("Job %s (%s, %d nodes)", job.ID, job.User, len(job.Nodes)),
-			Type:  "graph",
-			Span:  3, // thumbnail size
-			Targets: []Target{{
-				Query: fmt.Sprintf(
-					"SELECT mean(dp_mflop_s) FROM likwid_mem_dp WHERE jobid = '%s' AND time >= %d AND time <= %d GROUP BY time(60s)",
-					job.ID, job.Start.UnixNano(), endNS),
-				Legend: "DP MFLOP/s",
-			}},
-		})
-		id++
-	}
-	d.Rows = append(d.Rows, row)
-	return d, nil
-}
-
 // MarshalIndent renders the dashboard as Grafana-style JSON.
 func (d *Dashboard) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(d, "", "  ")

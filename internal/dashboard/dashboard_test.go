@@ -174,28 +174,6 @@ func TestAgentValidation(t *testing.T) {
 	}
 }
 
-func TestGenerateAdminDashboard(t *testing.T) {
-	store, job := seedStore(t)
-	agent := &Agent{Querier: tsdb.LocalQuerier{Store: store}, Database: "lms"}
-	d, err := agent.GenerateAdminDashboard([]analysis.JobMeta{job, {ID: "7", User: "bob", Nodes: []string{"h3"}, Start: job.Start}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Rows) != 1 || len(d.Rows[0].Panels) != 2 {
-		t.Fatalf("%+v", d.Rows)
-	}
-	p := d.Rows[0].Panels[0]
-	if p.Span != 3 { // thumbnail
-		t.Fatalf("span %d", p.Span)
-	}
-	if !strings.Contains(p.Title, "Job 42 (alice, 2 nodes)") {
-		t.Fatalf("title %q", p.Title)
-	}
-}
-
 func TestDashboardValidateCatchesBadness(t *testing.T) {
 	bad := []Dashboard{
 		{},

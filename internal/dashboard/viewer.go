@@ -18,7 +18,6 @@ import (
 type JobSource interface {
 	Running() []*router.Job
 	Get(id string) (*router.Job, bool)
-	History() []*router.Job
 }
 
 // Viewer is the web front-end: the Grafana replacement. It serves

@@ -73,16 +73,6 @@ func LookupEvent(name string) (Event, error) {
 	return ev, nil
 }
 
-// EventNames lists all catalog events (unsorted map iteration hidden from
-// callers by copying into a slice; callers sort if needed).
-func EventNames() []string {
-	names := make([]string, 0, len(eventCatalog))
-	for n := range eventCatalog {
-		names = append(names, n)
-	}
-	return names
-}
-
 // counterRegisters is the set of counter register names a group file may
 // assign events to, with the scope each register can serve.
 var counterRegisters = map[string]Scope{

@@ -203,9 +203,6 @@ func isVarChar(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == ':'
 }
 
-// Source returns the original expression text.
-func (f *Formula) Source() string { return f.src }
-
 // Variables lists the distinct variable names used by the formula.
 func (f *Formula) Variables() []string {
 	seen := map[string]struct{}{}

@@ -110,7 +110,7 @@ func TestFormulaVariables(t *testing.T) {
 
 func TestFormulaStringers(t *testing.T) {
 	f := MustCompileFormula("1+2*3")
-	if f.Source() != "1+2*3" {
+	if f.src != "1+2*3" {
 		t.Error("source")
 	}
 	if f.String() != "Formula(1+2*3)" {

@@ -23,7 +23,7 @@ Site-local custom group.
 
 func TestBuiltinGroupSet(t *testing.T) {
 	gs := Builtin()
-	if len(gs.Names()) != len(GroupNames()) {
+	if len(gs.Names()) != len(builtinGroups) {
 		t.Fatalf("names %v", gs.Names())
 	}
 	g, err := gs.Lookup("FLOPS_DP")
@@ -66,7 +66,7 @@ func TestLoadDir(t *testing.T) {
 		"CPU_CLK_UNHALTED_CORE":  2e9,
 		"MEM_UOPS_RETIRED_LOADS": 5e8,
 	})
-	sess, err := NewSessionGroup(m, g, []int{0})
+	sess, err := NewSession(m, g, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ MIPS 1.0E-06*FIXC0/time
 		t.Fatalf("override failed: %q", g.Short)
 	}
 	// The global built-in table is untouched.
-	orig, _ := LookupGroup("CLOCK")
+	orig := builtinGroups["CLOCK"]
 	if orig.Short == "Overridden" {
 		t.Fatal("builtin table mutated")
 	}
@@ -129,7 +129,7 @@ func TestGroupSetZeroValue(t *testing.T) {
 	if len(gs.Names()) != 0 {
 		t.Fatal("zero set not empty")
 	}
-	g, _ := LookupGroup("CLOCK")
+	g := group(t, "CLOCK")
 	gs.Add(g)
 	if got, err := gs.Lookup("CLOCK"); err != nil || got != g {
 		t.Fatal("add to zero set")

@@ -2,7 +2,6 @@ package hpm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -138,16 +137,6 @@ func ParseGroup(name, text string) (*Group, error) {
 		}
 	}
 	return g, nil
-}
-
-// CounterEvent returns the event assigned to a counter register.
-func (g *Group) CounterEvent(counter string) (Event, bool) {
-	for _, ea := range g.Events {
-		if ea.Counter == counter {
-			return ea.Event, true
-		}
-	}
-	return Event{}, false
 }
 
 // MetricNames lists the metric names in file order.
@@ -401,23 +390,3 @@ var builtinGroups = func() map[string]*Group {
 	}
 	return m
 }()
-
-// LookupGroup returns a built-in performance group by name.
-func LookupGroup(name string) (*Group, error) {
-	g, ok := builtinGroups[name]
-	if !ok {
-		return nil, fmt.Errorf("hpm: unknown performance group %q", name)
-	}
-	return g, nil
-}
-
-// GroupNames lists the built-in groups sorted by name, the equivalent of
-// `likwid-perfctr -a`.
-func GroupNames() []string {
-	names := make([]string, 0, len(builtinGroups))
-	for n := range builtinGroups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -20,20 +20,20 @@ func newTestMachine(t *testing.T) *Machine {
 	return m
 }
 
+// group resolves a built-in performance group.
+func group(t *testing.T, name string) *Group {
+	t.Helper()
+	g, err := Builtin().Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestTopologyBasics(t *testing.T) {
 	topo := testTopo()
 	if topo.NumHWThreads() != 8 {
 		t.Fatalf("threads %d", topo.NumHWThreads())
-	}
-	threads := topo.HWThreads()
-	if len(threads) != 8 {
-		t.Fatalf("len %d", len(threads))
-	}
-	if threads[0].Socket != 0 || threads[7].Socket != 1 {
-		t.Fatalf("sockets %+v", threads)
-	}
-	if threads[3].Core != 3 || threads[4].Core != 4 {
-		t.Fatalf("cores %+v", threads)
 	}
 	s, err := topo.SocketOf(5)
 	if err != nil || s != 1 {
@@ -51,39 +51,14 @@ func TestTopologyBasics(t *testing.T) {
 }
 
 func TestTopologySMT(t *testing.T) {
-	topo := Topology{Sockets: 1, CoresPerSocket: 2, ThreadsPerCore: 2, BaseClockMHz: 2000}
-	threads := topo.HWThreads()
-	if len(threads) != 4 {
-		t.Fatalf("len %d", len(threads))
+	topo := Topology{Sockets: 2, CoresPerSocket: 2, ThreadsPerCore: 2, BaseClockMHz: 2000}
+	if topo.NumHWThreads() != 8 {
+		t.Fatalf("threads %d", topo.NumHWThreads())
 	}
-	// Two SMT threads of core 0, then two of core 1.
-	if threads[0].Core != 0 || threads[1].Core != 0 || threads[2].Core != 1 {
-		t.Fatalf("%+v", threads)
-	}
-}
-
-func TestParseCPUList(t *testing.T) {
-	ids, err := ParseCPUList("0-2,5,7", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 2, 5, 7}
-	if len(ids) != len(want) {
-		t.Fatalf("ids %v", ids)
-	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("ids %v", ids)
-		}
-	}
-	// Duplicates collapse.
-	ids, _ = ParseCPUList("1,1,0-1", 4)
-	if len(ids) != 2 {
-		t.Fatalf("dedup %v", ids)
-	}
-	for _, bad := range []string{"", "a", "3-1", "0-9", "9", "-1", "1,,2"} {
-		if _, err := ParseCPUList(bad, 8); err == nil {
-			t.Errorf("accepted %q", bad)
+	// Both SMT threads of both cores of socket 0 come first.
+	for id, want := range []int{0, 0, 0, 0, 1, 1, 1, 1} {
+		if s, err := topo.SocketOf(id); err != nil || s != want {
+			t.Fatalf("SocketOf(%d)=%d,%v want %d", id, s, err, want)
 		}
 	}
 }
@@ -100,8 +75,8 @@ func TestEventCatalog(t *testing.T) {
 	if _, err := LookupEvent("MADE_UP"); err == nil {
 		t.Fatal("unknown event accepted")
 	}
-	if len(EventNames()) < 15 {
-		t.Fatalf("catalog too small: %d", len(EventNames()))
+	if len(eventCatalog) < 15 {
+		t.Fatalf("catalog too small: %d", len(eventCatalog))
 	}
 	if ScopeThread.String() != "thread" || ScopeSocket.String() != "socket" {
 		t.Fatal("scope strings")
@@ -124,12 +99,12 @@ func TestValidCounter(t *testing.T) {
 }
 
 func TestBuiltinGroupsParse(t *testing.T) {
-	names := GroupNames()
+	names := Builtin().Names()
 	if len(names) < 10 {
 		t.Fatalf("only %d groups", len(names))
 	}
 	for _, n := range names {
-		g, err := LookupGroup(n)
+		g, err := Builtin().Lookup(n)
 		if err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
@@ -140,20 +115,13 @@ func TestBuiltinGroupsParse(t *testing.T) {
 			t.Errorf("%s: missing LONG section", n)
 		}
 	}
-	if _, err := LookupGroup("NOPE"); err == nil {
+	if _, err := Builtin().Lookup("NOPE"); err == nil {
 		t.Fatal("unknown group accepted")
 	}
 }
 
 func TestGroupHelpers(t *testing.T) {
-	g, _ := LookupGroup("FLOPS_DP")
-	ev, ok := g.CounterEvent("PMC1")
-	if !ok || ev.Name != "FP_ARITH_INST_RETIRED_SCALAR_DOUBLE" {
-		t.Fatalf("%+v %v", ev, ok)
-	}
-	if _, ok := g.CounterEvent("PMC9"); ok {
-		t.Fatal("bogus counter found")
-	}
+	g := group(t, "FLOPS_DP")
 	names := g.MetricNames()
 	found := false
 	for _, n := range names {
@@ -323,7 +291,7 @@ func TestSessionFLOPSDP(t *testing.T) {
 		"CPU_CLK_UNHALTED_REF":                     2e9,
 		"FP_ARITH_INST_RETIRED_256B_PACKED_DOUBLE": 0.5e9,
 	})
-	sess, err := NewSession(m, "FLOPS_DP", []int{0})
+	sess, err := NewSession(m, group(t, "FLOPS_DP"), []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +335,7 @@ func TestSessionMemBandwidthSocketAttribution(t *testing.T) {
 			"CAS_COUNT_RD":          lineRate,
 		})
 	}
-	sess, _ := NewSession(m, "MEM", []int{0, 1})
+	sess, _ := NewSession(m, group(t, "MEM"), []int{0, 1})
 	_ = sess.Start()
 	_ = m.Advance(5)
 	_ = sess.Stop()
@@ -398,7 +366,7 @@ func TestSessionCounterOverflow(t *testing.T) {
 		"CPU_CLK_UNHALTED_CORE": 1e6,
 		"CPU_CLK_UNHALTED_REF":  1e6,
 	})
-	sess, _ := NewSession(m, "CLOCK", []int{0})
+	sess, _ := NewSession(m, group(t, "CLOCK"), []int{0})
 	_ = sess.Start()
 	_ = m.Advance(1) // 1e6 events, wrapping the register
 	_ = sess.Stop()
@@ -413,7 +381,7 @@ func TestSessionCounterOverflow(t *testing.T) {
 
 func TestSessionLifecycleErrors(t *testing.T) {
 	m := newTestMachine(t)
-	sess, _ := NewSession(m, "CLOCK", nil)
+	sess, _ := NewSession(m, group(t, "CLOCK"), nil)
 	if _, err := sess.Result(); err == nil {
 		t.Error("result before start accepted")
 	}
@@ -439,24 +407,18 @@ func TestSessionLifecycleErrors(t *testing.T) {
 
 func TestSessionValidation(t *testing.T) {
 	m := newTestMachine(t)
-	if _, err := NewSession(m, "NOPE", nil); err == nil {
-		t.Error("unknown group accepted")
-	}
-	if _, err := NewSession(m, "CLOCK", []int{99}); err == nil {
+	if _, err := NewSession(m, group(t, "CLOCK"), []int{99}); err == nil {
 		t.Error("bad thread accepted")
 	}
-	if _, err := NewSession(m, "CLOCK", []int{1, 1}); err == nil {
+	if _, err := NewSession(m, group(t, "CLOCK"), []int{1, 1}); err == nil {
 		t.Error("duplicate thread accepted")
 	}
-	sess, err := NewSession(m, "CLOCK", nil)
+	sess, err := NewSession(m, group(t, "CLOCK"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(sess.Threads()); got != m.Topology().NumHWThreads() {
+	if got := len(sess.threads); got != m.Topology().NumHWThreads() {
 		t.Fatalf("default threads %d", got)
-	}
-	if sess.Group().Name != "CLOCK" {
-		t.Fatal("group accessor")
 	}
 }
 
@@ -467,7 +429,7 @@ func TestSessionRestart(t *testing.T) {
 		"CPU_CLK_UNHALTED_CORE": 1e6,
 		"CPU_CLK_UNHALTED_REF":  1e6,
 	})
-	sess, _ := NewSession(m, "CLOCK", []int{0})
+	sess, _ := NewSession(m, group(t, "CLOCK"), []int{0})
 	for i := 0; i < 3; i++ {
 		if err := sess.Start(); err != nil {
 			t.Fatal(err)
@@ -495,7 +457,7 @@ func TestResultAggregates(t *testing.T) {
 			"CPU_CLK_UNHALTED_REF":  1e9,
 		})
 	}
-	sess, _ := NewSession(m, "CLOCK", []int{0, 1, 2})
+	sess, _ := NewSession(m, group(t, "CLOCK"), []int{0, 1, 2})
 	_ = sess.Start()
 	_ = m.Advance(1)
 	_ = sess.Stop()
@@ -518,19 +480,19 @@ func TestResultAggregates(t *testing.T) {
 // counter rates across all built-in groups.
 func TestMetricsNonNegativeProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	groups := GroupNames()
+	groups := Builtin().Names()
 	f := func(seed int64) bool {
 		_ = seed
 		m, _ := NewMachine(testTopo())
 		rates := EventRates{}
-		for _, ev := range EventNames() {
+		for ev := range eventCatalog {
 			if r.Intn(2) == 0 {
 				rates[ev] = math.Abs(r.NormFloat64()) * 1e9
 			}
 		}
 		_ = m.SetRates(0, rates)
 		g := groups[r.Intn(len(groups))]
-		sess, err := NewSession(m, g, []int{0})
+		sess, err := NewSession(m, group(t, g), []int{0})
 		if err != nil {
 			return false
 		}
@@ -573,7 +535,7 @@ func TestFlopsRateProperty(t *testing.T) {
 			"FP_ARITH_INST_RETIRED_128B_PACKED_DOUBLE": sse,
 			"FP_ARITH_INST_RETIRED_256B_PACKED_DOUBLE": avx,
 		})
-		sess, _ := NewSession(m, "FLOPS_DP", []int{0})
+		sess, _ := NewSession(m, group(t, "FLOPS_DP"), []int{0})
 		_ = sess.Start()
 		dur := r.Float64()*5 + 0.5
 		_ = m.Advance(dur)

@@ -28,19 +28,10 @@ type Session struct {
 	stopCnt  map[int]map[string]uint64
 }
 
-// NewSession prepares a measurement of the named built-in group on the
-// given hardware threads (all threads when threads is empty).
-func NewSession(m *Machine, groupName string, threads []int) (*Session, error) {
-	g, err := LookupGroup(groupName)
-	if err != nil {
-		return nil, err
-	}
-	return NewSessionGroup(m, g, threads)
-}
-
-// NewSessionGroup is NewSession for a caller-supplied (e.g. custom-parsed)
-// group.
-func NewSessionGroup(m *Machine, g *Group, threads []int) (*Session, error) {
+// NewSession prepares a measurement of group g, resolved through a
+// GroupSet, on the given hardware threads (all threads when threads is
+// empty).
+func NewSession(m *Machine, g *Group, threads []int) (*Session, error) {
 	n := m.Topology().NumHWThreads()
 	if len(threads) == 0 {
 		threads = make([]int, n)
@@ -62,12 +53,6 @@ func NewSessionGroup(m *Machine, g *Group, threads []int) (*Session, error) {
 	sort.Ints(sorted)
 	return &Session{machine: m, group: g, threads: sorted}, nil
 }
-
-// Group returns the measured performance group.
-func (s *Session) Group() *Group { return s.group }
-
-// Threads returns the measured hardware threads (sorted).
-func (s *Session) Threads() []int { return append([]int(nil), s.threads...) }
 
 // Start samples all counters and begins the measurement interval.
 func (s *Session) Start() error {

@@ -18,10 +18,7 @@
 // handles the overflow, so the software path is exercised end to end.
 package hpm
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Topology describes the simulated machine layout, the equivalent of
 // likwid-topology output.
@@ -55,115 +52,10 @@ func (t Topology) NumHWThreads() int {
 	return t.Sockets * t.CoresPerSocket * t.ThreadsPerCore
 }
 
-// HWThread identifies one hardware thread and its position.
-type HWThread struct {
-	ID     int // APIC-style global id, 0..NumHWThreads-1
-	Core   int // global core id
-	Socket int
-}
-
-// HWThreads enumerates all hardware threads. Threads are numbered
-// socket-major, core-minor, SMT-last, matching likwid-topology's physical
-// ordering.
-func (t Topology) HWThreads() []HWThread {
-	threads := make([]HWThread, 0, t.NumHWThreads())
-	id := 0
-	for s := 0; s < t.Sockets; s++ {
-		for c := 0; c < t.CoresPerSocket; c++ {
-			for smt := 0; smt < t.ThreadsPerCore; smt++ {
-				threads = append(threads, HWThread{
-					ID:     id,
-					Core:   s*t.CoresPerSocket + c,
-					Socket: s,
-				})
-				id++
-			}
-		}
-	}
-	return threads
-}
-
 // SocketOf returns the socket that owns hardware thread id.
 func (t Topology) SocketOf(id int) (int, error) {
 	if id < 0 || id >= t.NumHWThreads() {
 		return 0, fmt.Errorf("hpm: hwthread %d out of range [0,%d)", id, t.NumHWThreads())
 	}
 	return id / (t.CoresPerSocket * t.ThreadsPerCore), nil
-}
-
-// ParseCPUList parses a likwid-style CPU list expression: comma-separated
-// entries that are either single ids ("3") or inclusive ranges ("0-4").
-// The result is sorted and de-duplicated.
-func ParseCPUList(expr string, max int) ([]int, error) {
-	if expr == "" {
-		return nil, fmt.Errorf("hpm: empty cpu list")
-	}
-	seen := map[int]struct{}{}
-	start := 0
-	parse := func(s string) (int, error) {
-		n := 0
-		if s == "" {
-			return 0, fmt.Errorf("hpm: empty cpu id in %q", expr)
-		}
-		for i := 0; i < len(s); i++ {
-			if s[i] < '0' || s[i] > '9' {
-				return 0, fmt.Errorf("hpm: bad cpu id %q", s)
-			}
-			n = n*10 + int(s[i]-'0')
-		}
-		return n, nil
-	}
-	add := func(id int) error {
-		if id < 0 || id >= max {
-			return fmt.Errorf("hpm: cpu id %d out of range [0,%d)", id, max)
-		}
-		seen[id] = struct{}{}
-		return nil
-	}
-	for i := 0; i <= len(expr); i++ {
-		if i < len(expr) && expr[i] != ',' {
-			continue
-		}
-		entry := expr[start:i]
-		start = i + 1
-		dash := -1
-		for j := range entry {
-			if entry[j] == '-' {
-				dash = j
-				break
-			}
-		}
-		if dash < 0 {
-			id, err := parse(entry)
-			if err != nil {
-				return nil, err
-			}
-			if err := add(id); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		lo, err := parse(entry[:dash])
-		if err != nil {
-			return nil, err
-		}
-		hi, err := parse(entry[dash+1:])
-		if err != nil {
-			return nil, err
-		}
-		if hi < lo {
-			return nil, fmt.Errorf("hpm: inverted range %q", entry)
-		}
-		for id := lo; id <= hi; id++ {
-			if err := add(id); err != nil {
-				return nil, err
-			}
-		}
-	}
-	ids := make([]int, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids, nil
 }

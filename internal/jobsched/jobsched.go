@@ -257,37 +257,9 @@ func (s *Scheduler) Running() []*Job {
 	return out
 }
 
-// Queued returns the queued jobs in queue order.
-func (s *Scheduler) Queued() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Job(nil), s.queue...)
-}
-
 // Finished returns the finished jobs in completion order.
 func (s *Scheduler) Finished() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*Job(nil), s.done...)
-}
-
-// Utilization returns the fraction of nodes currently allocated.
-func (s *Scheduler) Utilization() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return 1 - float64(s.freeCount())/float64(len(s.nodes))
-}
-
-// NodeJob returns the job currently allocated on a node, if any.
-func (s *Scheduler) NodeJob(node string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range s.running {
-		for _, n := range j.Nodes {
-			if n == node {
-				return j, true
-			}
-		}
-	}
-	return nil, false
 }

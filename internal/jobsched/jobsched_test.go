@@ -83,8 +83,8 @@ func TestFIFOStartAndEnd(t *testing.T) {
 	if events[0].Job.Req.ID != "j1" || events[1].Job.Req.ID != "j2" {
 		t.Fatalf("order %+v", events)
 	}
-	if s.Utilization() != 1 {
-		t.Fatalf("utilization %v", s.Utilization())
+	if n := s.freeCount(); n != 0 {
+		t.Fatalf("%d nodes free", n)
 	}
 	// j2 ends at t=50, j1 at t=100.
 	events, _ = s.Advance(60)
@@ -98,7 +98,7 @@ func TestFIFOStartAndEnd(t *testing.T) {
 	if len(events) != 1 || events[0].Job.Req.ID != "j1" || events[0].Time != 100 {
 		t.Fatalf("events %+v", events)
 	}
-	if len(s.Finished()) != 2 || s.Utilization() != 0 {
+	if len(s.Finished()) != 2 || s.freeCount() != 4 {
 		t.Fatal("cleanup")
 	}
 }
@@ -121,7 +121,7 @@ func TestQueueWhenFull(t *testing.T) {
 	if len(events) != 1 {
 		t.Fatalf("events %+v", events)
 	}
-	if len(s.Queued()) != 1 {
+	if len(s.queue) != 1 {
 		t.Fatal("j2 should queue")
 	}
 	// j2 starts right when j1 ends.
@@ -168,22 +168,6 @@ func TestBackfill(t *testing.T) {
 	events, _ = s2.Advance(0)
 	if len(events) != 1 || events[0].Job.Req.ID != "big" {
 		t.Fatalf("fifo events %+v", events)
-	}
-}
-
-func TestNodeJobLookup(t *testing.T) {
-	s := newSched(t, 2)
-	_ = s.Submit(JobRequest{ID: "j1", Nodes: 1, Walltime: 10})
-	_, _ = s.Advance(0)
-	job, ok := s.NodeJob("node01")
-	if !ok || job.Req.ID != "j1" {
-		t.Fatalf("%v %v", job, ok)
-	}
-	if _, ok := s.NodeJob("node02"); ok {
-		t.Fatal("free node has job")
-	}
-	if _, ok := s.NodeJob("ghost"); ok {
-		t.Fatal("ghost node has job")
 	}
 }
 
@@ -300,7 +284,7 @@ func TestNoOversubscriptionProperty(t *testing.T) {
 				delete(open, e.Job.Req.ID)
 			}
 		}
-		return len(open) == 0 && len(closed) == njobs && len(s.Queued()) == 0
+		return len(open) == 0 && len(closed) == njobs && len(s.queue) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

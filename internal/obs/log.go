@@ -79,9 +79,6 @@ func NewLogger(w io.Writer, level LogLevel) *Logger {
 // SetLevel changes the minimum level emitted.
 func (l *Logger) SetLevel(level LogLevel) { l.level.Store(int32(level)) }
 
-// Level returns the current minimum level.
-func (l *Logger) Level() LogLevel { return LogLevel(l.level.Load()) }
-
 // SetOutput swaps the destination writer, returning the previous one
 // (tests capture warnings by installing a buffer and restoring after).
 func (l *Logger) SetOutput(w io.Writer) io.Writer {
@@ -108,18 +105,6 @@ func (l *Logger) Logf(level LogLevel, format string, args ...any) {
 	l.mu.Unlock()
 }
 
-// Debugf logs at debug level.
-func (l *Logger) Debugf(format string, args ...any) { l.Logf(LevelDebug, format, args...) }
-
-// Infof logs at info level.
-func (l *Logger) Infof(format string, args ...any) { l.Logf(LevelInfo, format, args...) }
-
-// Warnf logs at warn level.
-func (l *Logger) Warnf(format string, args ...any) { l.Logf(LevelWarn, format, args...) }
-
-// Errorf logs at error level.
-func (l *Logger) Errorf(format string, args ...any) { l.Logf(LevelError, format, args...) }
-
 // std is the process-wide default logger the stack's components share.
 var std = NewLogger(os.Stderr, LevelInfo)
 
@@ -128,12 +113,6 @@ func Log() *Logger { return std }
 
 // SetLogLevel sets the default logger's threshold (the -log-level flag).
 func SetLogLevel(level LogLevel) { std.SetLevel(level) }
-
-// Debugf logs to the default logger at debug level.
-func Debugf(format string, args ...any) { std.Logf(LevelDebug, format, args...) }
-
-// Infof logs to the default logger at info level.
-func Infof(format string, args ...any) { std.Logf(LevelInfo, format, args...) }
 
 // Warnf logs to the default logger at warn level.
 func Warnf(format string, args ...any) { std.Logf(LevelWarn, format, args...) }

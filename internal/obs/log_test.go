@@ -34,10 +34,10 @@ func TestParseLogLevel(t *testing.T) {
 func TestLoggerLevelFiltering(t *testing.T) {
 	var sb strings.Builder
 	l := NewLogger(&sb, LevelWarn)
-	l.Debugf("quiet %d", 1)
-	l.Infof("quiet %d", 2)
-	l.Warnf("loud %d", 3)
-	l.Errorf("loud %d", 4)
+	l.Logf(LevelDebug, "quiet %d", 1)
+	l.Logf(LevelInfo, "quiet %d", 2)
+	l.Logf(LevelWarn, "loud %d", 3)
+	l.Logf(LevelError, "loud %d", 4)
 	out := sb.String()
 	if strings.Contains(out, "quiet") {
 		t.Fatalf("suppressed levels leaked: %q", out)
@@ -52,11 +52,11 @@ func TestLoggerLevelFiltering(t *testing.T) {
 	}
 
 	l.SetLevel(LevelOff)
-	if l.Level() != LevelOff {
-		t.Fatalf("Level() = %v", l.Level())
+	if got := LogLevel(l.level.Load()); got != LevelOff {
+		t.Fatalf("level = %v", got)
 	}
 	sb.Reset()
-	l.Errorf("still quiet")
+	l.Logf(LevelError, "still quiet")
 	if sb.Len() != 0 {
 		t.Fatalf("LevelOff emitted: %q", sb.String())
 	}
@@ -66,12 +66,12 @@ func TestLoggerSetOutputAndDefault(t *testing.T) {
 	var sb strings.Builder
 	prev := Log().SetOutput(&sb)
 	defer Log().SetOutput(prev)
-	oldLevel := Log().Level()
+	oldLevel := LogLevel(Log().level.Load())
 	SetLogLevel(LevelDebug)
 	defer SetLogLevel(oldLevel)
 
-	Debugf("d=%d", 1)
-	Infof("i=%d", 2)
+	std.Logf(LevelDebug, "d=%d", 1)
+	std.Logf(LevelInfo, "i=%d", 2)
 	Warnf("w=%d", 3)
 	Errorf("e=%d", 4)
 	out := sb.String()

@@ -4,17 +4,15 @@
 //
 // A monitoring stack that serves heavy traffic must expose its own health
 // through the same kind of interface it provides to others, so lms-db and
-// lms-router each mount a Registry on GET /metrics. Instruments are the
-// usual Prometheus trio:
+// lms-router each mount a Registry on GET /metrics. Instruments are:
 //
 //   - Counter: monotonically increasing uint64 (points ingested, drops),
-//   - Gauge: a settable level (in-flight bytes),
 //   - Histogram: cumulative buckets + sum + count (fsync and query latency),
 //
 // plus Func metrics that sample a callback at scrape time, which is how
-// already-existing counters (Router.Stats, DB.QueryCacheStats, per-shard
-// point counts) are exported without moving them: the component keeps its
-// atomics, the registry reads them when asked.
+// gauges and already-existing counters (Router.Stats, DB.QueryCacheStats,
+// per-shard point counts) are exported without moving them: the component
+// keeps its atomics, the registry reads them when asked.
 //
 // The package also owns the backpressure primitive, Gate: a bounded
 // admission controller for the ingest hot paths. Handlers acquire
@@ -179,37 +177,6 @@ func (c *Counter) metricName() string { return c.name }
 func (c *Counter) write(w io.Writer) {
 	writeHeader(w, c.name, c.help, "counter")
 	writeSample(w, c.name, "", float64(c.v.Load()))
-}
-
-// --- Gauge -----------------------------------------------------------------
-
-// Gauge is a value that can go up and down, stored as int64.
-type Gauge struct {
-	name, help string
-	v          atomic.Int64
-}
-
-// NewGauge registers a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{name: name, help: help}
-	r.register(g)
-	return g
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta (negative to subtract).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) metricName() string { return g.name }
-
-func (g *Gauge) write(w io.Writer) {
-	writeHeader(w, g.name, g.help, "gauge")
-	writeSample(w, g.name, "", float64(g.v.Load()))
 }
 
 // --- Histogram -------------------------------------------------------------

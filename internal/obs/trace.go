@@ -9,12 +9,11 @@ package obs
 // process keeps its completed traces in a bounded TraceRing served as
 // JSON on GET /debug/traces.
 //
-// The design goal is zero cost when tracing is off. Every producer
-// guards on an atomic check (TraceRing.Enabled) before allocating a
-// Trace, and every instrumentation point goes through nil-safe methods:
-// TraceFrom on a context without a trace returns nil, and calling
-// Start/Attr/End/Finish on a nil *Trace or *Span is a no-op that
-// performs zero allocations — the hot paths carry bare pointer tests,
+// The design goal is zero cost when tracing is off. A nil TraceRing
+// hands out no Trace, and every instrumentation point goes through
+// nil-safe methods: TraceFrom on a context without a trace returns nil,
+// and calling Start/Attr/End/Finish on a nil *Trace or *Span is a no-op
+// that performs zero allocations — the hot paths carry bare pointer tests,
 // not branches on configuration.
 
 import (
@@ -189,8 +188,7 @@ func (s SpanData) Attr(key string) string {
 // (newest first; ?min_dur=10ms filters short traces, ?limit=n caps the
 // count). A nil *TraceRing is valid and permanently disabled.
 type TraceRing struct {
-	enabled atomic.Bool
-	idc     atomic.Uint64
+	idc atomic.Uint64
 
 	mu   sync.Mutex
 	buf  []TraceData
@@ -198,31 +196,20 @@ type TraceRing struct {
 	n    int // occupied slots
 }
 
-// NewTraceRing returns an enabled ring holding the last capacity traces
+// NewTraceRing returns a ring holding the last capacity traces
 // (minimum 1).
 func NewTraceRing(capacity int) *TraceRing {
 	if capacity < 1 {
 		capacity = 1
 	}
-	r := &TraceRing{buf: make([]TraceData, capacity)}
-	r.enabled.Store(true)
-	return r
+	return &TraceRing{buf: make([]TraceData, capacity)}
 }
-
-// Enabled reports whether traces should be recorded — the one atomic
-// check producers make before allocating anything. Nil-safe.
-func (r *TraceRing) Enabled() bool {
-	return r != nil && r.enabled.Load()
-}
-
-// SetEnabled flips recording on or off.
-func (r *TraceRing) SetEnabled(on bool) { r.enabled.Store(on) }
 
 // StartTrace begins recording a trace. id continues an upstream trace
 // (the X-Lms-Trace header); empty generates a fresh id. Returns nil —
-// the no-op recorder — when the ring is nil or disabled.
+// the no-op recorder — when the ring is nil.
 func (r *TraceRing) StartTrace(name, id string) *Trace {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	if id == "" {

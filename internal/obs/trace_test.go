@@ -141,25 +141,18 @@ func TestTraceContextPlumbing(t *testing.T) {
 // trace, TraceFrom on a context without a trace — must allocate nothing.
 func TestTraceDisabledIsFree(t *testing.T) {
 	var nilRing *TraceRing
-	if nilRing.Enabled() {
-		t.Fatal("nil ring enabled")
+	if nilRing.StartTrace("req", "") != nil {
+		t.Fatal("nil ring handed out a trace")
 	}
 	if nilRing.Snapshot(0, 0) != nil {
 		t.Fatal("nil ring snapshot not nil")
 	}
-	off := NewTraceRing(1)
-	off.SetEnabled(false)
-	if off.StartTrace("req", "") != nil {
-		t.Fatal("disabled ring handed out a trace")
-	}
 	ctx := context.Background()
 	if allocs := testing.AllocsPerRun(1000, func() {
 		tr := nilRing.StartTrace("req", "")
-		tr2 := off.StartTrace("req", "")
 		sp := tr.Start("phase").Attr("k", "v").AttrInt("n", 7)
 		sp.End()
 		tr.Finish()
-		tr2.Finish()
 		_ = TraceFrom(ctx).ID()
 	}); allocs != 0 {
 		t.Fatalf("disabled tracing allocates: %v allocs/op", allocs)

@@ -31,11 +31,6 @@ func (c CPUTimes) Total() uint64 {
 	return c.User + c.Nice + c.System + c.Idle + c.IOWait + c.IRQ + c.SoftIRQ
 }
 
-// Busy returns the non-idle jiffies.
-func (c CPUTimes) Busy() uint64 {
-	return c.Total() - c.Idle - c.IOWait
-}
-
 // NetCounters are the cumulative per-interface counters of /proc/net/dev.
 type NetCounters struct {
 	RxBytes, RxPackets, TxBytes, TxPackets uint64
@@ -290,14 +285,3 @@ func (s *State) Diskstats() string {
 	return fmt.Sprintf("   8       0 sda %d 0 %d 0 %d 0 %d 0 0 0 0\n",
 		s.disk.ReadIOs, s.disk.ReadSectors, s.disk.WriteIOs, s.disk.WriteSectors)
 }
-
-// Counters returns copies of the raw counters for direct inspection.
-func (s *State) Counters() ([]CPUTimes, NetCounters, DiskCounters) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cpus := append([]CPUTimes(nil), s.cpus...)
-	return cpus, s.net, s.disk
-}
-
-// MemTotalKB returns the configured memory size.
-func (s *State) MemTotalKB() uint64 { return s.memTotal }

@@ -15,7 +15,7 @@
 //
 // Wire format (newline-framed, human-readable like the rest of LMS):
 //
-//	subscriber -> publisher:  SUB <prefix>\n   |  UNSUB <prefix>\n
+//	subscriber -> publisher:  SUB <prefix>\n
 //	publisher -> subscriber:  MSG <topic> <payload-len>\n<payload>\n
 package pubsub
 
@@ -146,7 +146,7 @@ func (p *Publisher) removeSub(sc *subscriberConn) {
 	_ = sc.conn.Close()
 }
 
-// readLoop consumes SUB/UNSUB commands from the subscriber.
+// readLoop consumes SUB commands from the subscriber.
 func (p *Publisher) readLoop(sc *subscriberConn) {
 	defer p.wg.Done()
 	defer p.removeSub(sc)
@@ -165,14 +165,6 @@ func (p *Publisher) readLoop(sc *subscriberConn) {
 		case line == "SUB":
 			sc.mu.Lock()
 			sc.prefixes[""] = struct{}{}
-			sc.mu.Unlock()
-		case strings.HasPrefix(line, "UNSUB "):
-			sc.mu.Lock()
-			delete(sc.prefixes, line[6:])
-			sc.mu.Unlock()
-		case line == "UNSUB":
-			sc.mu.Lock()
-			delete(sc.prefixes, "")
 			sc.mu.Unlock()
 		}
 	}
@@ -275,11 +267,6 @@ func Dial(addr string) (*Subscriber, error) {
 // topics.
 func (s *Subscriber) Subscribe(prefix string) error {
 	return s.send("SUB " + prefix)
-}
-
-// Unsubscribe removes a previously added prefix.
-func (s *Subscriber) Unsubscribe(prefix string) error {
-	return s.send("UNSUB " + prefix)
 }
 
 func (s *Subscriber) send(cmd string) error {

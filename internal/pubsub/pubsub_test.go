@@ -107,22 +107,6 @@ func TestEmptyPrefixMatchesAll(t *testing.T) {
 	}
 }
 
-func TestUnsubscribe(t *testing.T) {
-	pub, sub := newPair(t, 0)
-	_ = sub.Subscribe("m/")
-	waitSubscribed(t, pub, sub, "m/x")
-	if err := sub.Unsubscribe("m/"); err != nil {
-		t.Fatal(err)
-	}
-	_ = sub.Subscribe("other/")
-	waitSubscribed(t, pub, sub, "other/x")
-	pub.Publish("m/x", []byte("should-not-arrive"))
-	pub.Publish("other/x", []byte("arrives"))
-	if got := string(recvPayload(t, sub).Payload); got != "arrives" {
-		t.Fatalf("got %q", got)
-	}
-}
-
 func TestMultipleSubscribers(t *testing.T) {
 	pub, err := NewPublisher("127.0.0.1:0", 0)
 	if err != nil {

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -198,7 +199,7 @@ func TestRouterConcurrentJobChurn(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			rt.Stats()
 			rt.Jobs().Running()
-			rt.TagStore().Lookup("churn00")
+			rt.Jobs().Lookup("churn00")
 		}
 	}()
 	wg.Wait()
@@ -212,5 +213,88 @@ func TestRouterConcurrentJobChurn(t *testing.T) {
 	want := received + 2*rounds
 	if forwarded != want {
 		t.Fatalf("forwarded = %d, want %d", forwarded, want)
+	}
+}
+
+// TestJobChurnRacesIngestBatch: job starts and ends on shared nodes race
+// IngestBatch from those nodes. Each point takes the whole tag set of one
+// job that ran on its node, or none; nothing is lost; and no node keeps a
+// job once the churn is over.
+func TestJobChurnRacesIngestBatch(t *testing.T) {
+	t.Parallel()
+	const (
+		writers = 4
+		rounds  = 100
+	)
+	store := tsdb.NewStore()
+	db := store.CreateDatabase("lms")
+	rt, err := New(Config{Primary: LocalSink{DB: db}, Now: func() time.Time { return time.Unix(1000, 0) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				ts := (w*rounds + i) * 1e9
+				body := fmt.Sprintf("cpu,hostname=n0 v=1 %d\ncpu,hostname=n1 v=1 %d\n", ts, ts)
+				if err := rt.IngestBatch([]byte(body)); err != nil {
+					t.Errorf("ingest: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			a, b := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
+			for _, sig := range []JobSignal{
+				{JobID: a, User: "alice", Nodes: []string{"n0", "n1"}},
+				{JobID: b, User: "bob", Nodes: []string{"n1"}},
+			} {
+				if err := rt.JobStart(sig); err != nil {
+					t.Errorf("start: %v", err)
+					return
+				}
+			}
+			for _, id := range []string{a, b} {
+				if err := rt.JobEnd(id); err != nil {
+					t.Errorf("end: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+
+	received, forwarded, dropped := rt.Stats()
+	if dropped != 0 || received != 2*writers*rounds || forwarded != received+4*rounds {
+		t.Fatalf("received %d forwarded %d dropped %d", received, forwarded, dropped)
+	}
+	if _, ok := rt.Jobs().Lookup("n1"); ok {
+		t.Fatal("a node keeps a job after the churn")
+	}
+	res, err := db.SelectContext(context.Background(), tsdb.Query{Measurement: "cpu", GroupByTags: []string{"hostname", "jobid", "username"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := 0
+	for _, s := range res {
+		points += len(s.Rows)
+		job, user, host := s.Tags["jobid"], s.Tags["username"], s.Tags["hostname"]
+		switch {
+		case job == "" && user == "":
+		case strings.HasPrefix(job, "a") && user == "alice":
+		case strings.HasPrefix(job, "b") && user == "bob" && host == "n1":
+		default:
+			t.Errorf("point of %s tagged jobid=%q username=%q", host, job, user)
+		}
+	}
+	if points != 2*writers*rounds {
+		t.Fatalf("%d points stored, want %d", points, 2*writers*rounds)
 	}
 }

@@ -3,14 +3,14 @@
 //
 // The router mimics the HTTP interface of an InfluxDB database (so any host
 // agent that can talk to InfluxDB can talk to the router) plus an endpoint
-// for job start and end signals. It maintains a *tag store* keyed by
-// hostname: when a job starts, the scheduler's signal carries tags (job id,
-// user name, ...) that are attached to every metric and event arriving from
-// the participating hosts for the duration of the job. All received metrics
-// are forwarded to the database back-end; if configured, the router
-// duplicates job metrics into a per-user database, and publishes metrics and
-// meta information over the ZeroMQ-style pub/sub fabric for stream
-// analyzers.
+// for job start and end signals. Its job registry is the paper's *tag
+// store* keyed by hostname: when a job starts, the scheduler's signal
+// carries tags (job id, user name, ...) that are attached to every metric
+// and event arriving from the participating hosts for the duration of the
+// job. All received metrics are forwarded to the database back-end; if
+// configured, the router duplicates job metrics into a per-user database,
+// and publishes metrics and meta information over the ZeroMQ-style pub/sub
+// fabric for stream analyzers.
 package router
 
 import (
@@ -103,7 +103,6 @@ type Config struct {
 type Router struct {
 	cfg  Config
 	mux  *http.ServeMux
-	tags *TagStore
 	jobs *JobRegistry
 	gate *obs.Gate
 	reg  *obs.Registry
@@ -127,7 +126,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:  cfg,
-		tags: NewTagStore(),
 		jobs: NewJobRegistry(maxJobHistory),
 		fwd:  forwarder{sink: cfg.Primary},
 	}
@@ -173,7 +171,7 @@ func newRouterMetrics(r *Router) *obs.Registry {
 			_, bytes := r.gate.InFlight()
 			emit("", float64(bytes))
 		})
-	reg.NewFunc("lms_router_jobs_running", "Jobs currently registered in the tag store.", "gauge",
+	reg.NewFunc("lms_router_jobs_running", "Jobs currently running in the job registry.", "gauge",
 		func(emit func(string, float64)) { emit("", float64(len(r.jobs.Running()))) })
 	return reg
 }
@@ -198,10 +196,6 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 func (r *Router) Stats() (received, forwarded, dropped int64) {
 	return r.received.Load(), r.forwarded.Load(), r.dropped.Load()
 }
-
-// TagStore exposes the tag store (used by pulling proxies feeding the
-// router in-process).
-func (r *Router) TagStore() *TagStore { return r.tags }
 
 // Jobs exposes the job registry (used by the dashboard agent).
 func (r *Router) Jobs() *JobRegistry { return r.jobs }
@@ -295,7 +289,7 @@ func (r *Router) IngestContext(ctx context.Context, pts []lineproto.Point) error
 		}
 		host := p.Tags["hostname"]
 		if host != "" {
-			if jobTags, ok := r.tags.Lookup(host); ok {
+			if jobTags, ok := r.jobs.Lookup(host); ok {
 				// Enrichment mutates the tag set and nothing else, so that is
 				// all it copies — once, at its final size. The caller's batch
 				// keeps its own tags; the fields, which nobody writes, stay
@@ -439,8 +433,8 @@ func (r *Router) handleJobEnd(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// JobStart registers a job: its tags enter the tag store for every
-// participating node, the signal is forwarded into the database as an
+// JobStart registers a job: its tags attach to every participating node,
+// the signal is forwarded into the database as an
 // annotation event, and meta information is published. A signal whose tag
 // set has an empty key or value is refused before anything is registered:
 // every point of its nodes would carry that tag, and a store refuses it.
@@ -468,24 +462,18 @@ func (r *Router) JobStart(sig JobSignal) error {
 	if err := r.jobs.Start(job); err != nil {
 		return err
 	}
-	for _, node := range sig.Nodes {
-		r.tags.Set(node, tags)
-	}
 	r.writeEvent("jobstart", job, now)
 	r.publishMeta("meta/jobstart", job)
 	return nil
 }
 
-// JobEnd deregisters a job: tags leave the tag store, the end annotation is
-// stored, meta information is published.
+// JobEnd deregisters a job: its tags leave its nodes, the end annotation
+// is stored, meta information is published.
 func (r *Router) JobEnd(jobID string) error {
 	now := r.cfg.Now()
 	job, err := r.jobs.End(jobID, now)
 	if err != nil {
 		return err
-	}
-	for _, node := range job.Nodes {
-		r.tags.Remove(node, jobID)
 	}
 	r.writeEvent("jobend", job, now)
 	r.publishMeta("meta/jobend", job)

@@ -149,8 +149,8 @@ func TestJobEndStopsEnrichment(t *testing.T) {
 	if len(res) != 1 || len(res[0].Rows) != 1 {
 		t.Fatalf("rows tagged after job end: %+v", res)
 	}
-	if e.router.TagStore().Hosts() != 0 {
-		t.Fatal("tag store not cleaned")
+	if n := len(e.router.jobs.hosts); n != 0 {
+		t.Fatalf("%d hosts still carry job tags", n)
 	}
 }
 
@@ -535,44 +535,77 @@ func TestPing(t *testing.T) {
 }
 
 func TestSharedNodeJobStacking(t *testing.T) {
-	ts := NewTagStore()
-	ts.Set("h1", map[string]string{"jobid": "1", "username": "a"})
-	ts.Set("h1", map[string]string{"jobid": "2", "username": "b"})
-	tags, ok := ts.Lookup("h1")
+	r := NewJobRegistry(10)
+	start := func(id, user string, nodes ...string) {
+		t.Helper()
+		if err := r.Start(&Job{ID: id, Nodes: nodes, Tags: map[string]string{"jobid": id, "username": user}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start("1", "a", "h1")
+	start("2", "b", "h1", "h2")
+	tags, ok := r.Lookup("h1")
 	if !ok || tags["jobid"] != "2" {
 		t.Fatalf("latest job should win: %v", tags)
 	}
-	ts.Remove("h1", "2")
-	tags, ok = ts.Lookup("h1")
+	if _, err := r.End("2", fixedNow()); err != nil {
+		t.Fatal(err)
+	}
+	tags, ok = r.Lookup("h1")
 	if !ok || tags["jobid"] != "1" {
 		t.Fatalf("earlier job should be restored: %v", tags)
 	}
-	ts.Remove("h1", "1")
-	if _, ok := ts.Lookup("h1"); ok {
+	if _, ok := r.Lookup("h2"); ok {
+		t.Fatal("ended job's other node should miss")
+	}
+	if _, err := r.End("1", fixedNow()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.Lookup("h1"); ok {
 		t.Fatal("empty host should miss")
 	}
-	// Removing an unknown job is a no-op.
-	ts.Remove("h1", "ghost")
-	// Re-Set of the same job replaces tags.
-	ts.Set("h2", map[string]string{"jobid": "x", "v": "1"})
-	ts.Set("h2", map[string]string{"jobid": "x", "v": "2"})
-	tags, _ = ts.Lookup("h2")
-	if tags["v"] != "2" {
-		t.Fatalf("retransmission should update: %v", tags)
+	// Ending an unknown job changes nothing.
+	if _, err := r.End("ghost", fixedNow()); err == nil {
+		t.Fatal("ending an unknown job accepted")
 	}
-	if ts.Hosts() != 1 {
-		t.Fatalf("hosts %d", ts.Hosts())
+	// A second start of a running job is refused and keeps its tags.
+	start("x", "a", "h2")
+	if err := r.Start(&Job{ID: "x", Nodes: []string{"h2"}, Tags: map[string]string{"jobid": "x", "username": "b"}}); err == nil {
+		t.Fatal("duplicate start accepted")
+	}
+	tags, _ = r.Lookup("h2")
+	if tags["username"] != "a" {
+		t.Fatalf("duplicate start changed tags: %v", tags)
+	}
+	if len(r.hosts) != 1 {
+		t.Fatalf("hosts %d", len(r.hosts))
 	}
 }
 
+// TestTagStoreCopiesTags: mutating a signal's tags after JobStart does not
+// change the enrichment of its nodes' points — the job registry, the
+// router's tag store, holds its own copy.
 func TestTagStoreCopiesTags(t *testing.T) {
-	ts := NewTagStore()
-	src := map[string]string{"jobid": "1"}
-	ts.Set("h1", src)
-	src["jobid"] = "mutated"
-	tags, _ := ts.Lookup("h1")
-	if tags["jobid"] != "1" {
-		t.Fatal("tag store aliases caller map")
+	e := newEnv(t, nil)
+	sig := JobSignal{JobID: "1", Nodes: []string{"h1"}, Tags: map[string]string{"project": "p1"}}
+	if err := e.router.JobStart(sig); err != nil {
+		t.Fatal(err)
+	}
+	sig.Tags["project"] = "mutated"
+	sig.Tags["extra"] = "x"
+	e.post(t, "/write", "cpu,hostname=h1 value=1 100\n")
+	for _, c := range []struct {
+		filter tsdb.TagFilter
+		want   int
+	}{
+		{tsdb.TagFilter{"project": "p1"}, 1},
+		{tsdb.TagFilter{"project": "mutated"}, 0},
+		{tsdb.TagFilter{"extra": "x"}, 0},
+	} {
+		res, _ := e.db.SelectContext(context.Background(), tsdb.Query{Measurement: "cpu", Filter: c.filter})
+		if len(res) != c.want {
+			t.Fatalf("%v: %d series, want %d: enrichment aliases the signal's tags", c.filter, len(res), c.want)
+		}
 	}
 }
 
@@ -587,7 +620,7 @@ func TestJobRegistryHistoryBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h := r.History()
+	h := r.history
 	if len(h) != 3 || h[0].ID != "j2" || h[2].ID != "j4" {
 		t.Fatalf("history %+v", h)
 	}

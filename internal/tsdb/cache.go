@@ -5,8 +5,8 @@ package tsdb
 // normalized queries re-executed every few hundred milliseconds. Entries
 // are keyed on the normalized Query and carry the invalidation generations
 // captured *before* the snapshot was taken: every write bumps the
-// generation of each touched measurement and every retention sweep or
-// DropBefore bumps the global generation, so a hit is only served while
+// generation of each touched measurement and every retention sweep bumps
+// the global generation, so a hit is only served while
 // the underlying data is provably unchanged. Cached []Series values are
 // shared between callers and must be treated as read-only.
 

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/lineproto"
+	"repro/internal/obs"
 )
 
 func TestHTTPWriteOversizedBody413(t *testing.T) {
@@ -274,18 +275,17 @@ func TestMetricsOracle(t *testing.T) {
 	}
 }
 
+// TestSlowQueryLogging: a slow query is logged once and counted. Not
+// parallel: it captures the process-wide logger.
 func TestSlowQueryLogging(t *testing.T) {
 	store := NewStore()
 	db := store.CreateDatabase("lms")
 	mustWrite(t, db, "cpu value=1 1000000000")
 	h := NewHandler(store)
 	h.SlowQueryThreshold = time.Nanosecond // everything is slow
-	var logged atomic.Int64
-	h.Logf = func(format string, args ...interface{}) {
-		if strings.Contains(fmt.Sprintf(format, args...), "slow query") {
-			logged.Add(1)
-		}
-	}
+	var log strings.Builder
+	prev := obs.Log().SetOutput(&log)
+	defer obs.Log().SetOutput(prev)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -293,8 +293,9 @@ func TestSlowQueryLogging(t *testing.T) {
 	if _, err := queryText(c, "SELECT value FROM cpu"); err != nil {
 		t.Fatal(err)
 	}
-	if logged.Load() != 1 {
-		t.Fatalf("slow-query log lines = %d, want 1", logged.Load())
+	obs.Log().SetOutput(prev) // the handler logged before its response ended
+	if n := strings.Count(log.String(), "slow query"); n != 1 {
+		t.Fatalf("slow-query log lines = %d, want 1", n)
 	}
 	if !strings.Contains(scrapeMetrics(t, srv.URL), "lms_slow_queries_total 1") {
 		t.Fatal("lms_slow_queries_total not incremented")

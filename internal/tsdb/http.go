@@ -56,10 +56,6 @@ type Handler struct {
 	// before serving.
 	SlowQueryThreshold time.Duration
 
-	// Logf receives slow-query log lines; nil selects the process-wide
-	// leveled logger at warn level (obs.Warnf). Set before serving.
-	Logf func(format string, args ...interface{})
-
 	// Distributed, when set, coordinates /query across a cluster: each
 	// statement is routed to the replicas owning its measurement and the
 	// answers merged (internal/cluster). Requests carrying local=1 — sent
@@ -118,14 +114,6 @@ func (h *Handler) maxBody() int64 {
 		return h.MaxBodyBytes
 	}
 	return DefaultMaxBodyBytes
-}
-
-func (h *Handler) logf(format string, args ...interface{}) {
-	if h.Logf != nil {
-		h.Logf(format, args...)
-		return
-	}
-	obs.Warnf(format, args...)
 }
 
 // traceRing returns the store's completed-trace ring (Store.SetTraces),
@@ -381,7 +369,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		tr.Finish()
 		if h.SlowQueryThreshold > 0 && elapsed >= h.SlowQueryThreshold {
 			h.metrics.SlowQueries.Inc()
-			h.logf("tsdb: slow query (%v >= %v) db=%q q=%q trace=%s", elapsed, h.SlowQueryThreshold, dbName, qstr, tr.ID())
+			obs.Warnf("tsdb: slow query (%v >= %v) db=%q q=%q trace=%s", elapsed, h.SlowQueryThreshold, dbName, qstr, tr.ID())
 		}
 	}()
 	w.Header().Set("Content-Type", "application/json")
@@ -531,19 +519,6 @@ func (c *Client) backoff() time.Duration {
 		return DefaultRetryBackoff
 	}
 	return c.RetryBackoff
-}
-
-// Ping checks connectivity.
-func (c *Client) Ping() error {
-	resp, err := c.httpClient().Get(c.BaseURL + "/ping")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("tsdb: ping status %d", resp.StatusCode)
-	}
-	return nil
 }
 
 // WriteBody posts a raw line-protocol payload.

@@ -159,9 +159,6 @@ func TestHTTPQueryPost(t *testing.T) {
 func TestClientWritePoints(t *testing.T) {
 	store, srv := newTestServer(t)
 	c := &Client{BaseURL: srv.URL, Database: "lms"}
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
 	pts := []lineproto.Point{
 		{Measurement: "m", Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}, Time: time.Unix(0, 1)},
 		{Measurement: "m", Fields: map[string]lineproto.Value{"v": lineproto.Float(2)}, Time: time.Unix(0, 2)},

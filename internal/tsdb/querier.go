@@ -150,15 +150,6 @@ func SelectStatement(q Query, cols ...AggCol) Statement {
 	return Statement{Kind: StmtSelect, Query: q}
 }
 
-// ExplainAnalyzeStatement wraps the same SELECT in EXPLAIN ANALYZE: it
-// executes identically but the result carries an extra execution-profile
-// series (DESIGN.md §14).
-func ExplainAnalyzeStatement(q Query, cols ...AggCol) Statement {
-	st := SelectStatement(q, cols...)
-	st.Kind = StmtExplainAnalyze
-	return st
-}
-
 // ShowMeasurementsStatement builds SHOW MEASUREMENTS.
 func ShowMeasurementsStatement() Statement {
 	return Statement{Kind: StmtShowMeasurements}

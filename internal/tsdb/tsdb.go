@@ -207,8 +207,8 @@ type DB struct {
 	// Read path (select.go, cache.go).
 	qcache queryCache
 	// measGens holds one invalidation generation counter per measurement
-	// (*atomic.Uint64); globalGen invalidates everything (retention sweeps,
-	// DropBefore).
+	// (*atomic.Uint64); globalGen invalidates everything (retention
+	// sweeps).
 	measGens  sync.Map
 	globalGen atomic.Uint64
 }
@@ -928,11 +928,6 @@ func (sh *shard) pruneLocked(mt *Metrics, beforeNS int64) bool {
 		}
 	}
 	return anyDropped
-}
-
-// DropBefore removes all points older than t from every series.
-func (db *DB) DropBefore(t time.Time) {
-	db.pruneNow(t.UnixNano())
 }
 
 // Measurements lists measurement names in sorted order, merged across

@@ -29,6 +29,11 @@ const DefaultFlushInterval = time.Second
 // DefaultMaxBatch is the point count that triggers an early flush.
 const DefaultMaxBatch = 500
 
+// retryLimit bounds both the re-transmissions of a failed payload and the
+// failed payloads waiting for the next flush: an outage of the endpoint
+// costs the monitored application at most this many payloads of memory.
+const retryLimit = 3
+
 // Config configures a Client.
 type Config struct {
 	// Endpoint is the router or database base URL, e.g.
@@ -50,10 +55,8 @@ type Config struct {
 	// (default 500).
 	MaxBatch int
 	// OnError observes transmission errors (payloads are retried on the
-	// next flush up to RetryLimit times). Optional.
+	// next flush up to retryLimit times). Optional.
 	OnError func(error)
-	// RetryLimit bounds re-transmissions of a failed payload (default 3).
-	RetryLimit int
 	// HTTPClient overrides http.DefaultClient.
 	HTTPClient *http.Client
 	// Now overrides the clock (tests).
@@ -92,9 +95,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
-	}
-	if cfg.RetryLimit <= 0 {
-		cfg.RetryLimit = 3
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -173,8 +173,9 @@ func (c *Client) Event(text string, tags map[string]string) error {
 }
 
 // Flush transmits the buffered batch plus any pending retries. Failed
-// payloads are kept for the next flush until RetryLimit is exceeded, then
-// dropped (monitoring must never stall the application).
+// payloads are kept for the next flush until retryLimit is exceeded, then
+// dropped, oldest first, as is the oldest of more than retryLimit waiting
+// payloads (monitoring must never stall or grow the application).
 func (c *Client) Flush() error {
 	payload := c.batch.Flush()
 	c.mu.Lock()
@@ -182,26 +183,21 @@ func (c *Client) Flush() error {
 	if payload != nil {
 		c.pending = append(c.pending, payload)
 	}
-	var firstErr error
 	for len(c.pending) > 0 {
-		p := c.pending[0]
-		if err := c.send(p); err != nil {
+		if err := c.send(c.pending[0]); err != nil {
 			c.retries++
-			if c.retries > c.cfg.RetryLimit {
-				c.dropped += int64(countLines(p))
+			for len(c.pending) > 0 && (c.retries > retryLimit || len(c.pending) > retryLimit) {
+				c.dropped += int64(countLines(c.pending[0]))
 				c.pending = c.pending[1:]
 				c.retries = 0
 			}
-			if firstErr == nil {
-				firstErr = err
-			}
-			break // try again next flush
+			return err // try again next flush
 		}
-		c.sent += int64(countLines(p))
+		c.sent += int64(countLines(c.pending[0]))
 		c.pending = c.pending[1:]
 		c.retries = 0
 	}
-	return firstErr
+	return nil
 }
 
 func countLines(p []byte) int {
@@ -236,59 +232,4 @@ func (c *Client) Close() error {
 		<-c.done
 	}
 	return c.Flush()
-}
-
-// --- application-transparent wrappers ---------------------------------------
-
-// The paper describes automatically preloadable libraries that overload
-// common functions for thread affinity and data allocation, providing
-// monitoring data in an application-transparent way. Go has no LD_PRELOAD,
-// so the equivalents are explicit instrumentation hooks with the same
-// output: metrics named like the preload libraries emit them.
-
-// Tracker mirrors the preloadable instrumentation: it observes allocations
-// and thread-affinity changes and reports them through a Client.
-type Tracker struct {
-	c  *Client
-	mu sync.Mutex
-	// current allocation total in bytes
-	allocated int64
-}
-
-// NewTracker wraps a client.
-func NewTracker(c *Client) *Tracker { return &Tracker{c: c} }
-
-// TrackAlloc records an allocation (positive) or free (negative) of n bytes
-// and emits the running total, like the malloc-overloading preload library.
-func (t *Tracker) TrackAlloc(n int64, tags map[string]string) error {
-	t.mu.Lock()
-	t.allocated += n
-	if t.allocated < 0 {
-		t.allocated = 0
-	}
-	total := t.allocated
-	t.mu.Unlock()
-	return t.c.MetricFields("app_allocation", map[string]lineproto.Value{
-		"delta": lineproto.Int(n),
-		"total": lineproto.Int(total),
-	}, tags)
-}
-
-// Allocated returns the currently tracked allocation total.
-func (t *Tracker) Allocated() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.allocated
-}
-
-// TrackAffinity records that a thread was pinned to a CPU, like the
-// pthread_setaffinity-overloading preload library.
-func (t *Tracker) TrackAffinity(threadID, cpu int, tags map[string]string) error {
-	merged := map[string]string{"tid": fmt.Sprint(threadID)}
-	for k, v := range tags {
-		merged[k] = v
-	}
-	return t.c.MetricFields("app_affinity", map[string]lineproto.Value{
-		"cpu": lineproto.Int(int64(cpu)),
-	}, merged)
 }

@@ -200,7 +200,7 @@ func TestRetryOnFailure(t *testing.T) {
 
 func TestRetryLimitDrops(t *testing.T) {
 	sink := &collectSink{fail: 100}
-	c := newClient(t, sink, func(cfg *Config) { cfg.RetryLimit = 2 })
+	c := newClient(t, sink, nil)
 	_ = c.Metric("m", 1, nil)
 	for i := 0; i < 5; i++ {
 		_ = c.Flush()
@@ -219,6 +219,29 @@ func TestRetryLimitDrops(t *testing.T) {
 	}
 	if got := len(sink.points(t)); got != 1 {
 		t.Fatalf("points %d", got)
+	}
+}
+
+// TestOutageBoundsPending: while the endpoint is down, at most retryLimit
+// failed payloads wait; every older one is dropped and counted, so an
+// outage does not grow the monitored application.
+func TestOutageBoundsPending(t *testing.T) {
+	sink := &collectSink{fail: 1 << 30}
+	c := newClient(t, sink, nil)
+	for i := 0; i < 100; i++ {
+		_ = c.Metric("m", float64(i), nil)
+		if err := c.Flush(); err == nil {
+			t.Fatal("flush to a failing sink succeeded")
+		}
+	}
+	if _, dropped := c.Stats(); dropped < 100-retryLimit {
+		t.Fatalf("dropped %d of 100 lines, want >= %d", dropped, 100-retryLimit)
+	}
+	c.mu.Lock()
+	pending := len(c.pending)
+	c.mu.Unlock()
+	if pending > retryLimit {
+		t.Fatalf("%d payloads pending, want <= %d", pending, retryLimit)
 	}
 }
 
@@ -327,46 +350,6 @@ func TestHTTPErrorSurfaced(t *testing.T) {
 	_ = c.Metric("m", 1, nil)
 	if err := c.Flush(); err == nil {
 		t.Fatal("expected flush error")
-	}
-}
-
-func TestTrackerAllocation(t *testing.T) {
-	sink := &collectSink{}
-	c := newClient(t, sink, nil)
-	tr := NewTracker(c)
-	_ = tr.TrackAlloc(1024, nil)
-	_ = tr.TrackAlloc(2048, nil)
-	_ = tr.TrackAlloc(-1024, nil)
-	if tr.Allocated() != 2048 {
-		t.Fatalf("allocated %d", tr.Allocated())
-	}
-	// Free below zero clamps.
-	_ = tr.TrackAlloc(-99999, nil)
-	if tr.Allocated() != 0 {
-		t.Fatalf("allocated %d", tr.Allocated())
-	}
-	_ = c.Flush()
-	pts := sink.points(t)
-	if len(pts) != 4 {
-		t.Fatalf("points %d", len(pts))
-	}
-	if pts[1].Fields["total"].IntVal() != 3072 {
-		t.Fatalf("running total %+v", pts[1].Fields)
-	}
-}
-
-func TestTrackerAffinity(t *testing.T) {
-	sink := &collectSink{}
-	c := newClient(t, sink, nil)
-	tr := NewTracker(c)
-	_ = tr.TrackAffinity(7, 12, map[string]string{"rank": "0"})
-	_ = c.Flush()
-	p := sink.points(t)[0]
-	if p.Measurement != "app_affinity" || p.Tags["tid"] != "7" || p.Tags["rank"] != "0" {
-		t.Fatalf("%+v", p)
-	}
-	if p.Fields["cpu"].IntVal() != 12 {
-		t.Fatalf("%+v", p.Fields)
 	}
 }
 

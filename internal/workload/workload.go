@@ -412,26 +412,6 @@ func Validate(m Model, cores int) error {
 	return nil
 }
 
-// TotalDPFlopRate returns the node DP FLOP/s implied by a profile set, used
-// by tests to cross-check HPM measurements against the model.
-func TotalDPFlopRate(profiles []CPUProfile) float64 {
-	var total float64
-	for _, p := range profiles {
-		total += p.ScalarDP + 2*p.SSEDP + 4*p.AVXDP
-	}
-	return total
-}
-
-// TotalMemBandwidth returns the node DRAM traffic in bytes/s implied by a
-// profile set.
-func TotalMemBandwidth(profiles []CPUProfile) float64 {
-	var total float64
-	for _, p := range profiles {
-		total += p.MemBytes
-	}
-	return total
-}
-
 // jitter derives a deterministic pseudo-random factor in [1-amp, 1+amp]
 // from a time value, giving the models natural-looking noise without any
 // global RNG state.

@@ -330,16 +330,6 @@ func TestJitterBounded(t *testing.T) {
 	}
 }
 
-func TestHelpers(t *testing.T) {
-	ps := []CPUProfile{{ScalarDP: 1, SSEDP: 1, AVXDP: 1, MemBytes: 10}, {MemBytes: 5}}
-	if TotalDPFlopRate(ps) != 1+2+4 {
-		t.Error("flop rate")
-	}
-	if TotalMemBandwidth(ps) != 15 {
-		t.Error("bandwidth")
-	}
-}
-
 func TestEndToEndHPMFlopsMatchModel(t *testing.T) {
 	// Drive a machine with the DGEMM model and verify the measured
 	// DP MFLOP/s matches the model's configured rate.
@@ -350,7 +340,11 @@ func TestEndToEndHPMFlopsMatchModel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sess, _ := hpm.NewSession(m, "FLOPS_DP", []int{0, 1, 2, 3})
+	g, err := hpm.Builtin().Lookup("FLOPS_DP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, _ := hpm.NewSession(m, g, []int{0, 1, 2, 3})
 	_ = sess.Start()
 	_ = m.Advance(10)
 	_ = sess.Stop()

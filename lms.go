@@ -12,9 +12,9 @@
 //
 //   - a time-series database with an InfluxDB-compatible HTTP API
 //     (internal/tsdb),
-//   - the metrics router with the hostname-keyed tag store, job start/end
-//     signals, per-user duplication and a ZeroMQ-style publisher
-//     (internal/router, internal/pubsub),
+//   - the metrics router with the hostname-keyed job registry (the
+//     paper's tag store), job start/end signals, per-user duplication
+//     and a ZeroMQ-style publisher (internal/router, internal/pubsub),
 //   - host agents collecting system metrics and LIKWID hardware performance
 //     metrics (internal/collector, internal/proc, internal/hpm),
 //   - the libusermetric application-level annotation library
