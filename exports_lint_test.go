@@ -7,26 +7,31 @@ package lms
 // another package. A name only its own package's tests use belongs in an
 // export_test.go file or unexported; a name nothing uses is deleted.
 //
-// The scan is syntactic: package-qualified names resolve through each
-// file's imports, and methods match by selector name alone. A selector of
-// the same name on an unrelated type counts as a use, so the lint can miss
-// a dead method but never reports a live one.
+// The scan is type-checked: every package of the module and of bench/,
+// test files included, is checked by go/types against the export data
+// `go list -export -deps -test` reports, so each identifier resolves to the
+// object it names. A method is used where it is selected on its own type
+// (directly, promoted through embedding, or as a method expression), or
+// where an interface method it implements is selected: a call through an
+// interface reaches every type that satisfies it.
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
-
-const modulePath = "repro"
 
 // implicitMethods are method names a standard-library interface calls
 // without naming them in this module's source: a method of one of these
@@ -49,29 +54,6 @@ var implicitMethods = map[string]string{
 	"Close":         "io.Closer, called through io.ReadCloser and friends",
 }
 
-// srcFile is one parsed source file of the module or of bench/.
-type srcFile struct {
-	pkg   string // import path of its directory, e.g. "repro/internal/obs"
-	test  bool
-	ast   *ast.File
-	decls []declUses
-}
-
-// declUses is what one top-level declaration of a file names.
-type declUses struct {
-	owns      map[string]bool // names it declares; for a method, its receiver type
-	method    string          // "Recv.Name" of a method declaration, else ""
-	bare      map[string]bool // identifiers not under a selector's selection
-	selectors map[string]bool // selected names: x.Name
-	qualified map[string]bool // "import/path.Name" through the file's imports
-}
-
-// exportedDecl is one exported name declared under internal/.
-type exportedDecl struct {
-	pkg, name, recv string // recv is a method's receiver type, else ""
-	pos             token.Position
-}
-
 // TestExportsUsed fails when an exported name under internal/ has no
 // caller. Run by CI as the exports lint step.
 func TestExportsUsed(t *testing.T) {
@@ -79,116 +61,315 @@ func TestExportsUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fset := token.NewFileSet()
-	var files []srcFile
-	walk := func(dir, modPath, skip string) {
-		err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				if name := d.Name(); p != dir && (name == skip || name == "testdata" || strings.HasPrefix(name, ".")) {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(p, ".go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			rel, err := filepath.Rel(dir, filepath.Dir(p))
-			if err != nil {
-				return err
-			}
-			pkg := modPath
-			if rel != "." {
-				pkg += "/" + filepath.ToSlash(rel)
-			}
-			files = append(files, srcFile{pkg: pkg, test: strings.HasSuffix(p, "_test.go"), ast: f})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, d := range deadExports(t, root, filepath.Join(root, "bench")) {
+		t.Errorf("%s has no caller outside its own package's tests", d)
 	}
-	walk(root, modulePath, "bench")
-	walk(filepath.Join(root, "bench"), modulePath+"/bench", "")
+}
 
-	pkgNames := map[string]string{} // import path -> package clause name
-	for _, f := range files {
-		if !f.test {
-			pkgNames[f.pkg] = f.ast.Name.Name
+// TestExportsLintResolvesMethodsByType runs the lint over a fixture
+// module: a method reached only through an interface is live, and a dead
+// method is reported although a live method of another type shares its
+// name.
+func TestExportsLintResolvesMethodsByType(t *testing.T) {
+	got := deadExports(t, filepath.Join("testdata", "exportslint"))
+	want := []string{"internal/shape/shape.go:19: shape.Square.Stats"}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("dead exports:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// listedPkg is one package of `go list -json -export -deps -test`.
+type listedPkg struct {
+	ImportPath string // "p", "p [q.test]" (p compiled for q's test) or "q.test"
+	ForTest    string
+	Dir        string
+	Export     string
+	GoFiles    []string // a test variant's include its test files
+	Module     *struct {
+		Path string
+		Main bool
+	}
+}
+
+// bare strips the " [q.test]" suffix of a test variant's ImportPath.
+func (p *listedPkg) bare() string {
+	bare, _, _ := strings.Cut(p.ImportPath, " ")
+	return bare
+}
+
+// ifaceUse is an interface method selected somewhere: it reaches the
+// method of that name of every type implementing the interface.
+type ifaceUse struct {
+	method string
+	sigs   map[string]string // the interface's method name -> signature
+	ownPkg string            // selected in this package's tests; "" outside tests
+}
+
+// methodInfo is one entry of a named type's pointer method set: the
+// method's signature, its key, and the path of its package.
+type methodInfo struct{ sig, key, pkg string }
+
+// deadExports lists the exported names declared in non-test files under
+// the internal/ directory of the module at dirs[0] that no caller in any
+// of dirs' modules uses, as "file:line: pkg[.Recv].Name" relative to
+// dirs[0], sorted.
+func deadExports(t *testing.T, dirs ...string) []string {
+	t.Helper()
+	base, err := filepath.Abs(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	used := map[string]bool{} // "pkg.Name" and "pkg.Recv.Name" keys
+	ifaces := map[string]ifaceUse{}
+	methodSets := map[string]map[string]methodInfo{} // "pkg.Type" -> pointer method set
+	var decls []decl
+	internal := ""
+	for i, dir := range dirs {
+		pkgs := goList(t, dir)
+		byPath := map[string]*listedPkg{}
+		recompiled := map[string]bool{} // q: some package is compiled for q's test
+		for _, p := range pkgs {
+			byPath[p.ImportPath] = p
+			if p.ForTest != "" && p.bare() != p.ForTest && p.bare() != p.ForTest+"_test" {
+				recompiled[p.ForTest] = true
+			}
+		}
+		importers := map[string]types.Importer{}
+		importerFor := func(forTest string) types.Importer {
+			if !recompiled[forTest] {
+				forTest = ""
+			}
+			if imp, ok := importers[forTest]; ok {
+				return imp
+			}
+			imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+				p := byPath[path+" ["+forTest+".test]"]
+				if p == nil {
+					p = byPath[path]
+				}
+				if p == nil || p.Export == "" {
+					return nil, fmt.Errorf("no export data for %s", path)
+				}
+				return os.Open(p.Export)
+			})
+			importers[forTest] = imp
+			return imp
+		}
+		for _, p := range pkgs {
+			if p.Module == nil || !p.Module.Main || strings.HasSuffix(p.ImportPath, ".test") {
+				continue
+			}
+			if i == 0 {
+				internal = p.Module.Path + "/internal/"
+			}
+			bare := p.bare()
+			own := bare // whose tests this unit's test files are
+			switch {
+			case p.ForTest == "":
+				if byPath[bare+" ["+bare+".test]"] != nil {
+					continue // its test variant holds the same files
+				}
+			case bare == p.ForTest || bare == p.ForTest+"_test":
+				own = p.ForTest
+			default:
+				continue // recompiled for another package's test
+			}
+			var files []*ast.File
+			for _, name := range p.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+			conf := types.Config{Importer: importerFor(p.ForTest)}
+			pkg, err := conf.Check(bare, fset, files, info)
+			if err != nil {
+				t.Fatalf("type-check %s: %v", p.ImportPath, err)
+			}
+
+			for _, name := range pkg.Scope().Names() {
+				tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+				if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+					continue
+				}
+				mset := types.NewMethodSet(types.NewPointer(tn.Type()))
+				ms := map[string]methodInfo{}
+				for i := 0; i < mset.Len(); i++ {
+					fn := mset.At(i).Obj().(*types.Func)
+					m := methodInfo{sig: sigString(fn)}
+					if key, ok := methodKey(fn); ok { // not promoted from an embedded interface
+						m.key, m.pkg = key, fn.Pkg().Path()
+					}
+					ms[fn.Name()] = m
+				}
+				methodSets[objKey(tn)] = ms
+			}
+
+			for _, f := range files {
+				test := strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
+				ownPkg := ""
+				if test {
+					ownPkg = own
+				}
+				for _, d := range f.Decls {
+					names, owns := declared(pkg, d)
+					if !test && strings.HasPrefix(bare, internal) {
+						for _, n := range names {
+							if n.obj.Exported() && (n.recv == "" || ast.IsExported(n.recv)) {
+								decls = append(decls, n)
+							}
+						}
+					}
+					ast.Inspect(d, func(n ast.Node) bool {
+						id, ok := n.(*ast.Ident)
+						if !ok {
+							return true
+						}
+						obj := info.Uses[id]
+						if obj == nil || obj.Pkg() == nil {
+							return true
+						}
+						if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+							key, concrete := methodKey(fn)
+							if !concrete {
+								recordIface(ifaces, fn, ownPkg)
+								return true
+							}
+							if !owned(owns, key) && fn.Pkg().Path() != ownPkg {
+								used[key] = true
+							}
+							return true
+						}
+						if obj.Pkg().Scope().Lookup(obj.Name()) == obj {
+							key := objKey(obj)
+							if !owned(owns, key) && obj.Pkg().Path() != ownPkg {
+								used[key] = true
+							}
+						}
+						return true
+					})
+				}
+			}
 		}
 	}
-	var decls []exportedDecl
-	for i, f := range files {
-		files[i].decls = indexDecls(f.ast, pkgNames)
-		if !f.test && strings.HasPrefix(f.pkg, modulePath+"/internal/") {
-			decls = append(decls, exportedDecls(fset, f.pkg, f.ast)...)
+
+	for _, use := range ifaces {
+	types:
+		for _, ms := range methodSets {
+			m, ok := ms[use.method]
+			if !ok || m.key == "" || used[m.key] || m.pkg == use.ownPkg {
+				continue
+			}
+			for name, sig := range use.sigs {
+				if ms[name].sig != sig {
+					continue types
+				}
+			}
+			used[m.key] = true
 		}
 	}
 
 	var dead []string
 	for _, d := range decls {
-		if _, ok := implicitMethods[d.name]; ok && d.recv != "" {
+		if _, ok := implicitMethods[d.obj.Name()]; (ok && d.recv != "") || used[d.key] {
 			continue
 		}
-		if !hasCaller(files, d) {
-			name := path.Base(d.pkg) + "." + d.name
-			if d.recv != "" {
-				name = path.Base(d.pkg) + "." + d.recv + "." + d.name
-			}
-			rel, _ := filepath.Rel(root, d.pos.Filename)
-			dead = append(dead, fmt.Sprintf("%s:%d: %s", rel, d.pos.Line, name))
-		}
+		pos := fset.Position(d.obj.Pos())
+		rel, _ := filepath.Rel(base, pos.Filename)
+		name := path.Base(d.obj.Pkg().Path()) + strings.TrimPrefix(d.key, d.obj.Pkg().Path())
+		dead = append(dead, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, name))
 	}
 	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("%s has no caller outside its own package's tests", d)
-	}
+	return dead
 }
 
-// declared returns the names a top-level declaration declares and, for a
-// method, its receiver type's name.
-func declared(decl ast.Decl) (names []*ast.Ident, recv string) {
-	switch d := decl.(type) {
-	case *ast.FuncDecl:
-		if d.Recv != nil {
-			recv = recvType(d)
+// goList runs `go list -export -deps -test` over the module at dir.
+func goList(t *testing.T, dir string) []*listedPkg {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-e", "-export", "-deps", "-test",
+		"-json=ImportPath,ForTest,Dir,Export,GoFiles,Module", "./...")
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []*listedPkg
+	dec := json.NewDecoder(out)
+	for dec.More() {
+		p := new(listedPkg)
+		if err := dec.Decode(p); err != nil {
+			t.Fatal(err)
 		}
-		return []*ast.Ident{d.Name}, recv
+		pkgs = append(pkgs, p)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("go list in %s: %v", dir, err)
+	}
+	return pkgs
+}
+
+// decl is one name a top-level declaration declares.
+type decl struct {
+	obj  types.Object
+	key  string // objKey, or methodKey for a method
+	recv string // a method's receiver type, else ""
+}
+
+// declared lists the names a top-level declaration declares, and the
+// keys it owns: those, plus a method's receiver type — a type's own
+// methods are no use of it, nor is a function's own body a use of it.
+func declared(pkg *types.Package, d ast.Decl) (names []decl, owns []string) {
+	add := func(name string) {
+		if obj := pkg.Scope().Lookup(name); obj != nil {
+			names = append(names, decl{obj: obj, key: objKey(obj)})
+			owns = append(owns, objKey(obj))
+		}
+	}
+	switch d := d.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil {
+			add(d.Name.Name)
+			break
+		}
+		tn, ok := pkg.Scope().Lookup(recvType(d)).(*types.TypeName)
+		if !ok {
+			break
+		}
+		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, d.Name.Name)
+		if fn, ok := obj.(*types.Func); ok {
+			key, _ := methodKey(fn)
+			names = append(names, decl{obj: fn, key: key, recv: tn.Name()})
+			owns = append(owns, key, objKey(tn))
+		}
 	case *ast.GenDecl:
 		for _, spec := range d.Specs {
 			switch s := spec.(type) {
 			case *ast.TypeSpec:
-				names = append(names, s.Name)
+				add(s.Name.Name)
 			case *ast.ValueSpec:
-				names = append(names, s.Names...)
+				for _, id := range s.Names {
+					add(id.Name)
+				}
 			}
 		}
 	}
-	return names, ""
+	return names, owns
 }
 
-// exportedDecls lists the exported top-level names of f and the exported
-// methods of its exported types.
-func exportedDecls(fset *token.FileSet, pkg string, f *ast.File) []exportedDecl {
-	var out []exportedDecl
-	for _, decl := range f.Decls {
-		names, recv := declared(decl)
-		if recv != "" && !ast.IsExported(recv) {
-			continue
-		}
-		for _, id := range names {
-			if id.IsExported() {
-				out = append(out, exportedDecl{pkg: pkg, name: id.Name, recv: recv, pos: fset.Position(id.Pos())})
-			}
+func owned(owns []string, key string) bool {
+	for _, k := range owns {
+		if k == key {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // recvType is the name of a method's receiver type.
@@ -209,94 +390,56 @@ func recvType(d *ast.FuncDecl) string {
 	return ""
 }
 
-// indexDecls records what each top-level declaration of f names.
-func indexDecls(f *ast.File, pkgNames map[string]string) []declUses {
-	imports := map[string]string{} // local name -> import path
-	for _, imp := range f.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
-		}
-		local := path.Base(p)
-		if name, ok := pkgNames[p]; ok {
-			local = name
-		}
-		if imp.Name != nil {
-			local = imp.Name.Name
-		}
-		imports[local] = p
+// objKey identifies a package-level object across type-checking runs.
+func objKey(obj types.Object) string { return obj.Pkg().Path() + "." + obj.Name() }
+
+// methodKey identifies a concrete method as "pkg.Recv.Name"; ok is false
+// for an interface's method and for a function.
+func methodKey(fn *types.Func) (key string, ok bool) {
+	recv := fn.Origin().Type().(*types.Signature).Recv()
+	if recv == nil {
+		return "", false
 	}
-	var out []declUses
-	for _, decl := range f.Decls {
-		u := declUses{owns: map[string]bool{}, bare: map[string]bool{}, selectors: map[string]bool{}, qualified: map[string]bool{}}
-		names, recv := declared(decl)
-		if recv != "" {
-			u.owns[recv] = true
-			u.method = recv + "." + names[0].Name
-		} else {
-			for _, id := range names {
-				u.owns[id.Name] = true
-			}
-		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				u.selectors[x.Sel.Name] = true
-				if id, ok := x.X.(*ast.Ident); ok {
-					if p, ok := imports[id.Name]; ok {
-						u.qualified[p+"."+x.Sel.Name] = true
-					}
-				}
-				ast.Inspect(x.X, visit) // x.Sel is not a bare name
-				return false
-			case *ast.Field: // its names declare, its type refers
-				ast.Inspect(x.Type, visit)
-				return false
-			case *ast.Ident:
-				u.bare[x.Name] = true
-			}
-			return true
-		}
-		if fd, ok := decl.(*ast.FuncDecl); ok {
-			// A function's own name is no use of it, nor of a namesake.
-			if fd.Recv != nil {
-				ast.Inspect(fd.Recv, visit)
-			}
-			ast.Inspect(fd.Type, visit)
-			if fd.Body != nil {
-				ast.Inspect(fd.Body, visit)
-			}
-		} else {
-			ast.Inspect(decl, visit)
-		}
-		out = append(out, u)
+	t := recv.Type()
+	if p, isPtr := t.(*types.Pointer); isPtr {
+		t = p.Elem()
 	}
-	return out
+	named, isNamed := t.(*types.Named)
+	if !isNamed || types.IsInterface(named) {
+		return "", false
+	}
+	return objKey(named.Origin().Obj()) + "." + fn.Name(), true
 }
 
-// hasCaller reports whether a caller names d. Any non-test file counts,
-// and a test file of another package; a package's own test files do not.
-// A top-level name counts when qualified through an import of its package,
-// or bare in a non-test file of its package outside its own declaration
-// and methods. A method counts when a selector names it anywhere but in
-// its own declaration.
-func hasCaller(files []srcFile, d exportedDecl) bool {
-	for _, f := range files {
-		if f.test && f.pkg == d.pkg {
-			continue
+// sigString renders a method's signature without parameter names and
+// with full package paths, so signatures from separate type-checking runs
+// compare as strings.
+func sigString(fn *types.Func) string {
+	sig := fn.Type().(*types.Signature)
+	unnamed := func(t *types.Tuple) *types.Tuple {
+		vars := make([]*types.Var, t.Len())
+		for i := range vars {
+			vars[i] = types.NewParam(token.NoPos, nil, "", t.At(i).Type())
 		}
-		for _, u := range f.decls {
-			if d.recv != "" {
-				if u.selectors[d.name] && !(f.pkg == d.pkg && u.method == d.recv+"."+d.name) {
-					return true
-				}
-				continue
-			}
-			if u.qualified[d.pkg+"."+d.name] || (f.pkg == d.pkg && !u.owns[d.name] && u.bare[d.name]) {
-				return true
-			}
-		}
+		return types.NewTuple(vars...)
 	}
-	return false
+	bare := types.NewSignatureType(nil, nil, nil, unnamed(sig.Params()), unnamed(sig.Results()), sig.Variadic())
+	return types.TypeString(bare, (*types.Package).Path)
+}
+
+// recordIface notes the selection of an interface method.
+func recordIface(ifaces map[string]ifaceUse, fn *types.Func, ownPkg string) {
+	iface, ok := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+	if !ok {
+		return
+	}
+	use := ifaceUse{method: fn.Name(), sigs: map[string]string{}, ownPkg: ownPkg}
+	var key strings.Builder
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		use.sigs[m.Name()] = sigString(m)
+		fmt.Fprintf(&key, "%s%s;", m.Name(), use.sigs[m.Name()])
+	}
+	fmt.Fprintf(&key, "|%s|%s", fn.Name(), ownPkg)
+	ifaces[key.String()] = use
 }

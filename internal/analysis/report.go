@@ -83,9 +83,7 @@ func (r *Report) Pathological() bool { return len(r.Violations) > 0 }
 // path never round-trips through InfluxQL text.
 type Evaluator struct {
 	Querier  tsdb.Querier
-	Database string       // database the job's metrics live in
-	Specs    []MetricSpec // nil = DefaultMetricSpecs
-	Rules    []Rule       // nil = DefaultRules
+	Database string // database the job's metrics live in
 
 	// Peaks feed the pattern decision tree; zero disables the respective
 	// saturation checks.
@@ -93,20 +91,6 @@ type Evaluator struct {
 	PeakDPMFlops float64
 	// Now overrides the clock for running jobs (tests).
 	Now func() time.Time
-}
-
-func (e *Evaluator) specs() []MetricSpec {
-	if e.Specs != nil {
-		return e.Specs
-	}
-	return DefaultMetricSpecs()
-}
-
-func (e *Evaluator) rules() []Rule {
-	if e.Rules != nil {
-		return e.Rules
-	}
-	return DefaultRules()
 }
 
 // series fetches one node's metric timeline within the job window through
@@ -194,7 +178,7 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, job JobMeta) (*Report, 
 	rep := &Report{Job: job}
 
 	// Metric rows.
-	for _, spec := range e.specs() {
+	for _, spec := range DefaultMetricSpecs() {
 		scale := spec.Scale
 		if scale == 0 {
 			scale = 1
@@ -217,7 +201,7 @@ func (e *Evaluator) EvaluateContext(ctx context.Context, job JobMeta) (*Report, 
 	}
 
 	// Rule violations per node.
-	for _, rule := range e.rules() {
+	for _, rule := range DefaultRules() {
 		for _, node := range job.Nodes {
 			series, err := e.series(ctx, node, rule.Measurement, rule.Field, job.Start, end)
 			if err != nil {

@@ -144,6 +144,9 @@ type testNode struct {
 	// old makes the node answer a frame the way an lms-db from before the
 	// frame door does: it parses the body as line protocol and says 400.
 	old atomic.Bool
+	// refuse makes the node answer every /query with a statement error,
+	// the way a reached node reports a CREATE whose durable open failed.
+	refuse atomic.Bool
 }
 
 type harness struct {
@@ -168,6 +171,11 @@ func newHarness(t *testing.T, cfg Config) *harness {
 			}
 			if tn.down.Load() {
 				http.Error(w, "node down", http.StatusServiceUnavailable)
+				return
+			}
+			if tn.refuse.Load() && r.URL.Path == "/query" {
+				w.Header().Set("Content-Type", "application/json")
+				fmt.Fprint(w, `{"results":[{"error":"durable open failed"}]}`)
 				return
 			}
 			if tn.old.Load() && r.URL.Path == "/write" {
@@ -290,6 +298,87 @@ func TestClusterEquivalenceAndReplicaDown(t *testing.T) {
 
 	h.nodes[victim].down.Store(false)
 	h.checkEquivalence(t, "healed")
+}
+
+// TestClusterDropDatabaseNeedsEveryNode: CREATE DATABASE tolerates a dead
+// peer, because the write path catches it up; DROP DATABASE does not,
+// because nothing replays a drop — acknowledged with a replica down, the
+// healed replica would serve the dropped data again. The DROP fails naming
+// the node it missed (a 502 at /query), and its retry after the heal
+// completes it.
+func TestClusterDropDatabaseNeedsEveryNode(t *testing.T) {
+	h := newHarness(t, Config{Replication: 2, WriteQuorum: 1})
+	h.seed(t)
+	ctx := context.Background()
+	exec := func(q string) (tsdb.ExecResult, error) {
+		resp, err := h.coord.Querier().Query(ctx, tsdb.Request{Database: "lms", RawQuery: q})
+		if err != nil {
+			return tsdb.ExecResult{}, err
+		}
+		return resp.Results[0], nil
+	}
+	victim := h.coord.owners("lms", "cpu")[0]
+	var live string
+	for _, id := range h.peers {
+		if id != victim {
+			live = id
+		}
+	}
+
+	h.nodes[victim].down.Store(true)
+	if res, err := exec("CREATE DATABASE extra"); err != nil || res.Err != "" {
+		t.Fatalf("CREATE with a peer down: %+v, %v", res, err)
+	}
+
+	h.nodes[live].refuse.Store(true)
+	if res, err := exec("CREATE DATABASE extra"); err != nil || res.Err != "durable open failed" {
+		t.Fatalf("CREATE refused by a reached peer: got %+v, %v; want its error", res, err)
+	}
+	h.nodes[live].refuse.Store(false)
+
+	for _, id := range h.peers {
+		h.nodes[id].down.Store(true)
+	}
+	if _, err := exec("CREATE DATABASE extra"); err == nil || !strings.Contains(err.Error(), "all 3 nodes failed") {
+		t.Fatalf("CREATE with every peer down: %v", err)
+	}
+	for _, id := range h.peers {
+		h.nodes[id].down.Store(id == victim)
+	}
+
+	_, err := exec("DROP DATABASE lms")
+	if err == nil || !strings.Contains(err.Error(), victim) {
+		t.Fatalf("DROP with %s down: %v; want an error naming it", victim, err)
+	}
+	resp, err := http.Get(live + "/query?" + url.Values{"q": {"DROP DATABASE lms"}}.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("DROP at a node's /query with %s down: status %d, want 502", victim, resp.StatusCode)
+	}
+
+	h.nodes[victim].down.Store(false)
+	if res, err := exec("DROP DATABASE lms"); err != nil || res.Err != "" {
+		t.Fatalf("DROP retried after the heal: %+v, %v", res, err)
+	}
+	doors := map[string]tsdb.Querier{"coordinator": h.coord.Querier()}
+	for _, id := range h.peers {
+		doors["node "+id] = &tsdb.Client{BaseURL: id, Database: "lms"}
+		doors["node "+id+" local"] = tsdb.LocalQuerier{Store: h.nodes[id].store}
+	}
+	notFound := mustJSON(t, tsdb.Response{Results: []tsdb.ExecResult{{Err: tsdb.ErrNoDatabase.Error()}}})
+	for name, qr := range doors {
+		resp, err := qr.Query(ctx, tsdb.Request{Database: "lms", RawQuery: "SELECT count(*) FROM cpu"})
+		if err != nil || mustJSON(t, resp) != notFound {
+			t.Fatalf("%s: SELECT after the DROP: %+v, %v; want %s", name, resp, err, notFound)
+		}
+		resp, err = qr.Query(ctx, tsdb.Request{RawQuery: "SHOW DATABASES"})
+		if err != nil || strings.Contains(mustJSON(t, resp), `"lms"`) {
+			t.Fatalf("%s: SHOW DATABASES after the DROP: %+v, %v", name, resp, err)
+		}
+	}
 }
 
 // TestClusterHintedHandoffDrains is acceptance (c): writes acknowledged

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -297,30 +298,37 @@ func (q *DistributedQuerier) execFanAll(ctx context.Context, req tsdb.Request, s
 	return merged, nil
 }
 
-// execFanAllStrict runs CREATE/DROP DATABASE on every member. Unreachable
-// peers are tolerated (they catch up through ensureDatabase and write
-// autocreation), but a peer that was reached and refused — a durable open
-// failure, say — surfaces: masking it would acknowledge a database that
-// cannot durably exist.
+// execFanAllStrict runs CREATE/DROP DATABASE on every member. A peer that
+// was reached and refused — a durable open failure, say — surfaces: masking
+// it would acknowledge a database that cannot durably exist. CREATE
+// tolerates unreachable peers, which catch up through ensureDatabase and
+// write autocreation. DROP does not: nothing replays a drop, so a replica
+// it missed would serve the dropped data again once it heals. The error
+// names the unreached nodes; dropping a missing database is a no-op, so
+// the caller retries after the heal.
 func (q *DistributedQuerier) execFanAllStrict(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, error) {
 	results, errs := q.fanResults(ctx, req, st)
 	if err := ctx.Err(); err != nil {
 		return tsdb.ExecResult{}, err
 	}
-	reached := 0
+	var unreached []string
 	var lastErr error
-	for i := range results {
+	for i, id := range q.c.ring.Nodes() {
 		if errs[i] != nil {
+			unreached = append(unreached, id)
 			lastErr = errs[i]
 			continue
 		}
-		reached++
 		if results[i].Err != "" {
 			return results[i], nil
 		}
 	}
-	if reached == 0 {
+	switch {
+	case len(unreached) == len(results):
 		return tsdb.ExecResult{}, fmt.Errorf("cluster: all %d nodes failed: %w", len(results), lastErr)
+	case len(unreached) > 0 && st.Kind == tsdb.StmtDropDatabase:
+		return tsdb.ExecResult{}, fmt.Errorf("cluster: DROP DATABASE did not reach %s (retry once they are back): %w",
+			strings.Join(unreached, ", "), lastErr)
 	}
 	return tsdb.ExecResult{}, nil
 }

@@ -190,13 +190,6 @@ func (a *Agent) Run(stop <-chan struct{}) {
 	}
 }
 
-// Stats returns collected point and failed push counts.
-func (a *Agent) Stats() (collected, sendFails int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.collected, a.sendFails
-}
-
 // SanitizeFieldKey converts a LIKWID metric name ("DP MFLOP/s",
 // "Memory bandwidth [MBytes/s]") into a line-protocol friendly field key
 // ("dp_mflop_s", "memory_bandwidth_mbytes_s").

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/cluster"
 	"repro/internal/dashboard"
 	"repro/internal/lineproto"
 	"repro/internal/obs"
@@ -31,10 +30,6 @@ type StackConfig struct {
 	// PubSubAddr, when non-empty, starts the ZeroMQ-style publisher on the
 	// address (e.g. "127.0.0.1:0").
 	PubSubAddr string
-	// PubSubHWM is the per-subscriber high-water mark (0 = default).
-	PubSubHWM int
-	// Retention prunes data older than this from the primary DB (0 = keep).
-	Retention time.Duration
 	// DataDir enables the durable storage engine (WAL + on-disk columnar
 	// checkpoints, DESIGN.md §9): every database lives under this
 	// directory and survives restarts. Empty keeps the stack in memory
@@ -51,24 +46,6 @@ type StackConfig struct {
 	PeakDPMFlops float64
 	// Now overrides the router clock (simulations inject simulated time).
 	Now func() time.Time
-
-	// ClusterPeers lists the HTTP base URLs of every lms-db node of a
-	// cluster (DESIGN.md §12). When set, the stack's router forwards
-	// ring-aware — each batch fans to the Replication owners of its
-	// measurement — and every read-side consumer queries through the
-	// cluster's DistributedQuerier. Empty keeps the classic single-node
-	// stack.
-	ClusterPeers []string
-	// ClusterSelf is this stack's own entry in ClusterPeers ("" makes the
-	// stack a pure coordinator owning no ring slice). When set, the
-	// stack's local store backs that ring member.
-	ClusterSelf string
-	// Replication and WriteQuorum are the cluster's R and W (0 = 2 and 1).
-	Replication int
-	WriteQuorum int
-	// HintsDir is the durable hinted-handoff directory (empty = hints in
-	// memory only).
-	HintsDir string
 
 	// TraceBuffer is the capacity of the completed-trace ring (DESIGN.md
 	// §14): the last N traced requests served on /debug/traces of the
@@ -88,14 +65,10 @@ type Stack struct {
 	Viewer    *dashboard.Viewer
 
 	// Querier is the read-side API every consumer of this stack is wired
-	// through. In-process stacks get a LocalQuerier over Store; the same
-	// consumers accept a tsdb.Client instead to read from a remote lms-db,
-	// and a clustered stack (StackConfig.ClusterPeers) gets the cluster's
-	// DistributedQuerier here.
+	// through: a LocalQuerier over Store. The same consumers accept a
+	// tsdb.Client instead to read from a remote lms-db, or a cluster's
+	// DistributedQuerier (cluster.New) to read from a ring.
 	Querier tsdb.Querier
-
-	// Cluster is the ring view of a clustered stack; nil otherwise.
-	Cluster *cluster.Cluster
 
 	DBHandler *tsdb.Handler // InfluxDB-compatible HTTP API of the store
 
@@ -129,39 +102,11 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		_ = store.Close()
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if cfg.Retention > 0 {
-		db.SetRetention(cfg.Retention)
-	}
 
 	var pub *pubsub.Publisher
 	if cfg.PubSubAddr != "" {
-		pub, err = pubsub.NewPublisher(cfg.PubSubAddr, cfg.PubSubHWM)
+		pub, err = pubsub.NewPublisher(cfg.PubSubAddr, 0)
 		if err != nil {
-			_ = store.Close()
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-
-	// A clustered stack routes writes over the consistent-hash ring and
-	// reads through the distributed querier; the classic stack keeps its
-	// in-process sinks and local querier.
-	var clu *cluster.Cluster
-	if len(cfg.ClusterPeers) > 0 {
-		ccfg := cluster.Config{
-			Peers:       cfg.ClusterPeers,
-			Self:        cfg.ClusterSelf,
-			Replication: cfg.Replication,
-			WriteQuorum: cfg.WriteQuorum,
-			HintsDir:    cfg.HintsDir,
-		}
-		if cfg.ClusterSelf != "" {
-			ccfg.SelfStore = store
-		}
-		clu, err = cluster.New(ccfg)
-		if err != nil {
-			if pub != nil {
-				_ = pub.Close()
-			}
 			_ = store.Close()
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -179,9 +124,6 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		Now:       cfg.Now,
 		Traces:    traces,
 	}
-	if clu != nil {
-		rcfg.Primary = clu.SinkFor(cfg.DBName)
-	}
 	if cfg.PerUserDBs {
 		rcfg.UserSink = func(user string) router.Sink {
 			db, err := store.OpenDatabase("user_" + user)
@@ -190,17 +132,9 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 			}
 			return router.LocalSink{DB: db}
 		}
-		if clu != nil {
-			rcfg.UserSink = func(user string) router.Sink {
-				return clu.SinkFor("user_" + user)
-			}
-		}
 	}
 	rt, err := router.New(rcfg)
 	if err != nil {
-		if clu != nil {
-			_ = clu.Close()
-		}
 		if pub != nil {
 			_ = pub.Close()
 		}
@@ -208,10 +142,7 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		return nil, err
 	}
 
-	var qr tsdb.Querier = tsdb.LocalQuerier{Store: store}
-	if clu != nil {
-		qr = clu.Querier()
-	}
+	qr := tsdb.LocalQuerier{Store: store}
 	ev := &analysis.Evaluator{
 		Querier:      qr,
 		Database:     cfg.DBName,
@@ -225,11 +156,6 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		viewer.Now = cfg.Now
 	}
 
-	handler := tsdb.NewHandler(store)
-	if clu != nil {
-		handler.Distributed = clu.Querier()
-		clu.RegisterMetrics(store.Metrics().Registry())
-	}
 	return &Stack{
 		Store:     store,
 		DB:        db,
@@ -239,8 +165,7 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		Agent:     agent,
 		Viewer:    viewer,
 		Querier:   qr,
-		Cluster:   clu,
-		DBHandler: handler,
+		DBHandler: tsdb.NewHandler(store),
 		Traces:    traces,
 		cfg:       cfg,
 	}, nil
@@ -262,13 +187,8 @@ func (s *Stack) DBName() string { return s.cfg.DBName }
 // tail on the next start instead of loading one clean checkpoint.
 func (s *Stack) Close() error {
 	var perr error
-	if s.Cluster != nil {
-		perr = s.Cluster.Close()
-	}
 	if s.Publisher != nil {
-		if err := s.Publisher.Close(); perr == nil {
-			perr = err
-		}
+		perr = s.Publisher.Close()
 	}
 	if serr := s.Store.Close(); serr != nil {
 		return serr

@@ -107,29 +107,8 @@ type Agent struct {
 	Querier tsdb.Querier
 	// Database is the database the agent inspects.
 	Database string
-	// Templates are tried in order; the first whose Measurement matches is
-	// used for that measurement. Defaults to BuiltinTemplates().
-	Templates []PanelTemplate
 	// Evaluator produces the analysis header; nil skips the header.
 	Evaluator *analysis.Evaluator
-	// HiddenMeasurements are never turned into panels (internal series).
-	HiddenMeasurements []string
-}
-
-func (a *Agent) templates() []PanelTemplate {
-	if a.Templates != nil {
-		return a.Templates
-	}
-	return BuiltinTemplates()
-}
-
-func (a *Agent) hidden(meas string) bool {
-	for _, h := range a.HiddenMeasurements {
-		if h == meas {
-			return true
-		}
-	}
-	return meas == "events"
 }
 
 // measurementsForJob discovers which measurements carry data for the job's
@@ -150,7 +129,7 @@ func (a *Agent) measurementsForJob(ctx context.Context, job analysis.JobMeta) ([
 	var candidates []string
 	var stmts []tsdb.Statement
 	for _, meas := range all {
-		if a.hidden(meas) {
+		if meas == "events" { // annotations, not a panel
 			continue
 		}
 		candidates = append(candidates, meas)
@@ -173,10 +152,12 @@ func (a *Agent) measurementsForJob(ctx context.Context, job analysis.JobMeta) ([
 	return out, nil
 }
 
-func (a *Agent) findTemplate(meas string) (PanelTemplate, bool) {
+// findTemplate picks the first builtin template whose Measurement matches,
+// else the first "*" fallback.
+func findTemplate(meas string) (PanelTemplate, bool) {
 	var fallback PanelTemplate
 	haveFallback := false
-	for _, t := range a.templates() {
+	for _, t := range BuiltinTemplates() {
 		if t.Measurement == meas {
 			return t, true
 		}
@@ -277,7 +258,7 @@ func (a *Agent) GenerateJobDashboardContext(ctx context.Context, job analysis.Jo
 		return nil, fmt.Errorf("dashboard: field keys: %w", err)
 	}
 	for mi, meas := range measurements {
-		tpl, ok := a.findTemplate(meas)
+		tpl, ok := findTemplate(meas)
 		if !ok {
 			continue
 		}

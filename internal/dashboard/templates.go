@@ -3,9 +3,9 @@ package dashboard
 // BuiltinTemplates returns the panel templates shipped with the agent. The
 // originals are JSON exports of hand-built Grafana panels stored in the
 // template location; here they are Go string constants with the same
-// substitution model. Sites add templates for their own application-level
-// measurements (Sect. IV), which is why selection is by measurement name
-// with a "*" fallback.
+// substitution model. Selection is by measurement name with a "*"
+// fallback, so a site's own application-level measurements (Sect. IV) get
+// a generic panel.
 func BuiltinTemplates() []PanelTemplate {
 	return []PanelTemplate{
 		{

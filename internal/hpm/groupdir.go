@@ -46,16 +46,6 @@ func (gs *GroupSet) Lookup(name string) (*Group, error) {
 	return g, nil
 }
 
-// Names lists the groups sorted by name.
-func (gs *GroupSet) Names() []string {
-	names := make([]string, 0, len(gs.groups))
-	for n := range gs.groups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // LoadDir parses every "*.txt" file in dir as a group file (the group name
 // is the file name without extension, uppercased like LIKWID's) and adds
 // the groups to the set. Returns the loaded names. Files that fail to

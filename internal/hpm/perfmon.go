@@ -214,31 +214,3 @@ func (r *Result) Mean(metric string) float64 {
 	}
 	return r.Sum(metric) / float64(len(r.Threads))
 }
-
-// Max returns the per-thread maximum of a metric.
-func (r *Result) Max(metric string) float64 {
-	first := true
-	var m float64
-	for _, tid := range r.Threads {
-		v := r.Metrics[tid][metric]
-		if first || v > m {
-			m = v
-			first = false
-		}
-	}
-	return m
-}
-
-// Min returns the per-thread minimum of a metric.
-func (r *Result) Min(metric string) float64 {
-	first := true
-	var m float64
-	for _, tid := range r.Threads {
-		v := r.Metrics[tid][metric]
-		if first || v < m {
-			m = v
-			first = false
-		}
-	}
-	return m
-}

@@ -114,18 +114,6 @@ func New(nodes []Node) (*Scheduler, error) {
 	}, nil
 }
 
-// Now returns the simulated time.
-func (s *Scheduler) Now() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
-}
-
-// Nodes returns the cluster nodes.
-func (s *Scheduler) Nodes() []Node {
-	return append([]Node(nil), s.nodes...)
-}
-
 // Submit enqueues a job. Jobs requesting more nodes than the cluster has
 // are rejected immediately.
 func (s *Scheduler) Submit(req JobRequest) error {

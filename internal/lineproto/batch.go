@@ -73,13 +73,6 @@ func (b *Batch) Len() int {
 	return b.n
 }
 
-// Size reports the buffered payload size in bytes.
-func (b *Batch) Size() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.buf)
-}
-
 // Flush returns the accumulated payload and resets the batch. It returns nil
 // when the batch is empty.
 func (b *Batch) Flush() []byte {

@@ -466,7 +466,7 @@ func TestBatchAdd(t *testing.T) {
 	if b.Len() != 2 {
 		t.Fatalf("len %d", b.Len())
 	}
-	if b.Size() == 0 {
+	if len(b.buf) == 0 {
 		t.Fatal("size 0")
 	}
 	pts, err := Parse(b.Flush())

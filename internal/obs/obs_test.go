@@ -58,8 +58,8 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", h.Count())
+	if n := h.count.Load(); n != 5 {
+		t.Fatalf("count = %d, want 5", n)
 	}
 	if got, want := h.Sum(), 0.05+0.5+0.5+5+50; got != want {
 		t.Fatalf("Sum = %v, want %v", got, want)

@@ -96,12 +96,6 @@ func NewState(hostname string, ncpu int, memTotalKB uint64) (*State, error) {
 	}, nil
 }
 
-// Hostname returns the node name.
-func (s *State) Hostname() string { return s.hostname }
-
-// NumCPU returns the CPU count.
-func (s *State) NumCPU() int { return s.ncpu }
-
 // SetCPULoad sets the user/system busy fractions of one CPU (clamped to
 // [0,1], combined at most 1).
 func (s *State) SetCPULoad(cpu int, user, system float64) error {

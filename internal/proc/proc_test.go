@@ -25,7 +25,7 @@ func TestNewStateValidation(t *testing.T) {
 		t.Error("zero memory accepted")
 	}
 	s := newState(t)
-	if s.Hostname() != "node01" || s.NumCPU() != 4 {
+	if s.hostname != "node01" || s.ncpu != 4 {
 		t.Error("accessors")
 	}
 	if s.memTotal != 64*1024*1024 {

@@ -21,7 +21,6 @@ package pubsub
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -96,12 +95,6 @@ func NewPublisher(addr string, hwm int) (*Publisher, error) {
 
 // Addr returns the listen address (useful with port 0).
 func (p *Publisher) Addr() string { return p.ln.Addr().String() }
-
-// Stats returns the number of published (per-subscriber deliveries counted
-// once per Publish call) and dropped messages.
-func (p *Publisher) Stats() (published, dropped int64) {
-	return p.published.Load(), p.dropped.Load()
-}
 
 // SubscriberCount returns the number of connected subscribers.
 func (p *Publisher) SubscriberCount() int {
@@ -242,7 +235,6 @@ type Subscriber struct {
 	w    *bufio.Writer
 	wmu  sync.Mutex
 	msgs chan Message
-	errs chan error
 	once sync.Once
 }
 
@@ -257,7 +249,6 @@ func Dial(addr string) (*Subscriber, error) {
 		conn: conn,
 		w:    bufio.NewWriter(conn),
 		msgs: make(chan Message, 256),
-		errs: make(chan error, 1),
 	}
 	go s.readLoop()
 	return s, nil
@@ -282,29 +273,12 @@ func (s *Subscriber) send(cmd string) error {
 // drops or Close is called.
 func (s *Subscriber) Messages() <-chan Message { return s.msgs }
 
-// Err returns the terminal error after Messages is closed, or nil on clean
-// shutdown.
-func (s *Subscriber) Err() error {
-	select {
-	case err := <-s.errs:
-		return err
-	default:
-		return nil
-	}
-}
-
 func (s *Subscriber) readLoop() {
 	defer close(s.msgs)
 	r := bufio.NewReader(s.conn)
 	for {
 		line, err := r.ReadString('\n')
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				select {
-				case s.errs <- err:
-				default:
-				}
-			}
 			return
 		}
 		line = strings.TrimRight(line, "\r\n")

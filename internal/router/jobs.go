@@ -17,9 +17,6 @@ type Job struct {
 	End   time.Time         `json:"end,omitempty"`
 }
 
-// Running reports whether the job has not ended yet.
-func (j *Job) Running() bool { return j.End.IsZero() }
-
 // JobRegistry is the router's one job store: the running jobs by id, the
 // same jobs stacked per host in start order, and a bounded history of
 // finished ones. The per-host stacks are the paper's tag store (Sect.

@@ -399,7 +399,7 @@ func TestJobsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp2.Body).Decode(&job); err != nil {
 		t.Fatal(err)
 	}
-	if job.ID != "a" || job.User != "u1" || !job.Running() {
+	if job.ID != "a" || job.User != "u1" || !job.End.IsZero() {
 		t.Fatalf("job %+v", job)
 	}
 	// Finished jobs remain queryable.
@@ -412,7 +412,7 @@ func TestJobsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp3.Body).Decode(&job); err != nil {
 		t.Fatal(err)
 	}
-	if job.Running() {
+	if job.End.IsZero() {
 		t.Fatal("ended job reported running")
 	}
 	resp4, _ := http.Get(e.srv.URL + "/api/job/ghost")

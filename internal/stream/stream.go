@@ -15,7 +15,6 @@ package stream
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -60,14 +59,6 @@ func (a *Aggregate) observe(v float64) {
 	a.Last = v
 }
 
-// Stddev returns the running sample standard deviation.
-func (a *Aggregate) Stddev() float64 {
-	if a.Count < 2 {
-		return 0
-	}
-	return math.Sqrt(a.m2 / float64(a.Count-1))
-}
-
 // seriesKey identifies one tracked series.
 type seriesKey struct {
 	measurement, field, host string
@@ -95,13 +86,22 @@ type Analyzer struct {
 
 	mu        sync.Mutex
 	aggs      map[seriesKey]*Aggregate
-	detectors map[seriesKey]*analysis.DetectStreaming
-	alarmed   map[seriesKey]bool
+	detectors map[seriesKey]*detector // keyed by (rule, field, host)
 	processed int64
 	malformed int64
 
 	sub  *pubsub.Subscriber
 	done chan struct{}
+}
+
+// detector is one rule's streaming detector on one host, for the job the
+// host's latest point was tagged with. A point tagged with another job
+// restarts it, so a run never spans a job boundary and the next job's
+// alarm is its own, whether or not a meta/jobend arrived in between.
+type detector struct {
+	job     string
+	stream  analysis.DetectStreaming
+	alarmed bool // the current run has raised its alarm
 }
 
 // Config for New.
@@ -122,8 +122,7 @@ func New(cfg Config) *Analyzer {
 		onAlarm:   cfg.OnAlarm,
 		onJob:     cfg.OnJob,
 		aggs:      make(map[seriesKey]*Aggregate),
-		detectors: make(map[seriesKey]*analysis.DetectStreaming),
-		alarmed:   make(map[seriesKey]bool),
+		detectors: make(map[seriesKey]*detector),
 	}
 }
 
@@ -226,15 +225,15 @@ func (a *Analyzer) observePoint(p lineproto.Point) {
 				continue
 			}
 			dkey := seriesKey{rule.Name, field, host}
-			det, ok := a.detectors[dkey]
-			if !ok {
-				det = &analysis.DetectStreaming{Rule: rule}
+			det := a.detectors[dkey]
+			if det == nil || det.job != jobID {
+				det = &detector{job: jobID, stream: analysis.DetectStreaming{Rule: rule}}
 				a.detectors[dkey] = det
 			}
-			violation, fired := det.Feed(analysis.TimedValue{T: p.Time, V: v})
+			violation, fired := det.stream.Feed(analysis.TimedValue{T: p.Time, V: v})
 			if fired {
-				if !a.alarmed[dkey] {
-					a.alarmed[dkey] = true
+				if !det.alarmed {
+					det.alarmed = true
 					if a.onAlarm != nil {
 						// Release the lock around the callback to allow
 						// re-entrant Snapshot calls.
@@ -244,8 +243,8 @@ func (a *Analyzer) observePoint(p lineproto.Point) {
 						a.mu.Lock()
 					}
 				}
-			} else if !det.InRun() {
-				a.alarmed[dkey] = false
+			} else if !det.stream.InRun() {
+				det.alarmed = false
 			}
 		}
 	}

@@ -139,6 +139,63 @@ func TestOnlineAlarmOncePerOnset(t *testing.T) {
 	}
 }
 
+// TestOnlineAlarmPerJob: a host that stays idle across a job boundary
+// alarms once per job, each alarm starting at its own job's first idle
+// point — the same violation offline Detect finds over that job alone.
+func TestOnlineAlarmPerJob(t *testing.T) {
+	rule := analysis.DefaultRules()[2] // idle_cpu: percent < 5 for 10 min
+	if rule.Name != "idle_cpu" {
+		t.Fatalf("rule %q", rule.Name)
+	}
+	type span struct {
+		job        string
+		start, end int64 // minutes, end exclusive
+	}
+	for _, tc := range []struct {
+		name  string
+		spans []span
+	}{
+		{"untagged then job B", []span{{"", 0, 16}, {"B", 16, 31}}},
+		{"job A idle to its end, then job B starts idle", []span{{"A", 0, 12}, {"B", 12, 23}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var alarms []Alarm
+			a := New(Config{OnAlarm: func(al Alarm) { alarms = append(alarms, al) }})
+			for _, sp := range tc.spans {
+				for m := sp.start; m < sp.end; m++ {
+					tags := map[string]string{"hostname": "n1"}
+					if sp.job != "" {
+						tags["jobid"] = sp.job
+					}
+					enc, err := lineproto.Encode([]lineproto.Point{{
+						Measurement: "cpu", Tags: tags,
+						Fields: map[string]lineproto.Value{"percent": lineproto.Float(1)},
+						Time:   time.Unix(m*60, 0).UTC(),
+					}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					a.Handle("metrics/cpu", enc)
+				}
+			}
+			if len(alarms) != len(tc.spans) {
+				t.Fatalf("%d alarms, want one per job: %+v", len(alarms), alarms)
+			}
+			for i, sp := range tc.spans {
+				var series []analysis.TimedValue
+				for m := sp.start; m < sp.end; m++ {
+					series = append(series, analysis.TimedValue{T: time.Unix(m*60, 0).UTC(), V: 1})
+				}
+				offline := analysis.Detect(rule, series)
+				al := alarms[i]
+				if len(offline) != 1 || al.JobID != sp.job || al.Host != "n1" || !al.Violation.Start.Equal(offline[0].Start) {
+					t.Fatalf("alarm %d = %+v; want job %q from %v (offline %+v)", i, al, sp.job, time.Unix(sp.start*60, 0).UTC(), offline)
+				}
+			}
+		})
+	}
+}
+
 func TestJobEvents(t *testing.T) {
 	var events []JobEvent
 	a := New(Config{OnJob: func(ev JobEvent) { events = append(events, ev) }})

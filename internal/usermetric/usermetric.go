@@ -210,13 +210,6 @@ func countLines(p []byte) int {
 	return n
 }
 
-// Stats returns the number of points transmitted and dropped.
-func (c *Client) Stats() (sent, dropped int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sent, c.dropped
-}
-
 // Close flushes remaining data and stops the background flusher. The client
 // must not be used afterwards.
 func (c *Client) Close() error {
