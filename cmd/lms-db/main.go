@@ -96,6 +96,7 @@ func run(args []string, stdout io.Writer) (err error) {
 
 	store, err := tsdb.OpenStore(tsdb.StoreOptions{
 		ShardsPerDB: *shards,
+		Retention:   *retention,
 		Durability: tsdb.Durability{
 			Dir: *dataDir, Fsync: policy,
 			SegmentBytes: *segmentBytes, CheckpointBytes: *checkpointBytes,
@@ -119,13 +120,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	db, err := store.OpenDatabase(*dbName)
 	if err != nil {
 		return err
-	}
-	if *retention > 0 {
-		// The startup database and every database recovered from the data
-		// directory age out on the same window.
-		for _, name := range store.Databases() {
-			store.DB(name).SetRetention(*retention)
-		}
 	}
 	var ring *obs.TraceRing
 	if *traceBuf > 0 {

@@ -202,3 +202,50 @@ func TestRunDurableSIGTERMRestartRoundTrip(t *testing.T) {
 	}
 	sigterm(errc3)
 }
+
+// TestRunRetentionReachesLateDatabases: -retention ages out every database,
+// also one born after start-up — here user_alice, created by its first
+// write the way lms-router -user-dbs creates it.
+func TestRunRetentionReachesLateDatabases(t *testing.T) {
+	base, errc := startDB(t, []string{"-addr", "127.0.0.1:0", "-retention", "200ms"})
+	client := &http.Client{Timeout: 5 * time.Second}
+	holds := func(db string) bool {
+		t.Helper()
+		resp, err := client.Get(base + "/query?db=" + db + "&q=" + url.QueryEscape("SELECT count(v) FROM cpu"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Contains(string(body), "count_v")
+	}
+	for _, db := range []string{"lms", "user_alice"} {
+		resp, err := client.Post(base+"/write?db="+db, "text/plain",
+			strings.NewReader("cpu,hostname=h1 v=1 1600000000000000000\ncpu,hostname=h1 v=2 1600000001000000000\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("/write?db=%s status = %d", db, resp.StatusCode)
+		}
+		if !holds(db) {
+			t.Fatalf("%s does not hold the points just written", db)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); holds("lms") || holds("user_alice"); {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 5 s of a 200ms retention: lms holds data %v, user_alice %v", holds("lms"), holds("user_alice"))
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("shutdown returned %v", err)
+	}
+}

@@ -26,8 +26,11 @@ type Config struct {
 	Peers []string
 
 	// Self is this process's own entry in Peers, or "" for a pure
-	// coordinator (the router) that owns no ring slice. A node's requests
-	// to itself short-circuit to SelfStore instead of looping through HTTP.
+	// coordinator (the router) that owns no ring slice. A node's reads of
+	// its own slice go to SelfStore instead of looping through HTTP. Only
+	// reads: an lms-db routes its statements through its cluster but never
+	// writes a batch through it, so a write sends every share, its own
+	// included, over HTTP as a frame.
 	Self string
 
 	// SelfStore is the local store backing Self; required iff Self != "".
@@ -281,17 +284,10 @@ func (c *Cluster) unensured(db string) []string {
 func (c *Cluster) Ensure(ctx context.Context, db string) error {
 	var firstErr error
 	for _, id := range c.unensured(db) {
-		n := c.nodes[id]
-		var err error
-		if n.local != nil {
-			_, err = n.local.OpenDatabase(db)
-		} else {
-			st := tsdb.Statement{Kind: tsdb.StmtCreateDatabase, Target: db}
-			var resp tsdb.Response
-			resp, err = c.clientFor(id, "").Query(ctx, tsdb.Request{Statements: []tsdb.Statement{st}})
-			if err == nil {
-				err = resp.Err()
-			}
+		st := tsdb.Statement{Kind: tsdb.StmtCreateDatabase, Target: db}
+		resp, err := c.clientFor(id, "").Query(ctx, tsdb.Request{Statements: []tsdb.Statement{st}})
+		if err == nil {
+			err = resp.Err()
 		}
 		if err != nil {
 			if firstErr == nil {

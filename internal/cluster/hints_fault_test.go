@@ -12,6 +12,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/url"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -294,5 +298,45 @@ func TestHintQueueRefusesInvalidFrames(t *testing.T) {
 		if _, err := openHintQueue(root, peer, durable.Options{}); !errors.Is(err, durable.ErrInvalidPoint) {
 			t.Fatalf("%s: open over a log holding the frame: %v, want durable.ErrInvalidPoint", name, err)
 		}
+	}
+}
+
+// TestClusterRefusesCorruptHintSegment: a bad hint frame with hints in a
+// later segment is media corruption, not a torn tail. The coordinator must
+// fail to start, naming the segment, rather than drop the hints behind it,
+// which their replica would then never receive.
+func TestClusterRefusesCorruptHintSegment(t *testing.T) {
+	root := t.TempDir()
+	peers := []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
+	dir := filepath.Join(root, url.PathEscape(peers[0]))
+	w, err := durable.OpenWAL(dir, 0, durable.Options{Fsync: durable.FsyncOff, SegmentBytes: 64}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // one hint per segment: each outgrows 64 bytes
+		if _, _, err := w.Append(encodeHint("lms", testFrame(fmt.Sprintf("m%d", i), "h1", 2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first := filepath.Join(dir, "wal-00000001.log")
+	data, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(first, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := New(Config{Peers: peers, HintsDir: root})
+	if err == nil {
+		c.Close()
+		t.Fatal("coordinator started over a corrupt hint segment")
+	}
+	if !strings.Contains(err.Error(), first) {
+		t.Fatalf("error does not name the segment: %v", err)
 	}
 }

@@ -8,7 +8,7 @@ package cluster
 // durable hint queue and replayed on heal, so R-W down replicas cost no
 // availability and no acknowledged data.
 //
-// A remote replica's share crosses the wire as one durable batch frame
+// Every replica's share crosses the wire as one durable batch frame
 // (durable.AppendBatch, tsdb.BatchContentType): encoded once here, logged
 // verbatim by the replica's WAL, and — when the replica is down — parked
 // verbatim as the hint. One codec rides all three.
@@ -23,7 +23,6 @@ import (
 	"repro/internal/lineproto"
 	"repro/internal/obs"
 	"repro/internal/router"
-	"repro/internal/tsdb"
 	"repro/internal/tsdb/durable"
 )
 
@@ -69,24 +68,12 @@ func (c *Cluster) writeDB(ctx context.Context, db string, pts []lineproto.Point)
 	defer wsp.End()
 	c.ensureDatabase(db)
 
-	// Zero timestamps are resolved here, once, by the coordinator: if each
-	// replica stamped its own arrival time the copies would diverge and a
-	// read failover would change answers. Same rule as the WAL codec — the
-	// batch that replicates is the batch that acknowledged.
+	// Zero timestamps are resolved once, by the coordinator: every share's
+	// frame is encoded with this one now (durable.AppendBatch stamps a zero
+	// time with it), so every replica and every hint holds the same
+	// timestamp. If each replica stamped its own arrival time the copies
+	// would diverge and a read failover would change answers.
 	now := time.Now().UTC()
-	stamped := pts
-	for i := range pts {
-		if pts[i].Time.IsZero() {
-			stamped = make([]lineproto.Point, len(pts))
-			copy(stamped, pts)
-			for j := range stamped {
-				if stamped[j].Time.IsZero() {
-					stamped[j].Time = now
-				}
-			}
-			break
-		}
-	}
 
 	// Split the batch: per-node shares (input order preserved) and
 	// per-owner-group point counts for the quorum decision. Batches are
@@ -99,9 +86,9 @@ func (c *Cluster) writeDB(ctx context.Context, db string, pts []lineproto.Point)
 	perNode := make(map[string]*share, c.cfg.Replication)
 	groups := make(map[string]*group)  // by owner set
 	groupOf := make(map[string]*group) // by measurement
-	evenShare := len(stamped)*c.cfg.Replication/len(c.nodes) + 1
-	for i := range stamped {
-		m := stamped[i].Measurement
+	evenShare := len(pts)*c.cfg.Replication/len(c.nodes) + 1
+	for i := range pts {
+		m := pts[i].Measurement
 		g := groupOf[m]
 		if g == nil {
 			owners := c.owners(db, m)
@@ -119,7 +106,7 @@ func (c *Cluster) writeDB(ctx context.Context, db string, pts []lineproto.Point)
 				sh = &share{pts: make([]lineproto.Point, 0, evenShare)}
 				perNode[id] = sh
 			}
-			sh.pts = append(sh.pts, stamped[i])
+			sh.pts = append(sh.pts, pts[i])
 		}
 	}
 
@@ -189,31 +176,21 @@ func (c *Cluster) writeDB(ctx context.Context, db string, pts []lineproto.Point)
 // share is one node's part of a replicated batch.
 type share struct {
 	pts []lineproto.Point
-	// frame is pts in the durable batch codec, set for remote nodes only:
-	// the bytes that went on the wire, and the hint if they did not arrive.
+	// frame is pts in the durable batch codec: the bytes that went on the
+	// wire, and the hint if they did not arrive.
 	frame []byte
 	err   error
 }
 
 // writeNode delivers one share to a single replica, keeping the per-peer
-// counters. A remote share is encoded here, once; nowNS only backstops the
-// codec's zero-time rule — writeDB has already stamped every point.
+// counters. The share is encoded here, once, with nowNS for its zero
+// timestamps. A fresh buffer per share (a failed one lives on as the hint),
+// sized by what the last frame needed per point.
 func (c *Cluster) writeNode(ctx context.Context, id, db string, sh *share, nowNS int64) error {
 	n := c.nodes[id]
-	var err error
-	if n.local != nil {
-		var ldb *tsdb.DB
-		ldb, err = n.local.OpenDatabase(db)
-		if err == nil {
-			err = ldb.WriteBatchContext(ctx, sh.pts)
-		}
-	} else {
-		// A fresh buffer per share (a failed one lives on as the hint), sized
-		// by what the last frame needed per point.
-		sh.frame = durable.AppendBatch(make([]byte, 0, len(sh.pts)*int(c.frameBytesPerPoint.Load())), sh.pts, nowNS)
-		c.frameBytesPerPoint.Store(int64(len(sh.frame)/len(sh.pts)) + 16)
-		err = c.clientFor(id, db).WriteFrameContext(ctx, sh.frame)
-	}
+	sh.frame = durable.AppendBatch(make([]byte, 0, len(sh.pts)*int(c.frameBytesPerPoint.Load())), sh.pts, nowNS)
+	c.frameBytesPerPoint.Store(int64(len(sh.frame)/len(sh.pts)) + 16)
+	err := c.clientFor(id, db).WriteFrameContext(ctx, sh.frame)
 	if err != nil {
 		n.batchesErr.Add(1)
 		n.pointsErr.Add(uint64(len(sh.pts)))

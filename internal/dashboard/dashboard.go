@@ -14,17 +14,19 @@
 // This reproduction keeps the agent logic intact — template selection,
 // JSON assembly, per-job adjustment — and replaces the Grafana renderer
 // with a small built-in web viewer (viewer.go) that draws the same panels
-// as unicode sparkline graphs.
+// as unicode sparkline graphs. A panel template here is a typed value (a
+// title and a unit per measurement), not JSON text: the agent fills in a
+// Panel directly, and every panel and annotation query is a tsdb statement
+// printed by Statement.Text, the one escaping printer, so odd measurement,
+// field and job names cannot break the document or the query.
 package dashboard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
-	"text/template"
 	"time"
 
 	"repro/internal/analysis"
@@ -75,28 +77,6 @@ type Panel struct {
 type Target struct {
 	Query  string `json:"query"`
 	Legend string `json:"legend,omitempty"`
-}
-
-// PanelTemplate is a JSON panel description with text/template
-// placeholders. Context fields available during execution:
-//
-//	{{.JobID}} {{.User}} {{.Measurement}} {{.Field}} {{.StartNS}} {{.EndNS}}
-type PanelTemplate struct {
-	// Measurement selects this template when the measurement is present
-	// for the job's hosts; "*" is the generic fallback.
-	Measurement string
-	// JSON is the panel body with placeholders.
-	JSON string
-}
-
-// templateContext is the data available to panel templates.
-type templateContext struct {
-	JobID       string
-	User        string
-	Measurement string
-	Field       string
-	StartNS     int64
-	EndNS       int64
 }
 
 // Agent generates dashboards from templates and database content. It
@@ -152,42 +132,55 @@ func (a *Agent) measurementsForJob(ctx context.Context, job analysis.JobMeta) ([
 	return out, nil
 }
 
-// findTemplate picks the first builtin template whose Measurement matches,
-// else the first "*" fallback.
-func findTemplate(meas string) (PanelTemplate, bool) {
-	var fallback PanelTemplate
-	haveFallback := false
-	for _, t := range BuiltinTemplates() {
-		if t.Measurement == meas {
-			return t, true
-		}
-		if t.Measurement == "*" && !haveFallback {
-			fallback = t
-			haveFallback = true
-		}
-	}
-	return fallback, haveFallback
+// panelStyle is what sets a builtin template's panels apart: the title
+// around the field name, and the unit.
+type panelStyle struct{ prefix, suffix, unit string }
+
+// panelStyles are the builtin panel templates, selected by measurement. A
+// measurement without one — an application's own series from libusermetric
+// (Sect. IV) among them — gets the generic "<measurement> <field>" panel.
+var panelStyles = map[string]panelStyle{
+	"cpu":             {prefix: "CPU", suffix: " [%]", unit: "percent"},
+	"likwid_mem_dp":   {prefix: "LIKWID"},
+	"likwid_flops_dp": {prefix: "LIKWID"},
+	"memory":          {prefix: "Memory"},
 }
 
-// renderPanel executes one panel template.
-func renderPanel(tpl PanelTemplate, ctx templateContext, id int) (Panel, error) {
-	t, err := template.New(tpl.Measurement).Parse(tpl.JSON)
-	if err != nil {
-		return Panel{}, fmt.Errorf("dashboard: template %q: %w", tpl.Measurement, err)
+// jobPanel is one field's graph panel of a job dashboard: the per-host mean
+// of the field over the job window, in minute buckets. Its query is printed
+// from the AST, so any measurement, field or job id the store can hold
+// comes out escaped.
+func jobPanel(id int, meas, field, jobID string, start, end time.Time) Panel {
+	style, ok := panelStyles[meas]
+	if !ok {
+		style.prefix = meas
 	}
-	var buf bytes.Buffer
-	if err := t.Execute(&buf, ctx); err != nil {
-		return Panel{}, fmt.Errorf("dashboard: execute %q: %w", tpl.Measurement, err)
+	st := tsdb.SelectStatement(tsdb.Query{
+		Measurement: meas,
+		Start:       start,
+		End:         end,
+		Filter:      tsdb.TagFilter{"jobid": jobID},
+		GroupByTags: []string{"hostname"},
+		Every:       time.Minute,
+	}, tsdb.AggCol{Field: field, Agg: tsdb.AggMean})
+	return Panel{
+		ID:      id,
+		Title:   style.prefix + " " + field + style.suffix,
+		Type:    "graph",
+		Span:    6,
+		Unit:    style.unit,
+		Targets: []Target{{Query: st.Text(), Legend: "$tag_hostname"}},
 	}
-	var p Panel
-	if err := json.Unmarshal(buf.Bytes(), &p); err != nil {
-		return Panel{}, fmt.Errorf("dashboard: template %q produced invalid JSON: %w", tpl.Measurement, err)
-	}
-	p.ID = id
-	if p.Span == 0 {
-		p.Span = 6
-	}
-	return p, nil
+}
+
+// jobEvents is the annotation that overlays a job's events (job start and
+// end, user events) on its panels.
+func jobEvents(jobID string) Annotation {
+	st := tsdb.SelectStatement(tsdb.Query{
+		Measurement: "events",
+		Filter:      tsdb.TagFilter{"jobid": jobID},
+	}, tsdb.AggCol{Field: "text"})
+	return Annotation{Name: "job events", Query: st.Text()}
 }
 
 // GenerateJobDashboard builds the per-job dashboard (context-free
@@ -209,14 +202,11 @@ func (a *Agent) GenerateJobDashboardContext(ctx context.Context, job analysis.Jo
 		end = time.Now()
 	}
 	d := &Dashboard{
-		Title: fmt.Sprintf("Job %s", job.ID),
-		UID:   "job-" + job.ID,
-		Tags:  []string{"lms", "job"},
-		Time:  TimeRange{From: job.Start, To: end},
-		Annotations: []Annotation{{
-			Name:  "job events",
-			Query: fmt.Sprintf("SELECT text FROM events WHERE jobid = '%s'", job.ID),
-		}},
+		Title:       fmt.Sprintf("Job %s", job.ID),
+		UID:         "job-" + job.ID,
+		Tags:        []string{"lms", "job"},
+		Time:        TimeRange{From: job.Start, To: end},
+		Annotations: []Annotation{jobEvents(job.ID)},
 	}
 
 	// Header row: online job evaluation (Fig. 2).
@@ -238,12 +228,6 @@ func (a *Agent) GenerateJobDashboardContext(ctx context.Context, job analysis.Jo
 	}
 
 	id := 100
-	ctxBase := templateContext{
-		JobID:   job.ID,
-		User:    job.User,
-		StartNS: job.Start.UnixNano(),
-		EndNS:   end.UnixNano(),
-	}
 	measurements, err := a.measurementsForJob(ctx, job)
 	if err != nil {
 		return nil, err
@@ -258,21 +242,10 @@ func (a *Agent) GenerateJobDashboardContext(ctx context.Context, job analysis.Jo
 		return nil, fmt.Errorf("dashboard: field keys: %w", err)
 	}
 	for mi, meas := range measurements {
-		tpl, ok := findTemplate(meas)
-		if !ok {
-			continue
-		}
 		row := Row{Title: meas}
 		for _, field := range fieldsPerMeas[mi] {
-			ctx := ctxBase
-			ctx.Measurement = meas
-			ctx.Field = field
-			p, err := renderPanel(tpl, ctx, id)
-			if err != nil {
-				return nil, err
-			}
+			row.Panels = append(row.Panels, jobPanel(id, meas, field, job.ID, job.Start, end))
 			id++
-			row.Panels = append(row.Panels, p)
 		}
 		if len(row.Panels) > 0 {
 			d.Rows = append(d.Rows, row)

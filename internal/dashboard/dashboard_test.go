@@ -3,10 +3,13 @@ package dashboard
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -192,18 +195,6 @@ func TestDashboardValidateCatchesBadness(t *testing.T) {
 	}
 }
 
-func TestRenderPanelTemplateErrors(t *testing.T) {
-	if _, err := renderPanel(PanelTemplate{Measurement: "x", JSON: "{{.Broken"}, templateContext{}, 1); err == nil {
-		t.Fatal("broken template accepted")
-	}
-	if _, err := renderPanel(PanelTemplate{Measurement: "x", JSON: "not json"}, templateContext{}, 1); err == nil {
-		t.Fatal("non-JSON template accepted")
-	}
-	if _, err := renderPanel(PanelTemplate{Measurement: "x", JSON: `{"title":"{{.NoSuchField}}"}`}, templateContext{}, 1); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	if Sparkline(nil) != "" {
 		t.Error("empty")
@@ -375,19 +366,159 @@ func TestViewerEmptyAdminView(t *testing.T) {
 }
 
 func TestBuiltinTemplatesValid(t *testing.T) {
-	ctx := templateContext{
-		JobID: "1", User: "u", Measurement: "anything", Field: "value",
-		StartNS: 0, EndNS: 1000,
-	}
-	for _, tpl := range BuiltinTemplates() {
-		p, err := renderPanel(tpl, ctx, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", tpl.Measurement, err)
-		}
-		for _, tgt := range p.Targets {
+	for meas := range panelStyles {
+		for _, tgt := range jobPanel(1, meas, "value", "1", time.Unix(0, 0), time.Unix(0, 1000)).Targets {
 			if _, err := tsdb.ParseQuery(tgt.Query); err != nil {
-				t.Fatalf("%s: query %q: %v", tpl.Measurement, tgt.Query, err)
+				t.Fatalf("%s: query %q: %v", meas, tgt.Query, err)
 			}
 		}
 	}
+}
+
+// parsesTo checks that query text parses to exactly one statement, a
+// SELECT of want (bounds compared as instants).
+func parsesTo(query string, want tsdb.Query) error {
+	stmts, err := tsdb.ParseQuery(query)
+	if err != nil {
+		return err
+	}
+	if len(stmts) != 1 || stmts[0].Kind != tsdb.StmtSelect {
+		return fmt.Errorf("%q is not one SELECT: %+v", query, stmts)
+	}
+	got := stmts[0].Query
+	if !got.Start.Equal(want.Start) || !got.End.Equal(want.End) {
+		return fmt.Errorf("%q covers %v..%v, want %v..%v", query, got.Start, got.End, want.Start, want.End)
+	}
+	got.Start, got.End = want.Start, want.End
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("%q parses to %+v, want %+v", query, got, want)
+	}
+	return nil
+}
+
+// checkJobQueries checks that a job's panel and annotation queries parse
+// back to the statements they were built from.
+func checkJobQueries(meas, field, jobID string, start, end time.Time) error {
+	p := jobPanel(100, meas, field, jobID, start, end)
+	if len(p.Targets) != 1 {
+		return fmt.Errorf("panel has %d targets", len(p.Targets))
+	}
+	err := parsesTo(p.Targets[0].Query, tsdb.Query{
+		Measurement: meas,
+		Start:       start,
+		End:         end,
+		Filter:      tsdb.TagFilter{"jobid": jobID},
+		Cols:        []tsdb.AggCol{{Field: field, Agg: tsdb.AggMean}},
+		GroupByTags: []string{"hostname"},
+		Every:       time.Minute,
+	})
+	if err != nil {
+		return fmt.Errorf("panel: %w", err)
+	}
+	err = parsesTo(jobEvents(jobID).Query, tsdb.Query{
+		Measurement: "events",
+		Filter:      tsdb.TagFilter{"jobid": jobID},
+		Cols:        []tsdb.AggCol{{Field: "text"}},
+	})
+	if err != nil {
+		return fmt.Errorf("annotation: %w", err)
+	}
+	return nil
+}
+
+// TestJobDashboardOddNames: measurement, field and job names the line
+// protocol carries — spaces, commas, quotes, backslashes — must come out of
+// the agent as a valid dashboard whose queries find the job's data.
+func TestJobDashboardOddNames(t *testing.T) {
+	cases := []struct{ meas, field, job string }{
+		{"app", "step time", "7"},
+		{"app", "a,b", "7"},
+		{"app", `a"b`, "7"},
+		{"my app", "value", "7"},
+		{`my"app`, "value", "7"},
+		{"app", "value", "7'x"},
+		{"app", "value", `7"x`},
+		{"app", "value", `7\x`},
+	}
+	for _, c := range cases {
+		t.Run(c.meas+"/"+c.field+"/"+c.job, func(t *testing.T) {
+			store := tsdb.NewStore()
+			db := store.CreateDatabase("lms")
+			start := time.Unix(100000, 0).UTC()
+			var pts []lineproto.Point
+			for i := 0; i < 10; i++ {
+				pts = append(pts, lineproto.Point{
+					Measurement: c.meas,
+					Tags:        map[string]string{"hostname": "h1", "jobid": c.job},
+					Fields:      map[string]lineproto.Value{c.field: lineproto.Float(float64(i))},
+					Time:        start.Add(time.Duration(i) * time.Minute),
+				})
+			}
+			pts = append(pts, lineproto.Point{
+				Measurement: "events",
+				Tags:        map[string]string{"jobid": c.job, "type": "jobstart"},
+				Fields:      map[string]lineproto.Value{"text": lineproto.String("jobstart odd")},
+				Time:        start,
+			})
+			if err := db.WriteBatchContext(context.Background(), pts); err != nil {
+				t.Fatal(err)
+			}
+			job := analysis.JobMeta{ID: c.job, User: "alice", Nodes: []string{"h1"}, Start: start, End: start.Add(10 * time.Minute)}
+			qr := tsdb.LocalQuerier{Store: store}
+			agent := &Agent{Querier: qr, Database: "lms"}
+			d, err := agent.GenerateJobDashboard(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if len(d.Rows) != 1 || d.Rows[0].Title != c.meas || len(d.Rows[0].Panels) != 1 {
+				t.Fatalf("rows %+v", d.Rows)
+			}
+			if err := checkJobQueries(c.meas, c.field, c.job, job.Start, job.End); err != nil {
+				t.Fatal(err)
+			}
+			text, err := RenderDashboard(context.Background(), qr, "lms", d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{"-- " + c.meas + " --", "hostname=h1", "▁", "█", "last 9", "jobstart odd"} {
+				if !strings.Contains(text, want) {
+					t.Fatalf("missing %q in rendering:\n%s", want, text)
+				}
+			}
+
+			jobs := router.NewJobRegistry(10)
+			if err := jobs.Start(&router.Job{ID: c.job, User: job.User, Nodes: job.Nodes, Start: job.Start}); err != nil {
+				t.Fatal(err)
+			}
+			v := NewViewer(qr, "lms", jobs, agent)
+			v.Now = func() time.Time { return job.End }
+			srv := httptest.NewServer(v)
+			defer srv.Close()
+			for _, path := range []string{"/job/", "/api/dashboard/"} {
+				if code, body := get(t, srv.URL+path+url.PathEscape(c.job)); code != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", path, code, body)
+				}
+			}
+		})
+	}
+}
+
+// FuzzJobPanel: whatever measurement, field and job id the agent is handed,
+// its panel and annotation queries parse back to what they were built from.
+func FuzzJobPanel(f *testing.F) {
+	f.Add("cpu", "percent", "42")
+	f.Add("my\"app", "step time", "7'x")
+	f.Add("app", "a,b", `7\x`)
+	start, end := time.Unix(100000, 0), time.Unix(100600, 0)
+	f.Fuzz(func(t *testing.T, meas, field, jobID string) {
+		if meas == "" || field == "" {
+			t.Skip() // the store holds no empty measurement or field name
+		}
+		if err := checkJobQueries(meas, field, jobID, start, end); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -166,7 +166,7 @@ func TestDBConcurrentWriteReadDrop(t *testing.T) {
 func TestDBConcurrentRetentionWrites(t *testing.T) {
 	t.Parallel()
 	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 2})
-	db.SetRetention(time.Hour)
+	db.setRetention(time.Hour)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -193,7 +193,7 @@ func TestDBConcurrentRetentionWrites(t *testing.T) {
 func TestRetentionPrunesIdleShards(t *testing.T) {
 	t.Parallel()
 	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
-	db.SetRetention(time.Hour)
+	db.setRetention(time.Hour)
 	old := concPoint("oldmeas", "h", 0)
 	old.Time = time.Unix(100, 0)
 	if err := db.WriteBatchContext(bg, []lineproto.Point{old}); err != nil {

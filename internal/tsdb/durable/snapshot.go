@@ -20,10 +20,10 @@ package durable
 //
 // where the number is the WAL segment recovery must replay from: state in
 // segments below it is captured by the checkpoint, so they are deleted
-// once the rename lands. Load walks the checkpoints newest-first and
-// skips files that fail the CRC (a crash can only tear the temp file, but
-// media corruption of a renamed checkpoint must not take recovery down
-// with it when an older valid checkpoint plus a longer WAL tail exists).
+// once the rename lands, as are older checkpoints. Load reads the newest
+// checkpoint or fails: a crash can only tear the temp file, so a renamed
+// checkpoint that does not check out is media corruption, and no older
+// checkpoint with a longer WAL tail is left to fall back to.
 
 import (
 	"encoding/binary"
@@ -32,7 +32,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 
@@ -42,12 +41,6 @@ import (
 
 // snapMagic opens every checkpoint file.
 const snapMagic = "LMSCKP3\n"
-
-// retiredMagics are the formats no writer or reader exists for any more:
-// LMSCKP1 (raw runs only) and LMSCKP2 (a kind byte per run, raw or
-// compressed). LoadLatestSnapshot refuses them by name instead of
-// treating them as garbage.
-var retiredMagics = []string{"LMSCKP1\n", "LMSCKP2\n"}
 
 // Snapshot is the neutral, format-owning image of one database.
 type Snapshot struct {
@@ -570,15 +563,16 @@ func WriteSnapshot(fs fsys.FS, dir string, seg int, s *Snapshot) error {
 	return nil
 }
 
-// LoadLatestSnapshot loads the newest valid checkpoint in dir through fs
-// (nil selects the real filesystem). It returns the snapshot and the WAL
-// segment index replay must start from, or (nil, 0, nil) when no usable
-// checkpoint exists. Corrupt checkpoint files are skipped in favour of
-// older ones — a longer WAL tail still reaches the same state. A file in
-// a retired format (retiredMagics) is not corruption and is refused with
-// an error naming it instead: the WAL segments it covers are already
-// deleted, so skipping it would bring the store up silently missing that
-// data.
+// LoadLatestSnapshot loads the newest checkpoint in dir through fs (nil
+// selects the real filesystem). It returns the snapshot and the WAL segment
+// index replay must start from, or (nil, 0, nil) when dir holds no
+// checkpoint. A newest checkpoint that cannot be read — too short, another
+// magic (the retired LMSCKP1 and LMSCKP2 among them), a CRC mismatch, a
+// payload that does not decode — fails the load with an error naming the
+// file and the defect. Nothing valid lies behind it: WriteSnapshot deletes
+// every older checkpoint once a new one is durable, and the WAL segments
+// the newest one covers are deleted after it, so loading anything else
+// would bring the database up silently missing data.
 func LoadLatestSnapshot(fs fsys.FS, dir string) (*Snapshot, int, error) {
 	if fs == nil {
 		fs = fsys.OS{}
@@ -590,38 +584,42 @@ func LoadLatestSnapshot(fs fsys.FS, dir string) (*Snapshot, int, error) {
 		}
 		return nil, 0, err
 	}
-	var idxs []int
+	newest := -1
 	for _, name := range names {
-		if idx, ok := parseSnapshotName(name); ok {
-			idxs = append(idxs, idx)
+		if idx, ok := parseSnapshotName(name); ok && idx > newest {
+			newest = idx
 		}
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(idxs)))
-	for _, idx := range idxs {
-		data, err := fs.ReadFile(filepath.Join(dir, snapshotName(idx)))
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(data) < len(snapMagic)+4 {
-			continue
-		}
-		magic := string(data[:len(snapMagic)])
-		if slices.Contains(retiredMagics, magic) {
-			return nil, 0, fmt.Errorf("durable: %s is in the retired %s checkpoint format, which this version no longer reads",
-				filepath.Join(dir, snapshotName(idx)), strings.TrimSuffix(magic, "\n"))
-		}
-		if magic != snapMagic {
-			continue
-		}
-		payload := data[len(snapMagic) : len(data)-4]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-			continue
-		}
-		s, err := decodeSnapshot(payload)
-		if err != nil {
-			continue
-		}
-		return s, idx, nil
+	if newest < 0 {
+		return nil, 0, nil
 	}
-	return nil, 0, nil
+	path := filepath.Join(dir, snapshotName(newest))
+	data, err := fs.ReadFile(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	s, err := readSnapshot(data)
+	if err != nil {
+		return nil, 0, fmt.Errorf("durable: checkpoint %s: %w", path, err)
+	}
+	return s, newest, nil
+}
+
+// readSnapshot checks and decodes the bytes of one checkpoint file.
+func readSnapshot(data []byte) (*Snapshot, error) {
+	if len(data) < len(snapMagic)+4 {
+		return nil, fmt.Errorf("%d bytes is too short for a checkpoint", len(data))
+	}
+	if magic := string(data[:len(snapMagic)]); magic != snapMagic {
+		return nil, fmt.Errorf("magic %q, this version reads only %q", magic, snapMagic)
+	}
+	payload := data[len(snapMagic) : len(data)-4]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return nil, errors.New("CRC mismatch")
+	}
+	s, err := decodeSnapshot(payload)
+	if err != nil {
+		return nil, fmt.Errorf("decode: %w", err)
+	}
+	return s, nil
 }

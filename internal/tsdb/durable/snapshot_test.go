@@ -1,9 +1,12 @@
 package durable
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/lineproto"
@@ -108,40 +111,54 @@ func TestSnapshotSupersededCheckpointsRemoved(t *testing.T) {
 	}
 }
 
-// TestSnapshotCorruptFallsBackToOlder flips a byte in the newest
-// checkpoint: recovery must skip it and use the older valid one instead
-// of failing outright.
-func TestSnapshotCorruptFallsBackToOlder(t *testing.T) {
-	dir := t.TempDir()
-	older := sampleSnapshot()
-	if err := WriteSnapshot(nil, dir, 2, older); err != nil {
-		t.Fatal(err)
+// TestSnapshotCorruptRefused damages the newest checkpoint in each way a
+// file can fail to load: recovery must fail naming the file and the defect,
+// not fall back to an older checkpoint (whose WAL tail is gone in a real
+// data directory) or report none.
+func TestSnapshotCorruptRefused(t *testing.T) {
+	withCRC := func(payload []byte) []byte {
+		data := append([]byte(snapMagic), payload...)
+		return binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(payload))
 	}
-	// Re-create a newer checkpoint by hand so the older one survives.
-	newer := sampleSnapshot()
-	newer.Measurements = newer.Measurements[:1]
-	tmp := t.TempDir()
-	if err := WriteSnapshot(nil, tmp, 5, newer); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(tmp, snapshotName(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(filepath.Join(dir, snapshotName(5)), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		name   string
+		damage func([]byte) []byte
+		defect string
+	}{
+		{"flipped byte", func(d []byte) []byte { d[len(d)/2] ^= 0xff; return d }, "CRC mismatch"},
+		{"truncated", func(d []byte) []byte { return d[:6] }, "too short"},
+		{"retired magic", func(d []byte) []byte { copy(d, "LMSCKP2\n"); return d }, "LMSCKP2"},
+		{"undecodable", func([]byte) []byte { return withCRC([]byte{0xff}) }, "decode"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := WriteSnapshot(nil, dir, 2, sampleSnapshot()); err != nil {
+				t.Fatal(err)
+			}
+			// A newer checkpoint written beside the older one, as a crash
+			// between its rename and the older one's removal leaves them.
+			tmp := t.TempDir()
+			if err := WriteSnapshot(nil, tmp, 5, sampleSnapshot()); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(tmp, snapshotName(5)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, snapshotName(5)), c.damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	got, seg, err := LoadLatestSnapshot(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg != 2 {
-		t.Fatalf("fell back to %d, want 2", seg)
-	}
-	if !reflect.DeepEqual(got, older) {
-		t.Fatal("fallback snapshot mismatch")
+			got, seg, err := LoadLatestSnapshot(nil, dir)
+			if err == nil {
+				t.Fatalf("loaded seg %d (%d measurements) past a damaged newest checkpoint", seg, len(got.Measurements))
+			}
+			for _, want := range []string{snapshotName(5), c.defect} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name %q", err, want)
+				}
+			}
+		})
 	}
 }
 

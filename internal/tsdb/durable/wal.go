@@ -15,13 +15,15 @@ package durable
 // every segment below the checkpoint's replay floor, so the on-disk log
 // only ever covers data not yet captured by a checkpoint.
 //
-// Recovery reads the segments in order and validates every frame. The
-// first bad frame — short header, implausible length, CRC mismatch — is
-// where a crash tore the log: the segment is truncated right there, any
-// later segments are dropped, and everything before it (the acknowledged
-// prefix) replays. A CRC mismatch in the *middle* of the log means media
-// corruption rather than a torn tail; recovery still stops at the first
-// bad frame rather than guess at the integrity of what follows.
+// Recovery reads the segments in order and validates every frame. A bad
+// frame — short header, implausible length, CRC mismatch — in the newest
+// segment that holds frames is where a crash tore the log: the segment is
+// truncated right there, the frameless segments after it (a rotation a
+// crash cut short, or one a sealed log made) are dropped, and everything
+// before it (the acknowledged prefix) replays. Rotation fsyncs a segment
+// before starting the next, so a bad frame with frames in a later segment
+// is media corruption, not a tear: recovery fails naming the segment and
+// the offset, and touches no file.
 
 import (
 	"context"
@@ -93,8 +95,9 @@ type WAL struct {
 // covered by a checkpoint and deleted unread. The surviving segments are
 // replayed in order through fn (nil fn validates and positions the log
 // without handing payloads out); the payload slice passed to fn is only
-// valid during the call. A torn tail is truncated as described in the
-// file comment. After OpenWAL returns, the WAL is positioned for appends.
+// valid during the call. A torn tail is truncated, and a bad frame with
+// frames behind it fails the open, as described in the file comment. After
+// OpenWAL returns, the WAL is positioned for appends.
 func OpenWAL(dir string, floor int, o Options, fn func(payload []byte) error) (*WAL, error) {
 	o = o.withDefaults()
 	if err := o.FS.MkdirAll(dir, 0o755); err != nil {
@@ -104,48 +107,39 @@ func OpenWAL(dir string, floor int, o Options, fn func(payload []byte) error) (*
 	if err != nil {
 		return nil, err
 	}
-	var segs []int
-	removed := false
+	var segs, covered []int
 	for _, name := range names {
-		idx, ok := parseSegmentName(name)
-		if !ok {
-			continue
+		if idx, ok := parseSegmentName(name); ok && idx < floor {
+			covered = append(covered, idx)
+		} else if ok {
+			segs = append(segs, idx)
 		}
-		if idx < floor {
-			if err := o.FS.Remove(filepath.Join(dir, name)); err != nil {
-				return nil, err
-			}
-			removed = true
-			continue
-		}
-		segs = append(segs, idx)
 	}
 	sort.Ints(segs)
 
 	w := &WAL{dir: dir, opts: o, fs: o.FS, sizes: make(map[int]int64)}
 	for i, idx := range segs {
-		size, ok, err := w.replaySegment(idx, fn)
+		size, defect, err := w.replaySegment(idx, fn)
 		if err != nil {
 			return nil, err
 		}
 		w.sizes[idx] = size
 		w.seg = idx
-		if !ok {
-			// Torn or corrupt frame: this segment was truncated at the
-			// last good frame; anything after it is past the tear.
-			for _, later := range segs[i+1:] {
-				if err := w.fs.Remove(filepath.Join(dir, segmentName(later))); err != nil {
-					return nil, err
-				}
-				removed = true
+		if defect != "" {
+			if err := w.cutTornTail(idx, defect, segs[i+1:]); err != nil {
+				return nil, err
 			}
 			break
 		}
 	}
-	if removed {
+	for _, idx := range covered {
+		if err := w.fs.Remove(filepath.Join(dir, segmentName(idx))); err != nil {
+			return nil, err
+		}
+	}
+	if len(covered) > 0 {
 		// Make the deletions durable: a crash must not resurrect
-		// checkpoint-covered or past-the-tear segments that a later
-		// recovery would happily replay.
+		// checkpoint-covered segments that a later recovery would replay.
 		if err := w.fs.SyncDir(dir); err != nil {
 			return nil, err
 		}
@@ -168,65 +162,74 @@ func OpenWAL(dir string, floor int, o Options, fn func(payload []byte) error) (*
 }
 
 // replaySegment validates the frames of one segment, feeding payloads to
-// fn, and truncates the file at the first bad frame. It returns the
-// validated size and whether the segment was fully intact.
-func (w *WAL) replaySegment(idx int, fn func([]byte) error) (int64, bool, error) {
-	path := filepath.Join(w.dir, segmentName(idx))
-	data, err := w.fs.ReadFile(path)
+// fn. It returns the size of the valid prefix and, when a bad frame ends
+// it short of the file's end, what is wrong with that frame.
+func (w *WAL) replaySegment(idx int, fn func([]byte) error) (int64, string, error) {
+	data, err := w.fs.ReadFile(filepath.Join(w.dir, segmentName(idx)))
 	if err != nil {
-		return 0, false, err
+		return 0, "", err
 	}
-	good := int64(0)
-	intact := false
-	if len(data) >= len(segMagic) && string(data[:len(segMagic)]) == segMagic {
-		good = int64(len(segMagic))
-		off := len(segMagic)
-		for {
-			if off == len(data) {
-				intact = true
-				break
-			}
-			if len(data)-off < frameOverhead {
-				break // torn frame header
-			}
-			n := int(binary.LittleEndian.Uint32(data[off:]))
-			crc := binary.LittleEndian.Uint32(data[off+4:])
-			if n > maxFrameBytes || off+frameOverhead+n > len(data) {
-				break // implausible length or torn payload
-			}
-			payload := data[off+frameOverhead : off+frameOverhead+n]
-			if crc32.ChecksumIEEE(payload) != crc {
-				break // corrupt payload
-			}
-			if fn != nil {
-				if err := fn(payload); err != nil {
-					return 0, false, err
-				}
-			}
-			off += frameOverhead + n
-			good = int64(off)
-		}
+	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
+		return 0, "bad segment header", nil
 	}
-	if !intact {
-		if err := w.fs.Truncate(path, good); err != nil {
-			return 0, false, err
+	off := len(segMagic)
+	for off < len(data) {
+		if len(data)-off < frameOverhead {
+			return int64(off), "torn frame header", nil
 		}
-		if good < int64(len(data)) {
-			// The repair itself must be durable: the truncation only
-			// changed the kernel's view, so a crash right after recovery
-			// could resurrect the corrupt tail — and a later recovery
-			// would cut the log there again, dropping everything acked
-			// after this point. Fsync the file (its new size) and the
-			// directory before appending behind the repaired tail.
-			if err := w.fs.SyncFile(path); err != nil {
-				return 0, false, err
-			}
-			if err := w.fs.SyncDir(w.dir); err != nil {
-				return 0, false, err
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		crc := binary.LittleEndian.Uint32(data[off+4:])
+		if n > maxFrameBytes || off+frameOverhead+n > len(data) {
+			return int64(off), "implausible length or torn payload", nil
+		}
+		payload := data[off+frameOverhead : off+frameOverhead+n]
+		if crc32.ChecksumIEEE(payload) != crc {
+			return int64(off), "CRC mismatch", nil
+		}
+		if fn != nil {
+			if err := fn(payload); err != nil {
+				return 0, "", err
 			}
 		}
+		off += frameOverhead + n
 	}
-	return good, intact, nil
+	return int64(off), "", nil
+}
+
+// cutTornTail truncates segment idx at its bad frame (offset w.sizes[idx])
+// and deletes the segments after it, if none of them holds a frame.
+// Rotation fsyncs a segment before it starts the next, so a crash tears
+// only the newest segment with frames; a bad frame with frames behind it is
+// media corruption, and cutting there would drop acknowledged records, so
+// that fails before any file is touched.
+func (w *WAL) cutTornTail(idx int, defect string, later []int) error {
+	path := filepath.Join(w.dir, segmentName(idx))
+	for _, l := range later {
+		data, err := w.fs.ReadFile(filepath.Join(w.dir, segmentName(l)))
+		if err != nil {
+			return err
+		}
+		if len(data) > len(segMagic) {
+			return fmt.Errorf("durable: WAL segment %s: %s at offset %d, but %s holds frames after it: the log is corrupt, not torn",
+				path, defect, w.sizes[idx], segmentName(l))
+		}
+	}
+	if err := w.fs.Truncate(path, w.sizes[idx]); err != nil {
+		return err
+	}
+	for _, l := range later {
+		if err := w.fs.Remove(filepath.Join(w.dir, segmentName(l))); err != nil {
+			return err
+		}
+	}
+	// The repair itself must be durable: a crash right after recovery must
+	// not resurrect the corrupt tail, or a later recovery would cut the log
+	// there again, dropping everything acked after this point. Fsync the
+	// file (its new size) and the directory before appending behind it.
+	if err := w.fs.SyncFile(path); err != nil {
+		return err
+	}
+	return w.fs.SyncDir(w.dir)
 }
 
 // createSegment starts segment idx as the append target. The handle is

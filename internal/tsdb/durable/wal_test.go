@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -201,10 +203,29 @@ func TestWALTornTailTruncatedAtEveryOffset(t *testing.T) {
 	}
 }
 
-// TestWALCorruptMiddleFrameStopsReplay flips a byte inside an early
-// frame: replay must stop before it rather than hand corrupt data out,
-// and later segments are dropped.
-func TestWALCorruptMiddleFrameStopsReplay(t *testing.T) {
+// dirFiles reads every file of dir, by name.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
+}
+
+// TestWALCorruptMiddleFrameRefused flips a byte inside an early frame while
+// later segments hold frames: that is media corruption, not a torn tail, so
+// the open must fail naming the segment and the offset, and leave every
+// file as it was rather than drop the acknowledged records behind it.
+func TestWALCorruptMiddleFrameRefused(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, 0, Options{Fsync: FsyncOff, SegmentBytes: 64}, nil)
 	if err != nil {
@@ -236,17 +257,63 @@ func TestWALCorruptMiddleFrameStopsReplay(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	before := dirFiles(t, dir)
 
-	w2, got := collectWAL(t, dir, 0, Options{Fsync: FsyncOff, SegmentBytes: 64})
-	defer w2.Abort()
-	if len(got) != 1 {
-		t.Fatalf("replayed %d records past corruption, want 1", len(got))
+	_, err = OpenWAL(dir, 0, Options{Fsync: FsyncOff, SegmentBytes: 64}, nil)
+	if err == nil {
+		t.Fatal("opened a log with a corrupt frame in the middle")
 	}
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		if idx, ok := parseSegmentName(e.Name()); ok && idx > 1 {
-			t.Fatalf("segment %d after the corruption survived", idx)
+	for _, want := range []string{segmentName(1), fmt.Sprintf("offset %d", firstEnd)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
 		}
+	}
+	if !reflect.DeepEqual(dirFiles(t, dir), before) {
+		t.Fatal("a refused open changed the log's files")
+	}
+}
+
+// TestWALTornTailBeforeHeaderOnlySegment: a torn frame in the newest segment
+// with frames, followed by a segment holding only its header (a rotation a
+// crash cut short, or one a sealed log made while closing), is a torn tail:
+// the open recovers the acknowledged prefix and appends continue.
+func TestWALTornTailBeforeHeaderOnlySegment(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, 0, Options{Fsync: FsyncOff}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int64
+	for i := 0; i < 3; i++ {
+		_, end, err := w.Append(bytes.Repeat([]byte{byte(i)}, 30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, end)
+	}
+	if _, err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, segmentName(1)), ends[2]-5); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, got := collectWAL(t, dir, 0, Options{Fsync: FsyncOff})
+	if len(got) != 2 {
+		t.Fatalf("replayed %d records, want the 2 before the tear", len(got))
+	}
+	if _, _, err := w2.Append([]byte("after-tear")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, got = collectWAL(t, dir, 0, Options{Fsync: FsyncOff})
+	if len(got) != 3 || string(got[2]) != "after-tear" {
+		t.Fatalf("after reopen: %d records", len(got))
 	}
 }
 

@@ -224,7 +224,7 @@ func TestCloseWaitsForBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetRetention(time.Hour)
+	db.setRetention(time.Hour)
 	fs.arm()
 	// One batch that kicks the checkpoint (past CheckpointBytes) and seals
 	// a run: a full block of one series, a point of another, then the next

@@ -325,7 +325,7 @@ func (db *DB) openDurable(opts Durability) error {
 	db.dur.ckptJob.Export(db.metrics.jobCheckpoint)
 	db.dur.ckptJob.Every(0, func(context.Context) error { return db.Checkpoint() })
 	// Recovery resumes the stream clock: the downtime does not count as
-	// idle time for the retention sweep (SetRetention).
+	// idle time for the retention sweep (setRetention).
 	db.lastWrite.Store(time.Now().UnixNano())
 	return nil
 }
@@ -496,9 +496,10 @@ func (s *Store) unlockDataDir() {
 }
 
 // OpenDatabase creates (or returns the existing) database with that name.
-// On a durable store a failure to open the on-disk state (an I/O error;
-// corrupt files are recovered from, not failed on) is returned and nothing
-// is cached, so the next call retries.
+// On a durable store a failure to open the on-disk state — an I/O error,
+// a damaged newest checkpoint, a WAL with a bad frame that is not a torn
+// tail — is returned naming the file, and nothing is cached, so the next
+// call retries.
 func (s *Store) OpenDatabase(name string) (*DB, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -508,7 +509,8 @@ func (s *Store) OpenDatabase(name string) (*DB, error) {
 // openLocked is where every database is born: built with the store's
 // shard count, metrics bundle and job stats, recovered from
 // disk on a durable store, its compaction job armed (and kicked once for
-// the sealed runs recovery brought back) — and only then published.
+// the sealed runs recovery brought back), its retention job armed with the
+// store's window — and only then published.
 func (s *Store) openLocked(name string) (*DB, error) {
 	if db, ok := s.dbs[name]; ok {
 		return db, nil
@@ -538,6 +540,9 @@ func (s *Store) openLocked(name string) (*DB, error) {
 	db.compJob.Every(0, func(context.Context) error { db.Compress(); return nil })
 	if db.dur != nil {
 		db.compJob.Kick()
+	}
+	if s.Retention > 0 {
+		db.setRetention(s.Retention)
 	}
 	s.dbs[name] = db
 	return db, nil

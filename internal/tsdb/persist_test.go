@@ -365,7 +365,7 @@ func TestDurableRetentionDeletesOnDiskState(t *testing.T) {
 		t.Fatalf("PointCount before sweep = %d, want 2", got)
 	}
 	walSizeBefore := db.dur.wal.TotalSize()
-	db.SetRetention(time.Hour) // ticker sweeps at 1s period
+	db.setRetention(time.Hour) // ticker sweeps at 1s period
 
 	deadline := time.Now().Add(10 * time.Second)
 	for db.PointCount() != 1 {
@@ -492,6 +492,60 @@ func TestStoreRecoversAllDatabases(t *testing.T) {
 	}
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableCorruptCheckpointRefused: the checkpoint covers 100 points
+// whose WAL segments are gone, the WAL tail holds 10 more. A byte flipped in
+// the checkpoint must fail the open naming the file — recovering the tail
+// alone would serve 10 of 110 points as if nothing were missing.
+func TestDurableCorruptCheckpointRefused(t *testing.T) {
+	dir := t.TempDir()
+	st := openDurableStore(t, Durability{Dir: dir})
+	db, err := st.OpenDatabase("lms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := db.WriteBatchContext(bg, []lineproto.Point{{
+				Measurement: "cpu",
+				Tags:        map[string]string{"hostname": "h1"},
+				Fields:      map[string]lineproto.Value{"v": lineproto.Float(float64(i))},
+				Time:        time.Unix(int64(i), 0),
+			}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(0, 100)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	write(100, 110)
+	st.Abort()
+
+	snaps, err := filepath.Glob(filepath.Join(dir, "lms", "checkpoint-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("checkpoints on disk: %v (err %v)", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := OpenStore(StoreOptions{Durability: Durability{Dir: dir}})
+	if err == nil {
+		n := st2.DB("lms").PointCount()
+		st2.Abort()
+		t.Fatalf("store opened over a corrupt checkpoint and serves %d of 110 points", n)
+	}
+	if !strings.Contains(err.Error(), snaps[0]) {
+		t.Fatalf("open error does not name the checkpoint: %v", err)
 	}
 }
 

@@ -267,8 +267,13 @@ func (st Statement) Text() string {
 			b.WriteString(strings.Join(conds, " AND "))
 		}
 		var groups []string
-		if st.Query.Every > 0 {
-			groups = append(groups, "time("+strconv.FormatInt(st.Query.Every.Nanoseconds(), 10)+"ns)")
+		if every := st.Query.Every; every > 0 {
+			// Whole seconds print as seconds, the form people write.
+			n, unit := every.Nanoseconds(), "ns"
+			if every%time.Second == 0 {
+				n, unit = int64(every/time.Second), "s"
+			}
+			groups = append(groups, "time("+strconv.FormatInt(n, 10)+unit+")")
 		}
 		for _, t := range st.Query.GroupByTags {
 			if t == "*" {

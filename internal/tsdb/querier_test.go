@@ -251,10 +251,18 @@ func TestStatementTextRoundTrip(t *testing.T) {
 		SelectStatement(Query{Measurement: "cpu", Every: 20 * time.Second},
 			AggCol{Field: "*", Agg: AggCount}, AggCol{Field: "value", Agg: AggLast}),
 		SelectStatement(Query{Measurement: "cpu"}, AggCol{Field: "*"}, AggCol{Field: "note"}),
+		SelectStatement(Query{Measurement: "cpu", Every: 1500 * time.Millisecond},
+			AggCol{Field: "value", Agg: AggMean}),
 		ShowMeasurementsStatement(),
 		ShowFieldKeysStatement("cpu"),
 		ShowTagValuesStatement("", "hostname"),
 		ShowTagValuesStatement("cpu", "jobid"),
+	}
+	// GROUP BY time() prints whole seconds as seconds, anything finer in ns.
+	for i, want := range map[int]string{1: "GROUP BY time(10s)", 7: "GROUP BY time(1500000000ns)"} {
+		if text := constructed[i].Text(); !strings.Contains(text, want) {
+			t.Fatalf("%q lacks %q", text, want)
+		}
 	}
 	for _, st := range constructed {
 		text := st.Text()

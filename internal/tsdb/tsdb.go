@@ -95,6 +95,10 @@ type StoreOptions struct {
 	// CompressAfter is ignored: a run is compressed when it seals
 	// (DESIGN.md §13). It stays only while bench/layers.go sets it.
 	CompressAfter time.Duration
+	// Retention is the retention window of every database the store opens
+	// (DB.setRetention; 0 = keep forever): the ones recovered at start-up
+	// and every one created later alike.
+	Retention time.Duration
 	// Durability enables the durable storage engine (persist.go, DESIGN.md
 	// §9) when its Dir is set. OpenStore creates and locks the directory
 	// and recovers the databases in it; set on a NewStore store (the
@@ -197,7 +201,7 @@ type DB struct {
 	metrics *Metrics
 
 	// Background maintenance (obs.Job; Close and Abort stop and wait for
-	// both). retJob sweeps retention (SetRetention), so expired data ages
+	// both). retJob sweeps retention (setRetention), so expired data ages
 	// out of an idle database too; compJob, kicked by every seal,
 	// compresses the sealed runs and merges them into larger chunks
 	// (Compress).
@@ -260,7 +264,7 @@ func shardIndex[S string | []byte](measurement S, n int) int {
 	return int(h % uint32(n))
 }
 
-// SetRetention configures the retention window: points older than d
+// setRetention configures the retention window: points older than d
 // relative to the newest inserted point are dropped by a background job
 // (every half window, so within ~1.5x the window of expiring, clamped to
 // [10ms, 1s] as tests use tiny windows; stopped by Close) — the one
@@ -271,7 +275,7 @@ func shardIndex[S string | []byte](measurement S, n int) int {
 // (simulation dumps, backfills, the 2017-era corpora of this repo) keeps
 // its retention window anchored at its own newest point. Zero disables
 // pruning and halts the job.
-func (db *DB) SetRetention(d time.Duration) {
+func (db *DB) setRetention(d time.Duration) {
 	db.retention.Store(int64(d))
 	period := time.Duration(0)
 	if d > 0 {
@@ -280,7 +284,7 @@ func (db *DB) SetRetention(d time.Duration) {
 	db.retJob.Every(period, db.pruneTick)
 }
 
-// pruneTick is the timed retention sweep (see SetRetention).
+// pruneTick is the timed retention sweep (see setRetention).
 func (db *DB) pruneTick(context.Context) error {
 	ret := db.retention.Load()
 	if ret <= 0 {

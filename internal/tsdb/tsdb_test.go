@@ -362,7 +362,7 @@ func TestMetadataQueries(t *testing.T) {
 
 func TestRetention(t *testing.T) {
 	db := newDB("test")
-	db.SetRetention(time.Minute)
+	db.setRetention(time.Minute)
 	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 100; i++ {
 		_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, float64(i), base.Add(time.Duration(i)*time.Second).UnixNano())})
@@ -666,7 +666,7 @@ func TestRetentionTickerAgesOutIdleData(t *testing.T) {
 	if err := db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 1, time.Now().UnixNano())}); err != nil {
 		t.Fatal(err)
 	}
-	db.SetRetention(100 * time.Millisecond) // ticker sweeps every 50ms
+	db.setRetention(100 * time.Millisecond) // ticker sweeps every 50ms
 	deadline := time.Now().Add(10 * time.Second)
 	for db.PointCount() != 0 {
 		if time.Now().After(deadline) {
@@ -681,8 +681,8 @@ func TestRetentionTickerAgesOutIdleData(t *testing.T) {
 func TestSetRetentionZeroStopsTicker(t *testing.T) {
 	db := newDB("test")
 	defer db.Close()
-	db.SetRetention(20 * time.Millisecond)
-	db.SetRetention(0)
+	db.setRetention(20 * time.Millisecond)
+	db.setRetention(0)
 	if err := db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 1, time.Now().Add(-time.Hour).UnixNano())}); err != nil {
 		t.Fatal(err)
 	}
@@ -710,7 +710,7 @@ func TestRetentionTickerPreservesHistoricalData(t *testing.T) {
 	newest := time.Now().Add(-time.Hour) // a 2017-style historical corpus
 	_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 1, newest.Add(-5*time.Second).UnixNano())})
 	_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 2, newest.UnixNano())})
-	db.SetRetention(10 * time.Second)
+	db.setRetention(10 * time.Second)
 	time.Sleep(2500 * time.Millisecond) // several ticker periods
 	if got := db.PointCount(); got != 2 {
 		t.Fatalf("historical points within the retention window were purged: PointCount = %d, want 2", got)
