@@ -588,7 +588,7 @@ func BenchmarkO3_TSDBQueryInfluxQL(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tsdb.ExecuteContext(context.Background(), store, "lms", stmts[0], tsdb.ExecOptions{}); err != nil {
+		if _, err := tsdb.ExecuteContext(context.Background(), store, "lms", stmts[0], ""); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1329,9 +1329,6 @@ func benchCluster(b *testing.B, seedPoints int) *cluster.Cluster {
 			if err := sink.WritePoints(batch); err != nil {
 				b.Fatal(err)
 			}
-		}
-		if err := clu.Ensure(context.Background(), "lms"); err != nil {
-			b.Fatal(err)
 		}
 	}
 	return clu

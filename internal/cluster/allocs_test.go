@@ -67,9 +67,6 @@ func TestClusterWriteAllocs(t *testing.T) {
 	}
 	defer c.Close()
 	ctx := context.Background()
-	if err := c.Ensure(ctx, "lms"); err != nil {
-		t.Fatal(err)
-	}
 	pts := collectorBatch()
 	allocs := testing.AllocsPerRun(50, func() {
 		if err := c.writeDB(ctx, "lms", pts); err != nil {

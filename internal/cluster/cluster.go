@@ -2,13 +2,9 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"maps"
 	"net/http"
-	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -73,7 +69,6 @@ const defaultDrainInterval = 250 * time.Millisecond
 
 // node is one ring member as seen from this process.
 type node struct {
-	id    string
 	local *tsdb.Store // non-nil only for self
 	hints *hintQueue  // nil for self (a node never hints to itself)
 
@@ -95,12 +90,8 @@ type Cluster struct {
 	// nodes is keyed by ring id; iteration always goes through ring.Nodes()
 	// for deterministic order.
 	nodes map[string]*node
-	self  *node
 
 	httpc *http.Client
-
-	ensureMu sync.Mutex
-	ensured  map[string]map[string]bool // db -> node id -> created
 
 	readFailovers  atomic.Uint64
 	quorumFailures atomic.Uint64
@@ -108,12 +99,10 @@ type Cluster struct {
 	frameBytesPerPoint atomic.Int64
 	fanout             atomic.Pointer[obs.Histogram]
 
-	// Background jobs; Close stops both and waits before it closes the
-	// hint queues. drain replays hints every DrainInterval and when a write
-	// parks one, backing off (x2 per failed round, up to 16x) while a peer
-	// stays down; ensure is the CREATE DATABASE fan-out the write path kicks.
-	drain  obs.Job
-	ensure obs.Job
+	// drain replays hints every DrainInterval and when a write parks one,
+	// backing off (x2 per failed round, up to 16x) while a peer stays down;
+	// Close stops it and waits before it closes the hint queues.
+	drain obs.Job
 }
 
 // New builds the cluster view and recovers any hinted-handoff queues left
@@ -143,18 +132,16 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.DrainInterval = defaultDrainInterval
 	}
 	c := &Cluster{
-		cfg:     cfg,
-		ring:    ring,
-		nodes:   make(map[string]*node, len(ring.Nodes())),
-		httpc:   cfg.HTTPClient,
-		ensured: make(map[string]map[string]bool),
+		cfg:   cfg,
+		ring:  ring,
+		nodes: make(map[string]*node, len(ring.Nodes())),
+		httpc: cfg.HTTPClient,
 	}
 	foundSelf := cfg.Self == ""
 	for _, id := range ring.Nodes() {
-		n := &node{id: id}
+		n := &node{}
 		if id == cfg.Self {
 			n.local = cfg.SelfStore
-			c.self = n
 			foundSelf = true
 		} else {
 			q, err := openHintQueue(cfg.HintsDir, id, durable.Options{Fsync: durable.FsyncPerBatch})
@@ -170,7 +157,6 @@ func New(cfg Config) (*Cluster, error) {
 		c.closeQueues()
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list", cfg.Self)
 	}
-	c.ensure.Every(0, c.ensureAll)
 	c.drain.MaxBackoff = 16
 	c.drain.Every(cfg.DrainInterval, func(ctx context.Context) error {
 		if replayed, err := c.drainPeers(ctx); replayed == 0 {
@@ -222,84 +208,6 @@ func (c *Cluster) pendingHints(id string) int {
 	}
 	d, _ := n.hints.depth()
 	return d
-}
-
-// ---------------------------------------------------------------------------
-// Database fan-out (CREATE DATABASE on every node).
-//
-// Writes autocreate the database on the owning replicas, but a SELECT for
-// a measurement nobody ever wrote can land on a node that never saw the
-// database at all and would answer "database does not exist" where a
-// single-node store answers with an empty result. ensureDatabase
-// eagerly creates the database on every member the first time the write
-// path sees it, keeping the ghost-measurement behavior of the cluster
-// byte-identical to a single node once the fan-out completes.
-
-// ensureDatabase asynchronously creates db on every cluster member that
-// has not confirmed it yet. It returns immediately; Ensure is the
-// synchronous form.
-func (c *Cluster) ensureDatabase(db string) {
-	if len(c.unensured(db)) > 0 {
-		c.ensure.Kick()
-	}
-}
-
-// ensureAll is one run of the ensure job: every database the write path
-// has seen, on every member still missing it, 10 s for the lot (what a dead
-// member costs; the next write kicks again).
-func (c *Cluster) ensureAll(ctx context.Context) error {
-	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	c.ensureMu.Lock()
-	dbs := slices.Collect(maps.Keys(c.ensured))
-	c.ensureMu.Unlock()
-	var err error
-	for _, db := range dbs {
-		err = errors.Join(err, c.Ensure(ctx, db))
-	}
-	return err
-}
-
-func (c *Cluster) unensured(db string) []string {
-	c.ensureMu.Lock()
-	defer c.ensureMu.Unlock()
-	state := c.ensured[db]
-	if state == nil {
-		state = make(map[string]bool, len(c.nodes))
-		c.ensured[db] = state
-	}
-	var missing []string
-	for _, id := range c.ring.Nodes() {
-		if !state[id] {
-			missing = append(missing, id)
-		}
-	}
-	return missing
-}
-
-// Ensure synchronously creates db on every member that has not confirmed
-// it yet, returning the first failure. The write path runs it in the
-// background (ensureDatabase); tests and provisioning tools call it
-// directly.
-func (c *Cluster) Ensure(ctx context.Context, db string) error {
-	var firstErr error
-	for _, id := range c.unensured(db) {
-		st := tsdb.Statement{Kind: tsdb.StmtCreateDatabase, Target: db}
-		resp, err := c.clientFor(id, "").Query(ctx, tsdb.Request{Statements: []tsdb.Statement{st}})
-		if err == nil {
-			err = resp.Err()
-		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: ensure %q on %s: %w", db, id, err)
-			}
-			continue
-		}
-		c.ensureMu.Lock()
-		c.ensured[db][id] = true
-		c.ensureMu.Unlock()
-	}
-	return firstErr
 }
 
 // ---------------------------------------------------------------------------
@@ -359,12 +267,11 @@ func (c *Cluster) closeQueues() {
 	}
 }
 
-// Close stops the background jobs, waits for a drain or fan-out in flight
-// (its peer requests are cancelled) and closes the hint WALs. Pending hints
+// Close stops the drain job, waits for a drain in flight (its peer
+// requests are cancelled) and closes the hint WALs. Pending hints
 // stay on disk and are recovered by the next New with the same HintsDir.
 func (c *Cluster) Close() error {
 	c.drain.Stop()
-	c.ensure.Stop()
 	c.closeQueues()
 	return nil
 }
@@ -451,7 +358,7 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 			emit("", float64(c.quorumFailures.Load()))
 		})
 	reg.NewFunc("lms_cluster_read_failovers_total",
-		"Statements retried on another replica after a replica failure.", "counter",
+		"Routed statements retried on another node after a node failed or lacked the database.", "counter",
 		func(emit func(string, float64)) {
 			emit("", float64(c.readFailovers.Load()))
 		})

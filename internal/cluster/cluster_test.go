@@ -147,6 +147,9 @@ type testNode struct {
 	// refuse makes the node answer every /query with a statement error,
 	// the way a reached node reports a CREATE whose durable open failed.
 	refuse atomic.Bool
+	// holdCreate holds every CREATE DATABASE sent to the node until its
+	// sender gives up: a database reaches the node only by a write.
+	holdCreate atomic.Bool
 }
 
 type harness struct {
@@ -171,6 +174,10 @@ func newHarness(t *testing.T, cfg Config) *harness {
 			}
 			if tn.down.Load() {
 				http.Error(w, "node down", http.StatusServiceUnavailable)
+				return
+			}
+			if tn.holdCreate.Load() && r.URL.Path == "/query" && strings.HasPrefix(r.FormValue("q"), "CREATE DATABASE") {
+				<-r.Context().Done()
 				return
 			}
 			if tn.refuse.Load() && r.URL.Path == "/query" {
@@ -233,9 +240,6 @@ func (h *harness) seed(t *testing.T) {
 		if err := sink.WritePoints(batch); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := h.coord.Ensure(context.Background(), "lms"); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -378,6 +382,133 @@ func TestClusterDropDatabaseNeedsEveryNode(t *testing.T) {
 		if err != nil || strings.Contains(mustJSON(t, resp), `"lms"`) {
 			t.Fatalf("%s: SHOW DATABASES after the DROP: %+v, %v", name, resp, err)
 		}
+	}
+}
+
+// matchOracle asks every door — the coordinator and each node's /query —
+// for qtext in db and holds each answer to the single-node oracle's JSON.
+func (h *harness) matchOracle(t *testing.T, label, db, qtext string) {
+	t.Helper()
+	ctx := context.Background()
+	req := tsdb.Request{Database: db, RawQuery: qtext}
+	want, err := tsdb.LocalQuerier{Store: h.oracle}.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doors := map[string]tsdb.Querier{"coordinator": h.coord.Querier()}
+	for _, id := range h.peers {
+		doors["node "+id] = &tsdb.Client{BaseURL: id, Database: db}
+	}
+	for name, qr := range doors {
+		got, err := qr.Query(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: %s: %q in %q: %v", label, name, qtext, db, err)
+		}
+		if mustJSON(t, got) != mustJSON(t, want) {
+			t.Fatalf("%s: %s: %q in %q diverged:\n cluster: %s\n oracle:  %s",
+				label, name, qtext, db, mustJSON(t, got), mustJSON(t, want))
+		}
+	}
+}
+
+// ghostHarness is a ring with R=1, so a measurement nobody wrote can have
+// one owner that never saw the database, and with CREATE DATABASE held at
+// every node, so only writes place a database. It returns the harness and
+// a measurement whose owner is not the owner of "cpu".
+func ghostHarness(t *testing.T) (*harness, string) {
+	t.Helper()
+	h := newHarness(t, Config{Replication: 1, WriteQuorum: 1})
+	for _, tn := range h.nodes {
+		tn.holdCreate.Store(true)
+	}
+	written := h.coord.owners("lms", "cpu")[0]
+	for i := 0; ; i++ {
+		if ghost := fmt.Sprintf("ghost%d", i); h.coord.owners("lms", ghost)[0] != written {
+			return h, ghost
+		}
+	}
+}
+
+// writeBoth writes pts through the replicated sink and into the oracle.
+func (h *harness) writeBoth(t *testing.T, pts []lineproto.Point) {
+	t.Helper()
+	if err := h.oracle.CreateDatabase("lms").WriteBatchContext(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.coord.SinkFor("lms").WritePoints(pts); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClusterGhostReadAfterFirstWrite: right after a database's first
+// write, a measurement nobody wrote answers at every door as a single node
+// does — an empty SELECT, the empty SHOW shells — although its only owner
+// never saw the database; the read routes past it to a node that holds
+// it. A database no node holds still answers "database does not exist".
+func TestClusterGhostReadAfterFirstWrite(t *testing.T) {
+	h, ghost := ghostHarness(t)
+	h.writeBoth(t, testPoints("cpu", "h1", 3))
+	for _, q := range []string{
+		"SELECT value FROM " + ghost,
+		"SHOW FIELD KEYS FROM " + ghost,
+		"SHOW TAG KEYS FROM " + ghost,
+		"SELECT value FROM cpu",
+	} {
+		h.matchOracle(t, "first write", "lms", q)
+		h.matchOracle(t, "no such database", "nowhere", q)
+	}
+	h.matchOracle(t, "no such database", "nowhere", "SHOW MEASUREMENTS")
+
+	// The routing profile lists the owner's refusal and the node that
+	// answered, and each extra hop counts as a read failover.
+	before := h.coord.readFailovers.Load()
+	resp, err := h.coord.Querier().Query(context.Background(),
+		tsdb.Request{Database: "lms", RawQuery: "EXPLAIN ANALYZE SELECT value FROM " + ghost})
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := map[string]interface{}{}
+	for _, s := range resp.Results[0].Series {
+		if s.Name == tsdb.ExplainClusterSeriesName {
+			for _, row := range s.Values {
+				profile[row[0].(string)] = row[1]
+			}
+		}
+	}
+	owner := h.coord.owners("lms", ghost)[0]
+	if profile["attempt_1_node"] != owner || profile["attempt_1_status"] != "no-database" {
+		t.Fatalf("routing profile does not start at the owner %s lacking the database: %v", owner, profile)
+	}
+	n, _ := profile["attempts"].(int)
+	if chosen := profile["chosen_replica"]; n < 2 || chosen == "" || chosen == owner {
+		t.Fatalf("routing profile chose %v after %d attempts: %v", chosen, n, profile)
+	}
+	if got := h.coord.readFailovers.Load() - before; got != uint64(n-1) {
+		t.Fatalf("%d read failovers counted for %d attempts", got, n)
+	}
+}
+
+// TestClusterGhostReadAfterDropAndRewrite: a database dropped and then
+// re-created by writes answers a ghost measurement as a single node does;
+// nothing in the cluster remembers where it was before the drop.
+func TestClusterGhostReadAfterDropAndRewrite(t *testing.T) {
+	h, ghost := ghostHarness(t)
+	h.writeBoth(t, testPoints("cpu", "h1", 3))
+	resp, err := h.coord.Querier().Query(context.Background(), tsdb.Request{RawQuery: "DROP DATABASE lms"})
+	if err != nil || resp.Err() != nil {
+		t.Fatalf("DROP DATABASE: %+v, %v", resp, err)
+	}
+	h.oracle.DropDatabase("lms")
+	h.matchOracle(t, "dropped", "lms", "SELECT value FROM "+ghost)
+
+	h.writeBoth(t, testPoints("cpu", "h2", 3))
+	for _, q := range []string{
+		"SELECT value FROM " + ghost,
+		"SHOW FIELD KEYS FROM " + ghost,
+		"SHOW TAG KEYS FROM " + ghost,
+		"SELECT value FROM cpu",
+	} {
+		h.matchOracle(t, "re-created", "lms", q)
 	}
 }
 

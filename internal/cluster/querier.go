@@ -16,6 +16,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,7 +100,6 @@ func (q *DistributedQuerier) queryNode(ctx context.Context, id string, req tsdb.
 		Database:   req.Database,
 		Statements: []tsdb.Statement{st},
 		Epoch:      req.Epoch,
-		Limit:      req.Limit,
 	}
 	n := q.c.nodes[id]
 	var resp tsdb.Response
@@ -137,10 +137,14 @@ type routeAttempt struct {
 // execRouted routes a measurement-scoped statement to its owner slice:
 // first healthy owner answers, the rest are failover targets. A replica
 // with queued hints is tried last — it is known to be missing
-// acknowledged writes until handoff drains. The returned attempts are the
-// routing profile EXPLAIN ANALYZE renders: which replicas were tried, how
-// long each took, and how each answered; the last attempt of a successful
-// route is the chosen replica.
+// acknowledged writes until handoff drains. When every owner was reached
+// and lacks the database, the statement goes on to the other members,
+// self first: a node holds a database only once a write landed a share on
+// it, so a measurement nobody wrote can have owners that never saw its
+// database while another member holds it and answers as a single node
+// would. The returned attempts are the routing profile EXPLAIN ANALYZE
+// renders: which nodes were tried, how long each took, and how each
+// answered; the last attempt of a successful route is the chosen node.
 func (q *DistributedQuerier) execRouted(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, []routeAttempt, error) {
 	owners := q.c.owners(req.Database, st.Query.Measurement)
 	if len(owners) == 0 {
@@ -150,7 +154,9 @@ func (q *DistributedQuerier) execRouted(ctx context.Context, req tsdb.Request, s
 	var attempts []routeAttempt
 	var noDB *tsdb.ExecResult
 	var lastErr error
-	for i, id := range q.c.readOrder(owners) {
+	order := q.c.readOrder(owners)
+	for i := 0; i < len(order); i++ {
+		id := order[i]
 		if err := ctx.Err(); err != nil {
 			return tsdb.ExecResult{}, attempts, err
 		}
@@ -175,13 +181,21 @@ func (q *DistributedQuerier) execRouted(ctx context.Context, req tsdb.Request, s
 		}
 		if isNoDatabase(res) {
 			noDB = &res
+			if i == len(owners)-1 && lastErr == nil {
+				// Every owner was reached and lacks the database.
+				for _, id := range q.c.readOrder(q.c.ring.Nodes()) {
+					if !slices.Contains(owners, id) {
+						order = append(order, id)
+					}
+				}
+			}
 			continue
 		}
 		return res, attempts, nil
 	}
 	if noDB != nil {
-		// Every reachable replica lacks the database: same answer a single
-		// node would give.
+		// Every reachable node asked lacks the database: same answer a
+		// single node would give.
 		return *noDB, attempts, nil
 	}
 	return tsdb.ExecResult{}, attempts, fmt.Errorf("cluster: all %d replicas failed: %w", len(owners), lastErr)
@@ -250,7 +264,7 @@ func (q *DistributedQuerier) execFanAll(ctx context.Context, req tsdb.Request, s
 	if err := ctx.Err(); err != nil {
 		return tsdb.ExecResult{}, err
 	}
-	merged := skeletonFor(st)
+	var shell *tsdb.ResultSeries
 	seen := make(map[string]struct{})
 	var rows []rowKey
 	ok, noDB := 0, 0
@@ -271,6 +285,9 @@ func (q *DistributedQuerier) execFanAll(ctx context.Context, req tsdb.Request, s
 		}
 		ok++
 		for _, s := range res.Series {
+			if shell == nil {
+				shell = &tsdb.ResultSeries{Name: s.Name, Columns: s.Columns}
+			}
 			for _, row := range s.Values {
 				k := rowString(row)
 				if _, dup := seen[k]; dup {
@@ -287,25 +304,31 @@ func (q *DistributedQuerier) execFanAll(ctx context.Context, req tsdb.Request, s
 		}
 		return tsdb.ExecResult{}, fmt.Errorf("cluster: all %d nodes failed: %w", len(results), lastErr)
 	}
-	// Each node emits its rows sorted; the union re-sorts on the same keys,
-	// so the merged order is the order a single node holding all the data
-	// would emit. Values stays nil when the union is empty — the JSON door
+	if shell == nil {
+		return tsdb.ExecResult{}, nil
+	}
+	// Every node answers with the one-series shell (name, columns) a single
+	// node emits; the union fills the first one it merged. Each node emits
+	// its rows sorted; the union re-sorts on the same keys, so the merged
+	// order is the order a single node holding all the data would emit.
+	// Values stays nil when the union is empty — the JSON door
 	// distinguishes null from [] and a single node emits null.
 	sort.Slice(rows, func(a, b int) bool { return rows[a].key < rows[b].key })
 	for _, r := range rows {
-		merged.Series[0].Values = append(merged.Series[0].Values, r.row)
+		shell.Values = append(shell.Values, r.row)
 	}
-	return merged, nil
+	return tsdb.ExecResult{Series: []tsdb.ResultSeries{*shell}}, nil
 }
 
 // execFanAllStrict runs CREATE/DROP DATABASE on every member. A peer that
 // was reached and refused — a durable open failure, say — surfaces: masking
 // it would acknowledge a database that cannot durably exist. CREATE
-// tolerates unreachable peers, which catch up through ensureDatabase and
-// write autocreation. DROP does not: nothing replays a drop, so a replica
-// it missed would serve the dropped data again once it heals. The error
-// names the unreached nodes; dropping a missing database is a no-op, so
-// the caller retries after the heal.
+// tolerates unreachable peers: a write creates the database on each owner
+// it lands on, and a read routes past a node that lacks it (execRouted).
+// DROP does not: nothing replays a drop, so a replica it missed would
+// serve the dropped data again once it heals. The error names the
+// unreached nodes; dropping a missing database is a no-op, so the caller
+// retries after the heal.
 func (q *DistributedQuerier) execFanAllStrict(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, error) {
 	results, errs := q.fanResults(ctx, req, st)
 	if err := ctx.Err(); err != nil {
@@ -355,24 +378,4 @@ func rowString(row []interface{}) string {
 		key += s
 	}
 	return key
-}
-
-// skeletonFor builds the empty result shell of a fanned metadata
-// statement with the exact Name/Columns a single node emits, so a merge
-// over zero rows still renders byte-identically.
-func skeletonFor(st tsdb.Statement) tsdb.ExecResult {
-	var s tsdb.ResultSeries
-	switch st.Kind {
-	case tsdb.StmtShowDatabases:
-		s = tsdb.ResultSeries{Name: "databases", Columns: []string{"name"}}
-	case tsdb.StmtShowMeasurements:
-		s = tsdb.ResultSeries{Name: "measurements", Columns: []string{"name"}}
-	case tsdb.StmtShowFieldKeys:
-		s = tsdb.ResultSeries{Name: st.Query.Measurement, Columns: []string{"fieldKey"}}
-	case tsdb.StmtShowTagKeys:
-		s = tsdb.ResultSeries{Name: st.Query.Measurement, Columns: []string{"tagKey"}}
-	case tsdb.StmtShowTagValues:
-		s = tsdb.ResultSeries{Name: st.Query.Measurement, Columns: []string{"key", "value"}}
-	}
-	return tsdb.ExecResult{Series: []tsdb.ResultSeries{s}}
 }

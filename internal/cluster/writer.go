@@ -56,9 +56,11 @@ func (s dbSink) WritePointsContext(ctx context.Context, pts []lineproto.Point) e
 
 // writeDB replicates one batch into db. It returns nil iff every owner
 // group in the batch reached write quorum; on a quorum failure the caller
-// (the router) counts the batch dropped and the upstream client retries —
-// replay is safe because same-timestamp rewrites are last-write-wins
-// upserts.
+// (the router) counts the batch dropped and the upstream client retries.
+// That retry is not idempotent: a share that landed on a replica before
+// the batch failed is stored there twice (the store upserts only a block
+// whose timestamps equal its head run's exactly), which inflates count,
+// sum and mean (DESIGN.md §12 failure matrix).
 func (c *Cluster) writeDB(ctx context.Context, db string, pts []lineproto.Point) error {
 	if len(pts) == 0 {
 		return nil
@@ -66,7 +68,6 @@ func (c *Cluster) writeDB(ctx context.Context, db string, pts []lineproto.Point)
 	tr := obs.TraceFrom(ctx)
 	wsp := tr.Start("cluster.write").Attr("db", db).AttrInt("points", int64(len(pts)))
 	defer wsp.End()
-	c.ensureDatabase(db)
 
 	// Zero timestamps are resolved once, by the coordinator: every share's
 	// frame is encoded with this one now (durable.AppendBatch stamps a zero

@@ -105,7 +105,8 @@ func (f *forwarder) forward(ctx context.Context, sp *obs.Span, pts []lineproto.P
 	sp.AttrInt("group", int64(len(g.shares)))
 	if g.err != nil && len(g.shares) > 1 {
 		// A refused group: this share alone decides this caller's verdict.
-		// Replaying points that did land is a last-write-wins upsert.
+		// Points of this share that did land are stored again beside the
+		// first copy, not upserted (DESIGN.md §12 failure matrix).
 		return f.write(ctx, pts)
 	}
 	if !leader && g.trace != "" {

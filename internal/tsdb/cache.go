@@ -2,8 +2,10 @@ package tsdb
 
 // A small TTL'd query-result cache in front of DB.SelectContext, sized for the
 // dashboard viewer's repeated panel refreshes: the same handful of
-// normalized queries re-executed every few hundred milliseconds. Entries
-// are keyed on the normalized Query and carry the invalidation generations
+// queries re-executed every few hundred milliseconds. Entries are keyed on
+// the query's canonical InfluxQL (Statement.Text, the printer the
+// coordinator→owner hop already trusts to be injective, held to a parse
+// round trip by FuzzParseQuery) and carry the invalidation generations
 // captured *before* the snapshot was taken: every write bumps the
 // generation of each touched measurement and every retention sweep bumps
 // the global generation, so a hit is only served while
@@ -11,9 +13,6 @@ package tsdb
 // shared between callers and must be treated as read-only.
 
 import (
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,7 +83,7 @@ func (db *DB) cacheGens(measurement string) (mgen, ggen uint64) {
 	return mgen, db.globalGen.Load()
 }
 
-// cacheRef carries the normalized key and pre-snapshot generations from a
+// cacheRef carries the key and pre-snapshot generations from a
 // failed lookup to the store after the engine ran, so the miss path builds
 // them exactly once.
 type cacheRef struct {
@@ -101,7 +100,7 @@ func (c *queryCache) lookup(db *DB, q Query) ([]Series, cacheRef, bool) {
 	if c.ttl.Load() <= 0 {
 		return nil, cacheRef{}, false
 	}
-	ref := cacheRef{key: normKey(q), enabled: true}
+	ref := cacheRef{key: SelectStatement(q, q.Cols...).Text(), enabled: true}
 	ref.mgen, ref.ggen = db.cacheGens(q.Measurement)
 	now := time.Now().UnixNano()
 	c.mu.Lock()
@@ -154,51 +153,4 @@ func (c *queryCache) evictLocked(db *DB) {
 			break
 		}
 	}
-}
-
-// normKey builds the canonical cache identity of a query. Every column
-// contributes its field, aggregate and percentile argument; column and
-// group-by order are semantically relevant and kept; the tag filter is
-// order-free and sorted. Every string component is
-// length-prefixed, so no legal measurement, field, tag key or tag value
-// (line-protocol escaping permits commas and '=' in all of them) can make
-// two distinct queries collide on one key.
-func normKey(q Query) string {
-	var b strings.Builder
-	frame := func(s string) {
-		b.WriteString(strconv.Itoa(len(s)))
-		b.WriteByte(':')
-		b.WriteString(s)
-	}
-	frame(q.Measurement)
-	startNS, endNS := rangeNS(q.Start, q.End)
-	b.WriteString(strconv.FormatInt(startNS, 10))
-	b.WriteByte(',')
-	b.WriteString(strconv.FormatInt(endNS, 10))
-	b.WriteByte(';')
-	keys := make([]string, 0, len(q.Filter))
-	for k := range q.Filter {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		frame(k)
-		frame(q.Filter[k])
-	}
-	b.WriteByte(';')
-	for _, c := range q.Cols {
-		frame(c.Field)
-		frame(string(c.Agg))
-		b.WriteString(strconv.FormatFloat(c.Pct, 'g', -1, 64))
-		b.WriteByte(',')
-	}
-	b.WriteByte(';')
-	for _, t := range q.GroupByTags {
-		frame(t)
-	}
-	b.WriteByte(';')
-	b.WriteString(strconv.FormatInt(q.Every.Nanoseconds(), 10))
-	b.WriteByte(';')
-	b.WriteString(strconv.Itoa(q.Limit))
-	return b.String()
 }

@@ -212,9 +212,6 @@ func newDiffStack(t *testing.T) *diffStack {
 	}
 	t.Cleanup(func() { _ = coord.Close() })
 	for name, batches := range data {
-		if err := coord.Ensure(context.Background(), name); err != nil {
-			t.Fatal(err)
-		}
 		for _, b := range batches {
 			if err := coord.SinkFor(name).WritePoints(b); err != nil {
 				t.Fatal(err)

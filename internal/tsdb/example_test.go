@@ -67,7 +67,7 @@ func ExampleParseQuery() {
 		fmt.Println(err)
 		return
 	}
-	res, err := tsdb.ExecuteContext(context.Background(), store, "lms", stmts[0], tsdb.ExecOptions{})
+	res, err := tsdb.ExecuteContext(context.Background(), store, "lms", stmts[0], "")
 	if err != nil {
 		fmt.Println(err)
 		return

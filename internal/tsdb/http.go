@@ -313,9 +313,9 @@ func (h *Handler) handleWrite(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuery serves GET|POST /query. Beyond db and q it understands the
-// InfluxDB epoch parameter (integer timestamps in the given precision),
-// chunked=true (one JSON document streamed per statement) and a limit
-// parameter capping rows per result series. Statement execution runs under
+// InfluxDB epoch parameter (integer timestamps in the given precision) and
+// chunked=true (one JSON document streamed per statement); a statement's
+// own LIMIT is the one row cap. Statement execution runs under
 // the request context, so a client that disconnects mid-aggregation stops
 // the query engine instead of completing work nobody reads.
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -342,15 +342,6 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if _, err := epochMult(epoch); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	limit := 0
-	if ls := params.Get("limit"); ls != "" {
-		n, err := strconv.Atoi(ls)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "invalid limit %q", ls)
-			return
-		}
-		limit = n
 	}
 	stmts, err := ParseQuery(qstr)
 	if err != nil {
@@ -379,7 +370,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// The cluster coordinator computes the whole response before the
 		// first byte is written: a replica set that is entirely unreachable
 		// becomes a 502 the client retries, not a half-streamed document.
-		resp, err := h.Distributed.Query(ctx, Request{Database: dbName, Statements: stmts, Epoch: epoch, Limit: limit})
+		resp, err := h.Distributed.Query(ctx, Request{Database: dbName, Statements: stmts, Epoch: epoch})
 		if err != nil {
 			httpError(w, http.StatusBadGateway, "cluster query: %v", err)
 			return
@@ -392,7 +383,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		out.finish(err)
 		return
 	}
-	out.finish(execStatements(ctx, h.store, dbName, stmts, ExecOptions{Epoch: epoch, Limit: limit}, out.emit))
+	out.finish(execStatements(ctx, h.store, dbName, stmts, epoch, out.emit))
 }
 
 // resultWriter renders the results of one /query request, whichever source
@@ -621,9 +612,6 @@ func (c *Client) Query(ctx context.Context, req Request) (Response, error) {
 	}
 	if req.Epoch != "" {
 		vals.Set("epoch", req.Epoch)
-	}
-	if req.Limit > 0 {
-		vals.Set("limit", strconv.Itoa(req.Limit))
 	}
 	if req.Chunked {
 		vals.Set("chunked", "true")

@@ -677,22 +677,14 @@ func parseDuration(s string) (time.Duration, error) {
 	return time.Duration(n * float64(mult)), nil
 }
 
-// ExecOptions adjust how a statement executes and renders its result.
-type ExecOptions struct {
-	// Epoch selects integer timestamps in the given precision ("ns", "u",
-	// "ms", "s", "m", "h") for SELECT results; "" renders RFC3339 strings.
-	Epoch string
-	// Limit, when > 0, caps the rows per result series of SELECTs on top of
-	// any statement-level LIMIT (the Request.Limit of the query API).
-	Limit int
-}
-
 // ExecuteContext runs a parsed statement against the store using dbName as
-// the current database ("" allowed for SHOW DATABASES / CREATE / DROP). The
-// context is observed by the Select engine before each result group, so a
-// caller that goes away (HTTP client disconnect, cancelled dashboard
-// refresh) stops burning CPU on an answer nobody reads.
-func ExecuteContext(ctx context.Context, store *Store, dbName string, st Statement, opts ExecOptions) (ExecResult, error) {
+// the current database ("" allowed for SHOW DATABASES / CREATE / DROP).
+// epoch selects integer SELECT timestamps in the given precision ("ns",
+// "u", "ms", "s", "m", "h"); "" renders RFC3339 strings. The context is
+// observed by the Select engine before each result group, so a caller
+// that goes away (HTTP client disconnect, cancelled dashboard refresh)
+// stops burning CPU on an answer nobody reads.
+func ExecuteContext(ctx context.Context, store *Store, dbName string, st Statement, epoch string) (ExecResult, error) {
 	switch st.Kind {
 	case StmtCreateDatabase:
 		// On a durable store a failed durable open must surface, not
@@ -741,9 +733,9 @@ func ExecuteContext(ctx context.Context, store *Store, dbName string, st Stateme
 		}
 		return res, nil
 	case StmtSelect:
-		return executeSelect(ctx, db, st, opts)
+		return executeSelect(ctx, db, st, epoch)
 	case StmtExplainAnalyze:
-		return executeExplainAnalyze(ctx, db, st, opts)
+		return executeExplainAnalyze(ctx, db, st, epoch)
 	default:
 		return ExecResult{}, fmt.Errorf("tsdb: unsupported statement kind %d", st.Kind)
 	}
@@ -764,15 +756,12 @@ type ResultSeries struct {
 	Values  [][]interface{}   `json:"values"`
 }
 
-func executeSelect(ctx context.Context, db *DB, st Statement, opts ExecOptions) (ExecResult, error) {
-	epochDiv, err := epochMult(opts.Epoch)
+func executeSelect(ctx context.Context, db *DB, st Statement, epoch string) (ExecResult, error) {
+	epochDiv, err := epochMult(epoch)
 	if err != nil {
 		return ExecResult{}, err
 	}
 	q := st.Query
-	if opts.Limit > 0 && (q.Limit == 0 || q.Limit > opts.Limit) {
-		q.Limit = opts.Limit
-	}
 	// GROUP BY * expands to all tag keys of the measurement.
 	if len(q.GroupByTags) == 1 && q.GroupByTags[0] == "*" {
 		q.GroupByTags = db.TagKeys(q.Measurement)
@@ -833,9 +822,9 @@ const (
 // executeExplainAnalyze runs the wrapped SELECT with a profile attached and
 // appends the profile as one extra series. The SELECT's own series are
 // rendered exactly as a bare SELECT would render them.
-func executeExplainAnalyze(ctx context.Context, db *DB, st Statement, opts ExecOptions) (ExecResult, error) {
+func executeExplainAnalyze(ctx context.Context, db *DB, st Statement, epoch string) (ExecResult, error) {
 	prof := &selectProf{}
-	res, err := executeSelect(withProf(ctx, prof), db, st, opts)
+	res, err := executeSelect(withProf(ctx, prof), db, st, epoch)
 	if err != nil {
 		return ExecResult{}, err
 	}

@@ -201,7 +201,7 @@ func execOne(t *testing.T, store *Store, db, q string) ExecResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ExecuteContext(context.Background(), store, db, stmts[0], ExecOptions{})
+	res, err := ExecuteContext(context.Background(), store, db, stmts[0], "")
 	if err != nil {
 		t.Fatalf("execute %q: %v", q, err)
 	}
@@ -309,7 +309,7 @@ func TestExecuteCreateDrop(t *testing.T) {
 func TestExecuteMissingDatabase(t *testing.T) {
 	store := NewStore()
 	stmts, _ := ParseQuery("SELECT value FROM cpu")
-	if _, err := ExecuteContext(context.Background(), store, "ghost", stmts[0], ExecOptions{}); err != ErrNoDatabase {
+	if _, err := ExecuteContext(context.Background(), store, "ghost", stmts[0], ""); err != ErrNoDatabase {
 		t.Fatalf("err %v", err)
 	}
 }

@@ -40,10 +40,6 @@ type Request struct {
 	// mirroring the InfluxDB /query epoch parameter.
 	Epoch string
 
-	// Limit, when > 0, caps the number of rows per result series of every
-	// SELECT in the request, on top of any per-statement LIMIT.
-	Limit int
-
 	// Chunked asks the HTTP transport to stream one JSON document per
 	// statement instead of a single response document. Results are
 	// identical; large responses start flowing before the last statement
@@ -100,7 +96,7 @@ func (lq LocalQuerier) Query(ctx context.Context, req Request) (Response, error)
 		}
 	}
 	var resp Response
-	err := execStatements(ctx, lq.Store, req.Database, stmts, ExecOptions{Epoch: req.Epoch, Limit: req.Limit},
+	err := execStatements(ctx, lq.Store, req.Database, stmts, req.Epoch,
 		func(res ExecResult) error {
 			resp.Results = append(resp.Results, res)
 			return nil
@@ -116,12 +112,12 @@ func (lq LocalQuerier) Query(ctx context.Context, req Request) (Response, error)
 // handler); context cancellation aborts the remaining statements and is
 // returned as the error. Shared by LocalQuerier and the /query handler so
 // both doors behave identically.
-func execStatements(ctx context.Context, store *Store, dbName string, stmts []Statement, opts ExecOptions, emit func(ExecResult) error) error {
+func execStatements(ctx context.Context, store *Store, dbName string, stmts []Statement, epoch string, emit func(ExecResult) error) error {
 	for _, st := range stmts {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		res, err := ExecuteContext(ctx, store, dbName, st, opts)
+		res, err := ExecuteContext(ctx, store, dbName, st, epoch)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

@@ -178,43 +178,6 @@ func TestQuerierLocalRemoteEquivalence(t *testing.T) {
 	}
 }
 
-// TestQuerierRequestLimit checks the request-level row cap on both
-// queriers: it clamps on top of statement-level LIMITs.
-func TestQuerierRequestLimit(t *testing.T) {
-	store := seedQuerierStore(t)
-	srv := httptest.NewServer(NewHandler(store))
-	defer srv.Close()
-	ctx := context.Background()
-	for name, qr := range map[string]Querier{
-		"local":  LocalQuerier{Store: store},
-		"remote": &Client{BaseURL: srv.URL, Database: "lms"},
-	} {
-		resp, err := qr.Query(ctx, Request{
-			Database: "lms",
-			RawQuery: "SELECT value FROM cpu WHERE hostname = 'h1'",
-			Limit:    2,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if n := len(resp.Results[0].Series[0].Values); n != 2 {
-			t.Fatalf("%s: rows %d, want 2", name, n)
-		}
-		// A tighter statement LIMIT wins over a looser request limit.
-		resp, err = qr.Query(ctx, Request{
-			Database: "lms",
-			RawQuery: "SELECT value FROM cpu WHERE hostname = 'h1' LIMIT 1",
-			Limit:    5,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if n := len(resp.Results[0].Series[0].Values); n != 1 {
-			t.Fatalf("%s: rows %d, want 1", name, n)
-		}
-	}
-}
-
 // TestStatementTextRoundTrip checks that Text() is a fixed point under
 // parsing: parse(text) renders to the same text, and both execute to the
 // same result. This is what lets the Client ship pre-built ASTs.
@@ -357,7 +320,7 @@ func TestStatementTextRoundTrip(t *testing.T) {
 }
 
 // TestQueryHTTPErrorPaths covers the handler's rejection paths: bad
-// method, bad epoch, bad limit, parse errors, missing q.
+// method, bad epoch, parse errors, missing q.
 func TestQueryHTTPErrorPaths(t *testing.T) {
 	store := seedQuerierStore(t)
 	srv := httptest.NewServer(NewHandler(store))
@@ -381,11 +344,9 @@ func TestQueryHTTPErrorPaths(t *testing.T) {
 	check(http.MethodPut, "db=lms&q=SHOW+MEASUREMENTS", http.StatusMethodNotAllowed)
 	check(http.MethodDelete, "db=lms&q=SHOW+MEASUREMENTS", http.StatusMethodNotAllowed)
 	check(http.MethodGet, "db=lms&q=SHOW+MEASUREMENTS&epoch=parsec", http.StatusBadRequest)
-	check(http.MethodGet, "db=lms&q=SHOW+MEASUREMENTS&limit=minus", http.StatusBadRequest)
-	check(http.MethodGet, "db=lms&q=SHOW+MEASUREMENTS&limit=-3", http.StatusBadRequest)
 	check(http.MethodGet, "db=lms&q=NOT+A+STATEMENT", http.StatusBadRequest)
 	check(http.MethodGet, "db=lms", http.StatusBadRequest)
-	check(http.MethodGet, "db=lms&q=SHOW+MEASUREMENTS&epoch=ms&limit=10", http.StatusOK)
+	check(http.MethodGet, "db=lms&q=SHOW+MEASUREMENTS&epoch=ms", http.StatusOK)
 }
 
 // TestSelectContextCancellation checks that a cancelled context stops the

@@ -640,9 +640,9 @@ func TestQueryCacheHitAndInvalidation(t *testing.T) {
 	}
 }
 
-// TestQueryCacheKeyCollision guards the normalized-key framing: queries
-// differing only in how list components would concatenate must not share
-// a cache entry.
+// TestQueryCacheKeyCollision guards the cache key, the query's canonical
+// InfluxQL: queries differing only in how list components would
+// concatenate, or in any one component, must not share a cache entry.
 func TestQueryCacheKeyCollision(t *testing.T) {
 	t.Parallel()
 	db := newDB("lms")
@@ -676,17 +676,33 @@ func TestQueryCacheKeyCollision(t *testing.T) {
 		t.Fatalf("colliding cache key served wrong result: %+v", r2)
 	}
 
-	// Projections that differ only in one column's aggregate, only in column
-	// order, or only in the percentile argument are different queries: each
-	// gets its own key and its own (correct) answer, cached or not.
-	for _, pair := range [][2][]AggCol{
-		{{{Field: "a", Agg: AggMin}, {Field: "b", Agg: AggMin}}, {{Field: "a", Agg: AggMin}, {Field: "b", Agg: AggCount}}},
-		{{{Field: "a", Agg: AggMax}, {Field: "b", Agg: AggMax}}, {{Field: "b", Agg: AggMax}, {Field: "a", Agg: AggMax}}},
-		{{{Field: "a", Agg: AggPercentile, Pct: 10}}, {{Field: "a", Agg: AggPercentile, Pct: 90}}},
+	// Queries that differ only in one column's aggregate, column order, the
+	// percentile argument, group-by order, the window, LIMIT, one time
+	// bound or one filter value are different queries: each gets its own
+	// key and its own (correct) answer, cached or not.
+	more := []lineproto.Point{
+		{Measurement: "m", Tags: map[string]string{"hostname": "h2", "rack": "r1"}, Fields: map[string]lineproto.Value{"a": lineproto.Float(3)}, Time: time.Unix(2, 0)},
+		{Measurement: "m", Tags: map[string]string{"hostname": "h1", "rack": "r2"}, Fields: map[string]lineproto.Value{"a": lineproto.Float(5)}, Time: time.Unix(3, 0)},
+		{Measurement: "m", Tags: map[string]string{"hostname": "h2", "rack": "r2"}, Fields: map[string]lineproto.Value{"a": lineproto.Float(7)}, Time: time.Unix(4, 0)},
+	}
+	if err := db.WriteBatchContext(bg, more); err != nil {
+		t.Fatal(err)
+	}
+	maxA := []AggCol{{Field: "a", Agg: AggMax}}
+	for _, pair := range [][2]Query{
+		{{Measurement: "m", Cols: []AggCol{{Field: "a", Agg: AggMin}, {Field: "b", Agg: AggMin}}}, {Measurement: "m", Cols: []AggCol{{Field: "a", Agg: AggMin}, {Field: "b", Agg: AggCount}}}},
+		{{Measurement: "m", Cols: []AggCol{{Field: "a", Agg: AggMax}, {Field: "b", Agg: AggMax}}}, {Measurement: "m", Cols: []AggCol{{Field: "b", Agg: AggMax}, {Field: "a", Agg: AggMax}}}},
+		{{Measurement: "m", Cols: []AggCol{{Field: "a", Agg: AggPercentile, Pct: 10}}}, {Measurement: "m", Cols: []AggCol{{Field: "a", Agg: AggPercentile, Pct: 90}}}},
+		{{Measurement: "m", Cols: maxA, GroupByTags: []string{"hostname", "rack"}}, {Measurement: "m", Cols: maxA, GroupByTags: []string{"rack", "hostname"}}},
+		{{Measurement: "m", Cols: maxA, Every: time.Second}, {Measurement: "m", Cols: maxA, Every: 2 * time.Second}},
+		{{Measurement: "m", Limit: 1}, {Measurement: "m", Limit: 2}},
+		{{Measurement: "m", Start: time.Unix(2, 0)}, {Measurement: "m", Start: time.Unix(3, 0)}},
+		{{Measurement: "m", Filter: TagFilter{"hostname": "h1"}}, {Measurement: "m", Filter: TagFilter{"hostname": "h2"}}},
 	} {
-		qa, qb := Query{Measurement: "m", Cols: pair[0]}, Query{Measurement: "m", Cols: pair[1]}
-		if normKey(qa) == normKey(qb) {
-			t.Fatalf("%v and %v share the cache key %q", pair[0], pair[1], normKey(qa))
+		qa, qb := pair[0], pair[1]
+		ka, kb := SelectStatement(qa, qa.Cols...).Text(), SelectStatement(qb, qb.Cols...).Text()
+		if ka == kb {
+			t.Fatalf("%+v and %+v share the cache key %q", qa, qb, ka)
 		}
 		for _, q := range []Query{qa, qb, qa, qb} {
 			want, err := referenceSelect(db, q)
@@ -698,7 +714,7 @@ func TestQueryCacheKeyCollision(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%v through the cache:\nwant %+v\ngot  %+v", q.Cols, want, got)
+				t.Fatalf("%+v through the cache:\nwant %+v\ngot  %+v", q, want, got)
 			}
 		}
 	}
