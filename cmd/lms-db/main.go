@@ -61,7 +61,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	addr := fs.String("addr", ":8086", "listen address")
 	dbName := fs.String("db", "lms", "database to create at startup")
 	retention := fs.Duration("retention", 0, "drop data older than this (0 = keep forever)")
-	fs.Duration("compress-after", 0, "ignored: runs are compressed when they seal (kept so old command lines still start)")
+	fs.Duration("compress-after", 0, "ignored: rows are encoded as they are written (kept so old command lines still start)")
 	shards := fs.Int("shards", 0, "lock shards per database (0 = GOMAXPROCS)")
 	dataDir := fs.String("data-dir", "", "durable storage directory (empty = in-memory only)")
 	fsync := fs.String("fsync", "batch", "WAL fsync policy with -data-dir: batch, interval or off")

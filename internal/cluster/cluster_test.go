@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -485,6 +486,58 @@ func TestClusterGhostReadAfterFirstWrite(t *testing.T) {
 	}
 	if got := h.coord.readFailovers.Load() - before; got != uint64(n-1) {
 		t.Fatalf("%d read failovers counted for %d attempts", got, n)
+	}
+}
+
+// TestClusterGhostReadPastDownOwner: on the R=2 ring, a measurement nobody
+// wrote whose owners are one node holding the database and one that never
+// saw it reads as a single node does although the owner holding it is
+// down: the other owner's "does not exist" is not the answer while a
+// member that holds the database is up. Where no reachable node holds the
+// database, the down owner's error is the answer — it might hold it.
+func TestClusterGhostReadPastDownOwner(t *testing.T) {
+	h := newHarness(t, Config{Replication: 2, WriteQuorum: 1})
+	h.writeBoth(t, testPoints("cpu", "h1", 3))
+	cpuOwners := h.coord.owners("lms", "cpu")
+	down := ""
+	ghost := ""
+	for i := 0; ghost == ""; i++ {
+		g := fmt.Sprintf("ghost%d", i)
+		if o := h.coord.owners("lms", g); slices.Contains(cpuOwners, o[0]) != slices.Contains(cpuOwners, o[1]) {
+			ghost, down = g, o[0]
+			if !slices.Contains(cpuOwners, down) {
+				down = o[1]
+			}
+		}
+	}
+	h.nodes[down].down.Store(true)
+
+	ctx := context.Background()
+	req := tsdb.Request{Database: "lms", RawQuery: "SELECT value FROM " + ghost}
+	want, err := tsdb.LocalQuerier{Store: h.oracle}.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := h.coord.Querier().Query(ctx, req)
+	if err != nil {
+		t.Fatalf("%q with owner %s down: %v", req.RawQuery, down, err)
+	}
+	if mustJSON(t, got) != mustJSON(t, want) {
+		t.Fatalf("%q with owner %s down:\n cluster: %s\n oracle:  %s", req.RawQuery, down, mustJSON(t, got), mustJSON(t, want))
+	}
+
+	// Every up node lacks "nowhere"; an owner is down, so the answer is its
+	// error rather than "database does not exist".
+	for i := 0; ; i++ {
+		m := fmt.Sprintf("m%d", i)
+		if !slices.Contains(h.coord.owners("nowhere", m), down) {
+			continue
+		}
+		resp, err := h.coord.Querier().Query(ctx, tsdb.Request{Database: "nowhere", RawQuery: "SELECT value FROM " + m})
+		if err == nil {
+			t.Fatalf("a database no reachable node holds, with an owner down, answered %s", mustJSON(t, resp))
+		}
+		break
 	}
 }
 

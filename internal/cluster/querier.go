@@ -137,12 +137,14 @@ type routeAttempt struct {
 // execRouted routes a measurement-scoped statement to its owner slice:
 // first healthy owner answers, the rest are failover targets. A replica
 // with queued hints is tried last — it is known to be missing
-// acknowledged writes until handoff drains. When every owner was reached
-// and lacks the database, the statement goes on to the other members,
-// self first: a node holds a database only once a write landed a share on
-// it, so a measurement nobody wrote can have owners that never saw its
-// database while another member holds it and answers as a single node
-// would. The returned attempts are the routing profile EXPLAIN ANALYZE
+// acknowledged writes until handoff drains. When every owner that
+// answered lacks the database — an owner that failed cannot say — the
+// statement goes on to the other members, self first: a node holds a
+// database only once a write landed a share on it, so a measurement nobody
+// wrote can have owners that never saw its database while another member
+// holds it and answers as a single node would. When no node reached holds
+// it and an owner failed, the answer is that owner's error, not "database
+// does not exist". The returned attempts are the routing profile EXPLAIN ANALYZE
 // renders: which nodes were tried, how long each took, and how each
 // answered; the last attempt of a successful route is the chosen node.
 func (q *DistributedQuerier) execRouted(ctx context.Context, req tsdb.Request, st tsdb.Statement) (tsdb.ExecResult, []routeAttempt, error) {
@@ -153,7 +155,7 @@ func (q *DistributedQuerier) execRouted(ctx context.Context, req tsdb.Request, s
 	tr := obs.TraceFrom(ctx)
 	var attempts []routeAttempt
 	var noDB *tsdb.ExecResult
-	var lastErr error
+	var lastErr, ownerErr error
 	order := q.c.readOrder(owners)
 	for i := 0; i < len(order); i++ {
 		id := order[i]
@@ -175,27 +177,36 @@ func (q *DistributedQuerier) execRouted(ctx context.Context, req tsdb.Request, s
 		}
 		sp.End()
 		attempts = append(attempts, at)
-		if err != nil {
+		switch {
+		case err != nil:
 			lastErr = err
-			continue
-		}
-		if isNoDatabase(res) {
+			if i < len(owners) {
+				ownerErr = err
+			}
+		case isNoDatabase(res):
 			noDB = &res
-			if i == len(owners)-1 && lastErr == nil {
-				// Every owner was reached and lacks the database.
-				for _, id := range q.c.readOrder(q.c.ring.Nodes()) {
-					if !slices.Contains(owners, id) {
-						order = append(order, id)
-					}
+		default:
+			return res, attempts, nil
+		}
+		if i == len(owners)-1 && noDB != nil {
+			// Every owner that answered lacks the database: a node that
+			// holds it answers as a single node would (an owner that
+			// failed may hold it too, but another node knows as much).
+			for _, id := range q.c.readOrder(q.c.ring.Nodes()) {
+				if !slices.Contains(owners, id) {
+					order = append(order, id)
 				}
 			}
-			continue
 		}
-		return res, attempts, nil
 	}
-	if noDB != nil {
-		// Every reachable node asked lacks the database: same answer a
-		// single node would give.
+	switch {
+	case noDB != nil && ownerErr != nil:
+		// No reachable node holds the database, but an owner that might
+		// was not reached: "does not exist" could be wrong.
+		return tsdb.ExecResult{}, attempts, fmt.Errorf("cluster: no reachable node holds database %q, and an owner failed: %w", req.Database, ownerErr)
+	case noDB != nil:
+		// Every node asked lacks the database: same answer a single node
+		// would give.
 		return *noDB, attempts, nil
 	}
 	return tsdb.ExecResult{}, attempts, fmt.Errorf("cluster: all %d replicas failed: %w", len(owners), lastErr)

@@ -26,6 +26,9 @@ func FuzzParseLine(f *testing.F) {
 		"# comment",
 		"m f=t,g=F,h=TRUE",
 	}
+	for _, c := range underEscaped {
+		seeds = append(seeds, c.line)
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -52,6 +55,48 @@ func FuzzParseLine(f *testing.F) {
 			t.Fatalf("round trip changed the point: %q -> %q", line, enc)
 		}
 	})
+}
+
+// underEscaped are lines as a producer writes them that escapes spaces and
+// nothing else — SNIPPETS.md snippet 1's InfluxDbEscapeString — for a
+// sensor point whose measurement, tag values or field key hold an
+// unescaped ',' or '=', each with the point the producer meant (nil where
+// the line cannot say it).
+var underEscaped = []struct {
+	line  string
+	meant *Point
+}{
+	{`sensor,id=7,name=desk,lamp value=1`, nil}, // name "desk,lamp"
+	{`sensor,id=7,name=lamp,id=9 value=1`, nil}, // name "lamp,id=9"
+	{`sensor,id=7,name=k=v value=1`, &Point{Measurement: "sensor", Tags: map[string]string{"id": "7", "name": "k=v"},
+		Fields: map[string]Value{"value": Float(1)}}},
+	{`sensor,id=7 va,lue=1`, nil},        // field key "va,lue"
+	{`sensor,id=7 va=lue=1`, nil},        // field key "va=lue"
+	{`sensor,id=7 value=1,value=2`, nil}, // field key "value=1,value"
+	{`sen,sor,id=7 value=1`, nil},        // measurement "sen,sor"
+	{`sen=sor,id=7 value=1`, &Point{Measurement: "sen=sor", Tags: map[string]string{"id": "7"},
+		Fields: map[string]Value{"value": Float(1)}}},
+	{`sen\ sor,id=7,name=a\ b value=1`, &Point{Measurement: "sen sor", Tags: map[string]string{"id": "7", "name": "a b"},
+		Fields: map[string]Value{"value": Float(1)}}},
+}
+
+// TestParseUnderEscaped: a line whose unescaped ',' or '=' came from inside
+// a name or value is refused or parsed as the point meant — never split
+// into other tags or fields, and never a tag or field that silently
+// replaces another. (A value holding ",k=v" with a key the line does not
+// repeat reads as one more tag by the grammar itself; no parser can tell.)
+func TestParseUnderEscaped(t *testing.T) {
+	for _, c := range underEscaped {
+		p, err := ParseLine(c.line)
+		switch {
+		case c.meant == nil && err == nil:
+			t.Errorf("%q parsed as %+v, want it refused", c.line, p)
+		case c.meant != nil && err != nil:
+			t.Errorf("%q refused: %v", c.line, err)
+		case c.meant != nil && !p.Equal(*c.meant):
+			t.Errorf("%q parsed as %+v, want %+v", c.line, p, *c.meant)
+		}
+	}
 }
 
 // FuzzParse: arbitrary bytes through the batch parser — the exact code

@@ -506,6 +506,11 @@ func parseLine(line string) (Point, error) {
 		if key == "" || val == "" {
 			return Point{}, errors.New("empty tag key or value")
 		}
+		if _, dup := p.Tags[key]; dup {
+			// Most often a value with an unescaped ",k=v" in it: keeping
+			// either value would store a point nobody sent.
+			return Point{}, fmt.Errorf("duplicate tag %q", key)
+		}
 		if p.Tags == nil {
 			// Size the map once: this tag plus one per comma left before the
 			// field section (an escaped space only makes that an underestimate).
@@ -540,6 +545,9 @@ func parseLine(line string) (Point, error) {
 		val, err := sc.fieldValue()
 		if err != nil {
 			return Point{}, fmt.Errorf("field %q: %w", key, err)
+		}
+		if _, dup := p.Fields[key]; dup {
+			return Point{}, fmt.Errorf("duplicate field %q", key)
 		}
 		p.Fields[key] = val
 		if sc.eof() {

@@ -40,10 +40,10 @@ func allocFixture(t *testing.T, hosts, rows int) *DB {
 	return db
 }
 
-// sealFixture stops db's compaction job and seals the run of each of the
-// hosts series of allocFixture(db, hosts, rows) with an in-order block of
-// more rows, past everything stored: a raw head of its own behind the
-// sealed run, left for Compress.
+// sealFixture stops db's compaction job and cuts the head of each of the
+// hosts series of allocFixture(db, hosts, rows) into a chunk with an
+// in-order block of more rows, past everything stored: a head of its own
+// behind the chunk.
 func sealFixture(t *testing.T, db *DB, hosts, rows, more int) {
 	t.Helper()
 	db.compJob.Stop()
@@ -135,10 +135,10 @@ func TestStorageAllocs(t *testing.T) {
 
 	t.Run("select compressed", func(t *testing.T) {
 		db := allocFixture(t, hosts, rows)
-		// A row past the window seals each series' run for Compress.
+		// A row past the window cuts each series' head into a chunk.
 		sealFixture(t, db, hosts, rows, 1)
-		if db.Compress() != hosts {
-			t.Fatal("fixture did not compress to one chunk per series")
+		if got := db.compressionStats().chunks; got != hosts*5 {
+			t.Fatalf("fixture holds %d column chunks, want one run of 5 per series", got)
 		}
 		selectAllocs(db) // warm the decode arena
 		allocs := selectAllocs(db)
@@ -149,16 +149,15 @@ func TestStorageAllocs(t *testing.T) {
 	})
 
 	t.Run("buildSnapshot", func(t *testing.T) {
-		// Half the runs raw, half compressed — every series a chunk and the
-		// raw head that sealed it: the per-run cost of capturing a
-		// checkpoint image, fixed per-measurement work subtracted by
-		// measuring two sizes.
+		// Half the runs heads, half chunks — every series a chunk and the
+		// head that cut it: the per-run cost of capturing a checkpoint
+		// image, fixed per-measurement work subtracted by measuring two
+		// sizes.
 		perRun := func(n int) float64 {
 			db := allocFixture(t, n, 50)
 			sealFixture(t, db, n, 50, 50)
-			db.Compress()
-			if st := db.compressionStats(); st.chunks == 0 || st.buildingBytes == 0 || st.sealedBytes != 0 {
-				t.Fatalf("fixture holds no mix of raw and compressed runs: %+v", st)
+			if st := db.compressionStats(); st.chunks == 0 || st.headBytes == 0 {
+				t.Fatalf("fixture holds no mix of heads and chunks: %+v", st)
 			}
 			return testing.AllocsPerRun(20, func() { db.buildSnapshot() })
 		}
@@ -267,34 +266,44 @@ func jobAllocsPerWrite(t *testing.T, db *DB, n int, write func()) float64 {
 
 // The gates' bounds; the measurements are in the comments. The write gates
 // cross seal boundaries: before the seal rule a series' run grew forever
-// (a doubling now and then), now every sealRows rows open a new run sized
-// for the next seal (colRun, timestamps, column headers, one array per
-// column) and the compaction job compresses the sealed one and merges
-// chunks.
+// (a doubling now and then); since PR 41 every sealRows rows cut the head
+// into a chunk (CompRun, its columns, one allocation for every stream's
+// bytes) and start it afresh (its streams carved out of one allocation),
+// and the compaction job only merges chunks.
 const (
-	// Measured 7, one seal per 100-point batch (10 under -race, whose
-	// sync.Pool drops puts); 0 (0.2: eight doublings in 200 batches, 3
-	// under -race) before the seal rule, 3 before the frame path.
+	// Measured 7, one cut per 100-point batch (10 under -race, whose
+	// sync.Pool drops puts), and 7 (10) while the head was raw; 0 (0.2:
+	// eight doublings in 200 batches, 3 under -race) before the seal rule,
+	// 3 before the frame path.
 	writeBatchAllocs = 10
 	// The job's share, a pass after every write (jobAllocsPerWrite):
-	// measured 28.5 per 100-point batch (35.1 under -race) and 52.4 per
-	// collector frame (63.5). Each pass compresses what the write sealed —
-	// compRun, its columns, one exact-size chunk per column — and merges it
-	// with the chunk before it when the two share a size class: both
-	// decoded, merged, encoded again, once per doubling of the chunk. Before
+	// measured 27.3 per 100-point batch and 39.3 per collector frame. Each
+	// pass merges the chunk the write cut with the chunk before it when the
+	// two share a size class: both decoded, appended onto one head, cut
+	// again, once per doubling of the chunk. While the job also compressed
+	// what the write sealed (compRun, its columns, one exact-size chunk per
+	// column) it took 28.5 (35.1 under -race) and 52.4 (63.5). Before
 	// chunks merged, one drain pass after the window took 7.1 per sealed
 	// 100-row run and 18.0 per frame; before the seal rule no job ran on the
 	// write path at all, and Compress took 52 on a 20 000-row run.
-	writeBatchJobAllocs    = 40
-	frameApplyJobAllocs    = 70
-	selectRawAllocs        = 960 // measured 945, 944 before the series key escaped tag bytes
-	selectCompressedAllocs = 960 // measured 945, the same: a warm arena decodes for free
-	// Measured 1.09 per run over a chunk and a raw head per series; 1.67
+	writeBatchJobAllocs = 40
+	frameApplyJobAllocs = 70
+	// Measured 950 over one head per series, 945 while the head was raw
+	// (944 before the series key escaped tag bytes): a head snapshot takes
+	// two allocations, the decoded views come from the arena.
+	selectRawAllocs = 960
+	// Measured 934, 945 before the column views came from the arena: a
+	// warm arena decodes for free.
+	selectCompressedAllocs = 960
+	// Measured 2.06 per run over a chunk and a head per series, the head
+	// copied out as a chunk (CompRun, its columns, its bytes); 1.09 while
+	// the raw head's headers were held for an encode outside the lock; 1.67
 	// per series (1.5 runs, a third raw) before the head stayed raw, 1.62
 	// before every raw run was held for its encode.
 	buildSnapshotAllocsPerRun = 4.75
-	// Measured 20.0 over 128 frames (four seals; 22 under -race): 4 per
-	// frame plus 5 per seal of each of the 100 series. Before the seal
+	// Measured 17.0 over 128 frames (four cuts; 19 under -race): 4 per
+	// frame plus 4 per cut of each of the 100 series; 20.0 (22) while a
+	// seal opened a raw run presized for 32 rows, 5 per seal. Before the seal
 	// rule 6.0 over the same frames (4 plus a doubling of every series'
 	// arrays at 257 rows), 14.0 over the first 256, 5 in its own window
 	// under -race; DecodeBatch + applyBatch took 2 060.

@@ -1,146 +1,170 @@
 package tsdb
 
-// Bit-granular stream reader/writer backing the compressed chunk codecs
-// (compress.go, DESIGN.md §13). Bits are packed MSB-first into bytes —
-// the layout Gorilla, Prometheus and InfluxDB use — so a chunk is a plain
-// []byte that the durable snapshot codec can frame and CRC without
-// knowing anything about its contents.
+// Bit-granular stream reader/writer backing the chunk codecs (compress.go,
+// DESIGN.md §13). Bits are packed MSB-first into bytes — the layout
+// Gorilla, Prometheus and InfluxDB use — so a chunk is a plain []byte that
+// the durable snapshot codec can frame and CRC without knowing anything
+// about its contents.
 //
-// The writer grows a byte slice and never fails; the reader is fully
-// bounds-checked and returns errShortChunk instead of panicking, because
-// query-time decode may face bytes that came off a disk (the checkpoint
-// CRC makes corruption here effectively unreachable, but the fuzz targets
-// hold the decoder to "never panics" regardless).
+// The writer is append-only: it holds the partial last byte by value and
+// appends a byte to its slice only once all eight bits are written, so a
+// reader holding a header of the slice (a head snapshot, select.go) sees
+// bytes that are never rewritten. The reader is fully bounds-checked: a
+// read past the end marks it short, and the decoders return errShortChunk
+// instead of panicking, because query-time decode may face bytes that
+// came off a disk (the checkpoint CRC makes corruption here effectively
+// unreachable, but the fuzz targets hold the decoder to "never panics"
+// regardless).
 
 import (
 	"errors"
-	"slices"
 	"sync"
 )
 
 var errShortChunk = errors.New("tsdb: compressed chunk truncated")
 
-// bitWriter appends bits MSB-first to a byte slice.
+// bitWriter appends bits MSB-first: b holds the complete bytes, cur the
+// partial last one, of which the top n bits are written.
 type bitWriter struct {
-	b    []byte
-	free uint8 // unwritten bits remaining in the last byte of b
+	b   []byte
+	cur byte
+	n   uint8
 }
 
-// writerPool recycles the encoders' streams (newBitWriter … bytes): a chunk
-// is written into warm scratch and stays resident at its exact size.
+// writerPool recycles the one-shot encoders' streams (newBitWriter …
+// bytes): a chunk is written into warm scratch and stays resident at its
+// exact size.
 var writerPool = sync.Pool{New: func() any { return new(bitWriter) }}
 
 func newBitWriter() *bitWriter {
 	w := writerPool.Get().(*bitWriter)
-	w.b, w.free = w.b[:0], 0
+	w.b, w.cur, w.n = w.b[:0], 0, 0
 	return w
 }
 
 // writeBit appends a single bit.
 func (w *bitWriter) writeBit(bit bool) {
-	if w.free == 0 {
-		w.b = append(w.b, 0)
-		w.free = 8
-	}
 	if bit {
-		w.b[len(w.b)-1] |= 1 << (w.free - 1)
+		w.cur |= 0x80 >> w.n
 	}
-	w.free--
+	if w.n++; w.n == 8 {
+		w.b = append(w.b, w.cur)
+		w.cur, w.n = 0, 0
+	}
 }
 
-// writeByte appends 8 bits.
-func (w *bitWriter) writeByte(v byte) {
-	if w.free == 0 {
-		w.b = append(w.b, v)
+// writeBits appends the low n bits of v (0 <= n <= 64), MSB-first.
+func (w *bitWriter) writeBits(v uint64, n uint) {
+	if n < 64 {
+		v &= 1<<n - 1
+	}
+	free := 8 - uint(w.n)
+	if n < free {
+		w.cur |= byte(v << (free - n))
+		w.n += uint8(n)
 		return
 	}
-	// Split across the partial last byte and a fresh one.
-	i := len(w.b) - 1
-	w.b[i] |= v >> (8 - w.free)
-	w.b = append(w.b, v<<w.free)
-}
-
-// writeBits appends the low n bits of v (1 <= n <= 64), MSB-first.
-func (w *bitWriter) writeBits(v uint64, n uint) {
-	v <<= 64 - n
+	n -= free
+	w.b = append(w.b, w.cur|byte(v>>n))
 	for n >= 8 {
-		w.writeByte(byte(v >> 56))
-		v <<= 8
 		n -= 8
+		w.b = append(w.b, byte(v>>n))
 	}
-	for n > 0 {
-		w.writeBit(v>>63 == 1)
-		v <<= 1
-		n--
-	}
+	w.cur, w.n = byte(v<<(8-n)), uint8(n)
 }
 
-// bytes returns a copy of the finished stream (trailing free bits zero) and recycles w.
+// size is the length of the finished stream.
+func (w *bitWriter) size() int {
+	if w.n > 0 {
+		return len(w.b) + 1
+	}
+	return len(w.b)
+}
+
+// appendTo appends the finished stream — the partial byte's unwritten bits
+// zero — to dst.
+func (w *bitWriter) appendTo(dst []byte) []byte {
+	dst = append(dst, w.b...)
+	if w.n > 0 {
+		dst = append(dst, w.cur)
+	}
+	return dst
+}
+
+// view returns w as a reader captures it: the complete bytes, clipped so
+// nothing the writer appends later is in reach, and the partial byte.
+func (w *bitWriter) view() bitWriter {
+	return bitWriter{b: w.b[:len(w.b):len(w.b)], cur: w.cur, n: w.n}
+}
+
+// bytes returns the finished stream at its exact size and recycles w.
 func (w *bitWriter) bytes() []byte {
-	out := slices.Clone(w.b)
+	var out []byte
+	if size := w.size(); size > 0 {
+		out = w.appendTo(make([]byte, 0, size))
+	}
 	writerPool.Put(w)
 	return out
 }
 
-// bitReader consumes bits MSB-first from a byte slice.
+// bitReader consumes bits MSB-first from a byte slice through a 64-bit
+// window: acc holds the next nacc unread bits, MSB-aligned, and b the
+// bytes not loaded yet. A read past the end returns zero bits and marks
+// the reader short, which the decoders check once per row: the common
+// reads stay small enough to inline.
 type bitReader struct {
-	b    []byte
-	pos  int   // next byte to consume from
-	used uint8 // bits already consumed of b[pos]
+	b     []byte
+	acc   uint64
+	nacc  uint
+	short bool
+}
+
+// fill loads whole bytes into the window while they fit.
+func (r *bitReader) fill() {
+	for r.nacc <= 56 && len(r.b) > 0 {
+		r.acc |= uint64(r.b[0]) << (56 - r.nacc)
+		r.b = r.b[1:]
+		r.nacc += 8
+	}
 }
 
 // readBit consumes a single bit.
-func (r *bitReader) readBit() (bool, error) {
-	if r.pos >= len(r.b) {
-		return false, errShortChunk
+func (r *bitReader) readBit() bool {
+	if r.nacc == 0 {
+		if r.fill(); r.nacc == 0 {
+			r.short = true
+			return false
+		}
 	}
-	bit := r.b[r.pos]&(1<<(7-r.used)) != 0
-	if r.used++; r.used == 8 {
-		r.pos++
-		r.used = 0
-	}
-	return bit, nil
+	bit := r.acc>>63 == 1
+	r.acc <<= 1
+	r.nacc--
+	return bit
 }
 
-// readByte consumes 8 bits.
-func (r *bitReader) readByte() (byte, error) {
-	if r.pos >= len(r.b) {
-		return 0, errShortChunk
+// readBits consumes n bits (1 <= n <= 64) into the low bits of the
+// result.
+func (r *bitReader) readBits(n uint) uint64 {
+	if n > r.nacc || n >= 64 {
+		return r.readBitsSlow(n)
 	}
-	if r.used == 0 {
-		v := r.b[r.pos]
-		r.pos++
-		return v, nil
-	}
-	if r.pos+1 >= len(r.b) {
-		return 0, errShortChunk
-	}
-	v := r.b[r.pos]<<r.used | r.b[r.pos+1]>>(8-r.used)
-	r.pos++
-	return v, nil
+	v := r.acc >> ((64 - n) & 63)
+	r.acc <<= n & 63
+	r.nacc -= n
+	return v
 }
 
-// readBits consumes n bits (1 <= n <= 64) into the low bits of the result.
-func (r *bitReader) readBits(n uint) (uint64, error) {
-	var v uint64
-	for n >= 8 {
-		b, err := r.readByte()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<8 | uint64(b)
-		n -= 8
+// readBitsSlow is readBits past the window: it loads more bytes, and
+// reads a request wider than a loaded window in two parts.
+func (r *bitReader) readBitsSlow(n uint) uint64 {
+	if n > 56 {
+		// The window may hold as few as 57 bits after a fill.
+		hi := r.readBits(n - 32)
+		return hi<<32 | r.readBits(32)
 	}
-	for n > 0 {
-		bit, err := r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		v <<= 1
-		if bit {
-			v |= 1
-		}
-		n--
+	if r.fill(); n > r.nacc {
+		r.short = true
+		return 0
 	}
-	return v, nil
+	return r.readBits(n)
 }

@@ -1,28 +1,20 @@
 package tsdb
 
-// Columnar run storage (DESIGN.md §8). A point run is stored as one sorted
-// timestamp column plus one typed value column per field, instead of a
-// slice of per-point field maps: a 100k-point scan walks contiguous
-// []float64 / []int64 / interned-string-id slices and the aggregation
-// inner loops (agg.go) become index-free column sweeps.
-//
-// Invariants the lock-light read path (select.go) relies on, extending the
-// series invariants documented in tsdb.go:
-//
-//   - run.ts is sorted and only ever grows by appending (readers holding a
-//     shorter slice header never observe the new tail);
-//   - value slices only grow by appending, and elements below a published
-//     length are never overwritten in place — the dedup rewrite path and
-//     kind conversions swap in freshly allocated arrays (copy-on-write);
-//   - presence bitmaps are fully copy-on-write: any change allocates a new
-//     word array, because appending a bit would mutate the shared last
-//     word a reader may have snapshotted.
+// Raw columnar runs (DESIGN.md §8): one sorted timestamp column plus one
+// typed value column per field, instead of a slice of per-point field
+// maps. It is the form rows take between encodings: the write path's
+// pending block (runBuilder), and a run decoded from a head or a chunk to
+// be merged, rewritten or cut. Nothing resident is raw — each series' newest
+// run is its head (head.go), an append-only encoded stream per column, and
+// every older run is a chunk (compress.go) — so the aggregation sweeps
+// (agg.go) run over columns decoded into query scratch.
 //
 // A column is "dense" (present == nil) while every row carries a value —
 // the hot case for metric fields — and materializes a presence bitmap only
 // when a row skips the field (sparse event/annotation columns). Dense
 // columns pay zero presence bookkeeping on the append path and aggregate
-// with straight slice sweeps.
+// with straight slice sweeps. A presence bitmap that a head publishes is
+// copy-on-write (grownPresence): readers alias it.
 
 import (
 	"cmp"
@@ -58,6 +50,19 @@ func setBitRange(bm []uint64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		bitSet(bm, i)
 	}
+}
+
+// grownPresence returns a fresh bitmap for n rows holding p's bits, or
+// bits [0, have) when p is nil (dense): the copy-on-write step of a
+// published bitmap that gains rows.
+func grownPresence(p []uint64, have, n int) []uint64 {
+	np := make([]uint64, bitWords(n))
+	if p != nil {
+		copy(np, p)
+	} else {
+		setBitRange(np, 0, have)
+	}
+	return np
 }
 
 // --- string interning --------------------------------------------------
@@ -113,12 +118,14 @@ func newCol(name string, kind lineproto.ValueKind) col {
 // has reports whether row i carries a value.
 func (c *col) has(i int) bool { return c.Present == nil || bitGet(c.Present, i) }
 
-// sameKind reports whether c and o hold one kind of value unboxed, or are
-// both mixed: their rows then sit in the same typed array and can be
+// sameKind reports whether two columns hold one kind of value unboxed, or
+// are both mixed: their rows then sit in the same typed array and can be
 // appended or merged as they are.
-func (c *col) sameKind(o *col) bool {
-	return c.Mixed == o.Mixed && (c.Mixed || c.Kind == o.Kind)
+func sameKind(kind lineproto.ValueKind, mixed bool, okind lineproto.ValueKind, omixed bool) bool {
+	return mixed == omixed && (mixed || kind == okind)
 }
+
+func (c *col) sameKind(o *col) bool { return sameKind(c.Kind, c.Mixed, o.Kind, o.Mixed) }
 
 // toMixed converts a typed column to the mixed representation into a
 // freshly allocated vals array (copy-on-write safe for published columns).
@@ -230,50 +237,7 @@ func (c *col) clone() col {
 	return out
 }
 
-// --- published-column mutation (copy-on-write presence) -----------------
-
-// padAppendCOW registers rows [c.n, newN) as absent on a published column:
-// values are appended (invisible past snapshotted lengths), the presence
-// bitmap is rebuilt into a fresh array.
-func (c *col) padAppendCOW(newN int) {
-	np := make([]uint64, bitWords(newN))
-	if c.Present != nil {
-		copy(np, c.Present)
-	} else {
-		setBitRange(np, 0, c.n)
-	}
-	c.Present = np
-	c.Pad(newN - c.n)
-	c.n = newN
-}
-
-// appendBlockCOW appends every row of src (a finished builder column of
-// the same field) onto the published column c. strs resolves string ids
-// when a kind conflict forces the mixed representation.
-func (c *col) appendBlockCOW(src *col, strs []string) {
-	oldN := c.n
-	newN := oldN + src.n
-	if c.Present != nil || src.Present != nil {
-		np := make([]uint64, bitWords(newN))
-		if c.Present != nil {
-			copy(np, c.Present)
-		} else {
-			setBitRange(np, 0, oldN)
-		}
-		for i := 0; i < src.n; i++ {
-			if src.has(i) {
-				bitSet(np, oldN+i)
-			}
-		}
-		c.Present = np
-	}
-	if !c.sameKind(src) {
-		c.toMixed(strs)
-		src = boxed(src, strs)
-	}
-	c.Append(&src.Values)
-	c.n = newN
-}
+// --- decoded-run mutation (copy-on-write) ------------------------------
 
 // overwriteCOW applies src (a builder column whose rows map 1:1 onto c's
 // rows) with last-write-wins per row, into freshly allocated arrays so
@@ -343,41 +307,27 @@ func (c *col) sliceRows(lo, hi int) col {
 
 // --- runs --------------------------------------------------------------
 
-// sealRows is the seal rule (DESIGN.md §13): a series' newest run takes
-// in-order appends while it holds fewer rows; then the next in-order block
-// opens a new run and the compaction job compresses the full one. A rule
-// of the data, not a timer, so the layout a write sequence builds never
-// depends on when the job ran; it also bounds the copy-on-write bitmap
-// work of extending a sparse run. A variable only for BenchmarkSealRows.
+// sealRows is the seal rule (DESIGN.md §13): a series' head takes in-order
+// appends while it holds fewer rows; then the next in-order block cuts it
+// into a chunk and starts the head afresh. A rule of the data, not a timer,
+// so the layout a write sequence builds never depends on when the job ran;
+// it also bounds what an exact rewrite or a late block decodes. A variable
+// only for BenchmarkSealRows.
 var sealRows = 32
 
-// maxChunkRows caps the chunks the compaction job grows by merging sealed
-// runs (series.jobSpans): a chunk's fixed cost — its headers, the raw first
+// maxChunkRows caps the chunks the compaction job grows by merging chunks
+// (series.jobSpans): a chunk's fixed cost — its headers, the raw first
 // value of every column — spread over many rows, against the whole chunk a
 // narrow window decodes. InfluxDB's TSM engine cuts its blocks at 1 000
 // points for the same trade.
 const maxChunkRows = 1024
 
-// colRun is one sorted, immutable-to-readers run of a series in columnar
-// layout: the timestamp column plus one col per field seen in the run.
-// Every col covers exactly len(ts) rows once the owning writeBatch commit
-// returns.
-//
-// A run lives in one of two resident states: raw (ts/cols hold the typed
-// arrays) or compressed (comp holds the Gorilla-encoded chunks, ts/cols
-// are nil — compress.go, DESIGN.md §13). Both states obey the same reader
-// contract: everything a snapshot captures under the shard RLock stays
-// immutable after the lock is released.
+// colRun is a run in raw columnar layout: the timestamp column plus one col
+// per field seen in the run, every col covering exactly len(ts) rows. It
+// is private to whoever decoded or merged it.
 type colRun struct {
 	ts   []int64
 	cols []col
-
-	// comp is the compressed form; non-nil exactly when ts/cols are nil.
-	// Only construction sets it: a chunk is never written to.
-	comp *compRun
-	// gen counts the head's in-place mutations (appendBlock/rewriteBlock), so
-	// the compressor can encode outside the lock and verify-and-swap under it.
-	gen uint64
 }
 
 func (r *colRun) colByName(name string) int {
@@ -389,71 +339,10 @@ func (r *colRun) colByName(name string) int {
 	return -1
 }
 
-// rows is the run's row count in either resident state.
-func (r *colRun) rows() int {
-	if r.comp != nil {
-		return r.comp.N
-	}
-	return len(r.ts)
-}
-
-// minTS is the run's oldest timestamp in either resident state.
-func (r *colRun) minTS() int64 {
-	if r.comp != nil {
-		return r.comp.MinTS
-	}
-	return r.ts[0]
-}
-
-// maxTS is the run's newest timestamp in either resident state.
-func (r *colRun) maxTS() int64 {
-	if r.comp != nil {
-		return r.comp.MaxTS
-	}
-	return r.ts[len(r.ts)-1]
-}
-
-// rawRun returns the sealed (raw-column) form of the run, decompressing a
-// compressed run into fresh arrays. strsLen bounds decoded string ids.
-func (r *colRun) rawRun(strsLen int) (*colRun, error) {
-	if r.comp == nil {
-		return r, nil
-	}
-	return decompress(r.comp, strsLen)
-}
-
-// appendBlock extends the run with a finished builder block whose first
-// timestamp is >= the run's last (the in-order hot path). Only appends and
-// presence copy-on-write — published array prefixes are never rewritten.
-// strs is the measurement's intern table, or a snapshot of it.
-func (r *colRun) appendBlock(b *runBuilder, strs []string) {
-	oldN := len(r.ts)
-	newN := oldN + len(b.ts)
-	for i := range b.cols {
-		bc := &b.cols[i]
-		ci := r.colByName(bc.Name)
-		if ci < 0 {
-			r.cols = append(r.cols, newCol(bc.Name, bc.Kind))
-			ci = len(r.cols) - 1
-			if oldN > 0 {
-				r.cols[ci].padAppendCOW(oldN)
-			}
-		}
-		r.cols[ci].appendBlockCOW(bc, strs)
-	}
-	for i := range r.cols {
-		if r.cols[i].n < newN {
-			r.cols[i].padAppendCOW(newN)
-		}
-	}
-	r.ts = append(r.ts, b.ts...)
-}
-
 // rewriteBlock applies a builder block whose timestamps exactly equal the
 // run's (the same-timestamp rewrite pattern): instead of opening a new run
 // and paying compaction, each rewritten field is merged row-for-row with
-// last-write-wins (InfluxDB duplicate-point semantics), copy-on-write so
-// concurrent snapshots stay on the previous version. Fields absent from
+// last-write-wins (InfluxDB duplicate-point semantics). Fields absent from
 // the block keep their stored values.
 func (r *colRun) rewriteBlock(b *runBuilder, m *measurement) {
 	for i := range b.cols {
@@ -477,6 +366,52 @@ func (r *colRun) sliceRun(lo, hi int) *colRun {
 		out.cols = append(out.cols, r.cols[i].sliceRows(lo, hi))
 	}
 	return out
+}
+
+// splice returns where the rows of b fall between two rows of r — the
+// count of r's rows that mergeRuns(r, b) puts before every row of b, when
+// it puts all of r's others after them — or 0 when they do not, or when
+// the merge would box a column (a mixed column, a kind conflict), which
+// appending the three parts in order would not.
+func (r *colRun) splice(b *colRun) int {
+	for i := range r.cols {
+		if r.cols[i].Mixed {
+			return 0
+		}
+	}
+	for i := range b.cols {
+		bc := &b.cols[i]
+		if bc.Mixed {
+			return 0
+		}
+		if ci := r.colByName(bc.Name); ci >= 0 && r.cols[ci].Kind != bc.Kind {
+			return 0
+		}
+	}
+	j := sort.Search(len(r.ts), func(i int) bool { return r.ts[i] > b.ts[0] })
+	if j < len(r.ts) && r.ts[j] <= b.ts[len(b.ts)-1] {
+		return 0
+	}
+	return j
+}
+
+// view returns rows [lo, hi) of r as a block to append, sharing r's value
+// arrays; a presence bitmap is shifted into a fresh one.
+func (r *colRun) view(lo, hi int) ([]int64, []col) {
+	cols := make([]col, len(r.cols))
+	for i := range r.cols {
+		c := &r.cols[i]
+		cols[i] = col{Name: c.Name, Values: c.Slice(lo, hi), n: hi - lo}
+		if c.Present != nil {
+			cols[i].Present = make([]uint64, bitWords(hi-lo))
+			for k := lo; k < hi; k++ {
+				if bitGet(c.Present, k) {
+					bitSet(cols[i].Present, k-lo)
+				}
+			}
+		}
+	}
+	return r.ts[lo:hi], cols
 }
 
 // mergeRuns stably merges two sorted runs into a freshly allocated run; on
@@ -582,12 +517,14 @@ func mergeValues(ca, cb *col, take []int32, strs []string) durable.Values {
 
 // runBuilder accumulates one series' pending rows of a batch in columnar
 // form: no per-point field map is allocated on the write path. It is
-// reused across batches (shard scratch); every commit path copies out of
-// it, so its arrays stay warm.
+// reused across batches (shard scratch); every commit path encodes or
+// copies out of it, so its arrays stay warm, and enc is the warm stream
+// the head encodes each block into before taking its bytes.
 type runBuilder struct {
 	ts     []int64
 	cols   []col
 	sorted bool
+	enc    bitWriter
 }
 
 func (b *runBuilder) reset() {
@@ -669,35 +606,4 @@ func (b *runBuilder) finish() {
 		b.cols[i].gather(idx)
 	}
 	b.sorted = true
-}
-
-// tsEqual reports whether the builder's timestamps exactly equal ts.
-func (b *runBuilder) tsEqual(ts []int64) bool {
-	if len(b.ts) != len(ts) {
-		return false
-	}
-	if b.ts[0] != ts[0] || b.ts[len(b.ts)-1] != ts[len(ts)-1] {
-		return false
-	}
-	for i := range b.ts {
-		if b.ts[i] != ts[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// newRun copies the finished block into a new run whose arrays have room
-// for size rows — sealRows for a block the write path commits, so the
-// in-order appends that follow until it seals copy nothing. The builder
-// keeps its arrays for the next block.
-func (b *runBuilder) newRun(strs []string, size int) *colRun {
-	size = max(size, len(b.ts))
-	r := &colRun{ts: make([]int64, 0, size), cols: make([]col, len(b.cols))}
-	for i := range b.cols {
-		r.cols[i] = newCol(b.cols[i].Name, b.cols[i].Kind)
-		r.cols[i].Grow(size)
-	}
-	r.appendBlock(b, strs)
-	return r
 }

@@ -294,7 +294,7 @@ func TestColumnarRandomizedOracle(t *testing.T) {
 		for _, p := range pts {
 			mo.add(p)
 		}
-		// Randomly run the compaction job's pass over the sealed runs
+		// Randomly run the compaction job's pass over the cut chunks
 		// (DESIGN.md §13) on top of the kicked job itself: answers must stay
 		// byte-identical whether a run is raw or compressed, and later
 		// batches must still merge with compressed runs. The pass never

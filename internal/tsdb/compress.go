@@ -1,14 +1,12 @@
 package tsdb
 
-// Gorilla-style chunk compression: the third run state (DESIGN.md §13).
+// Gorilla-style chunk codecs (DESIGN.md §13).
 //
-// Runs progress building → sealed → compressed. A building run is each
-// series' newest run, the append target (column.go); it seals when it
-// holds sealRows rows and the next in-order block opens a new run, and
-// the seal kicks the compaction job (tsdb.go, DB.Compress), which
-// re-encodes every sealed run into a compRun — per-column compressed
-// chunks — and drops the raw arrays, merging sealed runs into chunks of
-// up to maxChunkRows rows as they accumulate:
+// A run lives in one of two states: each series' newest run, the head
+// (head.go), is an append-only stream per column that these codecs write
+// as the rows arrive; every older run is a chunk, the head's bytes cut out
+// at sealRows rows, and the compaction job (tsdb.go, DB.Compress) merges
+// adjacent chunks into larger ones, up to maxChunkRows rows:
 //
 //   - timestamps: delta-of-delta, bucketed bit codes (Facebook Gorilla §4.1
 //     as adopted by Prometheus/InfluxDB). Fixed-interval samples — the
@@ -22,12 +20,12 @@ package tsdb
 //     can alias them without a decode; mixed-kind columns stay raw too
 //     (they are rare and carry no exploitable structure).
 //
-// Everything is byte-exact: decompression reproduces the raw columns
-// bit for bit, so aggregation answers are byte-identical to the sealed
-// state. A chunk is never written to: writes land on the raw head or open
-// a fresh run next to it, the job decodes the chunks it merges into a new
-// one, and pruning and recovery decode a chunk they must cut or leave at
-// the head into a raw run that replaces it.
+// Every encoder is a state carried from row to row (tsEnc, colEnc), so a
+// head that takes its rows in blocks writes the bytes the one-shot
+// encoders write over the same rows. Everything is byte-exact: decoding
+// reproduces the rows bit for bit. A chunk is never written to: writes
+// land on the head, the job decodes the chunks it merges into a new one,
+// and pruning decodes a chunk it must cut and encodes what is left.
 //
 // Arithmetic note: deltas and delta-of-deltas are computed in uint64 with
 // wraparound and zigzag-coded, so the codec is total over all int64
@@ -75,7 +73,11 @@ func compSizeBytes(c *compRun) int64 {
 // valueBytes approximates sizeof(lineproto.Value) for footprint gauges.
 const valueBytes = 40
 
-// rawRunBytes estimates the resident footprint of a sealed run's arrays.
+// armBytes is what one row costs in each arm of a raw column.
+var armBytes = [...]int64{durable.ArmFloats: 8, durable.ArmInts: 8, durable.ArmStrIDs: 4, durable.ArmVals: valueBytes}
+
+// rawRunBytes estimates what a run's rows cost as raw arrays: a chunk's
+// RawBytes, the numerator of the compression-ratio gauge.
 func rawRunBytes(ts []int64, cols []col) int64 {
 	n := int64(len(ts)) * 8
 	for i := range cols {
@@ -100,18 +102,11 @@ func appendDodBits(w *bitWriter, z uint64) {
 	case z == 0:
 		w.writeBit(false)
 	case z < 1<<16:
-		w.writeBit(true)
-		w.writeBit(false)
-		w.writeBits(z, 16)
+		w.writeBits(0b10<<16|z, 18)
 	case z < 1<<32:
-		w.writeBit(true)
-		w.writeBit(true)
-		w.writeBit(false)
-		w.writeBits(z, 32)
+		w.writeBits(0b110<<32|z, 35)
 	default:
-		w.writeBit(true)
-		w.writeBit(true)
-		w.writeBit(true)
+		w.writeBits(0b111, 3)
 		w.writeBits(z, 64)
 	}
 }
@@ -119,17 +114,32 @@ func appendDodBits(w *bitWriter, z uint64) {
 func zigzag(v uint64) uint64   { return (v << 1) ^ uint64(int64(v)>>63) }
 func unzigzag(z uint64) uint64 { return (z >> 1) ^ -(z & 1) }
 
-// encodeTimestamps compresses a sorted timestamp column. The first
-// timestamp is stored raw; every later one as the zigzagged
-// delta-of-delta against an initial delta of 0.
+// tsEnc is the timestamp codec's state after the rows it encoded: the
+// first timestamp is stored raw, every later one as the zigzagged
+// delta-of-delta against the previous delta (0 before the second row).
+type tsEnc struct {
+	n     int
+	prev  int64
+	delta uint64
+}
+
+func (e *tsEnc) put(w *bitWriter, t int64) {
+	if e.n++; e.n == 1 {
+		w.writeBits(uint64(t), 64)
+	} else {
+		delta := uint64(t) - uint64(e.prev)
+		appendDodBits(w, zigzag(delta-e.delta))
+		e.delta = delta
+	}
+	e.prev = t
+}
+
+// encodeTimestamps compresses a sorted timestamp column in one go.
 func encodeTimestamps(ts []int64) []byte {
 	w := newBitWriter()
-	w.writeBits(uint64(ts[0]), 64)
-	prevDelta := uint64(0)
-	for i := 1; i < len(ts); i++ {
-		delta := uint64(ts[i]) - uint64(ts[i-1])
-		appendDodBits(w, zigzag(delta-prevDelta))
-		prevDelta = delta
+	var e tsEnc
+	for _, t := range ts {
+		e.put(w, t)
 	}
 	return w.bytes()
 }
@@ -142,9 +152,9 @@ func decodeTimestamps(data []byte, dst []int64, end int64) (int, error) {
 		return 0, nil
 	}
 	r := bitReader{b: data}
-	first, err := r.readBits(64)
-	if err != nil {
-		return 0, err
+	first := r.readBits(64)
+	if r.short {
+		return 0, errShortChunk
 	}
 	dst[0] = int64(first)
 	prev, prevDelta := first, uint64(0)
@@ -152,75 +162,91 @@ func decodeTimestamps(data []byte, dst []int64, end int64) (int, error) {
 		if dst[i-1] > end {
 			return i, nil
 		}
-		bits, err := readDodBits(&r)
-		if err != nil {
-			return 0, err
+		// The bucket codes of appendDodBits.
+		z := uint64(0)
+		if r.readBit() {
+			switch {
+			case !r.readBit():
+				z = r.readBits(16)
+			case !r.readBit():
+				z = r.readBits(32)
+			default:
+				z = r.readBits(64)
+			}
 		}
-		prevDelta += unzigzag(bits)
+		if r.short {
+			return 0, errShortChunk
+		}
+		prevDelta += unzigzag(z)
 		prev += prevDelta
 		dst[i] = int64(prev)
 	}
 	return len(dst), nil
 }
 
-func readDodBits(r *bitReader) (uint64, error) {
-	b, err := r.readBit()
-	if err != nil || !b {
-		return 0, err
-	}
-	if b, err = r.readBit(); err != nil {
-		return 0, err
-	}
-	if !b {
-		return r.readBits(16)
-	}
-	if b, err = r.readBit(); err != nil {
-		return 0, err
-	}
-	if !b {
-		return r.readBits(32)
-	}
-	return r.readBits(64)
-}
-
 // --- float chunk: XOR with leading/trailing-zero windows ----------------
 
-// encodeFloats compresses a float column bit-exactly (Gorilla §4.2). The
-// first value is raw; each later value XORs against its predecessor:
-// '0' repeats the previous value, '10' reuses the previous significant-bit
-// window, '11' opens a new window (5 bits leading zeros, 6 bits length-1,
-// then the significant bits).
+// colEnc is a value column's codec state after the rows it encoded: the
+// previous value (a float's bits, or an int) and the float codec's open
+// window.
+type colEnc struct {
+	prev      uint64
+	lead, sig uint8 // sig == 0 marks "no window yet"
+}
+
+// putFloat encodes one float bit-exactly (Gorilla §4.2). The first value
+// is raw; each later value XORs against its predecessor: '0' repeats the
+// previous value, '10' reuses the previous significant-bit window, '11'
+// opens a new window (5 bits leading zeros, 6 bits length-1, then the
+// significant bits).
+func (e *colEnc) putFloat(w *bitWriter, v float64, first bool) {
+	cur := math.Float64bits(v)
+	if first {
+		w.writeBits(cur, 64)
+		e.prev = cur
+		return
+	}
+	x := cur ^ e.prev
+	e.prev = cur
+	if x == 0 {
+		w.writeBit(false)
+		return
+	}
+	l := uint(mbits.LeadingZeros64(x))
+	if l > 31 {
+		l = 31 // 5-bit field; longer runs just store a few extra bits
+	}
+	t := uint(mbits.TrailingZeros64(x))
+	s := 64 - l - t
+	lead, sig := uint(e.lead), uint(e.sig)
+	if sig != 0 && l >= lead && 64-lead-sig <= t {
+		// The previous window still covers every significant bit: '10'.
+		if sig <= 62 {
+			w.writeBits(0b10<<sig|x>>(64-lead-sig), sig+2)
+		} else {
+			w.writeBits(0b10, 2)
+			w.writeBits(x>>(64-lead-sig), sig)
+		}
+		return
+	}
+	w.writeBits(0b11<<11|uint64(l)<<6|uint64(s-1), 13)
+	w.writeBits(x>>t, s)
+	e.lead, e.sig = uint8(l), uint8(s)
+}
+
+// putInt encodes one int/bool as a byte-aligned zigzag delta varint:
+// counters move by small steps, so most deltas are 1-2 bytes.
+func (e *colEnc) putInt(w *bitWriter, v int64) {
+	w.b = appendUvarint64(w.b, zigzag(uint64(v)-e.prev))
+	e.prev = uint64(v)
+}
+
+// encodeFloats compresses a float column in one go.
 func encodeFloats(vals []float64) []byte {
 	w := newBitWriter()
-	prev := math.Float64bits(vals[0])
-	w.writeBits(prev, 64)
-	lead, sig := uint(0), uint(0) // sig == 0 marks "no window yet"
-	for _, v := range vals[1:] {
-		cur := math.Float64bits(v)
-		x := cur ^ prev
-		prev = cur
-		if x == 0 {
-			w.writeBit(false)
-			continue
-		}
-		w.writeBit(true)
-		l := uint(mbits.LeadingZeros64(x))
-		if l > 31 {
-			l = 31 // 5-bit field; longer runs just store a few extra bits
-		}
-		t := uint(mbits.TrailingZeros64(x))
-		s := 64 - l - t
-		if sig != 0 && l >= lead && 64-lead-sig <= t {
-			// The previous window still covers every significant bit.
-			w.writeBit(false)
-			w.writeBits(x>>(64-lead-sig), sig)
-			continue
-		}
-		w.writeBit(true)
-		w.writeBits(uint64(l), 5)
-		w.writeBits(uint64(s-1), 6)
-		w.writeBits(x>>t, s)
-		lead, sig = l, s
+	var e colEnc
+	for i, v := range vals {
+		e.putFloat(w, v, i == 0)
 	}
 	return w.bytes()
 }
@@ -231,40 +257,26 @@ func decodeFloats(data []byte, dst []float64) error {
 		return nil
 	}
 	r := bitReader{b: data}
-	prev, err := r.readBits(64)
-	if err != nil {
-		return err
+	prev := r.readBits(64)
+	if r.short {
+		return errShortChunk
 	}
 	dst[0] = math.Float64frombits(prev)
 	lead, sig := uint(0), uint(0)
 	for i := 1; i < len(dst); i++ {
-		changed, err := r.readBit()
-		if err != nil {
-			return err
-		}
-		if !changed {
-			dst[i] = math.Float64frombits(prev)
-			continue
-		}
-		newWin, err := r.readBit()
-		if err != nil {
-			return err
-		}
-		if newWin {
-			hdr, err := r.readBits(11)
-			if err != nil {
-				return err
+		if r.readBit() {
+			if r.readBit() {
+				hdr := r.readBits(11)
+				lead = uint(hdr >> 6)
+				sig = uint(hdr&63) + 1
+			} else if sig == 0 {
+				return errShortChunk // window reuse before any window opened
 			}
-			lead = uint(hdr >> 6)
-			sig = uint(hdr&63) + 1
-		} else if sig == 0 {
-			return errShortChunk // window reuse before any window opened
+			prev ^= r.readBits(sig) << (64 - lead - sig)
 		}
-		bits, err := r.readBits(sig)
-		if err != nil {
-			return err
+		if r.short {
+			return errShortChunk
 		}
-		prev ^= bits << (64 - lead - sig)
 		dst[i] = math.Float64frombits(prev)
 	}
 	return nil
@@ -272,14 +284,12 @@ func decodeFloats(data []byte, dst []float64) error {
 
 // --- int chunk: zigzag delta varints ------------------------------------
 
-// encodeInts compresses an int/bool column as byte-aligned zigzag delta
-// varints: counters move by small steps, so most deltas are 1-2 bytes.
+// encodeInts compresses an int/bool column in one go.
 func encodeInts(vals []int64) []byte {
 	w := newBitWriter()
-	prev := uint64(0)
+	var e colEnc
 	for _, v := range vals {
-		w.b = appendUvarint64(w.b, zigzag(uint64(v)-prev))
-		prev = uint64(v)
+		e.putInt(w, v)
 	}
 	return w.bytes()
 }
@@ -361,11 +371,8 @@ func decodeStrIDs(data []byte, width uint8, maxID uint32, dst []uint32) error {
 	}
 	r := bitReader{b: data}
 	for i := range dst {
-		v, err := r.readBits(uint(width))
-		if err != nil {
-			return err
-		}
-		if uint32(v) >= maxID {
+		v := r.readBits(uint(width))
+		if r.short || uint32(v) >= maxID {
 			return errShortChunk
 		}
 		dst[i] = uint32(v)
@@ -375,9 +382,8 @@ func decodeStrIDs(data []byte, width uint8, maxID uint32, dst []uint32) error {
 
 // --- run compression -----------------------------------------------------
 
-// compressColumns encodes a sealed run's captured column headers into a
-// compRun. The inputs are immutable snapshots (the same guarantee Select's
-// phase 1 relies on), so callers may encode outside the shard lock.
+// compressColumns encodes a decoded run — the merge of the chunks the job
+// joins, or what a retention cut leaves of one — into a chunk in one go.
 func compressColumns(ts []int64, cols []col) *compRun {
 	n := len(ts)
 	c := &compRun{
@@ -439,8 +445,8 @@ func decodeCol(cc *compCol, n, strsLen int, a *decodeArena) (durable.Values, err
 	return v, err
 }
 
-// decompress rebuilds the full sealed form of a compressed run into freshly
-// allocated arrays.
+// decompress decodes a chunk into a raw run in freshly allocated arrays:
+// the form merges and cuts work on.
 func decompress(c *compRun, strsLen int) (*colRun, error) {
 	out := &colRun{ts: make([]int64, c.N)}
 	if _, err := decodeTimestamps(c.Ts, out.ts, math.MaxInt64); err != nil {
@@ -465,9 +471,9 @@ func decompress(c *compRun, strsLen int) (*colRun, error) {
 
 // --- query-time materialization ------------------------------------------
 //
-// Phase 1 of Select snapshots a compressed run as its immutable compRun
-// pointer (after a min/max time-bound cut); phase 2 decodes the chunk
-// into a pooled scratch arena right before the vectorized foldView
+// Phase 1 of Select snapshots a chunk as its immutable compRun pointer and
+// a head as its headSnap (after a min/max time-bound cut); phase 2 decodes
+// either into a pooled scratch arena right before the vectorized foldView
 // sweeps run over it. The arena recycles its backing arrays across
 // queries (sync.Pool), so steady dashboard traffic decodes into warm
 // memory instead of allocating per run.
@@ -477,10 +483,12 @@ func decompress(c *compRun, strsLen int) (*colRun, error) {
 // the old block with its outstanding slices (freed by GC after the query).
 // A nil arena allocates every slice on its own (decompress).
 type decodeArena struct {
-	i64                    []int64
-	f64                    []float64
-	u32                    []uint32
-	i64off, f64off, u32off int
+	i64                                     []int64
+	f64                                     []float64
+	u32                                     []uint32
+	u8                                      []byte
+	views                                   []colView
+	i64off, f64off, u32off, u8off, viewsOff int
 }
 
 const arenaBlock = 16 * 1024
@@ -531,7 +539,43 @@ func (a *decodeArena) takeU32(n int) []uint32 {
 	return s
 }
 
-func (a *decodeArena) reset() { a.i64off, a.f64off, a.u32off = 0, 0, 0 }
+// takeViews hands out n zeroed column views.
+func (a *decodeArena) takeViews(n int) []colView {
+	if a.viewsOff+n > len(a.views) {
+		a.views = make([]colView, max(n, 256))
+		a.viewsOff = 0
+	}
+	s := a.views[a.viewsOff : a.viewsOff+n : a.viewsOff+n]
+	clear(s)
+	a.viewsOff += n
+	return s
+}
+
+// finished returns a stream a head snapshot captured, finished: its
+// complete bytes as they are, or copied out with the partial byte (into
+// fresh memory for a nil arena).
+func (a *decodeArena) finished(w *bitWriter) []byte {
+	if w.n == 0 {
+		return w.b
+	}
+	n := len(w.b) + 1
+	if a == nil {
+		return w.appendTo(make([]byte, 0, n))
+	}
+	if a.u8off+n > len(a.u8) {
+		a.u8 = make([]byte, arenaGrow(n))
+		a.u8off = 0
+	}
+	s := a.u8[a.u8off : a.u8off+n : a.u8off+n]
+	copy(s, w.b)
+	s[n-1] = w.cur
+	a.u8off += n
+	return s
+}
+
+func (a *decodeArena) reset() {
+	a.i64off, a.f64off, a.u32off, a.u8off, a.viewsOff = 0, 0, 0, 0, 0
+}
 
 var arenaPool = sync.Pool{New: func() any { return &decodeArena{} }}
 
@@ -546,19 +590,26 @@ func (mt *Metrics) noteDecodeError(err error) {
 	})
 }
 
-// materializeSnap decodes a compressed run snapshot into scratch-backed
+// materializeSnap decodes a chunk or head snapshot into scratch-backed
 // column views, applying the same time-range cut and raw-Limit clamp
-// phase 1 applies to raw runs. On return rs is an ordinary runSnap: the
+// phase 1 can only bound-check. On return rs is an ordinary runSnap: the
 // foldView sweeps, raw emission and window bucketing never know the rows
-// came out of a chunk. Only the chunk's prefix up to the window's last row
-// is decoded.
+// came out of a chunk. Only the prefix up to the window's last row is
+// decoded.
 func materializeSnap(mt *Metrics, rs *runSnap, q Query, cols []AggCol, strsLen int, a *decodeArena) {
-	c := rs.comp
-	rs.comp = nil
-	rs.cols = make([]colView, len(cols))
+	c, h := rs.comp, rs.head
+	rs.comp, rs.head = nil, nil
+	rs.cols = a.takeViews(len(cols))
 	startNS, endNS := rangeNS(q.Start, q.End)
-	ts := a.takeI64(c.N)
-	n, err := decodeTimestamps(c.Ts, ts, endNS)
+	var n int
+	var tsData []byte
+	if h != nil {
+		n, tsData = h.n, a.finished(&h.ts)
+	} else {
+		n, tsData = c.N, c.Ts
+	}
+	ts := a.takeI64(n)
+	n, err := decodeTimestamps(tsData, ts, endNS)
 	if err != nil {
 		mt.noteDecodeError(err)
 		return
@@ -574,41 +625,51 @@ func materializeSnap(mt *Metrics, rs *runSnap, q Query, cols []AggCol, strsLen i
 	}
 	rs.ts = ts[lo:hi]
 	for ci := range cols {
-		cci := compColByName(c, cols[ci].Field)
-		if cci < 0 {
+		var cc *compCol
+		if h != nil {
+			hc := &h.cols[ci]
+			if !hc.ok {
+				continue
+			}
+			hc.cc.Data = a.finished(&hc.w)
+			cc = &hc.cc
+		} else if cci := compColByName(c, cols[ci].Field); cci >= 0 {
+			cc = &c.Cols[cci]
+		} else {
 			continue
 		}
-		cc := &c.Cols[cci]
 		vals, err := decodeCol(cc, hi, strsLen, a)
 		if err != nil {
 			mt.noteDecodeError(err)
-			*rs = runSnap{cols: make([]colView, len(cols))}
+			*rs = runSnap{cols: a.takeViews(len(cols))}
 			return
 		}
 		rs.cols[ci] = colView{ok: true, off: lo, present: cc.Present, Values: vals.Slice(lo, hi)}
 	}
 }
 
-// materializeGroup decodes every compressed run of a group and drops runs
-// the precise time cut left empty (phase 1 can only bound-check a chunk's
-// min/max timestamp, so a run may turn out to hold no row in range — a
-// raw run would never have been snapshotted, and byte-identity demands
-// the same here). Returns false when the whole group vanished. prof, when
-// non-nil, counts each chunk decoded: one timestamp chunk plus one per
-// column.
+// materializeGroup decodes every chunk and head snapshot of a group and
+// drops runs the precise time cut left empty (phase 1 can only bound-check
+// a run's min/max timestamp, so a run may turn out to hold no row in
+// range; byte-identity demands it not surface). Returns false when the
+// whole group vanished. prof, when non-nil, counts each stream decoded:
+// one timestamp stream plus one per column.
 func materializeGroup(mt *Metrics, g *selectGroup, q Query, cols []AggCol, strsLen int, a *decodeArena, prof *selectProf) bool {
 	kept := g.runs[:0]
 	for ri := range g.runs {
-		if c := g.runs[ri].comp; c != nil {
-			if prof != nil {
-				prof.ChunksDecoded += 1 + len(c.Cols)
-			}
-			materializeSnap(mt, &g.runs[ri], q, cols, strsLen, a)
-			if len(g.runs[ri].ts) == 0 {
-				continue
+		rs := &g.runs[ri]
+		if prof != nil {
+			switch {
+			case rs.comp != nil:
+				prof.ChunksDecoded += 1 + len(rs.comp.Cols)
+			case rs.head != nil:
+				prof.ChunksDecoded += 1 + len(rs.head.cols)
 			}
 		}
-		kept = append(kept, g.runs[ri])
+		materializeSnap(mt, rs, q, cols, strsLen, a)
+		if len(rs.ts) > 0 {
+			kept = append(kept, *rs)
+		}
 	}
 	g.runs = kept
 	return len(g.runs) > 0

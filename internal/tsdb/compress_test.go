@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -200,12 +201,12 @@ func TestCompressedSelectByteIdentical(t *testing.T) {
 }
 
 // TestCompressedRewriteUpsert: a chunk is never written to. The exact
-// rewrite — the dashboard upsert pattern — lands on the head, which stays
-// raw whatever the job compressed behind it: values update last-write-wins,
-// the row count holds, and the chunk is the same chunk afterwards. A block
-// that exactly rewrites the chunk's own timestamps, or overlaps them
-// partially, is no rewrite of the head: it opens a run beside it, exactly
-// as it would against a raw run.
+// rewrite — the dashboard upsert pattern — lands on the head, whatever the
+// cut left behind it: values update last-write-wins, the row count holds,
+// and the chunk is the same chunk afterwards. A block that exactly rewrites
+// the chunk's own timestamps, or overlaps them partially, is no rewrite of
+// the head: it starts a run beside it, exactly as it would against any
+// other run.
 func TestCompressedRewriteUpsert(t *testing.T) {
 	t.Parallel()
 	db := newDB("lms")
@@ -226,14 +227,11 @@ func TestCompressedRewriteUpsert(t *testing.T) {
 	})
 	write(rows[:n])
 	write(rows[n:])
-	if got := db.Compress(); got != 1 {
-		t.Fatalf("Compress() = %d runs, want 1", got)
+	if got, want := runLayout(db), fmt.Sprintf("m hostname=h1: %dc %dh", n, n); got != want {
+		t.Fatalf("fixture layout: %s, want %s", got, want)
 	}
 	sr := db.shardFor("m").measurements["m"].series["hostname=h1"]
 	chunk := sr.runs[0]
-	if chunk.comp == nil || len(sr.runs) != 2 || sr.runs[1].comp != nil {
-		t.Fatalf("fixture layout: %s", runLayout(db))
-	}
 
 	// Exact rewrite of the head's field a: values update, the row count is
 	// unchanged, field b keeps its stored values, the chunk is untouched.
@@ -243,7 +241,7 @@ func TestCompressedRewriteUpsert(t *testing.T) {
 	if got := db.PointCount(); got != 2*n {
 		t.Fatalf("exact rewrite changed row count: %d != %d", got, 2*n)
 	}
-	if sr.runs[0] != chunk || len(sr.runs) != 2 {
+	if sr.runs[0] != chunk || len(sr.runs) != 1 {
 		t.Fatalf("exact rewrite of the head touched the chunk: %s", runLayout(db))
 	}
 	res, err := db.SelectContext(bg, Query{Measurement: "m"})
@@ -277,9 +275,10 @@ func TestCompressedRewriteUpsert(t *testing.T) {
 	}
 }
 
-// TestCompressionStatsAndMetrics covers the scrape-time sweep: resident
-// bytes shift from sealed to compressed, the building run stays, the chunk
-// count appears, and the ratio gauge reports the achieved factor.
+// TestCompressionStatsAndMetrics covers the scrape-time sweep: a head's
+// resident bytes are its streams', the cut moves exactly those bytes to the
+// chunk it makes, the chunk count appears, and the ratio gauge reports the
+// achieved factor.
 func TestCompressionStatsAndMetrics(t *testing.T) {
 	t.Parallel()
 	st := NewStore()
@@ -297,20 +296,20 @@ func TestCompressionStatsAndMetrics(t *testing.T) {
 			Time: time.Unix(int64(i), 0).UTC(),
 		}
 	}
-	// 2000 rows in one run, sealed by the next in-order block.
-	for _, b := range [][]lineproto.Point{pts[:2000], pts[2000:]} {
-		if err := db.WriteBatchContext(bg, b); err != nil {
-			t.Fatal(err)
-		}
+	// 2000 rows in one head, cut by the next in-order block.
+	if err := db.WriteBatchContext(bg, pts[:2000]); err != nil {
+		t.Fatal(err)
 	}
 	before := db.compressionStats()
-	if before.buildingBytes == 0 || before.sealedBytes == 0 || before.compressedBytes != 0 {
-		t.Fatalf("pre-compress stats: %+v", before)
+	if before.headBytes == 0 || before.compressedBytes != 0 || before.chunks != 0 {
+		t.Fatalf("pre-cut stats: %+v", before)
 	}
-	db.Compress()
+	if err := db.WriteBatchContext(bg, pts[2000:]); err != nil {
+		t.Fatal(err)
+	}
 	after := db.compressionStats()
-	if after.compressedBytes == 0 || after.chunks == 0 || after.sealedBytes != 0 || after.buildingBytes != before.buildingBytes {
-		t.Fatalf("post-compress stats: %+v", after)
+	if after.compressedBytes != before.headBytes || after.chunks != 3 || after.headBytes == 0 {
+		t.Fatalf("post-cut stats: %+v, want the head's %d bytes in 3 chunks", after, before.headBytes)
 	}
 	if after.rawOfCompressed <= after.compressedBytes {
 		t.Fatalf("compression did not shrink the run: raw %d vs comp %d",
@@ -319,10 +318,10 @@ func TestCompressionStatsAndMetrics(t *testing.T) {
 }
 
 // TestCompressConcurrentWithQueries exercises the optimistic compaction
-// job, kicked by the writers' seals, against live writers and readers;
+// job, kicked by the writers' cuts, against live writers and readers;
 // run with -race. Timestamps are unique per series, so the final row
-// count is exact, and once the writers stop the last kick leaves no
-// sealed run raw.
+// count is exact, and once the writers stop the last kick leaves nothing
+// to merge.
 func TestCompressConcurrentWithQueries(t *testing.T) {
 	t.Parallel()
 	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
@@ -365,14 +364,14 @@ func TestCompressConcurrentWithQueries(t *testing.T) {
 			if got, want := db.PointCount(), writers*batches*per; got != want {
 				t.Fatalf("final resident rows %d, want %d", got, want)
 			}
-			for deadline := time.Now().Add(10 * time.Second); db.compressionStats().sealedBytes > 0; {
+			for deadline := time.Now().Add(10 * time.Second); pendingSpans(db) > 0; {
 				if time.Now().After(deadline) {
-					t.Fatalf("sealed runs still raw after the writers stopped: %+v", db.compressionStats())
+					t.Fatalf("chunks still unmerged after the writers stopped:\n%s", runLayout(db))
 				}
 				time.Sleep(time.Millisecond)
 			}
 			if db.compressionStats().compressedBytes == 0 {
-				t.Fatal("the seals compressed nothing")
+				t.Fatal("the writes cut no chunk")
 			}
 			return
 		default:
@@ -381,7 +380,7 @@ func TestCompressConcurrentWithQueries(t *testing.T) {
 }
 
 // runLayout renders every series' runs, in series-key order, as row count
-// plus c (compressed) or r (raw): "cpu hostname=h1: 32c 32c 4r".
+// plus c (a chunk) or h (the head): "cpu hostname=h1: 32c 32c 4h".
 func runLayout(db *DB) string {
 	var lines []string
 	for _, sh := range db.shards {
@@ -389,8 +388,11 @@ func runLayout(db *DB) string {
 		for _, m := range sh.measurements {
 			for key, sr := range m.series {
 				line := m.name + " " + key + ":"
-				for _, run := range sr.runs {
-					line += fmt.Sprintf(" %d%s", run.rows(), map[bool]string{true: "c", false: "r"}[run.comp != nil])
+				for _, c := range sr.runs {
+					line += fmt.Sprintf(" %dc", c.N)
+				}
+				if sr.head != nil {
+					line += fmt.Sprintf(" %dh", sr.head.n)
 				}
 				lines = append(lines, line)
 			}
@@ -399,6 +401,21 @@ func runLayout(db *DB) string {
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
+}
+
+// pendingSpans counts the merges the compaction job has yet to make.
+func pendingSpans(db *DB) int {
+	n := 0
+	for _, sh := range db.shards {
+		sh.mu.RLock()
+		for _, m := range sh.measurements {
+			for _, sr := range m.series {
+				n += len(sr.jobSpans(nil))
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return n
 }
 
 // oneRowBatches writes rows [from, to) as one-row in-order batches to each
@@ -427,17 +444,17 @@ func settle(db *DB) int {
 }
 
 // TestSealByRule pins the seal rule and the job's chunk sizes (DESIGN.md
-// §13): k one-row in-order batches seal ⌊k/sealRows⌋ runs of sealRows rows
-// and leave one building run; the job merges the sealed runs into
-// power-of-two chunks of up to maxChunkRows rows, oldest largest, whenever
-// it ran; WAL replay after a crash rebuilds that layout run for run; and a
-// store whose job never ran holds the sealed runs raw and answers every
-// query byte for byte the same.
+// §13): k one-row in-order batches cut ⌊k/sealRows⌋ chunks of sealRows rows
+// and leave a head; the job merges the chunks into power-of-two chunks of
+// up to maxChunkRows rows, oldest largest, whenever it ran; WAL replay
+// after a crash rebuilds that layout run for run; and a store whose job
+// never ran holds the cut chunks as they are and answers every query byte
+// for byte the same.
 func TestSealByRule(t *testing.T) {
 	t.Parallel()
-	const k = 1500 // 46 sealed runs = 32 + 8 + 4 + 2, and 28 rows building
+	const k = 1500 // 46 cut chunks = 32 + 8 + 4 + 2, and 28 rows in the head
 	layout := func(runs string) string { return "cpu hostname=h1:" + runs + "\ncpu hostname=h2:" + runs }
-	want := layout(" 1024c 256c 128c 64c 28r")
+	want := layout(" 1024c 256c 128c 64c 28h")
 
 	dir := t.TempDir()
 	st := openDurableStore(t, Durability{Dir: dir, Fsync: durable.FsyncOff})
@@ -464,7 +481,7 @@ func TestSealByRule(t *testing.T) {
 	idle := idleSt.CreateDatabase("lms")
 	idle.compJob.Stop()
 	oneRowBatches(t, idle, 0, k)
-	if got, want := runLayout(idle), layout(strings.Repeat(fmt.Sprintf(" %dr", sealRows), k/sealRows)+" 28r"); got != want {
+	if got, want := runLayout(idle), layout(strings.Repeat(fmt.Sprintf(" %dc", sealRows), k/sealRows)+" 28h"); got != want {
 		t.Fatalf("layout without the job:\n%s\nwant\n%s", got, want)
 	}
 	if queryFingerprint(t, idleSt, "lms") != queryFingerprint(t, st2, "lms") {
@@ -473,14 +490,14 @@ func TestSealByRule(t *testing.T) {
 }
 
 // TestCheckpointRestartContinuity: Close checkpoints every run as a chunk,
-// the building run too, run for run as the store held them; a reopened
-// store adopts those chunks and decodes each series' head back to raw, so
-// it holds the layout it closed with, and the next in-order blocks land
+// the head too, run for run as the store held them; a reopened store
+// adopts those chunks and makes each series' newest the head again, so it
+// holds the layout it closed with, and the next in-order blocks land
 // where a store that never restarted puts them — the same layout once both
-// jobs settle, byte-identical /query bodies. With k = 1536 the building run
-// is full when the store closes, so the first block after the reopen seals
-// it, and the job kicked by that seal must merge it with the sealed 32-row
-// chunk before it.
+// jobs settle, byte-identical /query bodies. With k = 1536 the head is full
+// when the store closes, so the first block after the reopen cuts it, and
+// the job kicked by that cut must merge it with the 32-row chunk before
+// it.
 func TestCheckpointRestartContinuity(t *testing.T) {
 	for _, k := range []int{1500, 1536} {
 		t.Run(fmt.Sprint(k), func(t *testing.T) {
@@ -497,7 +514,7 @@ func TestCheckpointRestartContinuity(t *testing.T) {
 			oneRowBatches(t, db, 0, k)
 			settle(db)
 			closed := runLayout(db)
-			held := strings.ReplaceAll(closed, "r", "c")
+			held := strings.TrimSuffix(strings.ReplaceAll(closed+"\n", "h\n", "c\n"), "\n") // the head is each line's last run
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -579,7 +596,7 @@ func TestLateBlockLeavesChunks(t *testing.T) {
 		}
 		return pts
 	}
-	const blocks = 101 // 100 sealed runs and a full building one
+	const blocks = 101 // 100 cut chunks and a full head
 	for b := 0; b < blocks; b++ {
 		if err := db.WriteBatchContext(bg, block(sealRows, func(i int) int64 { return int64(b*sealRows+i) * 10 })); err != nil {
 			t.Fatal(err)
@@ -587,19 +604,15 @@ func TestLateBlockLeavesChunks(t *testing.T) {
 	}
 	db.Compress()
 	const history = " 1024c 1024c 1024c 128c"
-	if got, want := runLayout(db), "cpu hostname=h1:"+history+" 32r"; got != want {
+	if got, want := runLayout(db), "cpu hostname=h1:"+history+" 32h"; got != want {
 		t.Fatalf("layout of the history:\n%s\nwant\n%s", got, want)
 	}
 	sr := db.shardFor("cpu").measurements["cpu"].series["hostname=h1"]
 	chunks := slices.Clone(sr.runs[:4])
-	comps := make([]*compRun, len(chunks))
-	for i, run := range chunks {
-		comps[i] = run.comp
-	}
 	untouched := func(when string) {
 		t.Helper()
-		for i, run := range chunks {
-			if sr.runs[i] != run || run.comp != comps[i] {
+		for i, c := range chunks {
+			if sr.runs[i] != c {
 				t.Fatalf("%s: chunk %d was replaced or decompressed:\n%s", when, i, runLayout(db))
 			}
 		}
@@ -610,12 +623,12 @@ func TestLateBlockLeavesChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	untouched("after the late block")
-	if got, want := runLayout(db), "cpu hostname=h1:"+history+" 32r 16r"; got != want {
+	if got, want := runLayout(db), "cpu hostname=h1:"+history+" 32c 16h"; got != want {
 		t.Fatalf("layout after the late block:\n%s\nwant\n%s", got, want)
 	}
 	db.Compress()
 	untouched("after the job's pass")
-	if got, want := runLayout(db), "cpu hostname=h1:"+history+" 32c 16r"; got != want {
+	if got, want := runLayout(db), "cpu hostname=h1:"+history+" 32c 16h"; got != want {
 		t.Fatalf("layout after the job's pass:\n%s\nwant\n%s", got, want)
 	}
 	res, err := db.SelectContext(bg, Query{Measurement: "cpu", Cols: []AggCol{{Field: "ctx", Agg: AggCount}}})
@@ -628,12 +641,13 @@ func TestLateBlockLeavesChunks(t *testing.T) {
 }
 
 // TestRetentionOverChunks: the retention sweep over a series of chunks and
-// a raw head. A cutoff inside one chunk drops the chunks wholly before it
+// a head. A cutoff inside one chunk drops the chunks wholly before it
 // without decoding them — they are corrupt here, and the decode counter
 // stays 0 — keeps the ones after it as they are, and cuts the one it falls
-// in, which comes back raw for the job to compress again. A late block that
-// expires before the runs written after it leaves a chunk at the head: the
-// sweep decodes it, so an exact rewrite of its timestamps still upserts.
+// in into a new chunk for the job to merge again. A late block that
+// expires before the runs written after it leaves a chunk newest: the
+// sweep makes it the head, so an exact rewrite of its timestamps still
+// upserts.
 // Throughout, a store whose job never ran answers byte for byte the same.
 func TestRetentionOverChunks(t *testing.T) {
 	t.Parallel()
@@ -676,32 +690,32 @@ func TestRetentionOverChunks(t *testing.T) {
 
 	both(func(db *DB) { oneRowBatches(t, db, 0, 500) })
 	db.Compress()
-	var after [][]*colRun
+	var after [][]*compRun
 	for _, host := range hosts {
 		sr := series(host)
 		after = append(after, slices.Clone(sr.runs[2:4]))
-		c := sr.runs[0].comp
+		c := sr.runs[0]
 		data := c.Cols[compColByName(c, "ctx")].Data
 		data[len(data)-1] ^= 0x80
 	}
 	both(func(db *DB) { db.DropBefore(at(300)) }) // inside the chunk of rows 256-383
-	check("after the sweep", " 84r 64c 32c 20r")
+	check("after the sweep", " 84c 64c 32c 20h")
 	for i, host := range hosts {
 		if !slices.Equal(series(host).runs[1:3], after[i]) {
 			t.Fatalf("the sweep replaced a chunk past the cutoff:\n%s", runLayout(db))
 		}
 	}
 	db.Compress()
-	check("after the job's pass", " 148c 32c 20r")
+	check("after the job's pass", " 148c 32c 20h")
 
 	// The head fills up, and a late block behind it is compressed behind
 	// nothing: it is the head until it expires.
 	both(func(db *DB) { oneRowBatches(t, db, 500, 512) })
 	both(func(db *DB) { block(db, 300, 310, func(row int) time.Time { return at(row).Add(5 * time.Second) }) })
 	db.Compress()
-	check("after the late block", " 148c 64c 10r")
+	check("after the late block", " 148c 64c 10h")
 	both(func(db *DB) { db.DropBefore(at(310)) })
-	check("after the late block expired", " 138r 64r")
+	check("after the late block expired", " 138c 64h")
 
 	points := db.PointCount()
 	block(db, 448, 512, at) // the decoded head's timestamps exactly
@@ -715,7 +729,7 @@ func TestRetentionOverChunks(t *testing.T) {
 	if got := res[0].Rows[0].Values[0].IntVal(); got != -511 {
 		t.Fatalf("min(ctx) = %d after the rewrite, want -511", got)
 	}
-	if got, want := runLayout(db), "cpu hostname=h1: 138r 64r\ncpu hostname=h2: 138r 64r"; got != want {
+	if got, want := runLayout(db), "cpu hostname=h1: 138c 64h\ncpu hostname=h2: 138c 64h"; got != want {
 		t.Fatalf("layout after the rewrite:\n%s\nwant\n%s", got, want)
 	}
 }
@@ -747,7 +761,7 @@ func corruptChunkStore(t *testing.T) (*Store, *DB) {
 	sh := db.shardFor("cpu")
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	c := sh.measurements["cpu"].series["hostname=h1"].runs[0].comp
+	c := sh.measurements["cpu"].series["hostname=h1"].runs[0]
 	data := c.Cols[compColByName(c, "ctx")].Data
 	data[len(data)-1] ^= 0x80
 	return st, db
@@ -818,16 +832,16 @@ func TestCorruptHeadChunkAtRecovery(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := runLayout(db), "cpu hostname=h1: 3c 3c 1r"; got != want {
+	if got, want := runLayout(db), "cpu hostname=h1: 3c 3c 1h"; got != want {
 		t.Fatalf("layout after the next block:\n%s\nwant\n%s", got, want)
 	}
 	querySumCtx(t, st)
 }
 
-// TestCheckpointCompressedRoundTrip: a checkpoint taken over compressed
-// runs stores the chunks verbatim, and recovery adopts them still
-// compressed — no decode on either path, only the raw heads are encoded
-// for the file and decoded back — with byte-identical query answers.
+// TestCheckpointCompressedRoundTrip: a checkpoint stores the chunks and the
+// heads' bytes verbatim, and recovery adopts the chunks still compressed —
+// no decode on either path but each head's, which recovery decodes back
+// into a head — with byte-identical query answers and resident bytes.
 func TestCheckpointCompressedRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	batches := corpusBatches()
@@ -843,8 +857,8 @@ func TestCheckpointCompressedRoundTrip(t *testing.T) {
 	}
 	settle(db)
 	cs := db.compressionStats()
-	if cs.chunks == 0 || cs.buildingBytes == 0 {
-		t.Fatalf("no mix of chunks and raw heads before the checkpoint: %+v", cs)
+	if cs.chunks == 0 || cs.headBytes == 0 {
+		t.Fatalf("no mix of chunks and heads before the checkpoint: %+v", cs)
 	}
 	before := queryFingerprint(t, st, "lms")
 	if err := st.Close(); err != nil {
@@ -994,7 +1008,11 @@ func FuzzCompressedChunkDecode(f *testing.F) {
 // collector-batch benchmark workload sends: its eight measurements and
 // fields, four job tags, and values that sit on a per-series level with
 // two units of noise in eighths, one line a microsecond after the other.
-func sealSweepCycle(host, cycle int) []lineproto.Point {
+func sealSweepCycle(host, cycle int) []lineproto.Point { return sealSweepFill(nil, host, cycle) }
+
+// sealSweepFill is sealSweepCycle into pts, a cycle of the same host made
+// by it before, whose tag and field maps it reuses; nil makes a new one.
+func sealSweepFill(pts []lineproto.Point, host, cycle int) []lineproto.Point {
 	mix := func(x uint64) uint64 { // splitmix64
 		x += 0x9e3779b97f4a7c15
 		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -1015,18 +1033,23 @@ func sealSweepCycle(host, cycle int) []lineproto.Point {
 		{"likwid_mem", "socket", 8, []string{"bandwidth_mbs", "data_volume_gb", "runtime_s"}},
 		{"likwid_flops", "socket", 8, []string{"dp_mflop_s", "sp_mflop_s", "cpi", "clock_mhz", "runtime_s", "avx_share"}},
 	}
-	var pts []lineproto.Point
+	fresh := pts == nil
 	ts := time.Unix(1501804800, 0).Add(time.Duration(cycle)*10*time.Second + time.Duration(host+1)*time.Millisecond)
 	line := uint64(0)
 	for _, m := range schema {
 		for sub := 0; sub < m.lines; sub++ {
-			p := lineproto.Point{Measurement: m.name, Time: ts, Fields: map[string]lineproto.Value{}, Tags: map[string]string{
-				"hostname": fmt.Sprintf("h%03d", host), "jobid": fmt.Sprintf("%d.master", 4711+host/16),
-				"username": fmt.Sprintf("user%d", host/16%3), "queue": "batch", "project": fmt.Sprintf("p%d", host/16%2),
-			}}
-			if m.sub != "" {
-				p.Tags[m.sub] = fmt.Sprint(sub)
+			if fresh {
+				p := lineproto.Point{Measurement: m.name, Fields: map[string]lineproto.Value{}, Tags: map[string]string{
+					"hostname": fmt.Sprintf("h%03d", host), "jobid": fmt.Sprintf("%d.master", 4711+host/16),
+					"username": fmt.Sprintf("user%d", host/16%3), "queue": "batch", "project": fmt.Sprintf("p%d", host/16%2),
+				}}
+				if m.sub != "" {
+					p.Tags[m.sub] = fmt.Sprint(sub)
+				}
+				pts = append(pts, p)
 			}
+			p := &pts[line]
+			p.Time = ts
 			for f, name := range m.fields {
 				v := int64(mix(uint64(host)<<32^line<<8^uint64(f))%8000 + mix(uint64(cycle*64+host)<<20^line<<8^uint64(f)^0xabcdef)%16)
 				if name[0] == 'i' {
@@ -1035,7 +1058,6 @@ func sealSweepCycle(host, cycle int) []lineproto.Point {
 					p.Fields[name] = lineproto.Float(float64(v) / 8)
 				}
 			}
-			pts = append(pts, p)
 			ts = ts.Add(time.Microsecond)
 			line++
 		}
@@ -1059,6 +1081,51 @@ func sealSweepDB(b *testing.B, hosts, cycles int) *DB {
 	}
 	settle(db)
 	return db
+}
+
+// TestResidentHeapPerPoint measures what a stored point costs the Go heap
+// (ROADMAP item 1): sealSweepCycle's 64 hosts (6 400 series) at 1, 78 —
+// the benchmark's series length — and 300 rows per series, settled, as the
+// heap grew across two forced GCs, against lms_db_resident_bytes' B/point.
+// It pins the 78-row figure, the regime every job start puts a cluster in
+// (the router tags each point with its job, so a job's series are new):
+// 44.4 B/point when each series' newest rows sat raw in arrays presized
+// for sealRows rows. Not parallel: the heap is the process's.
+func TestResidentHeapPerPoint(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("writes 2.4M points; the race detector's heap is not the product's")
+	}
+	const hosts = 64
+	for _, rows := range []int{1, 78, 300} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		db := newDB("lms")
+		cycles := make([][]lineproto.Point, hosts)
+		for c := 0; c < rows; c++ {
+			for h := range cycles {
+				cycles[h] = sealSweepFill(cycles[h], h, c)
+				if err := db.WriteBatchContext(bg, cycles[h]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		cycles = nil
+		settle(db)
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		points := float64(hosts * rows * 100)
+		cs := db.compressionStats()
+		heap := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / points
+		t.Logf("%3d rows per series: heap %6.1f B/point, gauge %5.2f B/point (heads %.2f + chunks %.2f)", rows, heap,
+			float64(cs.headBytes+cs.compressedBytes)/points, float64(cs.headBytes)/points, float64(cs.compressedBytes)/points)
+		if rows == 78 && heap > 30 {
+			t.Errorf("at 78 rows per series a point costs %.1f B of heap, want <= 30", heap)
+		}
+		runtime.KeepAlive(db)
+	}
 }
 
 // BenchmarkSealRows replays the choice of sealRows = 32: 64 hosts × 78
@@ -1098,7 +1165,7 @@ func BenchmarkSealRows(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/set")
-			b.ReportMetric(float64(cs.buildingBytes+cs.sealedBytes+cs.compressedBytes)/(hosts*cycles*100), "B/point")
+			b.ReportMetric(float64(cs.headBytes+cs.compressedBytes)/(hosts*cycles*100), "B/point")
 			b.ReportMetric(float64(cs.rawOfCompressed)/float64(max(cs.compressedBytes, 1)), "ratio")
 		})
 	}

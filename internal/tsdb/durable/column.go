@@ -115,36 +115,6 @@ func (v *Values) Pad(k int) {
 	}
 }
 
-// Grow moves v's rows into an array with room for k more, so appending
-// them allocates nothing.
-func (v *Values) Grow(k int) {
-	switch v.Arm() {
-	case ArmVals:
-		v.Vals = append(make([]lineproto.Value, 0, len(v.Vals)+k), v.Vals...)
-	case ArmFloats:
-		v.Floats = append(make([]float64, 0, len(v.Floats)+k), v.Floats...)
-	case ArmStrIDs:
-		v.StrIDs = append(make([]uint32, 0, len(v.StrIDs)+k), v.StrIDs...)
-	default:
-		v.Ints = append(make([]int64, 0, len(v.Ints)+k), v.Ints...)
-	}
-}
-
-// Append extends v with every row of src, which must hold the same arm.
-// Only appends: a reader holding v's previous, shorter header is unaffected.
-func (v *Values) Append(src *Values) {
-	switch v.Arm() {
-	case ArmVals:
-		v.Vals = append(v.Vals, src.Vals...)
-	case ArmFloats:
-		v.Floats = append(v.Floats, src.Floats...)
-	case ArmStrIDs:
-		v.StrIDs = append(v.StrIDs, src.StrIDs...)
-	default:
-		v.Ints = append(v.Ints, src.Ints...)
-	}
-}
-
 // Take replaces v's rows with a freshly allocated len(take)-row selection
 // from a and b, which hold v's arm: row r is row take[r] of a when
 // take[r] >= 0 and row ^take[r] of b otherwise. The zero Values stands for

@@ -131,10 +131,10 @@ func writeGoldenDir(t *testing.T, root string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.compJob.Stop() // sealed runs stay raw until Compress: the shapes below are pinned
+	db.compJob.Stop() // cut chunks stay unmerged until Compress: the shapes below are pinned
 	// Every write shape, then the job's pass: raw, sparse, string and mixed
-	// columns in resident chunks behind raw heads, which the checkpoint
-	// encodes.
+	// columns in resident chunks behind heads, which the checkpoint writes
+	// as they are.
 	write(db, bigRun(0))
 	write(db, corpusBatches()...)
 	if n := db.Compress(); n == 0 {
@@ -268,9 +268,9 @@ func TestGoldenDataDir(t *testing.T) {
 	if got := dumpDatabase(t, db); got != string(want) {
 		t.Errorf("recovered points differ from testdata/golden/expected.txt:\n%s", firstDiff(got, string(want)))
 	}
-	// The compaction job, kicked by the open, compresses and merges the
-	// recovered sealed runs; settle its layout so the checkpoint does not
-	// depend on how far it got.
+	// The compaction job, kicked by the open, merges the recovered chunks;
+	// settle its layout so the checkpoint does not depend on how far it
+	// got.
 	settle(db)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)

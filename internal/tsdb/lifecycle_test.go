@@ -226,21 +226,33 @@ func TestCloseWaitsForBackground(t *testing.T) {
 	}
 	db.setRetention(time.Hour)
 	fs.arm()
-	// One batch that kicks the checkpoint (past CheckpointBytes) and seals
-	// a run: a full block of one series, a point of another, then the next
-	// in-order point of the first. The seal kicks the compaction job.
+	// One batch that kicks the checkpoint (past CheckpointBytes) and cuts
+	// a head: a full block of one series, a point of another, then the next
+	// in-order point of the first. The cut kicks the compaction job.
 	big := bigRun(0)
 	if err := db.WriteBatchContext(bg, append(big[:sealRows:sealRows], corpusBatches()[0][0], big[sealRows])); err != nil {
 		t.Fatal(err)
 	}
 	<-fs.parked
-	for deadline := time.Now().Add(5 * time.Second); db.compressionStats().compressedBytes == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the seal did not get its run compressed")
-		}
+	if db.compressionStats().compressedBytes == 0 {
+		t.Fatal("the write cut no chunk")
 	}
-	if len(backgroundGoroutines()) < len(before)+4 {
-		t.Fatalf("want the four jobs of the database running before Close")
+	// The cut makes its chunk on the write path, so a job's goroutine may
+	// still be starting: wait for the four, counted by identity — a
+	// goroutine of an earlier test that ends meanwhile must not hide one.
+	started := func() int {
+		n := 0
+		for id := range backgroundGoroutines() {
+			if _, old := before[id]; !old {
+				n++
+			}
+		}
+		return n
+	}
+	for deadline := time.Now().Add(5 * time.Second); started() < 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("want the four jobs of the database running before Close")
+		}
 	}
 	returnsOnlyAfter(t, "Store.Close", fs.release, func() {
 		if err := store.Close(); err != nil {

@@ -131,22 +131,21 @@ func newMetrics(s *Store) *Metrics {
 				}
 			}
 		})
-	reg.NewFunc("lms_db_resident_bytes", "Estimated resident column bytes per database, split by run state (building = each series' newest raw run, open to appends; sealed = raw runs behind a newer one, the compaction job's backlog; compressed = chunk-encoded runs, DESIGN.md §13).", "gauge",
+	reg.NewFunc("lms_db_resident_bytes", "Resident column bytes per database — the len of what the runs store — split by run state (head = each series' newest run, its rows encoded as they arrive; compressed = the chunks behind it, DESIGN.md §13).", "gauge",
 		func(emit func(string, float64)) {
 			for _, db := range s.snapshotDBs() {
 				cs := db.compressionStats()
-				emit(obs.L("db", db.Name(), "state", "building"), float64(cs.buildingBytes))
-				emit(obs.L("db", db.Name(), "state", "sealed"), float64(cs.sealedBytes))
+				emit(obs.L("db", db.Name(), "state", "head"), float64(cs.headBytes))
 				emit(obs.L("db", db.Name(), "state", "compressed"), float64(cs.compressedBytes))
 			}
 		})
-	reg.NewFunc("lms_db_compressed_chunks", "Compressed column chunks resident per database (one timestamp chunk plus one per column of every compressed run).", "gauge",
+	reg.NewFunc("lms_db_compressed_chunks", "Compressed column chunks resident per database (one timestamp chunk plus one per column of every chunk).", "gauge",
 		func(emit func(string, float64)) {
 			for _, db := range s.snapshotDBs() {
 				emit(obs.L("db", db.Name()), float64(db.compressionStats().chunks))
 			}
 		})
-	reg.NewFunc("lms_db_compression_ratio", "Sealed-size over compressed-size ratio of the compressed runs (0 when nothing is compressed yet).", "gauge",
+	reg.NewFunc("lms_db_compression_ratio", "Raw-size over encoded-size ratio of the chunks: what their rows would cost as raw arrays over what they store (0 before the first cut).", "gauge",
 		func(emit func(string, float64)) {
 			for _, db := range s.snapshotDBs() {
 				cs := db.compressionStats()
@@ -209,38 +208,30 @@ func (db *DB) noteCheckpoint() { db.metrics.Checkpoints.Inc() }
 func (db *DB) observeFsync(d time.Duration) { db.metrics.WALFsync.Observe(d.Seconds()) }
 
 // compStats is one scrape-time sweep of the run states (DESIGN.md §13):
-// estimated resident bytes per state, the compressed chunk count, and the
-// pre-compression size of the compressed runs (for the ratio gauge).
+// resident bytes of the heads and of the chunks, the chunk count, and what
+// the chunks' rows would cost raw (for the ratio gauge).
 type compStats struct {
-	buildingBytes   int64
-	sealedBytes     int64
+	headBytes       int64
 	compressedBytes int64
 	rawOfCompressed int64
 	chunks          int
 }
 
 // compressionStats sweeps every shard under its read lock and sizes the
-// resident runs by state: "sealed" runs (series.sealed) are the compaction
-// job's backlog, runs holding a compRun are "compressed", and each
-// series' newest run, the append target, is "building" while raw.
+// resident runs by state.
 func (db *DB) compressionStats() compStats {
 	var cs compStats
 	for _, sh := range db.shards {
 		sh.mu.RLock()
 		for _, m := range sh.measurements {
 			for _, sr := range m.series {
-				for i, run := range sr.runs {
-					if c := run.comp; c != nil {
-						cs.compressedBytes += compSizeBytes(c)
-						cs.rawOfCompressed += c.RawBytes
-						cs.chunks += 1 + len(c.Cols)
-						continue
-					}
-					if sr.sealed(i) {
-						cs.sealedBytes += rawRunBytes(run.ts, run.cols)
-					} else {
-						cs.buildingBytes += rawRunBytes(run.ts, run.cols)
-					}
+				for _, c := range sr.runs {
+					cs.compressedBytes += compSizeBytes(c)
+					cs.rawOfCompressed += c.RawBytes
+					cs.chunks += 1 + len(c.Cols)
+				}
+				if sr.head != nil {
+					cs.headBytes += sr.head.residentBytes()
 				}
 			}
 		}

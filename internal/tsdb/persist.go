@@ -7,16 +7,16 @@ package tsdb
 //   - the durable write path: a write encodes the batch and appends it
 //     to the WAL (fsynced per Durability.Fsync) *before* applying it in
 //     memory and acknowledging, under a read-gate shared with checkpoints;
-//   - checkpoints: rotate the WAL under the write gate, snapshot the
-//     immutable in-memory column blocks (slice headers only — the same
-//     invariants the lock-light read path relies on make this cheap),
-//     compress the raw ones outside the gate, serialize every run as a
-//     chunk to a checkpoint file and delete the covered WAL segments;
+//   - checkpoints: rotate the WAL under the write gate, capture every run
+//     as a chunk — a chunk's pointer, a head's bytes as they are, copied
+//     out at their exact size (the same invariants the lock-light read
+//     path relies on make this cheap) — serialize them to a checkpoint
+//     file outside the gate and delete the covered WAL segments;
 //   - recovery: load the newest valid checkpoint, adopting its chunks as
-//     they are but each series' head, which is decoded back to raw, then
-//     replay the WAL tail through the ordinary columnar write path
-//     (applyFrame and the shards' runBuilders), truncating at the first
-//     torn frame;
+//     they are but each series' newest, which one decode turns back into
+//     the head writes append to, then replay the WAL tail through the
+//     ordinary columnar write path (applyFrame and the shards'
+//     runBuilders), truncating at the first torn frame;
 //   - retention: a sweep that dropped rows schedules a checkpoint (rate
 //     limited by Durability.RetentionCheckpointEvery), which rewrites the
 //     on-disk state without the expired blocks and deletes the expired
@@ -188,17 +188,9 @@ func (db *DB) Checkpoint() error {
 		return err
 	}
 	ssp := tr.Start("tsdb.checkpoint.snapshot")
-	snap, held := db.buildSnapshot()
+	snap := db.buildSnapshot()
 	ssp.End()
 	d.gate.Unlock()
-	// Every run reaches the file as a chunk. The raw ones are encoded here,
-	// outside the gate, from headers that stay immutable to readers; the
-	// chunks go to the file only — resident runs are the compaction job's.
-	esp := tr.Start("tsdb.checkpoint.encode").AttrInt("runs", int64(len(held)))
-	for _, h := range held {
-		*h.slot = compressColumns(h.ts, h.cols)
-	}
-	esp.End()
 	wsp := tr.Start("tsdb.checkpoint.write")
 	err = durable.WriteSnapshot(d.opts.FS, d.dir, seg, snap)
 	wsp.End()
@@ -332,25 +324,16 @@ func (db *DB) openDurable(opts Durability) error {
 
 // --- in-memory state <-> durable.Snapshot -------------------------------
 
-// heldRun is a raw run a checkpoint captured: its headers, and the slot of
-// the snapshot its chunk fills.
-type heldRun struct {
-	slot **durable.CompRun
-	ts   []int64
-	cols []col
-}
-
 // buildSnapshot captures the database's full columnar state as a
-// durable.Snapshot. It only copies headers: a compressed run hands over its
-// chunk pointer (no re-encode on write, no decode on recovery but a head's
-// — DESIGN.md §13), a raw run its timestamp slice and column structs,
-// returned in held for the caller to encode into the snapshot. Runs are
+// durable.Snapshot, every run as a chunk: a chunk hands over its pointer (no
+// re-encode on write, no decode on recovery but a head's — DESIGN.md §13),
+// a head its streams' bytes, copied out at their exact size. Runs are
 // immutable to readers (the same invariants Select's phase 1 relies on), so
-// the encoding and the serialization can proceed outside any lock. Callers
-// must hold the durability gate in write mode (or otherwise exclude
-// writers) so the capture is an exact WAL prefix.
-func (db *DB) buildSnapshot() (snap *durable.Snapshot, held []heldRun) {
-	snap = &durable.Snapshot{}
+// the serialization can proceed outside any lock. Callers must hold the
+// durability gate in write mode (or otherwise exclude writers) so the
+// capture is an exact WAL prefix.
+func (db *DB) buildSnapshot() *durable.Snapshot {
+	snap := &durable.Snapshot{}
 	for _, sh := range db.shards {
 		sh.mu.RLock()
 		for _, m := range sh.measurements {
@@ -360,11 +343,9 @@ func (db *DB) buildSnapshot() (snap *durable.Snapshot, held []heldRun) {
 			}
 			for _, k := range slices.Sorted(maps.Keys(m.series)) {
 				sr := m.series[k]
-				ds := durable.Series{Tags: sr.tags, Runs: make([]*durable.CompRun, len(sr.runs))}
-				for ri, run := range sr.runs {
-					if ds.Runs[ri] = run.comp; run.comp == nil {
-						held = append(held, heldRun{&ds.Runs[ri], run.ts, slices.Clone(run.cols)})
-					}
+				ds := durable.Series{Tags: sr.tags, Runs: append(make([]*compRun, 0, len(sr.runs)+1), sr.runs...)}
+				if sr.head != nil {
+					ds.Runs = append(ds.Runs, sr.head.chunk())
 				}
 				dm.Series = append(dm.Series, ds)
 			}
@@ -375,16 +356,17 @@ func (db *DB) buildSnapshot() (snap *durable.Snapshot, held []heldRun) {
 	sort.Slice(snap.Measurements, func(i, j int) bool {
 		return snap.Measurements[i].Name < snap.Measurements[j].Name
 	})
-	return snap, held
+	return snap
 }
 
 // loadSnapshot rebuilds the in-memory columnar state from a checkpoint,
-// adopting every run as the chunk it was stored as but each series' head,
-// decoded back to the raw run writes land on (series.rawHead). Only called
+// adopting every run as the chunk it was stored as but each series'
+// newest, which becomes its head again (series.adoptHead). Only called
 // while the DB is private to the opener (before any reader or writer can
 // see it).
 func (db *DB) loadSnapshot(snap *durable.Snapshot) {
 	newest := int64(minInt64)
+	var scratch bitWriter
 	for mi := range snap.Measurements {
 		dm := &snap.Measurements[mi]
 		m := &measurement{
@@ -405,19 +387,18 @@ func (db *DB) loadSnapshot(snap *durable.Snapshot) {
 		}
 		for si := range dm.Series {
 			ds := &dm.Series[si]
-			sr := &series{tags: ds.Tags, runs: make([]*colRun, len(ds.Runs))}
+			sr := &series{tags: ds.Tags, runs: ds.Runs}
 			if sr.tags == nil {
 				sr.tags = map[string]string{}
 			}
-			for ri, c := range ds.Runs {
+			for _, c := range ds.Runs {
 				// Column headers share one name string per schema field.
 				for ci := range c.Cols {
 					c.Cols[ci].Name = m.internField(c.Cols[ci].Name, c.Cols[ci].Kind)
 				}
 				newest = max(newest, c.MaxTS)
-				sr.runs[ri] = &colRun{comp: c}
 			}
-			sr.rawHead(db.metrics, len(m.strs.vals))
+			sr.adoptHead(db.metrics, m.strs.vals, &scratch)
 			m.series[seriesKey(sr.tags)] = sr
 		}
 		db.shardFor(dm.Name).measurements[dm.Name] = m
@@ -509,7 +490,7 @@ func (s *Store) OpenDatabase(name string) (*DB, error) {
 // openLocked is where every database is born: built with the store's
 // shard count, metrics bundle and job stats, recovered from
 // disk on a durable store, its compaction job armed (and kicked once for
-// the sealed runs recovery brought back), its retention job armed with the
+// the chunks recovery brought back), its retention job armed with the
 // store's window — and only then published.
 func (s *Store) openLocked(name string) (*DB, error) {
 	if db, ok := s.dbs[name]; ok {

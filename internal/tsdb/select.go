@@ -4,16 +4,17 @@ package tsdb
 // (DESIGN.md §6).
 //
 // Phase 1 (snapshotSelect) takes the shard lock of the queried measurement
-// in *read* mode and only long enough to collect slice headers of the
-// matching, already-sorted columnar runs (column.go, DESIGN.md §8) — the
-// write path keeps every series sorted and never mutates a published
-// backing array (see the series invariants in tsdb.go), so the headers
-// stay valid after the lock is released. The time-range cut and, for raw
-// queries, the row Limit are pushed into this phase: rows a query cannot
-// return are never snapshotted.
+// in *read* mode and only long enough to capture the matching runs whose
+// time bounds meet the query's range: a chunk as its pointer (a chunk is
+// never written to), a head as the headers of its streams and their
+// partial bytes (head.go) — the write path never rewrites a byte a reader
+// can see (see the series invariants in tsdb.go), so what it captured
+// stays valid after the lock is released.
 //
-// Phase 2 (executeGroups) buckets the runs by the group-by tag combination
-// and runs filtering, window bucketing and aggregation outside any lock, one
+// Phase 2 (executeGroups) buckets the runs by the group-by tag combination,
+// decodes each into pooled scratch with the time-range cut and, for raw
+// queries, the row Limit pushed into the decode, and runs filtering, window
+// bucketing and aggregation outside any lock, one
 // group after another on the request's own goroutine: concurrent queries
 // already run on goroutines of their own. Aggregates are computed as per-run
 // partials (filled by the vectorized column folds in agg.go) merged in run
@@ -83,14 +84,15 @@ func (v *colView) lastPresent(lo, hi int) int {
 }
 
 // runSnap is one run's in-range snapshot: the timestamp window plus one
-// colView per requested column (parallel to the resolved column list). A
-// compressed run is snapshotted as its immutable chunk pointer instead
-// (comp != nil, ts/cols empty); phase 2 decodes it into scratch-backed
-// views (materializeSnap, compress.go) before aggregation starts.
+// colView per requested column (parallel to the resolved column list).
+// Phase 1 captures a chunk as its immutable pointer (comp) and a head as
+// its headSnap (head); phase 2 decodes either into scratch-backed views
+// (materializeSnap, compress.go) before aggregation starts.
 type runSnap struct {
 	ts   []int64
 	cols []colView
 	comp *compRun
+	head *headSnap
 }
 
 // seriesSpan is one matching series and its snapshotted runs, runs[lo:hi]
@@ -151,7 +153,22 @@ func (q Query) resolve(m *measurement) []AggCol {
 // ordinary query — costs one predictable branch per run.
 func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]AggCol, []string, []*selectGroup, error) {
 	startNS, endNS := rangeNS(q.Start, q.End)
-	rawLimit := q.rawLimit()
+	// admit bound-checks one run. Its header carries its time bounds; the
+	// precise range cut (and the discovery that a bounds-overlapping run
+	// holds no row in range) happens at decode time in phase 2.
+	admit := func(minTS, maxTS int64, n int) bool {
+		if minTS > endNS || maxTS < startNS {
+			if prof != nil {
+				prof.RunsPruned++
+			}
+			return false
+		}
+		if prof != nil {
+			prof.RunsScanned++
+			prof.PointsExamined += int64(n)
+		}
+		return true
+	}
 
 	sh := db.shardFor(q.Measurement)
 	if prof != nil {
@@ -172,51 +189,13 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]AggCol, []string, []*
 			continue
 		}
 		first := len(runs)
-		for _, run := range sr.runs {
-			if c := run.comp; c != nil {
-				// Compressed run: the chunk header carries the time
-				// bounds, the chunk itself is immutable — snapshotting is
-				// one pointer. The precise range cut (and the discovery
-				// that a bounds-overlapping run holds no row in range)
-				// happens at decode time in phase 2.
-				if c.MinTS > endNS || c.MaxTS < startNS {
-					if prof != nil {
-						prof.RunsPruned++
-					}
-					continue
-				}
-				if prof != nil {
-					prof.RunsScanned++
-					prof.PointsExamined += int64(c.N)
-				}
+		for _, c := range sr.runs {
+			if admit(c.MinTS, c.MaxTS, c.N) {
 				runs = append(runs, runSnap{comp: c})
-				continue
 			}
-			lo := sort.Search(len(run.ts), func(i int) bool { return run.ts[i] >= startNS })
-			hi := sort.Search(len(run.ts), func(i int) bool { return run.ts[i] > endNS })
-			if lo >= hi {
-				if prof != nil {
-					prof.RunsPruned++
-				}
-				continue
-			}
-			if prof != nil {
-				prof.RunsScanned++
-			}
-			if rawLimit > 0 && hi-lo > rawLimit {
-				hi = lo + rawLimit
-			}
-			if prof != nil {
-				prof.PointsExamined += int64(hi - lo)
-			}
-			snap := runSnap{ts: run.ts[lo:hi], cols: make([]colView, len(cols))}
-			for ci := range cols {
-				if rci := run.colByName(cols[ci].Field); rci >= 0 {
-					rc := &run.cols[rci]
-					snap.cols[ci] = colView{ok: true, off: lo, present: rc.Present, Values: rc.Slice(lo, hi)}
-				}
-			}
-			runs = append(runs, snap)
+		}
+		if h := sr.head; h != nil && admit(h.minTS, h.maxTS, h.n) {
+			runs = append(runs, runSnap{head: h.snapshot(cols)})
 		}
 		if len(runs) > first {
 			spans = append(spans, seriesSpan{key: key, tags: sr.tags, lo: first, hi: len(runs)})

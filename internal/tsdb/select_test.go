@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -27,11 +28,20 @@ type row struct {
 	fields map[string]lineproto.Value
 }
 
-// decodeRun materializes one columnar run of a measurement, raw or
-// compressed, back into rows, reconstructing every field value through the
-// interned tables.
-func decodeRun(m *measurement, run *colRun) []row {
-	run, err := run.rawRun(len(m.strs.vals))
+// seriesRuns lists a series' runs as chunks: its chunks, then its head cut
+// out as one.
+func seriesRuns(sr *series) []*compRun {
+	runs := slices.Clone(sr.runs)
+	if sr.head != nil {
+		runs = append(runs, sr.head.chunk())
+	}
+	return runs
+}
+
+// decodeRun materializes one run of a measurement back into rows,
+// reconstructing every field value through the interned tables.
+func decodeRun(m *measurement, c *compRun) []row {
+	run, err := decompress(c, len(m.strs.vals))
 	if err != nil {
 		panic(err)
 	}
@@ -335,7 +345,7 @@ func referenceSelect(db *DB, q Query) ([]Series, error) {
 		}
 		var any bool
 		var rows []row
-		for _, run := range sr.runs {
+		for _, run := range seriesRuns(sr) {
 			all := decodeRun(m, run)
 			lo := sort.Search(len(all), func(i int) bool { return all[i].t >= startNS })
 			hi := sort.Search(len(all), func(i int) bool { return all[i].t > endNS })

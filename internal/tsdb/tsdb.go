@@ -31,18 +31,20 @@
 // splits it per shard, and inside each shard appends consecutive points of
 // the same series into a columnar run builder (column.go, DESIGN.md §8) —
 // one sorted timestamp column plus one typed value column per field, no
-// per-point field map allocation. Writes keep every series sorted
-// (out-of-order batches open new runs that compaction merges into freshly
-// allocated columns), so published point runs are immutable to readers.
+// per-point field map allocation. Each finished block is encoded onto its
+// series' head, an append-only stream per column (head.go, DESIGN.md §13),
+// cut into a chunk every sealRows rows; the compaction job merges chunks.
+// Writes keep every series sorted and never rewrite a byte a reader can
+// see.
 //
 // # Read path
 //
 // DB.SelectContext runs on a two-phase, lock-light engine (select.go,
-// DESIGN.md §6): phase 1 holds the shard *read* lock only while
-// snapshotting slice headers of the matching columnar runs — with the time
-// range and, for raw queries, the row Limit pushed into the snapshot — and
-// phase 2 buckets, groups and aggregates entirely outside the lock, on the
-// request's own goroutine, merging per-run partial aggregates (agg.go)
+// DESIGN.md §6): phase 1 holds the shard *read* lock only while capturing
+// the matching runs — chunk pointers, head stream headers — and phase 2
+// decodes them (the time range and, for raw queries, the row Limit pushed
+// into the decode), buckets, groups and aggregates entirely outside the
+// lock, on the request's own goroutine, merging per-run partial aggregates (agg.go)
 // computed by vectorized sweeps over the typed columns. A small
 // TTL'd query-result cache (cache.go) absorbs the dashboard viewer's
 // repeated panel refreshes and is invalidated per measurement on write.
@@ -54,7 +56,7 @@
 // InfluxDB storage engine the paper's stack persists into: a write
 // appends each batch to a segmented, CRC32-framed write-ahead log before
 // acknowledging (fsync per batch, on an interval, or off), checkpoints
-// serialize the sealed columnar runs to immutable on-disk blocks and
+// serialize every run as a chunk to an immutable on-disk file and
 // truncate the log, and recovery loads the newest checkpoint and replays
 // the WAL tail through the ordinary columnar write path — surviving a
 // torn final record by truncating at the first bad frame. Close writes a
@@ -92,7 +94,7 @@ type StoreOptions struct {
 	// ShardsPerDB is the shard count of every database the store opens
 	// (0 = GOMAXPROCS).
 	ShardsPerDB int
-	// CompressAfter is ignored: a run is compressed when it seals
+	// CompressAfter is ignored: rows are encoded as they are written
 	// (DESIGN.md §13). It stays only while bench/layers.go sets it.
 	CompressAfter time.Duration
 	// Retention is the retention window of every database the store opens
@@ -202,8 +204,8 @@ type DB struct {
 
 	// Background maintenance (obs.Job; Close and Abort stop and wait for
 	// both). retJob sweeps retention (setRetention), so expired data ages
-	// out of an idle database too; compJob, kicked by every seal,
-	// compresses the sealed runs and merges them into larger chunks
+	// out of an idle database too; compJob, kicked by every cut, merges
+	// the chunks behind the heads into larger ones
 	// (Compress).
 	retJob  obs.Job
 	compJob obs.Job
@@ -301,33 +303,30 @@ func (db *DB) pruneTick(context.Context) error {
 	return nil
 }
 
-// runSpan is the adjacent runs sr.runs[lo:hi], rows rows in all.
+// runSpan is the adjacent chunks sr.runs[lo:hi], rows rows in all.
 type runSpan struct{ lo, hi, rows int }
 
-// compGroup is one span captured for out-of-lock encoding: the runs, and
-// copies of their headers and gens taken under the shard RLock (the
-// contract Select's phase 1 relies on).
+// compGroup is one span of chunks captured for out-of-lock merging.
 type compGroup struct {
-	sr    *series
-	idx   int
-	strs  []string
-	runs  []*colRun
-	snaps []colRun
-	out   *colRun
+	sr   *series
+	idx  int
+	strs []string
+	runs []*compRun
+	out  *compRun
 }
 
 // Compress is the compaction job's pass (compJob runs it on every kick;
-// tooling, benchmarks and tests call it directly): every span of sealed
-// runs series.jobSpans plans becomes one chunk. Each series' newest run,
-// the head, is never taken — writes land there, and it stays raw. The pass
-// encodes outside any lock and commits, under one write lock per shard,
-// each span whose runs are still in their place behind the head and
-// unmutated — pruning may have replaced or uncovered them meanwhile; a
-// stale encode is dropped for the next pass. It returns the number of runs
-// replaced.
+// tooling, benchmarks and tests call it directly): every span of chunks
+// series.jobSpans plans becomes one chunk. The head is never taken — writes
+// land there, and a cut makes the chunks. The pass merges outside any lock
+// and commits, under one write lock per shard, each span whose chunks are
+// still in their place — a late block or a retention sweep may have
+// absorbed, cut or dropped them meanwhile; a stale merge is dropped for the
+// next pass. It returns the number of chunks replaced.
 func (db *DB) Compress() int {
 	total := 0
 	var spans []runSpan
+	var scratch bitWriter
 	for _, sh := range db.shards {
 		var groups []compGroup
 		sh.mu.RLock()
@@ -335,12 +334,7 @@ func (db *DB) Compress() int {
 			for _, sr := range m.series {
 				spans = sr.jobSpans(spans[:0])
 				for _, s := range spans {
-					g := compGroup{sr: sr, idx: s.lo, strs: m.strs.vals, runs: slices.Clone(sr.runs[s.lo:s.hi])}
-					g.snaps = make([]colRun, len(g.runs))
-					for j, run := range g.runs {
-						g.snaps[j] = colRun{ts: run.ts, cols: slices.Clone(run.cols), comp: run.comp, gen: run.gen}
-					}
-					groups = append(groups, g)
+					groups = append(groups, compGroup{sr: sr, idx: s.lo, strs: m.strs.vals, runs: slices.Clone(sr.runs[s.lo:s.hi])})
 				}
 			}
 		}
@@ -349,7 +343,7 @@ func (db *DB) Compress() int {
 			continue
 		}
 		for i := range groups {
-			groups[i].encode(db.metrics)
+			groups[i].merge(db.metrics, &scratch)
 		}
 		sh.mu.Lock()
 		// Newest span first, so a series' older spans keep their index.
@@ -364,29 +358,30 @@ func (db *DB) Compress() int {
 	return total
 }
 
-// encode sets g.out to the span compressed: its one raw run, or the stable
-// merge of its runs, decompressed first. Runs in time order — an in-order
-// series' seals — are appended into one run sized for them all; others
-// merge pairwise, so each row is copied once per level of the tree. A
-// chunk that does not decode leaves the span as it is.
-func (g *compGroup) encode(mt *Metrics) {
-	parts := make([]*colRun, len(g.snaps))
-	rows, inOrder := 0, true
-	for j := range g.snaps {
-		raw, err := g.snaps[j].rawRun(len(g.strs))
+// merge sets g.out to the span's chunks decoded and merged into one. Chunks
+// in time order — an in-order series' cuts — are appended onto one head,
+// which encodes each row once; others merge pairwise, so each row is
+// copied once per level of the tree. A chunk that does not decode leaves
+// the span as it is.
+func (g *compGroup) merge(mt *Metrics, scratch *bitWriter) {
+	parts := make([]*colRun, len(g.runs))
+	inOrder := true
+	for j, c := range g.runs {
+		raw, err := decompress(c, len(g.strs))
 		if err != nil {
 			mt.noteDecodeError(err)
 			return
 		}
-		parts[j], rows = raw, rows+len(raw.ts)
-		inOrder = inOrder && (j == 0 || parts[j-1].maxTS() <= raw.ts[0])
+		parts[j] = raw
+		inOrder = inOrder && (j == 0 || g.runs[j-1].MaxTS <= c.MinTS)
 	}
-	if inOrder && len(parts) > 1 {
-		run := (&runBuilder{ts: parts[0].ts, cols: parts[0].cols}).newRun(g.strs, rows)
-		for _, p := range parts[1:] {
-			run.appendBlock(&runBuilder{ts: p.ts, cols: p.cols}, g.strs)
+	if inOrder {
+		h := &head{}
+		for _, p := range parts {
+			h.append(p.ts, p.cols, g.strs, scratch, nil)
 		}
-		parts = []*colRun{run}
+		g.out = h.chunk()
+		return
 	}
 	for len(parts) > 1 {
 		next := parts[:0]
@@ -399,18 +394,17 @@ func (g *compGroup) encode(mt *Metrics) {
 		}
 		parts = next
 	}
-	g.out = &colRun{comp: compressColumns(parts[0].ts, parts[0].cols)}
+	g.out = compressColumns(parts[0].ts, parts[0].cols)
 }
 
-// current reports whether the span's runs are still in their place behind
-// the head (a sweep may have expired the runs after them) and unmutated.
-// The caller holds the shard write lock.
+// current reports whether the span's chunks are still in their place. The
+// caller holds the shard write lock.
 func (g *compGroup) current() bool {
-	if g.idx+len(g.runs) >= len(g.sr.runs) {
+	if g.idx+len(g.runs) > len(g.sr.runs) {
 		return false
 	}
-	for j, run := range g.runs {
-		if g.sr.runs[g.idx+j] != run || run.gen != g.snaps[j].gen {
+	for j, c := range g.runs {
+		if g.sr.runs[g.idx+j] != c {
 			return false
 		}
 	}
@@ -449,59 +443,60 @@ func (m *measurement) fieldNames() []string {
 	return keys
 }
 
-// series holds the point runs of one tag set, log-structured: a list of
-// individually sorted columnar runs (column.go), ordered by creation.
-// Invariants the lock-light read path (select.go) relies on:
+// series holds the point runs of one tag set, log-structured: chunks in
+// creation order, then the head, the newest run (head.go). Invariants the
+// lock-light read path (select.go) relies on:
 //
-//   - every run's ts column is sorted,
-//   - a backing array that has been published in runs is never reordered
-//     or overwritten in place: in-order writes append to the newest run's
-//     columns (growing past len is invisible to readers holding shorter
-//     slice headers), presence bitmaps are copy-on-write, out-of-order
-//     writes start a new run, compaction merges runs into freshly
-//     allocated columns, pruning copies survivors, and the
-//     same-timestamp rewrite path swaps whole value arrays.
+//   - every run's rows are sorted by time,
+//   - a byte, word or value a reader can see is never rewritten: a chunk
+//     is never written to — the job merges chunks into a new one, pruning
+//     encodes what it keeps of one into a new one — and the head only
+//     appends to its streams, replaces its presence bitmaps, and encodes
+//     whatever cannot append (an exact rewrite, a late block, a retention
+//     cut, a kind change, a wider string id) into fresh streams.
 //
-// A reader that snapshotted column sub-slices under the shard RLock may
-// therefore keep reading them after releasing the lock. The newest run,
-// the head, is the only one a write touches, and it is raw (rawHead); a
-// chunk is never written to. The compaction job grows sealed runs
-// geometrically into chunks of up to maxChunkRows rows, so an in-order
-// series of n rows holds about n/maxChunkRows + 5 runs (5 =
-// log2(maxChunkRows/sealRows)), and a row is re-encoded once per doubling
-// of its chunk, at most 5 times.
+// A reader that captured a chunk pointer or a head snapshot under the shard
+// RLock may therefore keep decoding it after releasing the lock. The head
+// is the only run a write touches. The compaction job grows chunks
+// geometrically up to maxChunkRows rows, so an in-order series of n rows
+// holds about n/maxChunkRows + 5 chunks (5 = log2(maxChunkRows/sealRows)),
+// and a row is re-encoded once per doubling of its chunk, at most 5 times.
 type series struct {
 	tags map[string]string // immutable after creation
-	runs []*colRun
+	runs []*compRun
+	// head is nil only where a chunk recovery could not decode stands in
+	// for it: that chunk counts as full, and the next block starts a head.
+	head *head
 }
 
 // totalPoints is the row count across all runs.
 func (sr *series) totalPoints() int {
 	n := 0
-	for _, run := range sr.runs {
-		n += run.rows()
+	for _, c := range sr.runs {
+		n += c.N
+	}
+	if sr.head != nil {
+		n += sr.head.n
 	}
 	return n
 }
 
-// sealed reports whether run i is raw and followed by a newer run: the
-// compaction job's backlog.
-func (sr *series) sealed(i int) bool {
-	return i < len(sr.runs)-1 && sr.runs[i].comp == nil
-}
-
-// jobSpans is the compaction job's plan for sr: every run but the last,
-// grouped by a binary counter over size classes (the bit length of
-// rows/sealRows) — two adjacent runs of one class merge while the sum fits
-// maxChunkRows. Sealed runs thus double into chunks of up to maxChunkRows
-// rows, each row re-encoded once per doubling. The counter is a stack
-// reduction from the oldest run and a pass commits whole groups of it, so
-// the layout a write sequence ends in never depends on when the job ran.
-// A span that is one compressed run has nothing to do and is left out.
+// jobSpans is the compaction job's plan for sr: its chunks, grouped by a
+// binary counter over size classes (the bit length of rows/sealRows) — two
+// adjacent chunks of one class merge while the sum fits maxChunkRows.
+// Chunks thus double up to maxChunkRows rows, each row re-encoded once per
+// doubling. The counter is a stack reduction from the oldest chunk and a
+// pass commits whole groups of it, so the layout a write sequence ends in
+// never depends on when the job ran. A span of one chunk has nothing to do
+// and is left out, and so is a chunk standing in for a head.
 func (sr *series) jobSpans(stack []runSpan) []runSpan {
 	class := func(rows int) int { return bits.Len(uint(rows / sealRows)) }
-	for i := 0; i < len(sr.runs)-1; i++ {
-		stack = append(stack, runSpan{i, i + 1, sr.runs[i].rows()})
+	n := len(sr.runs)
+	if sr.head == nil {
+		n--
+	}
+	for i := 0; i < n; i++ {
+		stack = append(stack, runSpan{i, i + 1, sr.runs[i].N})
 		for k := len(stack); k >= 2; k = len(stack) {
 			a, b := stack[k-2], stack[k-1]
 			if class(a.rows) != class(b.rows) || a.rows+b.rows > maxChunkRows {
@@ -510,70 +505,102 @@ func (sr *series) jobSpans(stack []runSpan) []runSpan {
 			stack = append(stack[:k-2], runSpan{a.lo, b.hi, a.rows + b.rows})
 		}
 	}
-	return slices.DeleteFunc(stack, func(s runSpan) bool { return s.hi-s.lo == 1 && sr.runs[s.lo].comp != nil })
+	return slices.DeleteFunc(stack, func(s runSpan) bool { return s.hi-s.lo == 1 })
 }
 
 // commit applies a finished builder block to the series and reports
-// whether it sealed a run: left one behind a new run, the compaction job's
-// cue. Only the head takes a block, and only while it is raw:
+// whether chunks stand behind the head afterwards, the compaction job's
+// cue. Only the head takes a block:
 //
 //   - a block whose timestamps exactly rewrite the head merges
 //     field-by-field with last-write-wins (InfluxDB duplicate-point
 //     semantics) instead of opening a run and paying compaction,
-//   - an in-order block (the agent hot path) bulk-appends onto the head's
-//     columns while it holds fewer than sealRows rows,
-//   - anything else opens a new run; an out-of-order one then absorbs the
-//     short run it cut off.
-//
-// A head chunk — one recovery could not decode — counts as full.
+//   - an in-order block (the agent hot path) is encoded onto the head while
+//     it holds fewer than sealRows rows,
+//   - anything else starts the head afresh: an in-order block cuts the
+//     full head into a chunk, an out-of-order one absorbs the short runs
+//     before it.
 func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) (sealed bool) {
-	if n := len(sr.runs); n > 0 && sr.runs[n-1].comp == nil {
-		last := sr.runs[n-1]
+	strs := m.strs.vals
+	h := sr.head
+	if h != nil {
 		// The exact-match check precedes the in-order check: a run whose
 		// timestamps are all equal (e.g. a single point) satisfies both,
-		// and re-writing it must upsert, not accumulate duplicates. The
-		// rewrite is copy-on-write (EXPERIMENTS.md, experiment O3).
-		if b.tsEqual(last.ts) {
-			last.rewriteBlock(b, m)
-			last.gen++
+		// and re-writing it must upsert, not accumulate duplicates.
+		if h.timestampsEqual(b.ts) {
+			a := arenaPool.Get().(*decodeArena)
+			a.reset()
+			run := h.decode(len(strs), a)
+			run.rewriteBlock(b, m)
+			h.clear()
+			h.append(run.ts, run.cols, strs, &b.enc, nil)
+			arenaPool.Put(a)
 			return false
 		}
-		if last.rows() < sealRows && last.maxTS() <= b.ts[0] {
-			last.appendBlock(b, m.strs.vals)
-			last.gen++
+		if h.n < sealRows && h.maxTS <= b.ts[0] {
+			h.append(b.ts, b.cols, strs, &b.enc, nil)
 			return false
 		}
 	}
-	// An in-order block behind a full run (the seal) or a series' first
+	// An in-order block behind a full head (the cut) or a series' first
 	// block stands alone. An out-of-order block absorbs the short runs
-	// before it — the building run it cut off — and never a full one: a
-	// seal is never undone, and a late block costs its rows plus fewer than
-	// sealRows under the lock however long the history. Overlapping runs
-	// are left to queries, which merge runs anyway, and to the job. Merging
-	// allocates fresh columns (decoding a short chunk first), so readers
-	// holding snapshots of the old runs are unaffected.
-	sr.runs = append(sr.runs, b.newRun(m.strs.vals, sealRows))
-	for k := len(sr.runs); k >= 2 && sr.runs[k-2].rows() < sealRows; k = len(sr.runs) {
-		ra, err := sr.runs[k-2].rawRun(len(m.strs.vals))
+	// before it — the head it cut off, and chunks a retention cut left
+	// short — and never a full one: a cut is never undone, and a late block
+	// costs its rows plus fewer than sealRows under the lock however long
+	// the history. Overlapping runs are left to queries, which merge runs
+	// anyway, and to the job.
+	blk := &colRun{ts: b.ts, cols: b.cols}
+	var cut *compRun
+	switch {
+	case h == nil:
+		h = &head{}
+		sr.head = h
+	case h.n >= sealRows:
+		cut = h.chunk()
+		sr.runs = append(sr.runs, cut)
+		h.clear()
+	case len(sr.runs) == 0 || sr.runs[len(sr.runs)-1].N >= sealRows:
+		if !h.lateRow(blk, strs, &b.enc) {
+			h.absorb(blk, strs, &b.enc)
+		}
+		return len(sr.runs) > 0
+	default:
+		a := arenaPool.Get().(*decodeArena)
+		a.reset()
+		blk = mergeRuns(strs, h.decode(len(strs), a), blk)
+		arenaPool.Put(a) // the merge copied every row out
+		h.clear()
+	}
+	for k := len(sr.runs); k > 0 && sr.runs[k-1].N < sealRows; k = len(sr.runs) {
+		ra, err := decompress(sr.runs[k-1], len(strs))
 		if err != nil {
 			mt.noteDecodeError(err)
 			break
 		}
-		sr.runs = append(sr.runs[:k-2], mergeRuns(m.strs.vals, ra, sr.runs[k-1]))
+		blk = mergeRuns(strs, ra, blk)
+		sr.runs = sr.runs[:k-1]
 	}
-	return len(sr.runs) > 1
+	h.append(blk.ts, blk.cols, strs, &b.enc, cut)
+	return len(sr.runs) > 0
 }
 
-// rawHead decodes a chunk at the head back to raw, the run writes land on.
-// A chunk that fails to decode stays, counted; commit treats it as full.
-func (sr *series) rawHead(mt *Metrics, strsLen int) {
-	if n := len(sr.runs); n > 0 {
-		if head, err := sr.runs[n-1].rawRun(strsLen); err != nil {
-			mt.noteDecodeError(err)
-		} else {
-			sr.runs[n-1] = head
-		}
+// adoptHead makes the newest chunk the head again, decoded and encoded
+// onto a fresh head in one pass: after recovery, and after a retention
+// sweep dropped the head. A chunk that fails to decode stays, counted, and
+// stands in for the head (commit treats it as full).
+func (sr *series) adoptHead(mt *Metrics, strs []string, scratch *bitWriter) {
+	n := len(sr.runs)
+	if sr.head != nil || n == 0 {
+		return
 	}
+	raw, err := decompress(sr.runs[n-1], len(strs))
+	if err != nil {
+		mt.noteDecodeError(err)
+		return
+	}
+	sr.runs = sr.runs[:n-1]
+	sr.head = &head{}
+	sr.head.append(raw.ts, raw.cols, strs, scratch, nil)
 }
 
 // seriesKey builds the canonical identity of a tag set: its pairs in
@@ -751,7 +778,7 @@ func (db *DB) writeFrame(ctx context.Context, fb *frameBatch) error {
 // in-memory databases and the post-WAL half for durable ones (both live
 // writes and recovery replay). The frame carries resolved timestamps, so
 // replay reproduces this state exactly; the wall clock only stamps the
-// database's idle clock. A batch that sealed a run kicks the compaction
+// database's idle clock. A batch that cut a head kicks the compaction
 // job.
 func (db *DB) applyFrame(fb *frameBatch) {
 	if len(fb.refs) == 0 {
@@ -784,8 +811,8 @@ func (db *DB) applyFrame(fb *frameBatch) {
 // columnar builder (column.go) by kind. Nothing is allocated per point of
 // a known series; a tag map is built when a series is first seen.
 // Consecutive points of the same series are committed as one block
-// (series.commit); the result reports whether any block sealed a run, so
-// the caller kicks the compaction job.
+// (series.commit); the result reports whether any block left chunks
+// behind a head, so the caller kicks the compaction job.
 func (sh *shard) writeFrame(db *DB, fb *frameBatch, idx int) (sealed bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -873,8 +900,8 @@ func (sh *shard) writeFrame(db *DB, fb *frameBatch, idx int) (sealed bool) {
 
 // pruneNow sweeps every shard with the given cutoff. A sweep that
 // removed rows invalidates every cached query result (an empty sweep
-// must not flush unrelated entries), kicks the compaction job (a
-// partially expired chunk comes back raw) and, on a durable database,
+// must not flush unrelated entries), kicks the compaction job (a cut
+// chunk may merge again) and, on a durable database,
 // schedules a checkpoint so the expired rows leave the disk too.
 func (db *DB) pruneNow(beforeNS int64) {
 	dropped := false
@@ -894,36 +921,55 @@ func (db *DB) pruneNow(beforeNS int64) {
 }
 
 // pruneLocked drops rows older than beforeNS and reports whether anything
-// was removed. A run's bounds decide its fate in either state; only a
-// partially expired run is decoded and cut into fresh arrays (readers may
-// hold the old ones), and so is a chunk left at the head.
+// was removed. A run's bounds decide its fate; only a partially expired run
+// is decoded, cut and encoded again — a chunk into a new chunk, the head
+// into fresh streams (readers may hold the old ones) — and a series whose
+// head expired makes its newest chunk the head.
 func (sh *shard) pruneLocked(mt *Metrics, beforeNS int64) bool {
 	anyDropped := false
+	var scratch bitWriter
 	for mname, m := range sh.measurements {
+		strs := m.strs.vals
 		for key, sr := range m.series {
 			changed := false
 			kept := sr.runs[:0:0]
-			for _, run := range sr.runs {
-				if run.maxTS() < beforeNS {
+			for _, c := range sr.runs {
+				if c.MaxTS < beforeNS {
 					changed = true
 					continue
 				}
-				if run.minTS() < beforeNS {
-					if raw, err := run.rawRun(len(m.strs.vals)); err != nil {
+				if c.MinTS < beforeNS {
+					if raw, err := decompress(c, len(strs)); err != nil {
 						mt.noteDecodeError(err) // keep data over dropping it
 					} else {
 						idx := sort.Search(len(raw.ts), func(i int) bool { return raw.ts[i] >= beforeNS })
-						run, changed = raw.sliceRun(idx, len(raw.ts)), true
+						cut := raw.sliceRun(idx, len(raw.ts))
+						c, changed = compressColumns(cut.ts, cut.cols), true
 					}
 				}
-				kept = append(kept, run)
+				kept = append(kept, c)
+			}
+			if h := sr.head; h != nil && h.minTS < beforeNS {
+				if h.maxTS < beforeNS {
+					sr.head = nil
+				} else {
+					a := arenaPool.Get().(*decodeArena)
+					a.reset()
+					raw := h.decode(len(strs), a)
+					idx := sort.Search(len(raw.ts), func(i int) bool { return raw.ts[i] >= beforeNS })
+					cut := raw.sliceRun(idx, len(raw.ts))
+					arenaPool.Put(a) // the cut copied the rows it keeps
+					h.clear()
+					h.append(cut.ts, cut.cols, strs, &scratch, nil)
+				}
+				changed = true
 			}
 			if changed {
 				sr.runs = kept
-				sr.rawHead(mt, len(m.strs.vals))
+				sr.adoptHead(mt, strs, &scratch)
 				anyDropped = true
 			}
-			if len(sr.runs) == 0 {
+			if len(sr.runs) == 0 && sr.head == nil {
 				delete(m.series, key)
 			}
 		}
@@ -1099,9 +1145,9 @@ func (q Query) aggregated() bool {
 }
 
 // rawLimit is the row count each run may be clamped to while it is
-// snapshotted (or decoded), 0 for no clamp. Only the raw all-column query
-// qualifies: every stored row carries at least one field (Validate enforces
-// it), so each snapshotted row is an output row. With an explicit
+// decoded, 0 for no clamp. Only the raw all-column query qualifies: every
+// stored row carries at least one field (Validate enforces it), so each
+// decoded row is an output row. With an explicit
 // projection a row may lack every requested column and emit nothing, so
 // the clamp would drop matching rows further down the run — those queries
 // truncate at emission instead.
