@@ -29,7 +29,10 @@ type row struct {
 }
 
 // seriesRuns lists a series' runs as chunks: its chunks, then its head cut
-// out as one.
+// out as one. The head's chunk comes from its own streams, so a head that
+// encoded a row wrongly would decode the same way here as in Select: the
+// reference engine checks the read path, and TestHeadBytesMatchOneShot and
+// FuzzHeadAppend check the head's bytes against the one-shot encoders.
 func seriesRuns(sr *series) []*compRun {
 	runs := slices.Clone(sr.runs)
 	if sr.head != nil {

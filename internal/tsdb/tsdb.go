@@ -509,8 +509,9 @@ func (sr *series) jobSpans(stack []runSpan) []runSpan {
 }
 
 // commit applies a finished builder block to the series and reports
-// whether chunks stand behind the head afterwards, the compaction job's
-// cue. Only the head takes a block:
+// whether it changed the chunks behind the head and chunks remain there,
+// the compaction job's cue: a block the head takes alone leaves nothing
+// new to merge. Only the head takes a block:
 //
 //   - a block whose timestamps exactly rewrite the head merges
 //     field-by-field with last-write-wins (InfluxDB duplicate-point
@@ -520,7 +521,7 @@ func (sr *series) jobSpans(stack []runSpan) []runSpan {
 //   - anything else starts the head afresh: an in-order block cuts the
 //     full head into a chunk, an out-of-order one absorbs the short runs
 //     before it.
-func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) (sealed bool) {
+func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) (mergeDue bool) {
 	strs := m.strs.vals
 	h := sr.head
 	if h != nil {
@@ -563,7 +564,7 @@ func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) (sealed boo
 		if !h.lateRow(blk, strs, &b.enc) {
 			h.absorb(blk, strs, &b.enc)
 		}
-		return len(sr.runs) > 0
+		return false
 	default:
 		a := arenaPool.Get().(*decodeArena)
 		a.reset()
@@ -778,26 +779,26 @@ func (db *DB) writeFrame(ctx context.Context, fb *frameBatch) error {
 // in-memory databases and the post-WAL half for durable ones (both live
 // writes and recovery replay). The frame carries resolved timestamps, so
 // replay reproduces this state exactly; the wall clock only stamps the
-// database's idle clock. A batch that cut a head kicks the compaction
-// job.
+// database's idle clock. A batch that cut a head, or merged short chunks
+// into one, kicks the compaction job.
 func (db *DB) applyFrame(fb *frameBatch) {
 	if len(fb.refs) == 0 {
 		return
 	}
 	db.lastWrite.Store(time.Now().UnixNano())
-	sealed := false
+	mergeDue := false
 	for idx, sh := range db.shards {
 		if !fb.multi && idx != fb.refs[0].shard {
 			continue
 		}
 		for _, ref := range fb.refs {
 			if ref.shard == idx {
-				sealed = sh.writeFrame(db, fb, idx) || sealed
+				mergeDue = sh.writeFrame(db, fb, idx) || mergeDue
 				break
 			}
 		}
 	}
-	if sealed {
+	if mergeDue {
 		db.compJob.Kick()
 	}
 }
@@ -811,9 +812,9 @@ func (db *DB) applyFrame(fb *frameBatch) {
 // columnar builder (column.go) by kind. Nothing is allocated per point of
 // a known series; a tag map is built when a series is first seen.
 // Consecutive points of the same series are committed as one block
-// (series.commit); the result reports whether any block left chunks
-// behind a head, so the caller kicks the compaction job.
-func (sh *shard) writeFrame(db *DB, fb *frameBatch, idx int) (sealed bool) {
+// (series.commit); the result reports whether any block changed the
+// chunks behind a head, so the caller kicks the compaction job.
+func (sh *shard) writeFrame(db *DB, fb *frameBatch, idx int) (mergeDue bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
@@ -827,7 +828,7 @@ func (sh *shard) writeFrame(db *DB, fb *frameBatch, idx int) (sealed bool) {
 	commit := func() {
 		if curS != nil && len(b.ts) > 0 {
 			b.finish()
-			sealed = curS.commit(db.metrics, curM, b) || sealed
+			mergeDue = curS.commit(db.metrics, curM, b) || mergeDue
 			b.reset()
 		}
 	}
@@ -895,7 +896,7 @@ func (sh *shard) writeFrame(db *DB, fb *frameBatch, idx int) (sealed bool) {
 			break
 		}
 	}
-	return sealed
+	return mergeDue
 }
 
 // pruneNow sweeps every shard with the given cutoff. A sweep that
