@@ -9,11 +9,13 @@ package tsdb
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/lineproto"
 	"repro/internal/obs"
 )
 
@@ -182,6 +184,56 @@ func TestExplainAnalyzeProfile(t *testing.T) {
 	}
 	if n := explainCount(t, warm, "points_examined"); n != 0 {
 		t.Fatalf("warm points_examined %v", n)
+	}
+}
+
+// TestExplainAnalyzeSeriesScanned: phase 1 visits the series the filter's
+// shortest posting list names (index.go), not the measurement. Over three
+// jobs of four hosts each (host names shared, every host on every job), a
+// jobid panel visits that job's 4 series of 12, a host's tail its 3 — one
+// per job — both pairs together the shorter list, and no filter all 12.
+func TestExplainAnalyzeSeriesScanned(t *testing.T) {
+	store := NewStore()
+	db := store.CreateDatabase("lms")
+	db.SetQueryCacheTTL(0)
+	var pts []lineproto.Point
+	for j := 1; j <= 3; j++ {
+		for h := 0; h < 4; h++ {
+			for c := 0; c < 3; c++ {
+				pts = append(pts, lineproto.Point{
+					Measurement: "cpu",
+					Tags:        map[string]string{"jobid": fmt.Sprintf("%d.master", j), "hostname": fmt.Sprintf("h%d", h)},
+					Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(j*100 + h*10 + c))},
+					Time:        time.Unix(int64(j*1000+c*10), 0),
+				})
+			}
+		}
+	}
+	if err := db.WriteBatchContext(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	qr := LocalQuerier{Store: store}
+	for _, c := range []struct {
+		sel            string
+		scanned, hosts int
+	}{
+		{"SELECT mean(value) FROM cpu WHERE jobid = '2.master' GROUP BY time(60s), hostname", 4, 4},
+		{"SELECT value FROM cpu WHERE hostname = 'h3' LIMIT 100", 3, 0},
+		{"SELECT mean(value) FROM cpu WHERE jobid = '3.master' AND hostname = 'h1' GROUP BY hostname", 3, 1},
+		{"SELECT mean(value) FROM cpu WHERE jobid = '4.master' GROUP BY hostname", 0, 0},
+		{"SELECT mean(value) FROM cpu GROUP BY hostname", 12, 4},
+	} {
+		rsp, err := qr.Query(context.Background(), Request{Database: "lms", RawQuery: "EXPLAIN ANALYZE " + c.sel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, profiles := stripExplain(rsp)
+		if n := explainCount(t, profiles[0], "series_scanned"); n != int64(c.scanned) {
+			t.Errorf("%q: series_scanned %d, want %d", c.sel, n, c.scanned)
+		}
+		if c.hosts > 0 && len(rows.Results[0].Series) != c.hosts {
+			t.Errorf("%q: %d result series, want %d", c.sel, len(rows.Results[0].Series), c.hosts)
+		}
 	}
 }
 

@@ -606,6 +606,12 @@ func (p *parser) parseCondition(st *Statement) error {
 	if p.tok.kind != tokString {
 		return fmt.Errorf("tag comparison needs a quoted string, got %q", p.tok.text)
 	}
+	if _, dup := st.Query.Filter[key]; dup {
+		// The filter holds one value per key, and so does the printed
+		// statement the cache keys on: a second condition would replace
+		// the first rather than narrow it.
+		return fmt.Errorf("tag key %q repeated in WHERE", key)
+	}
 	if st.Query.Filter == nil {
 		st.Query.Filter = TagFilter{}
 	}
@@ -761,12 +767,7 @@ func executeSelect(ctx context.Context, db *DB, st Statement, epoch string) (Exe
 	if err != nil {
 		return ExecResult{}, err
 	}
-	q := st.Query
-	// GROUP BY * expands to all tag keys of the measurement.
-	if len(q.GroupByTags) == 1 && q.GroupByTags[0] == "*" {
-		q.GroupByTags = db.TagKeys(q.Measurement)
-	}
-	series, err := db.SelectContext(ctx, q)
+	series, err := db.SelectContext(ctx, st.Query)
 	if err == ErrNoMeasurement {
 		return ExecResult{}, nil // InfluxDB returns an empty result here
 	}
@@ -843,6 +844,7 @@ func (p *selectProf) resultSeries() ResultSeries {
 		Columns: []string{"metric", "value"},
 		Values: [][]interface{}{
 			{"shards_visited", p.ShardsVisited},
+			{"series_scanned", p.SeriesScanned},
 			{"runs_scanned", p.RunsScanned},
 			{"runs_pruned", p.RunsPruned},
 			{"chunks_decoded", p.ChunksDecoded},

@@ -3,6 +3,8 @@ package tsdb
 import (
 	"context"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,6 +70,30 @@ func TestParseSelectTagCondition(t *testing.T) {
 	st := mustParse(t, "SELECT value FROM cpu WHERE hostname = 'node01' AND jobid = '42.master'")
 	if st.Query.Filter["hostname"] != "node01" || st.Query.Filter["jobid"] != "42.master" {
 		t.Fatalf("filter %v", st.Query.Filter)
+	}
+}
+
+// TestParseRefusesRepeatedTagKey: a filter holds one value per tag key, so
+// a second condition on the same key would silently replace the first —
+// "hostname = 'h1' AND hostname = 'h2'" answered h2's rows, under a cache
+// key that printed only the second condition. The parser refuses it,
+// naming the key, at every door that parses InfluxQL.
+func TestParseRefusesRepeatedTagKey(t *testing.T) {
+	for _, c := range []struct{ q, key string }{
+		{"SELECT value FROM cpu WHERE hostname = 'h1' AND hostname = 'h2'", "hostname"},
+		{"SELECT value FROM cpu WHERE hostname = 'h1' AND jobid = '1' AND \"hostname\" = 'h1'", "hostname"},
+		{"EXPLAIN ANALYZE SELECT mean(value) FROM cpu WHERE jobid = '1' AND time >= 0 AND jobid = '2'", "jobid"},
+	} {
+		_, err := ParseQuery(c.q)
+		if err == nil || !strings.Contains(err.Error(), "repeated") || !strings.Contains(err.Error(), strconv.Quote(c.key)) {
+			t.Fatalf("%q: err %v, want a repeated-key error naming %q", c.q, err, c.key)
+		}
+	}
+	store := seedStore(t)
+	_, err := LocalQuerier{Store: store}.Query(context.Background(), Request{Database: "lms",
+		RawQuery: "SELECT value FROM cpu WHERE hostname = 'h1' AND hostname = 'h2'"})
+	if err == nil {
+		t.Fatal("LocalQuerier answered a statement with a repeated tag key")
 	}
 }
 

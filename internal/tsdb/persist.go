@@ -341,8 +341,8 @@ func (db *DB) buildSnapshot() *durable.Snapshot {
 			for _, f := range slices.Sorted(maps.Keys(m.fields)) {
 				dm.Fields = append(dm.Fields, durable.FieldSchema{Name: f, Kind: m.fields[f]})
 			}
-			for _, k := range slices.Sorted(maps.Keys(m.series)) {
-				sr := m.series[k]
+			for _, o := range m.idx.sorted {
+				sr := m.idx.slots[o]
 				ds := durable.Series{Tags: sr.tags, Runs: append(make([]*compRun, 0, len(sr.runs)+1), sr.runs...)}
 				if sr.head != nil {
 					ds.Runs = append(ds.Runs, sr.head.chunk())
@@ -399,8 +399,10 @@ func (db *DB) loadSnapshot(snap *durable.Snapshot) {
 				newest = max(newest, c.MaxTS)
 			}
 			sr.adoptHead(db.metrics, m.strs.vals, &scratch)
-			m.series[seriesKey(sr.tags)] = sr
+			sr.key = seriesKey(sr.tags)
+			m.series[sr.key] = sr
 		}
+		m.idx.rebuild(m.series)
 		db.shardFor(dm.Name).measurements[dm.Name] = m
 	}
 	if newest != int64(minInt64) {

@@ -43,6 +43,7 @@ var phaseSpanNames = [numPhases]string{
 // It is written by the request's goroutine alone: both phases run on it.
 type selectProf struct {
 	ShardsVisited  int   // lock domains consulted (1 per measurement)
+	SeriesScanned  int   // series phase 1 visited: the filter's shortest posting list
 	RunsScanned    int   // runs admitted into the snapshot
 	RunsPruned     int   // runs skipped on time bounds
 	ChunksDecoded  int   // compressed chunks decoded in phase 2

@@ -98,14 +98,15 @@ type runSnap struct {
 // seriesSpan is one matching series and its snapshotted runs, runs[lo:hi]
 // of phase 1's list in creation order.
 type seriesSpan struct {
-	key    string // series key: deterministic ordering across map iterations
 	tags   map[string]string
 	lo, hi int
 }
 
 // selectGroup is one result series in the making: every run whose tags
-// project to the same group-by combination.
+// project to the same group-by combination, key being that combination as
+// seriesKey renders it.
 type selectGroup struct {
+	key  string
 	tags map[string]string
 	runs []runSnap
 }
@@ -144,13 +145,16 @@ func (q Query) resolve(m *measurement) []AggCol {
 
 // snapshotSelect is phase 1: resolve the column set and snapshot the
 // matching runs' column windows, grouped by the group-by tag projection.
-// Only the shard read lock is held, and only while slicing headers. The
-// returned strs slice resolves interned string ids (append-only on the
-// writer side, so the header stays valid outside the lock).
+// Only the shard read lock is held, and only while walking the series the
+// filter names (the tag index's shortest posting list, index.go) and
+// slicing headers. The returned strs slice resolves interned string ids
+// (append-only on the writer side, so the header stays valid outside the
+// lock).
 //
-// prof, when non-nil (EXPLAIN ANALYZE, profile.go), counts the runs
-// admitted vs pruned on time bounds and the rows examined; nil — every
-// ordinary query — costs one predictable branch per run.
+// prof, when non-nil (EXPLAIN ANALYZE, profile.go), counts the series
+// visited, the runs admitted vs pruned on time bounds and the rows
+// examined; nil — every ordinary query — costs one predictable branch per
+// series and run.
 func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]AggCol, []string, []*selectGroup, error) {
 	startNS, endNS := rangeNS(q.Start, q.End)
 	// admit bound-checks one run. Its header carries its time bounds; the
@@ -182,10 +186,25 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]AggCol, []string, []*
 	}
 	cols := q.resolve(m)
 	strs := m.strs.vals
-	runs := make([]runSnap, 0, len(m.series))
+	gkeys := q.GroupByTags
+	if len(gkeys) == 1 && gkeys[0] == "*" {
+		gkeys = m.idx.tagKeys()
+	} else {
+		gkeys = slices.Compact(slices.Sorted(slices.Values(gkeys)))
+	}
+	// The candidates come in series-key order, so the spans do, and a
+	// series' runs keep their creation order: timestamp ties across runs
+	// resolve in insertion order.
+	cand := m.idx.candidates(q.Filter)
+	if prof != nil {
+		prof.SeriesScanned = len(cand)
+	}
+	recheck := len(q.Filter) > 1
+	runs := make([]runSnap, 0, len(cand))
 	var spans []seriesSpan
-	for key, sr := range m.series {
-		if !q.Filter.matches(sr.tags) {
+	for _, o := range cand {
+		sr := m.idx.slots[o]
+		if recheck && !q.Filter.matches(sr.tags) {
 			continue
 		}
 		first := len(runs)
@@ -198,36 +217,35 @@ func (db *DB) snapshotSelect(q Query, prof *selectProf) ([]AggCol, []string, []*
 			runs = append(runs, runSnap{head: h.snapshot(cols)})
 		}
 		if len(runs) > first {
-			spans = append(spans, seriesSpan{key: key, tags: sr.tags, lo: first, hi: len(runs)})
+			spans = append(spans, seriesSpan{tags: sr.tags, lo: first, hi: len(runs)})
 		}
 	}
 	sh.mu.RUnlock()
 
 	// Everything below operates on immutable snapshots, outside the lock.
-	// Series keys are unique and a series' runs keep their creation order,
-	// so timestamp ties across runs resolve in insertion order.
-	slices.SortFunc(spans, func(a, b seriesSpan) int { return strings.Compare(a.key, b.key) })
+	// A group's key is built into one reused buffer and looked up without
+	// becoming a string; only a new group allocates its key and tag map.
 	groups := map[string]*selectGroup{}
-	var order []string
+	var ordered []*selectGroup
+	var key []byte
 	for _, sp := range spans {
-		gtags := map[string]string{}
-		for _, k := range q.GroupByTags {
-			gtags[k] = sp.tags[k]
+		key = key[:0]
+		for _, k := range gkeys {
+			key = appendKeyTag(key, k, sp.tags[k])
 		}
-		key := seriesKey(gtags)
-		g, ok := groups[key]
+		g, ok := groups[string(key)]
 		if !ok {
-			g = &selectGroup{tags: gtags}
-			groups[key] = g
-			order = append(order, key)
+			gtags := make(map[string]string, len(gkeys))
+			for _, k := range gkeys {
+				gtags[k] = sp.tags[k]
+			}
+			g = &selectGroup{key: string(key), tags: gtags}
+			groups[g.key] = g
+			ordered = append(ordered, g)
 		}
 		g.runs = append(g.runs, runs[sp.lo:sp.hi]...)
 	}
-	sort.Strings(order)
-	ordered := make([]*selectGroup, len(order))
-	for i, key := range order {
-		ordered[i] = groups[key]
-	}
+	slices.SortFunc(ordered, func(a, b *selectGroup) int { return strings.Compare(a.key, b.key) })
 	return cols, strs, ordered, nil
 }
 

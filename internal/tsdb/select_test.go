@@ -313,7 +313,9 @@ func oracleRender(q Query, fields []string, tags map[string]string, rows []row) 
 // referenceSelect is the pre-pushdown serial engine: lock the shard, merge
 // every matching row into per-group slices, stable-sort by time, aggregate
 // with aggregateColumn/windowAggregate. It is kept verbatim as the oracle
-// for the partial-merging engine behind DB.Select.
+// for the partial-merging engine behind DB.Select. It scans every series
+// of m.series and never reads the tag index (index.go), GROUP BY *
+// included.
 func referenceSelect(db *DB, q Query) ([]Series, error) {
 	sh := db.shardFor(q.Measurement)
 	sh.mu.Lock()
@@ -321,6 +323,9 @@ func referenceSelect(db *DB, q Query) ([]Series, error) {
 	m, ok := sh.measurements[q.Measurement]
 	if !ok {
 		return nil, ErrNoMeasurement
+	}
+	if len(q.GroupByTags) == 1 && q.GroupByTags[0] == "*" {
+		q.GroupByTags = scanTagKeys(m)
 	}
 	fields := make([]string, 0, len(m.fields))
 	for k := range m.fields {

@@ -68,6 +68,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"os"
 	"slices"
@@ -414,6 +415,7 @@ func (g *compGroup) current() bool {
 type measurement struct {
 	name   string
 	series map[string]*series
+	idx    tagIndex // the series by tag pair, in key order (index.go)
 	fields map[string]lineproto.ValueKind
 	names  map[string]string // interned field-name strings (one per schema field)
 	strs   strTable          // interned string field values (column.go)
@@ -462,6 +464,7 @@ func (m *measurement) fieldNames() []string {
 // holds about n/maxChunkRows + 5 chunks (5 = log2(maxChunkRows/sealRows)),
 // and a row is re-encoded once per doubling of its chunk, at most 5 times.
 type series struct {
+	key  string            // seriesKey(tags), the string m.series holds it under
 	tags map[string]string // immutable after creation
 	runs []*compRun
 	// head is nil only where a chunk recovery could not decode stands in
@@ -874,8 +877,10 @@ func (sh *shard) writeFrame(db *DB, fb *frameBatch, idx int) (mergeDue bool) {
 				for _, t := range cur.Tags {
 					tags[string(t.Key)] = string(t.Value)
 				}
-				sr = &series{tags: tags}
-				curM.series[string(key)] = sr
+				k := string(key)
+				sr = &series{key: k, tags: tags}
+				curM.series[k] = sr
+				curM.idx.add(sr)
 			}
 			curS = sr
 		}
@@ -931,6 +936,7 @@ func (sh *shard) pruneLocked(mt *Metrics, beforeNS int64) bool {
 	var scratch bitWriter
 	for mname, m := range sh.measurements {
 		strs := m.strs.vals
+		deleted := false
 		for key, sr := range m.series {
 			changed := false
 			kept := sr.runs[:0:0]
@@ -972,10 +978,13 @@ func (sh *shard) pruneLocked(mt *Metrics, beforeNS int64) bool {
 			}
 			if len(sr.runs) == 0 && sr.head == nil {
 				delete(m.series, key)
+				deleted = true
 			}
 		}
 		if len(m.series) == 0 {
 			delete(sh.measurements, mname)
+		} else if deleted {
+			m.idx.rebuild(m.series)
 		}
 	}
 	return anyDropped
@@ -1008,63 +1017,42 @@ func (db *DB) FieldKeys(measurement string) []string {
 	return m.fieldNames()
 }
 
-// TagKeys lists tag keys across all series of a measurement, sorted.
+// TagKeys lists the tag keys of a measurement, sorted. With measurement ==
+// "" it lists the keys of every measurement across all shards.
 func (db *DB) TagKeys(measurement string) []string {
-	sh := db.shardFor(measurement)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	m, ok := sh.measurements[measurement]
-	if !ok {
-		return nil
-	}
-	set := map[string]struct{}{}
-	for _, sr := range m.series {
-		for k := range sr.tags {
-			set[k] = struct{}{}
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return db.tagMeta(measurement, func(ix *tagIndex) []string { return ix.tagKeys() })
 }
 
-// TagValues lists the distinct values of one tag key over a measurement.
-// With measurement == "" it scans all measurements across all shards (used
-// by the dashboard agent to discover the hosts participating in a job).
-func (db *DB) TagValues(meas, key string) []string {
-	set := map[string]struct{}{}
-	collect := func(m *measurement) {
-		for _, sr := range m.series {
-			if v, ok := sr.tags[key]; ok {
-				set[v] = struct{}{}
-			}
+// TagValues lists the distinct values of one tag key over a measurement,
+// sorted. With measurement == "" it scans all measurements across all
+// shards (used by the dashboard agent to discover the hosts participating
+// in a job).
+func (db *DB) TagValues(measurement, key string) []string {
+	return db.tagMeta(measurement, func(ix *tagIndex) []string { return slices.Collect(maps.Keys(ix.tags[key])) })
+}
+
+// tagMeta answers a SHOW TAG statement from the tag index: list over one
+// measurement, or over every measurement when it is "", the union sorted.
+func (db *DB) tagMeta(measurement string, list func(*tagIndex) []string) []string {
+	var out []string
+	if measurement != "" {
+		sh := db.shardFor(measurement)
+		sh.mu.RLock()
+		if m, ok := sh.measurements[measurement]; ok {
+			out = list(&m.idx)
 		}
-	}
-	if meas == "" {
+		sh.mu.RUnlock()
+	} else {
 		for _, sh := range db.shards {
 			sh.mu.RLock()
 			for _, m := range sh.measurements {
-				collect(m)
+				out = append(out, list(&m.idx)...)
 			}
 			sh.mu.RUnlock()
 		}
-	} else {
-		sh := db.shardFor(meas)
-		sh.mu.RLock()
-		if m, ok := sh.measurements[meas]; ok {
-			collect(m)
-		}
-		sh.mu.RUnlock()
 	}
-	vals := make([]string, 0, len(set))
-	for v := range set {
-		vals = append(vals, v)
-	}
-	sort.Strings(vals)
-	return vals
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // PointCount returns the total number of stored points (all measurements,
@@ -1083,18 +1071,13 @@ func (db *DB) PointCount() int {
 	return n
 }
 
-// TagFilter matches series by tag values. A nil filter matches everything.
-// Values are exact matches; the special value "*" requires only that the tag
-// key exists.
+// TagFilter matches series by tag values. A nil filter matches everything;
+// each pair is an exact match, "*" included.
 type TagFilter map[string]string
 
 func (f TagFilter) matches(tags map[string]string) bool {
 	for k, want := range f {
-		got, ok := tags[k]
-		if !ok {
-			return false
-		}
-		if want != "*" && got != want {
+		if got, ok := tags[k]; !ok || got != want {
 			return false
 		}
 	}

@@ -116,13 +116,15 @@ func TestSelectTagFilter(t *testing.T) {
 	if len(res) != 1 || len(res[0].Rows) != 2 {
 		t.Fatalf("res %+v", res)
 	}
-	// Wildcard: tag must exist.
+	// "*" is a value like any other: it matches the series whose tag holds
+	// it, not every series that has the tag.
+	_ = db.WriteBatchContext(bg, []lineproto.Point{pt("cpu", map[string]string{"hostname": "*"}, 9, 9)})
 	res, err = db.SelectContext(bg, Query{Measurement: "cpu", Filter: TagFilter{"hostname": "*"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res[0].Rows) != 4 {
-		t.Fatalf("wildcard rows %d", len(res[0].Rows))
+	if len(res) != 1 || len(res[0].Rows) != 1 || res[0].Rows[0].Time.UnixNano() != 9 {
+		t.Fatalf("hostname = '*' answered %+v, want the one row of series *", res)
 	}
 	// Missing tag never matches.
 	res, _ = db.SelectContext(bg, Query{Measurement: "cpu", Filter: TagFilter{"rack": "*"}})
