@@ -90,22 +90,22 @@ func seedEvaluationDB(b *testing.B, nodes, minutes int) (*tsdb.Store, analysis.J
 		for i := 0; i < minutes; i++ {
 			ts := start.Add(time.Duration(i) * time.Minute)
 			err := db.WriteBatchContext(context.Background(), []lineproto.Point{
-				{
-					Measurement: "likwid_mem_dp",
-					Tags:        map[string]string{"hostname": host},
-					Fields: map[string]lineproto.Value{
+				lineproto.NewPoint(
+					"likwid_mem_dp",
+					map[string]string{"hostname": host},
+					map[string]lineproto.Value{
 						"dp_mflop_s":                lineproto.Float(9000 + float64(i%100)),
 						"memory_bandwidth_mbytes_s": lineproto.Float(90000),
 						"ipc":                       lineproto.Float(0.7),
 					},
-					Time: ts,
-				},
-				{
-					Measurement: "cpu",
-					Tags:        map[string]string{"hostname": host},
-					Fields:      map[string]lineproto.Value{"percent": lineproto.Float(95)},
-					Time:        ts,
-				},
+					ts,
+				),
+				lineproto.NewPoint(
+					"cpu",
+					map[string]string{"hostname": host},
+					map[string]lineproto.Value{"percent": lineproto.Float(95)},
+					ts,
+				),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -262,12 +262,12 @@ func routerBatch(nPoints int, host string) []lineproto.Point {
 func measurementBatch(nPoints int, meas, host string) []lineproto.Point {
 	pts := make([]lineproto.Point, nPoints)
 	for i := range pts {
-		pts[i] = lineproto.Point{
-			Measurement: meas,
-			Tags:        map[string]string{"hostname": host},
-			Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
-			Time:        time.Unix(int64(i), 0),
-		}
+		pts[i] = lineproto.NewPoint(
+			meas,
+			map[string]string{"hostname": host},
+			map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
+			time.Unix(int64(i), 0),
+		)
 	}
 	return pts
 }
@@ -335,16 +335,16 @@ func BenchmarkO1_RouterThroughput(b *testing.B) {
 
 // BenchmarkO2_LineProtocolEncode measures single-point encoding.
 func BenchmarkO2_LineProtocolEncode(b *testing.B) {
-	p := lineproto.Point{
-		Measurement: "likwid_mem_dp",
-		Tags:        map[string]string{"hostname": "node01", "jobid": "1234.master", "username": "alice"},
-		Fields: map[string]lineproto.Value{
+	p := lineproto.NewPoint(
+		"likwid_mem_dp",
+		map[string]string{"hostname": "node01", "jobid": "1234.master", "username": "alice"},
+		map[string]lineproto.Value{
 			"dp_mflop_s":                lineproto.Float(9823.5),
 			"memory_bandwidth_mbytes_s": lineproto.Float(95234.1),
 			"ipc":                       lineproto.Float(0.71),
 		},
-		Time: time.Unix(1500000000, 0),
-	}
+		time.Unix(1500000000, 0),
+	)
 	var buf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -468,15 +468,15 @@ func BenchmarkO3_TSDBMemoryFootprint(b *testing.B) {
 		for wrote := 0; wrote < points; wrote += perB {
 			for k := range pts {
 				n := wrote + k
-				pts[k] = lineproto.Point{
-					Measurement: "cpu",
-					Tags:        map[string]string{"hostname": fmt.Sprintf("h%d", n%series)},
-					Fields: map[string]lineproto.Value{
+				pts[k] = lineproto.NewPoint(
+					"cpu",
+					map[string]string{"hostname": fmt.Sprintf("h%d", n%series)},
+					map[string]lineproto.Value{
 						"value": lineproto.Float(float64(n)),
 						"ops":   lineproto.Int(int64(n % 4096)),
 					},
-					Time: time.Unix(int64(n/series), int64(n%series)),
-				}
+					time.Unix(int64(n/series), int64(n%series)),
+				)
 			}
 			if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 				b.Fatal(err)
@@ -609,15 +609,15 @@ func loadFootprintDB(b *testing.B, points int) *tsdb.DB {
 	for wrote := 0; wrote < points; wrote += perB {
 		for k := range pts {
 			n := wrote + k
-			pts[k] = lineproto.Point{
-				Measurement: "cpu",
-				Tags:        map[string]string{"hostname": fmt.Sprintf("h%d", n%series)},
-				Fields: map[string]lineproto.Value{
+			pts[k] = lineproto.NewPoint(
+				"cpu",
+				map[string]string{"hostname": fmt.Sprintf("h%d", n%series)},
+				map[string]lineproto.Value{
 					"value": lineproto.Float(float64(n)),
 					"ops":   lineproto.Int(int64(n % 4096)),
 				},
-				Time: time.Unix(int64(n/series), int64(n%series)),
-			}
+				time.Unix(int64(n/series), int64(n%series)),
+			)
 		}
 		if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 			b.Fatal(err)
@@ -700,15 +700,15 @@ func benchCompressedStoreDir(b *testing.B, points int) (string, int64) {
 	for wrote := 0; wrote < points; wrote += perB {
 		for k := range pts {
 			n := wrote + k
-			pts[k] = lineproto.Point{
-				Measurement: "cpu",
-				Tags:        map[string]string{"hostname": fmt.Sprintf("h%d", n%series)},
-				Fields: map[string]lineproto.Value{
+			pts[k] = lineproto.NewPoint(
+				"cpu",
+				map[string]string{"hostname": fmt.Sprintf("h%d", n%series)},
+				map[string]lineproto.Value{
 					"value": lineproto.Float(float64(n)),
 					"ops":   lineproto.Int(int64(n % 4096)),
 				},
-				Time: time.Unix(int64(n/series), int64(n%series)),
-			}
+				time.Unix(int64(n/series), int64(n%series)),
+			)
 		}
 		if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 			b.Fatal(err)
@@ -948,12 +948,12 @@ func seedQueryStore(b *testing.B, shards int) *tsdb.Store {
 		for h := 0; h < 4; h++ {
 			pts := make([]lineproto.Point, 0, 7200)
 			for i := 0; i < 7200; i++ {
-				pts = append(pts, lineproto.Point{
-					Measurement: fmt.Sprintf("qmeas%02d", m),
-					Tags:        map[string]string{"hostname": fmt.Sprintf("h%d", h)},
-					Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
-					Time:        time.Unix(int64(i*4+h), 0),
-				})
+				pts = append(pts, lineproto.NewPoint(
+					fmt.Sprintf("qmeas%02d", m),
+					map[string]string{"hostname": fmt.Sprintf("h%d", h)},
+					map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
+					time.Unix(int64(i*4+h), 0),
+				))
 			}
 			if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 				b.Fatal(err)
@@ -1002,12 +1002,12 @@ func BenchmarkQ1_SelectWindowParallel(b *testing.B) {
 				host := fmt.Sprintf("w%d", w)
 				pts := make([]lineproto.Point, 100)
 				for k := range pts {
-					pts[k] = lineproto.Point{
-						Measurement: "qmeas00",
-						Tags:        map[string]string{"hostname": host},
-						Fields:      map[string]lineproto.Value{"value": lineproto.Float(1)},
-						Time:        time.Unix(base+int64(k), 0),
-					}
+					pts[k] = lineproto.NewPoint(
+						"qmeas00",
+						map[string]string{"hostname": host},
+						map[string]lineproto.Value{"value": lineproto.Float(1)},
+						time.Unix(base+int64(k), 0),
+					)
 				}
 				t0 := time.Now()
 				if err := db.WriteBatchContext(context.Background(), pts); err != nil {
@@ -1049,12 +1049,12 @@ func BenchmarkQ2_SelectRawLimit(b *testing.B) {
 	db.SetQueryCacheTTL(0)
 	pts := make([]lineproto.Point, 0, 100000)
 	for i := 0; i < 100000; i++ {
-		pts = append(pts, lineproto.Point{
-			Measurement: "raw",
-			Tags:        map[string]string{"hostname": "h1"},
-			Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
-			Time:        time.Unix(int64(i), 0),
-		})
+		pts = append(pts, lineproto.NewPoint(
+			"raw",
+			map[string]string{"hostname": "h1"},
+			map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
+			time.Unix(int64(i), 0),
+		))
 	}
 	if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 		b.Fatal(err)
@@ -1159,15 +1159,15 @@ func durBatch(i int) []lineproto.Point {
 	pts := make([]lineproto.Point, 0, 100)
 	base := int64(1600000000_000000000) + int64(i)*100*int64(time.Second)
 	for j := 0; j < 100; j++ {
-		pts = append(pts, lineproto.Point{
-			Measurement: "cpu",
-			Tags:        map[string]string{"hostname": "node01"},
-			Fields: map[string]lineproto.Value{
+		pts = append(pts, lineproto.NewPoint(
+			"cpu",
+			map[string]string{"hostname": "node01"},
+			map[string]lineproto.Value{
 				"user": lineproto.Float(float64(i*100 + j)),
 				"ctx":  lineproto.Int(int64(j)),
 			},
-			Time: time.Unix(0, base+int64(j)*int64(time.Second)),
-		})
+			time.Unix(0, base+int64(j)*int64(time.Second)),
+		))
 	}
 	return pts
 }
@@ -1319,12 +1319,12 @@ func benchCluster(b *testing.B, seedPoints int) *cluster.Cluster {
 		for off := 0; off < seedPoints; off += 100 {
 			batch := make([]lineproto.Point, 0, 100)
 			for i := 0; i < 100 && off+i < seedPoints; i++ {
-				batch = append(batch, lineproto.Point{
-					Measurement: fmt.Sprintf("cpu%d", (off+i)%8),
-					Tags:        map[string]string{"hostname": fmt.Sprintf("h%d", (off+i)%16)},
-					Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(off + i))},
-					Time:        base.Add(time.Duration(off+i) * time.Second),
-				})
+				batch = append(batch, lineproto.NewPoint(
+					fmt.Sprintf("cpu%d", (off+i)%8),
+					map[string]string{"hostname": fmt.Sprintf("h%d", (off+i)%16)},
+					map[string]lineproto.Value{"value": lineproto.Float(float64(off + i))},
+					base.Add(time.Duration(off+i)*time.Second),
+				))
 			}
 			if err := sink.WritePoints(batch); err != nil {
 				b.Fatal(err)
@@ -1345,12 +1345,12 @@ func BenchmarkE5_ClusterIngest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		batch := make([]lineproto.Point, 0, 100)
 		for j := 0; j < 100; j++ {
-			batch = append(batch, lineproto.Point{
-				Measurement: fmt.Sprintf("cpu%d", j%8),
-				Tags:        map[string]string{"hostname": fmt.Sprintf("h%d", j%16)},
-				Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(i*100 + j))},
-				Time:        base.Add(time.Duration(i*100+j) * time.Millisecond),
-			})
+			batch = append(batch, lineproto.NewPoint(
+				fmt.Sprintf("cpu%d", j%8),
+				map[string]string{"hostname": fmt.Sprintf("h%d", j%16)},
+				map[string]lineproto.Value{"value": lineproto.Float(float64(i*100 + j))},
+				base.Add(time.Duration(i*100+j)*time.Millisecond),
+			))
 		}
 		if err := sink.WritePoints(batch); err != nil {
 			b.Fatal(err)

@@ -25,22 +25,22 @@ func jobPoints(t *testing.T) []lineproto.Point {
 		ts := start.Add(time.Duration(i) * time.Minute)
 		for ni, node := range []string{"node01", "node02"} {
 			pts = append(pts,
-				lineproto.Point{
-					Measurement: "cpu",
-					Tags:        map[string]string{"hostname": node, "jobid": "42"},
-					Fields:      map[string]lineproto.Value{"percent": lineproto.Float(90 + float64(ni))},
-					Time:        ts,
-				},
-				lineproto.Point{
-					Measurement: "likwid_mem_dp",
-					Tags:        map[string]string{"hostname": node, "jobid": "42"},
-					Fields: map[string]lineproto.Value{
+				lineproto.NewPoint(
+					"cpu",
+					map[string]string{"hostname": node, "jobid": "42"},
+					map[string]lineproto.Value{"percent": lineproto.Float(90 + float64(ni))},
+					ts,
+				),
+				lineproto.NewPoint(
+					"likwid_mem_dp",
+					map[string]string{"hostname": node, "jobid": "42"},
+					map[string]lineproto.Value{
 						"dp_mflop_s":                lineproto.Float(2000 + float64(10*ni)),
 						"memory_bandwidth_mbytes_s": lineproto.Float(9000),
 						"ipc":                       lineproto.Float(1.4),
 					},
-					Time: ts,
-				})
+					ts,
+				))
 		}
 	}
 	return pts
@@ -121,12 +121,12 @@ func TestRunRemoteNodeDiscovery(t *testing.T) {
 	pts := jobPoints(t)
 	// A shared cluster database also holds another job's data; discovery
 	// must scope to jobid 42 and not pull node99 into the report.
-	pts = append(pts, lineproto.Point{
-		Measurement: "cpu",
-		Tags:        map[string]string{"hostname": "node99", "jobid": "7"},
-		Fields:      map[string]lineproto.Value{"percent": lineproto.Float(50)},
-		Time:        pts[0].Time,
-	})
+	pts = append(pts, lineproto.NewPoint(
+		"cpu",
+		map[string]string{"hostname": "node99", "jobid": "7"},
+		map[string]lineproto.Value{"percent": lineproto.Float(50)},
+		pts[0].Time,
+	))
 	var out strings.Builder
 	// No -nodes: hostnames are discovered through the query API over HTTP.
 	err := run([]string{

@@ -24,18 +24,18 @@ func jobPoints(t *testing.T) []lineproto.Point {
 		ts := start.Add(time.Duration(i) * time.Minute)
 		for _, node := range []string{"node01", "node02"} {
 			pts = append(pts,
-				lineproto.Point{
-					Measurement: "cpu",
-					Tags:        map[string]string{"hostname": node, "jobid": "42"},
-					Fields:      map[string]lineproto.Value{"percent": lineproto.Float(88)},
-					Time:        ts,
-				},
-				lineproto.Point{
-					Measurement: "likwid_mem_dp",
-					Tags:        map[string]string{"hostname": node, "jobid": "42"},
-					Fields:      map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(2100)},
-					Time:        ts,
-				})
+				lineproto.NewPoint(
+					"cpu",
+					map[string]string{"hostname": node, "jobid": "42"},
+					map[string]lineproto.Value{"percent": lineproto.Float(88)},
+					ts,
+				),
+				lineproto.NewPoint(
+					"likwid_mem_dp",
+					map[string]string{"hostname": node, "jobid": "42"},
+					map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(2100)},
+					ts,
+				))
 		}
 	}
 	return pts

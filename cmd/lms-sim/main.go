@@ -208,22 +208,19 @@ func dumpDB(db *tsdb.DB, path string) error {
 		}
 		for _, s := range series {
 			for _, row := range s.Rows {
-				p := lineproto.Point{
-					Measurement: meas,
-					Tags:        map[string]string{},
-					Fields:      map[string]lineproto.Value{},
-					Time:        row.Time,
-				}
+				tags := map[string]string{}
 				for k, v := range s.Tags {
 					if v != "" {
-						p.Tags[k] = v
+						tags[k] = v
 					}
 				}
+				fields := map[string]lineproto.Value{}
 				for i, col := range s.Columns {
 					if row.Values[i] != nil {
-						p.Fields[col] = *row.Values[i]
+						fields[col] = *row.Values[i]
 					}
 				}
+				p := lineproto.NewPoint(meas, tags, fields, row.Time)
 				if len(p.Fields) == 0 {
 					continue
 				}

@@ -23,12 +23,12 @@ func TestDiscoverJobNodesScopedByJob(t *testing.T) {
 		if jobid != "" {
 			tags["jobid"] = jobid
 		}
-		if err := db.WriteBatchContext(context.Background(), []lineproto.Point{{
-			Measurement: meas,
-			Tags:        tags,
-			Fields:      map[string]lineproto.Value{"v": lineproto.Float(1)},
-			Time:        ts,
-		}}); err != nil {
+		if err := db.WriteBatchContext(context.Background(), []lineproto.Point{lineproto.NewPoint(
+			meas,
+			tags,
+			map[string]lineproto.Value{"v": lineproto.Float(1)},
+			ts,
+		)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,12 +70,12 @@ func TestEvaluateRemoteFailureIsAnError(t *testing.T) {
 func TestDiscoverJobNodesFallback(t *testing.T) {
 	db, ev := newEvaluator()
 	for _, host := range []string{"h2", "h1"} {
-		if err := db.WriteBatchContext(context.Background(), []lineproto.Point{{
-			Measurement: "cpu",
-			Tags:        map[string]string{"hostname": host},
-			Fields:      map[string]lineproto.Value{"v": lineproto.Float(1)},
-			Time:        time.Unix(1000, 0),
-		}}); err != nil {
+		if err := db.WriteBatchContext(context.Background(), []lineproto.Point{lineproto.NewPoint(
+			"cpu",
+			map[string]string{"hostname": host},
+			map[string]lineproto.Value{"v": lineproto.Float(1)},
+			time.Unix(1000, 0),
+		)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -36,40 +36,40 @@ func seedJobData(t *testing.T) (*Evaluator, JobMeta) {
 				flops, bw, cpu = 2.0, 50.0, 1.0
 			}
 			pts := []lineproto.Point{
-				{
-					Measurement: "likwid_mem_dp",
-					Tags:        map[string]string{"hostname": node, "jobid": "42"},
-					Fields: map[string]lineproto.Value{
+				lineproto.NewPoint(
+					"likwid_mem_dp",
+					map[string]string{"hostname": node, "jobid": "42"},
+					map[string]lineproto.Value{
 						"dp_mflop_s":                lineproto.Float(flops),
 						"memory_bandwidth_mbytes_s": lineproto.Float(bw),
 						"ipc":                       lineproto.Float(1.2),
 					},
-					Time: ts,
-				},
-				{
-					Measurement: "cpu",
-					Tags:        map[string]string{"hostname": node, "jobid": "42"},
-					Fields:      map[string]lineproto.Value{"percent": lineproto.Float(cpu)},
-					Time:        ts,
-				},
-				{
-					Measurement: "memory",
-					Tags:        map[string]string{"hostname": node},
-					Fields:      map[string]lineproto.Value{"used_kb": lineproto.Int(8 * 1024 * 1024), "used_percent": lineproto.Float(30)},
-					Time:        ts,
-				},
-				{
-					Measurement: "network",
-					Tags:        map[string]string{"hostname": node},
-					Fields:      map[string]lineproto.Value{"rx_bytes_per_s": lineproto.Float(2e6)},
-					Time:        ts,
-				},
-				{
-					Measurement: "disk",
-					Tags:        map[string]string{"hostname": node},
-					Fields:      map[string]lineproto.Value{"read_bytes_per_s": lineproto.Float(1e6)},
-					Time:        ts,
-				},
+					ts,
+				),
+				lineproto.NewPoint(
+					"cpu",
+					map[string]string{"hostname": node, "jobid": "42"},
+					map[string]lineproto.Value{"percent": lineproto.Float(cpu)},
+					ts,
+				),
+				lineproto.NewPoint(
+					"memory",
+					map[string]string{"hostname": node},
+					map[string]lineproto.Value{"used_kb": lineproto.Int(8 * 1024 * 1024), "used_percent": lineproto.Float(30)},
+					ts,
+				),
+				lineproto.NewPoint(
+					"network",
+					map[string]string{"hostname": node},
+					map[string]lineproto.Value{"rx_bytes_per_s": lineproto.Float(2e6)},
+					ts,
+				),
+				lineproto.NewPoint(
+					"disk",
+					map[string]string{"hostname": node},
+					map[string]lineproto.Value{"read_bytes_per_s": lineproto.Float(1e6)},
+					ts,
+				),
 			}
 			if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 				t.Fatal(err)
@@ -144,22 +144,22 @@ func TestEvaluateHealthyJobClean(t *testing.T) {
 	db, ev := newEvaluator()
 	start := time.Unix(0, 0).UTC()
 	for i := 0; i < 60; i++ {
-		_ = db.WriteBatchContext(context.Background(), []lineproto.Point{{
-			Measurement: "likwid_mem_dp",
-			Tags:        map[string]string{"hostname": "h1"},
-			Fields: map[string]lineproto.Value{
+		_ = db.WriteBatchContext(context.Background(), []lineproto.Point{lineproto.NewPoint(
+			"likwid_mem_dp",
+			map[string]string{"hostname": "h1"},
+			map[string]lineproto.Value{
 				"dp_mflop_s":                lineproto.Float(50000),
 				"memory_bandwidth_mbytes_s": lineproto.Float(40000),
 				"ipc":                       lineproto.Float(1.8),
 			},
-			Time: start.Add(time.Duration(i) * time.Minute),
-		}})
-		_ = db.WriteBatchContext(context.Background(), []lineproto.Point{{
-			Measurement: "cpu",
-			Tags:        map[string]string{"hostname": "h1"},
-			Fields:      map[string]lineproto.Value{"percent": lineproto.Float(98)},
-			Time:        start.Add(time.Duration(i) * time.Minute),
-		}})
+			start.Add(time.Duration(i)*time.Minute),
+		)})
+		_ = db.WriteBatchContext(context.Background(), []lineproto.Point{lineproto.NewPoint(
+			"cpu",
+			map[string]string{"hostname": "h1"},
+			map[string]lineproto.Value{"percent": lineproto.Float(98)},
+			start.Add(time.Duration(i)*time.Minute),
+		)})
 	}
 	ev.PeakMemBWMBs, ev.PeakDPMFlops = 50000, 400000
 	rep, err := ev.Evaluate(JobMeta{ID: "1", Nodes: []string{"h1"}, Start: start, End: start.Add(time.Hour)})
@@ -179,12 +179,12 @@ func TestEvaluateIdleJobClassifiedIdle(t *testing.T) {
 	db, ev := newEvaluator()
 	start := time.Unix(0, 0).UTC()
 	for i := 0; i < 60; i++ {
-		_ = db.WriteBatchContext(context.Background(), []lineproto.Point{{
-			Measurement: "cpu",
-			Tags:        map[string]string{"hostname": "h1"},
-			Fields:      map[string]lineproto.Value{"percent": lineproto.Float(0.5)},
-			Time:        start.Add(time.Duration(i) * time.Minute),
-		}})
+		_ = db.WriteBatchContext(context.Background(), []lineproto.Point{lineproto.NewPoint(
+			"cpu",
+			map[string]string{"hostname": "h1"},
+			map[string]lineproto.Value{"percent": lineproto.Float(0.5)},
+			start.Add(time.Duration(i)*time.Minute),
+		)})
 	}
 	rep, err := ev.Evaluate(JobMeta{ID: "1", Nodes: []string{"h1"}, Start: start, End: start.Add(time.Hour)})
 	if err != nil {
@@ -280,11 +280,12 @@ func TestFormatTableHealthy(t *testing.T) {
 	db, ev := newEvaluator()
 	start := time.Unix(0, 0).UTC()
 	for i := 0; i < 30; i++ {
-		_ = db.WriteBatchContext(context.Background(), []lineproto.Point{{
-			Measurement: "cpu", Tags: map[string]string{"hostname": "h1"},
-			Fields: map[string]lineproto.Value{"percent": lineproto.Float(90)},
-			Time:   start.Add(time.Duration(i) * time.Minute),
-		}})
+		_ = db.WriteBatchContext(context.Background(), []lineproto.Point{lineproto.NewPoint(
+			"cpu",
+			map[string]string{"hostname": "h1"},
+			map[string]lineproto.Value{"percent": lineproto.Float(90)},
+			start.Add(time.Duration(i)*time.Minute),
+		)})
 	}
 	rep, _ := ev.Evaluate(JobMeta{ID: "ok", Nodes: []string{"h1"}, Start: start, End: start.Add(time.Hour)})
 	table := rep.FormatTable()

@@ -33,12 +33,12 @@ func testPoints(m, host string, n int) []lineproto.Point {
 	base := time.Unix(2000, 0).UTC()
 	pts := make([]lineproto.Point, 0, n)
 	for i := 0; i < n; i++ {
-		pts = append(pts, lineproto.Point{
-			Measurement: m,
-			Tags:        map[string]string{"hostname": host},
-			Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
-			Time:        base.Add(time.Duration(i) * time.Second),
-		})
+		pts = append(pts, lineproto.NewPoint(
+			m,
+			map[string]string{"hostname": host},
+			map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
+			base.Add(time.Duration(i)*time.Second),
+		))
 	}
 	return pts
 }
@@ -68,32 +68,32 @@ func corpusBatches() [][]lineproto.Point {
 				}
 			}
 			pts = append(pts,
-				lineproto.Point{
-					Measurement: "cpu",
-					Tags:        map[string]string{"hostname": host, "jobid": "42"},
-					Fields:      fields,
-					Time:        ts,
-				},
-				lineproto.Point{
-					Measurement: "likwid_mem_dp",
-					Tags:        map[string]string{"hostname": host},
-					Fields:      map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(2000 + float64(i))},
-					Time:        ts,
-				})
+				lineproto.NewPoint(
+					"cpu",
+					map[string]string{"hostname": host, "jobid": "42"},
+					fields,
+					ts,
+				),
+				lineproto.NewPoint(
+					"likwid_mem_dp",
+					map[string]string{"hostname": host},
+					map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(2000 + float64(i))},
+					ts,
+				))
 		}
 	}
-	pts = append(pts, lineproto.Point{
-		Measurement: "events",
-		Tags:        map[string]string{"jobid": "42"},
-		Fields:      map[string]lineproto.Value{"text": lineproto.String("jobstart")},
-		Time:        base,
-	})
-	outOfOrder := []lineproto.Point{{
-		Measurement: "cpu",
-		Tags:        map[string]string{"hostname": "h1", "jobid": "42"},
-		Fields:      map[string]lineproto.Value{"value": lineproto.Float(99)},
-		Time:        base.Add(-10 * time.Second),
-	}}
+	pts = append(pts, lineproto.NewPoint(
+		"events",
+		map[string]string{"jobid": "42"},
+		map[string]lineproto.Value{"text": lineproto.String("jobstart")},
+		base,
+	))
+	outOfOrder := []lineproto.Point{lineproto.NewPoint(
+		"cpu",
+		map[string]string{"hostname": "h1", "jobid": "42"},
+		map[string]lineproto.Value{"value": lineproto.Float(99)},
+		base.Add(-10*time.Second),
+	)}
 	return [][]lineproto.Point{pts, outOfOrder}
 }
 
@@ -586,18 +586,18 @@ func TestClusterHintedHandoffDrains(t *testing.T) {
 	base := time.Unix(1100, 0).UTC()
 	for i := 0; i < 5; i++ {
 		batch := []lineproto.Point{
-			{
-				Measurement: "cpu",
-				Tags:        map[string]string{"hostname": "h1", "jobid": "42"},
-				Fields:      map[string]lineproto.Value{"value": lineproto.Float(1000 + float64(i))},
-				Time:        base.Add(time.Duration(i) * time.Second),
-			},
-			{
-				Measurement: "likwid_mem_dp",
-				Tags:        map[string]string{"hostname": "h2"},
-				Fields:      map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(3000 + float64(i))},
-				Time:        base.Add(time.Duration(i) * time.Second),
-			},
+			lineproto.NewPoint(
+				"cpu",
+				map[string]string{"hostname": "h1", "jobid": "42"},
+				map[string]lineproto.Value{"value": lineproto.Float(1000 + float64(i))},
+				base.Add(time.Duration(i)*time.Second),
+			),
+			lineproto.NewPoint(
+				"likwid_mem_dp",
+				map[string]string{"hostname": "h2"},
+				map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(3000 + float64(i))},
+				base.Add(time.Duration(i)*time.Second),
+			),
 		}
 		if err := db.WriteBatchContext(context.Background(), batch); err != nil {
 			t.Fatal(err)
@@ -729,12 +729,12 @@ func TestClusterDrainsParentFormatHints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := []lineproto.Point{{
-		Measurement: "old_m",
-		Tags:        map[string]string{"hostname": "h7", "jobid": "42", "username": "alice"},
-		Fields:      map[string]lineproto.Value{"msg": lineproto.String("job \"42\" started"), "value": lineproto.Int(-7)},
-		Time:        time.Unix(2100, 0).UTC(),
-	}}
+	events := []lineproto.Point{lineproto.NewPoint(
+		"old_m",
+		map[string]string{"hostname": "h7", "jobid": "42", "username": "alice"},
+		map[string]lineproto.Value{"msg": lineproto.String("job \"42\" started"), "value": lineproto.Int(-7)},
+		time.Unix(2100, 0).UTC(),
+	)}
 	for _, pts := range [][]lineproto.Point{testPoints("old_m", "h9", 4), events} {
 		if _, _, err := w.Append(oldEncodeHint("lms", pts, 1e9)); err != nil {
 			t.Fatal(err)
@@ -848,11 +848,12 @@ func TestClusterQuorumFailure(t *testing.T) {
 // cannot change answers.
 func TestClusterStampsZeroTimestamps(t *testing.T) {
 	h := newHarness(t, Config{Replication: 2, WriteQuorum: 2})
-	pts := []lineproto.Point{{
-		Measurement: "zt",
-		Tags:        map[string]string{"hostname": "h1"},
-		Fields:      map[string]lineproto.Value{"value": lineproto.Float(1)},
-	}}
+	pts := []lineproto.Point{lineproto.NewPoint(
+		"zt",
+		map[string]string{"hostname": "h1"},
+		map[string]lineproto.Value{"value": lineproto.Float(1)},
+		time.Time{},
+	)}
 	if err := h.coord.SinkFor("lms").WritePoints(pts); err != nil {
 		t.Fatal(err)
 	}

@@ -261,8 +261,8 @@ func TestHintQueueConcurrentDrain(t *testing.T) {
 func TestHintQueueRefusesInvalidFrames(t *testing.T) {
 	v := map[string]lineproto.Value{"value": lineproto.Float(1)}
 	bad := map[string][]byte{
-		"no fields":       durable.AppendBatch(nil, []lineproto.Point{{Measurement: "m", Tags: map[string]string{"hostname": "h1"}}}, 1),
-		"empty tag value": durable.AppendBatch(nil, []lineproto.Point{{Measurement: "m", Tags: map[string]string{"hostname": ""}, Fields: v}}, 1),
+		"no fields":       durable.AppendBatch(nil, []lineproto.Point{lineproto.NewPoint("m", map[string]string{"hostname": "h1"}, nil, time.Time{})}, 1),
+		"empty tag value": durable.AppendBatch(nil, []lineproto.Point{lineproto.NewPoint("m", map[string]string{"hostname": ""}, v, time.Time{})}, 1),
 	}
 	for name, frame := range bad {
 		root := t.TempDir()

@@ -58,12 +58,12 @@ func TestClusterCloseDuringWrites(t *testing.T) {
 			defer wg.Done()
 			sink := coord.SinkFor("race")
 			for i := 0; ; i++ {
-				_ = sink.WritePoints([]lineproto.Point{{
-					Measurement: "cpu",
-					Tags:        map[string]string{"hostname": "h1"},
-					Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
-					Time:        time.Unix(3000+int64(i), 0).UTC(),
-				}})
+				_ = sink.WritePoints([]lineproto.Point{lineproto.NewPoint(
+					"cpu",
+					map[string]string{"hostname": "h1"},
+					map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
+					time.Unix(3000+int64(i), 0).UTC(),
+				)})
 				select {
 				case wrote <- struct{}{}:
 				case <-stop:

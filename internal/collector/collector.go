@@ -56,6 +56,9 @@ type Agent struct {
 	send    func(payload []byte) error
 	mu      sync.Mutex
 	plugins []Plugin
+	// hostTags are hostname and ExtraTags in a point's shape, merged
+	// under every point's own tags.
+	hostTags []lineproto.Tag
 
 	collected int64
 	sendFails int64
@@ -75,7 +78,13 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 10 * time.Second
 	}
-	a := &Agent{cfg: cfg}
+	host := map[string]string{"hostname": cfg.Hostname}
+	for k, v := range cfg.ExtraTags {
+		if k != "hostname" {
+			host[k] = v
+		}
+	}
+	a := &Agent{cfg: cfg, hostTags: lineproto.TagsFrom(host)}
 	if cfg.Sink != nil {
 		a.send = cfg.Sink
 	} else {
@@ -127,17 +136,7 @@ func (a *Agent) CollectOnce(now time.Time) []lineproto.Point {
 			continue
 		}
 		for _, pt := range pts {
-			if pt.Tags == nil {
-				pt.Tags = map[string]string{}
-			}
-			if _, ok := pt.Tags["hostname"]; !ok {
-				pt.Tags["hostname"] = a.cfg.Hostname
-			}
-			for k, v := range a.cfg.ExtraTags {
-				if _, ok := pt.Tags[k]; !ok {
-					pt.Tags[k] = v
-				}
-			}
+			pt.Tags = lineproto.MergeTags(nil, pt.Tags, a.hostTags)
 			if pt.Time.IsZero() {
 				pt.Time = now
 			}

@@ -89,7 +89,7 @@ func TestAgentTagsAndPush(t *testing.T) {
 	sink := &memSink{}
 	a := newAgent(t, sink)
 	_ = a.Register(&stubPlugin{name: "p1", pts: []lineproto.Point{
-		{Measurement: "m", Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}},
+		lineproto.NewPoint("m", nil, map[string]lineproto.Value{"v": lineproto.Float(1)}, time.Time{}),
 	}})
 	if err := a.CollectAndPush(ts(100)); err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestAgentTagsAndPush(t *testing.T) {
 		t.Fatalf("points %d", len(pts))
 	}
 	p := pts[0]
-	if p.Tags["hostname"] != "node01" || p.Tags["cluster"] != "emmy" {
+	if p.Tag("hostname") != "node01" || p.Tag("cluster") != "emmy" {
 		t.Fatalf("tags %v", p.Tags)
 	}
 	if !p.Time.Equal(ts(100)) {
@@ -115,12 +115,16 @@ func TestAgentPluginTagsWin(t *testing.T) {
 	sink := &memSink{}
 	a := newAgent(t, sink)
 	_ = a.Register(&stubPlugin{name: "p1", pts: []lineproto.Point{
-		{Measurement: "m", Tags: map[string]string{"hostname": "other"},
-			Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}, Time: ts(50)},
+		lineproto.NewPoint(
+			"m",
+			map[string]string{"hostname": "other"},
+			map[string]lineproto.Value{"v": lineproto.Float(1)},
+			ts(50),
+		),
 	}})
 	_ = a.CollectAndPush(ts(100))
 	p := sink.points(t)[0]
-	if p.Tags["hostname"] != "other" || !p.Time.Equal(ts(50)) {
+	if p.Tag("hostname") != "other" || !p.Time.Equal(ts(50)) {
 		t.Fatalf("plugin values overridden: %+v", p)
 	}
 }
@@ -134,7 +138,7 @@ func TestAgentPluginErrorSkipsOnlyThatPlugin(t *testing.T) {
 	})
 	_ = a.Register(&stubPlugin{name: "bad", err: errors.New("boom")})
 	_ = a.Register(&stubPlugin{name: "good", pts: []lineproto.Point{
-		{Measurement: "m", Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}},
+		lineproto.NewPoint("m", nil, map[string]lineproto.Value{"v": lineproto.Float(1)}, time.Time{}),
 	}})
 	if err := a.CollectAndPush(ts(1)); err != nil {
 		t.Fatal(err)
@@ -162,7 +166,7 @@ func TestAgentPushFailure(t *testing.T) {
 	sink := &memSink{fail: true}
 	a := newAgent(t, sink)
 	_ = a.Register(&stubPlugin{name: "p1", pts: []lineproto.Point{
-		{Measurement: "m", Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}},
+		lineproto.NewPoint("m", nil, map[string]lineproto.Value{"v": lineproto.Float(1)}, time.Time{}),
 	}})
 	if err := a.CollectAndPush(ts(1)); err == nil {
 		t.Fatal("expected push error")
@@ -181,7 +185,7 @@ func TestAgentRunLoop(t *testing.T) {
 	sink := &memSink{}
 	a, _ := New(Config{Hostname: "h", Sink: sink.send, Interval: 10 * time.Millisecond})
 	_ = a.Register(&stubPlugin{name: "p1", pts: []lineproto.Point{
-		{Measurement: "m", Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}},
+		lineproto.NewPoint("m", nil, map[string]lineproto.Value{"v": lineproto.Float(1)}, time.Time{}),
 	}})
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -222,10 +226,10 @@ func TestLoadPlugin(t *testing.T) {
 	if len(pts) != 1 || pts[0].Measurement != "load" {
 		t.Fatalf("%+v", pts)
 	}
-	if pts[0].Fields["load1"].FloatVal() < 2 {
-		t.Fatalf("load1 %v", pts[0].Fields["load1"])
+	if pts[0].Field("load1").FloatVal() < 2 {
+		t.Fatalf("load1 %v", pts[0].Field("load1"))
 	}
-	if pts[0].Fields["runnable"].IntVal() != 3 {
+	if pts[0].Field("runnable").IntVal() != 3 {
 		t.Fatalf("runnable %+v", pts[0].Fields)
 	}
 }
@@ -251,16 +255,16 @@ func TestCPUPluginRates(t *testing.T) {
 	}
 	agg := pts[0]
 	// Two of four cores at 1.0 and 0.5 => aggregate 37.5% busy.
-	if got := agg.Fields["percent"].FloatVal(); math.Abs(got-37.5) > 0.5 {
+	if got := agg.Field("percent").FloatVal(); math.Abs(got-37.5) > 0.5 {
 		t.Fatalf("aggregate percent %v", got)
 	}
 	var core0 lineproto.Point
 	for _, pt := range pts[1:] {
-		if pt.Tags["core"] == "0" {
+		if pt.Tag("core") == "0" {
 			core0 = pt
 		}
 	}
-	if got := core0.Fields["user"].FloatVal(); math.Abs(got-100) > 0.5 {
+	if got := core0.Field("user").FloatVal(); math.Abs(got-100) > 0.5 {
 		t.Fatalf("core0 user %v", got)
 	}
 }
@@ -273,11 +277,10 @@ func TestMemoryPlugin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := pts[0].Fields
-	if f["used_kb"].IntVal() != 4*1024*1024 {
-		t.Fatalf("used %+v", f)
+	if pts[0].Field("used_kb").IntVal() != 4*1024*1024 {
+		t.Fatalf("used %+v", pts[0].Fields)
 	}
-	if got := f["used_percent"].FloatVal(); math.Abs(got-25) > 0.1 {
+	if got := pts[0].Field("used_percent").FloatVal(); math.Abs(got-25) > 0.1 {
 		t.Fatalf("percent %v", got)
 	}
 }
@@ -295,10 +298,10 @@ func TestNetworkPluginRates(t *testing.T) {
 	if len(pts) != 1 { // lo excluded by default
 		t.Fatalf("points %+v", pts)
 	}
-	if pts[0].Tags["interface"] != "eth0" {
+	if pts[0].Tag("interface") != "eth0" {
 		t.Fatalf("iface %v", pts[0].Tags)
 	}
-	if got := pts[0].Fields["rx_bytes_per_s"].FloatVal(); math.Abs(got-2e6) > 1e3 {
+	if got := pts[0].Field("rx_bytes_per_s").FloatVal(); math.Abs(got-2e6) > 1e3 {
 		t.Fatalf("rx rate %v", got)
 	}
 	// Interface filter.
@@ -306,7 +309,7 @@ func TestNetworkPluginRates(t *testing.T) {
 	_, _ = p2.Collect(ts(10))
 	_ = st.Tick(1)
 	pts, _ = p2.Collect(ts(11))
-	if len(pts) != 1 || pts[0].Tags["interface"] != "lo" {
+	if len(pts) != 1 || pts[0].Tag("interface") != "lo" {
 		t.Fatalf("filtered %+v", pts)
 	}
 }
@@ -321,13 +324,13 @@ func TestDiskPluginRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 1 || pts[0].Tags["device"] != "sda" {
+	if len(pts) != 1 || pts[0].Tag("device") != "sda" {
 		t.Fatalf("%+v", pts)
 	}
-	if got := pts[0].Fields["read_bytes_per_s"].FloatVal(); math.Abs(got-1e6) > 1e3 {
+	if got := pts[0].Field("read_bytes_per_s").FloatVal(); math.Abs(got-1e6) > 1e3 {
 		t.Fatalf("read rate %v", got)
 	}
-	if got := pts[0].Fields["write_bytes_per_s"].FloatVal(); math.Abs(got-5e5) > 1e3 {
+	if got := pts[0].Field("write_bytes_per_s").FloatVal(); math.Abs(got-5e5) > 1e3 {
 		t.Fatalf("write rate %v", got)
 	}
 }
@@ -360,20 +363,20 @@ func TestHPMPluginTimeline(t *testing.T) {
 	if node.Measurement != "likwid_mem_dp" {
 		t.Fatalf("measurement %q", node.Measurement)
 	}
-	bw := node.Fields["memory_bandwidth_mbytes_s"].FloatVal()
+	bw := node.Field("memory_bandwidth_mbytes_s").FloatVal()
 	wantBW := 4 * 6e9 / 1e6 // 4 cores x 6 GB/s in MB/s
 	if math.Abs(bw-wantBW)/wantBW > 0.02 {
 		t.Fatalf("bandwidth %v want ~%v", bw, wantBW)
 	}
-	flops := node.Fields["dp_mflop_s"].FloatVal()
+	flops := node.Field("dp_mflop_s").FloatVal()
 	wantFlops := 4 * (6e9 / 24 * 2) / 1e6
 	if math.Abs(flops-wantFlops)/wantFlops > 0.02 {
 		t.Fatalf("flops %v want ~%v", flops, wantFlops)
 	}
 	// CPI is intensive: node value close to the per-thread value, not 4x.
-	cpi := node.Fields["cpi"].FloatVal()
+	cpi := node.Field("cpi").FloatVal()
 	thread := pts[1]
-	tcpi := thread.Fields["cpi"].FloatVal()
+	tcpi := thread.Field("cpi").FloatVal()
 	if math.Abs(cpi-tcpi) > 0.2*tcpi {
 		t.Fatalf("cpi aggregation: node %v thread %v", cpi, tcpi)
 	}
@@ -462,7 +465,7 @@ func TestFullNodeAgentCycle(t *testing.T) {
 	byMeas := map[string]int{}
 	for _, p := range sink.points(t) {
 		byMeas[p.Measurement]++
-		if p.Tags["hostname"] != "node01" {
+		if p.Tag("hostname") != "node01" {
 			t.Fatalf("untagged point %+v", p)
 		}
 	}

@@ -84,7 +84,7 @@ func (p *HPMPlugin) Collect(now time.Time) ([]lineproto.Point, error) {
 		}
 		fields[key] = lineproto.Float(v)
 	}
-	out := []lineproto.Point{{Measurement: meas, Fields: fields, Time: now}}
+	out := []lineproto.Point{lineproto.NewPoint(meas, nil, fields, now)}
 	if p.PerThread {
 		for _, tid := range res.Threads {
 			tf := map[string]lineproto.Value{}
@@ -95,12 +95,12 @@ func (p *HPMPlugin) Collect(now time.Time) ([]lineproto.Point, error) {
 				}
 				tf[key] = lineproto.Float(res.Metrics[tid][metric])
 			}
-			out = append(out, lineproto.Point{
-				Measurement: meas + "_thread",
-				Tags:        map[string]string{"thread": fmt.Sprint(tid)},
-				Fields:      tf,
-				Time:        now,
-			})
+			out = append(out, lineproto.NewPoint(
+				meas+"_thread",
+				map[string]string{"thread": fmt.Sprint(tid)},
+				tf,
+				now,
+			))
 		}
 	}
 	return out, nil

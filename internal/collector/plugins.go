@@ -35,16 +35,17 @@ func (p *LoadPlugin) Collect(now time.Time) ([]lineproto.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []lineproto.Point{{
-		Measurement: "load",
-		Fields: map[string]lineproto.Value{
+	return []lineproto.Point{lineproto.NewPoint(
+		"load",
+		nil,
+		map[string]lineproto.Value{
 			"load1":    fval(v.Load1),
 			"load5":    fval(v.Load5),
 			"load15":   fval(v.Load15),
 			"runnable": lineproto.Int(int64(v.Runnable)),
 		},
-		Time: now,
-	}}, nil
+		now,
+	)}, nil
 }
 
 // CPUPlugin emits CPU utilization percentages derived from consecutive
@@ -83,31 +84,32 @@ func (p *CPUPlugin) Collect(now time.Time) ([]lineproto.Point, error) {
 	}
 	var out []lineproto.Point
 	if user, system, idle, ok := pct(cur.Aggregate, p.prev.Aggregate); ok {
-		out = append(out, lineproto.Point{
-			Measurement: "cpu",
-			Fields: map[string]lineproto.Value{
+		out = append(out, lineproto.NewPoint(
+			"cpu",
+			nil,
+			map[string]lineproto.Value{
 				"user":    fval(user),
 				"system":  fval(system),
 				"idle":    fval(idle),
 				"percent": fval(100 - idle),
 			},
-			Time: now,
-		})
+			now,
+		))
 	}
 	if p.PerCore && len(cur.CPUs) == len(p.prev.CPUs) {
 		for i := range cur.CPUs {
 			if user, system, idle, ok := pct(cur.CPUs[i], p.prev.CPUs[i]); ok {
-				out = append(out, lineproto.Point{
-					Measurement: "cpu_core",
-					Tags:        map[string]string{"core": fmt.Sprint(i)},
-					Fields: map[string]lineproto.Value{
+				out = append(out, lineproto.NewPoint(
+					"cpu_core",
+					map[string]string{"core": fmt.Sprint(i)},
+					map[string]lineproto.Value{
 						"user":    fval(user),
 						"system":  fval(system),
 						"idle":    fval(idle),
 						"percent": fval(100 - idle),
 					},
-					Time: now,
-				})
+					now,
+				))
 			}
 		}
 	}
@@ -129,16 +131,17 @@ func (p *MemoryPlugin) Collect(now time.Time) ([]lineproto.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []lineproto.Point{{
-		Measurement: "memory",
-		Fields: map[string]lineproto.Value{
+	return []lineproto.Point{lineproto.NewPoint(
+		"memory",
+		nil,
+		map[string]lineproto.Value{
 			"total_kb":     lineproto.Int(int64(m.TotalKB)),
 			"free_kb":      lineproto.Int(int64(m.FreeKB)),
 			"used_kb":      lineproto.Int(int64(m.UsedKB())),
 			"used_percent": fval(100 * float64(m.UsedKB()) / float64(m.TotalKB)),
 		},
-		Time: now,
-	}}, nil
+		now,
+	)}, nil
 }
 
 // NetworkPlugin emits per-interface byte/packet rates from consecutive
@@ -190,17 +193,17 @@ func (p *NetworkPlugin) Collect(now time.Time) ([]lineproto.Point, error) {
 		if !ok {
 			continue
 		}
-		out = append(out, lineproto.Point{
-			Measurement: "network",
-			Tags:        map[string]string{"interface": iface},
-			Fields: map[string]lineproto.Value{
+		out = append(out, lineproto.NewPoint(
+			"network",
+			map[string]string{"interface": iface},
+			map[string]lineproto.Value{
 				"rx_bytes_per_s":   fval(float64(c.RxBytes-prev.RxBytes) / dt),
 				"tx_bytes_per_s":   fval(float64(c.TxBytes-prev.TxBytes) / dt),
 				"rx_packets_per_s": fval(float64(c.RxPackets-prev.RxPackets) / dt),
 				"tx_packets_per_s": fval(float64(c.TxPackets-prev.TxPackets) / dt),
 			},
-			Time: now,
-		})
+			now,
+		))
 	}
 	return out, nil
 }
@@ -237,17 +240,17 @@ func (p *DiskPlugin) Collect(now time.Time) ([]lineproto.Point, error) {
 		if !ok {
 			continue
 		}
-		out = append(out, lineproto.Point{
-			Measurement: "disk",
-			Tags:        map[string]string{"device": dev},
-			Fields: map[string]lineproto.Value{
+		out = append(out, lineproto.NewPoint(
+			"disk",
+			map[string]string{"device": dev},
+			map[string]lineproto.Value{
 				"read_bytes_per_s":  fval(float64(c.ReadSectors-prev.ReadSectors) * 512 / dt),
 				"write_bytes_per_s": fval(float64(c.WriteSectors-prev.WriteSectors) * 512 / dt),
 				"read_iops":         fval(float64(c.ReadIOs-prev.ReadIOs) / dt),
 				"write_iops":        fval(float64(c.WriteIOs-prev.WriteIOs) / dt),
 			},
-			Time: now,
-		})
+			now,
+		))
 	}
 	return out, nil
 }

@@ -327,12 +327,18 @@ func TestStackDurableRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := []lineproto.Point{
-		{Measurement: "cpu", Tags: map[string]string{"hostname": "n1"},
-			Fields: map[string]lineproto.Value{"percent": lineproto.Float(42)},
-			Time:   time.Unix(1600000000, 0)},
-		{Measurement: "cpu", Tags: map[string]string{"hostname": "n1"},
-			Fields: map[string]lineproto.Value{"percent": lineproto.Float(43)},
-			Time:   time.Unix(1600000001, 0)},
+		lineproto.NewPoint(
+			"cpu",
+			map[string]string{"hostname": "n1"},
+			map[string]lineproto.Value{"percent": lineproto.Float(42)},
+			time.Unix(1600000000, 0),
+		),
+		lineproto.NewPoint(
+			"cpu",
+			map[string]string{"hostname": "n1"},
+			map[string]lineproto.Value{"percent": lineproto.Float(43)},
+			time.Unix(1600000001, 0),
+		),
 	}
 	if err := stack.DB.WriteBatchContext(context.Background(), pts); err != nil {
 		t.Fatal(err)
@@ -402,12 +408,12 @@ func TestStackUserDatabaseOpenFailureIsCounted(t *testing.T) {
 	const n = 10
 	pts := make([]lineproto.Point, n)
 	for i := range pts {
-		pts[i] = lineproto.Point{
-			Measurement: "cpu",
-			Tags:        map[string]string{"hostname": "n1"},
-			Fields:      map[string]lineproto.Value{"percent": lineproto.Float(float64(i))},
-			Time:        time.Unix(1600000000+int64(i), 0),
-		}
+		pts[i] = lineproto.NewPoint(
+			"cpu",
+			map[string]string{"hostname": "n1"},
+			map[string]lineproto.Value{"percent": lineproto.Float(float64(i))},
+			time.Unix(1600000000+int64(i), 0),
+		)
 	}
 	if err := stack.Router.IngestContext(context.Background(), pts); err != nil {
 		t.Fatalf("a broken user database must not fail ingest into the primary: %v", err)

@@ -30,40 +30,40 @@ func seedStore(t *testing.T) (*tsdb.Store, analysis.JobMeta) {
 		ts := start.Add(time.Duration(i) * time.Minute)
 		for _, node := range nodes {
 			err := db.WriteBatchContext(context.Background(), []lineproto.Point{
-				{
-					Measurement: "cpu",
-					Tags:        map[string]string{"hostname": node, "jobid": "42"},
-					Fields:      map[string]lineproto.Value{"percent": lineproto.Float(90 + float64(i%5))},
-					Time:        ts,
-				},
-				{
-					Measurement: "likwid_mem_dp",
-					Tags:        map[string]string{"hostname": node, "jobid": "42"},
-					Fields: map[string]lineproto.Value{
+				lineproto.NewPoint(
+					"cpu",
+					map[string]string{"hostname": node, "jobid": "42"},
+					map[string]lineproto.Value{"percent": lineproto.Float(90 + float64(i%5))},
+					ts,
+				),
+				lineproto.NewPoint(
+					"likwid_mem_dp",
+					map[string]string{"hostname": node, "jobid": "42"},
+					map[string]lineproto.Value{
 						"dp_mflop_s":                lineproto.Float(2000),
 						"memory_bandwidth_mbytes_s": lineproto.Float(9000),
 						"ipc":                       lineproto.Float(1.4),
 					},
-					Time: ts,
-				},
-				{
-					Measurement: "pressure",
-					Tags:        map[string]string{"hostname": node, "jobid": "42"},
-					Fields:      map[string]lineproto.Value{"value": lineproto.Float(5.9)},
-					Time:        ts,
-				},
+					ts,
+				),
+				lineproto.NewPoint(
+					"pressure",
+					map[string]string{"hostname": node, "jobid": "42"},
+					map[string]lineproto.Value{"value": lineproto.Float(5.9)},
+					ts,
+				),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	_ = db.WriteBatchContext(context.Background(), []lineproto.Point{{
-		Measurement: "events",
-		Tags:        map[string]string{"jobid": "42", "type": "jobstart"},
-		Fields:      map[string]lineproto.Value{"text": lineproto.String("jobstart job 42")},
-		Time:        start,
-	}})
+	_ = db.WriteBatchContext(context.Background(), []lineproto.Point{lineproto.NewPoint(
+		"events",
+		map[string]string{"jobid": "42", "type": "jobstart"},
+		map[string]lineproto.Value{"text": lineproto.String("jobstart job 42")},
+		start,
+	)})
 	job := analysis.JobMeta{
 		ID: "42", User: "alice", Nodes: nodes,
 		Start: start, End: start.Add(30 * time.Minute),
@@ -139,12 +139,12 @@ func TestGenerateJobDashboardHostSelection(t *testing.T) {
 	store, job := seedStore(t)
 	db := store.DB("lms")
 	// Data from an unrelated host in another measurement must not add a row.
-	_ = db.WriteBatchContext(context.Background(), []lineproto.Point{{
-		Measurement: "othermetric",
-		Tags:        map[string]string{"hostname": "h99"},
-		Fields:      map[string]lineproto.Value{"v": lineproto.Float(1)},
-		Time:        job.Start,
-	}})
+	_ = db.WriteBatchContext(context.Background(), []lineproto.Point{lineproto.NewPoint(
+		"othermetric",
+		map[string]string{"hostname": "h99"},
+		map[string]lineproto.Value{"v": lineproto.Float(1)},
+		job.Start,
+	)})
 	agent := &Agent{Querier: tsdb.LocalQuerier{Store: store}, Database: "lms"}
 	d, err := agent.GenerateJobDashboard(job)
 	if err != nil {
@@ -447,19 +447,19 @@ func TestJobDashboardOddNames(t *testing.T) {
 			start := time.Unix(100000, 0).UTC()
 			var pts []lineproto.Point
 			for i := 0; i < 10; i++ {
-				pts = append(pts, lineproto.Point{
-					Measurement: c.meas,
-					Tags:        map[string]string{"hostname": "h1", "jobid": c.job},
-					Fields:      map[string]lineproto.Value{c.field: lineproto.Float(float64(i))},
-					Time:        start.Add(time.Duration(i) * time.Minute),
-				})
+				pts = append(pts, lineproto.NewPoint(
+					c.meas,
+					map[string]string{"hostname": "h1", "jobid": c.job},
+					map[string]lineproto.Value{c.field: lineproto.Float(float64(i))},
+					start.Add(time.Duration(i)*time.Minute),
+				))
 			}
-			pts = append(pts, lineproto.Point{
-				Measurement: "events",
-				Tags:        map[string]string{"jobid": c.job, "type": "jobstart"},
-				Fields:      map[string]lineproto.Value{"text": lineproto.String("jobstart odd")},
-				Time:        start,
-			})
+			pts = append(pts, lineproto.NewPoint(
+				"events",
+				map[string]string{"jobid": c.job, "type": "jobstart"},
+				map[string]lineproto.Value{"text": lineproto.String("jobstart odd")},
+				start,
+			))
 			if err := db.WriteBatchContext(context.Background(), pts); err != nil {
 				t.Fatal(err)
 			}

@@ -251,12 +251,12 @@ func (p *Proxy) Pull() (int, error) {
 	var pts []lineproto.Point
 	for host, metrics := range hosts {
 		for _, m := range metrics {
-			pts = append(pts, lineproto.Point{
-				Measurement: prefix + m.Name,
-				Tags:        map[string]string{"hostname": host},
-				Fields:      map[string]lineproto.Value{"value": lineproto.Float(m.Value)},
-				Time:        now,
-			})
+			pts = append(pts, lineproto.NewPoint(
+				prefix+m.Name,
+				map[string]string{"hostname": host},
+				map[string]lineproto.Value{"value": lineproto.Float(m.Value)},
+				now,
+			))
 		}
 	}
 	if len(pts) == 0 {

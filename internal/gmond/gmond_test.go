@@ -114,10 +114,10 @@ func TestTCPDump(t *testing.T) {
 	if pt.Measurement != "ganglia_load_one" {
 		t.Fatalf("measurement %q", pt.Measurement)
 	}
-	if pt.Tags["hostname"] != "h1" {
+	if pt.Tag("hostname") != "h1" {
 		t.Fatalf("tags %v", pt.Tags)
 	}
-	if pt.Fields["value"].FloatVal() != 3 {
+	if pt.Field("value").FloatVal() != 3 {
 		t.Fatalf("value %v", pt.Fields)
 	}
 	if !pt.Time.Equal(now()) {

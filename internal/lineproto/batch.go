@@ -15,20 +15,14 @@ type Batch struct {
 	mu     sync.Mutex
 	buf    []byte
 	n      int
-	defTag map[string]string
+	defTag []Tag
+	tags   []Tag // scratch: the point being added, merged with defTag
 }
 
 // NewBatch returns an empty batch. defaultTags (may be nil) are merged into
 // every added point; explicit point tags win on key collision.
 func NewBatch(defaultTags map[string]string) *Batch {
-	b := &Batch{}
-	if len(defaultTags) > 0 {
-		b.defTag = make(map[string]string, len(defaultTags))
-		for k, v := range defaultTags {
-			b.defTag[k] = v
-		}
-	}
-	return b
+	return &Batch{defTag: TagsFrom(defaultTags)}
 }
 
 // Add validates and appends one point. If the point has no timestamp, now is
@@ -37,26 +31,12 @@ func (b *Batch) Add(p Point, now time.Time) error {
 	if p.Time.IsZero() {
 		p.Time = now
 	}
-	if len(b.defTag) > 0 {
-		if len(p.Tags) == 0 {
-			// Hot path for clients that rely on default tags only
-			// (usermetric.Metric with nil tags): encoding below never
-			// mutates the map, so the defaults can be aliased instead of
-			// copied per point.
-			p.Tags = b.defTag
-		} else {
-			merged := make(map[string]string, len(b.defTag)+len(p.Tags))
-			for k, v := range b.defTag {
-				merged[k] = v
-			}
-			for k, v := range p.Tags {
-				merged[k] = v
-			}
-			p.Tags = merged
-		}
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if len(b.defTag) > 0 {
+		b.tags = MergeTags(b.tags[:0], p.Tags, b.defTag)
+		p.Tags = b.tags
+	}
 	buf, err := AppendPoint(b.buf, p)
 	if err != nil {
 		return err

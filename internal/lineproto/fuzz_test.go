@@ -7,7 +7,10 @@ package lineproto
 // parse must reproduce the same point, or the WAL and the router would
 // disagree with the in-memory store about what was written.
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // FuzzParseLine: arbitrary bytes through the single-line parser.
 func FuzzParseLine(f *testing.F) {
@@ -60,24 +63,24 @@ func FuzzParseLine(f *testing.F) {
 // underEscaped are lines as a producer writes them that escapes spaces and
 // nothing else — SNIPPETS.md snippet 1's InfluxDbEscapeString — for a
 // sensor point whose measurement, tag values or field key hold an
-// unescaped ',' or '=', each with the point the producer meant (nil where
+// unescaped ',' or '=', each with the point the producer meant (zero where
 // the line cannot say it).
 var underEscaped = []struct {
 	line  string
-	meant *Point
+	meant Point // zero where the line cannot say it
 }{
-	{`sensor,id=7,name=desk,lamp value=1`, nil}, // name "desk,lamp"
-	{`sensor,id=7,name=lamp,id=9 value=1`, nil}, // name "lamp,id=9"
-	{`sensor,id=7,name=k=v value=1`, &Point{Measurement: "sensor", Tags: map[string]string{"id": "7", "name": "k=v"},
-		Fields: map[string]Value{"value": Float(1)}}},
-	{`sensor,id=7 va,lue=1`, nil},        // field key "va,lue"
-	{`sensor,id=7 va=lue=1`, nil},        // field key "va=lue"
-	{`sensor,id=7 value=1,value=2`, nil}, // field key "value=1,value"
-	{`sen,sor,id=7 value=1`, nil},        // measurement "sen,sor"
-	{`sen=sor,id=7 value=1`, &Point{Measurement: "sen=sor", Tags: map[string]string{"id": "7"},
-		Fields: map[string]Value{"value": Float(1)}}},
-	{`sen\ sor,id=7,name=a\ b value=1`, &Point{Measurement: "sen sor", Tags: map[string]string{"id": "7", "name": "a b"},
-		Fields: map[string]Value{"value": Float(1)}}},
+	{`sensor,id=7,name=desk,lamp value=1`, Point{}}, // name "desk,lamp"
+	{`sensor,id=7,name=lamp,id=9 value=1`, Point{}}, // name "lamp,id=9"
+	{`sensor,id=7,name=k=v value=1`, NewPoint("sensor", map[string]string{"id": "7", "name": "k=v"},
+		map[string]Value{"value": Float(1)}, time.Time{})},
+	{`sensor,id=7 va,lue=1`, Point{}},        // field key "va,lue"
+	{`sensor,id=7 va=lue=1`, Point{}},        // field key "va=lue"
+	{`sensor,id=7 value=1,value=2`, Point{}}, // field key "value=1,value"
+	{`sen,sor,id=7 value=1`, Point{}},        // measurement "sen,sor"
+	{`sen=sor,id=7 value=1`, NewPoint("sen=sor", map[string]string{"id": "7"},
+		map[string]Value{"value": Float(1)}, time.Time{})},
+	{`sen\ sor,id=7,name=a\ b value=1`, NewPoint("sen sor", map[string]string{"id": "7", "name": "a b"},
+		map[string]Value{"value": Float(1)}, time.Time{})},
 }
 
 // TestParseUnderEscaped: a line whose unescaped ',' or '=' came from inside
@@ -89,12 +92,12 @@ func TestParseUnderEscaped(t *testing.T) {
 	for _, c := range underEscaped {
 		p, err := ParseLine(c.line)
 		switch {
-		case c.meant == nil && err == nil:
+		case c.meant.Measurement == "" && err == nil:
 			t.Errorf("%q parsed as %+v, want it refused", c.line, p)
-		case c.meant != nil && err != nil:
+		case c.meant.Measurement != "" && err != nil:
 			t.Errorf("%q refused: %v", c.line, err)
-		case c.meant != nil && !p.Equal(*c.meant):
-			t.Errorf("%q parsed as %+v, want %+v", c.line, p, *c.meant)
+		case c.meant.Measurement != "" && !p.Equal(c.meant):
+			t.Errorf("%q parsed as %+v, want %+v", c.line, p, c.meant)
 		}
 	}
 }

@@ -14,12 +14,10 @@
 package lineproto
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -162,61 +160,122 @@ func (v Value) Equal(o Value) bool {
 // Point is one decoded line: a measurement with tags, fields and an optional
 // timestamp. A zero Time means "no timestamp supplied" (the receiver assigns
 // arrival time, mirroring InfluxDB behaviour).
+//
+// Tags and Fields are in strictly ascending key order. Parse, NewPoint and
+// MergeTags build them that way, and Validate refuses a point that is not,
+// so every consumer — the text encoder, the router's enrich, the batch
+// frame encoder — walks them in order: no map, no sort, and a copy where a
+// map-shaped point needed a sort. A parsed point's slices are views into
+// its batch's arenas, capped so an append cannot reach a neighbour; a
+// point is never written to after it is built.
 type Point struct {
 	Measurement string
-	Tags        map[string]string
-	Fields      map[string]Value
+	Tags        []Tag
+	Fields      []Field
 	Time        time.Time
 }
 
-// Field is one field key/value pair of a point, produced by AppendFields.
+// Tag is one tag key/value pair of a point.
+type Tag struct{ Key, Value string }
+
+// Field is one field key/value pair of a point.
 type Field struct {
 	Key   string
 	Value Value
 }
 
-// AppendFields appends the point's fields to dst, ordered by key, and
-// returns the extended slice. It is the batch-append fast path feeding
-// columnar consumers (tsdb run builders): callers reuse dst as a scratch
-// buffer across points, so iterating a whole batch allocates nothing and
-// sees every point's fields in one deterministic order regardless of map
-// iteration. Field counts are small, so an insertion sort beats building
-// and sorting a key slice.
-func (p Point) AppendFields(dst []Field) []Field {
-	start := len(dst)
-	for k, v := range p.Fields {
-		dst = append(dst, Field{Key: k, Value: v})
-		for i := len(dst) - 1; i > start && dst[i-1].Key > dst[i].Key; i-- {
-			dst[i-1], dst[i] = dst[i], dst[i-1]
+// NewPoint builds a point from maps: the shape of callers that assemble a
+// point key by key (collector plugins, tests). A zero t leaves the point
+// without a timestamp.
+func NewPoint(measurement string, tags map[string]string, fields map[string]Value, t time.Time) Point {
+	p := Point{Measurement: measurement, Tags: TagsFrom(tags), Time: t}
+	if len(fields) > 0 {
+		p.Fields = make([]Field, 0, len(fields))
+		for k, v := range fields {
+			p.Fields = append(p.Fields, Field{k, v})
 		}
+		slices.SortFunc(p.Fields, func(a, b Field) int { return strings.Compare(a.Key, b.Key) })
 	}
-	return dst
+	return p
 }
 
-// Equal reports semantic equality of two points (map order irrelevant,
-// timestamps compared at nanosecond resolution).
+// TagsFrom returns the pairs of m in ascending key order (nil for an empty
+// m): a tag set held as a map, in a point's shape.
+func TagsFrom(m map[string]string) []Tag {
+	if len(m) == 0 {
+		return nil
+	}
+	tags := make([]Tag, 0, len(m))
+	for k, v := range m {
+		tags = append(tags, Tag{k, v})
+	}
+	slices.SortFunc(tags, func(a, b Tag) int { return strings.Compare(a.Key, b.Key) })
+	return tags
+}
+
+// MergeTags appends to dst the union of own and add in ascending key
+// order, and returns the extended slice; where both hold a key, own's
+// value wins. Both inputs must be in a point's order, and so is the
+// result. It is the one tag merge of the stack: the router's job enrich,
+// Batch's default tags and the collector agent's host tags.
+func MergeTags(dst, own, add []Tag) []Tag {
+	i, j := 0, 0
+	for i < len(own) && j < len(add) {
+		switch c := strings.Compare(own[i].Key, add[j].Key); {
+		case c < 0:
+			dst = append(dst, own[i])
+			i++
+		case c > 0:
+			dst = append(dst, add[j])
+			j++
+		default:
+			dst = append(dst, own[i])
+			i++
+			j++
+		}
+	}
+	dst = append(dst, own[i:]...)
+	return append(dst, add[j:]...)
+}
+
+// Tag returns the value of the point's tag key, "" when it has none.
+func (p Point) Tag(key string) string {
+	for _, t := range p.Tags {
+		if t.Key >= key {
+			if t.Key == key {
+				return t.Value
+			}
+			break
+		}
+	}
+	return ""
+}
+
+// Field returns the value of the point's field key, the zero Value when it
+// has none.
+func (p Point) Field(key string) Value {
+	for _, f := range p.Fields {
+		if f.Key >= key {
+			if f.Key == key {
+				return f.Value
+			}
+			break
+		}
+	}
+	return Value{}
+}
+
+// Equal reports semantic equality of two points (timestamps compared at
+// nanosecond resolution, NaN fields equal).
 func (p Point) Equal(o Point) bool {
-	if p.Measurement != o.Measurement || !p.Time.Equal(o.Time) {
-		return false
-	}
-	if len(p.Tags) != len(o.Tags) || len(p.Fields) != len(o.Fields) {
-		return false
-	}
-	for k, v := range p.Tags {
-		if ov, ok := o.Tags[k]; !ok || ov != v {
-			return false
-		}
-	}
-	for k, v := range p.Fields {
-		if ov, ok := o.Fields[k]; !ok || !v.Equal(ov) {
-			return false
-		}
-	}
-	return true
+	return p.Measurement == o.Measurement && p.Time.Equal(o.Time) &&
+		slices.Equal(p.Tags, o.Tags) &&
+		slices.EqualFunc(p.Fields, o.Fields, func(a, b Field) bool { return a.Key == b.Key && a.Value.Equal(b.Value) })
 }
 
 // Validate checks that the point can be encoded: non-empty measurement, at
-// least one field, and no empty tag/field keys or tag values.
+// least one field, no empty tag/field keys or tag values, and tags and
+// fields in strictly ascending key order.
 func (p Point) Validate() error {
 	if p.Measurement == "" {
 		return errors.New("lineproto: empty measurement")
@@ -224,17 +283,22 @@ func (p Point) Validate() error {
 	if len(p.Fields) == 0 {
 		return fmt.Errorf("lineproto: point %q has no fields", p.Measurement)
 	}
-	for k, v := range p.Tags {
-		if k == "" {
+	for i, t := range p.Tags {
+		switch {
+		case t.Key == "":
 			return fmt.Errorf("lineproto: point %q has empty tag key", p.Measurement)
-		}
-		if v == "" {
-			return fmt.Errorf("lineproto: point %q tag %q has empty value", p.Measurement, k)
+		case t.Value == "":
+			return fmt.Errorf("lineproto: point %q tag %q has empty value", p.Measurement, t.Key)
+		case i > 0 && p.Tags[i-1].Key >= t.Key:
+			return fmt.Errorf("lineproto: point %q tag %q is repeated or out of key order", p.Measurement, t.Key)
 		}
 	}
-	for k := range p.Fields {
-		if k == "" {
+	for i, f := range p.Fields {
+		switch {
+		case f.Key == "":
 			return fmt.Errorf("lineproto: point %q has empty field key", p.Measurement)
+		case i > 0 && p.Fields[i-1].Key >= f.Key:
+			return fmt.Errorf("lineproto: point %q field %q is repeated or out of key order", p.Measurement, f.Key)
 		}
 	}
 	return nil
@@ -257,39 +321,24 @@ const (
 )
 
 // AppendPoint appends the canonical single-line encoding of p to dst and
-// returns the extended slice. Tags and fields are emitted in sorted key order
-// so the encoding is deterministic. It returns an error for invalid points.
+// returns the extended slice: tags and fields in the point's key order, so
+// the encoding is deterministic. It returns an error for invalid points.
 func AppendPoint(dst []byte, p Point) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return dst, err
 	}
 	dst = escape(dst, p.Measurement, measurementEscapes)
-	if len(p.Tags) > 0 {
-		keys := make([]string, 0, len(p.Tags))
-		for k := range p.Tags {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			dst = append(dst, ',')
-			dst = escape(dst, k, keyEscapes)
-			dst = append(dst, '=')
-			dst = escape(dst, p.Tags[k], keyEscapes)
-		}
-	}
-	dst = append(dst, ' ')
-	fkeys := make([]string, 0, len(p.Fields))
-	for k := range p.Fields {
-		fkeys = append(fkeys, k)
-	}
-	sort.Strings(fkeys)
-	for i, k := range fkeys {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = escape(dst, k, keyEscapes)
+	for _, t := range p.Tags {
+		dst = append(dst, ',')
+		dst = escape(dst, t.Key, keyEscapes)
 		dst = append(dst, '=')
-		dst = appendValue(dst, p.Fields[k])
+		dst = escape(dst, t.Value, keyEscapes)
+	}
+	for i, f := range p.Fields {
+		dst = append(dst, " ,"[min(i, 1)])
+		dst = escape(dst, f.Key, keyEscapes)
+		dst = append(dst, '=')
+		dst = appendValue(dst, f.Value)
 	}
 	if !p.Time.IsZero() {
 		dst = append(dst, ' ')
@@ -368,30 +417,41 @@ func (e *ParseError) Error() string {
 
 // Parse decodes a batch of newline-separated lines. Empty lines and lines
 // starting with '#' are skipped (comments aid cronjob/curl debugging).
+//
+// The body is copied into one string, and every token without an escape
+// is a substring of it; the points' tags and fields are views into one
+// tag and one field arena, sized from the first line for the whole body.
+// A collector's body of uniform lines thus costs a handful of allocations,
+// not a few per line.
 func Parse(data []byte) ([]Point, error) {
-	var points []Point
-	lineNo := 0
-	for len(data) > 0 {
-		lineNo++
-		var line []byte
-		if idx := bytes.IndexByte(data, '\n'); idx >= 0 {
-			line = data[:idx]
-			data = data[idx+1:]
+	var (
+		points []Point
+		a      arena
+	)
+	s := string(data)
+	lines := 1 + strings.Count(s, "\n") // at most: a final newline ends no line
+	for lineNo := 1; len(s) > 0; lineNo++ {
+		var line string
+		if idx := strings.IndexByte(s, '\n'); idx >= 0 {
+			line, s = s[:idx], s[idx+1:]
 		} else {
-			line = data
-			data = nil
+			line, s = s, ""
 		}
 		line = trimSpace(line)
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		p, err := parseLine(string(line))
-		if err != nil {
-			return nil, &ParseError{Line: lineNo, Reason: err.Error(), Input: string(line)}
-		}
+		left := lines - lineNo + 1 // lines not yet parsed, this one included
 		if points == nil {
-			// One allocation for the batch: at most one point per remaining line.
-			points = make([]Point, 0, 1+bytes.Count(data, []byte{'\n'}))
+			// At most one point per line left: the batch and the arenas are
+			// sized once, the arenas by this line's shape.
+			points = make([]Point, 0, left)
+			a.wantTags, a.wantFields = shape(line)
+		}
+		a.reserve(left)
+		p, err := a.parseLine(line)
+		if err != nil {
+			return nil, &ParseError{Line: lineNo, Reason: err.Error(), Input: line}
 		}
 		points = append(points, p)
 	}
@@ -400,21 +460,89 @@ func Parse(data []byte) ([]Point, error) {
 
 // ParseLine decodes a single line.
 func ParseLine(line string) (Point, error) {
-	p, err := parseLine(strings.TrimSpace(line))
+	trimmed := strings.TrimSpace(line)
+	var a arena
+	a.wantTags, a.wantFields = shape(trimmed)
+	a.reserve(1)
+	p, err := a.parseLine(trimmed)
 	if err != nil {
 		return Point{}, &ParseError{Line: 1, Reason: err.Error(), Input: line}
 	}
 	return p, nil
 }
 
-func trimSpace(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r') {
-		b = b[1:]
+func trimSpace(s string) string {
+	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t' || s[0] == '\r') {
+		s = s[1:]
 	}
-	for len(b) > 0 && (b[len(b)-1] == ' ' || b[len(b)-1] == '\t' || b[len(b)-1] == '\r') {
-		b = b[:len(b)-1]
+	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t' || s[len(s)-1] == '\r') {
+		s = s[:len(s)-1]
 	}
-	return b
+	return s
+}
+
+// shape estimates a line's tag and field counts from its commas, escapes
+// and string values aside.
+func shape(line string) (tags, fields int) {
+	sp := strings.IndexByte(line, ' ')
+	if sp < 0 {
+		return 0, 1
+	}
+	return strings.Count(line[:sp], ","), 1 + strings.Count(line[sp:], ",")
+}
+
+// arena holds the tags and fields of one body's points. A point's keys
+// are appended at the end of each and the point keeps a view capped at its
+// own last key, so no append reaches a neighbour's.
+type arena struct {
+	tags   []Tag
+	fields []Field
+	// What the next line is expected to need: the last line's counts.
+	wantTags, wantFields int
+}
+
+// reserve makes sure the next line's expected keys fit. When they do not,
+// a block is started for all lines left at that shape; the points parsed so
+// far keep the block they view.
+func (a *arena) reserve(lines int) {
+	if cap(a.tags)-len(a.tags) < a.wantTags {
+		a.tags = make([]Tag, 0, a.wantTags*lines)
+	}
+	if cap(a.fields)-len(a.fields) < a.wantFields {
+		a.fields = make([]Field, 0, a.wantFields*lines)
+	}
+}
+
+// addTag inserts t among the tags of the point being parsed, which start
+// at from, keeping them in ascending key order. A collector sends its tags
+// sorted, so the usual cost is one comparison. A repeated key is refused.
+func (a *arena) addTag(from int, t Tag) error {
+	a.tags = append(a.tags, t)
+	i := len(a.tags) - 1
+	for ; i > from && a.tags[i-1].Key >= t.Key; i-- {
+		if a.tags[i-1].Key == t.Key {
+			// Most often a value with an unescaped ",k=v" in it: keeping
+			// either value would store a point nobody sent.
+			return fmt.Errorf("duplicate tag %q", t.Key)
+		}
+		a.tags[i] = a.tags[i-1]
+	}
+	a.tags[i] = t
+	return nil
+}
+
+// addField is addTag for the fields.
+func (a *arena) addField(from int, f Field) error {
+	a.fields = append(a.fields, f)
+	i := len(a.fields) - 1
+	for ; i > from && a.fields[i-1].Key >= f.Key; i-- {
+		if a.fields[i-1].Key == f.Key {
+			return fmt.Errorf("duplicate field %q", f.Key)
+		}
+		a.fields[i] = a.fields[i-1]
+	}
+	a.fields[i] = f
+	return nil
 }
 
 // scanner walks a single line honouring backslash escapes and quoted strings.
@@ -425,28 +553,43 @@ type scanner struct {
 
 func (sc *scanner) eof() bool { return sc.pos >= len(sc.s) }
 
+// stopSet marks the bytes that end a token, and the backslash that ends
+// its fast scan: a table lookup per byte of the body instead of a search
+// of a stop string.
+type stopSet [256]bool
+
+func newStopSet(stop string) (s stopSet) {
+	for i := 0; i < len(stop); i++ {
+		s[stop[i]] = true
+	}
+	s['\\'] = true
+	return s
+}
+
+var (
+	endValue = newStopSet(", ")  // a measurement, tag value or unquoted field value
+	endKey   = newStopSet("=, ") // a tag or field key
+)
+
 // token consumes until an unescaped byte in stop is found; the stop byte is
 // not consumed. A token without a backslash — every token a collector
 // emits — is returned as a substring of the line, which Parse already
 // copied off the request body; only an escape pays for a builder.
-func (sc *scanner) token(stop string) (string, error) {
-	start := sc.pos
-	for !sc.eof() {
-		c := sc.s[sc.pos]
-		if c == '\\' {
-			return sc.escapedToken(start, stop)
-		}
-		if strings.IndexByte(stop, c) >= 0 {
-			break
-		}
-		sc.pos++
+func (sc *scanner) token(stop *stopSet) (string, error) {
+	start, i := sc.pos, sc.pos
+	for i < len(sc.s) && !stop[sc.s[i]] {
+		i++
 	}
-	return sc.s[start:sc.pos], nil
+	sc.pos = i
+	if i < len(sc.s) && sc.s[i] == '\\' {
+		return sc.escapedToken(start, stop)
+	}
+	return sc.s[start:i], nil
 }
 
 // escapedToken finishes a token whose first backslash sits at sc.pos,
 // resolving escapes into a fresh string.
-func (sc *scanner) escapedToken(start int, stop string) (string, error) {
+func (sc *scanner) escapedToken(start int, stop *stopSet) (string, error) {
 	var b strings.Builder
 	b.WriteString(sc.s[start:sc.pos])
 	for !sc.eof() {
@@ -466,7 +609,7 @@ func (sc *scanner) escapedToken(start int, stop string) (string, error) {
 			sc.pos++
 			continue
 		}
-		if strings.IndexByte(stop, c) >= 0 {
+		if stop[c] {
 			break
 		}
 		b.WriteByte(c)
@@ -475,12 +618,15 @@ func (sc *scanner) escapedToken(start int, stop string) (string, error) {
 	return b.String(), nil
 }
 
-func parseLine(line string) (Point, error) {
+// parseLine decodes one non-empty line, its tags and fields into the
+// arena. The arena's tail past the last point is scratch, so an error
+// leaves nothing to undo.
+func (a *arena) parseLine(line string) (Point, error) {
 	if line == "" {
 		return Point{}, errors.New("empty line")
 	}
 	sc := &scanner{s: line}
-	meas, err := sc.token(", ")
+	meas, err := sc.token(&endValue)
 	if err != nil {
 		return Point{}, err
 	}
@@ -489,9 +635,10 @@ func parseLine(line string) (Point, error) {
 	}
 	p := Point{Measurement: meas}
 	// Tags.
+	t0 := len(a.tags)
 	for !sc.eof() && sc.s[sc.pos] == ',' {
 		sc.pos++
-		key, err := sc.token("=, ")
+		key, err := sc.token(&endKey)
 		if err != nil {
 			return Point{}, err
 		}
@@ -499,28 +646,16 @@ func parseLine(line string) (Point, error) {
 			return Point{}, fmt.Errorf("tag %q missing '='", key)
 		}
 		sc.pos++
-		val, err := sc.token(", ")
+		val, err := sc.token(&endValue)
 		if err != nil {
 			return Point{}, err
 		}
 		if key == "" || val == "" {
 			return Point{}, errors.New("empty tag key or value")
 		}
-		if _, dup := p.Tags[key]; dup {
-			// Most often a value with an unescaped ",k=v" in it: keeping
-			// either value would store a point nobody sent.
-			return Point{}, fmt.Errorf("duplicate tag %q", key)
+		if err := a.addTag(t0, Tag{key, val}); err != nil {
+			return Point{}, err
 		}
-		if p.Tags == nil {
-			// Size the map once: this tag plus one per comma left before the
-			// field section (an escaped space only makes that an underestimate).
-			rest := sc.s[sc.pos:]
-			if sp := strings.IndexByte(rest, ' '); sp >= 0 {
-				rest = rest[:sp]
-			}
-			p.Tags = make(map[string]string, 1+strings.Count(rest, ","))
-		}
-		p.Tags[key] = val
 	}
 	if sc.eof() || sc.s[sc.pos] != ' ' {
 		return Point{}, errors.New("missing field section")
@@ -529,9 +664,9 @@ func parseLine(line string) (Point, error) {
 		sc.pos++
 	}
 	// Fields.
-	p.Fields = make(map[string]Value, 4)
+	f0 := len(a.fields)
 	for {
-		key, err := sc.token("=, ")
+		key, err := sc.token(&endKey)
 		if err != nil {
 			return Point{}, err
 		}
@@ -546,34 +681,39 @@ func parseLine(line string) (Point, error) {
 		if err != nil {
 			return Point{}, fmt.Errorf("field %q: %w", key, err)
 		}
-		if _, dup := p.Fields[key]; dup {
-			return Point{}, fmt.Errorf("duplicate field %q", key)
+		if err := a.addField(f0, Field{key, val}); err != nil {
+			return Point{}, err
 		}
-		p.Fields[key] = val
 		if sc.eof() {
-			return p, nil
+			break
 		}
-		switch sc.s[sc.pos] {
-		case ',':
+		if sc.s[sc.pos] == ',' {
 			sc.pos++
-		case ' ':
-			for !sc.eof() && sc.s[sc.pos] == ' ' {
-				sc.pos++
-			}
-			if sc.eof() {
-				return p, nil
-			}
+			continue
+		}
+		if sc.s[sc.pos] != ' ' {
+			return Point{}, fmt.Errorf("unexpected byte %q after field", sc.s[sc.pos])
+		}
+		for !sc.eof() && sc.s[sc.pos] == ' ' {
+			sc.pos++
+		}
+		if !sc.eof() {
 			ts := sc.s[sc.pos:]
 			ns, err := strconv.ParseInt(ts, 10, 64)
 			if err != nil {
 				return Point{}, fmt.Errorf("bad timestamp %q", ts)
 			}
 			p.Time = time.Unix(0, ns).UTC()
-			return p, nil
-		default:
-			return Point{}, fmt.Errorf("unexpected byte %q after field", sc.s[sc.pos])
 		}
+		break
 	}
+	if n := len(a.tags); n > t0 {
+		p.Tags = a.tags[t0:n:n]
+	}
+	n := len(a.fields)
+	p.Fields = a.fields[f0:n:n]
+	a.wantTags, a.wantFields = len(p.Tags), len(p.Fields)
+	return p, nil
 }
 
 func (sc *scanner) fieldValue() (Value, error) {
@@ -604,7 +744,7 @@ func (sc *scanner) fieldValue() (Value, error) {
 			sc.pos++
 		}
 	}
-	raw, err := sc.token(", ")
+	raw, err := sc.token(&endValue)
 	if err != nil {
 		return Value{}, err
 	}

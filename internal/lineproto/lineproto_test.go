@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,12 +14,12 @@ import (
 func ts(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 
 func TestEncodeBasic(t *testing.T) {
-	p := Point{
-		Measurement: "cpu_load",
-		Tags:        map[string]string{"hostname": "h1", "jobid": "42"},
-		Fields:      map[string]Value{"value": Float(1.5)},
-		Time:        ts(1000),
-	}
+	p := NewPoint(
+		"cpu_load",
+		map[string]string{"hostname": "h1", "jobid": "42"},
+		map[string]Value{"value": Float(1.5)},
+		ts(1000),
+	)
 	got, err := EncodePoint(p)
 	if err != nil {
 		t.Fatal(err)
@@ -30,12 +31,12 @@ func TestEncodeBasic(t *testing.T) {
 }
 
 func TestEncodeSortsTagsAndFields(t *testing.T) {
-	p := Point{
-		Measurement: "m",
-		Tags:        map[string]string{"z": "1", "a": "2", "m": "3"},
-		Fields:      map[string]Value{"zz": Int(1), "aa": Int(2)},
-		Time:        ts(7),
-	}
+	p := NewPoint(
+		"m",
+		map[string]string{"z": "1", "a": "2", "m": "3"},
+		map[string]Value{"zz": Int(1), "aa": Int(2)},
+		ts(7),
+	)
 	got, err := EncodePoint(p)
 	if err != nil {
 		t.Fatal(err)
@@ -47,12 +48,12 @@ func TestEncodeSortsTagsAndFields(t *testing.T) {
 }
 
 func TestEncodeEscaping(t *testing.T) {
-	p := Point{
-		Measurement: "my measure,ment",
-		Tags:        map[string]string{"ta g": "va,l=ue"},
-		Fields:      map[string]Value{"f,= ield": Float(1)},
-		Time:        ts(1),
-	}
+	p := NewPoint(
+		"my measure,ment",
+		map[string]string{"ta g": "va,l=ue"},
+		map[string]Value{"f,= ield": Float(1)},
+		ts(1),
+	)
 	got, err := EncodePoint(p)
 	if err != nil {
 		t.Fatal(err)
@@ -71,12 +72,12 @@ func TestEncodeEscaping(t *testing.T) {
 }
 
 func TestEncodeStringField(t *testing.T) {
-	p := Point{
-		Measurement: "events",
-		Tags:        map[string]string{"hostname": "h1"},
-		Fields:      map[string]Value{"text": String(`job "start" via \curl`)},
-		Time:        ts(5),
-	}
+	p := NewPoint(
+		"events",
+		map[string]string{"hostname": "h1"},
+		map[string]Value{"text": String(`job "start" via \curl`)},
+		ts(5),
+	)
 	enc, err := EncodePoint(p)
 	if err != nil {
 		t.Fatal(err)
@@ -89,22 +90,23 @@ func TestEncodeStringField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := back.Fields["text"].StringVal(); got != `job "start" via \curl` {
+	if got := back.Field("text").StringVal(); got != `job "start" via \curl` {
 		t.Fatalf("string round trip got %q", got)
 	}
 }
 
 func TestEncodeValueKinds(t *testing.T) {
-	p := Point{
-		Measurement: "m",
-		Fields: map[string]Value{
+	p := NewPoint(
+		"m",
+		nil,
+		map[string]Value{
 			"f": Float(2.25),
 			"i": Int(-7),
 			"b": Bool(true),
 			"s": String("x"),
 		},
-		Time: ts(9),
-	}
+		ts(9),
+	)
 	enc, err := EncodePoint(p)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +118,7 @@ func TestEncodeValueKinds(t *testing.T) {
 }
 
 func TestEncodeNoTimestamp(t *testing.T) {
-	p := Point{Measurement: "m", Fields: map[string]Value{"v": Float(1)}}
+	p := NewPoint("m", nil, map[string]Value{"v": Float(1)}, time.Time{})
 	enc, err := EncodePoint(p)
 	if err != nil {
 		t.Fatal(err)
@@ -137,9 +139,9 @@ func TestEncodeInvalid(t *testing.T) {
 	cases := []Point{
 		{},                 // empty measurement
 		{Measurement: "m"}, // no fields
-		{Measurement: "m", Fields: map[string]Value{"": Float(1)}},                                    // empty field key
-		{Measurement: "m", Tags: map[string]string{"": "v"}, Fields: map[string]Value{"f": Float(1)}}, // empty tag key
-		{Measurement: "m", Tags: map[string]string{"t": ""}, Fields: map[string]Value{"f": Float(1)}}, // empty tag value
+		NewPoint("m", nil, map[string]Value{"": Float(1)}, time.Time{}),                         // empty field key
+		NewPoint("m", map[string]string{"": "v"}, map[string]Value{"f": Float(1)}, time.Time{}), // empty tag key
+		NewPoint("m", map[string]string{"t": ""}, map[string]Value{"f": Float(1)}, time.Time{}), // empty tag value
 	}
 	for i, p := range cases {
 		if _, err := EncodePoint(p); err == nil {
@@ -156,10 +158,10 @@ func TestParseBasic(t *testing.T) {
 	if p.Measurement != "likwid_flops_dp" {
 		t.Errorf("measurement %q", p.Measurement)
 	}
-	if p.Tags["hostname"] != "node07" || p.Tags["jobid"] != "1234.master" {
+	if p.Tag("hostname") != "node07" || p.Tag("jobid") != "1234.master" {
 		t.Errorf("tags %v", p.Tags)
 	}
-	if v := p.Fields["mflops"]; v.Kind() != KindFloat || v.FloatVal() != 2345.5 {
+	if v := p.Field("mflops"); v.Kind() != KindFloat || v.FloatVal() != 2345.5 {
 		t.Errorf("field %v", v)
 	}
 	if p.Time.UnixNano() != 1500000000000000000 {
@@ -175,14 +177,14 @@ func TestParseMultipleFields(t *testing.T) {
 	if len(p.Fields) != 5 {
 		t.Fatalf("fields %v", p.Fields)
 	}
-	if p.Fields["total"].Kind() != KindInt || p.Fields["total"].IntVal() != 8 {
-		t.Errorf("total %v", p.Fields["total"])
+	if p.Field("total").Kind() != KindInt || p.Field("total").IntVal() != 8 {
+		t.Errorf("total %v", p.Field("total"))
 	}
-	if p.Fields["swapped"].BoolVal() {
+	if p.Field("swapped").BoolVal() {
 		t.Errorf("swapped should be false")
 	}
-	if p.Fields["state"].StringVal() != "ok" {
-		t.Errorf("state %v", p.Fields["state"])
+	if p.Field("state").StringVal() != "ok" {
+		t.Errorf("state %v", p.Field("state"))
 	}
 }
 
@@ -202,7 +204,7 @@ func TestParseBoolForms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
-		if !p.Fields["v"].BoolVal() {
+		if !p.Field("v").BoolVal() {
 			t.Errorf("%s parsed as false", s)
 		}
 	}
@@ -211,7 +213,7 @@ func TestParseBoolForms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
-		if p.Fields["v"].BoolVal() {
+		if p.Field("v").BoolVal() {
 			t.Errorf("%s parsed as true", s)
 		}
 	}
@@ -222,8 +224,8 @@ func TestParseScientificFloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Fields["v"].FloatVal() != 1.5e9 {
-		t.Errorf("got %v", p.Fields["v"])
+	if p.Field("v").FloatVal() != 1.5e9 {
+		t.Errorf("got %v", p.Field("v"))
 	}
 }
 
@@ -326,14 +328,18 @@ func TestValueEqualNaN(t *testing.T) {
 }
 
 func TestPointEqual(t *testing.T) {
-	base := Point{Measurement: "m", Tags: map[string]string{"a": "1"},
-		Fields: map[string]Value{"f": Float(1)}, Time: ts(1)}
+	base := NewPoint(
+		"m",
+		map[string]string{"a": "1"},
+		map[string]Value{"f": Float(1)},
+		ts(1),
+	)
 	diffs := []Point{
 		{Measurement: "x", Tags: base.Tags, Fields: base.Fields, Time: base.Time},
-		{Measurement: "m", Tags: map[string]string{"a": "2"}, Fields: base.Fields, Time: base.Time},
-		{Measurement: "m", Tags: map[string]string{"b": "1"}, Fields: base.Fields, Time: base.Time},
-		{Measurement: "m", Tags: base.Tags, Fields: map[string]Value{"f": Float(2)}, Time: base.Time},
-		{Measurement: "m", Tags: base.Tags, Fields: map[string]Value{"g": Float(1)}, Time: base.Time},
+		NewPoint("m", map[string]string{"a": "2"}, map[string]Value{"f": Float(1)}, base.Time),
+		NewPoint("m", map[string]string{"b": "1"}, map[string]Value{"f": Float(1)}, base.Time),
+		{Measurement: "m", Tags: base.Tags, Fields: []Field{{"f", Float(2)}}, Time: base.Time},
+		{Measurement: "m", Tags: base.Tags, Fields: []Field{{"g", Float(1)}}, Time: base.Time},
 		{Measurement: "m", Tags: base.Tags, Fields: base.Fields, Time: ts(2)},
 		{Measurement: "m", Fields: base.Fields, Time: base.Time},
 	}
@@ -361,33 +367,26 @@ func randomPoint(r *rand.Rand) Point {
 		}
 		return b.String()
 	}
-	p := Point{
-		Measurement: randStr(false),
-		Fields:      map[string]Value{},
-		Time:        time.Unix(0, r.Int63()).UTC(),
-	}
+	tags := map[string]string{}
 	for i := r.Intn(4); i > 0; i-- {
-		k, v := randStr(false), randStr(false)
-		if p.Tags == nil {
-			p.Tags = map[string]string{}
-		}
-		p.Tags[k] = v
+		tags[randStr(false)] = randStr(false)
 	}
+	fields := map[string]Value{}
 	nf := r.Intn(4) + 1
 	for i := 0; i < nf; i++ {
 		k := randStr(false)
 		switch r.Intn(4) {
 		case 0:
-			p.Fields[k] = Float(math.Round(r.NormFloat64()*1e6) / 1e3)
+			fields[k] = Float(math.Round(r.NormFloat64()*1e6) / 1e3)
 		case 1:
-			p.Fields[k] = Int(r.Int63() - r.Int63())
+			fields[k] = Int(r.Int63() - r.Int63())
 		case 2:
-			p.Fields[k] = Bool(r.Intn(2) == 0)
+			fields[k] = Bool(r.Intn(2) == 0)
 		default:
-			p.Fields[k] = String(randStr(true))
+			fields[k] = String(randStr(true))
 		}
 	}
-	return p
+	return NewPoint(randStr(false), tags, fields, time.Unix(0, r.Int63()).UTC())
 }
 
 // Property: Parse(Encode(p)) == p for arbitrary valid points.
@@ -450,16 +449,16 @@ func TestBatchRoundTripProperty(t *testing.T) {
 func TestBatchAdd(t *testing.T) {
 	b := NewBatch(map[string]string{"hostname": "h1", "cluster": "test"})
 	now := ts(100)
-	err := b.Add(Point{Measurement: "cpu", Fields: map[string]Value{"v": Float(1)}}, now)
+	err := b.Add(NewPoint("cpu", nil, map[string]Value{"v": Float(1)}, time.Time{}), now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = b.Add(Point{
-		Measurement: "cpu",
-		Tags:        map[string]string{"hostname": "override"},
-		Fields:      map[string]Value{"v": Float(2)},
-		Time:        ts(200),
-	}, now)
+	err = b.Add(NewPoint(
+		"cpu",
+		map[string]string{"hostname": "override"},
+		map[string]Value{"v": Float(2)},
+		ts(200),
+	), now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,13 +475,13 @@ func TestBatchAdd(t *testing.T) {
 	if len(pts) != 2 {
 		t.Fatalf("points %d", len(pts))
 	}
-	if pts[0].Tags["hostname"] != "h1" || pts[0].Tags["cluster"] != "test" {
+	if pts[0].Tag("hostname") != "h1" || pts[0].Tag("cluster") != "test" {
 		t.Errorf("default tags not applied: %v", pts[0].Tags)
 	}
 	if !pts[0].Time.Equal(now) {
 		t.Errorf("timestamp not assigned: %v", pts[0].Time)
 	}
-	if pts[1].Tags["hostname"] != "override" {
+	if pts[1].Tag("hostname") != "override" {
 		t.Errorf("explicit tag should win: %v", pts[1].Tags)
 	}
 	if !pts[1].Time.Equal(ts(200)) {
@@ -510,7 +509,7 @@ func TestBatchConcurrent(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 100; i++ {
-				_ = b.Add(Point{Measurement: "m", Fields: map[string]Value{"v": Int(int64(i))}}, ts(int64(i)))
+				_ = b.Add(NewPoint("m", nil, map[string]Value{"v": Int(int64(i))}, time.Time{}), ts(int64(i)))
 			}
 		}()
 	}
@@ -537,46 +536,60 @@ func TestParseErrorMessageTruncation(t *testing.T) {
 	}
 }
 
-func TestAppendFieldsSortedAndReusable(t *testing.T) {
-	p := Point{
-		Measurement: "m",
-		Fields: map[string]Value{
-			"zeta":  Float(1),
-			"alpha": Int(2),
-			"mid":   String("x"),
-			"beta":  Bool(true),
-		},
+// TestPointShape: the three ways to build a point keep tags and fields in
+// strictly ascending key order — NewPoint from maps, Parse whatever order
+// the line has, MergeTags with the point's own value winning — and
+// Validate refuses a point built any other way that is not.
+func TestPointShape(t *testing.T) {
+	p := NewPoint("m", map[string]string{"z": "1", "a": "2", "m": "3"},
+		map[string]Value{"zeta": Float(1), "alpha": Int(2), "mid": String("x"), "beta": Bool(true)}, time.Time{})
+	parsed, err := ParseLine(`m,z=1,m=3,a=2 mid="x",zeta=1,beta=t,alpha=2i`)
+	if err != nil || !parsed.Equal(p) {
+		t.Fatalf("parsed %+v (%v), want %+v", parsed, err, p)
 	}
-	var buf []Field
-	for round := 0; round < 3; round++ {
-		buf = p.AppendFields(buf[:0])
-		if len(buf) != 4 {
-			t.Fatalf("round %d: %d fields", round, len(buf))
+	wantTags := []Tag{{"a", "2"}, {"m", "3"}, {"z", "1"}}
+	if !slices.Equal(p.Tags, wantTags) {
+		t.Fatalf("tags %v, want %v", p.Tags, wantTags)
+	}
+	var keys []string
+	for _, f := range p.Fields {
+		keys = append(keys, f.Key)
+	}
+	if !slices.Equal(keys, []string{"alpha", "beta", "mid", "zeta"}) {
+		t.Fatalf("field keys %v", keys)
+	}
+	if p.Tag("m") != "3" || p.Tag("b") != "" || p.Field("alpha").IntVal() != 2 || p.Field("gamma").Kind() != KindFloat {
+		t.Fatalf("lookups: %q %q %v %v", p.Tag("m"), p.Tag("b"), p.Field("alpha"), p.Field("gamma"))
+	}
+
+	merged := MergeTags(nil, []Tag{{"hostname", "own"}, {"z", "9"}}, []Tag{{"a", "job"}, {"hostname", "job"}, {"jobid", "7"}})
+	want := []Tag{{"a", "job"}, {"hostname", "own"}, {"jobid", "7"}, {"z", "9"}}
+	if !slices.Equal(merged, want) {
+		t.Fatalf("merged %v, want %v", merged, want)
+	}
+	if got := MergeTags(nil, nil, want); !slices.Equal(got, want) {
+		t.Fatalf("merge into no tags: %v", got)
+	}
+
+	for name, bad := range map[string]Point{
+		"unsorted tags":   {Measurement: "m", Tags: []Tag{{"b", "1"}, {"a", "1"}}, Fields: p.Fields},
+		"repeated tag":    {Measurement: "m", Tags: []Tag{{"a", "1"}, {"a", "2"}}, Fields: p.Fields},
+		"unsorted fields": {Measurement: "m", Fields: []Field{{"b", Float(1)}, {"a", Float(1)}}},
+		"repeated field":  {Measurement: "m", Fields: []Field{{"a", Float(1)}, {"a", Float(2)}}},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, bad)
 		}
-		want := []string{"alpha", "beta", "mid", "zeta"}
-		for i, f := range buf {
-			if f.Key != want[i] {
-				t.Fatalf("round %d: field %d = %q, want %q (sorted)", round, i, f.Key, want[i])
-			}
-			if !f.Value.Equal(p.Fields[f.Key]) {
-				t.Fatalf("round %d: field %q value mismatch", round, f.Key)
-			}
+		if _, err := EncodePoint(bad); err == nil {
+			t.Errorf("%s: encoded", name)
 		}
-	}
-	// Appending after existing entries must only sort the new tail.
-	buf = Point{Fields: map[string]Value{"a": Float(9)}}.AppendFields(buf)
-	if len(buf) != 5 || buf[4].Key != "a" {
-		t.Fatalf("append to non-empty dst: %+v", buf)
-	}
-	if none := (Point{}).AppendFields(nil); len(none) != 0 {
-		t.Fatalf("no fields should append nothing, got %+v", none)
 	}
 }
 
 // TestParseAllocsPerPoint pins the allocation budget of the text parse
 // on the shape a replicated collector line has after enrichment (9 tags,
-// 4 fields, no escapes): the line copy, the batch slice and the two maps —
-// not one string per token.
+// 4 fields, no escapes): the body's one string, the batch slice and the
+// tag and field arenas — four per body, not one per line or per token.
 func TestParseAllocsPerPoint(t *testing.T) {
 	const points = 100
 	var body []byte
@@ -589,8 +602,8 @@ func TestParseAllocsPerPoint(t *testing.T) {
 		t.Fatalf("fixture: %d points, err %v", len(pts), err)
 	}
 	perPoint := testing.AllocsPerRun(20, func() { _, _ = Parse(body) }) / points
-	if perPoint > 8 {
-		t.Fatalf("Parse allocates %.1f times per point, want <= 8", perPoint)
+	if perPoint > 0.05 {
+		t.Fatalf("Parse allocates %.2f times per point, want <= 0.05", perPoint)
 	}
 	t.Logf("%.2f allocs/point", perPoint)
 }

@@ -23,12 +23,12 @@ import (
 func concBatch(meas, host string, base, n int) []lineproto.Point {
 	pts := make([]lineproto.Point, n)
 	for i := range pts {
-		pts[i] = lineproto.Point{
-			Measurement: meas,
-			Tags:        map[string]string{"hostname": host},
-			Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
-			Time:        time.Unix(int64(base+i), 0),
-		}
+		pts[i] = lineproto.NewPoint(
+			meas,
+			map[string]string{"hostname": host},
+			map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
+			time.Unix(int64(base+i), 0),
+		)
 	}
 	return pts
 }
@@ -275,7 +275,7 @@ func TestJobChurnRacesIngestBatch(t *testing.T) {
 	if dropped != 0 || received != 2*writers*rounds || forwarded != received+4*rounds {
 		t.Fatalf("received %d forwarded %d dropped %d", received, forwarded, dropped)
 	}
-	if _, ok := rt.Jobs().Lookup("n1"); ok {
+	if rt.Jobs().Lookup("n1") != nil {
 		t.Fatal("a node keeps a job after the churn")
 	}
 	res, err := db.SelectContext(context.Background(), tsdb.Query{Measurement: "cpu", GroupByTags: []string{"hostname", "jobid", "username"}})

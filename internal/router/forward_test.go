@@ -212,7 +212,7 @@ func TestForwardRefusedShareResentAlone(t *testing.T) {
 	arrived := map[string]int{}
 	for _, w := range writes[2:] {
 		if w[0].Measurement != "bad" {
-			arrived[w[0].Tags["hostname"]] += len(w)
+			arrived[w[0].Tag("hostname")] += len(w)
 		}
 	}
 	if arrived["h1"] != 2 || arrived["h3"] != 2 {
@@ -294,7 +294,7 @@ func TestForwardCancelledLeaderDeliversFollowers(t *testing.T) {
 		}
 	}
 	writes := sink.writes()
-	if len(writes) != 2 || len(writes[1]) != 2 || writes[1][1].Tags["hostname"] != "h2" {
+	if len(writes) != 2 || len(writes[1]) != 2 || writes[1][1].Tag("hostname") != "h2" {
 		t.Fatalf("sink writes %v, want the follower's point in the group write", writes)
 	}
 }

@@ -3,6 +3,8 @@ package router
 import (
 	"sync"
 	"time"
+
+	"repro/internal/lineproto"
 )
 
 // Job is one registered job with its monitoring tags. A registered Job
@@ -15,6 +17,11 @@ type Job struct {
 	Tags  map[string]string `json:"tags,omitempty"`
 	Start time.Time         `json:"start"`
 	End   time.Time         `json:"end,omitempty"`
+
+	// tags is Tags in a point's shape and user its username tag, set once
+	// by Start: what enrichment merges and duplicates by.
+	tags []lineproto.Tag
+	user string
 }
 
 // JobRegistry is the router's one job store: the running jobs by id, the
@@ -40,6 +47,7 @@ func NewJobRegistry(maxHistory int) *JobRegistry {
 
 // Start registers a running job on its nodes. Duplicate ids are rejected.
 func (r *JobRegistry) Start(job *Job) error {
+	job.tags, job.user = lineproto.TagsFrom(job.Tags), job.Tags["username"]
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.running[job.ID]; ok {
@@ -52,15 +60,15 @@ func (r *JobRegistry) Start(job *Job) error {
 	return nil
 }
 
-// Lookup returns the tags of the newest running job on host.
-func (r *JobRegistry) Lookup(host string) (map[string]string, bool) {
+// Lookup returns the newest running job on host, nil if there is none.
+func (r *JobRegistry) Lookup(host string) *Job {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	jobs := r.hosts[host]
 	if len(jobs) == 0 {
-		return nil, false
+		return nil
 	}
-	return jobs[len(jobs)-1].Tags, true
+	return jobs[len(jobs)-1]
 }
 
 type errDuplicateJob string

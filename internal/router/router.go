@@ -283,28 +283,27 @@ func (r *Router) IngestContext(ctx context.Context, pts []lineproto.Point) error
 	esp := tr.Start("router.enrich").AttrInt("points", int64(len(pts)))
 	enriched := make([]lineproto.Point, 0, len(pts))
 	perUser := map[string][]lineproto.Point{}
-	for _, p := range pts {
+	var (
+		jobs  hostJobs
+		arena []lineproto.Tag // the enriched points' tags
+	)
+	for i, p := range pts {
 		if p.Time.IsZero() {
 			p.Time = now
 		}
-		host := p.Tags["hostname"]
-		if host != "" {
-			if jobTags, ok := r.jobs.Lookup(host); ok {
-				// Enrichment mutates the tag set and nothing else, so that is
-				// all it copies — once, at its final size. The caller's batch
-				// keeps its own tags; the fields, which nobody writes, stay
-				// shared.
-				tags := make(map[string]string, len(p.Tags)+len(jobTags))
-				for k, v := range jobTags {
-					tags[k] = v
-				}
-				for k, v := range p.Tags {
-					tags[k] = v // a tag the agent sent wins over the job's
-				}
-				p.Tags = tags
-				if user := jobTags["username"]; user != "" && r.cfg.UserSink != nil {
-					perUser[user] = append(perUser[user], p)
-				}
+		if job := jobs.of(r.jobs, p.Tag("hostname")); job != nil {
+			// Enrichment changes the tag set and nothing else, so that is
+			// all it copies: merged into the batch's arena, sized once for
+			// the points left at this shape. The caller's batch keeps its
+			// own tags; the fields, which nobody writes, stay shared.
+			if need := len(p.Tags) + len(job.tags); cap(arena)-len(arena) < need {
+				arena = make([]lineproto.Tag, 0, need*(len(pts)-i))
+			}
+			n := len(arena)
+			arena = lineproto.MergeTags(arena, p.Tags, job.tags) // a tag the agent sent wins over the job's
+			p.Tags = arena[n:len(arena):len(arena)]
+			if job.user != "" && r.cfg.UserSink != nil {
+				perUser[job.user] = append(perUser[job.user], p)
 			}
 		}
 		enriched = append(enriched, p)
@@ -341,6 +340,36 @@ func (r *Router) IngestContext(ctx context.Context, pts []lineproto.Point) error
 		}
 	}
 	return nil
+}
+
+// hostJobs memoizes the job registry for one batch: each distinct
+// hostname of the batch is looked up once, under one read lock, however
+// many points it sent.
+type hostJobs struct {
+	hosts []string
+	jobs  []*Job
+}
+
+// maxHostJobs bounds the memo: a batch from more hosts than this (a
+// gateway's, not an agent's) looks the rest up per point.
+const maxHostJobs = 16
+
+// of returns the newest job running on host, nil for none or no host.
+func (h *hostJobs) of(reg *JobRegistry, host string) *Job {
+	if host == "" {
+		return nil
+	}
+	for i := len(h.hosts) - 1; i >= 0; i-- {
+		if h.hosts[i] == host {
+			return h.jobs[i]
+		}
+	}
+	job := reg.Lookup(host)
+	if len(h.hosts) < maxHostJobs {
+		h.hosts = append(h.hosts, host)
+		h.jobs = append(h.jobs, job)
+	}
+	return job
 }
 
 // forward is the one door to the primary sink, for metrics and job events
@@ -485,17 +514,13 @@ func (r *Router) JobEnd(jobID string) error {
 // later as annotations in the graphs").
 func (r *Router) writeEvent(kind string, job *Job, now time.Time) {
 	nodes := strings.Join(job.Nodes, ",")
-	ev := lineproto.Point{
-		Measurement: "events",
-		Tags:        map[string]string{"jobid": job.ID, "type": kind},
-		Fields: map[string]lineproto.Value{
-			"text": lineproto.String(fmt.Sprintf("%s job %s user %s nodes %s", kind, job.ID, job.User, nodes)),
-		},
-		Time: now,
-	}
+	tags := map[string]string{"jobid": job.ID, "type": kind}
 	if job.User != "" {
-		ev.Tags["username"] = job.User
+		tags["username"] = job.User
 	}
+	ev := lineproto.NewPoint("events", tags, map[string]lineproto.Value{
+		"text": lineproto.String(fmt.Sprintf("%s job %s user %s nodes %s", kind, job.ID, job.User, nodes)),
+	}, now)
 	// An annotation is best-effort: the job is registered either way, and a
 	// refused event shows as a dropped point.
 	_ = r.forward(context.Background(), nil, []lineproto.Point{ev})

@@ -248,7 +248,7 @@ func TestEnrichmentCopiesOnlyTags(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := map[string]string{"hostname": "h1", "queue": "mine"}
+	want := []lineproto.Tag{{Key: "hostname", Value: "h1"}, {Key: "queue", Value: "mine"}}
 	if !reflect.DeepEqual(pts[0].Tags, want) {
 		t.Fatalf("enrichment wrote into the caller's batch: %v", pts[0].Tags)
 	}
@@ -257,16 +257,14 @@ func TestEnrichmentCopiesOnlyTags(t *testing.T) {
 	}
 	for _, batch := range [][]lineproto.Point{primary.got[0], primary.got[1], user.got[0], user.got[1]} {
 		p := batch[0]
-		if p.Tags["jobid"] != "7" || p.Tags["username"] != "dave" || p.Tags["queue"] != "mine" {
+		if p.Tag("jobid") != "7" || p.Tag("username") != "dave" || p.Tag("queue") != "mine" {
 			t.Fatalf("sink saw tags %v", p.Tags)
 		}
-		p.Fields["probe"] = lineproto.Int(1) // shared with the parsed point, by design
-		if _, ok := pts[0].Fields["probe"]; !ok {
+		if &p.Fields[0] != &pts[0].Fields[0] { // shared with the parsed point, by design
 			t.Fatal("enrichment copied the fields it never changes")
 		}
-		delete(p.Fields, "probe")
 	}
-	if got := primary.got[0][1].Tags; !reflect.DeepEqual(got, map[string]string{"hostname": "h9"}) {
+	if got := primary.got[0][1].Tags; !reflect.DeepEqual(got, []lineproto.Tag{{Key: "hostname", Value: "h9"}}) {
 		t.Fatalf("a point of no job changed tags: %v", got)
 	}
 }
@@ -355,7 +353,7 @@ probeLoop:
 				sawMeta = true
 			case m.Topic == "metrics/cpu":
 				pts, err := lineproto.Parse(m.Payload)
-				if err != nil || len(pts) != 1 || pts[0].Tags["jobid"] != "5" {
+				if err != nil || len(pts) != 1 || pts[0].Tag("jobid") != "5" {
 					t.Fatalf("metric payload %q: %v", m.Payload, err)
 				}
 				sawMetric = true
@@ -544,24 +542,22 @@ func TestSharedNodeJobStacking(t *testing.T) {
 	}
 	start("1", "a", "h1")
 	start("2", "b", "h1", "h2")
-	tags, ok := r.Lookup("h1")
-	if !ok || tags["jobid"] != "2" {
-		t.Fatalf("latest job should win: %v", tags)
+	if job := r.Lookup("h1"); job == nil || job.Tags["jobid"] != "2" {
+		t.Fatalf("latest job should win: %+v", job)
 	}
 	if _, err := r.End("2", fixedNow()); err != nil {
 		t.Fatal(err)
 	}
-	tags, ok = r.Lookup("h1")
-	if !ok || tags["jobid"] != "1" {
-		t.Fatalf("earlier job should be restored: %v", tags)
+	if job := r.Lookup("h1"); job == nil || job.Tags["jobid"] != "1" {
+		t.Fatalf("earlier job should be restored: %+v", job)
 	}
-	if _, ok := r.Lookup("h2"); ok {
+	if r.Lookup("h2") != nil {
 		t.Fatal("ended job's other node should miss")
 	}
 	if _, err := r.End("1", fixedNow()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Lookup("h1"); ok {
+	if r.Lookup("h1") != nil {
 		t.Fatal("empty host should miss")
 	}
 	// Ending an unknown job changes nothing.
@@ -573,9 +569,8 @@ func TestSharedNodeJobStacking(t *testing.T) {
 	if err := r.Start(&Job{ID: "x", Nodes: []string{"h2"}, Tags: map[string]string{"jobid": "x", "username": "b"}}); err == nil {
 		t.Fatal("duplicate start accepted")
 	}
-	tags, _ = r.Lookup("h2")
-	if tags["username"] != "a" {
-		t.Fatalf("duplicate start changed tags: %v", tags)
+	if job := r.Lookup("h2"); job.Tags["username"] != "a" || job.user != "a" {
+		t.Fatalf("duplicate start changed tags: %+v", job)
 	}
 	if len(r.hosts) != 1 {
 		t.Fatalf("hosts %d", len(r.hosts))
@@ -644,12 +639,12 @@ func TestConcurrentIngestAndSignals(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				host := fmt.Sprintf("h%d", g)
-				pts := []lineproto.Point{{
-					Measurement: "cpu",
-					Tags:        map[string]string{"hostname": host},
-					Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
-					Time:        time.Unix(int64(i), 0),
-				}}
+				pts := []lineproto.Point{lineproto.NewPoint(
+					"cpu",
+					map[string]string{"hostname": host},
+					map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
+					time.Unix(int64(i), 0),
+				)}
 				if err := e.router.IngestContext(context.Background(), pts); err != nil {
 					t.Error(err)
 					return

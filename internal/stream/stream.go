@@ -202,12 +202,13 @@ func (a *Analyzer) Handle(topic string, payload []byte) {
 }
 
 func (a *Analyzer) observePoint(p lineproto.Point) {
-	host := p.Tags["hostname"]
-	jobID := p.Tags["jobid"]
+	host := p.Tag("hostname")
+	jobID := p.Tag("jobid")
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.processed++
-	for field, val := range p.Fields {
+	for _, f := range p.Fields {
+		field, val := f.Key, f.Value
 		if val.Kind() == lineproto.KindString {
 			continue
 		}

@@ -19,12 +19,12 @@ import (
 
 func metricPayload(t *testing.T, meas, host string, field string, v float64, sec int64) []byte {
 	t.Helper()
-	enc, err := lineproto.Encode([]lineproto.Point{{
-		Measurement: meas,
-		Tags:        map[string]string{"hostname": host, "jobid": "42"},
-		Fields:      map[string]lineproto.Value{field: lineproto.Float(v)},
-		Time:        time.Unix(sec, 0).UTC(),
-	}})
+	enc, err := lineproto.Encode([]lineproto.Point{lineproto.NewPoint(
+		meas,
+		map[string]string{"hostname": host, "jobid": "42"},
+		map[string]lineproto.Value{field: lineproto.Float(v)},
+		time.Unix(sec, 0).UTC(),
+	)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +73,12 @@ func TestAggregatesPerSeries(t *testing.T) {
 
 func TestStringFieldsSkipped(t *testing.T) {
 	a := New(Config{})
-	enc, _ := lineproto.Encode([]lineproto.Point{{
-		Measurement: "events",
-		Tags:        map[string]string{"hostname": "h1"},
-		Fields:      map[string]lineproto.Value{"text": lineproto.String("hello")},
-		Time:        time.Unix(0, 0),
-	}})
+	enc, _ := lineproto.Encode([]lineproto.Point{lineproto.NewPoint(
+		"events",
+		map[string]string{"hostname": "h1"},
+		map[string]lineproto.Value{"text": lineproto.String("hello")},
+		time.Unix(0, 0),
+	)})
 	a.Handle("metrics/events", enc)
 	stats, processed, _ := a.Snapshot()
 	if processed != 1 || len(stats) != 0 {
@@ -167,11 +167,12 @@ func TestOnlineAlarmPerJob(t *testing.T) {
 					if sp.job != "" {
 						tags["jobid"] = sp.job
 					}
-					enc, err := lineproto.Encode([]lineproto.Point{{
-						Measurement: "cpu", Tags: tags,
-						Fields: map[string]lineproto.Value{"percent": lineproto.Float(1)},
-						Time:   time.Unix(m*60, 0).UTC(),
-					}})
+					enc, err := lineproto.Encode([]lineproto.Point{lineproto.NewPoint(
+						"cpu",
+						tags,
+						map[string]lineproto.Value{"percent": lineproto.Float(1)},
+						time.Unix(m*60, 0).UTC(),
+					)})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -254,12 +255,12 @@ func TestAttachToLivePublisherViaRouter(t *testing.T) {
 	// full path.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_ = rt.IngestContext(context.Background(), []lineproto.Point{{
-			Measurement: "probe",
-			Tags:        map[string]string{"hostname": "h0"},
-			Fields:      map[string]lineproto.Value{"v": lineproto.Float(1)},
-			Time:        time.Unix(0, 0),
-		}})
+		_ = rt.IngestContext(context.Background(), []lineproto.Point{lineproto.NewPoint(
+			"probe",
+			map[string]string{"hostname": "h0"},
+			map[string]lineproto.Value{"v": lineproto.Float(1)},
+			time.Unix(0, 0),
+		)})
 		_, processed, _ := a.Snapshot()
 		if processed > 0 {
 			break
@@ -274,12 +275,12 @@ func TestAttachToLivePublisherViaRouter(t *testing.T) {
 		t.Fatal(err)
 	}
 	for m := int64(0); m < 6; m++ {
-		err := rt.IngestContext(context.Background(), []lineproto.Point{{
-			Measurement: "likwid_mem_dp",
-			Tags:        map[string]string{"hostname": "h1"},
-			Fields:      map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(1)},
-			Time:        time.Unix(m*60, 0),
-		}})
+		err := rt.IngestContext(context.Background(), []lineproto.Point{lineproto.NewPoint(
+			"likwid_mem_dp",
+			map[string]string{"hostname": "h1"},
+			map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(1)},
+			time.Unix(m*60, 0),
+		)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,17 +21,17 @@ func allocFixture(t *testing.T, hosts, rows int) *DB {
 	for h := 0; h < hosts; h++ {
 		pts := make([]lineproto.Point, rows)
 		for i := range pts {
-			pts[i] = lineproto.Point{
-				Measurement: "cpu",
-				Tags:        map[string]string{"hostname": fmt.Sprintf("h%02d", h)},
-				Fields: map[string]lineproto.Value{
+			pts[i] = lineproto.NewPoint(
+				"cpu",
+				map[string]string{"hostname": fmt.Sprintf("h%02d", h)},
+				map[string]lineproto.Value{
 					"user":  lineproto.Float(float64(i%13) + 0.25),
 					"sys":   lineproto.Float(float64(i % 5)),
 					"ctx":   lineproto.Int(int64(i) * 7),
 					"state": lineproto.String([]string{"idle", "busy"}[i%2]),
 				},
-				Time: time.Unix(int64(i)*10, 0),
-			}
+				time.Unix(int64(i)*10, 0),
+			)
 		}
 		if err := db.WriteBatchContext(bg, pts); err != nil {
 			t.Fatal(err)
@@ -50,12 +50,12 @@ func sealFixture(t *testing.T, db *DB, hosts, rows, more int) {
 	for h := 0; h < hosts; h++ {
 		pts := make([]lineproto.Point, more)
 		for i := range pts {
-			pts[i] = lineproto.Point{
-				Measurement: "cpu",
-				Tags:        map[string]string{"hostname": fmt.Sprintf("h%02d", h)},
-				Fields:      map[string]lineproto.Value{"user": lineproto.Float(1), "ctx": lineproto.Int(2)},
-				Time:        time.Unix(int64(rows+1+i)*10, 0),
-			}
+			pts[i] = lineproto.NewPoint(
+				"cpu",
+				map[string]string{"hostname": fmt.Sprintf("h%02d", h)},
+				map[string]lineproto.Value{"user": lineproto.Float(1), "ctx": lineproto.Int(2)},
+				time.Unix(int64(rows+1+i)*10, 0),
+			)
 		}
 		if err := db.WriteBatchContext(bg, pts); err != nil {
 			t.Fatal(err)
@@ -95,14 +95,15 @@ func TestStorageAllocs(t *testing.T) {
 		db.compJob.Stop()
 		pts := make([]lineproto.Point, 100)
 		for i := range pts {
-			pts[i] = lineproto.Point{
-				Measurement: "cpu",
-				Tags:        map[string]string{"hostname": "h00"},
-				Fields: map[string]lineproto.Value{
+			pts[i] = lineproto.NewPoint(
+				"cpu",
+				map[string]string{"hostname": "h00"},
+				map[string]lineproto.Value{
 					"user": lineproto.Float(1), "sys": lineproto.Float(2),
 					"ctx": lineproto.Int(3), "state": lineproto.String("idle"),
 				},
-			}
+				time.Time{},
+			)
 		}
 		next := int64(100 * 10)
 		write := func() {
@@ -177,15 +178,15 @@ func collectorCycle(sec int64) []lineproto.Point {
 	var pts []lineproto.Point
 	add := func(meas string, n int, fields map[string]lineproto.Value) {
 		for i := 0; i < n; i++ {
-			pts = append(pts, lineproto.Point{
-				Measurement: meas,
-				Tags: map[string]string{
+			pts = append(pts, lineproto.NewPoint(
+				meas,
+				map[string]string{
 					"hostname": "h017", "cluster": "emmy", "rack": "r07", "type": "node", "unit": fmt.Sprint(i),
 					"jobid": "4711.master", "username": "user2", "queue": "batch", "project": "p1",
 				},
-				Fields: fields,
-				Time:   time.Unix(sec, 0),
-			})
+				fields,
+				time.Unix(sec, 0),
+			))
 		}
 	}
 	add("cpu_core", 72, map[string]lineproto.Value{"user": lineproto.Float(float64(sec)), "ctx": lineproto.Int(sec)})

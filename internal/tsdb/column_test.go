@@ -36,20 +36,20 @@ func newModel() *model {
 }
 
 func (mo *model) add(p lineproto.Point) {
-	key := seriesKey(p.Tags)
+	tags := make(map[string]string, len(p.Tags))
+	for _, t := range p.Tags {
+		tags[t.Key] = t.Value
+	}
+	key := seriesKey(tags)
 	sr, ok := mo.series[key]
 	if !ok {
-		tags := make(map[string]string, len(p.Tags))
-		for k, v := range p.Tags {
-			tags[k] = v
-		}
 		sr = &modelSeries{tags: tags}
 		mo.series[key] = sr
 	}
 	fields := make(map[string]lineproto.Value, len(p.Fields))
-	for k, v := range p.Fields {
-		fields[k] = v
-		mo.fields[k] = struct{}{}
+	for _, f := range p.Fields {
+		fields[f.Key] = f.Value
+		mo.fields[f.Key] = struct{}{}
 	}
 	sr.rows = append(sr.rows, row{t: p.Time.UnixNano(), fields: fields})
 }
@@ -230,12 +230,12 @@ func TestColumnarRandomizedOracle(t *testing.T) {
 		if len(fields) == 0 {
 			fields["value"] = lineproto.Float(1)
 		}
-		return lineproto.Point{
-			Measurement: "m",
-			Tags:        map[string]string{"hostname": host, "rack": host[1:]},
-			Fields:      fields,
-			Time:        time.Unix(0, ts).UTC(),
-		}
+		return lineproto.NewPoint(
+			"m",
+			map[string]string{"hostname": host, "rack": host[1:]},
+			fields,
+			time.Unix(0, ts).UTC(),
+		)
 	}
 
 	check := func(round int) {
@@ -314,12 +314,12 @@ func TestColumnarRandomizedOracle(t *testing.T) {
 func rewriteBatchPts(host string, n int, fields func(i int) map[string]lineproto.Value) []lineproto.Point {
 	pts := make([]lineproto.Point, n)
 	for i := range pts {
-		pts[i] = lineproto.Point{
-			Measurement: "m",
-			Tags:        map[string]string{"hostname": host},
-			Fields:      fields(i),
-			Time:        time.Unix(int64(i), 0).UTC(),
-		}
+		pts[i] = lineproto.NewPoint(
+			"m",
+			map[string]string{"hostname": host},
+			fields(i),
+			time.Unix(int64(i), 0).UTC(),
+		)
 	}
 	return pts
 }
@@ -550,12 +550,12 @@ func TestColumnarCompactionMergesDisjointFields(t *testing.T) {
 	db.SetQueryCacheTTL(0)
 	w := func(tsec int64, field string, v lineproto.Value) {
 		t.Helper()
-		err := db.WriteBatchContext(bg, []lineproto.Point{{
-			Measurement: "m",
-			Tags:        map[string]string{"hostname": "h1"},
-			Fields:      map[string]lineproto.Value{field: v},
-			Time:        time.Unix(tsec, 0).UTC(),
-		}})
+		err := db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+			"m",
+			map[string]string{"hostname": "h1"},
+			map[string]lineproto.Value{field: v},
+			time.Unix(tsec, 0).UTC(),
+		)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -612,11 +612,12 @@ func TestColumnarStringInterning(t *testing.T) {
 	db.SetQueryCacheTTL(0)
 	var pts []lineproto.Point
 	for i := 0; i < 100; i++ {
-		pts = append(pts, lineproto.Point{
-			Measurement: "ev",
-			Fields:      map[string]lineproto.Value{"text": lineproto.String(fmt.Sprintf("state-%d", i%3))},
-			Time:        time.Unix(int64(i), 0).UTC(),
-		})
+		pts = append(pts, lineproto.NewPoint(
+			"ev",
+			nil,
+			map[string]lineproto.Value{"text": lineproto.String(fmt.Sprintf("state-%d", i%3))},
+			time.Unix(int64(i), 0).UTC(),
+		))
 	}
 	if err := db.WriteBatchContext(bg, pts); err != nil {
 		t.Fatal(err)
@@ -648,12 +649,12 @@ func TestSameTimestampRewriteSinglePoint(t *testing.T) {
 	db := newDB("lms")
 	db.SetQueryCacheTTL(0)
 	p := func(v float64) lineproto.Point {
-		return lineproto.Point{
-			Measurement: "m",
-			Tags:        map[string]string{"hostname": "h1"},
-			Fields:      map[string]lineproto.Value{"v": lineproto.Float(v)},
-			Time:        time.Unix(5, 0).UTC(),
-		}
+		return lineproto.NewPoint(
+			"m",
+			map[string]string{"hostname": "h1"},
+			map[string]lineproto.Value{"v": lineproto.Float(v)},
+			time.Unix(5, 0).UTC(),
+		)
 	}
 	for i := 1; i <= 3; i++ {
 		if err := db.WriteBatchContext(bg, []lineproto.Point{p(float64(i) * 10)}); err != nil {
@@ -693,12 +694,12 @@ func TestSparseRunRollsOverPastLimit(t *testing.T) {
 				fields["note"] = lineproto.String("ev")
 				notes++
 			}
-			pts[k] = lineproto.Point{
-				Measurement: "m",
-				Tags:        map[string]string{"hostname": "h1"},
-				Fields:      fields,
-				Time:        time.Unix(int64(n), 0).UTC(),
-			}
+			pts[k] = lineproto.NewPoint(
+				"m",
+				map[string]string{"hostname": "h1"},
+				fields,
+				time.Unix(int64(n), 0).UTC(),
+			)
 		}
 		if err := db.WriteBatchContext(bg, pts); err != nil {
 			t.Fatal(err)

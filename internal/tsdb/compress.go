@@ -652,8 +652,8 @@ func materializeSnap(mt *Metrics, rs *runSnap, q Query, cols []AggCol, strsLen i
 // drops runs the precise time cut left empty (phase 1 can only bound-check
 // a run's min/max timestamp, so a run may turn out to hold no row in
 // range; byte-identity demands it not surface). Returns false when the
-// whole group vanished. prof, when non-nil, counts each stream decoded:
-// one timestamp stream plus one per column.
+// whole group vanished. prof, when non-nil, counts the chunks and the
+// heads decoded, one each however many columns the query reads.
 func materializeGroup(mt *Metrics, g *selectGroup, q Query, cols []AggCol, strsLen int, a *decodeArena, prof *selectProf) bool {
 	kept := g.runs[:0]
 	for ri := range g.runs {
@@ -661,9 +661,9 @@ func materializeGroup(mt *Metrics, g *selectGroup, q Query, cols []AggCol, strsL
 		if prof != nil {
 			switch {
 			case rs.comp != nil:
-				prof.ChunksDecoded += 1 + len(rs.comp.Cols)
+				prof.ChunksDecoded++
 			case rs.head != nil:
-				prof.ChunksDecoded += 1 + len(rs.head.cols)
+				prof.HeadsDecoded++
 			}
 		}
 		materializeSnap(mt, rs, q, cols, strsLen, a)

@@ -286,15 +286,15 @@ func TestCompressionStatsAndMetrics(t *testing.T) {
 	db.compJob.Stop()
 	pts := make([]lineproto.Point, 2001)
 	for i := range pts {
-		pts[i] = lineproto.Point{
-			Measurement: "cpu",
-			Tags:        map[string]string{"hostname": "h0"},
-			Fields: map[string]lineproto.Value{
+		pts[i] = lineproto.NewPoint(
+			"cpu",
+			map[string]string{"hostname": "h0"},
+			map[string]lineproto.Value{
 				"user": lineproto.Float(float64(i % 97)),
 				"ctx":  lineproto.Int(int64(i)),
 			},
-			Time: time.Unix(int64(i), 0).UTC(),
-		}
+			time.Unix(int64(i), 0).UTC(),
+		)
 	}
 	// 2000 rows in one head, cut by the next in-order block.
 	if err := db.WriteBatchContext(bg, pts[:2000]); err != nil {
@@ -341,12 +341,12 @@ func TestCompressConcurrentWithQueries(t *testing.T) {
 					if bi%4 == 3 {
 						seq = -seq // out-of-order: force new runs and merges
 					}
-					pts[i] = lineproto.Point{
-						Measurement: "m",
-						Tags:        map[string]string{"hostname": string(rune('a' + g))},
-						Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(seq))},
-						Time:        time.Unix(seq, int64(g)).UTC(),
-					}
+					pts[i] = lineproto.NewPoint(
+						"m",
+						map[string]string{"hostname": string(rune('a' + g))},
+						map[string]lineproto.Value{"value": lineproto.Float(float64(seq))},
+						time.Unix(seq, int64(g)).UTC(),
+					)
 				}
 				if err := db.WriteBatchContext(bg, pts); err != nil {
 					t.Error(err)
@@ -424,12 +424,12 @@ func oneRowBatches(t *testing.T, db *DB, from, to int) {
 	t.Helper()
 	for i := from; i < to; i++ {
 		for _, host := range []string{"h1", "h2"} {
-			if err := db.WriteBatchContext(bg, []lineproto.Point{{
-				Measurement: "cpu",
-				Tags:        map[string]string{"hostname": host},
-				Fields:      map[string]lineproto.Value{"user": lineproto.Float(float64(i%7) + 0.5), "ctx": lineproto.Int(int64(i) * 3)},
-				Time:        time.Unix(int64(i)*10, 0).UTC(),
-			}}); err != nil {
+			if err := db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+				"cpu",
+				map[string]string{"hostname": host},
+				map[string]lineproto.Value{"user": lineproto.Float(float64(i%7) + 0.5), "ctx": lineproto.Int(int64(i) * 3)},
+				time.Unix(int64(i)*10, 0).UTC(),
+			)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -588,11 +588,12 @@ func TestLateBlockLeavesChunks(t *testing.T) {
 	block := func(rows int, at func(i int) int64) []lineproto.Point {
 		pts := make([]lineproto.Point, rows)
 		for i := range pts {
-			pts[i] = lineproto.Point{
-				Measurement: "cpu", Tags: map[string]string{"hostname": "h1"},
-				Fields: map[string]lineproto.Value{"user": lineproto.Float(float64(i % 9)), "ctx": lineproto.Int(int64(i))},
-				Time:   time.Unix(at(i), 0).UTC(),
-			}
+			pts[i] = lineproto.NewPoint(
+				"cpu",
+				map[string]string{"hostname": "h1"},
+				map[string]lineproto.Value{"user": lineproto.Float(float64(i % 9)), "ctx": lineproto.Int(int64(i))},
+				time.Unix(at(i), 0).UTC(),
+			)
 		}
 		return pts
 	}
@@ -664,11 +665,12 @@ func TestRetentionOverChunks(t *testing.T) {
 		for _, host := range hosts {
 			var pts []lineproto.Point
 			for i := from; i < to; i++ {
-				pts = append(pts, lineproto.Point{
-					Measurement: "cpu", Tags: map[string]string{"hostname": host},
-					Fields: map[string]lineproto.Value{"user": lineproto.Float(-1), "ctx": lineproto.Int(int64(-i))},
-					Time:   at(i),
-				})
+				pts = append(pts, lineproto.NewPoint(
+					"cpu",
+					map[string]string{"hostname": host},
+					map[string]lineproto.Value{"user": lineproto.Float(-1), "ctx": lineproto.Int(int64(-i))},
+					at(i),
+				))
 			}
 			if err := db.WriteBatchContext(bg, pts); err != nil {
 				t.Fatal(err)
@@ -826,10 +828,12 @@ func TestCorruptHeadChunkAtRecovery(t *testing.T) {
 	if got := st.Metrics().ChunkDecodeErrors.Value(); got != 1 {
 		t.Fatalf("lms_db_chunk_decode_errors_total = %d after the open, want 1", got)
 	}
-	if err := db.WriteBatchContext(bg, []lineproto.Point{{
-		Measurement: "cpu", Tags: map[string]string{"hostname": "h1"},
-		Fields: map[string]lineproto.Value{"ctx": lineproto.Int(7)}, Time: time.Unix(70, 0),
-	}}); err != nil {
+	if err := db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+		"cpu",
+		map[string]string{"hostname": "h1"},
+		map[string]lineproto.Value{"ctx": lineproto.Int(7)},
+		time.Unix(70, 0),
+	)}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := runLayout(db), "cpu hostname=h1: 3c 3c 1h"; got != want {
@@ -1011,8 +1015,14 @@ func FuzzCompressedChunkDecode(f *testing.F) {
 func sealSweepCycle(host, cycle int) []lineproto.Point { return sealSweepFill(nil, host, cycle) }
 
 // sealSweepFill is sealSweepCycle into pts, a cycle of the same host made
-// by it before, whose tag and field maps it reuses; nil makes a new one.
+// by it before, whose tag and field slices it reuses; nil makes a new one.
 func sealSweepFill(pts []lineproto.Point, host, cycle int) []lineproto.Point {
+	fieldKey := func(name string) string {
+		if name[0] == 'i' {
+			return name[1:]
+		}
+		return name
+	}
 	mix := func(x uint64) uint64 { // splitmix64
 		x += 0x9e3779b97f4a7c15
 		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -1039,24 +1049,29 @@ func sealSweepFill(pts []lineproto.Point, host, cycle int) []lineproto.Point {
 	for _, m := range schema {
 		for sub := 0; sub < m.lines; sub++ {
 			if fresh {
-				p := lineproto.Point{Measurement: m.name, Fields: map[string]lineproto.Value{}, Tags: map[string]string{
+				tags := map[string]string{
 					"hostname": fmt.Sprintf("h%03d", host), "jobid": fmt.Sprintf("%d.master", 4711+host/16),
 					"username": fmt.Sprintf("user%d", host/16%3), "queue": "batch", "project": fmt.Sprintf("p%d", host/16%2),
-				}}
-				if m.sub != "" {
-					p.Tags[m.sub] = fmt.Sprint(sub)
 				}
-				pts = append(pts, p)
+				if m.sub != "" {
+					tags[m.sub] = fmt.Sprint(sub)
+				}
+				fields := map[string]lineproto.Value{}
+				for _, name := range m.fields {
+					fields[fieldKey(name)] = lineproto.Value{}
+				}
+				pts = append(pts, lineproto.NewPoint(m.name, tags, fields, time.Time{}))
 			}
 			p := &pts[line]
 			p.Time = ts
 			for f, name := range m.fields {
 				v := int64(mix(uint64(host)<<32^line<<8^uint64(f))%8000 + mix(uint64(cycle*64+host)<<20^line<<8^uint64(f)^0xabcdef)%16)
+				val := lineproto.Float(float64(v) / 8)
 				if name[0] == 'i' {
-					p.Fields[name[1:]] = lineproto.Int(v)
-				} else {
-					p.Fields[name] = lineproto.Float(float64(v) / 8)
+					val = lineproto.Int(v)
 				}
+				key := fieldKey(name)
+				p.Fields[slices.IndexFunc(p.Fields, func(f lineproto.Field) bool { return f.Key == key })].Value = val
 			}
 			ts = ts.Add(time.Microsecond)
 			line++
@@ -1186,12 +1201,12 @@ func BenchmarkC1_CompressThroughput(b *testing.B) {
 		for wrote := 0; wrote < points; wrote += perB {
 			for k := range pts {
 				n := wrote + k
-				pts[k] = lineproto.Point{
-					Measurement: "cpu",
-					Tags:        map[string]string{"hostname": fmt.Sprintf("h%d", n%series)},
-					Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(n)), "ops": lineproto.Int(int64(n % 4096))},
-					Time:        time.Unix(int64(n/series), int64(n%series)),
-				}
+				pts[k] = lineproto.NewPoint(
+					"cpu",
+					map[string]string{"hostname": fmt.Sprintf("h%d", n%series)},
+					map[string]lineproto.Value{"value": lineproto.Float(float64(n)), "ops": lineproto.Int(int64(n % 4096))},
+					time.Unix(int64(n/series), int64(n%series)),
+				)
 			}
 			if err := db.WriteBatchContext(bg, pts); err != nil {
 				b.Fatal(err)

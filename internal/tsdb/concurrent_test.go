@@ -14,12 +14,12 @@ import (
 // fan-out and are meant to run under the race detector (go test -race).
 
 func concPoint(meas, host string, i int) lineproto.Point {
-	return lineproto.Point{
-		Measurement: meas,
-		Tags:        map[string]string{"hostname": host},
-		Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
-		Time:        time.Unix(int64(i), 0),
-	}
+	return lineproto.NewPoint(
+		meas,
+		map[string]string{"hostname": host},
+		map[string]lineproto.Value{"value": lineproto.Float(float64(i))},
+		time.Unix(int64(i), 0),
+	)
 }
 
 // TestDBConcurrentWriters checks that parallel writers on distinct and

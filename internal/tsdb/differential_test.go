@@ -73,24 +73,27 @@ func variantBatches() [][]lineproto.Point {
 		tags := map[string]string{"hostname": fmt.Sprintf("h%d", s), "rack": fmt.Sprintf("r%d", s%2)}
 		for i := 0; i < 40; i++ {
 			// Between two stored rows of the series (step 7s): out of order.
-			late = append(late, lineproto.Point{
-				Measurement: "m", Tags: tags,
-				Fields: map[string]lineproto.Value{"value": lineproto.Float(float64(i) + 0.5), "busy": lineproto.Bool(i%3 == 0)},
-				Time:   time.Unix(0, int64(i*5)*7e9+3e9+int64(s)).UTC(),
-			})
+			late = append(late, lineproto.NewPoint(
+				"m",
+				tags,
+				map[string]lineproto.Value{"value": lineproto.Float(float64(i) + 0.5), "busy": lineproto.Bool(i%3 == 0)},
+				time.Unix(0, int64(i*5)*7e9+3e9+int64(s)).UTC(),
+			))
 		}
 		for i := 0; i < 200; i += 4 {
-			rewrite = append(rewrite, lineproto.Point{
-				Measurement: "m", Tags: tags,
-				Fields: map[string]lineproto.Value{"ops": lineproto.Int(int64(1000 + i)), "busy": lineproto.Bool(i%8 == 0)},
-				Time:   time.Unix(0, int64(i)*7e9+int64(s)).UTC(),
-			})
+			rewrite = append(rewrite, lineproto.NewPoint(
+				"m",
+				tags,
+				map[string]lineproto.Value{"ops": lineproto.Int(int64(1000 + i)), "busy": lineproto.Bool(i%8 == 0)},
+				time.Unix(0, int64(i)*7e9+int64(s)).UTC(),
+			))
 		}
-		seal = append(seal, lineproto.Point{
-			Measurement: "m", Tags: tags,
-			Fields: map[string]lineproto.Value{"value": lineproto.Float(-1), "ops": lineproto.Int(-1)},
-			Time:   time.Unix(0, 200*7e9+int64(s)).UTC(),
-		})
+		seal = append(seal, lineproto.NewPoint(
+			"m",
+			tags,
+			map[string]lineproto.Value{"value": lineproto.Float(-1), "ops": lineproto.Int(-1)},
+			time.Unix(0, 200*7e9+int64(s)).UTC(),
+		))
 	}
 	return append(batches, late, rewrite, seal)
 }
@@ -131,11 +134,12 @@ func awaitCompaction(t *testing.T, st *tsdb.Store, db string) {
 func fixtureBatch() []lineproto.Point {
 	var pts []lineproto.Point
 	for i := 0; i < 9; i++ {
-		pts = append(pts, lineproto.Point{
-			Measurement: "cpu", Tags: map[string]string{"hostname": "h1"},
-			Fields: map[string]lineproto.Value{"user": lineproto.Float(float64(i + 1)), "sys": lineproto.Float(float64(100 + i))},
-			Time:   time.Unix(int64(i), 0).UTC(),
-		})
+		pts = append(pts, lineproto.NewPoint(
+			"cpu",
+			map[string]string{"hostname": "h1"},
+			map[string]lineproto.Value{"user": lineproto.Float(float64(i + 1)), "sys": lineproto.Float(float64(100 + i))},
+			time.Unix(int64(i), 0).UTC(),
+		))
 	}
 	return pts
 }

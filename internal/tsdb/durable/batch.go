@@ -48,32 +48,22 @@ func appendFixed64(dst []byte, v uint64) []byte {
 // extended slice. Points whose Time is zero are encoded with nowNS, the
 // server-side timestamp the caller is about to apply in memory, so a WAL
 // replay reproduces the stored state exactly. Tags and fields are written
-// in ascending key order: the frame of a batch is canonical — its bytes
-// are a function of the points alone — and a consumer (BatchCursor) finds
-// them in the order a series key and a column builder want them.
+// in the point's order, which is ascending key order (lineproto.Point):
+// the frame of a batch is canonical — its bytes are a function of the
+// points alone — and a consumer (BatchCursor) finds them in the order a
+// series key and a column builder want them.
 func AppendBatch(dst []byte, pts []lineproto.Point, nowNS int64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(pts)))
-	// Both scratches stay on the stack for the usual point shapes.
-	tagBuf := make([]tagPair, 0, 16)
-	fieldBuf := make([]lineproto.Field, 0, 8)
 	for i := range pts {
 		p := &pts[i]
 		dst = appendString(dst, p.Measurement)
-		tagBuf = tagBuf[:0]
-		for k, v := range p.Tags {
-			tagBuf = append(tagBuf, tagPair{k, v})
-			for j := len(tagBuf) - 1; j > 0 && tagBuf[j-1].k > tagBuf[j].k; j-- {
-				tagBuf[j-1], tagBuf[j] = tagBuf[j], tagBuf[j-1]
-			}
+		dst = binary.AppendUvarint(dst, uint64(len(p.Tags)))
+		for _, t := range p.Tags {
+			dst = appendString(dst, t.Key)
+			dst = appendString(dst, t.Value)
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(tagBuf)))
-		for _, t := range tagBuf {
-			dst = appendString(dst, t.k)
-			dst = appendString(dst, t.v)
-		}
-		fieldBuf = p.AppendFields(fieldBuf[:0])
-		dst = binary.AppendUvarint(dst, uint64(len(fieldBuf)))
-		for _, f := range fieldBuf {
+		dst = binary.AppendUvarint(dst, uint64(len(p.Fields)))
+		for _, f := range p.Fields {
 			dst = appendString(dst, f.Key)
 			dst = appendValue(dst, f.Value)
 		}
@@ -85,8 +75,6 @@ func AppendBatch(dst []byte, pts []lineproto.Point, nowNS int64) []byte {
 	}
 	return dst
 }
-
-type tagPair struct{ k, v string }
 
 func appendValue(dst []byte, v lineproto.Value) []byte {
 	dst = append(dst, byte(v.Kind()))

@@ -25,33 +25,31 @@ func DecodeBatch(payload []byte) ([]lineproto.Point, error) {
 	}
 	pts := make([]lineproto.Point, 0, n)
 	for i := 0; i < n; i++ {
-		var p lineproto.Point
-		if p.Measurement, err = r.str(); err != nil {
+		meas, err := r.str()
+		if err != nil {
 			return nil, err
 		}
 		ntags, err := r.count()
 		if err != nil {
 			return nil, err
 		}
-		if ntags > 0 {
-			p.Tags = make(map[string]string, ntags)
-			for j := 0; j < ntags; j++ {
-				k, err := r.str()
-				if err != nil {
-					return nil, err
-				}
-				v, err := r.str()
-				if err != nil {
-					return nil, err
-				}
-				p.Tags[k] = v
+		tags := make(map[string]string, ntags)
+		for j := 0; j < ntags; j++ {
+			k, err := r.str()
+			if err != nil {
+				return nil, err
 			}
+			v, err := r.str()
+			if err != nil {
+				return nil, err
+			}
+			tags[k] = v
 		}
 		nfields, err := r.count()
 		if err != nil {
 			return nil, err
 		}
-		p.Fields = make(map[string]lineproto.Value, nfields)
+		fields := make(map[string]lineproto.Value, nfields)
 		for j := 0; j < nfields; j++ {
 			k, err := r.str()
 			if err != nil {
@@ -61,14 +59,13 @@ func DecodeBatch(payload []byte) ([]lineproto.Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			p.Fields[k] = v
+			fields[k] = v
 		}
 		ns, err := r.fixed64()
 		if err != nil {
 			return nil, err
 		}
-		p.Time = time.Unix(0, int64(ns)).UTC()
-		pts = append(pts, p)
+		pts = append(pts, lineproto.NewPoint(meas, tags, fields, time.Unix(0, int64(ns)).UTC()))
 	}
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("durable: %d trailing bytes after batch", len(r.b))

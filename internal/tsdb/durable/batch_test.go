@@ -14,29 +14,30 @@ import (
 
 func samplePoints() []lineproto.Point {
 	return []lineproto.Point{
-		{
-			Measurement: "cpu",
-			Tags:        map[string]string{"hostname": "node01", "cpu": "3"},
-			Fields: map[string]lineproto.Value{
+		lineproto.NewPoint(
+			"cpu",
+			map[string]string{"hostname": "node01", "cpu": "3"},
+			map[string]lineproto.Value{
 				"user":   lineproto.Float(42.5),
 				"ctx":    lineproto.Int(-123456789),
 				"idle":   lineproto.Bool(true),
 				"state":  lineproto.String("running, \"ok\""),
 				"uptime": lineproto.Int(0),
 			},
-			Time: time.Unix(1500000000, 12345).UTC(),
-		},
-		{
-			Measurement: "job_events",
-			Fields:      map[string]lineproto.Value{"msg": lineproto.String("")},
-			Time:        time.Unix(0, -42).UTC(), // pre-epoch timestamps survive
-		},
-		{
-			Measurement: "mem",
-			Tags:        map[string]string{"hostname": "node02"},
-			Fields:      map[string]lineproto.Value{"used_kb": lineproto.Float(1 << 30)},
-			// Zero time: encoded with the server timestamp.
-		},
+			time.Unix(1500000000, 12345).UTC(),
+		),
+		lineproto.NewPoint(
+			"job_events",
+			nil,
+			map[string]lineproto.Value{"msg": lineproto.String("")},
+			time.Unix(0, -42).UTC(),
+		),
+		lineproto.NewPoint(
+			"mem",
+			map[string]string{"hostname": "node02"},
+			map[string]lineproto.Value{"used_kb": lineproto.Float(1 << 30)},
+			time.Time{},
+		),
 	}
 }
 
@@ -107,18 +108,14 @@ func scrambledFrame(pts []lineproto.Point, nowNS int64) []byte {
 	dst := binary.AppendUvarint(nil, uint64(len(pts)))
 	for _, p := range pts {
 		dst = appendString(dst, p.Measurement)
-		var keys []string
-		for k := range p.Tags {
-			keys = append(keys, k)
+		tags := slices.Clone(p.Tags)
+		slices.Reverse(tags)
+		dst = binary.AppendUvarint(dst, uint64(2*len(tags)))
+		for _, t := range tags {
+			dst = appendString(appendString(dst, t.Key), "stale")
+			dst = appendString(appendString(dst, t.Key), t.Value)
 		}
-		slices.Sort(keys)
-		slices.Reverse(keys)
-		dst = binary.AppendUvarint(dst, uint64(2*len(keys)))
-		for _, k := range keys {
-			dst = appendString(appendString(dst, k), "stale")
-			dst = appendString(appendString(dst, k), p.Tags[k])
-		}
-		fields := p.AppendFields(nil)
+		fields := slices.Clone(p.Fields)
 		slices.Reverse(fields)
 		dst = binary.AppendUvarint(dst, uint64(2*len(fields)))
 		for _, f := range fields {
@@ -139,22 +136,18 @@ func scrambledFrame(pts []lineproto.Point, nowNS int64) []byte {
 func checkCursorPoint(t *testing.T, c *BatchCursor, want lineproto.Point) {
 	t.Helper()
 	got := lineproto.Point{Measurement: string(c.Measurement), Time: time.Unix(0, c.TimeNS).UTC()}
-	if len(c.Tags) > 0 {
-		got.Tags = make(map[string]string, len(c.Tags))
-	}
 	for i, tag := range c.Tags {
 		if i > 0 && bytes.Compare(c.Tags[i-1].Key, tag.Key) >= 0 {
 			t.Fatalf("tags not strictly ascending: %q then %q", c.Tags[i-1].Key, tag.Key)
 		}
-		got.Tags[string(tag.Key)] = string(tag.Value)
+		got.Tags = append(got.Tags, lineproto.Tag{Key: string(tag.Key), Value: string(tag.Value)})
 	}
-	got.Fields = make(map[string]lineproto.Value, len(c.Fields))
 	for i := range c.Fields {
 		f := &c.Fields[i]
 		if i > 0 && bytes.Compare(c.Fields[i-1].Key, f.Key) >= 0 {
 			t.Fatalf("fields not strictly ascending: %q then %q", c.Fields[i-1].Key, f.Key)
 		}
-		got.Fields[string(f.Key)] = f.Value()
+		got.Fields = append(got.Fields, lineproto.Field{Key: string(f.Key), Value: f.Value()})
 	}
 	if !got.Equal(want) {
 		t.Fatalf("cursor point %+v, want %+v", got, want)
@@ -200,13 +193,13 @@ func TestBatchCursor(t *testing.T) {
 // an empty value a later duplicate overwrites is no defect.
 func TestBatchCursorRefuses(t *testing.T) {
 	v := map[string]lineproto.Value{"v": lineproto.Float(1)}
-	good := lineproto.Point{Measurement: "m", Tags: map[string]string{"t": "x"}, Fields: v}
+	good := lineproto.NewPoint("m", map[string]string{"t": "x"}, v, time.Time{})
 	for name, bad := range map[string]lineproto.Point{
-		"empty measurement": {Fields: v},
+		"empty measurement": lineproto.NewPoint("", nil, v, time.Time{}),
 		"no fields":         {Measurement: "m"},
-		"empty tag key":     {Measurement: "m", Tags: map[string]string{"": "x"}, Fields: v},
-		"empty tag value":   {Measurement: "m", Tags: map[string]string{"t": ""}, Fields: v},
-		"empty field key":   {Measurement: "m", Fields: map[string]lineproto.Value{"": lineproto.Float(1)}},
+		"empty tag key":     lineproto.NewPoint("m", map[string]string{"": "x"}, v, time.Time{}),
+		"empty tag value":   lineproto.NewPoint("m", map[string]string{"t": ""}, v, time.Time{}),
+		"empty field key":   lineproto.NewPoint("m", nil, map[string]lineproto.Value{"": lineproto.Float(1)}, time.Time{}),
 	} {
 		if bad.Validate() == nil {
 			t.Fatalf("%s: Point.Validate accepts the fixture", name)

@@ -115,10 +115,19 @@ func FuzzWALReplaySegment(f *testing.F) {
 func FuzzDecodeBatch(f *testing.F) {
 	ts := time.Unix(0, 1439856000000000000).UTC()
 	pts := []lineproto.Point{
-		{Measurement: "cpu", Tags: map[string]string{"host": "a", "core": "3"},
-			Fields: map[string]lineproto.Value{"user": lineproto.Float(1.5), "sys": lineproto.Int(-7)}, Time: ts},
-		{Measurement: "disk", Fields: map[string]lineproto.Value{
-			"label": lineproto.String(`root "fs"`), "full": lineproto.Bool(false)}},
+		lineproto.NewPoint(
+			"cpu",
+			map[string]string{"host": "a", "core": "3"},
+			map[string]lineproto.Value{"user": lineproto.Float(1.5), "sys": lineproto.Int(-7)},
+			ts,
+		),
+		lineproto.NewPoint(
+			"disk",
+			nil,
+			map[string]lineproto.Value{
+				"label": lineproto.String(`root "fs"`), "full": lineproto.Bool(false)},
+			time.Time{},
+		),
 	}
 	seed := AppendBatch(nil, pts, 42)
 	f.Add(append([]byte(nil), seed...))
@@ -166,8 +175,12 @@ func FuzzBatchCursor(f *testing.F) {
 	f.Add(binary.AppendUvarint(nil, 0)) // empty batch
 	f.Add(scrambledFrame(pts, 42))      // unsorted, duplicate tags and fields
 	f.Add(AppendBatch(nil, []lineproto.Point{{Measurement: "m"}}, 1))
-	f.Add(AppendBatch(nil, []lineproto.Point{{Measurement: "m", Tags: map[string]string{"t": ""},
-		Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}}}, 1))
+	f.Add(AppendBatch(nil, []lineproto.Point{lineproto.NewPoint(
+		"m",
+		map[string]string{"t": ""},
+		map[string]lineproto.Value{"v": lineproto.Float(1)},
+		time.Time{},
+	)}, 1))
 	// testdata/fuzz/FuzzBatchCursor/cluster-writenode-frame is the replica
 	// share FuzzDecodeBatch is seeded with: written before AppendBatch
 	// sorted tags, so every point of it takes the canonicalising path.

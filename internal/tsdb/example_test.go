@@ -16,12 +16,12 @@ func ExampleQuery() {
 	db := tsdb.NewStore().CreateDatabase("lms")
 	var pts []lineproto.Point
 	for i := 0; i < 4; i++ {
-		pts = append(pts, lineproto.Point{
-			Measurement: "cpu",
-			Tags:        map[string]string{"hostname": "node01"},
-			Fields:      map[string]lineproto.Value{"percent": lineproto.Float(float64(80 + i))},
-			Time:        time.Unix(int64(i*30), 0).UTC(),
-		})
+		pts = append(pts, lineproto.NewPoint(
+			"cpu",
+			map[string]string{"hostname": "node01"},
+			map[string]lineproto.Value{"percent": lineproto.Float(float64(80 + i))},
+			time.Unix(int64(i*30), 0).UTC(),
+		))
 	}
 	if err := db.WriteBatchContext(ctx, pts); err != nil {
 		fmt.Println(err)
@@ -50,12 +50,12 @@ func ExampleParseQuery() {
 	store := tsdb.NewStore()
 	var pts []lineproto.Point
 	for i := 0; i < 4; i++ {
-		pts = append(pts, lineproto.Point{
-			Measurement: "likwid_mem_dp",
-			Tags:        map[string]string{"hostname": "node01"},
-			Fields:      map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(9000 + float64(100*i))},
-			Time:        time.Unix(int64(i*60), 0).UTC(),
-		})
+		pts = append(pts, lineproto.NewPoint(
+			"likwid_mem_dp",
+			map[string]string{"hostname": "node01"},
+			map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(9000 + float64(100*i))},
+			time.Unix(int64(i*60), 0).UTC(),
+		))
 	}
 	if err := store.CreateDatabase("lms").WriteBatchContext(context.Background(), pts); err != nil {
 		fmt.Println(err)

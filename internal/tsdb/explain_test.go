@@ -200,12 +200,12 @@ func TestExplainAnalyzeSeriesScanned(t *testing.T) {
 	for j := 1; j <= 3; j++ {
 		for h := 0; h < 4; h++ {
 			for c := 0; c < 3; c++ {
-				pts = append(pts, lineproto.Point{
-					Measurement: "cpu",
-					Tags:        map[string]string{"jobid": fmt.Sprintf("%d.master", j), "hostname": fmt.Sprintf("h%d", h)},
-					Fields:      map[string]lineproto.Value{"value": lineproto.Float(float64(j*100 + h*10 + c))},
-					Time:        time.Unix(int64(j*1000+c*10), 0),
-				})
+				pts = append(pts, lineproto.NewPoint(
+					"cpu",
+					map[string]string{"jobid": fmt.Sprintf("%d.master", j), "hostname": fmt.Sprintf("h%d", h)},
+					map[string]lineproto.Value{"value": lineproto.Float(float64(j*100 + h*10 + c))},
+					time.Unix(int64(j*1000+c*10), 0),
+				))
 			}
 		}
 	}
@@ -234,6 +234,62 @@ func TestExplainAnalyzeSeriesScanned(t *testing.T) {
 		if c.hosts > 0 && len(rows.Results[0].Series) != c.hosts {
 			t.Errorf("%q: %d result series, want %d", c.sel, len(rows.Results[0].Series), c.hosts)
 		}
+	}
+}
+
+// TestExplainAnalyzeDecodeCounts: chunks_decoded counts chunks and
+// heads_decoded heads, one each whatever the number of columns — two
+// one-row series are two heads and no chunk; a series of 100 in-order
+// rows cut and compacted into chunks shows each chunk once.
+func TestExplainAnalyzeDecodeCounts(t *testing.T) {
+	store := NewStore()
+	db := store.CreateDatabase("lms")
+	db.SetQueryCacheTTL(0)
+	db.compJob.Stop()
+	var pts []lineproto.Point
+	for _, h := range []string{"h1", "h2"} {
+		pts = append(pts, lineproto.NewPoint("cpu", map[string]string{"jobid": "1", "hostname": h},
+			map[string]lineproto.Value{"v": lineproto.Float(1), "w": lineproto.Int(2), "x": lineproto.Bool(true)}, time.Unix(1, 0)))
+	}
+	if err := db.WriteBatchContext(context.Background(), pts); err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < 100; lo += 40 { // 40-row blocks: each one cuts the run before it
+		pts = pts[:0]
+		for i := lo; i < min(lo+40, 100); i++ {
+			pts = append(pts, lineproto.NewPoint("mem", map[string]string{"hostname": "h1"},
+				map[string]lineproto.Value{"v": lineproto.Float(float64(i)), "w": lineproto.Int(int64(i))}, time.Unix(int64(i), 0)))
+		}
+		if err := db.WriteBatchContext(context.Background(), pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Compress()
+	var runs int
+	for _, sr := range db.shardFor("mem").measurements["mem"].series {
+		runs = len(sr.runs)
+	}
+	qr := LocalQuerier{Store: store}
+	for _, c := range []struct {
+		sel           string
+		chunks, heads int64
+	}{
+		{"SELECT mean(v) FROM cpu WHERE jobid = '1' GROUP BY hostname", 0, 2},
+		{"SELECT * FROM cpu", 0, 2},
+		{"SELECT mean(v), max(w) FROM mem", int64(runs), 1},
+	} {
+		rsp, err := qr.Query(context.Background(), Request{Database: "lms", RawQuery: "EXPLAIN ANALYZE " + c.sel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, profiles := stripExplain(rsp)
+		chunks, heads := explainCount(t, profiles[0], "chunks_decoded"), explainCount(t, profiles[0], "heads_decoded")
+		if chunks != c.chunks || heads != c.heads {
+			t.Errorf("%q: chunks_decoded %d, heads_decoded %d; want %d and %d", c.sel, chunks, heads, c.chunks, c.heads)
+		}
+	}
+	if runs == 0 {
+		t.Fatal("100 in-order rows made no chunk")
 	}
 }
 

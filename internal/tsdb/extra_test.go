@@ -141,7 +141,7 @@ func TestSelectFieldSubset(t *testing.T) {
 	db := newDB("lms")
 	_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 1, 1)})
 	p := pt("m", nil, 2, 2)
-	p.Fields["extra"] = p.Fields["value"]
+	p.Fields = append([]lineproto.Field{{Key: "extra", Value: p.Field("value")}}, p.Fields...)
 	_ = db.WriteBatchContext(bg, []lineproto.Point{p})
 	res, err := db.SelectContext(bg, Query{Measurement: "m", Cols: []AggCol{{Field: "extra"}}})
 	if err != nil {

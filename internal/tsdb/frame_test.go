@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -37,7 +36,7 @@ func postFrame(t *testing.T, base, query string, frame []byte) *http.Response {
 }
 
 func framePoint(meas string, tags map[string]string, fields map[string]lineproto.Value) lineproto.Point {
-	return lineproto.Point{Measurement: meas, Tags: tags, Fields: fields, Time: time.Unix(1600000000, 0).UTC()}
+	return lineproto.NewPoint(meas, tags, fields, time.Unix(1600000000, 0).UTC())
 }
 
 // walBytes is the size of db's live WAL: unchanged means nothing was logged.
@@ -270,21 +269,21 @@ func scrambledFrame(pts []lineproto.Point) []byte {
 	dst := binary.AppendUvarint(nil, uint64(len(pts)))
 	for _, p := range pts {
 		dst = str(dst, p.Measurement)
-		keys := slices.Sorted(maps.Keys(p.Tags))
-		slices.Reverse(keys)
-		dst = binary.AppendUvarint(dst, uint64(2*len(keys)))
-		for _, k := range keys {
-			dst = str(str(dst, k), "stale")
-			dst = str(str(dst, k), p.Tags[k])
+		tags := slices.Clone(p.Tags)
+		slices.Reverse(tags)
+		dst = binary.AppendUvarint(dst, uint64(2*len(tags)))
+		for _, t := range tags {
+			dst = str(str(dst, t.Key), "stale")
+			dst = str(str(dst, t.Key), t.Value)
 		}
-		fields := p.AppendFields(nil)
+		fields := slices.Clone(p.Fields)
 		slices.Reverse(fields)
 		dst = binary.AppendUvarint(dst, uint64(2*len(fields)))
 		for _, f := range fields {
 			dst = str(append(str(dst, f.Key), byte(lineproto.KindString)), "stale")
 			// One field in the frame's own codec, cut out of a one-point frame:
 			// ... | key | kind | value | 8 timestamp bytes.
-			one := durable.AppendBatch(nil, []lineproto.Point{{Measurement: "m", Fields: map[string]lineproto.Value{f.Key: f.Value}}}, 1)
+			one := durable.AppendBatch(nil, []lineproto.Point{lineproto.NewPoint("m", nil, map[string]lineproto.Value{f.Key: f.Value}, time.Time{})}, 1)
 			dst = append(dst, one[5:len(one)-8]...)
 		}
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Time.UnixNano()))

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -76,11 +77,7 @@ func shiftBatches(d time.Duration, gen string) [][]lineproto.Point {
 		for i := range b {
 			b[i].Time = b[i].Time.Add(d)
 			if gen != "" {
-				tags := map[string]string{"gen": gen}
-				for k, v := range b[i].Tags {
-					tags[k] = v
-				}
-				b[i].Tags = tags
+				b[i].Tags = lineproto.MergeTags(nil, b[i].Tags, []lineproto.Tag{{Key: "gen", Value: gen}})
 			}
 		}
 	}
@@ -94,19 +91,19 @@ func bigRun(bump float64) []lineproto.Point {
 	base := time.Unix(0, 1600000000_000000000).UTC()
 	pts := make([]lineproto.Point, 500)
 	for i := range pts {
-		pts[i] = lineproto.Point{
-			Measurement: "cpu",
-			Tags:        map[string]string{"hostname": "big"},
-			Fields: map[string]lineproto.Value{
+		pts[i] = lineproto.NewPoint(
+			"cpu",
+			map[string]string{"hostname": "big"},
+			map[string]lineproto.Value{
 				"user": lineproto.Float(float64(i%17) + bump),
 				"ctx":  lineproto.Int(int64(i) * 11),
 				"up":   lineproto.Bool(i%5 != 0),
 				"mode": lineproto.String([]string{"idle", "busy", "io"}[i%3]),
 			},
-			Time: base.Add(time.Duration(i) * 10 * time.Second),
-		}
+			base.Add(time.Duration(i)*10*time.Second),
+		)
 		if i%7 == 0 {
-			delete(pts[i].Fields, "mode") // a sparse string column
+			pts[i].Fields = slices.DeleteFunc(pts[i].Fields, func(f lineproto.Field) bool { return f.Key == "mode" }) // a sparse string column
 		}
 	}
 	return pts

@@ -227,7 +227,7 @@ func TestHeadBytesMatchOneShot(t *testing.T) {
 		hi := min(lo+[]int{1, 3, 7, 2, 13, 1, 40}[k%7], len(rows))
 		pts = pts[:0]
 		for _, r := range rows[lo:hi] {
-			p := lineproto.Point{Measurement: "m", Tags: map[string]string{"host": "h1"}, Fields: map[string]lineproto.Value{}, Time: time.Unix(0, r.ts)}
+			fields := map[string]lineproto.Value{}
 			for _, f := range r.fields {
 				v := lineproto.Int(int64(f.Num))
 				switch f.Kind {
@@ -238,9 +238,9 @@ func TestHeadBytesMatchOneShot(t *testing.T) {
 				case lineproto.KindString:
 					v = lineproto.String(string(f.Str))
 				}
-				p.Fields[string(f.Key)] = v
+				fields[string(f.Key)] = v
 			}
-			pts = append(pts, p)
+			pts = append(pts, lineproto.NewPoint("m", map[string]string{"host": "h1"}, fields, time.Unix(0, r.ts)))
 		}
 		if err := db.WriteBatchContext(bg, pts); err != nil {
 			t.Fatal(err)
@@ -289,8 +289,12 @@ func TestHeadConcurrentSnapshots(t *testing.T) {
 				fields["x"] = lineproto.String("odd")
 			}
 		}
-		return lineproto.Point{Measurement: "m", Tags: map[string]string{"h": fmt.Sprint(host)}, Fields: fields,
-			Time: time.Unix(int64(i), 0)}
+		return lineproto.NewPoint(
+			"m",
+			map[string]string{"h": fmt.Sprint(host)},
+			fields,
+			time.Unix(int64(i), 0),
+		)
 	}
 	check := func(r Row, cols []string) error {
 		i := int(r.Time.Unix())

@@ -160,8 +160,8 @@ func TestClientWritePoints(t *testing.T) {
 	store, srv := newTestServer(t)
 	c := &Client{BaseURL: srv.URL, Database: "lms"}
 	pts := []lineproto.Point{
-		{Measurement: "m", Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}, Time: time.Unix(0, 1)},
-		{Measurement: "m", Fields: map[string]lineproto.Value{"v": lineproto.Float(2)}, Time: time.Unix(0, 2)},
+		lineproto.NewPoint("m", nil, map[string]lineproto.Value{"v": lineproto.Float(1)}, time.Unix(0, 1)),
+		lineproto.NewPoint("m", nil, map[string]lineproto.Value{"v": lineproto.Float(2)}, time.Unix(0, 2)),
 	}
 	if err := c.WritePoints(pts); err != nil {
 		t.Fatal(err)
@@ -178,12 +178,12 @@ func TestClientWritePoints(t *testing.T) {
 func TestClientQueryEscaping(t *testing.T) {
 	store, srv := newTestServer(t)
 	db := store.CreateDatabase("lms")
-	_ = db.WriteBatchContext(bg, []lineproto.Point{{
-		Measurement: "cpu",
-		Tags:        map[string]string{"hostname": "node 01"},
-		Fields:      map[string]lineproto.Value{"value": lineproto.Float(3)},
-		Time:        time.Unix(0, 5),
-	}})
+	_ = db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+		"cpu",
+		map[string]string{"hostname": "node 01"},
+		map[string]lineproto.Value{"value": lineproto.Float(3)},
+		time.Unix(0, 5),
+	)})
 	c := &Client{BaseURL: srv.URL, Database: "lms"}
 	res, err := queryText(c, "SELECT value FROM cpu WHERE hostname = 'node 01'")
 	if err != nil {
@@ -222,12 +222,12 @@ func TestHTTPEndToEndEventAnnotations(t *testing.T) {
 	// annotations" flow of Sect. III-B.
 	_, srv := newTestServer(t)
 	c := &Client{BaseURL: srv.URL, Database: "lms"}
-	ev := lineproto.Point{
-		Measurement: "events",
-		Tags:        map[string]string{"jobid": "42", "type": "jobstart"},
-		Fields:      map[string]lineproto.Value{"text": lineproto.String("job 42 started on h1,h2")},
-		Time:        time.Unix(100, 0),
-	}
+	ev := lineproto.NewPoint(
+		"events",
+		map[string]string{"jobid": "42", "type": "jobstart"},
+		map[string]lineproto.Value{"text": lineproto.String("job 42 started on h1,h2")},
+		time.Unix(100, 0),
+	)
 	if err := c.WritePoints([]lineproto.Point{ev}); err != nil {
 		t.Fatal(err)
 	}

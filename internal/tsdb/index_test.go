@@ -179,12 +179,12 @@ func FuzzTagIndex(f *testing.F) {
 			default:
 				pts := make([]lineproto.Point, 1+int(op/8)%6)
 				for i := range pts {
-					pts[i] = lineproto.Point{
-						Measurement: []string{"m", "n"}[rnd.IntN(2)],
-						Tags:        tagSet(rnd.IntN(4)),
-						Fields:      map[string]lineproto.Value{"v": lineproto.Float(float64(rnd.IntN(100)))},
-						Time:        time.Unix(0, now+int64(rnd.IntN(40))-20),
-					}
+					pts[i] = lineproto.NewPoint(
+						[]string{"m", "n"}[rnd.IntN(2)],
+						tagSet(rnd.IntN(4)),
+						map[string]lineproto.Value{"v": lineproto.Float(float64(rnd.IntN(100)))},
+						time.Unix(0, now+int64(rnd.IntN(40))-20),
+					)
 					now += 10
 				}
 				if err := db.WriteBatchContext(bg, pts); err != nil {
@@ -248,12 +248,12 @@ func TestTagIndexRace(t *testing.T) {
 			for r := 1; r <= rounds; r++ {
 				pts := make([]lineproto.Point, hosts)
 				for h := range pts {
-					pts[h] = lineproto.Point{
-						Measurement: "cpu",
-						Tags:        map[string]string{"jobid": job(w, r), "hostname": fmt.Sprintf("h%d", h), "queue": "batch"},
-						Fields:      map[string]lineproto.Value{"v": lineproto.Float(float64(r))},
-						Time:        time.Unix(int64(r), 0),
-					}
+					pts[h] = lineproto.NewPoint(
+						"cpu",
+						map[string]string{"jobid": job(w, r), "hostname": fmt.Sprintf("h%d", h), "queue": "batch"},
+						map[string]lineproto.Value{"v": lineproto.Float(float64(r))},
+						time.Unix(int64(r), 0),
+					)
 				}
 				if err := db.WriteBatchContext(bg, pts); err != nil {
 					t.Error(err)

@@ -848,6 +848,7 @@ func (p *selectProf) resultSeries() ResultSeries {
 			{"runs_scanned", p.RunsScanned},
 			{"runs_pruned", p.RunsPruned},
 			{"chunks_decoded", p.ChunksDecoded},
+			{"heads_decoded", p.HeadsDecoded},
 			{"points_examined", p.PointsExamined},
 			{"cache", cache},
 			{"phase_cache_lookup_ns", p.phaseNS[phaseCache]},

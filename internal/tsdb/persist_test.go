@@ -32,15 +32,15 @@ func corpusBatches() [][]lineproto.Point {
 	base := int64(1600000000_000000000)
 	at := func(s int64) time.Time { return time.Unix(0, base+s*int64(time.Second)).UTC() }
 	cpu := func(host string, sec int64, user float64, ctx int64) lineproto.Point {
-		return lineproto.Point{
-			Measurement: "cpu",
-			Tags:        map[string]string{"hostname": host},
-			Fields: map[string]lineproto.Value{
+		return lineproto.NewPoint(
+			"cpu",
+			map[string]string{"hostname": host},
+			map[string]lineproto.Value{
 				"user": lineproto.Float(user),
 				"ctx":  lineproto.Int(ctx),
 			},
-			Time: at(sec),
-		}
+			at(sec),
+		)
 	}
 	var batches [][]lineproto.Point
 	// 1-4: the in-order agent pattern, two hosts, two flushes each.
@@ -66,12 +66,12 @@ func corpusBatches() [][]lineproto.Point {
 	batches = append(batches, rw)
 	// 7: sparse events — msg only on some rows, code on others.
 	ev := func(sec int64, fields map[string]lineproto.Value) lineproto.Point {
-		return lineproto.Point{
-			Measurement: "events",
-			Tags:        map[string]string{"hostname": "h1", "jobid": "42"},
-			Fields:      fields,
-			Time:        at(sec),
-		}
+		return lineproto.NewPoint(
+			"events",
+			map[string]string{"hostname": "h1", "jobid": "42"},
+			fields,
+			at(sec),
+		)
 	}
 	batches = append(batches, []lineproto.Point{
 		ev(1, map[string]lineproto.Value{"msg": lineproto.String("job started")}),
@@ -81,7 +81,7 @@ func corpusBatches() [][]lineproto.Point {
 	})
 	// 8: mixed kinds — v flips float -> int -> bool across batches.
 	mix := func(sec int64, v lineproto.Value) lineproto.Point {
-		return lineproto.Point{Measurement: "mixm", Fields: map[string]lineproto.Value{"v": v}, Time: at(sec)}
+		return lineproto.NewPoint("mixm", nil, map[string]lineproto.Value{"v": v}, at(sec))
 	}
 	batches = append(batches,
 		[]lineproto.Point{mix(1, lineproto.Float(1.5)), mix(2, lineproto.Float(2.5))},
@@ -90,8 +90,12 @@ func corpusBatches() [][]lineproto.Point {
 	// 9: multi-measurement batch crossing shards.
 	batches = append(batches, []lineproto.Point{
 		cpu("h3", 60, 1, 1),
-		{Measurement: "mem", Tags: map[string]string{"hostname": "h3"},
-			Fields: map[string]lineproto.Value{"used_kb": lineproto.Float(4096)}, Time: at(60)},
+		lineproto.NewPoint(
+			"mem",
+			map[string]string{"hostname": "h3"},
+			map[string]lineproto.Value{"used_kb": lineproto.Float(4096)},
+			at(60),
+		),
 		cpu("h3", 61, 2, 2),
 	})
 	return batches
@@ -354,10 +358,18 @@ func TestDurableRetentionDeletesOnDiskState(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	old := lineproto.Point{Measurement: "cpu", Fields: map[string]lineproto.Value{"v": lineproto.Float(1)},
-		Time: now.Add(-2 * time.Hour)}
-	fresh := lineproto.Point{Measurement: "cpu", Fields: map[string]lineproto.Value{"v": lineproto.Float(2)},
-		Time: now}
+	old := lineproto.NewPoint(
+		"cpu",
+		nil,
+		map[string]lineproto.Value{"v": lineproto.Float(1)},
+		now.Add(-2*time.Hour),
+	)
+	fresh := lineproto.NewPoint(
+		"cpu",
+		nil,
+		map[string]lineproto.Value{"v": lineproto.Float(2)},
+		now,
+	)
 	if err := db.WriteBatchContext(bg, []lineproto.Point{old, fresh}); err != nil {
 		t.Fatal(err)
 	}
@@ -416,12 +428,12 @@ func TestDurableConcurrentWritesAndCheckpoints(t *testing.T) {
 			for i := 0; i < batchesPer; i++ {
 				var b []lineproto.Point
 				for j := 0; j < perBatch; j++ {
-					b = append(b, lineproto.Point{
-						Measurement: meas,
-						Tags:        map[string]string{"hostname": "h"},
-						Fields:      map[string]lineproto.Value{"v": lineproto.Float(float64(i*perBatch + j))},
-						Time:        time.Unix(int64(i*perBatch+j), 0),
-					})
+					b = append(b, lineproto.NewPoint(
+						meas,
+						map[string]string{"hostname": "h"},
+						map[string]lineproto.Value{"v": lineproto.Float(float64(i*perBatch + j))},
+						time.Unix(int64(i*perBatch+j), 0),
+					))
 				}
 				if err := db.WriteBatchContext(bg, b); err != nil {
 					t.Errorf("write: %v", err)
@@ -465,11 +477,12 @@ func TestStoreRecoversAllDatabases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := db.WriteBatchContext(bg, []lineproto.Point{{
-			Measurement: "cpu",
-			Fields:      map[string]lineproto.Value{"v": lineproto.Float(1)},
-			Time:        time.Unix(1, 0),
-		}}); err != nil {
+		if err := db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+			"cpu",
+			nil,
+			map[string]lineproto.Value{"v": lineproto.Float(1)},
+			time.Unix(1, 0),
+		)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -508,12 +521,12 @@ func TestDurableCorruptCheckpointRefused(t *testing.T) {
 	}
 	write := func(from, to int) {
 		for i := from; i < to; i++ {
-			if err := db.WriteBatchContext(bg, []lineproto.Point{{
-				Measurement: "cpu",
-				Tags:        map[string]string{"hostname": "h1"},
-				Fields:      map[string]lineproto.Value{"v": lineproto.Float(float64(i))},
-				Time:        time.Unix(int64(i), 0),
-			}}); err != nil {
+			if err := db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+				"cpu",
+				map[string]string{"hostname": "h1"},
+				map[string]lineproto.Value{"v": lineproto.Float(float64(i))},
+				time.Unix(int64(i), 0),
+			)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -558,9 +571,12 @@ func TestDurableWriteAfterCloseErrors(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	err = db.WriteBatchContext(bg, []lineproto.Point{{
-		Measurement: "cpu", Fields: map[string]lineproto.Value{"v": lineproto.Float(1)},
-	}})
+	err = db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+		"cpu",
+		nil,
+		map[string]lineproto.Value{"v": lineproto.Float(1)},
+		time.Time{},
+	)})
 	if err != ErrDBClosed {
 		t.Fatalf("write after close = %v, want ErrDBClosed", err)
 	}
@@ -578,9 +594,12 @@ func TestDropDatabaseRemovesDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WriteBatchContext(bg, []lineproto.Point{{
-		Measurement: "cpu", Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}, Time: time.Unix(1, 0),
-	}}); err != nil {
+	if err := db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+		"cpu",
+		nil,
+		map[string]lineproto.Value{"v": lineproto.Float(1)},
+		time.Unix(1, 0),
+	)}); err != nil {
 		t.Fatal(err)
 	}
 	dbDir := db.dur.dir

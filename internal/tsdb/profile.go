@@ -46,7 +46,8 @@ type selectProf struct {
 	SeriesScanned  int   // series phase 1 visited: the filter's shortest posting list
 	RunsScanned    int   // runs admitted into the snapshot
 	RunsPruned     int   // runs skipped on time bounds
-	ChunksDecoded  int   // compressed chunks decoded in phase 2
+	ChunksDecoded  int   // compressed chunks decoded in phase 2, one per chunk
+	HeadsDecoded   int   // series heads (each series' newest run) decoded in phase 2
 	PointsExamined int64 // rows snapshotted (raw) or resident in admitted chunks
 	CacheHit       bool  // result served from the query cache
 

@@ -48,36 +48,36 @@ func seedQuerierStore(t testing.TB) *Store {
 				}
 			}
 			pts = append(pts,
-				lineproto.Point{
-					Measurement: "cpu",
-					Tags:        map[string]string{"hostname": host, "jobid": "42"},
-					Fields:      fields,
-					Time:        ts,
-				},
-				lineproto.Point{
-					Measurement: "likwid_mem_dp",
-					Tags:        map[string]string{"hostname": host},
-					Fields:      map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(2000 + float64(i))},
-					Time:        ts,
-				})
+				lineproto.NewPoint(
+					"cpu",
+					map[string]string{"hostname": host, "jobid": "42"},
+					fields,
+					ts,
+				),
+				lineproto.NewPoint(
+					"likwid_mem_dp",
+					map[string]string{"hostname": host},
+					map[string]lineproto.Value{"dp_mflop_s": lineproto.Float(2000 + float64(i))},
+					ts,
+				))
 		}
 	}
-	pts = append(pts, lineproto.Point{
-		Measurement: "events",
-		Tags:        map[string]string{"jobid": "42"},
-		Fields:      map[string]lineproto.Value{"text": lineproto.String("jobstart")},
-		Time:        base,
-	})
+	pts = append(pts, lineproto.NewPoint(
+		"events",
+		map[string]string{"jobid": "42"},
+		map[string]lineproto.Value{"text": lineproto.String("jobstart")},
+		base,
+	))
 	if err := db.WriteBatchContext(bg, pts); err != nil {
 		t.Fatal(err)
 	}
 	// An out-of-order batch, so multiple point runs exist.
-	if err := db.WriteBatchContext(bg, []lineproto.Point{{
-		Measurement: "cpu",
-		Tags:        map[string]string{"hostname": "h1", "jobid": "42"},
-		Fields:      map[string]lineproto.Value{"value": lineproto.Float(99)},
-		Time:        base.Add(-10 * time.Second),
-	}}); err != nil {
+	if err := db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+		"cpu",
+		map[string]string{"hostname": "h1", "jobid": "42"},
+		map[string]lineproto.Value{"value": lineproto.Float(99)},
+		base.Add(-10*time.Second),
+	)}); err != nil {
 		t.Fatal(err)
 	}
 	return store
@@ -258,20 +258,20 @@ func TestStatementTextRoundTrip(t *testing.T) {
 	// Identifiers and string values outside the bare alphabet survive via
 	// quoting.
 	db := store.CreateDatabase("lms")
-	if err := db.WriteBatchContext(bg, []lineproto.Point{{
-		Measurement: "weird meas",
-		Tags:        map[string]string{"host name": "it's h1&co"},
-		Fields:      map[string]lineproto.Value{"v": lineproto.Float(1)},
-		Time:        time.Unix(1000, 0),
-	}}); err != nil {
+	if err := db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+		"weird meas",
+		map[string]string{"host name": "it's h1&co"},
+		map[string]lineproto.Value{"v": lineproto.Float(1)},
+		time.Unix(1000, 0),
+	)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WriteBatchContext(bg, []lineproto.Point{{
-		Measurement: `nvme"0\disk`,
-		Tags:        map[string]string{"hostname": "h1"},
-		Fields:      map[string]lineproto.Value{"v": lineproto.Float(2)},
-		Time:        time.Unix(1000, 0),
-	}}); err != nil {
+	if err := db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+		`nvme"0\disk`,
+		map[string]string{"hostname": "h1"},
+		map[string]lineproto.Value{"v": lineproto.Float(2)},
+		time.Unix(1000, 0),
+	)}); err != nil {
 		t.Fatal(err)
 	}
 	for _, quoted := range []Statement{
@@ -385,8 +385,12 @@ func TestSelectContextCancellation(t *testing.T) {
 		var pts []lineproto.Point
 		for _, h := range []string{"a", "b", "c"} {
 			for i := lo; i < min(lo+40, 100); i++ {
-				pts = append(pts, lineproto.Point{Measurement: "m", Tags: map[string]string{"h": h},
-					Fields: map[string]lineproto.Value{"v": lineproto.Float(float64(i))}, Time: time.Unix(int64(i), 0)})
+				pts = append(pts, lineproto.NewPoint(
+					"m",
+					map[string]string{"h": h},
+					map[string]lineproto.Value{"v": lineproto.Float(float64(i))},
+					time.Unix(int64(i), 0),
+				))
 			}
 		}
 		if err := db1.WriteBatchContext(bg, pts); err != nil {
@@ -407,8 +411,9 @@ func TestSelectContextCancellation(t *testing.T) {
 	if _, err := db1.SelectContext(withProf(bg, first), qa); err != nil {
 		t.Fatal(err)
 	}
-	if first.ChunksDecoded == 0 || prof.ChunksDecoded != first.ChunksDecoded {
-		t.Fatalf("cancelled query decoded %d chunks, want the first group's %d alone", prof.ChunksDecoded, first.ChunksDecoded)
+	if first.ChunksDecoded == 0 || prof.ChunksDecoded != first.ChunksDecoded || prof.HeadsDecoded != first.HeadsDecoded {
+		t.Fatalf("cancelled query decoded %d chunks and %d heads, want the first group's %d and %d alone",
+			prof.ChunksDecoded, prof.HeadsDecoded, first.ChunksDecoded, first.HeadsDecoded)
 	}
 	hits, misses := db1.QueryCacheStats()
 	live := &selectProf{}
@@ -419,20 +424,21 @@ func TestSelectContextCancellation(t *testing.T) {
 	if h, m := db1.QueryCacheStats(); h != hits || m != misses+1 || live.CacheHit {
 		t.Fatalf("post-cancel select: cache hits %d→%d, misses %d→%d; want a miss", hits, h, misses, m)
 	}
-	if live.ChunksDecoded != 3*first.ChunksDecoded {
-		t.Fatalf("live query decoded %d chunks, want %d", live.ChunksDecoded, 3*first.ChunksDecoded)
+	if live.ChunksDecoded != 3*first.ChunksDecoded || live.HeadsDecoded != 3*first.HeadsDecoded {
+		t.Fatalf("live query decoded %d chunks and %d heads, want %d and %d",
+			live.ChunksDecoded, live.HeadsDecoded, 3*first.ChunksDecoded, 3*first.HeadsDecoded)
 	}
 }
 
 // cancelOnDecode is a context whose Err turns to context.Canceled once the
-// query profiled by prof has decoded a chunk.
+// query profiled by prof has decoded a chunk or a head.
 type cancelOnDecode struct {
 	context.Context
 	prof *selectProf
 }
 
 func (c cancelOnDecode) Err() error {
-	if c.prof.ChunksDecoded > 0 {
+	if c.prof.ChunksDecoded+c.prof.HeadsDecoded > 0 {
 		return context.Canceled
 	}
 	return nil

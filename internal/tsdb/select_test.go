@@ -418,13 +418,12 @@ func seedSelectBatches() [][]lineproto.Point {
 			if i%13 == 0 {
 				fields["note"] = lineproto.String(fmt.Sprintf("mark-%d", i))
 			}
-			pts = append(pts, lineproto.Point{
-				Measurement: "m",
-				Tags:        map[string]string{"hostname": host, "rack": rack},
-				Fields:      fields,
-				// Interleaved, unique per series: step 7s, offset s ns.
-				Time: time.Unix(0, int64(i)*7e9+int64(s)).UTC(),
-			})
+			pts = append(pts, lineproto.NewPoint(
+				"m",
+				map[string]string{"hostname": host, "rack": rack},
+				fields,
+				time.Unix(0, int64(i)*7e9+int64(s)).UTC(),
+			))
 		}
 	}
 	return [][]lineproto.Point{pts[len(pts)/2:], pts[:len(pts)/2]}
@@ -479,8 +478,8 @@ func TestSelectContextRefusesInvalidQuery(t *testing.T) {
 	store := NewStore()
 	db := store.CreateDatabase("lms")
 	if err := db.WriteBatchContext(bg, []lineproto.Point{
-		{Measurement: "m", Tags: map[string]string{"h": "a"}, Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}, Time: time.Unix(1, 0)},
-		{Measurement: "m", Tags: map[string]string{"h": "a"}, Fields: map[string]lineproto.Value{"v": lineproto.Float(3)}, Time: time.Unix(2, 0)},
+		lineproto.NewPoint("m", map[string]string{"h": "a"}, map[string]lineproto.Value{"v": lineproto.Float(1)}, time.Unix(1, 0)),
+		lineproto.NewPoint("m", map[string]string{"h": "a"}, map[string]lineproto.Value{"v": lineproto.Float(3)}, time.Unix(2, 0)),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -558,12 +557,12 @@ func TestSelectLimitWithFieldProjection(t *testing.T) {
 		if i >= 20 {
 			field = "b"
 		}
-		pts = append(pts, lineproto.Point{
-			Measurement: "m",
-			Tags:        map[string]string{"hostname": "h1"},
-			Fields:      map[string]lineproto.Value{field: lineproto.Float(float64(i))},
-			Time:        time.Unix(int64(i), 0),
-		})
+		pts = append(pts, lineproto.NewPoint(
+			"m",
+			map[string]string{"hostname": "h1"},
+			map[string]lineproto.Value{field: lineproto.Float(float64(i))},
+			time.Unix(int64(i), 0),
+		))
 	}
 	if err := db.WriteBatchContext(bg, pts); err != nil {
 		t.Fatal(err)
@@ -594,12 +593,12 @@ func TestQueryCacheHitAndInvalidation(t *testing.T) {
 	db.SetQueryCacheTTL(time.Hour)
 	write := func(meas string, val float64, sec int64) {
 		t.Helper()
-		err := db.WriteBatchContext(bg, []lineproto.Point{{
-			Measurement: meas,
-			Tags:        map[string]string{"hostname": "h1"},
-			Fields:      map[string]lineproto.Value{"value": lineproto.Float(val)},
-			Time:        time.Unix(sec, 0),
-		}})
+		err := db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+			meas,
+			map[string]string{"hostname": "h1"},
+			map[string]lineproto.Value{"value": lineproto.Float(val)},
+			time.Unix(sec, 0),
+		)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -665,15 +664,15 @@ func TestQueryCacheKeyCollision(t *testing.T) {
 	t.Parallel()
 	db := newDB("lms")
 	db.SetQueryCacheTTL(time.Hour)
-	err := db.WriteBatchContext(bg, []lineproto.Point{{
-		Measurement: "m",
-		Tags:        map[string]string{"hostname": "h1"},
-		Fields: map[string]lineproto.Value{
+	err := db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+		"m",
+		map[string]string{"hostname": "h1"},
+		map[string]lineproto.Value{
 			"a": lineproto.Float(1),
 			"b": lineproto.Float(2),
 		},
-		Time: time.Unix(1, 0),
-	}})
+		time.Unix(1, 0),
+	)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,9 +698,9 @@ func TestQueryCacheKeyCollision(t *testing.T) {
 	// bound or one filter value are different queries: each gets its own
 	// key and its own (correct) answer, cached or not.
 	more := []lineproto.Point{
-		{Measurement: "m", Tags: map[string]string{"hostname": "h2", "rack": "r1"}, Fields: map[string]lineproto.Value{"a": lineproto.Float(3)}, Time: time.Unix(2, 0)},
-		{Measurement: "m", Tags: map[string]string{"hostname": "h1", "rack": "r2"}, Fields: map[string]lineproto.Value{"a": lineproto.Float(5)}, Time: time.Unix(3, 0)},
-		{Measurement: "m", Tags: map[string]string{"hostname": "h2", "rack": "r2"}, Fields: map[string]lineproto.Value{"a": lineproto.Float(7)}, Time: time.Unix(4, 0)},
+		lineproto.NewPoint("m", map[string]string{"hostname": "h2", "rack": "r1"}, map[string]lineproto.Value{"a": lineproto.Float(3)}, time.Unix(2, 0)),
+		lineproto.NewPoint("m", map[string]string{"hostname": "h1", "rack": "r2"}, map[string]lineproto.Value{"a": lineproto.Float(5)}, time.Unix(3, 0)),
+		lineproto.NewPoint("m", map[string]string{"hostname": "h2", "rack": "r2"}, map[string]lineproto.Value{"a": lineproto.Float(7)}, time.Unix(4, 0)),
 	}
 	if err := db.WriteBatchContext(bg, more); err != nil {
 		t.Fatal(err)
@@ -743,11 +742,12 @@ func TestQueryCacheDisabled(t *testing.T) {
 	t.Parallel()
 	db := newDB("lms")
 	db.SetQueryCacheTTL(0)
-	err := db.WriteBatchContext(bg, []lineproto.Point{{
-		Measurement: "m",
-		Fields:      map[string]lineproto.Value{"value": lineproto.Float(1)},
-		Time:        time.Unix(1, 0),
-	}})
+	err := db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+		"m",
+		nil,
+		map[string]lineproto.Value{"value": lineproto.Float(1)},
+		time.Unix(1, 0),
+	)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -766,11 +766,12 @@ func TestQueryCacheExpiry(t *testing.T) {
 	t.Parallel()
 	db := newDB("lms")
 	db.SetQueryCacheTTL(time.Millisecond)
-	err := db.WriteBatchContext(bg, []lineproto.Point{{
-		Measurement: "m",
-		Fields:      map[string]lineproto.Value{"value": lineproto.Float(1)},
-		Time:        time.Unix(1, 0),
-	}})
+	err := db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+		"m",
+		nil,
+		map[string]lineproto.Value{"value": lineproto.Float(1)},
+		time.Unix(1, 0),
+	)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,12 +30,12 @@ func newDBOpts(name string, o StoreOptions) *DB {
 }
 
 func pt(meas string, tags map[string]string, val float64, t int64) lineproto.Point {
-	return lineproto.Point{
-		Measurement: meas,
-		Tags:        tags,
-		Fields:      map[string]lineproto.Value{"value": lineproto.Float(val)},
-		Time:        ts(t),
-	}
+	return lineproto.NewPoint(
+		meas,
+		tags,
+		map[string]lineproto.Value{"value": lineproto.Float(val)},
+		ts(t),
+	)
 }
 
 func TestStoreCreateAndDrop(t *testing.T) {
@@ -283,12 +283,12 @@ func TestSelectLimit(t *testing.T) {
 
 func TestStringEvents(t *testing.T) {
 	db := newDB("test")
-	ev := lineproto.Point{
-		Measurement: "events",
-		Tags:        map[string]string{"hostname": "h1"},
-		Fields:      map[string]lineproto.Value{"text": lineproto.String("job 42 start")},
-		Time:        ts(100),
-	}
+	ev := lineproto.NewPoint(
+		"events",
+		map[string]string{"hostname": "h1"},
+		map[string]lineproto.Value{"text": lineproto.String("job 42 start")},
+		ts(100),
+	)
 	if err := db.WriteBatchContext(bg, []lineproto.Point{ev}); err != nil {
 		t.Fatal(err)
 	}
@@ -335,12 +335,12 @@ func TestOutOfOrderInsertIsSorted(t *testing.T) {
 
 func TestMetadataQueries(t *testing.T) {
 	db := newDB("test")
-	_ = db.WriteBatchContext(bg, []lineproto.Point{{
-		Measurement: "cpu",
-		Tags:        map[string]string{"hostname": "h1", "core": "0"},
-		Fields:      map[string]lineproto.Value{"user": lineproto.Float(1), "system": lineproto.Float(2)},
-		Time:        ts(1),
-	}})
+	_ = db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
+		"cpu",
+		map[string]string{"hostname": "h1", "core": "0"},
+		map[string]lineproto.Value{"user": lineproto.Float(1), "system": lineproto.Float(2)},
+		ts(1),
+	)})
 	_ = db.WriteBatchContext(bg, []lineproto.Point{pt("mem", map[string]string{"hostname": "h2"}, 1, 2)})
 	if got := db.Measurements(); len(got) != 2 || got[0] != "cpu" || got[1] != "mem" {
 		t.Fatalf("measurements %v", got)
@@ -403,7 +403,7 @@ func TestWriteInvalidPoint(t *testing.T) {
 
 func TestWriteAssignsNow(t *testing.T) {
 	db := newDB("test")
-	p := lineproto.Point{Measurement: "m", Fields: map[string]lineproto.Value{"v": lineproto.Float(1)}}
+	p := lineproto.NewPoint("m", nil, map[string]lineproto.Value{"v": lineproto.Float(1)}, time.Time{})
 	before := time.Now()
 	_ = db.WriteBatchContext(bg, []lineproto.Point{p})
 	res, _ := db.SelectContext(bg, Query{Measurement: "m"})

@@ -144,7 +144,7 @@ func (c *Client) Metric(name string, value float64, tags map[string]string) erro
 
 // MetricFields buffers a multi-field metric.
 func (c *Client) MetricFields(name string, fields map[string]lineproto.Value, tags map[string]string) error {
-	p := lineproto.Point{Measurement: name, Tags: tags, Fields: fields}
+	p := lineproto.NewPoint(name, tags, fields, time.Time{})
 	if err := c.batch.Add(p, c.now()); err != nil {
 		return fmt.Errorf("usermetric: %w", err)
 	}
@@ -158,11 +158,12 @@ func (c *Client) MetricFields(name string, fields map[string]lineproto.Value, ta
 // points in time (application start/end, phase changes) and appear as
 // dashed annotation lines in the dashboards (paper Fig. 3).
 func (c *Client) Event(text string, tags map[string]string) error {
-	p := lineproto.Point{
-		Measurement: "events",
-		Tags:        tags,
-		Fields:      map[string]lineproto.Value{"text": lineproto.String(text)},
-	}
+	p := lineproto.NewPoint(
+		"events",
+		tags,
+		map[string]lineproto.Value{"text": lineproto.String(text)},
+		time.Time{},
+	)
 	if err := c.batch.Add(p, c.now()); err != nil {
 		return fmt.Errorf("usermetric: %w", err)
 	}

@@ -90,10 +90,10 @@ func TestMetricBufferedUntilFlush(t *testing.T) {
 		t.Fatalf("points %d", len(pts))
 	}
 	p := pts[0]
-	if p.Measurement != "pressure" || p.Fields["value"].FloatVal() != 5.9 {
+	if p.Measurement != "pressure" || p.Field("value").FloatVal() != 5.9 {
 		t.Fatalf("%+v", p)
 	}
-	if p.Tags["hostname"] != "h1" || p.Tags["app"] != "test" {
+	if p.Tag("hostname") != "h1" || p.Tag("app") != "test" {
 		t.Fatalf("default tags %v", p.Tags)
 	}
 	if !p.Time.Equal(fixedNow()) {
@@ -107,10 +107,10 @@ func TestPerCallTags(t *testing.T) {
 	_ = c.Metric("runtime", 1.2, map[string]string{"tid": "3", "app": "override"})
 	_ = c.Flush()
 	p := sink.points(t)[0]
-	if p.Tags["tid"] != "3" {
+	if p.Tag("tid") != "3" {
 		t.Fatalf("per-call tag missing: %v", p.Tags)
 	}
-	if p.Tags["app"] != "override" {
+	if p.Tag("app") != "override" {
 		t.Fatalf("per-call tag should override default: %v", p.Tags)
 	}
 }
@@ -139,10 +139,10 @@ func TestEvent(t *testing.T) {
 	if p.Measurement != "events" {
 		t.Fatalf("measurement %q", p.Measurement)
 	}
-	if p.Fields["text"].StringVal() != "starting miniMD" {
+	if p.Field("text").StringVal() != "starting miniMD" {
 		t.Fatalf("%+v", p.Fields)
 	}
-	if p.Tags["phase"] != "init" || p.Tags["hostname"] != "h1" {
+	if p.Tag("phase") != "init" || p.Tag("hostname") != "h1" {
 		t.Fatalf("%v", p.Tags)
 	}
 }

@@ -180,12 +180,12 @@ func TestChaosRestartNoAckedPointLost(t *testing.T) {
 				pts := make([]lineproto.Point, p.batch)
 				for i := range pts {
 					seq := batchNo*p.batch + i
-					pts[i] = lineproto.Point{
-						Measurement: "chaos",
-						Tags:        map[string]string{"writer": fmt.Sprintf("w%d", w)},
-						Fields:      map[string]lineproto.Value{"seq": lineproto.Int(int64(seq))},
-						Time:        base.Add(time.Duration(seq) * time.Millisecond),
-					}
+					pts[i] = lineproto.NewPoint(
+						"chaos",
+						map[string]string{"writer": fmt.Sprintf("w%d", w)},
+						map[string]lineproto.Value{"seq": lineproto.Int(int64(seq))},
+						base.Add(time.Duration(seq)*time.Millisecond),
+					)
 				}
 				// Retry the same batch until acked — an un-acked batch may
 				// be retried across a restart without harm because the seq

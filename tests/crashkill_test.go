@@ -141,12 +141,12 @@ func TestChaosCrashKillNoAckedPointLost(t *testing.T) {
 				pts := make([]lineproto.Point, p.batch)
 				for i := range pts {
 					seq := batchNo*p.batch + i
-					pts[i] = lineproto.Point{
-						Measurement: "crashkill",
-						Tags:        map[string]string{"writer": fmt.Sprintf("w%d", w)},
-						Fields:      map[string]lineproto.Value{"seq": lineproto.Int(int64(seq))},
-						Time:        base.Add(time.Duration(seq) * time.Millisecond),
-					}
+					pts[i] = lineproto.NewPoint(
+						"crashkill",
+						map[string]string{"writer": fmt.Sprintf("w%d", w)},
+						map[string]lineproto.Value{"seq": lineproto.Int(int64(seq))},
+						base.Add(time.Duration(seq)*time.Millisecond),
+					)
 				}
 				// Retry the same batch across kills: the seq timestamps
 				// make re-writes idempotent per series, so an un-acked
