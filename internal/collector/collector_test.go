@@ -226,10 +226,10 @@ func TestLoadPlugin(t *testing.T) {
 	if len(pts) != 1 || pts[0].Measurement != "load" {
 		t.Fatalf("%+v", pts)
 	}
-	if pts[0].Field("load1").FloatVal() < 2 {
-		t.Fatalf("load1 %v", pts[0].Field("load1"))
+	if fieldOf(pts[0], "load1").FloatVal() < 2 {
+		t.Fatalf("load1 %v", fieldOf(pts[0], "load1"))
 	}
-	if pts[0].Field("runnable").IntVal() != 3 {
+	if fieldOf(pts[0], "runnable").IntVal() != 3 {
 		t.Fatalf("runnable %+v", pts[0].Fields)
 	}
 }
@@ -255,7 +255,7 @@ func TestCPUPluginRates(t *testing.T) {
 	}
 	agg := pts[0]
 	// Two of four cores at 1.0 and 0.5 => aggregate 37.5% busy.
-	if got := agg.Field("percent").FloatVal(); math.Abs(got-37.5) > 0.5 {
+	if got := fieldOf(agg, "percent").FloatVal(); math.Abs(got-37.5) > 0.5 {
 		t.Fatalf("aggregate percent %v", got)
 	}
 	var core0 lineproto.Point
@@ -264,7 +264,7 @@ func TestCPUPluginRates(t *testing.T) {
 			core0 = pt
 		}
 	}
-	if got := core0.Field("user").FloatVal(); math.Abs(got-100) > 0.5 {
+	if got := fieldOf(core0, "user").FloatVal(); math.Abs(got-100) > 0.5 {
 		t.Fatalf("core0 user %v", got)
 	}
 }
@@ -277,10 +277,10 @@ func TestMemoryPlugin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pts[0].Field("used_kb").IntVal() != 4*1024*1024 {
+	if fieldOf(pts[0], "used_kb").IntVal() != 4*1024*1024 {
 		t.Fatalf("used %+v", pts[0].Fields)
 	}
-	if got := pts[0].Field("used_percent").FloatVal(); math.Abs(got-25) > 0.1 {
+	if got := fieldOf(pts[0], "used_percent").FloatVal(); math.Abs(got-25) > 0.1 {
 		t.Fatalf("percent %v", got)
 	}
 }
@@ -301,7 +301,7 @@ func TestNetworkPluginRates(t *testing.T) {
 	if pts[0].Tag("interface") != "eth0" {
 		t.Fatalf("iface %v", pts[0].Tags)
 	}
-	if got := pts[0].Field("rx_bytes_per_s").FloatVal(); math.Abs(got-2e6) > 1e3 {
+	if got := fieldOf(pts[0], "rx_bytes_per_s").FloatVal(); math.Abs(got-2e6) > 1e3 {
 		t.Fatalf("rx rate %v", got)
 	}
 	// Interface filter.
@@ -327,10 +327,10 @@ func TestDiskPluginRates(t *testing.T) {
 	if len(pts) != 1 || pts[0].Tag("device") != "sda" {
 		t.Fatalf("%+v", pts)
 	}
-	if got := pts[0].Field("read_bytes_per_s").FloatVal(); math.Abs(got-1e6) > 1e3 {
+	if got := fieldOf(pts[0], "read_bytes_per_s").FloatVal(); math.Abs(got-1e6) > 1e3 {
 		t.Fatalf("read rate %v", got)
 	}
-	if got := pts[0].Field("write_bytes_per_s").FloatVal(); math.Abs(got-5e5) > 1e3 {
+	if got := fieldOf(pts[0], "write_bytes_per_s").FloatVal(); math.Abs(got-5e5) > 1e3 {
 		t.Fatalf("write rate %v", got)
 	}
 }
@@ -363,20 +363,20 @@ func TestHPMPluginTimeline(t *testing.T) {
 	if node.Measurement != "likwid_mem_dp" {
 		t.Fatalf("measurement %q", node.Measurement)
 	}
-	bw := node.Field("memory_bandwidth_mbytes_s").FloatVal()
+	bw := fieldOf(node, "memory_bandwidth_mbytes_s").FloatVal()
 	wantBW := 4 * 6e9 / 1e6 // 4 cores x 6 GB/s in MB/s
 	if math.Abs(bw-wantBW)/wantBW > 0.02 {
 		t.Fatalf("bandwidth %v want ~%v", bw, wantBW)
 	}
-	flops := node.Field("dp_mflop_s").FloatVal()
+	flops := fieldOf(node, "dp_mflop_s").FloatVal()
 	wantFlops := 4 * (6e9 / 24 * 2) / 1e6
 	if math.Abs(flops-wantFlops)/wantFlops > 0.02 {
 		t.Fatalf("flops %v want ~%v", flops, wantFlops)
 	}
 	// CPI is intensive: node value close to the per-thread value, not 4x.
-	cpi := node.Field("cpi").FloatVal()
+	cpi := fieldOf(node, "cpi").FloatVal()
 	thread := pts[1]
-	tcpi := thread.Field("cpi").FloatVal()
+	tcpi := fieldOf(thread, "cpi").FloatVal()
 	if math.Abs(cpi-tcpi) > 0.2*tcpi {
 		t.Fatalf("cpi aggregation: node %v thread %v", cpi, tcpi)
 	}
@@ -520,4 +520,14 @@ func BenchmarkSanitizeFieldKey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = SanitizeFieldKey("Memory bandwidth [MBytes/s]")
 	}
+}
+
+// fieldOf returns p's value of the field key, the zero Value when it has none.
+func fieldOf(p lineproto.Point, key string) lineproto.Value {
+	for _, f := range p.Fields {
+		if f.Key == key {
+			return f.Value
+		}
+	}
+	return lineproto.Value{}
 }

@@ -117,7 +117,7 @@ func TestTCPDump(t *testing.T) {
 	if pt.Tag("hostname") != "h1" {
 		t.Fatalf("tags %v", pt.Tags)
 	}
-	if pt.Field("value").FloatVal() != 3 {
+	if fieldOf(pt, "value").FloatVal() != 3 {
 		t.Fatalf("value %v", pt.Fields)
 	}
 	if !pt.Time.Equal(now()) {
@@ -246,4 +246,14 @@ func TestProxyRunLoop(t *testing.T) {
 	}
 	close(stop)
 	<-done
+}
+
+// fieldOf returns p's value of the field key, the zero Value when it has none.
+func fieldOf(p lineproto.Point, key string) lineproto.Value {
+	for _, f := range p.Fields {
+		if f.Key == key {
+			return f.Value
+		}
+	}
+	return lineproto.Value{}
 }

@@ -251,20 +251,6 @@ func (p Point) Tag(key string) string {
 	return ""
 }
 
-// Field returns the value of the point's field key, the zero Value when it
-// has none.
-func (p Point) Field(key string) Value {
-	for _, f := range p.Fields {
-		if f.Key >= key {
-			if f.Key == key {
-				return f.Value
-			}
-			break
-		}
-	}
-	return Value{}
-}
-
 // Equal reports semantic equality of two points (timestamps compared at
 // nanosecond resolution, NaN fields equal).
 func (p Point) Equal(o Point) bool {
@@ -419,10 +405,11 @@ func (e *ParseError) Error() string {
 // starting with '#' are skipped (comments aid cronjob/curl debugging).
 //
 // The body is copied into one string, and every token without an escape
-// is a substring of it; the points' tags and fields are views into one
-// tag and one field arena, sized from the first line for the whole body.
-// A collector's body of uniform lines thus costs a handful of allocations,
-// not a few per line.
+// is a substring of it; the points' tags and fields are views into a tag
+// and a field arena, sized by the lines' shape in blocks of up to maxBlock
+// keys. A collector's body of uniform lines thus costs a handful of
+// allocations, not a few per line. A string kept from a point keeps the
+// whole body alive: a caller that holds one past the batch clones it.
 func Parse(data []byte) ([]Point, error) {
 	var (
 		points []Point
@@ -443,9 +430,10 @@ func Parse(data []byte) ([]Point, error) {
 		}
 		left := lines - lineNo + 1 // lines not yet parsed, this one included
 		if points == nil {
-			// At most one point per line left: the batch and the arenas are
-			// sized once, the arenas by this line's shape.
-			points = make([]Point, 0, left)
+			// At most one point per line left, and a point takes at least
+			// the five bytes of "m k=v": the batch is sized once, the
+			// arenas by this line's shape.
+			points = make([]Point, 0, min(left, (len(line)+len(s))/5+1))
 			a.wantTags, a.wantFields = shape(line)
 		}
 		a.reserve(left)
@@ -501,15 +489,20 @@ type arena struct {
 	wantTags, wantFields int
 }
 
+// maxBlock bounds an arena block, in keys, unless one line needs more.
+const maxBlock = 4096
+
 // reserve makes sure the next line's expected keys fit. When they do not,
-// a block is started for all lines left at that shape; the points parsed so
-// far keep the block they view.
+// a block is started for the lines left at that shape, up to maxBlock keys:
+// one wide line ahead of many narrow ones must not reserve its width for
+// all of them, and a big body's arena grows block by block. The points
+// parsed so far keep the block they view.
 func (a *arena) reserve(lines int) {
 	if cap(a.tags)-len(a.tags) < a.wantTags {
-		a.tags = make([]Tag, 0, a.wantTags*lines)
+		a.tags = make([]Tag, 0, min(a.wantTags*lines, max(a.wantTags, maxBlock)))
 	}
 	if cap(a.fields)-len(a.fields) < a.wantFields {
-		a.fields = make([]Field, 0, a.wantFields*lines)
+		a.fields = make([]Field, 0, min(a.wantFields*lines, max(a.wantFields, maxBlock)))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -90,7 +91,7 @@ func TestEncodeStringField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := back.Field("text").StringVal(); got != `job "start" via \curl` {
+	if got := fieldOf(back, "text").StringVal(); got != `job "start" via \curl` {
 		t.Fatalf("string round trip got %q", got)
 	}
 }
@@ -161,7 +162,7 @@ func TestParseBasic(t *testing.T) {
 	if p.Tag("hostname") != "node07" || p.Tag("jobid") != "1234.master" {
 		t.Errorf("tags %v", p.Tags)
 	}
-	if v := p.Field("mflops"); v.Kind() != KindFloat || v.FloatVal() != 2345.5 {
+	if v := fieldOf(p, "mflops"); v.Kind() != KindFloat || v.FloatVal() != 2345.5 {
 		t.Errorf("field %v", v)
 	}
 	if p.Time.UnixNano() != 1500000000000000000 {
@@ -177,14 +178,14 @@ func TestParseMultipleFields(t *testing.T) {
 	if len(p.Fields) != 5 {
 		t.Fatalf("fields %v", p.Fields)
 	}
-	if p.Field("total").Kind() != KindInt || p.Field("total").IntVal() != 8 {
-		t.Errorf("total %v", p.Field("total"))
+	if fieldOf(p, "total").Kind() != KindInt || fieldOf(p, "total").IntVal() != 8 {
+		t.Errorf("total %v", fieldOf(p, "total"))
 	}
-	if p.Field("swapped").BoolVal() {
+	if fieldOf(p, "swapped").BoolVal() {
 		t.Errorf("swapped should be false")
 	}
-	if p.Field("state").StringVal() != "ok" {
-		t.Errorf("state %v", p.Field("state"))
+	if fieldOf(p, "state").StringVal() != "ok" {
+		t.Errorf("state %v", fieldOf(p, "state"))
 	}
 }
 
@@ -204,7 +205,7 @@ func TestParseBoolForms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
-		if !p.Field("v").BoolVal() {
+		if !fieldOf(p, "v").BoolVal() {
 			t.Errorf("%s parsed as false", s)
 		}
 	}
@@ -213,7 +214,7 @@ func TestParseBoolForms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
-		if p.Field("v").BoolVal() {
+		if fieldOf(p, "v").BoolVal() {
 			t.Errorf("%s parsed as true", s)
 		}
 	}
@@ -224,8 +225,8 @@ func TestParseScientificFloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Field("v").FloatVal() != 1.5e9 {
-		t.Errorf("got %v", p.Field("v"))
+	if fieldOf(p, "v").FloatVal() != 1.5e9 {
+		t.Errorf("got %v", fieldOf(p, "v"))
 	}
 }
 
@@ -558,8 +559,8 @@ func TestPointShape(t *testing.T) {
 	if !slices.Equal(keys, []string{"alpha", "beta", "mid", "zeta"}) {
 		t.Fatalf("field keys %v", keys)
 	}
-	if p.Tag("m") != "3" || p.Tag("b") != "" || p.Field("alpha").IntVal() != 2 || p.Field("gamma").Kind() != KindFloat {
-		t.Fatalf("lookups: %q %q %v %v", p.Tag("m"), p.Tag("b"), p.Field("alpha"), p.Field("gamma"))
+	if p.Tag("m") != "3" || p.Tag("b") != "" || fieldOf(p, "alpha").IntVal() != 2 || fieldOf(p, "gamma").Kind() != KindFloat {
+		t.Fatalf("lookups: %q %q %v %v", p.Tag("m"), p.Tag("b"), fieldOf(p, "alpha"), fieldOf(p, "gamma"))
 	}
 
 	merged := MergeTags(nil, []Tag{{"hostname", "own"}, {"z", "9"}}, []Tag{{"a", "job"}, {"hostname", "job"}, {"jobid", "7"}})
@@ -606,4 +607,47 @@ func TestParseAllocsPerPoint(t *testing.T) {
 		t.Fatalf("Parse allocates %.2f times per point, want <= 0.05", perPoint)
 	}
 	t.Logf("%.2f allocs/point", perPoint)
+}
+
+// TestParseWideThenNarrowIsLinear: the arenas are sized from a line's
+// shape for the lines left, but a wide line ahead of many narrow ones must
+// not reserve its width for all of them. What Parse allocates stays
+// linear in the body: about 150 bytes a point and its field need per
+// six-byte line, here, and a block of slack.
+func TestParseWideThenNarrowIsLinear(t *testing.T) {
+	const wide, narrow = 64, 10000
+	body := []byte("m")
+	for i := 0; i < wide; i++ {
+		body = fmt.Appendf(body, ",t%02d=v", i)
+	}
+	for i := 0; i < wide; i++ {
+		body = fmt.Appendf(body, "%cf%02d=1", " ,"[min(i, 1)], i)
+	}
+	body = append(body, '\n')
+	for i := 0; i < narrow; i++ {
+		body = append(body, "m v=1\n"...)
+	}
+	pts, err := Parse(body)
+	if err != nil || len(pts) != 1+narrow || len(pts[0].Tags) != wide || len(pts[0].Fields) != wide {
+		t.Fatalf("fixture: %d points, err %v", len(pts), err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _ = Parse(body)
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(body))
+	if perByte > 40 {
+		t.Fatalf("Parse allocates %.0f bytes per body byte, want <= 40", perByte)
+	}
+	t.Logf("%.1f bytes allocated per body byte", perByte)
+}
+
+// fieldOf returns p's value of the field key, the zero Value when it has none.
+func fieldOf(p Point, key string) Value {
+	for _, f := range p.Fields {
+		if f.Key == key {
+			return f.Value
+		}
+	}
+	return Value{}
 }

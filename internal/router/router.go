@@ -284,9 +284,13 @@ func (r *Router) IngestContext(ctx context.Context, pts []lineproto.Point) error
 	enriched := make([]lineproto.Point, 0, len(pts))
 	perUser := map[string][]lineproto.Point{}
 	var (
-		jobs  hostJobs
-		arena []lineproto.Tag // the enriched points' tags
+		jobs     hostJobs
+		arena    []lineproto.Tag // the enriched points' tags
+		tagsLeft int             // the own tags of the points not yet enriched
 	)
+	for _, p := range pts {
+		tagsLeft += len(p.Tags)
+	}
 	for i, p := range pts {
 		if p.Time.IsZero() {
 			p.Time = now
@@ -294,10 +298,13 @@ func (r *Router) IngestContext(ctx context.Context, pts []lineproto.Point) error
 		if job := jobs.of(r.jobs, p.Tag("hostname")); job != nil {
 			// Enrichment changes the tag set and nothing else, so that is
 			// all it copies: merged into the batch's arena, sized once for
-			// the points left at this shape. The caller's batch keeps its
-			// own tags; the fields, which nobody writes, stay shared.
+			// the points left at this shape, but for no more tags than they
+			// and this job hold (one wide point ahead of many narrow ones
+			// must not multiply the two). The caller's batch keeps its own
+			// tags; the fields, which nobody writes, stay shared.
 			if need := len(p.Tags) + len(job.tags); cap(arena)-len(arena) < need {
-				arena = make([]lineproto.Tag, 0, need*(len(pts)-i))
+				left := len(pts) - i
+				arena = make([]lineproto.Tag, 0, min(need*left, tagsLeft+len(job.tags)*left))
 			}
 			n := len(arena)
 			arena = lineproto.MergeTags(arena, p.Tags, job.tags) // a tag the agent sent wins over the job's
@@ -306,6 +313,7 @@ func (r *Router) IngestContext(ctx context.Context, pts []lineproto.Point) error
 				perUser[job.user] = append(perUser[job.user], p)
 			}
 		}
+		tagsLeft -= len(pts[i].Tags)
 		enriched = append(enriched, p)
 	}
 	esp.End()

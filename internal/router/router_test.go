@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -267,6 +268,51 @@ func TestEnrichmentCopiesOnlyTags(t *testing.T) {
 	if got := primary.got[0][1].Tags; !reflect.DeepEqual(got, []lineproto.Tag{{Key: "hostname", Value: "h9"}}) {
 		t.Fatalf("a point of no job changed tags: %v", got)
 	}
+}
+
+// TestEnrichWideThenNarrowIsLinear: the enrich arena is sized for the
+// points left at a point's shape, but a wide point ahead of many narrow
+// ones must not reserve its width for all of them. What enrichment
+// allocates stays linear in the tags it writes: here a narrow point's
+// slot in the batch and its four tags, about 220 bytes.
+func TestEnrichWideThenNarrowIsLinear(t *testing.T) {
+	const wide, narrow = 256, 10000
+	primary := &captureSink{}
+	r, err := New(Config{Primary: primary, Now: fixedNow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.JobStart(JobSignal{JobID: "7", User: "dave", Nodes: []string{"h1"}, Tags: map[string]string{"queue": "batch"}}); err != nil {
+		t.Fatal(err)
+	}
+	tags := map[string]string{"hostname": "h1"}
+	for i := 0; i < wide; i++ {
+		tags[fmt.Sprintf("t%03d", i)] = "v"
+	}
+	fields := map[string]lineproto.Value{"v": lineproto.Float(1)}
+	pts := []lineproto.Point{lineproto.NewPoint("m", tags, fields, fixedNow())}
+	for p := lineproto.NewPoint("m", map[string]string{"hostname": "h1"}, fields, fixedNow()); len(pts) <= narrow; {
+		pts = append(pts, p)
+	}
+	ingest := func() {
+		primary.got = nil
+		if err := r.IngestContext(context.Background(), pts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest()
+	if got := primary.got[0][narrow]; len(got.Tags) != 4 || got.Tag("jobid") != "7" {
+		t.Fatalf("narrow point enriched to %v", got.Tags)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ingest()
+	runtime.ReadMemStats(&after)
+	perPoint := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(pts))
+	if perPoint > 512 {
+		t.Fatalf("enrichment allocates %.0f bytes per point, want <= 512", perPoint)
+	}
+	t.Logf("%.0f bytes allocated per point", perPoint)
 }
 
 func TestUserSinkFailureIsBestEffort(t *testing.T) {

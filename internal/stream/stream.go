@@ -64,6 +64,11 @@ type seriesKey struct {
 	measurement, field, host string
 }
 
+// clone copies the key's strings out of whatever larger string they view.
+func (k seriesKey) clone() seriesKey {
+	return seriesKey{strings.Clone(k.measurement), strings.Clone(k.field), strings.Clone(k.host)}
+}
+
 // JobEvent is a decoded meta message (job start/end). Start is derived
 // from the topic, not the payload (the payload's "start" key is the
 // timestamp).
@@ -216,8 +221,10 @@ func (a *Analyzer) observePoint(p lineproto.Point) {
 		key := seriesKey{p.Measurement, field, host}
 		agg, ok := a.aggs[key]
 		if !ok {
+			// A parsed point's strings view its whole payload; a key
+			// kept for the analyzer's life must not keep that too.
 			agg = &Aggregate{}
-			a.aggs[key] = agg
+			a.aggs[key.clone()] = agg
 		}
 		agg.observe(v)
 
@@ -228,8 +235,8 @@ func (a *Analyzer) observePoint(p lineproto.Point) {
 			dkey := seriesKey{rule.Name, field, host}
 			det := a.detectors[dkey]
 			if det == nil || det.job != jobID {
-				det = &detector{job: jobID, stream: analysis.DetectStreaming{Rule: rule}}
-				a.detectors[dkey] = det
+				det = &detector{job: strings.Clone(jobID), stream: analysis.DetectStreaming{Rule: rule}}
+				a.detectors[dkey.clone()] = det
 			}
 			violation, fired := det.stream.Feed(analysis.TimedValue{T: p.Time, V: v})
 			if fired {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -68,6 +69,28 @@ func TestAggregatesPerSeries(t *testing.T) {
 	// Sorted by measurement, field, host.
 	if stats[0].Measurement != "cpu" || stats[0].Host != "h1" || stats[2].Measurement != "mem" {
 		t.Fatalf("%+v", stats)
+	}
+}
+
+// TestKeysDoNotPinPayload: a parsed point's strings view its whole
+// payload, so the aggregate and detector keys the analyzer keeps for its
+// life must be copies, or each one keeps a batch alive.
+func TestKeysDoNotPinPayload(t *testing.T) {
+	const pad = 4 << 20
+	rule := analysis.Rule{Name: "hot", Measurement: "cpu", Field: "percent", Cond: analysis.Above, Threshold: 90, Timeout: time.Minute}
+	a := New(Config{Rules: []analysis.Rule{rule}})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	payload := append(metricPayload(t, "cpu", "h1", "percent", 95, 0), "# "...)
+	a.Handle("metrics/cpu", append(payload, strings.Repeat("x", pad)...))
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if stats, _, _ := a.Snapshot(); len(stats) != 1 || len(a.detectors) != 1 {
+		t.Fatalf("fixture: %d aggregates, %d detectors", len(stats), len(a.detectors))
+	}
+	if kept := int64(after.HeapAlloc) - int64(before.HeapAlloc); kept > pad/4 {
+		t.Fatalf("the analyzer keeps %d bytes of a %d-byte payload", kept, pad)
 	}
 }
 

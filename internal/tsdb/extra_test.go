@@ -141,7 +141,7 @@ func TestSelectFieldSubset(t *testing.T) {
 	db := newDB("lms")
 	_ = db.WriteBatchContext(bg, []lineproto.Point{pt("m", nil, 1, 1)})
 	p := pt("m", nil, 2, 2)
-	p.Fields = append([]lineproto.Field{{Key: "extra", Value: p.Field("value")}}, p.Fields...)
+	p.Fields = append([]lineproto.Field{{Key: "extra", Value: fieldOf(p, "value")}}, p.Fields...)
 	_ = db.WriteBatchContext(bg, []lineproto.Point{p})
 	res, err := db.SelectContext(bg, Query{Measurement: "m", Cols: []AggCol{{Field: "extra"}}})
 	if err != nil {
@@ -154,4 +154,14 @@ func TestSelectFieldSubset(t *testing.T) {
 	if len(res[0].Rows) != 1 {
 		t.Fatalf("rows %+v", res[0].Rows)
 	}
+}
+
+// fieldOf returns p's value of the field key, the zero Value when it has none.
+func fieldOf(p lineproto.Point, key string) lineproto.Value {
+	for _, f := range p.Fields {
+		if f.Key == key {
+			return f.Value
+		}
+	}
+	return lineproto.Value{}
 }

@@ -90,7 +90,7 @@ func TestMetricBufferedUntilFlush(t *testing.T) {
 		t.Fatalf("points %d", len(pts))
 	}
 	p := pts[0]
-	if p.Measurement != "pressure" || p.Field("value").FloatVal() != 5.9 {
+	if p.Measurement != "pressure" || fieldOf(p, "value").FloatVal() != 5.9 {
 		t.Fatalf("%+v", p)
 	}
 	if p.Tag("hostname") != "h1" || p.Tag("app") != "test" {
@@ -139,7 +139,7 @@ func TestEvent(t *testing.T) {
 	if p.Measurement != "events" {
 		t.Fatalf("measurement %q", p.Measurement)
 	}
-	if p.Field("text").StringVal() != "starting miniMD" {
+	if fieldOf(p, "text").StringVal() != "starting miniMD" {
 		t.Fatalf("%+v", p.Fields)
 	}
 	if p.Tag("phase") != "init" || p.Tag("hostname") != "h1" {
@@ -371,4 +371,14 @@ func TestConcurrentMetrics(t *testing.T) {
 	if got := len(sink.points(t)); got != 800 {
 		t.Fatalf("points %d", got)
 	}
+}
+
+// fieldOf returns p's value of the field key, the zero Value when it has none.
+func fieldOf(p lineproto.Point, key string) lineproto.Value {
+	for _, f := range p.Fields {
+		if f.Key == key {
+			return f.Value
+		}
+	}
+	return lineproto.Value{}
 }
