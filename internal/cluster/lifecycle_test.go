@@ -86,8 +86,8 @@ func TestClusterCloseDuringWrites(t *testing.T) {
 	if err := coord.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	// The replicas' own background jobs (a seal kicks a store's compaction)
-	// are theirs to stop, not the coordinator's.
+	// The replicas' own background jobs are theirs to stop, not the
+	// coordinator's.
 	for _, tn := range h.nodes {
 		_ = tn.store.Close()
 	}

@@ -51,24 +51,25 @@ func (k ValueKind) String() string {
 }
 
 // Value is a dynamically typed field value. The zero Value is the float 0.
+// One 8-byte payload serves the numeric kinds, decoded by kind: a float's
+// bits, an integer, or 0/1 for a bool.
 type Value struct {
 	kind ValueKind
-	num  float64 // float, int (as float bits via math trick avoided: store separately), bool (0/1)
-	i    int64
+	u    uint64
 	str  string
 }
 
 // Float returns a float-typed Value.
-func Float(f float64) Value { return Value{kind: KindFloat, num: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, u: math.Float64bits(f)} }
 
 // Int returns an integer-typed Value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, u: uint64(i)} }
 
 // Bool returns a boolean-typed Value.
 func Bool(b bool) Value {
 	v := Value{kind: KindBool}
 	if b {
-		v.i = 1
+		v.u = 1
 	}
 	return v
 }
@@ -79,16 +80,17 @@ func String(s string) Value { return Value{kind: KindString, str: s} }
 // Kind reports the value's type.
 func (v Value) Kind() ValueKind { return v.kind }
 
+// float is the payload of a float value.
+func (v Value) float() float64 { return math.Float64frombits(v.u) }
+
 // FloatVal returns the value as a float64. Integers and booleans are
 // converted; strings yield 0.
 func (v Value) FloatVal() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.num
-	case KindInt:
-		return float64(v.i)
-	case KindBool:
-		return float64(v.i)
+		return v.float()
+	case KindInt, KindBool:
+		return float64(int64(v.u))
 	default:
 		return 0
 	}
@@ -98,21 +100,24 @@ func (v Value) FloatVal() float64 {
 func (v Value) IntVal() int64 {
 	switch v.kind {
 	case KindFloat:
-		return int64(v.num)
+		return int64(v.float())
 	case KindInt, KindBool:
-		return v.i
+		return int64(v.u)
 	default:
 		return 0
 	}
 }
 
-// BoolVal returns the value as a bool (non-zero numbers are true).
+// BoolVal returns the value as a bool (non-zero numbers are true; a float
+// -0 is zero).
 func (v Value) BoolVal() bool {
 	switch v.kind {
 	case KindString:
 		return v.str == "true"
+	case KindFloat:
+		return v.float() != 0
 	default:
-		return v.i != 0 || v.num != 0
+		return v.u != 0
 	}
 }
 
@@ -123,11 +128,11 @@ func (v Value) StringVal() string {
 	case KindString:
 		return v.str
 	case KindFloat:
-		return strconv.FormatFloat(v.num, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.u), 10)
 	case KindBool:
-		if v.i != 0 {
+		if v.u != 0 {
 			return "true"
 		}
 		return "false"
@@ -137,19 +142,17 @@ func (v Value) StringVal() string {
 }
 
 // Equal reports deep equality of two values, treating NaN floats as equal so
-// round-trip properties hold.
+// round-trip properties hold (and -0 equal to 0, as floats compare).
 func (v Value) Equal(o Value) bool {
 	if v.kind != o.kind {
 		return false
 	}
 	switch v.kind {
 	case KindFloat:
-		if math.IsNaN(v.num) && math.IsNaN(o.num) {
-			return true
-		}
-		return v.num == o.num
+		a, b := v.float(), o.float()
+		return a == b || math.IsNaN(a) && math.IsNaN(b)
 	case KindInt, KindBool:
-		return v.i == o.i
+		return v.u == o.u
 	case KindString:
 		return v.str == o.str
 	default:
@@ -336,12 +339,12 @@ func AppendPoint(dst []byte, p Point) ([]byte, error) {
 func appendValue(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.num, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.float(), 'g', -1, 64)
 	case KindInt:
-		dst = strconv.AppendInt(dst, v.i, 10)
+		dst = strconv.AppendInt(dst, int64(v.u), 10)
 		return append(dst, 'i')
 	case KindBool:
-		if v.i != 0 {
+		if v.u != 0 {
 			return append(dst, 't', 'r', 'u', 'e')
 		}
 		return append(dst, 'f', 'a', 'l', 's', 'e')

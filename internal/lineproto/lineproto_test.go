@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func ts(ns int64) time.Time { return time.Unix(0, ns).UTC() }
@@ -325,6 +326,44 @@ func TestValueEqualNaN(t *testing.T) {
 	}
 	if Float(1).Equal(Int(1)) {
 		t.Error("kinds differ")
+	}
+}
+
+// TestValueOnePayload: the numeric kinds share one 8-byte payload, so a
+// Value is 32 bytes and a Field 48 — the parse field arena and every
+// out-of-order field shift move that much — and each accessor decodes the
+// payload by kind: a float -0 is false and equals 0, an int's sign
+// survives, a float never reads as an int's bits.
+func TestValueOnePayload(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("Value is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(Field{}); got != 48 {
+		t.Errorf("Field is %d bytes, want 48", got)
+	}
+	negZero := Float(math.Copysign(0, -1))
+	if negZero.BoolVal() || !negZero.Equal(Float(0)) || negZero.StringVal() != "-0" {
+		t.Errorf("-0: BoolVal %v, equals 0 %v, text %q", negZero.BoolVal(), negZero.Equal(Float(0)), negZero.StringVal())
+	}
+	if !Float(math.NaN()).BoolVal() || Float(math.NaN()).Equal(Float(1)) {
+		t.Error("NaN: true as a bool, unequal to a number")
+	}
+	if v := Int(-7); v.IntVal() != -7 || v.FloatVal() != -7 || !v.BoolVal() || v.Equal(Float(-7)) {
+		t.Errorf("int -7 reads %d, %v, %v", v.IntVal(), v.FloatVal(), v.BoolVal())
+	}
+	if v := Float(-2.5); v.IntVal() != -2 || v.FloatVal() != -2.5 || v.Equal(Int(-2)) {
+		t.Errorf("float -2.5 reads %d, %v", v.IntVal(), v.FloatVal())
+	}
+	if v := (Value{}); v.Kind() != KindFloat || v.FloatVal() != 0 || v.BoolVal() || !v.Equal(Float(0)) {
+		t.Error("the zero Value is the float 0")
+	}
+	for _, c := range []struct {
+		v    Value
+		want string
+	}{{Float(-0.5), "-0.5"}, {Int(-9), "-9i"}, {Bool(true), "true"}, {Bool(false), "false"}, {String(`a"b`), `"a\"b"`}} {
+		if got := string(appendValue(nil, c.v)); got != c.want {
+			t.Errorf("appendValue(%v) = %s, want %s", c.v, got, c.want)
+		}
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 )
 
 // Job is the lifecycle of one background loop — the only one in the stack
-// (retention, compaction, checkpoints, WAL interval syncs, hint drain,
-// database fan-out): it runs a function every period and/or when kicked,
-// one run at a time on one goroutine, kicks arriving meanwhile coalesced
-// into one more run. Stop means no new run starts and the one in flight
+// (retention sweeps, checkpoints, WAL interval syncs, hint drain): it runs
+// a function every period and/or when kicked, one run at a time on one
+// goroutine, kicks arriving meanwhile coalesced into one more run. Stop means no new run starts and the one in flight
 // has returned, so an owner stops its jobs before it closes what they
 // touch. The zero Job is idle; set Floor and MaxBackoff before Every.
 type Job struct {

@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -40,13 +39,11 @@ func allocFixture(t *testing.T, hosts, rows int) *DB {
 	return db
 }
 
-// sealFixture stops db's compaction job and cuts the head of each of the
-// hosts series of allocFixture(db, hosts, rows) into a chunk with an
-// in-order block of more rows, past everything stored: a head of its own
-// behind the chunk.
+// sealFixture cuts the head of each of the hosts series of
+// allocFixture(db, hosts, rows) into a chunk with an in-order block of
+// more rows, past everything stored: a head of its own behind the chunk.
 func sealFixture(t *testing.T, db *DB, hosts, rows, more int) {
 	t.Helper()
-	db.compJob.Stop()
 	for h := 0; h < hosts; h++ {
 		pts := make([]lineproto.Point, more)
 		for i := range pts {
@@ -89,10 +86,9 @@ func TestStorageAllocs(t *testing.T) {
 	t.Run("WriteBatch", func(t *testing.T) {
 		// One collector flush: 100 points of one series, timestamps rising
 		// past everything stored. The newest run holds sealRows rows or
-		// more, so every batch seals it and opens a run of its own; the
-		// compaction job's share is measured on its own below.
+		// more, so every batch cuts it and opens a run of its own, and the
+		// cut merges the chunks behind it.
 		db := allocFixture(t, 1, 100)
-		db.compJob.Stop()
 		pts := make([]lineproto.Point, 100)
 		for i := range pts {
 			pts[i] = lineproto.NewPoint(
@@ -116,13 +112,9 @@ func TestStorageAllocs(t *testing.T) {
 			}
 		}
 		allocs := testing.AllocsPerRun(200, write)
-		job := jobAllocsPerWrite(t, db, 200, write)
-		t.Logf("%.1f allocs per 100-point in-order WriteBatch, plus %.1f for the job to compress and merge what it sealed", allocs, job)
+		t.Logf("%.1f allocs per 100-point in-order WriteBatch, its cut and merges included", allocs)
 		if allocs > writeBatchAllocs {
 			t.Fatalf("WriteBatch allocates %.1f times per 100-point batch, want <= %d", allocs, writeBatchAllocs)
-		}
-		if job > writeBatchJobAllocs {
-			t.Fatalf("the compaction job allocates %.1f times per 100-point batch, want <= %d", job, writeBatchJobAllocs)
 		}
 	})
 
@@ -202,15 +194,14 @@ func collectorCycle(sec int64) []lineproto.Point {
 // a cycle of 100 known series allocates no point, no map and no
 // series-key string. (Decoding the same frame into points took 2 057
 // allocations before a shard saw any of it.) What it does allocate is the
-// seals: every sealRows frames each series opens a new run, so the count
-// is amortized over a whole number of seals, with the compaction job
-// stopped and its share measured on its own.
+// cuts: every sealRows frames each series cuts its head into a chunk and
+// merges the chunks behind it, so the count is amortized over a whole
+// number of cuts.
 func TestFrameApplyAllocs(t *testing.T) {
 	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
-	db.compJob.Stop()
 	warm, runs := 130, 4*sealRows
 	var frames [][]byte
-	for i := int64(0); i < int64(warm+2*runs+1); i++ {
+	for i := int64(0); i < int64(warm+runs+1); i++ {
 		frames = append(frames, durable.AppendBatch(nil, collectorCycle(i*10), 1))
 	}
 	apply := func() {
@@ -229,66 +220,32 @@ func TestFrameApplyAllocs(t *testing.T) {
 		apply()
 	}
 	allocs := testing.AllocsPerRun(runs, apply)
-	job := jobAllocsPerWrite(t, db, runs, apply)
-	t.Logf("%.1f allocs per 100-point collector frame checked and applied, plus %.1f for the job to compress and merge what it sealed", allocs, job)
+	t.Logf("%.1f allocs per 100-point collector frame checked and applied, cuts and merges included", allocs)
 	if allocs > frameApplyAllocs {
 		t.Fatalf("a known-series collector frame costs %.1f allocations to check and apply, want <= %d", allocs, frameApplyAllocs)
 	}
-	if job > frameApplyJobAllocs {
-		t.Fatalf("the compaction job allocates %.1f times per collector frame, want <= %d", job, frameApplyJobAllocs)
+	if n := db.PointCount(); n != 100*(warm+runs+1) {
+		t.Fatalf("%d points stored, want %d", n, 100*(warm+runs+1))
 	}
-	if n := db.PointCount(); n != 100*(warm+2*runs+1) {
-		t.Fatalf("%d points stored, want %d", n, 100*(warm+2*runs+1))
-	}
-}
-
-// jobAllocsPerWrite is the compaction job's share of a write gate, whose
-// window runs with the job stopped: it settles the backlog, then makes n
-// more writes, each followed by one pass as the kicked job would run it,
-// and returns the passes' mallocs per write.
-func jobAllocsPerWrite(t *testing.T, db *DB, n int, write func()) float64 {
-	t.Helper()
-	db.Compress()
-	var mallocs uint64
-	took := 0
-	for i := 0; i < n; i++ {
-		write()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		took += db.Compress()
-		runtime.ReadMemStats(&after)
-		mallocs += after.Mallocs - before.Mallocs
-	}
-	if took == 0 {
-		t.Fatal("the writes sealed no run")
-	}
-	return float64(mallocs) / float64(n)
 }
 
 // The gates' bounds; the measurements are in the comments. The write gates
 // cross seal boundaries: before the seal rule a series' run grew forever
-// (a doubling now and then); since PR 41 every sealRows rows cut the head
-// into a chunk (CompRun, its columns, one allocation for every stream's
-// bytes) and start it afresh (its streams carved out of one allocation),
-// and the compaction job only merges chunks.
+// (a doubling now and then); now every sealRows rows cut the head into a
+// chunk (CompRun, its columns, one allocation for every stream's bytes),
+// start it afresh (its streams carved out of one allocation) and merge the
+// chunks behind it.
 const (
-	// Measured 7, one cut per 100-point batch (10 under -race, whose
-	// sync.Pool drops puts), and 7 (10) while the head was raw; 0 (0.2:
-	// eight doublings in 200 batches, 3 under -race) before the seal rule,
-	// 3 before the frame path.
-	writeBatchAllocs = 10
-	// The job's share, a pass after every write (jobAllocsPerWrite):
-	// measured 27.3 per 100-point batch and 39.3 per collector frame. Each
-	// pass merges the chunk the write cut with the chunk before it when the
-	// two share a size class: both decoded, appended onto one head, cut
-	// again, once per doubling of the chunk. While the job also compressed
-	// what the write sealed (compRun, its columns, one exact-size chunk per
-	// column) it took 28.5 (35.1 under -race) and 52.4 (63.5). Before
-	// chunks merged, one drain pass after the window took 7.1 per sealed
-	// 100-row run and 18.0 per frame; before the seal rule no job ran on the
-	// write path at all, and Compress took 52 on a 20 000-row run.
-	writeBatchJobAllocs = 40
-	frameApplyJobAllocs = 70
+	// Measured 22.0 per 100-point batch (25.0 under -race, whose sync.Pool
+	// drops puts), the cut's merges included: one cut per batch, and each
+	// cut merges the chunk it made with the one before it when the two
+	// share a size class — both decoded, appended onto one head, cut
+	// again, once per doubling of the chunk. While a
+	// compaction job merged beside the write the two were gated apart: 7
+	// (10 under -race) for the write and 27.3 for the job's pass after it,
+	// bounds 10 and 40; 0 (0.2: eight doublings in 200 batches, 3 under
+	// -race) before the seal rule, 3 before the frame path.
+	writeBatchAllocs = 28
 	// Measured 950 over one head per series, 945 while the head was raw
 	// (944 before the series key escaped tag bytes): a head snapshot takes
 	// two allocations, the decoded views come from the arena.
@@ -302,11 +259,13 @@ const (
 	// per series (1.5 runs, a third raw) before the head stayed raw, 1.62
 	// before every raw run was held for its encode.
 	buildSnapshotAllocsPerRun = 4.75
-	// Measured 17.0 over 128 frames (four cuts; 19 under -race): 4 per
-	// frame plus 4 per cut of each of the 100 series; 20.0 (22) while a
-	// seal opened a raw run presized for 32 rows, 5 per seal. Before the seal
-	// rule 6.0 over the same frames (4 plus a doubling of every series'
-	// arrays at 257 rows), 14.0 over the first 256, 5 in its own window
-	// under -race; DecodeBatch + applyBatch took 2 060.
-	frameApplyAllocs = 24
+	// Measured 55.0 over 128 frames (57.0 under -race), four cuts of each
+	// of the 100 series and their merges included. While a compaction job
+	// merged beside the write: 17.0 for the write (19 under -race; 4 per
+	// frame plus 4 per cut of each series) and 39.3 for the job, bounds 24
+	// and 70; 20.0 while a seal opened a raw run presized for 32 rows.
+	// Before the seal rule 6.0 over the same frames (4 plus a doubling of
+	// every series' arrays at 257 rows), 14.0 over the first 256, 5 in its
+	// own window under -race; DecodeBatch + applyBatch took 2 060.
+	frameApplyAllocs = 64
 )

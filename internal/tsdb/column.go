@@ -310,13 +310,13 @@ func (c *col) sliceRows(lo, hi int) col {
 // sealRows is the seal rule (DESIGN.md §13): a series' head takes in-order
 // appends while it holds fewer rows; then the next in-order block cuts it
 // into a chunk and starts the head afresh. A rule of the data, not a timer,
-// so the layout a write sequence builds never depends on when the job ran;
-// it also bounds what an exact rewrite or a late block decodes. A variable
+// so the layout a write sequence builds never depends on when it was
+// written; it also bounds what an exact rewrite or a late block decodes. A variable
 // only for BenchmarkSealRows.
 var sealRows = 32
 
-// maxChunkRows caps the chunks the compaction job grows by merging chunks
-// (series.jobSpans): a chunk's fixed cost — its headers, the raw first
+// maxChunkRows caps the chunks a cut grows by merging chunks
+// (series.mergeSpans): a chunk's fixed cost — its headers, the raw first
 // value of every column — spread over many rows, against the whole chunk a
 // narrow window decodes. InfluxDB's TSM engine cuts its blocks at 1 000
 // points for the same trade.
@@ -519,12 +519,15 @@ func mergeValues(ca, cb *col, take []int32, strs []string) durable.Values {
 // form: no per-point field map is allocated on the write path. It is
 // reused across batches (shard scratch); every commit path encodes or
 // copies out of it, so its arrays stay warm, and enc is the warm stream
-// the head encodes each block into before taking its bytes.
+// the head encodes each block into before taking its bytes. enc and spans
+// are also the scratch of the merges a cut or a sweep makes under the
+// shard lock (series.compact).
 type runBuilder struct {
 	ts     []int64
 	cols   []col
 	sorted bool
 	enc    bitWriter
+	spans  []runSpan
 }
 
 func (b *runBuilder) reset() {

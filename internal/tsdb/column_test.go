@@ -186,10 +186,6 @@ func compareResults(t *testing.T, label string, cols []AggCol, want, got []Serie
 func TestColumnarRandomizedOracle(t *testing.T) {
 	t.Parallel()
 	rnd := rand.New(rand.NewSource(42))
-	// Compress decisions draw from their own stream: the data stream stays
-	// byte-identical to the uncompressed baseline, so any divergence below
-	// is the compressed read path's fault, not a reshuffled workload.
-	crnd := rand.New(rand.NewSource(7))
 	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 2})
 	db.SetQueryCacheTTL(0)
 	mo := newModel()
@@ -294,14 +290,11 @@ func TestColumnarRandomizedOracle(t *testing.T) {
 		for _, p := range pts {
 			mo.add(p)
 		}
-		// Randomly run the compaction job's pass over the cut chunks
-		// (DESIGN.md §13) on top of the kicked job itself: answers must stay
-		// byte-identical whether a run is raw or compressed, and later
-		// batches must still merge with compressed runs. The pass never
-		// takes a series' head, so where the exact-rewrite upsert triggers
-		// — which the naive model cannot express — does not move.
-		if crnd.Intn(3) == 0 {
-			db.Compress()
+		// Every write merged at its cuts (DESIGN.md §13): the Compress
+		// pass finds nothing, whatever mix of late, duplicate and in-order
+		// blocks came before.
+		if n := db.Compress(); n != 0 {
+			t.Fatalf("round %d: Compress merged %d chunks the writes left unmerged", round, n)
 		}
 		if round%5 == 4 || round == 29 {
 			check(round)
@@ -675,9 +668,10 @@ func TestSameTimestampRewriteSinglePoint(t *testing.T) {
 
 // TestSparseRunRollsOverPastLimit guards the quadratic-bitmap defence,
 // which the seal rule now provides: once a run carrying presence bitmaps
-// reaches sealRows, further in-order blocks open a new run (bounded COW
-// work per commit) instead of rebuilding the big run's bitmaps, and reads
-// stay correct across the seams.
+// reaches sealRows, the next in-order block cuts it into a chunk and opens
+// a new head (bounded work per commit) instead of rebuilding the big run's
+// bitmaps; the cuts merge into chunks of their doubled size, and reads stay
+// correct across the seams.
 func TestSparseRunRollsOverPastLimit(t *testing.T) {
 	t.Parallel()
 	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1})
@@ -709,8 +703,8 @@ func TestSparseRunRollsOverPastLimit(t *testing.T) {
 	sh.mu.RLock()
 	runs := len(sh.measurements["m"].series[seriesKey(map[string]string{"hostname": "h1"})].runs)
 	sh.mu.RUnlock()
-	if runs < total/(sealRows+perBatch) {
-		t.Fatalf("runs = %d, want >= %d (sparse run must roll over past %d rows)", runs, total/(sealRows+perBatch), sealRows)
+	if got, want := runLayout(db), "m hostname=h1: 96c 48c 48h"; runs != 2 || got != want {
+		t.Fatalf("layout %s, want %s (the sparse run rolls over past %d rows, the cuts merge)", got, want, sealRows)
 	}
 	res, err := db.SelectContext(bg, Query{Measurement: "m", Cols: []AggCol{{Field: "v", Agg: AggCount}}})
 	if err != nil {

@@ -5,8 +5,8 @@ package tsdb
 // A run lives in one of two states: each series' newest run, the head
 // (head.go), is an append-only stream per column that these codecs write
 // as the rows arrive; every older run is a chunk, the head's bytes cut out
-// at sealRows rows, and the compaction job (tsdb.go, DB.Compress) merges
-// adjacent chunks into larger ones, up to maxChunkRows rows:
+// at sealRows rows, and the cut (tsdb.go, series.compact) merges adjacent
+// chunks into larger ones, up to maxChunkRows rows:
 //
 //   - timestamps: delta-of-delta, bucketed bit codes (Facebook Gorilla §4.1
 //     as adopted by Prometheus/InfluxDB). Fixed-interval samples — the

@@ -169,10 +169,9 @@ func TestStrIDCodecRoundTrip(t *testing.T) {
 }
 
 // TestCompressedSelectByteIdentical feeds two in-memory stores the same
-// batch sequence; one compresses its resident runs at every step, the
-// other never does. Every /query response must match byte for byte at
-// every step — compression is a representation change, not a semantic
-// one.
+// batch sequence; one also runs the Compress pass after every batch, which
+// finds nothing to merge — the write merged at its cut. Every /query
+// response must match byte for byte at every step.
 func TestCompressedSelectByteIdentical(t *testing.T) {
 	t.Parallel()
 	plain := NewStore()
@@ -190,7 +189,9 @@ func TestCompressedSelectByteIdentical(t *testing.T) {
 		if err := cdb.WriteBatchContext(bg, b); err != nil {
 			t.Fatal(err)
 		}
-		cdb.Compress()
+		if n := cdb.Compress(); n != 0 {
+			t.Fatalf("batch %d: Compress merged %d chunks the write left unmerged", i, n)
+		}
 		if got, want := queryFingerprint(t, comp, "lms"), queryFingerprint(t, plain, "lms"); got != want {
 			t.Fatalf("batch %d: compressed store answers differ from raw store", i)
 		}
@@ -205,13 +206,13 @@ func TestCompressedSelectByteIdentical(t *testing.T) {
 // cut left behind it: values update last-write-wins, the row count holds,
 // and the chunk is the same chunk afterwards. A block that exactly rewrites
 // the chunk's own timestamps, or overlaps them partially, is no rewrite of
-// the head: it starts a run beside it, exactly as it would against any
-// other run.
+// the head: it cuts the head and starts a run beside the chunks, exactly as
+// it would against any other run, and the first cut merges the chunk with
+// the head it cut into a new chunk, leaving the old one as it was.
 func TestCompressedRewriteUpsert(t *testing.T) {
 	t.Parallel()
 	db := newDB("lms")
 	db.SetQueryCacheTTL(0)
-	db.compJob.Stop()
 	const n = 40 // past sealRows, so the next in-order block seals the run
 	write := func(pts []lineproto.Point) {
 		t.Helper()
@@ -232,6 +233,10 @@ func TestCompressedRewriteUpsert(t *testing.T) {
 	}
 	sr := db.shardFor("m").measurements["m"].series["hostname=h1"]
 	chunk := sr.runs[0]
+	held, err := decompress(chunk, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Exact rewrite of the head's field a: values update, the row count is
 	// unchanged, field b keeps its stored values, the chunk is untouched.
@@ -263,6 +268,7 @@ func TestCompressedRewriteUpsert(t *testing.T) {
 
 	// The chunk's exact timestamps, and a partial overlap, append: each
 	// lands in a run of its own and the duplicates resolve by merge order.
+	// The first cuts the head, which merges with the chunk into a new one.
 	write(rows[:n])
 	write(rewriteBatchPts("h1", 3, func(i int) map[string]lineproto.Value {
 		return map[string]lineproto.Value{"a": lineproto.Float(-1)}
@@ -270,8 +276,11 @@ func TestCompressedRewriteUpsert(t *testing.T) {
 	if got := db.PointCount(); got != 3*n+1 {
 		t.Fatalf("a block over the chunk upserted instead of appending: %d rows, want %d", got, 3*n+1)
 	}
-	if sr.runs[0] != chunk {
-		t.Fatalf("a block over the chunk touched it: %s", runLayout(db))
+	if got, want := runLayout(db), fmt.Sprintf("m hostname=h1: %dc %dc 1h", 2*n, n); got != want {
+		t.Fatalf("layout after the blocks over the chunk: %s, want %s", got, want)
+	}
+	if now, err := decompress(chunk, 0); err != nil || !reflect.DeepEqual(now, held) {
+		t.Fatalf("the merge that replaced the chunk wrote to it (%v)", err)
 	}
 }
 
@@ -283,7 +292,6 @@ func TestCompressionStatsAndMetrics(t *testing.T) {
 	t.Parallel()
 	st := NewStore()
 	db := st.CreateDatabase("lms")
-	db.compJob.Stop()
 	pts := make([]lineproto.Point, 2001)
 	for i := range pts {
 		pts[i] = lineproto.NewPoint(
@@ -317,16 +325,14 @@ func TestCompressionStatsAndMetrics(t *testing.T) {
 	}
 }
 
-// TestCompressConcurrentWithQueries exercises the optimistic compaction
-// job, kicked by the writers' cuts, against live writers and readers;
-// run with -race. Timestamps are unique per series, so the final row
-// count is exact, and once the writers stop the last kick leaves nothing
-// to merge.
+// TestCompressConcurrentWithQueries exercises the merges the writers'
+// cuts make under the shard lock against live readers; run with -race.
+// Timestamps are unique per series, so the final row count is exact, and
+// once the writers stop nothing is left to merge.
 func TestCompressConcurrentWithQueries(t *testing.T) {
 	t.Parallel()
 	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
 	db.SetQueryCacheTTL(0)
-	defer db.compJob.Stop()
 
 	const writers, batches, per = 4, 30, 20
 	done := make(chan struct{})
@@ -364,11 +370,8 @@ func TestCompressConcurrentWithQueries(t *testing.T) {
 			if got, want := db.PointCount(), writers*batches*per; got != want {
 				t.Fatalf("final resident rows %d, want %d", got, want)
 			}
-			for deadline := time.Now().Add(10 * time.Second); pendingSpans(db) > 0; {
-				if time.Now().After(deadline) {
-					t.Fatalf("chunks still unmerged after the writers stopped:\n%s", runLayout(db))
-				}
-				time.Sleep(time.Millisecond)
+			if pendingSpans(db) > 0 {
+				t.Fatalf("chunks unmerged after the writers stopped:\n%s", runLayout(db))
 			}
 			if db.compressionStats().compressedBytes == 0 {
 				t.Fatal("the writes cut no chunk")
@@ -403,14 +406,15 @@ func runLayout(db *DB) string {
 	return strings.Join(lines, "\n")
 }
 
-// pendingSpans counts the merges the compaction job has yet to make.
+// pendingSpans counts the merges mergeSpans plans over every series: 0
+// wherever each write merged at its cut.
 func pendingSpans(db *DB) int {
 	n := 0
 	for _, sh := range db.shards {
 		sh.mu.RLock()
 		for _, m := range sh.measurements {
 			for _, sr := range m.series {
-				n += len(sr.jobSpans(nil))
+				n += len(sr.mergeSpans(nil))
 			}
 		}
 		sh.mu.RUnlock()
@@ -422,39 +426,41 @@ func pendingSpans(db *DB) int {
 // of two series.
 func oneRowBatches(t *testing.T, db *DB, from, to int) {
 	t.Helper()
-	for i := from; i < to; i++ {
+	rowBatches(t, db, from, to, 1)
+}
+
+// rowBatches writes rows [from, to) as in-order batches of per rows to each
+// of two series.
+func rowBatches(t *testing.T, db *DB, from, to, per int) {
+	t.Helper()
+	for lo := from; lo < to; lo += per {
 		for _, host := range []string{"h1", "h2"} {
-			if err := db.WriteBatchContext(bg, []lineproto.Point{lineproto.NewPoint(
-				"cpu",
-				map[string]string{"hostname": host},
-				map[string]lineproto.Value{"user": lineproto.Float(float64(i%7) + 0.5), "ctx": lineproto.Int(int64(i) * 3)},
-				time.Unix(int64(i)*10, 0).UTC(),
-			)}); err != nil {
+			var pts []lineproto.Point
+			for i := lo; i < min(lo+per, to); i++ {
+				pts = append(pts, lineproto.NewPoint(
+					"cpu",
+					map[string]string{"hostname": host},
+					map[string]lineproto.Value{"user": lineproto.Float(float64(i%7) + 0.5), "ctx": lineproto.Int(int64(i) * 3)},
+					time.Unix(int64(i)*10, 0).UTC(),
+				))
+			}
+			if err := db.WriteBatchContext(bg, pts); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 }
 
-// settle stops db's compaction job and runs its pass once more: with
-// nothing racing it, one pass reaches the layout the job converges to.
-func settle(db *DB) int {
-	db.compJob.Stop()
-	return db.Compress()
-}
-
-// TestSealByRule pins the seal rule and the job's chunk sizes (DESIGN.md
+// TestSealByRule pins the seal rule and the merged chunk sizes (DESIGN.md
 // §13): k one-row in-order batches cut ⌊k/sealRows⌋ chunks of sealRows rows
-// and leave a head; the job merges the chunks into power-of-two chunks of
-// up to maxChunkRows rows, oldest largest, whenever it ran; WAL replay
-// after a crash rebuilds that layout run for run; and a store whose job
-// never ran holds the cut chunks as they are and answers every query byte
-// for byte the same.
+// and leave a head; each cut merges the chunks behind it into power-of-two
+// chunks of up to maxChunkRows rows, oldest largest; WAL replay after a
+// crash rebuilds that layout run for run; and a store written in 100-row
+// batches, cut at other rows, answers every query byte for byte the same.
 func TestSealByRule(t *testing.T) {
 	t.Parallel()
 	const k = 1500 // 46 cut chunks = 32 + 8 + 4 + 2, and 28 rows in the head
-	layout := func(runs string) string { return "cpu hostname=h1:" + runs + "\ncpu hostname=h2:" + runs }
-	want := layout(" 1024c 256c 128c 64c 28h")
+	want := "cpu hostname=h1: 1024c 256c 128c 64c 28h\ncpu hostname=h2: 1024c 256c 128c 64c 28h"
 
 	dir := t.TempDir()
 	st := openDurableStore(t, Durability{Dir: dir, Fsync: durable.FsyncOff})
@@ -463,7 +469,6 @@ func TestSealByRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	oneRowBatches(t, db, 0, k)
-	settle(db) // finish whatever the kicked job has not
 	if got := runLayout(db); got != want {
 		t.Fatalf("layout after %d one-row batches:\n%s\nwant\n%s", k, got, want)
 	}
@@ -471,21 +476,19 @@ func TestSealByRule(t *testing.T) {
 
 	st2 := openDurableStore(t, Durability{Dir: dir, Fsync: durable.FsyncOff})
 	defer st2.Close()
-	settle(st2.DB("lms"))
 	if got := runLayout(st2.DB("lms")); got != want {
 		t.Fatalf("layout after WAL replay:\n%s\nwant\n%s", got, want)
 	}
 
-	idleSt := NewStore()
-	idleSt.ShardsPerDB = 4
-	idle := idleSt.CreateDatabase("lms")
-	idle.compJob.Stop()
-	oneRowBatches(t, idle, 0, k)
-	if got, want := runLayout(idle), layout(strings.Repeat(fmt.Sprintf(" %dc", sealRows), k/sealRows)+" 28h"); got != want {
-		t.Fatalf("layout without the job:\n%s\nwant\n%s", got, want)
+	blockSt := NewStore()
+	blockSt.ShardsPerDB = 4
+	blocks := blockSt.CreateDatabase("lms")
+	rowBatches(t, blocks, 0, k, 100)
+	if got := runLayout(blocks); got == want {
+		t.Fatalf("100-row batches cut where one-row batches do:\n%s", got)
 	}
-	if queryFingerprint(t, idleSt, "lms") != queryFingerprint(t, st2, "lms") {
-		t.Fatal("a store whose job never ran answers differently")
+	if queryFingerprint(t, blockSt, "lms") != queryFingerprint(t, st2, "lms") {
+		t.Fatal("a store written in 100-row batches answers differently")
 	}
 }
 
@@ -493,11 +496,10 @@ func TestSealByRule(t *testing.T) {
 // the head too, run for run as the store held them; a reopened store
 // adopts those chunks and makes each series' newest the head again, so it
 // holds the layout it closed with, and the next in-order blocks land
-// where a store that never restarted puts them — the same layout once both
-// jobs settle, byte-identical /query bodies. With k = 1536 the head is full
+// where a store that never restarted puts them — the same layout after
+// every write, byte-identical /query bodies. With k = 1536 the head is full
 // when the store closes, so the first block after the reopen cuts it, and
-// the job kicked by that cut must merge it with the 32-row chunk before
-// it.
+// that cut must merge it with the 32-row chunk before it.
 func TestCheckpointRestartContinuity(t *testing.T) {
 	for _, k := range []int{1500, 1536} {
 		t.Run(fmt.Sprint(k), func(t *testing.T) {
@@ -512,7 +514,6 @@ func TestCheckpointRestartContinuity(t *testing.T) {
 				t.Fatal(err)
 			}
 			oneRowBatches(t, db, 0, k)
-			settle(db)
 			closed := runLayout(db)
 			held := strings.TrimSuffix(strings.ReplaceAll(closed+"\n", "h\n", "c\n"), "\n") // the head is each line's last run
 			if err := st.Close(); err != nil {
@@ -540,31 +541,13 @@ func TestCheckpointRestartContinuity(t *testing.T) {
 			if got := runLayout(db2); got != closed {
 				t.Fatalf("recovered layout:\n%s\nwant\n%s", got, closed)
 			}
-			// The pass the open kicked finishes first: whatever merges below
-			// was kicked by the block.
-			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-				var scrape strings.Builder
-				st2.Metrics().Registry().Render(&scrape)
-				if strings.Contains(scrape.String(), `lms_job_runs_total{job="compaction"} 1`+"\n") {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("the open's compaction pass never ran")
-				}
-			}
 			oneRowBatches(t, db2, k, k+1)
 			oneRowBatches(t, ref.DB("lms"), k, k+1)
-			settle(ref.DB("lms"))
-			want := runLayout(ref.DB("lms"))
-			for deadline := time.Now().Add(10 * time.Second); runLayout(db2) != want; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("layout after the reopen's first block:\n%s\nnever restarted:\n%s", runLayout(db2), want)
-				}
+			if got, want := runLayout(db2), runLayout(ref.DB("lms")); got != want {
+				t.Fatalf("layout after the reopen's first block:\n%s\nnever restarted:\n%s", got, want)
 			}
 			oneRowBatches(t, db2, k+1, k+40)
 			oneRowBatches(t, ref.DB("lms"), k+1, k+40)
-			settle(db2)
-			settle(ref.DB("lms"))
 			if got, want := runLayout(db2), runLayout(ref.DB("lms")); got != want {
 				t.Fatalf("layout after the reopen's writes:\n%s\nnever restarted:\n%s", got, want)
 			}
@@ -577,14 +560,12 @@ func TestCheckpointRestartContinuity(t *testing.T) {
 
 // TestLateBlockLeavesChunks: a late block — a backfill, or a dump loaded
 // out of time order — into a long series opens a run of its own next to the
-// history. Neither the write path nor the job's next pass decompresses,
-// merges or replaces a chunk the history already holds, and queries see
-// every row.
+// history. The write path neither decompresses, merges nor replaces a
+// chunk the history already holds, and queries see every row.
 func TestLateBlockLeavesChunks(t *testing.T) {
 	t.Parallel()
 	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1})
 	db.SetQueryCacheTTL(0)
-	db.compJob.Stop()
 	block := func(rows int, at func(i int) int64) []lineproto.Point {
 		pts := make([]lineproto.Point, rows)
 		for i := range pts {
@@ -603,7 +584,6 @@ func TestLateBlockLeavesChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.Compress()
 	const history = " 1024c 1024c 1024c 128c"
 	if got, want := runLayout(db), "cpu hostname=h1:"+history+" 32h"; got != want {
 		t.Fatalf("layout of the history:\n%s\nwant\n%s", got, want)
@@ -627,11 +607,6 @@ func TestLateBlockLeavesChunks(t *testing.T) {
 	if got, want := runLayout(db), "cpu hostname=h1:"+history+" 32c 16h"; got != want {
 		t.Fatalf("layout after the late block:\n%s\nwant\n%s", got, want)
 	}
-	db.Compress()
-	untouched("after the job's pass")
-	if got, want := runLayout(db), "cpu hostname=h1:"+history+" 32c 16h"; got != want {
-		t.Fatalf("layout after the job's pass:\n%s\nwant\n%s", got, want)
-	}
 	res, err := db.SelectContext(bg, Query{Measurement: "cpu", Cols: []AggCol{{Field: "ctx", Agg: AggCount}}})
 	if err != nil {
 		t.Fatal(err)
@@ -645,17 +620,15 @@ func TestLateBlockLeavesChunks(t *testing.T) {
 // a head. A cutoff inside one chunk drops the chunks wholly before it
 // without decoding them — they are corrupt here, and the decode counter
 // stays 0 — keeps the ones after it as they are, and cuts the one it falls
-// in into a new chunk for the job to merge again. A late block that
+// in into a new chunk, which the sweep merges again. A late block that
 // expires before the runs written after it leaves a chunk newest: the
 // sweep makes it the head, so an exact rewrite of its timestamps still
-// upserts.
-// Throughout, a store whose job never ran answers byte for byte the same.
+// upserts. Throughout, a twin store whose chunks were never broken answers
+// byte for byte the same.
 func TestRetentionOverChunks(t *testing.T) {
 	t.Parallel()
 	st, twinSt := NewStore(), NewStore()
 	db, twin := st.CreateDatabase("lms"), twinSt.CreateDatabase("lms")
-	db.compJob.Stop()
-	twin.compJob.Stop()
 	hosts := []string{"h1", "h2"}
 	series := func(host string) *series { return db.shardFor("cpu").measurements["cpu"].series["hostname="+host] }
 	both := func(f func(db *DB)) { f(db); f(twin) }
@@ -686,12 +659,11 @@ func TestRetentionOverChunks(t *testing.T) {
 			t.Fatalf("%s: lms_db_chunk_decode_errors_total = %d", when, got)
 		}
 		if queryFingerprint(t, st, "lms") != queryFingerprint(t, twinSt, "lms") {
-			t.Fatalf("%s: a store whose job never ran answers differently", when)
+			t.Fatalf("%s: the twin store answers differently", when)
 		}
 	}
 
 	both(func(db *DB) { oneRowBatches(t, db, 0, 500) })
-	db.Compress()
 	var after [][]*compRun
 	for _, host := range hosts {
 		sr := series(host)
@@ -701,20 +673,17 @@ func TestRetentionOverChunks(t *testing.T) {
 		data[len(data)-1] ^= 0x80
 	}
 	both(func(db *DB) { db.DropBefore(at(300)) }) // inside the chunk of rows 256-383
-	check("after the sweep", " 84c 64c 32c 20h")
+	check("after the sweep", " 148c 32c 20h")
 	for i, host := range hosts {
-		if !slices.Equal(series(host).runs[1:3], after[i]) {
+		if series(host).runs[1] != after[i][1] {
 			t.Fatalf("the sweep replaced a chunk past the cutoff:\n%s", runLayout(db))
 		}
 	}
-	db.Compress()
-	check("after the job's pass", " 148c 32c 20h")
 
 	// The head fills up, and a late block behind it is compressed behind
 	// nothing: it is the head until it expires.
 	both(func(db *DB) { oneRowBatches(t, db, 500, 512) })
 	both(func(db *DB) { block(db, 300, 310, func(row int) time.Time { return at(row).Add(5 * time.Second) }) })
-	db.Compress()
 	check("after the late block", " 148c 64c 10h")
 	both(func(db *DB) { db.DropBefore(at(310)) })
 	check("after the late block expired", " 138c 64h")
@@ -751,7 +720,7 @@ func TestCorruptChunkCounted(t *testing.T) {
 }
 
 // corruptChunkStore is a store whose database lms holds oneRowBatches'
-// two series, settled, with the ctx column of h1's oldest chunk broken:
+// two series with the ctx column of h1's oldest chunk broken:
 // its last varint no longer terminates.
 func corruptChunkStore(t *testing.T) (*Store, *DB) {
 	t.Helper()
@@ -759,7 +728,6 @@ func corruptChunkStore(t *testing.T) (*Store, *DB) {
 	db := st.CreateDatabase("lms")
 	db.SetQueryCacheTTL(0)
 	oneRowBatches(t, db, 0, 3*sealRows)
-	settle(db)
 	sh := db.shardFor("cpu")
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -824,7 +792,6 @@ func TestCorruptHeadChunkAtRecovery(t *testing.T) {
 	st := openDurableStore(t, Durability{Dir: dir, Fsync: durable.FsyncOff})
 	defer st.Close()
 	db := st.DB("lms")
-	db.compJob.Stop()
 	if got := st.Metrics().ChunkDecodeErrors.Value(); got != 1 {
 		t.Fatalf("lms_db_chunk_decode_errors_total = %d after the open, want 1", got)
 	}
@@ -859,7 +826,6 @@ func TestCheckpointCompressedRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	settle(db)
 	cs := db.compressionStats()
 	if cs.chunks == 0 || cs.headBytes == 0 {
 		t.Fatalf("no mix of chunks and heads before the checkpoint: %+v", cs)
@@ -1081,8 +1047,8 @@ func sealSweepFill(pts []lineproto.Point, host, cycle int) []lineproto.Point {
 }
 
 // sealSweepDB writes hosts × cycles sealSweepCycles, one row per series
-// per cycle, then stops the compaction job and settles its layout. The
-// caller holds sealRows at the size under test until it is done with db.
+// per cycle. The caller holds sealRows at the size under test until it is
+// done with db.
 func sealSweepDB(b *testing.B, hosts, cycles int) *DB {
 	b.Helper()
 	db := newDB("lms")
@@ -1094,13 +1060,12 @@ func sealSweepDB(b *testing.B, hosts, cycles int) *DB {
 			}
 		}
 	}
-	settle(db)
 	return db
 }
 
 // TestResidentHeapPerPoint measures what a stored point costs the Go heap
 // (ROADMAP item 1): sealSweepCycle's 64 hosts (6 400 series) at 1, 78 —
-// the benchmark's series length — and 300 rows per series, settled, as the
+// the benchmark's series length — and 300 rows per series, as the
 // heap grew across two forced GCs, against lms_db_resident_bytes' B/point.
 // It pins the 78-row figure, the regime every job start puts a cluster in
 // (the router tags each point with its job, so a job's series are new):
@@ -1127,7 +1092,6 @@ func TestResidentHeapPerPoint(t *testing.T) {
 			}
 		}
 		cycles = nil
-		settle(db)
 		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&after)
@@ -1188,34 +1152,47 @@ func BenchmarkSealRows(b *testing.B) {
 
 // BenchmarkC1_CompressThroughput measures the chunk encoders over the
 // footprint data set of the root package's C benchmarks (1M points, 4
-// series, float + int, in-order 1000-point batches — 250-row runs under
-// the seal rule): points/s through Compress, with the compaction job
-// stopped during the load so that Compress encodes every run.
+// series, float + int, in-order 1000-point batches): the rows of every
+// chunk the load cut and merged, decoded once, then encoded again by
+// compressColumns, in points/s.
 func BenchmarkC1_CompressThroughput(b *testing.B) {
 	const points, perB, series = 1_000_000, 1000, 4
+	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
 	pts := make([]lineproto.Point, perB)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
-		db.compJob.Stop()
-		for wrote := 0; wrote < points; wrote += perB {
-			for k := range pts {
-				n := wrote + k
-				pts[k] = lineproto.NewPoint(
-					"cpu",
-					map[string]string{"hostname": fmt.Sprintf("h%d", n%series)},
-					map[string]lineproto.Value{"value": lineproto.Float(float64(n)), "ops": lineproto.Int(int64(n % 4096))},
-					time.Unix(int64(n/series), int64(n%series)),
-				)
-			}
-			if err := db.WriteBatchContext(bg, pts); err != nil {
-				b.Fatal(err)
-			}
+	for wrote := 0; wrote < points; wrote += perB {
+		for k := range pts {
+			n := wrote + k
+			pts[k] = lineproto.NewPoint(
+				"cpu",
+				map[string]string{"hostname": fmt.Sprintf("h%d", n%series)},
+				map[string]lineproto.Value{"value": lineproto.Float(float64(n)), "ops": lineproto.Int(int64(n % 4096))},
+				time.Unix(int64(n/series), int64(n%series)),
+			)
 		}
-		b.StartTimer()
-		if db.Compress() == 0 {
-			b.Fatal("nothing compressed")
+		if err := db.WriteBatchContext(bg, pts); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(points*b.N)/b.Elapsed().Seconds(), "points/s")
+	m := db.shardFor("cpu").measurements["cpu"]
+	var runs []*colRun
+	rows := 0
+	for _, sr := range m.series {
+		for _, c := range sr.runs {
+			raw, err := decompress(c, len(m.strs.vals))
+			if err != nil {
+				b.Fatal(err)
+			}
+			runs, rows = append(runs, raw), rows+c.N
+		}
+	}
+	if rows < points/2 {
+		b.Fatalf("the load cut %d rows into chunks, want most of %d", rows, points)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range runs {
+			compressColumns(r.ts, r.cols)
+		}
+	}
+	b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "points/s")
 }

@@ -54,8 +54,8 @@ func errText(err error) string {
 // diffStack is the fixture: a single-node store behind the local and HTTP
 // doors, a 3-node R=2 ring behind the coordinator, both holding the same
 // databases, and a twin of every database for the oracle to read (the
-// doors' "variant" and "sealed" hold chunks the writes cut, which their
-// compaction jobs merge, behind each series' head).
+// doors' "variant" and "sealed" hold chunks the writes cut and merged,
+// behind each series' head).
 type diffStack struct {
 	doors  []door
 	oracle map[string]*tsdb.DB

@@ -8,8 +8,8 @@ package tsdb
 // in-order block encodes its own rows and nothing else. The bytes are those
 // the one-shot encoders give over the same rows, however the rows arrived
 // in blocks (FuzzHeadAppend). A cut at sealRows copies the streams out at
-// their exact size as a chunk: no row stays raw, and the compaction job
-// only merges chunks.
+// their exact size as a chunk: no row stays raw, and the merges the cut
+// makes (series.compact) only ever take chunks.
 //
 // Readers share the streams without a copy (headSnap): a stream only
 // grows, its complete bytes are never rewritten, and the partial last byte

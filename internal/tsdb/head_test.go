@@ -162,65 +162,16 @@ func FuzzHeadAppend(f *testing.F) {
 	})
 }
 
-// TestLateBlockNoMergeDue: commit cues the compaction job only when the
-// chunks behind the head changed. A cut and a block that absorbs a short
-// chunk do; a late block the head takes alone — by lateRow's rewind or by
-// absorb's merge — leaves the chunks as they were, and a kick would only
-// send the job over every series for nothing.
-func TestLateBlockNoMergeDue(t *testing.T) {
-	t.Parallel()
-	m := headMeasurement()
-	sr := &series{}
-	var b runBuilder
-	commit := func(times ...int64) bool {
-		rows := make([]headRow, len(times))
-		for i, ts := range times {
-			rows[i] = headRow{ts, []durable.BatchField{{Key: []byte("v"), Kind: lineproto.KindInt, Num: uint64(ts)}}}
-		}
-		b.fill(m, rows)
-		return sr.commit(&Metrics{}, m, &b)
-	}
-	at := func(lo, hi int) []int64 {
-		var ts []int64
-		for i := lo; i < hi; i++ {
-			ts = append(ts, int64(i)*10)
-		}
-		return ts
-	}
-	cut := int64(sealRows) * 10 // the first row after the cut
-	for _, step := range []struct {
-		what  string
-		ts    []int64
-		want  bool
-		runs  int
-		headN int
-	}{
-		{"a first block", at(0, sealRows), false, 0, sealRows},
-		{"the cut", at(sealRows, sealRows+8), true, 1, 8},
-		{"one row before the head's last (lateRow)", []int64{cut + 65}, false, 1, 9},
-		{"two rows inside the head (absorb)", []int64{cut + 5, cut + 6}, false, 1, 11},
-		{"a row before the head's first (absorb)", []int64{cut - 5}, false, 1, 12},
-	} {
-		if got := commit(step.ts...); got != step.want {
-			t.Fatalf("%s: commit reported a merge due = %v, want %v", step.what, got, step.want)
-		}
-		if len(sr.runs) != step.runs || sr.head.n != step.headN {
-			t.Fatalf("%s: %d chunks and a %d-row head, want %d and %d", step.what, len(sr.runs), sr.head.n, step.runs, step.headN)
-		}
-	}
-}
-
 // TestHeadBytesMatchOneShot: rows written through the database in in-order
 // batches of assorted sizes are stored as the one-shot encoders
-// (compressColumns) store the same rows, byte for byte — each cut chunk and
-// the head as its chunk — where the expected bytes come from the written
+// (compressColumns) store the same rows, byte for byte — the chunk the cuts
+// merged into and the head as its chunk — where the expected bytes come from the written
 // rows, not from anything the head encoded. The reference engine reads
 // heads through their own streams, so this is what ties them to the codecs
 // on the write path.
 func TestHeadBytesMatchOneShot(t *testing.T) {
 	t.Parallel()
 	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1})
-	db.compJob.Stop() // keep every cut chunk as the cut made it
 	rows := headRows(11, 300, true)
 	var pts []lineproto.Point
 	for lo, k := 0, 0; lo < len(rows); k++ {
@@ -258,8 +209,8 @@ func TestHeadBytesMatchOneShot(t *testing.T) {
 		}
 		lo += got.N
 	}
-	if lo != len(rows) || len(sr.runs) < 3 {
-		t.Fatalf("%d chunks and a head hold %d rows, want at least 3 chunks and %d rows", len(sr.runs), lo, len(rows))
+	if got, want := runLayout(db), "m host=h1: 268c 32h"; lo != len(rows) || got != want {
+		t.Fatalf("runs hold %d rows of %d: %s, want the cuts merged into one chunk: %s", lo, len(rows), got, want)
 	}
 }
 
@@ -273,7 +224,6 @@ func TestHeadConcurrentSnapshots(t *testing.T) {
 	t.Parallel()
 	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1})
 	db.SetQueryCacheTTL(0)
-	defer db.compJob.Stop()
 	const hosts, rows = 3, 300
 	point := func(host, i int, bump float64) lineproto.Point {
 		fields := map[string]lineproto.Value{

@@ -193,8 +193,8 @@ func backgroundGoroutines() map[string]string {
 
 // TestCloseWaitsForBackground: Close and Abort return only after a sweep
 // parked inside its run does, and a store with every job live — retention,
-// compaction, a checkpoint in flight, the WAL interval syncer — leaves no
-// goroutine of this module behind.
+// a checkpoint in flight, the WAL interval syncer — leaves no goroutine of
+// this module behind.
 func TestCloseWaitsForBackground(t *testing.T) {
 	for name, stop := range map[string]func(*DB){
 		"Close": func(db *DB) { _ = db.Close() },
@@ -228,7 +228,7 @@ func TestCloseWaitsForBackground(t *testing.T) {
 	fs.arm()
 	// One batch that kicks the checkpoint (past CheckpointBytes) and cuts
 	// a head: a full block of one series, a point of another, then the next
-	// in-order point of the first. The cut kicks the compaction job.
+	// in-order point of the first.
 	big := bigRun(0)
 	if err := db.WriteBatchContext(bg, append(big[:sealRows:sealRows], corpusBatches()[0][0], big[sealRows])); err != nil {
 		t.Fatal(err)
@@ -237,9 +237,9 @@ func TestCloseWaitsForBackground(t *testing.T) {
 	if db.compressionStats().compressedBytes == 0 {
 		t.Fatal("the write cut no chunk")
 	}
-	// The cut makes its chunk on the write path, so a job's goroutine may
-	// still be starting: wait for the four, counted by identity — a
-	// goroutine of an earlier test that ends meanwhile must not hide one.
+	// The write only kicks the jobs, so a job's goroutine may still be
+	// starting: wait for the three, counted by identity — a goroutine of an
+	// earlier test that ends meanwhile must not hide one.
 	started := func() int {
 		n := 0
 		for id := range backgroundGoroutines() {
@@ -249,9 +249,9 @@ func TestCloseWaitsForBackground(t *testing.T) {
 		}
 		return n
 	}
-	for deadline := time.Now().Add(5 * time.Second); started() < 4; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); started() < 3; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("want the four jobs of the database running before Close")
+			t.Fatalf("want the three jobs of the database running before Close")
 		}
 	}
 	returnsOnlyAfter(t, "Store.Close", fs.release, func() {

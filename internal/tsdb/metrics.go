@@ -15,7 +15,7 @@ package tsdb
 //   - lms_db_chunk_decode_errors_total: compressed chunks that failed to
 //     decode (the run is served as empty);
 //   - lms_job_*{job}: runs, failures, time spent and last success of the
-//     background jobs (retention, compaction, checkpoint, wal_sync), counted
+//     background jobs (retention, checkpoint, wal_sync), counted
 //     by the one lifecycle they all run on (obs.Job) over every database;
 //   - lms_query_seconds + lms_slow_queries_total: /query handler latency
 //     and the slow-query log counter (Handler.SlowQueryThreshold);
@@ -53,7 +53,7 @@ type Metrics struct {
 	WALFsync          *obs.Histogram
 	QuerySeconds      *obs.Histogram
 
-	jobRetention, jobCompaction, jobCheckpoint, jobWALSync *obs.JobStats
+	jobRetention, jobCheckpoint, jobWALSync *obs.JobStats
 
 	// decodeErrOnce rate-limits the corrupt-chunk log to one line per store
 	// (noteDecodeError); the counter takes every failure.
@@ -85,7 +85,6 @@ func newMetrics(s *Store) *Metrics {
 		WALFsync:          reg.NewHistogram("lms_wal_fsync_seconds", "WAL fsync latency.", nil),
 		QuerySeconds:      reg.NewHistogram("lms_query_seconds", "/query request latency.", nil),
 		jobRetention:      reg.NewJob("retention"),
-		jobCompaction:     reg.NewJob("compaction"),
 		jobCheckpoint:     reg.NewJob("checkpoint"),
 		jobWALSync:        reg.NewJob("wal_sync"),
 	}

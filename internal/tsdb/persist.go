@@ -239,7 +239,7 @@ func (db *DB) Abort() {
 }
 
 // shut marks the database closed — false if it was already — and stops its
-// background jobs, waiting for the runs in flight (the sweeps first, a
+// background jobs, waiting for the runs in flight (the sweep first, a
 // sweep may kick a checkpoint): whoever closes the WAL or removes the
 // directory next is alone with it.
 func (db *DB) shut() bool {
@@ -247,7 +247,6 @@ func (db *DB) shut() bool {
 		return false
 	}
 	db.retJob.Stop()
-	db.compJob.Stop()
 	if db.dur != nil {
 		db.dur.ckptJob.Stop()
 	}
@@ -300,7 +299,7 @@ func (db *DB) openDurable(opts Durability) error {
 			return fmt.Errorf("tsdb: WAL replay of %q: %w", db.name, err)
 		}
 		// Replay feeds the tail through the ordinary columnar write path
-		// (shard runBuilders, compaction, rewrite dedup), so the recovered
+		// (shard runBuilders, merges at the cut, rewrite dedup), so the recovered
 		// state is bit-for-bit what the pre-crash writes built. Timestamps
 		// were resolved before encoding, so the wall clock is never used.
 		db.applyFrame(fb)
@@ -310,6 +309,10 @@ func (db *DB) openDurable(opts Durability) error {
 	if err != nil {
 		return fmt.Errorf("tsdb: open %q: %w", db.name, err)
 	}
+	// A checkpoint written before chunks merged at the cut may hold spans
+	// its compaction job had not merged: the one pass over every series
+	// settles them while nothing else can see the database.
+	db.Compress()
 	wal.ExportSync(db.metrics.jobWALSync)
 	db.dur = &durability{dir: dir, opts: opts, wal: wal}
 	db.dur.lastCkpt.Store(time.Now().UnixNano())
@@ -490,10 +493,9 @@ func (s *Store) OpenDatabase(name string) (*DB, error) {
 }
 
 // openLocked is where every database is born: built with the store's
-// shard count, metrics bundle and job stats, recovered from
-// disk on a durable store, its compaction job armed (and kicked once for
-// the chunks recovery brought back), its retention job armed with the
-// store's window — and only then published.
+// shard count, metrics bundle and job stats, recovered from disk on a
+// durable store, its retention job armed with the store's window — and
+// only then published.
 func (s *Store) openLocked(name string) (*DB, error) {
 	if db, ok := s.dbs[name]; ok {
 		return db, nil
@@ -514,15 +516,10 @@ func (s *Store) openLocked(name string) (*DB, error) {
 	}
 	db.qcache.init()
 	db.retJob.Export(s.metrics.jobRetention)
-	db.compJob.Export(s.metrics.jobCompaction)
 	if s.Durability.Dir != "" {
 		if err := db.openDurable(s.Durability); err != nil {
 			return nil, err
 		}
-	}
-	db.compJob.Every(0, func(context.Context) error { db.Compress(); return nil })
-	if db.dur != nil {
-		db.compJob.Kick()
 	}
 	if s.Retention > 0 {
 		db.setRetention(s.Retention)

@@ -380,8 +380,7 @@ func TestSelectContextCancellation(t *testing.T) {
 	// first group's chunks are decoded. No later group is decoded, and the
 	// next live call misses the cache rather than hitting a partial answer.
 	db1 := newDBOpts("one", StoreOptions{ShardsPerDB: 1})
-	db1.compJob.Stop()
-	for lo := 0; lo < 100; lo += 40 { // 40-row blocks: each one seals the run before it
+	for lo := 0; lo < 100; lo += 40 { // 40-row blocks: each one cuts the run before it, the second cut merges
 		var pts []lineproto.Point
 		for _, h := range []string{"a", "b", "c"} {
 			for i := lo; i < min(lo+40, 100); i++ {
@@ -397,8 +396,8 @@ func TestSelectContextCancellation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db1.Compress() == 0 {
-		t.Fatal("Compress made no chunk")
+	if got, want := runLayout(db1), "m h=a: 80c 20h\nm h=b: 80c 20h\nm h=c: 80c 20h"; got != want {
+		t.Fatalf("fixture layout:\n%s\nwant\n%s", got, want)
 	}
 	q1 := Query{Measurement: "m", GroupByTags: []string{"h"}, Cols: []AggCol{{Field: "v", Agg: AggSum}}}
 	prof := &selectProf{}

@@ -33,9 +33,9 @@
 // one sorted timestamp column plus one typed value column per field, no
 // per-point field map allocation. Each finished block is encoded onto its
 // series' head, an append-only stream per column (head.go, DESIGN.md §13),
-// cut into a chunk every sealRows rows; the compaction job merges chunks.
-// Writes keep every series sorted and never rewrite a byte a reader can
-// see.
+// cut into a chunk every sealRows rows; the cut merges the chunks behind
+// it, doubling, up to maxChunkRows rows (series.compact). Writes keep every
+// series sorted and never rewrite a byte a reader can see.
 //
 // # Read path
 //
@@ -203,13 +203,10 @@ type DB struct {
 	// metrics is the owning store's observability bundle (metrics.go).
 	metrics *Metrics
 
-	// Background maintenance (obs.Job; Close and Abort stop and wait for
-	// both). retJob sweeps retention (setRetention), so expired data ages
-	// out of an idle database too; compJob, kicked by every cut, merges
-	// the chunks behind the heads into larger ones
-	// (Compress).
-	retJob  obs.Job
-	compJob obs.Job
+	// retJob sweeps retention in the background (setRetention), so
+	// expired data ages out of an idle database too; Close and Abort stop
+	// it and wait for its run.
+	retJob obs.Job
 
 	// Read path (select.go, cache.go).
 	qcache queryCache
@@ -307,109 +304,24 @@ func (db *DB) pruneTick(context.Context) error {
 // runSpan is the adjacent chunks sr.runs[lo:hi], rows rows in all.
 type runSpan struct{ lo, hi, rows int }
 
-// compGroup is one span of chunks captured for out-of-lock merging.
-type compGroup struct {
-	sr   *series
-	idx  int
-	strs []string
-	runs []*compRun
-	out  *compRun
-}
-
-// Compress is the compaction job's pass (compJob runs it on every kick;
-// tooling, benchmarks and tests call it directly): every span of chunks
-// series.jobSpans plans becomes one chunk. The head is never taken — writes
-// land there, and a cut makes the chunks. The pass merges outside any lock
-// and commits, under one write lock per shard, each span whose chunks are
-// still in their place — a late block or a retention sweep may have
-// absorbed, cut or dropped them meanwhile; a stale merge is dropped for the
-// next pass. It returns the number of chunks replaced.
+// Compress merges, in every series, each span of chunks mergeSpans plans
+// into one chunk (series.compact) and returns the number of chunks
+// replaced. Writes and retention sweeps merge where they change a series'
+// chunks, so a store this build wrote holds no span and Compress returns 0;
+// recovery runs it once, after the WAL replay, for a checkpoint written
+// with spans unmerged.
 func (db *DB) Compress() int {
 	total := 0
-	var spans []runSpan
-	var scratch bitWriter
 	for _, sh := range db.shards {
-		var groups []compGroup
-		sh.mu.RLock()
+		sh.mu.Lock()
 		for _, m := range sh.measurements {
 			for _, sr := range m.series {
-				spans = sr.jobSpans(spans[:0])
-				for _, s := range spans {
-					groups = append(groups, compGroup{sr: sr, idx: s.lo, strs: m.strs.vals, runs: slices.Clone(sr.runs[s.lo:s.hi])})
-				}
-			}
-		}
-		sh.mu.RUnlock()
-		if len(groups) == 0 {
-			continue
-		}
-		for i := range groups {
-			groups[i].merge(db.metrics, &scratch)
-		}
-		sh.mu.Lock()
-		// Newest span first, so a series' older spans keep their index.
-		for i := len(groups) - 1; i >= 0; i-- {
-			if g := &groups[i]; g.out != nil && g.current() {
-				g.sr.runs = slices.Replace(g.sr.runs, g.idx, g.idx+len(g.runs), g.out)
-				total += len(g.runs)
+				total += sr.compact(db.metrics, m.strs.vals, &sh.bld)
 			}
 		}
 		sh.mu.Unlock()
 	}
 	return total
-}
-
-// merge sets g.out to the span's chunks decoded and merged into one. Chunks
-// in time order — an in-order series' cuts — are appended onto one head,
-// which encodes each row once; others merge pairwise, so each row is
-// copied once per level of the tree. A chunk that does not decode leaves
-// the span as it is.
-func (g *compGroup) merge(mt *Metrics, scratch *bitWriter) {
-	parts := make([]*colRun, len(g.runs))
-	inOrder := true
-	for j, c := range g.runs {
-		raw, err := decompress(c, len(g.strs))
-		if err != nil {
-			mt.noteDecodeError(err)
-			return
-		}
-		parts[j] = raw
-		inOrder = inOrder && (j == 0 || g.runs[j-1].MaxTS <= c.MinTS)
-	}
-	if inOrder {
-		h := &head{}
-		for _, p := range parts {
-			h.append(p.ts, p.cols, g.strs, scratch, nil)
-		}
-		g.out = h.chunk()
-		return
-	}
-	for len(parts) > 1 {
-		next := parts[:0]
-		for j := 0; j < len(parts); j += 2 {
-			if j+1 == len(parts) {
-				next = append(next, parts[j])
-			} else {
-				next = append(next, mergeRuns(g.strs, parts[j], parts[j+1]))
-			}
-		}
-		parts = next
-	}
-	g.out = compressColumns(parts[0].ts, parts[0].cols)
-}
-
-// current reports whether the span's chunks are still in their place. The
-// caller holds the shard write lock.
-func (g *compGroup) current() bool {
-	if g.idx+len(g.runs) > len(g.sr.runs) {
-		return false
-	}
-	for j, c := range g.runs {
-		if g.sr.runs[g.idx+j] != c {
-			return false
-		}
-	}
-	return true
 }
 
 type measurement struct {
@@ -451,7 +363,7 @@ func (m *measurement) fieldNames() []string {
 //
 //   - every run's rows are sorted by time,
 //   - a byte, word or value a reader can see is never rewritten: a chunk
-//     is never written to — the job merges chunks into a new one, pruning
+//     is never written to — a merge encodes chunks into a new one, pruning
 //     encodes what it keeps of one into a new one — and the head only
 //     appends to its streams, replaces its presence bitmaps, and encodes
 //     whatever cannot append (an exact rewrite, a late block, a retention
@@ -459,10 +371,10 @@ func (m *measurement) fieldNames() []string {
 //
 // A reader that captured a chunk pointer or a head snapshot under the shard
 // RLock may therefore keep decoding it after releasing the lock. The head
-// is the only run a write touches. The compaction job grows chunks
-// geometrically up to maxChunkRows rows, so an in-order series of n rows
-// holds about n/maxChunkRows + 5 chunks (5 = log2(maxChunkRows/sealRows)),
-// and a row is re-encoded once per doubling of its chunk, at most 5 times.
+// is the only run a write appends to. The cut merges chunks geometrically
+// up to maxChunkRows rows (compact), so an in-order series of n rows holds
+// about n/maxChunkRows + 5 chunks (5 = log2(maxChunkRows/sealRows)), and a
+// row is re-encoded once per doubling of its chunk, at most 5 times.
 type series struct {
 	key  string            // seriesKey(tags), the string m.series holds it under
 	tags map[string]string // immutable after creation
@@ -484,15 +396,15 @@ func (sr *series) totalPoints() int {
 	return n
 }
 
-// jobSpans is the compaction job's plan for sr: its chunks, grouped by a
-// binary counter over size classes (the bit length of rows/sealRows) — two
+// mergeSpans is the merge plan for sr: its chunks, grouped by a binary
+// counter over size classes (the bit length of rows/sealRows) — two
 // adjacent chunks of one class merge while the sum fits maxChunkRows.
 // Chunks thus double up to maxChunkRows rows, each row re-encoded once per
-// doubling. The counter is a stack reduction from the oldest chunk and a
-// pass commits whole groups of it, so the layout a write sequence ends in
-// never depends on when the job ran. A span of one chunk has nothing to do
-// and is left out, and so is a chunk standing in for a head.
-func (sr *series) jobSpans(stack []runSpan) []runSpan {
+// doubling. The counter is a stack reduction from the oldest chunk, so
+// once its spans are merged it plans none: the layout after every write is
+// the settled one. A span of one chunk has nothing to do and is left out,
+// and so is a chunk standing in for a head.
+func (sr *series) mergeSpans(stack []runSpan) []runSpan {
 	class := func(rows int) int { return bits.Len(uint(rows / sealRows)) }
 	n := len(sr.runs)
 	if sr.head == nil {
@@ -511,10 +423,61 @@ func (sr *series) jobSpans(stack []runSpan) []runSpan {
 	return slices.DeleteFunc(stack, func(s runSpan) bool { return s.hi-s.lo == 1 })
 }
 
-// commit applies a finished builder block to the series and reports
-// whether it changed the chunks behind the head and chunks remain there,
-// the compaction job's cue: a block the head takes alone leaves nothing
-// new to merge. Only the head takes a block:
+// compact merges each span mergeSpans plans for sr into one chunk, newest
+// span first so the older ones keep their index, and returns the number of
+// chunks replaced. The caller holds the shard write lock and lends the
+// shard's builder for its span stack and bit writer, so a call with
+// nothing to merge allocates nothing. Chunks in time order — an in-order
+// series' cuts — are appended onto one head, which encodes each row once;
+// others merge pairwise, so each row is copied once per level of the tree.
+// A chunk that does not decode leaves its span as it is.
+func (sr *series) compact(mt *Metrics, strs []string, scratch *runBuilder) int {
+	scratch.spans = sr.mergeSpans(scratch.spans[:0])
+	replaced := 0
+spans:
+	for i := len(scratch.spans) - 1; i >= 0; i-- {
+		s := scratch.spans[i]
+		chunks := sr.runs[s.lo:s.hi]
+		parts := make([]*colRun, len(chunks))
+		inOrder := true
+		for j, c := range chunks {
+			raw, err := decompress(c, len(strs))
+			if err != nil {
+				mt.noteDecodeError(err)
+				continue spans
+			}
+			parts[j] = raw
+			inOrder = inOrder && (j == 0 || chunks[j-1].MaxTS <= c.MinTS)
+		}
+		var out *compRun
+		if inOrder {
+			h := &head{}
+			for _, p := range parts {
+				h.append(p.ts, p.cols, strs, &scratch.enc, nil)
+			}
+			out = h.chunk()
+		} else {
+			for len(parts) > 1 {
+				next := parts[:0]
+				for j := 0; j < len(parts); j += 2 {
+					if j+1 == len(parts) {
+						next = append(next, parts[j])
+					} else {
+						next = append(next, mergeRuns(strs, parts[j], parts[j+1]))
+					}
+				}
+				parts = next
+			}
+			out = compressColumns(parts[0].ts, parts[0].cols)
+		}
+		sr.runs = slices.Replace(sr.runs, s.lo, s.hi, out)
+		replaced += s.hi - s.lo
+	}
+	return replaced
+}
+
+// commit applies a finished builder block to the series. Only the head
+// takes a block:
 //
 //   - a block whose timestamps exactly rewrite the head merges
 //     field-by-field with last-write-wins (InfluxDB duplicate-point
@@ -523,8 +486,9 @@ func (sr *series) jobSpans(stack []runSpan) []runSpan {
 //     it holds fewer than sealRows rows,
 //   - anything else starts the head afresh: an in-order block cuts the
 //     full head into a chunk, an out-of-order one absorbs the short runs
-//     before it.
-func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) (mergeDue bool) {
+//     before it; either changed the chunks behind the head, which then
+//     merge (compact).
+func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) {
 	strs := m.strs.vals
 	h := sr.head
 	if h != nil {
@@ -539,11 +503,11 @@ func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) (mergeDue b
 			h.clear()
 			h.append(run.ts, run.cols, strs, &b.enc, nil)
 			arenaPool.Put(a)
-			return false
+			return
 		}
 		if h.n < sealRows && h.maxTS <= b.ts[0] {
 			h.append(b.ts, b.cols, strs, &b.enc, nil)
-			return false
+			return
 		}
 	}
 	// An in-order block behind a full head (the cut) or a series' first
@@ -552,7 +516,7 @@ func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) (mergeDue b
 	// short — and never a full one: a cut is never undone, and a late block
 	// costs its rows plus fewer than sealRows under the lock however long
 	// the history. Overlapping runs are left to queries, which merge runs
-	// anyway, and to the job.
+	// anyway, and to compact.
 	blk := &colRun{ts: b.ts, cols: b.cols}
 	var cut *compRun
 	switch {
@@ -567,7 +531,7 @@ func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) (mergeDue b
 		if !h.lateRow(blk, strs, &b.enc) {
 			h.absorb(blk, strs, &b.enc)
 		}
-		return false
+		return
 	default:
 		a := arenaPool.Get().(*decodeArena)
 		a.reset()
@@ -585,7 +549,7 @@ func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) (mergeDue b
 		sr.runs = sr.runs[:k-1]
 	}
 	h.append(blk.ts, blk.cols, strs, &b.enc, cut)
-	return len(sr.runs) > 0
+	sr.compact(mt, strs, b)
 }
 
 // adoptHead makes the newest chunk the head again, decoded and encoded
@@ -782,27 +746,22 @@ func (db *DB) writeFrame(ctx context.Context, fb *frameBatch) error {
 // in-memory databases and the post-WAL half for durable ones (both live
 // writes and recovery replay). The frame carries resolved timestamps, so
 // replay reproduces this state exactly; the wall clock only stamps the
-// database's idle clock. A batch that cut a head, or merged short chunks
-// into one, kicks the compaction job.
+// database's idle clock.
 func (db *DB) applyFrame(fb *frameBatch) {
 	if len(fb.refs) == 0 {
 		return
 	}
 	db.lastWrite.Store(time.Now().UnixNano())
-	mergeDue := false
 	for idx, sh := range db.shards {
 		if !fb.multi && idx != fb.refs[0].shard {
 			continue
 		}
 		for _, ref := range fb.refs {
 			if ref.shard == idx {
-				mergeDue = sh.writeFrame(db, fb, idx) || mergeDue
+				sh.writeFrame(db, fb, idx)
 				break
 			}
 		}
-	}
-	if mergeDue {
-		db.compJob.Kick()
 	}
 }
 
@@ -815,9 +774,8 @@ func (db *DB) applyFrame(fb *frameBatch) {
 // columnar builder (column.go) by kind. Nothing is allocated per point of
 // a known series; a tag map is built when a series is first seen.
 // Consecutive points of the same series are committed as one block
-// (series.commit); the result reports whether any block changed the
-// chunks behind a head, so the caller kicks the compaction job.
-func (sh *shard) writeFrame(db *DB, fb *frameBatch, idx int) (mergeDue bool) {
+// (series.commit).
+func (sh *shard) writeFrame(db *DB, fb *frameBatch, idx int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
@@ -831,7 +789,7 @@ func (sh *shard) writeFrame(db *DB, fb *frameBatch, idx int) (mergeDue bool) {
 	commit := func() {
 		if curS != nil && len(b.ts) > 0 {
 			b.finish()
-			mergeDue = curS.commit(db.metrics, curM, b) || mergeDue
+			curS.commit(db.metrics, curM, b)
 			b.reset()
 		}
 	}
@@ -901,13 +859,11 @@ func (sh *shard) writeFrame(db *DB, fb *frameBatch, idx int) (mergeDue bool) {
 			break
 		}
 	}
-	return mergeDue
 }
 
 // pruneNow sweeps every shard with the given cutoff. A sweep that
 // removed rows invalidates every cached query result (an empty sweep
-// must not flush unrelated entries), kicks the compaction job (a cut
-// chunk may merge again) and, on a durable database,
+// must not flush unrelated entries) and, on a durable database,
 // schedules a checkpoint so the expired rows leave the disk too.
 func (db *DB) pruneNow(beforeNS int64) {
 	dropped := false
@@ -920,7 +876,6 @@ func (db *DB) pruneNow(beforeNS int64) {
 		return
 	}
 	db.globalGen.Add(1)
-	db.compJob.Kick()
 	if db.dur != nil {
 		db.dur.noteRetentionDrop()
 	}
@@ -929,11 +884,12 @@ func (db *DB) pruneNow(beforeNS int64) {
 // pruneLocked drops rows older than beforeNS and reports whether anything
 // was removed. A run's bounds decide its fate; only a partially expired run
 // is decoded, cut and encoded again — a chunk into a new chunk, the head
-// into fresh streams (readers may hold the old ones) — and a series whose
-// head expired makes its newest chunk the head.
+// into fresh streams (readers may hold the old ones) — a series whose
+// head expired makes its newest chunk the head, and what a series keeps
+// merges again (compact).
 func (sh *shard) pruneLocked(mt *Metrics, beforeNS int64) bool {
 	anyDropped := false
-	var scratch bitWriter
+	scratch := &sh.bld
 	for mname, m := range sh.measurements {
 		strs := m.strs.vals
 		deleted := false
@@ -967,13 +923,14 @@ func (sh *shard) pruneLocked(mt *Metrics, beforeNS int64) bool {
 					cut := raw.sliceRun(idx, len(raw.ts))
 					arenaPool.Put(a) // the cut copied the rows it keeps
 					h.clear()
-					h.append(cut.ts, cut.cols, strs, &scratch, nil)
+					h.append(cut.ts, cut.cols, strs, &scratch.enc, nil)
 				}
 				changed = true
 			}
 			if changed {
 				sr.runs = kept
-				sr.adoptHead(mt, strs, &scratch)
+				sr.adoptHead(mt, strs, &scratch.enc)
+				sr.compact(mt, strs, scratch)
 				anyDropped = true
 			}
 			if len(sr.runs) == 0 && sr.head == nil {
