@@ -236,16 +236,17 @@ func TestFrameApplyAllocs(t *testing.T) {
 // start it afresh (its streams carved out of one allocation) and merge the
 // chunks behind it.
 const (
-	// Measured 22.0 per 100-point batch (25.0 under -race, whose sync.Pool
+	// Measured 15.0 per 100-point batch (19-20 under -race, whose sync.Pool
 	// drops puts), the cut's merges included: one cut per batch, and each
 	// cut merges the chunk it made with the one before it when the two
-	// share a size class — both decoded, appended onto one head, cut
-	// again, once per doubling of the chunk. While a
-	// compaction job merged beside the write the two were gated apart: 7
-	// (10 under -race) for the write and 27.3 for the job's pass after it,
-	// bounds 10 and 40; 0 (0.2: eight doublings in 200 batches, 3 under
-	// -race) before the seal rule, 3 before the frame path.
-	writeBatchAllocs = 28
+	// share a size class — both decoded into the pooled arena, appended
+	// onto one head, cut again, once per doubling of the chunk. 22.0 (25.0
+	// under -race, bound 28) while the merges decoded into fresh arrays.
+	// While a compaction job merged beside the write the two were gated
+	// apart: 7 (10 under -race) for the write and 27.3 for the job's pass
+	// after it, bounds 10 and 40; 0 (0.2: eight doublings in 200 batches, 3
+	// under -race) before the seal rule, 3 before the frame path.
+	writeBatchAllocs = 23
 	// Measured 950 over one head per series, 945 while the head was raw
 	// (944 before the series key escaped tag bytes): a head snapshot takes
 	// two allocations, the decoded views come from the arena.
@@ -259,13 +260,15 @@ const (
 	// per series (1.5 runs, a third raw) before the head stayed raw, 1.62
 	// before every raw run was held for its encode.
 	buildSnapshotAllocsPerRun = 4.75
-	// Measured 55.0 over 128 frames (57.0 under -race), four cuts of each
-	// of the 100 series and their merges included. While a compaction job
-	// merged beside the write: 17.0 for the write (19 under -race; 4 per
-	// frame plus 4 per cut of each series) and 39.3 for the job, bounds 24
-	// and 70; 20.0 while a seal opened a raw run presized for 32 rows.
+	// Measured 41.0 over 128 frames (46-47 under -race), four cuts of each
+	// of the 100 series and their merges included, the merges decoding into
+	// the pooled arena; 55.0 (57.0 under -race, bound 64) while they
+	// decoded into fresh arrays. While a compaction job merged beside the
+	// write: 17.0 for the write (19 under -race; 4 per frame plus 4 per cut
+	// of each series) and 39.3 for the job, bounds 24 and 70; 20.0 while a
+	// seal opened a raw run presized for 32 rows.
 	// Before the seal rule 6.0 over the same frames (4 plus a doubling of
 	// every series' arrays at 257 rows), 14.0 over the first 256, 5 in its
 	// own window under -race; DecodeBatch + applyBatch took 2 060.
-	frameApplyAllocs = 64
+	frameApplyAllocs = 54
 )

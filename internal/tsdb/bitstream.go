@@ -16,10 +16,7 @@ package tsdb
 // unreachable, but the fuzz targets hold the decoder to "never panics"
 // regardless).
 
-import (
-	"errors"
-	"sync"
-)
+import "errors"
 
 var errShortChunk = errors.New("tsdb: compressed chunk truncated")
 
@@ -29,17 +26,6 @@ type bitWriter struct {
 	b   []byte
 	cur byte
 	n   uint8
-}
-
-// writerPool recycles the one-shot encoders' streams (newBitWriter …
-// bytes): a chunk is written into warm scratch and stays resident at its
-// exact size.
-var writerPool = sync.Pool{New: func() any { return new(bitWriter) }}
-
-func newBitWriter() *bitWriter {
-	w := writerPool.Get().(*bitWriter)
-	w.b, w.cur, w.n = w.b[:0], 0, 0
-	return w
 }
 
 // writeBit appends a single bit.
@@ -95,16 +81,6 @@ func (w *bitWriter) appendTo(dst []byte) []byte {
 // nothing the writer appends later is in reach, and the partial byte.
 func (w *bitWriter) view() bitWriter {
 	return bitWriter{b: w.b[:len(w.b):len(w.b)], cur: w.cur, n: w.n}
-}
-
-// bytes returns the finished stream at its exact size and recycles w.
-func (w *bitWriter) bytes() []byte {
-	var out []byte
-	if size := w.size(); size > 0 {
-		out = w.appendTo(make([]byte, 0, size))
-	}
-	writerPool.Put(w)
-	return out
 }
 
 // bitReader consumes bits MSB-first from a byte slice through a 64-bit

@@ -45,6 +45,16 @@ func denseBits(n int) []uint64 {
 	return bm
 }
 
+// allSet reports whether bits [0, n) of bm are all set.
+func allSet(bm []uint64, n int) bool {
+	for i := 0; i < n; i++ {
+		if !bitGet(bm, i) {
+			return false
+		}
+	}
+	return true
+}
+
 // setBitRange sets bits [lo, hi) of bm.
 func setBitRange(bm []uint64, lo, hi int) {
 	for i := lo; i < hi; i++ {
@@ -281,30 +291,6 @@ func (c *col) unionPresentCOW(src *col) {
 	c.Present = np
 }
 
-// sliceRows returns a fresh column holding rows [lo, hi) (used by the
-// retention pruner; readers may still hold the old arrays).
-func (c *col) sliceRows(lo, hi int) col {
-	k := hi - lo
-	out := col{n: k}
-	out.Name = c.Name
-	out.Values = c.CloneRange(lo, hi)
-	if c.Present != nil {
-		np := make([]uint64, bitWords(k))
-		all := true
-		for i := 0; i < k; i++ {
-			if bitGet(c.Present, lo+i) {
-				bitSet(np, i)
-			} else {
-				all = false
-			}
-		}
-		if !all {
-			out.Present = np
-		}
-	}
-	return out
-}
-
 // --- runs --------------------------------------------------------------
 
 // sealRows is the seal rule (DESIGN.md §13): a series' head takes in-order
@@ -358,14 +344,18 @@ func (r *colRun) rewriteBlock(b *runBuilder, m *measurement) {
 	}
 }
 
-// sliceRun returns a fresh run holding rows [lo, hi).
-func (r *colRun) sliceRun(lo, hi int) *colRun {
-	out := &colRun{ts: append([]int64(nil), r.ts[lo:hi]...)}
-	out.cols = make([]col, 0, len(r.cols))
-	for i := range r.cols {
-		out.cols = append(out.cols, r.cols[i].sliceRows(lo, hi))
+// since returns r's rows at or after t as a block to append — what a
+// retention cut keeps of a run — sharing r's value arrays (view). A
+// column with a value in every row it keeps comes out dense.
+func (r *colRun) since(t int64) ([]int64, []col) {
+	lo := sort.Search(len(r.ts), func(i int) bool { return r.ts[i] >= t })
+	ts, cols := r.view(lo, len(r.ts))
+	for i := range cols {
+		if p := cols[i].Present; p != nil && allSet(p, len(ts)) {
+			cols[i].Present = nil
+		}
 	}
-	return out
+	return ts, cols
 }
 
 // splice returns where the rows of b fall between two rows of r — the

@@ -20,12 +20,14 @@ package tsdb
 //     can alias them without a decode; mixed-kind columns stay raw too
 //     (they are rare and carry no exploitable structure).
 //
-// Every encoder is a state carried from row to row (tsEnc, colEnc), so a
-// head that takes its rows in blocks writes the bytes the one-shot
-// encoders write over the same rows. Everything is byte-exact: decoding
-// reproduces the rows bit for bit. A chunk is never written to: writes
-// land on the head, the job decodes the chunks it merges into a new one,
-// and pruning decodes a chunk it must cut and encodes what is left.
+// Every encoder is a state carried from row to row (tsEnc, colEnc), which
+// a head keeps between blocks, so head.append is the one chunk encoder and
+// writes the bytes the one-shot encoders of the tests (oneshot_test.go)
+// write over the same rows. Everything is byte-exact: decoding reproduces
+// the rows bit for bit. A chunk is never written to: writes land on the
+// head, and a merge or a retention cut decodes the chunks it takes into a
+// pooled arena (decodeChunk) and encodes what it keeps onto a fresh head
+// (encodeRun).
 //
 // Arithmetic note: deltas and delta-of-deltas are computed in uint64 with
 // wraparound and zigzag-coded, so the codec is total over all int64
@@ -37,7 +39,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/lineproto"
 	"repro/internal/obs"
 	"repro/internal/tsdb/durable"
 )
@@ -75,19 +76,6 @@ const valueBytes = 40
 
 // armBytes is what one row costs in each arm of a raw column.
 var armBytes = [...]int64{durable.ArmFloats: 8, durable.ArmInts: 8, durable.ArmStrIDs: 4, durable.ArmVals: valueBytes}
-
-// rawRunBytes estimates what a run's rows cost as raw arrays: a chunk's
-// RawBytes, the numerator of the compression-ratio gauge.
-func rawRunBytes(ts []int64, cols []col) int64 {
-	n := int64(len(ts)) * 8
-	for i := range cols {
-		c := &cols[i]
-		n += int64(len(c.Floats))*8 + int64(len(c.Ints))*8 +
-			int64(len(c.StrIDs))*4 + int64(len(c.Vals))*valueBytes +
-			int64(len(c.Present))*8
-	}
-	return n
-}
 
 // --- timestamp chunk: delta-of-delta -----------------------------------
 
@@ -132,16 +120,6 @@ func (e *tsEnc) put(w *bitWriter, t int64) {
 		e.delta = delta
 	}
 	e.prev = t
-}
-
-// encodeTimestamps compresses a sorted timestamp column in one go.
-func encodeTimestamps(ts []int64) []byte {
-	w := newBitWriter()
-	var e tsEnc
-	for _, t := range ts {
-		e.put(w, t)
-	}
-	return w.bytes()
 }
 
 // decodeTimestamps decompresses a timestamp chunk into dst (len n) and
@@ -241,16 +219,6 @@ func (e *colEnc) putInt(w *bitWriter, v int64) {
 	e.prev = uint64(v)
 }
 
-// encodeFloats compresses a float column in one go.
-func encodeFloats(vals []float64) []byte {
-	w := newBitWriter()
-	var e colEnc
-	for i, v := range vals {
-		e.putFloat(w, v, i == 0)
-	}
-	return w.bytes()
-}
-
 // decodeFloats decompresses a float chunk into dst (len n).
 func decodeFloats(data []byte, dst []float64) error {
 	if len(dst) == 0 {
@@ -283,16 +251,6 @@ func decodeFloats(data []byte, dst []float64) error {
 }
 
 // --- int chunk: zigzag delta varints ------------------------------------
-
-// encodeInts compresses an int/bool column in one go.
-func encodeInts(vals []int64) []byte {
-	w := newBitWriter()
-	var e colEnc
-	for _, v := range vals {
-		e.putInt(w, v)
-	}
-	return w.bytes()
-}
 
 // decodeInts decompresses an int chunk into dst (len n).
 func decodeInts(data []byte, dst []int64) error {
@@ -332,30 +290,12 @@ func readUvarint64(b []byte) (uint64, int, error) {
 
 // --- string-id chunk: bit-width packing ---------------------------------
 
-// encodeStrIDs packs interned string ids at the bit width of the largest
-// id in the chunk. Event columns usually intern a handful of payloads, so
-// ids cost 1-4 bits instead of 4 bytes.
-func encodeStrIDs(ids []uint32) (data []byte, width uint8) {
-	maxID := uint32(0)
-	for _, id := range ids {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	width = uint8(mbits.Len32(maxID))
-	if width == 0 {
-		return nil, 0 // every id is 0
-	}
-	w := newBitWriter()
-	for _, id := range ids {
-		w.writeBits(uint64(id), uint(width))
-	}
-	return w.bytes(), width
-}
-
-// decodeStrIDs unpacks a string-id chunk into dst (len n). Every id must
-// be below maxID (the snapshotted intern-table length), so a corrupt
-// chunk can never index past the table.
+// decodeStrIDs unpacks a string-id chunk into dst (len n). The ids are
+// packed at the bit width of the largest id in the chunk (headCol.width,
+// which widen grows): event columns usually intern a handful of payloads,
+// so ids cost 1-4 bits instead of 4 bytes. Every id must be below maxID
+// (the snapshotted intern-table length), so a corrupt chunk can never
+// index past the table.
 func decodeStrIDs(data []byte, width uint8, maxID uint32, dst []uint32) error {
 	if width == 0 {
 		for i := range dst {
@@ -380,58 +320,28 @@ func decodeStrIDs(data []byte, width uint8, maxID uint32, dst []uint32) error {
 	return nil
 }
 
-// --- run compression -----------------------------------------------------
+// --- run encoding and decoding ------------------------------------------
 
-// compressColumns encodes a decoded run — the merge of the chunks the job
-// joins, or what a retention cut leaves of one — into a chunk in one go.
-func compressColumns(ts []int64, cols []col) *compRun {
-	n := len(ts)
-	c := &compRun{
-		N:        n,
-		MinTS:    ts[0],
-		MaxTS:    ts[n-1],
-		Ts:       encodeTimestamps(ts),
-		RawBytes: rawRunBytes(ts, cols),
-	}
-	c.Cols = make([]compCol, len(cols))
-	for i := range cols {
-		src := &cols[i]
-		dst := &c.Cols[i]
-		dst.Name = src.Name
-		dst.Kind = src.Kind
-		dst.Mixed = src.Mixed
-		if src.Present != nil {
-			dst.Present = append([]uint64(nil), src.Present[:bitWords(n)]...)
-		}
-		switch src.Arm() {
-		case durable.ArmVals:
-			dst.Vals = append([]lineproto.Value(nil), src.Vals[:n]...)
-		case durable.ArmFloats:
-			dst.Data = encodeFloats(src.Floats[:n])
-		case durable.ArmStrIDs:
-			dst.Data, dst.Width = encodeStrIDs(src.StrIDs[:n])
-		default:
-			dst.Data = encodeInts(src.Ints[:n])
-		}
-	}
-	return c
+// encodeRun encodes a sorted run — a merge of chunks, or what a retention
+// cut keeps of one — into a chunk: a fresh head takes its rows in one
+// block and is cut, so every chunk comes out of head.append. scratch is
+// the stream the head encodes through.
+func encodeRun(ts []int64, cols []col, strs []string, scratch *bitWriter) *compRun {
+	var h head
+	h.append(ts, cols, strs, scratch, nil)
+	return h.chunk()
 }
 
-// decodeCol decodes the first n rows of a chunk column: the one place that
-// turns chunk bytes back into typed arrays. The arrays come from a — a nil
-// arena allocates them fresh, and then the mixed values a chunk keeps raw
-// are cloned as well, so the result shares nothing with the chunk; with an
-// arena they are aliased (a chunk is immutable). strsLen bounds decoded
-// string ids.
+// decodeCol decodes the first n rows of a chunk column into arrays from
+// the arena a: the one place that turns chunk bytes back into typed
+// arrays. The mixed values a chunk keeps raw are aliased, as a chunk is
+// immutable. strsLen bounds decoded string ids.
 func decodeCol(cc *compCol, n, strsLen int, a *decodeArena) (durable.Values, error) {
 	v := durable.Values{Kind: cc.Kind, Mixed: cc.Mixed}
 	var err error
 	switch v.Arm() {
 	case durable.ArmVals:
 		v.Vals = cc.Vals
-		if a == nil {
-			v.Vals = append([]lineproto.Value(nil), cc.Vals...)
-		}
 	case durable.ArmFloats:
 		v.Floats = a.takeF64(n)
 		err = decodeFloats(cc.Data, v.Floats)
@@ -445,26 +355,22 @@ func decodeCol(cc *compCol, n, strsLen int, a *decodeArena) (durable.Values, err
 	return v, err
 }
 
-// decompress decodes a chunk into a raw run in freshly allocated arrays:
-// the form merges and cuts work on.
-func decompress(c *compRun, strsLen int) (*colRun, error) {
-	out := &colRun{ts: make([]int64, c.N)}
+// decodeChunk decodes a chunk into a raw run whose arrays come from the
+// arena a, so they last until it is reset; presence bitmaps and mixed
+// values are the chunk's own. It is the form merges, retention cuts and
+// the head's rare paths change and encode again before they give a back.
+func decodeChunk(c *compRun, strsLen int, a *decodeArena) (*colRun, error) {
+	out := &colRun{ts: a.takeI64(c.N), cols: make([]col, len(c.Cols))}
 	if _, err := decodeTimestamps(c.Ts, out.ts, math.MaxInt64); err != nil {
 		return nil, err
 	}
-	out.cols = make([]col, len(c.Cols))
 	for i := range c.Cols {
-		src := &c.Cols[i]
-		dst := &out.cols[i]
-		dst.Name = src.Name
-		dst.n = c.N
-		if src.Present != nil {
-			dst.Present = append([]uint64(nil), src.Present...)
-		}
-		var err error
-		if dst.Values, err = decodeCol(src, c.N, strsLen, nil); err != nil {
+		cc := &c.Cols[i]
+		v, err := decodeCol(cc, c.N, strsLen, a)
+		if err != nil {
 			return nil, err
 		}
+		out.cols[i] = col{Name: cc.Name, Present: cc.Present, Values: v, n: c.N}
 	}
 	return out, nil
 }
@@ -475,13 +381,13 @@ func decompress(c *compRun, strsLen int) (*colRun, error) {
 // a head as its headSnap (after a min/max time-bound cut); phase 2 decodes
 // either into a pooled scratch arena right before the vectorized foldView
 // sweeps run over it. The arena recycles its backing arrays across
-// queries (sync.Pool), so steady dashboard traffic decodes into warm
-// memory instead of allocating per run.
+// queries and writes (sync.Pool) — the merges a cut makes, retention cuts
+// and the head's rare paths decode into it too — so steady traffic decodes
+// into warm memory instead of allocating per run.
 
 // decodeArena hands out typed scratch slices. Slices taken from it stay
 // valid until reset: exhausting a block allocates a fresh one and strands
-// the old block with its outstanding slices (freed by GC after the query).
-// A nil arena allocates every slice on its own (decompress).
+// the old block with its outstanding slices (freed by GC once unused).
 type decodeArena struct {
 	i64                                     []int64
 	f64                                     []float64
@@ -501,9 +407,6 @@ func arenaGrow(need int) int {
 }
 
 func (a *decodeArena) takeI64(n int) []int64 {
-	if a == nil {
-		return make([]int64, n)
-	}
 	if a.i64off+n > len(a.i64) {
 		a.i64 = make([]int64, arenaGrow(n))
 		a.i64off = 0
@@ -514,9 +417,6 @@ func (a *decodeArena) takeI64(n int) []int64 {
 }
 
 func (a *decodeArena) takeF64(n int) []float64 {
-	if a == nil {
-		return make([]float64, n)
-	}
 	if a.f64off+n > len(a.f64) {
 		a.f64 = make([]float64, arenaGrow(n))
 		a.f64off = 0
@@ -527,9 +427,6 @@ func (a *decodeArena) takeF64(n int) []float64 {
 }
 
 func (a *decodeArena) takeU32(n int) []uint32 {
-	if a == nil {
-		return make([]uint32, n)
-	}
 	if a.u32off+n > len(a.u32) {
 		a.u32 = make([]uint32, arenaGrow(n))
 		a.u32off = 0
@@ -552,16 +449,12 @@ func (a *decodeArena) takeViews(n int) []colView {
 }
 
 // finished returns a stream a head snapshot captured, finished: its
-// complete bytes as they are, or copied out with the partial byte (into
-// fresh memory for a nil arena).
+// complete bytes as they are, or copied out with the partial byte.
 func (a *decodeArena) finished(w *bitWriter) []byte {
 	if w.n == 0 {
 		return w.b
 	}
 	n := len(w.b) + 1
-	if a == nil {
-		return w.appendTo(make([]byte, 0, n))
-	}
 	if a.u8off+n > len(a.u8) {
 		a.u8 = make([]byte, arenaGrow(n))
 		a.u8off = 0
@@ -578,6 +471,14 @@ func (a *decodeArena) reset() {
 }
 
 var arenaPool = sync.Pool{New: func() any { return &decodeArena{} }}
+
+// pooledArena takes a reset arena from arenaPool. Put it back once nothing
+// decoded into it is in use.
+func pooledArena() *decodeArena {
+	a := arenaPool.Get().(*decodeArena)
+	a.reset()
+	return a
+}
 
 // noteDecodeError counts every chunk that failed to decode, served as an
 // empty run rather than failing every query forever, and logs the store's

@@ -231,12 +231,10 @@ func TestCompressedRewriteUpsert(t *testing.T) {
 	if got, want := runLayout(db), fmt.Sprintf("m hostname=h1: %dc %dh", n, n); got != want {
 		t.Fatalf("fixture layout: %s, want %s", got, want)
 	}
-	sr := db.shardFor("m").measurements["m"].series["hostname=h1"]
+	m := db.shardFor("m").measurements["m"]
+	sr := m.series["hostname=h1"]
 	chunk := sr.runs[0]
-	held, err := decompress(chunk, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	held := decodeRun(m, chunk) // rows copied out of the chunk
 
 	// Exact rewrite of the head's field a: values update, the row count is
 	// unchanged, field b keeps its stored values, the chunk is untouched.
@@ -279,8 +277,8 @@ func TestCompressedRewriteUpsert(t *testing.T) {
 	if got, want := runLayout(db), fmt.Sprintf("m hostname=h1: %dc %dc 1h", 2*n, n); got != want {
 		t.Fatalf("layout after the blocks over the chunk: %s, want %s", got, want)
 	}
-	if now, err := decompress(chunk, 0); err != nil || !reflect.DeepEqual(now, held) {
-		t.Fatalf("the merge that replaced the chunk wrote to it (%v)", err)
+	if !reflect.DeepEqual(decodeRun(m, chunk), held) {
+		t.Fatal("the merge that replaced the chunk wrote to it")
 	}
 }
 
@@ -974,14 +972,12 @@ func FuzzCompressedChunkDecode(f *testing.F) {
 	})
 }
 
-// sealSweepCycle is one host's 100-line cycle in the shape the
+// sealSweepFill fills pts with one host's 100-line cycle in the shape the
 // collector-batch benchmark workload sends: its eight measurements and
 // fields, four job tags, and values that sit on a per-series level with
 // two units of noise in eighths, one line a microsecond after the other.
-func sealSweepCycle(host, cycle int) []lineproto.Point { return sealSweepFill(nil, host, cycle) }
-
-// sealSweepFill is sealSweepCycle into pts, a cycle of the same host made
-// by it before, whose tag and field slices it reuses; nil makes a new one.
+// pts is a cycle of the same host made by it before, whose tag and field
+// slices it reuses; nil makes a new one.
 func sealSweepFill(pts []lineproto.Point, host, cycle int) []lineproto.Point {
 	fieldKey := func(name string) string {
 		if name[0] == 'i' {
@@ -1046,16 +1042,20 @@ func sealSweepFill(pts []lineproto.Point, host, cycle int) []lineproto.Point {
 	return pts
 }
 
-// sealSweepDB writes hosts × cycles sealSweepCycles, one row per series
-// per cycle. The caller holds sealRows at the size under test until it is
-// done with db.
-func sealSweepDB(b *testing.B, hosts, cycles int) *DB {
+// sealSweepDB writes cycles sealSweepFill cycles of len(bufs) hosts into
+// a new database, one row per series per cycle, through the points of
+// bufs: one slice per host, built by the first fill and refilled in place
+// by every later one, so the write path is what allocates. The caller
+// holds sealRows at the size under test until it is done with the
+// database.
+func sealSweepDB(b *testing.B, bufs [][]lineproto.Point, cycles int) *DB {
 	b.Helper()
 	db := newDB("lms")
 	db.SetQueryCacheTTL(0)
 	for c := 0; c < cycles; c++ {
-		for h := 0; h < hosts; h++ {
-			if err := db.WriteBatchContext(bg, sealSweepCycle(h, c)); err != nil {
+		for h := range bufs {
+			bufs[h] = sealSweepFill(bufs[h], h, c)
+			if err := db.WriteBatchContext(bg, bufs[h]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1064,7 +1064,7 @@ func sealSweepDB(b *testing.B, hosts, cycles int) *DB {
 }
 
 // TestResidentHeapPerPoint measures what a stored point costs the Go heap
-// (ROADMAP item 1): sealSweepCycle's 64 hosts (6 400 series) at 1, 78 —
+// (ROADMAP item 1): sealSweepFill's 64 hosts (6 400 series) at 1, 78 —
 // the benchmark's series length — and 300 rows per series, as the
 // heap grew across two forced GCs, against lms_db_resident_bytes' B/point.
 // It pins the 78-row figure, the regime every job start puts a cluster in
@@ -1107,12 +1107,16 @@ func TestResidentHeapPerPoint(t *testing.T) {
 	}
 }
 
-// BenchmarkSealRows replays the choice of sealRows = 32: 64 hosts × 78
-// cycles written with the seal at N rows, then a dashboard-shaped set of
-// 16 panel selects (the benchmark workload's panel: mean per minute per
-// host of one job's 16 hosts, over one or two minutes of the first 16
-// cycles). It reports resident bytes per stored point (one replica), the
-// chunk ratio and the µs of the set. No series reaches 128 rows, so N=128
+// BenchmarkSealRows replays the choice of sealRows = 32 by what the seal
+// size trades: 64 hosts × 78 cycles written with the seal at N rows — the
+// fill, timed — then a dashboard-shaped set of 16 panel selects (the
+// benchmark workload's panel: mean per minute per host of one job's 16
+// hosts, over one or two minutes of the first 16 cycles). Per written
+// point it reports the fill's ns and allocations, the cuts and the merges
+// they make included, and the resident bytes (one replica) and chunk ratio
+// it leaves; then the µs of the panel set. The merges normalise the layout
+// behind the head, so B/point barely moves with N: the write's merge work
+// and the rows every head holds do. No series reaches 128 rows, so N=128
 // is the layout without a seal.
 func BenchmarkSealRows(b *testing.B) {
 	const hosts, cycles = 64, 78
@@ -1133,28 +1137,43 @@ func BenchmarkSealRows(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			defer func(old int) { sealRows = old }(sealRows)
 			sealRows = n
-			db := sealSweepDB(b, hosts, cycles)
-			cs := db.compressionStats()
+			bufs := make([][]lineproto.Point, hosts)
+			sealSweepDB(b, bufs, 1) // builds the points
+			var db *DB
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				db = sealSweepDB(b, bufs, cycles)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			points := float64(b.N * hosts * cycles * 100)
+			cs := db.compressionStats()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/points, "ns/point")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/points, "allocs/point")
+			b.ReportMetric(float64(cs.headBytes+cs.compressedBytes)/(hosts*cycles*100), "B/point")
+			b.ReportMetric(float64(cs.rawOfCompressed)/float64(max(cs.compressedBytes, 1)), "ratio")
+			const sets = 10
+			start := time.Now()
+			for i := 0; i < sets; i++ {
 				for _, q := range panels {
 					if _, err := db.SelectContext(bg, q); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/set")
-			b.ReportMetric(float64(cs.headBytes+cs.compressedBytes)/(hosts*cycles*100), "B/point")
-			b.ReportMetric(float64(cs.rawOfCompressed)/float64(max(cs.compressedBytes, 1)), "ratio")
+			b.ReportMetric(float64(time.Since(start).Microseconds())/sets, "µs/set")
 		})
 	}
 }
 
-// BenchmarkC1_CompressThroughput measures the chunk encoders over the
+// BenchmarkC1_CompressThroughput measures the chunk encoder over the
 // footprint data set of the root package's C benchmarks (1M points, 4
 // series, float + int, in-order 1000-point batches): the rows of every
 // chunk the load cut and merged, decoded once, then encoded again by
-// compressColumns, in points/s.
+// encodeRun — a fresh head appended in one block and cut, as a merge and a
+// retention cut encode — in points/s.
 func BenchmarkC1_CompressThroughput(b *testing.B) {
 	const points, perB, series = 1_000_000, 1000, 4
 	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 4})
@@ -1175,10 +1194,11 @@ func BenchmarkC1_CompressThroughput(b *testing.B) {
 	}
 	m := db.shardFor("cpu").measurements["cpu"]
 	var runs []*colRun
+	var a decodeArena // never reset: every run stays decoded
 	rows := 0
 	for _, sr := range m.series {
 		for _, c := range sr.runs {
-			raw, err := decompress(c, len(m.strs.vals))
+			raw, err := decodeChunk(c, len(m.strs.vals), &a)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1188,10 +1208,11 @@ func BenchmarkC1_CompressThroughput(b *testing.B) {
 	if rows < points/2 {
 		b.Fatalf("the load cut %d rows into chunks, want most of %d", rows, points)
 	}
+	var scratch bitWriter
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range runs {
-			compressColumns(r.ts, r.cols)
+			encodeRun(r.ts, r.cols, m.strs.vals, &scratch)
 		}
 	}
 	b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "points/s")

@@ -9,7 +9,8 @@ package tsdb
 // the one-shot encoders give over the same rows, however the rows arrived
 // in blocks (FuzzHeadAppend). A cut at sealRows copies the streams out at
 // their exact size as a chunk: no row stays raw, and the merges the cut
-// makes (series.compact) only ever take chunks.
+// makes (series.compact) only ever take chunks. append is the one chunk
+// encoder: a merge or a retention cut encodes onto a fresh head (encodeRun).
 //
 // Readers share the streams without a copy (headSnap): a stream only
 // grows, its complete bytes are never rewritten, and the partial last byte
@@ -282,11 +283,13 @@ func (a *headAppend) put(hc *headCol, v *durable.Values, k int) {
 // widen re-packs a string-id column at a larger width into a fresh stream
 // (readers keep the old one).
 func (hc *headCol) widen(width uint8, strs []string) {
-	c := hc.decode(len(strs), nil)
+	a := pooledArena()
+	c := hc.decode(len(strs), a)
 	var w bitWriter
 	for _, id := range c.StrIDs {
 		w.writeBits(uint64(id), uint(width))
 	}
+	arenaPool.Put(a)
 	hc.w, hc.width = w, width
 }
 
@@ -296,16 +299,26 @@ func (hc *headCol) toMixed(strs []string) {
 	if hc.mixed {
 		return
 	}
-	c := hc.decode(len(strs), nil)
+	a := pooledArena()
+	c := hc.decode(len(strs), a)
 	c.toMixed(strs)
+	arenaPool.Put(a) // toMixed boxed the rows into a fresh array
 	hc.mixed, hc.width, hc.vals = true, 0, &c.Vals
 	hc.w, hc.enc = bitWriter{}, colEnc{}
 }
 
+// header returns hc as a chunk column without its stream: the header a
+// cut (chunkCol), a decode and a reader's snapshot share. The presence
+// bitmap and the mixed values are the head's own.
+func (hc *headCol) header() compCol {
+	return compCol{Name: hc.name, Kind: hc.kind, Mixed: hc.mixed, Width: hc.width,
+		Present: hc.present, Vals: slices.Clip(hc.mixedVals())}
+}
+
 // chunkCol returns hc as a chunk column, its stream copied out at its
-// exact size into buf.
+// exact size into buf and its mixed values cloned.
 func (hc *headCol) chunkCol(buf []byte) (compCol, []byte) {
-	cc := compCol{Name: hc.name, Kind: hc.kind, Mixed: hc.mixed, Width: hc.width, Present: hc.present}
+	cc := hc.header()
 	if hc.w.size() > 0 {
 		lo := len(buf)
 		buf = hc.w.appendTo(buf)
@@ -318,13 +331,12 @@ func (hc *headCol) chunkCol(buf []byte) (compCol, []byte) {
 }
 
 // decode returns the column's rows as a raw column whose arrays come from
-// a (decodeCol's allocator: nil allocates them fresh). A head stream is
-// written by this process's encoders, so one that does not decode is a
-// broken invariant, not bad input.
+// the arena a. A head stream is written by this process's encoders, so one
+// that does not decode is a broken invariant, not bad input.
 func (hc *headCol) decode(strsLen int, a *decodeArena) col {
+	cc := hc.header()
 	w := hc.w.view()
-	cc := compCol{Name: hc.name, Kind: hc.kind, Mixed: hc.mixed, Width: hc.width, Present: hc.present,
-		Data: a.finished(&w), Vals: hc.mixedVals()}
+	cc.Data = a.finished(&w)
 	v, err := decodeCol(&cc, int(hc.n), strsLen, a)
 	if err != nil {
 		panic(fmt.Sprintf("tsdb: head column %q does not decode: %v", hc.name, err))
@@ -352,16 +364,21 @@ func (h *head) chunk() *compRun {
 }
 
 // decode returns the head's rows as a raw run whose arrays come from the
-// arena a, so they last until it is reset: the form the rare paths change
-// and encode again before they give a back.
+// arena a (decodeChunk over the head's headers and finished streams), so
+// they last until it is reset: the form the rare paths change and encode
+// again before they give a back.
 func (h *head) decode(strsLen int, a *decodeArena) *colRun {
 	w := h.ts.view()
-	run := &colRun{ts: a.takeI64(h.n), cols: make([]col, len(h.cols))}
-	if _, err := decodeTimestamps(a.finished(&w), run.ts, math.MaxInt64); err != nil {
-		panic(fmt.Sprintf("tsdb: head timestamps do not decode: %v", err))
-	}
+	c := compRun{N: h.n, Ts: a.finished(&w), Cols: make([]compCol, len(h.cols))}
 	for i := range h.cols {
-		run.cols[i] = h.cols[i].decode(strsLen, a)
+		hc := &h.cols[i]
+		w := hc.w.view()
+		c.Cols[i] = hc.header()
+		c.Cols[i].Data = a.finished(&w)
+	}
+	run, err := decodeChunk(&c, strsLen, a)
+	if err != nil {
+		panic(fmt.Sprintf("tsdb: head does not decode: %v", err))
 	}
 	return run
 }
@@ -419,13 +436,17 @@ func (h *head) lateRow(blk *colRun, strs []string, s *bitWriter) bool {
 }
 
 // lastID reads the string id of the head's last row: the stream's last
-// width bits, which start where the column's undo mark is.
+// width bits, which start where the column's undo mark is and span at most
+// five bytes, the partial one included.
 func (hc *headCol) lastID() uint32 {
 	if hc.width == 0 {
 		return 0
 	}
-	w := hc.w.view()
-	r := bitReader{b: (*decodeArena)(nil).finished(&w)[hc.undo.blen:]}
+	var tail [8]byte
+	if k := copy(tail[:], hc.w.b[hc.undo.blen:]); k < len(tail) {
+		tail[k] = hc.w.cur
+	}
+	r := bitReader{b: tail[:]}
 	if hc.undo.n > 0 {
 		r.readBits(uint(hc.undo.n))
 	}
@@ -467,8 +488,7 @@ func (h *head) rewind() {
 // would change no column's kind, the rows are appended in merge order —
 // the head's up to the block, the block, the rest — with no merged copy.
 func (h *head) absorb(blk *colRun, strs []string, s *bitWriter) {
-	a := arenaPool.Get().(*decodeArena)
-	a.reset()
+	a := pooledArena()
 	defer arenaPool.Put(a)
 	run := h.decode(len(strs), a)
 	h.clear()
@@ -486,17 +506,25 @@ func (h *head) absorb(blk *colRun, strs []string, s *bitWriter) {
 	h.append(m.ts, m.cols, strs, s, nil)
 }
 
-// timestampsEqual reports whether the head's timestamps are exactly ts,
-// decoding them only when the row count and both ends already match.
-func (h *head) timestampsEqual(ts []int64) bool {
-	if h.n != len(ts) || h.minTS != ts[0] || h.maxTS != ts[len(ts)-1] {
+// rewrite applies a block whose timestamps are exactly the head's — the
+// same-timestamp rewrite — field by field with last-write-wins, and
+// reports whether it did. The head is decoded, once, only when the row
+// count and both ends already match.
+func (h *head) rewrite(b *runBuilder, m *measurement) bool {
+	if h.n != len(b.ts) || h.minTS != b.ts[0] || h.maxTS != b.ts[len(b.ts)-1] {
 		return false
 	}
-	own := make([]int64, h.n)
-	if _, err := decodeTimestamps(h.ts.appendTo(nil), own, math.MaxInt64); err != nil {
-		panic(fmt.Sprintf("tsdb: head timestamps do not decode: %v", err))
+	strs := m.strs.vals
+	a := pooledArena()
+	defer arenaPool.Put(a)
+	run := h.decode(len(strs), a)
+	if !slices.Equal(run.ts, b.ts) {
+		return false
 	}
-	return slices.Equal(own, ts)
+	run.rewriteBlock(b, m)
+	h.clear()
+	h.append(run.ts, run.cols, strs, &b.enc, nil)
+	return true
 }
 
 // clear empties the head. Its streams are dropped, not reused: readers may
@@ -540,10 +568,7 @@ func (h *head) snapshot(cols []AggCol) *headSnap {
 	for ci := range cols {
 		if i := h.colByName(cols[ci].Field); i >= 0 {
 			hc := &h.cols[i]
-			hs.cols[ci] = headColSnap{ok: true, w: hc.w.view(), cc: compCol{
-				Name: hc.name, Kind: hc.kind, Mixed: hc.mixed, Width: hc.width,
-				Present: hc.present, Vals: slices.Clip(hc.mixedVals()),
-			}}
+			hs.cols[ci] = headColSnap{ok: true, w: hc.w.view(), cc: hc.header()}
 		}
 	}
 	return hs

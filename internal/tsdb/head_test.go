@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -147,7 +148,7 @@ func FuzzHeadAppend(f *testing.F) {
 			lateRows[i].ts = at + int64(i)*int64(late%2)
 		}
 		b.fill(m, lateRows)
-		run, err := decompress(want, len(m.strs.vals))
+		run, err := decodeChunk(want, len(m.strs.vals), &decodeArena{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,56 +163,116 @@ func FuzzHeadAppend(f *testing.F) {
 	})
 }
 
-// TestHeadBytesMatchOneShot: rows written through the database in in-order
-// batches of assorted sizes are stored as the one-shot encoders
-// (compressColumns) store the same rows, byte for byte — the chunk the cuts
-// merged into and the head as its chunk — where the expected bytes come from the written
-// rows, not from anything the head encoded. The reference engine reads
-// heads through their own streams, so this is what ties them to the codecs
-// on the write path.
+// TestHeadBytesMatchOneShot: rows written through the database are stored
+// as the one-shot encoders (compressColumns) store the same rows, byte for
+// byte, on every path that encodes a chunk: in-order batches of assorted
+// sizes — the head, and the chunk its cuts merged by appending them onto
+// one head — an out-of-order span, merged and encoded onto a head of its
+// own, and a retention sweep's cut of a chunk and of the head. The
+// expected bytes come from the written rows, merged (mergeRuns) and cut
+// (sliceRun) where the store merged and cut them, not from anything a head
+// encoded. The reference engine reads heads through their own streams, so
+// this is what ties them to the codecs on the write path.
 func TestHeadBytesMatchOneShot(t *testing.T) {
 	t.Parallel()
-	db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1})
 	rows := headRows(11, 300, true)
-	var pts []lineproto.Point
-	for lo, k := 0, 0; lo < len(rows); k++ {
-		hi := min(lo+[]int{1, 3, 7, 2, 13, 1, 40}[k%7], len(rows))
-		pts = pts[:0]
-		for _, r := range rows[lo:hi] {
-			fields := map[string]lineproto.Value{}
-			for _, f := range r.fields {
-				v := lineproto.Int(int64(f.Num))
-				switch f.Kind {
-				case lineproto.KindFloat:
-					v = lineproto.Float(math.Float64frombits(f.Num))
-				case lineproto.KindBool:
-					v = lineproto.Bool(f.Num != 0)
-				case lineproto.KindString:
-					v = lineproto.String(string(f.Str))
+	// write sends rows to one series in in-order batches of the sizes
+	// given, cycled, and returns the series' measurement and the series.
+	write := func(t *testing.T, db *DB, rows []headRow, sizes ...int) (*measurement, *series) {
+		t.Helper()
+		var pts []lineproto.Point
+		for lo, k := 0, 0; lo < len(rows); k++ {
+			hi := min(lo+sizes[k%len(sizes)], len(rows))
+			pts = pts[:0]
+			for _, r := range rows[lo:hi] {
+				fields := map[string]lineproto.Value{}
+				for _, f := range r.fields {
+					v := lineproto.Int(int64(f.Num))
+					switch f.Kind {
+					case lineproto.KindFloat:
+						v = lineproto.Float(math.Float64frombits(f.Num))
+					case lineproto.KindBool:
+						v = lineproto.Bool(f.Num != 0)
+					case lineproto.KindString:
+						v = lineproto.String(string(f.Str))
+					}
+					fields[string(f.Key)] = v
 				}
-				fields[string(f.Key)] = v
+				pts = append(pts, lineproto.NewPoint("m", map[string]string{"host": "h1"}, fields, time.Unix(0, r.ts)))
 			}
-			pts = append(pts, lineproto.NewPoint("m", map[string]string{"host": "h1"}, fields, time.Unix(0, r.ts)))
+			if err := db.WriteBatchContext(bg, pts); err != nil {
+				t.Fatal(err)
+			}
+			lo = hi
 		}
-		if err := db.WriteBatchContext(bg, pts); err != nil {
-			t.Fatal(err)
+		m := db.shardFor("m").measurements["m"]
+		return m, m.series["host=h1"]
+	}
+	// check compares the series' runs, newest last, with want.
+	check := func(t *testing.T, db *DB, sr *series, layout string, want ...*compRun) {
+		t.Helper()
+		if got := runLayout(db); got != "m host=h1: "+layout {
+			t.Fatalf("layout %s, want %s", got, layout)
 		}
-		lo = hi
-	}
-	m := db.shardFor("m").measurements["m"]
-	sr := m.series["host=h1"]
-	var b runBuilder
-	lo := 0
-	for i, got := range seriesRuns(sr) {
-		b.fill(m, rows[lo:lo+got.N])
-		if want := compressColumns(b.ts, b.cols); !reflect.DeepEqual(got, want) {
-			t.Fatalf("run %d of %d (rows %d to %d):\n got %+v\nwant %+v", i, len(sr.runs)+1, lo, lo+got.N, got, want)
+		for i, got := range seriesRuns(sr) {
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("run %d of %s:\n got %+v\nwant %+v", i, layout, got, want[i])
+			}
 		}
-		lo += got.N
 	}
-	if got, want := runLayout(db), "m host=h1: 268c 32h"; lo != len(rows) || got != want {
-		t.Fatalf("runs hold %d rows of %d: %s, want the cuts merged into one chunk: %s", lo, len(rows), got, want)
+	// block returns rows as the builder's finished block, a run of its own.
+	block := func(m *measurement, rows []headRow) *colRun {
+		var b runBuilder
+		b.fill(m, rows)
+		return &colRun{ts: b.ts, cols: b.cols}
 	}
+	oneShot := func(r *colRun) *compRun { return compressColumns(r.ts, r.cols) }
+
+	t.Run("in order", func(t *testing.T) {
+		t.Parallel()
+		db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1})
+		m, sr := write(t, db, rows, 1, 3, 7, 2, 13, 1, 40)
+		// The cuts merged into one chunk.
+		check(t, db, sr, "268c 32h", oneShot(block(m, rows[:268])), oneShot(block(m, rows[268:])))
+	})
+
+	t.Run("late span", func(t *testing.T) {
+		t.Parallel()
+		db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1})
+		// A full head of rows 32-63 is cut by the block of rows 0-31 behind
+		// it, which rows 64-95 cut in turn: the two chunks overlap, and the
+		// second cut merges them pairwise, rows 32-63 first on equal
+		// timestamps.
+		write(t, db, rows[32:64], 32)
+		write(t, db, rows[:32], 32)
+		m, sr := write(t, db, rows[64:96], 32)
+		merged := mergeRuns(m.strs.vals, block(m, rows[32:64]), block(m, rows[:32]))
+		check(t, db, sr, "64c 32h", oneShot(merged), oneShot(block(m, rows[64:96])))
+	})
+
+	t.Run("retention", func(t *testing.T) {
+		t.Parallel()
+		db := newDBOpts("lms", StoreOptions{ShardsPerDB: 1})
+		// Without the last row, whose timestamp the three before it share:
+		// a cut then keeps rows in which a column that skips rows in the
+		// head has a value in each.
+		rows := rows[:299]
+		m, sr := write(t, db, rows, 1, 3, 7, 2, 13, 1, 40)
+		cut := func(r *colRun, from int64) *compRun {
+			lo := sort.Search(len(r.ts), func(i int) bool { return r.ts[i] >= from })
+			return oneShot(r.sliceRun(lo, len(r.ts)))
+		}
+		// A sweep through the chunk re-encodes the rows it keeps of it ...
+		at := rows[264].ts
+		db.pruneNow(at)
+		kept := cut(block(m, rows[:268]), at)
+		check(t, db, sr, fmt.Sprintf("%dc 31h", kept.N), kept, oneShot(block(m, rows[268:])))
+		// ... and one through the head drops the chunk and cuts the head.
+		at = rows[296].ts
+		db.pruneNow(at)
+		kept = cut(block(m, rows[268:]), at)
+		check(t, db, sr, fmt.Sprintf("%dh", kept.N), kept)
+	})
 }
 
 // TestHeadConcurrentSnapshots: readers snapshot and decode heads while a

@@ -44,7 +44,7 @@ func seriesRuns(sr *series) []*compRun {
 // decodeRun materializes one run of a measurement back into rows,
 // reconstructing every field value through the interned tables.
 func decodeRun(m *measurement, c *compRun) []row {
-	run, err := decompress(c, len(m.strs.vals))
+	run, err := decodeChunk(c, len(m.strs.vals), &decodeArena{})
 	if err != nil {
 		panic(err)
 	}

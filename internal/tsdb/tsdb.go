@@ -433,6 +433,11 @@ func (sr *series) mergeSpans(stack []runSpan) []runSpan {
 // A chunk that does not decode leaves its span as it is.
 func (sr *series) compact(mt *Metrics, strs []string, scratch *runBuilder) int {
 	scratch.spans = sr.mergeSpans(scratch.spans[:0])
+	if len(scratch.spans) == 0 {
+		return 0
+	}
+	a := pooledArena()
+	defer arenaPool.Put(a)
 	replaced := 0
 spans:
 	for i := len(scratch.spans) - 1; i >= 0; i-- {
@@ -440,8 +445,9 @@ spans:
 		chunks := sr.runs[s.lo:s.hi]
 		parts := make([]*colRun, len(chunks))
 		inOrder := true
+		a.reset() // nothing decoded for the span before is in use
 		for j, c := range chunks {
-			raw, err := decompress(c, len(strs))
+			raw, err := decodeChunk(c, len(strs), a)
 			if err != nil {
 				mt.noteDecodeError(err)
 				continue spans
@@ -468,7 +474,7 @@ spans:
 				}
 				parts = next
 			}
-			out = compressColumns(parts[0].ts, parts[0].cols)
+			out = encodeRun(parts[0].ts, parts[0].cols, strs, &scratch.enc)
 		}
 		sr.runs = slices.Replace(sr.runs, s.lo, s.hi, out)
 		replaced += s.hi - s.lo
@@ -495,14 +501,7 @@ func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) {
 		// The exact-match check precedes the in-order check: a run whose
 		// timestamps are all equal (e.g. a single point) satisfies both,
 		// and re-writing it must upsert, not accumulate duplicates.
-		if h.timestampsEqual(b.ts) {
-			a := arenaPool.Get().(*decodeArena)
-			a.reset()
-			run := h.decode(len(strs), a)
-			run.rewriteBlock(b, m)
-			h.clear()
-			h.append(run.ts, run.cols, strs, &b.enc, nil)
-			arenaPool.Put(a)
+		if h.rewrite(b, m) {
 			return
 		}
 		if h.n < sealRows && h.maxTS <= b.ts[0] {
@@ -519,6 +518,7 @@ func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) {
 	// anyway, and to compact.
 	blk := &colRun{ts: b.ts, cols: b.cols}
 	var cut *compRun
+	a := pooledArena() // the head and short chunks merged into blk decode here
 	switch {
 	case h == nil:
 		h = &head{}
@@ -528,19 +528,17 @@ func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) {
 		sr.runs = append(sr.runs, cut)
 		h.clear()
 	case len(sr.runs) == 0 || sr.runs[len(sr.runs)-1].N >= sealRows:
+		arenaPool.Put(a)
 		if !h.lateRow(blk, strs, &b.enc) {
 			h.absorb(blk, strs, &b.enc)
 		}
 		return
 	default:
-		a := arenaPool.Get().(*decodeArena)
-		a.reset()
 		blk = mergeRuns(strs, h.decode(len(strs), a), blk)
-		arenaPool.Put(a) // the merge copied every row out
 		h.clear()
 	}
 	for k := len(sr.runs); k > 0 && sr.runs[k-1].N < sealRows; k = len(sr.runs) {
-		ra, err := decompress(sr.runs[k-1], len(strs))
+		ra, err := decodeChunk(sr.runs[k-1], len(strs), a)
 		if err != nil {
 			mt.noteDecodeError(err)
 			break
@@ -548,6 +546,7 @@ func (sr *series) commit(mt *Metrics, m *measurement, b *runBuilder) {
 		blk = mergeRuns(strs, ra, blk)
 		sr.runs = sr.runs[:k-1]
 	}
+	arenaPool.Put(a) // the merges copied every row out
 	h.append(blk.ts, blk.cols, strs, &b.enc, cut)
 	sr.compact(mt, strs, b)
 }
@@ -561,7 +560,9 @@ func (sr *series) adoptHead(mt *Metrics, strs []string, scratch *bitWriter) {
 	if sr.head != nil || n == 0 {
 		return
 	}
-	raw, err := decompress(sr.runs[n-1], len(strs))
+	a := pooledArena()
+	defer arenaPool.Put(a)
+	raw, err := decodeChunk(sr.runs[n-1], len(strs), a)
 	if err != nil {
 		mt.noteDecodeError(err)
 		return
@@ -890,24 +891,26 @@ func (db *DB) pruneNow(beforeNS int64) {
 func (sh *shard) pruneLocked(mt *Metrics, beforeNS int64) bool {
 	anyDropped := false
 	scratch := &sh.bld
+	a := pooledArena()
+	defer arenaPool.Put(a)
 	for mname, m := range sh.measurements {
 		strs := m.strs.vals
 		deleted := false
 		for key, sr := range m.series {
 			changed := false
 			kept := sr.runs[:0:0]
+			a.reset() // nothing decoded for the series before is in use
 			for _, c := range sr.runs {
 				if c.MaxTS < beforeNS {
 					changed = true
 					continue
 				}
 				if c.MinTS < beforeNS {
-					if raw, err := decompress(c, len(strs)); err != nil {
+					if raw, err := decodeChunk(c, len(strs), a); err != nil {
 						mt.noteDecodeError(err) // keep data over dropping it
 					} else {
-						idx := sort.Search(len(raw.ts), func(i int) bool { return raw.ts[i] >= beforeNS })
-						cut := raw.sliceRun(idx, len(raw.ts))
-						c, changed = compressColumns(cut.ts, cut.cols), true
+						ts, cols := raw.since(beforeNS)
+						c, changed = encodeRun(ts, cols, strs, &scratch.enc), true
 					}
 				}
 				kept = append(kept, c)
@@ -916,14 +919,9 @@ func (sh *shard) pruneLocked(mt *Metrics, beforeNS int64) bool {
 				if h.maxTS < beforeNS {
 					sr.head = nil
 				} else {
-					a := arenaPool.Get().(*decodeArena)
-					a.reset()
-					raw := h.decode(len(strs), a)
-					idx := sort.Search(len(raw.ts), func(i int) bool { return raw.ts[i] >= beforeNS })
-					cut := raw.sliceRun(idx, len(raw.ts))
-					arenaPool.Put(a) // the cut copied the rows it keeps
+					ts, cols := h.decode(len(strs), a).since(beforeNS)
 					h.clear()
-					h.append(cut.ts, cut.cols, strs, &scratch.enc, nil)
+					h.append(ts, cols, strs, &scratch.enc, nil)
 				}
 				changed = true
 			}
